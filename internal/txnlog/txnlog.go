@@ -1,47 +1,57 @@
 // Package txnlog is a crash-consistent, bounded redo log for multi-key
 // transactions in simulated persistent memory. Each store shard owns one:
 // a transaction commit appends an intent record (the encoded write-set for
-// that shard), then a commit mark, applies the write-set to the shard's
-// tree, and truncates the log. Recovery scans every shard's log, replays
-// intents whose transaction has a durable commit mark anywhere, and
-// discards the rest.
+// that shard) to every participating shard, then ONE commit mark to the
+// first of them, applies the write-sets to the shards' trees, and
+// truncates the logs. Recovery scans every shard's log, replays intents
+// whose transaction has a durable commit mark anywhere, and discards the
+// rest.
 //
-// The log borrows the vlog's publish protocol — store record words, flush,
-// fence, advance a persisted tail word — but is deliberately simpler than
-// the value log: one fixed-capacity region instead of an extent chain, no
-// space accounting, no GC. The store serialises commits per shard, so at
-// most one transaction's records live in a log at a time and truncation
-// always empties it.
+// The log is one fixed-capacity region — no extent chain, no space
+// accounting, no GC. The store serialises commits per shard, so at most
+// one transaction's records live in a log at a time and truncation always
+// empties it.
 //
-// # Persistence protocol
+// # Persistence protocol (format version 2: publish by flush)
 //
-//  1. The payload words, the transaction ID, the record kind, and the
-//     header word (length+1 and a CRC-32C packed into 8 bytes) are stored
-//     and flushed.
-//  2. A store fence orders the record ahead of its publication (free on
-//     TSO, a dmb on NonTSO).
-//  3. The tail word in the log header line is advanced over the record
-//     with one atomic 8-byte store and flushed. The record is durable when
-//     Append returns.
-//
-// Truncate publishes tail = 0 the same way: one atomic store, flushed and
-// durable on return. A crash between a commit's apply phase and its
-// truncation leaves the committed records in the log; recovery replays
-// them, which is idempotent because intents carry final values.
+// There is no persisted tail. A record is published by its own flush:
+// Append stores the payload words, the transaction ID, the kind word
+// (kind byte | the log's current GENERATION) and the header word
+// (length+1 and a CRC-32C over ID, kind word and payload), flushes the
+// record's lines — one flush call, one fence — and returns; the record is
+// durable then. Truncate bumps the generation word in the log's header
+// line and flushes that one line, which invalidates every record of the
+// old generation at once. The append cursor (Len) is volatile.
 //
 // # Recovery
 //
-// Open bounds-checks the persisted tail (word alignment, capacity), then
-// validates every record below it — header length, CRC — and truncates at
-// the first invalid one. Under the publish protocol nothing below a
-// persisted tail can be torn, so validation failures indicate corruption;
-// they shrink the log rather than fail recovery, mirroring the vlog.
+// Open walks the region from offset 0 and keeps records while the header
+// length is in bounds, the CRC matches, and the kind word carries the
+// header's current generation; it stops at the first record failing any
+// of the three. A crash mid-append leaves a record some of whose words
+// never reached the media: its CRC fails and it is dropped whole, with
+// every earlier record intact. The generation is what makes the walk safe
+// without a tail: the region is never scrubbed, so a complete, CRC-clean
+// record of an earlier generation can lie directly behind a shorter
+// record of the current one, and it is refused deterministically, not by
+// checksum luck. For the same reason no append may ever share a
+// generation with bytes a crashed append left behind: Open starts a fresh
+// generation when it recovers an empty log, and a log recovered WITH
+// records refuses Append (ErrNotTruncated) until Truncate — a redo log's
+// recovered records are replayed and dropped, never extended.
+//
+// The header's immutable words are guarded by a check word and the
+// generation word carries its own check bits, so a damaged header fails
+// Open closed (ErrCorrupt) instead of steering appends into foreign
+// memory or resurrecting an old generation; a damaged record fails its
+// CRC and ends the walk.
 package txnlog
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 
 	"repro/internal/pmem"
@@ -64,10 +74,19 @@ var (
 	// capacity (even on an empty log).
 	ErrTooLarge = errors.New("txnlog: record exceeds log capacity")
 	// ErrFull reports an Append that does not fit the space remaining
-	// behind the tail.
+	// behind the append cursor.
 	ErrFull = errors.New("txnlog: log full")
 	// ErrCorrupt reports an unreadable log image.
 	ErrCorrupt = errors.New("txnlog: corrupt log")
+	// ErrVersion reports a log image written in another format version.
+	// There is no migration path: version 1 logs published records through
+	// a persisted tail word this version neither reads nor maintains.
+	ErrVersion = errors.New("txnlog: unsupported log format version")
+	// ErrNotTruncated reports an Append to a log that Open recovered with
+	// records in it. Bytes a crashed append left behind the recovered
+	// records belong to the current generation, so nothing may be appended
+	// in front of them; Truncate (which starts a new generation) first.
+	ErrNotTruncated = errors.New("txnlog: recovered records must be truncated before appending")
 )
 
 // Log header layout: one cache line anchored at a pool root slot.
@@ -75,23 +94,27 @@ var (
 //	word 0: magic | version
 //	word 1: arena offset of the record region
 //	word 2: region capacity in bytes
-//	word 3: tail — byte offset of the next append within the region (the
-//	        commit point; 0 = empty log)
+//	word 3: generation<<8 | popcount(generation) — bumped by Truncate; the
+//	        low byte makes every single-bit flip of the word detectable
+//	word 4: ^(word 0 ^ word 1 ^ word 2), written once by Create
 //
 // Record layout: an 8-byte header, the 8-byte transaction ID, the 8-byte
 // kind word, then the payload padded to whole words.
 //
-//	header: (payload length + 1) in the low 32 bits, CRC-32C of the
-//	        ID bytes, kind byte, and payload in the high 32. The +1
-//	        keeps an empty record's header nonzero.
+//	header: (payload length + 1) in the low 32 bits, CRC-32C of the ID,
+//	        the kind word and the payload in the high 32. The +1 keeps
+//	        an empty record's header nonzero.
+//	kind:   the Kind in the low byte, the generation the record was
+//	        appended under in the upper 56 bits.
 const (
 	logMagic   = uint64(0x54584c47) // "TXLG"
-	logVersion = 1
+	logVersion = 2
 
 	hdrMagicWord  = 0
 	hdrRegionWord = 1
 	hdrCapWord    = 2
-	hdrTailWord   = 3
+	hdrGenWord    = 3
+	hdrCheckWord  = 4
 	hdrBytes      = pmem.LineSize
 
 	// recHdrBytes is the fixed per-record overhead: header word +
@@ -104,17 +127,21 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// recordCRC hashes the transaction ID (little-endian), the kind byte, and
-// the payload. Folding the fixed fields in directly keeps the append path
-// allocation-free, like the vlog's recordCRC.
-func recordCRC(id uint64, kind Kind, payload []byte) uint32 {
+// recordCRC hashes the transaction ID and the kind word (little-endian)
+// and the payload. Folding the fixed fields in directly keeps the append
+// path allocation-free, like the vlog's recordCRC.
+func recordCRC(id, kindWord uint64, payload []byte) uint32 {
 	crc := ^uint32(0)
-	for i := 0; i < 8; i++ {
-		crc = crcTable[byte(crc)^byte(id>>(8*i))] ^ crc>>8
+	for _, w := range [2]uint64{id, kindWord} {
+		for i := 0; i < 8; i++ {
+			crc = crcTable[byte(crc)^byte(w>>(8*i))] ^ crc>>8
+		}
 	}
-	crc = crcTable[byte(crc)^byte(kind)] ^ crc>>8
 	return crc32.Update(^crc, crcTable, payload)
 }
+
+// genWord encodes a generation for the header line.
+func genWord(gen uint64) uint64 { return gen<<8 | uint64(bits.OnesCount64(gen)) }
 
 // Log is a handle on one transaction log. Appends and truncations
 // serialise on an internal mutex; the store additionally serialises whole
@@ -124,10 +151,12 @@ type Log struct {
 	p      *pmem.Pool
 	hdrOff int64
 
-	mu     sync.Mutex
-	region int64
-	cap    int64
-	tail   int64 // next append offset within the region (mirrors pmem)
+	mu        sync.Mutex
+	region    int64
+	cap       int64
+	tail      int64  // next append offset within the region (volatile)
+	gen       uint64 // current generation (mirrors the header word)
+	recovered bool   // Open found records: Truncate before the next Append
 }
 
 // Rec is one decoded record, as yielded by Scan.
@@ -149,9 +178,7 @@ func RecordSize(payloadLen int) int64 {
 // SpaceFor reports whether a payload of n bytes fits an EMPTY log — the
 // admission check commits run before writing anything, so a too-large
 // transaction aborts cleanly instead of half-appending.
-func (l *Log) SpaceFor(n int) bool {
-	return recHdrBytes+roundUp(int64(n), pmem.WordSize) <= l.cap
-}
+func (l *Log) SpaceFor(n int) bool { return RecordSize(n) <= l.cap }
 
 // Create initialises an empty log of the given capacity (0 = DefaultCap)
 // anchored at the pool root slot and persists it.
@@ -168,96 +195,106 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, capBytes int64) (*Log, erro
 	if err != nil {
 		return nil, fmt.Errorf("txnlog: alloc region: %w", err)
 	}
-	l := &Log{p: p, hdrOff: hdr, region: region, cap: capBytes}
+	l := &Log{p: p, hdrOff: hdr, region: region, cap: capBytes, gen: 1}
+	magic := logMagic<<32 | logVersion
 	th.Store(hdr+hdrRegionWord*pmem.WordSize, uint64(region))
 	th.Store(hdr+hdrCapWord*pmem.WordSize, uint64(capBytes))
-	th.Store(hdr+hdrTailWord*pmem.WordSize, 0)
-	th.Store(hdr+hdrMagicWord*pmem.WordSize, logMagic<<32|logVersion)
+	th.Store(hdr+hdrGenWord*pmem.WordSize, genWord(l.gen))
+	th.Store(hdr+hdrCheckWord*pmem.WordSize, ^(magic ^ uint64(region) ^ uint64(capBytes)))
+	th.Store(hdr+hdrMagicWord*pmem.WordSize, magic)
 	th.Persist(hdr, hdrBytes)
 	p.SetRoot(th, slot, hdr)
 	return l, nil
 }
 
-// Open re-attaches to the log anchored at slot and runs recovery: the tail
-// is bounds-checked and every record below it re-validated; the log is
-// truncated (volatile-side only — the caller decides when to Truncate
-// durably) at the first invalid record. The surviving records are exactly
-// what Scan will yield.
+// Open re-attaches to the log anchored at slot and runs recovery: the
+// header is checked (fail-closed), then the region is walked from offset 0
+// and every record that is in bounds, CRC-clean and of the current
+// generation is kept; the surviving records are exactly what Scan will
+// yield. An empty recovered log starts a fresh generation (one persisted
+// header store), so bytes of a record torn by the crash can never validate
+// behind a later append; a log recovered with records keeps them durably
+// valid and refuses Append until the caller Truncates.
 func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 	hdr := p.Root(th, slot)
-	if hdr == 0 {
-		return nil, fmt.Errorf("%w: no log at root slot %d", ErrCorrupt, slot)
+	if hdr <= 0 || hdr%pmem.LineSize != 0 || hdr > p.Size()-hdrBytes {
+		return nil, fmt.Errorf("%w: no log header at root slot %d (offset %d)", ErrCorrupt, slot, hdr)
 	}
 	magic := th.Load(hdr + hdrMagicWord*pmem.WordSize)
-	if magic>>32 != logMagic || magic&0xffffffff != logVersion {
+	if magic>>32 != logMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x at root slot %d", ErrCorrupt, magic, slot)
 	}
-	l := &Log{
-		p:      p,
-		hdrOff: hdr,
-		region: int64(th.Load(hdr + hdrRegionWord*pmem.WordSize)),
-		cap:    int64(th.Load(hdr + hdrCapWord*pmem.WordSize)),
+	if v := magic & 0xffffffff; v != logVersion {
+		return nil, fmt.Errorf("%w: image is version %d, this build reads version %d", ErrVersion, v, logVersion)
 	}
-	if l.region <= 0 || l.cap <= 0 || l.region+l.cap > p.Size() {
+	region := th.Load(hdr + hdrRegionWord*pmem.WordSize)
+	capBytes := th.Load(hdr + hdrCapWord*pmem.WordSize)
+	if th.Load(hdr+hdrCheckWord*pmem.WordSize) != ^(magic ^ region ^ capBytes) {
+		return nil, fmt.Errorf("%w: header check word mismatch at root slot %d", ErrCorrupt, slot)
+	}
+	l := &Log{p: p, hdrOff: hdr, region: int64(region), cap: int64(capBytes)}
+	if l.region <= 0 || l.cap <= 0 || l.region%pmem.WordSize != 0 || l.cap%pmem.WordSize != 0 ||
+		l.region > p.Size() || l.cap > p.Size()-l.region {
 		return nil, fmt.Errorf("%w: region [%d,+%d) outside pool", ErrCorrupt, l.region, l.cap)
 	}
-	tail := int64(th.Load(hdr + hdrTailWord*pmem.WordSize))
-	if tail < 0 || tail > l.cap || tail%pmem.WordSize != 0 {
-		// A torn tail word is impossible (8-byte atomic stores), but a
-		// corrupt image could hold anything; an unparseable tail means no
-		// record was ever durably published past a parseable state, so
-		// treat the log as empty rather than guess.
-		tail = 0
+	gw := th.Load(hdr + hdrGenWord*pmem.WordSize)
+	l.gen = gw >> 8
+	if gw != genWord(l.gen) {
+		return nil, fmt.Errorf("%w: generation word %#x fails its check bits", ErrCorrupt, gw)
 	}
-	// Walk the records below the tail; stop at the first invalid one.
-	off := int64(0)
-	for off < tail {
-		n, ok := l.checkRecord(th, off, tail)
+	for {
+		n, ok := l.checkRecord(th, l.tail)
 		if !ok {
 			break
 		}
-		off += n
+		l.tail += n
 	}
-	l.tail = off
+	if l.tail == 0 {
+		l.bumpGen(th)
+	} else {
+		l.recovered = true
+	}
 	return l, nil
 }
 
 // checkRecord validates the record at byte offset off (within the region),
-// returning its total size and whether it is intact and fits below bound.
-func (l *Log) checkRecord(th *pmem.Thread, off, bound int64) (int64, bool) {
-	if off+recHdrBytes > bound {
+// returning its total size and whether it lies inside the region, is
+// CRC-clean and belongs to the current generation.
+func (l *Log) checkRecord(th *pmem.Thread, off int64) (int64, bool) {
+	if off+recHdrBytes > l.cap {
 		return 0, false
 	}
 	hdrWord := th.Load(l.region + off)
-	if hdrWord == 0 {
-		return 0, false
-	}
 	plen := int64(hdrWord&0xffffffff) - 1
-	if plen < 0 || plen > l.cap {
+	if plen < 0 {
 		return 0, false
 	}
 	need := recHdrBytes + roundUp(plen, pmem.WordSize)
-	if off+need > bound {
+	if off+need > l.cap {
 		return 0, false
 	}
 	id := th.Load(l.region + off + pmem.WordSize)
-	kind := Kind(th.Load(l.region + off + 2*pmem.WordSize))
-	if kind != KindIntent && kind != KindCommit {
+	kindWord := th.Load(l.region + off + 2*pmem.WordSize)
+	if kind := Kind(kindWord & 0xff); kindWord>>8 != l.gen || (kind != KindIntent && kind != KindCommit) {
 		return 0, false
 	}
 	payload := appendPayload(th, nil, l.region+off+recHdrBytes, int(plen))
-	if recordCRC(id, kind, payload) != uint32(hdrWord>>32) {
+	if recordCRC(id, kindWord, payload) != uint32(hdrWord>>32) {
 		return 0, false
 	}
 	return need, true
 }
 
-// Append publishes one record. It is durable when Append returns: a crash
-// mid-append can only lose the whole record, never expose a torn one.
+// Append publishes one record with a single flush+fence of its own lines.
+// It is durable when Append returns: a crash mid-append can only lose the
+// whole record, never expose a torn one.
 func (l *Log) Append(th *pmem.Thread, id uint64, kind Kind, payload []byte) error {
-	need := recHdrBytes + roundUp(int64(len(payload)), pmem.WordSize)
+	need := RecordSize(len(payload))
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.recovered {
+		return ErrNotTruncated
+	}
 	if need > l.cap {
 		return fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, need, l.cap)
 	}
@@ -265,27 +302,23 @@ func (l *Log) Append(th *pmem.Thread, id uint64, kind Kind, payload []byte) erro
 		return fmt.Errorf("%w: %d bytes free, need %d", ErrFull, l.cap-l.tail, need)
 	}
 	off := l.region + l.tail
-	// Step 1: payload words, the ID, the kind, then the header word,
-	// flushed together.
 	for i, pos := 0, off+recHdrBytes; i < len(payload); i, pos = i+8, pos+pmem.WordSize {
 		th.Store(pos, packWord(payload[i:]))
 	}
+	kindWord := uint64(kind) | l.gen<<8
 	th.Store(off+pmem.WordSize, id)
-	th.Store(off+2*pmem.WordSize, uint64(kind))
-	crc := recordCRC(id, kind, payload)
-	th.Store(off, uint64(len(payload)+1)|uint64(crc)<<32)
+	th.Store(off+2*pmem.WordSize, kindWord)
+	th.Store(off, uint64(len(payload)+1)|uint64(recordCRC(id, kindWord, payload))<<32)
 	th.Flush(off, need)
-	// Steps 2+3: fence, then commit by advancing the tail over the record.
 	l.tail += need
-	l.persistTail(th)
 	return nil
 }
 
-// Truncate durably empties the log: one atomic persisted store of
-// tail = 0. It must be durable before the next transaction appends (the
-// store holds the commit serialisation lock across both), otherwise a
-// crash image could pair a new transaction's record with a stale tail that
-// still covers the old transaction's bytes.
+// Truncate durably empties the log by starting a new generation: one
+// atomic persisted store to the header line, after which no record of the
+// old generation validates. It is durable on return, and must be before
+// the next transaction appends (the store holds the commit serialisation
+// lock across both).
 func (l *Log) Truncate(th *pmem.Thread) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -293,20 +326,31 @@ func (l *Log) Truncate(th *pmem.Thread) {
 		return
 	}
 	l.tail = 0
-	l.persistTail(th)
+	l.recovered = false
+	l.bumpGen(th)
 }
 
-// Len returns the published bytes in the log (0 = empty).
+// bumpGen advances the generation and persists it. The 56-bit counter
+// outlasts any device: 2^56 truncations at one per microsecond take two
+// millennia.
+func (l *Log) bumpGen(th *pmem.Thread) {
+	l.gen++
+	off := l.hdrOff + hdrGenWord*pmem.WordSize
+	th.Store(off, genWord(l.gen))
+	th.Flush(off, pmem.WordSize)
+}
+
+// Len returns the bytes of records in the log (0 = empty).
 func (l *Log) Len() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.tail
 }
 
-// Scan yields every published record in append order until fn returns
-// false. The payload slice is freshly allocated per record and owned by
-// fn. Records were validated at Open (or written by this process), so Scan
-// trusts headers below the tail.
+// Scan yields every record in append order until fn returns false. The
+// payload slice is freshly allocated per record and owned by fn. Records
+// were validated at Open (or written by this process), so Scan trusts
+// headers below the append cursor.
 func (l *Log) Scan(th *pmem.Thread, fn func(r Rec) bool) {
 	l.mu.Lock()
 	tail := l.tail
@@ -317,7 +361,7 @@ func (l *Log) Scan(th *pmem.Thread, fn func(r Rec) bool) {
 		plen := int64(hdrWord&0xffffffff) - 1
 		r := Rec{
 			ID:   th.Load(l.region + off + pmem.WordSize),
-			Kind: Kind(th.Load(l.region + off + 2*pmem.WordSize)),
+			Kind: Kind(th.Load(l.region+off+2*pmem.WordSize) & 0xff),
 		}
 		r.Payload = appendPayload(th, nil, l.region+off+recHdrBytes, int(plen))
 		if !fn(r) {
@@ -325,16 +369,6 @@ func (l *Log) Scan(th *pmem.Thread, fn func(r Rec) bool) {
 		}
 		off += recHdrBytes + roundUp(plen, pmem.WordSize)
 	}
-}
-
-// persistTail publishes l.tail: fence so the records (or truncation) it
-// covers are ordered first, then one atomic store, flushed (durable on
-// return).
-func (l *Log) persistTail(th *pmem.Thread) {
-	th.StoreFence()
-	off := l.hdrOff + hdrTailWord*pmem.WordSize
-	th.Store(off, uint64(l.tail))
-	th.Flush(off, pmem.WordSize)
 }
 
 // packWord packs up to 8 bytes little-endian.

@@ -546,21 +546,45 @@ func (l *Log) ReadKeyed(th *pmem.Thread, key uint64, ref Ref, dst []byte) ([]byt
 	return dst, nil
 }
 
-// checkRecord validates that ref names a record owned by key: bounds,
+// refFault says why a ref does not name a record owned by a key.
+type refFault uint8
+
+const (
+	refOK     refFault = iota
+	refBounds          // offset or length outside the arena
+	refHeader          // header length disagrees with the ref
+	refOwner           // record written under another key
+)
+
+// classify checks that ref names a record owned by key: bounds,
 // header/length agreement, and the stored key word. It does not checksum
-// the payload.
-func (l *Log) checkRecord(th *pmem.Thread, key uint64, ref Ref) error {
+// the payload. It is the one copy of these checks: IsRecord reads the
+// verdict as a bool without allocating (garbage accounting runs it on
+// every displaced tree word), checkRecord renders it as an error.
+func (l *Log) classify(th *pmem.Thread, key uint64, ref Ref) refFault {
 	off, n := ref.Off(), ref.Len()
 	if off <= 0 || off%pmem.WordSize != 0 || n > MaxValue ||
 		off+recHdrBytes+roundUp(int64(n), pmem.WordSize) > l.p.Size() {
-		return fmt.Errorf("%w: off %d len %d", ErrBadRef, off, n)
+		return refBounds
 	}
-	hdr := th.Load(off)
-	if int64(hdr&0xffffffff) != int64(n)+1 {
-		return fmt.Errorf("%w: header disagrees with ref length %d", ErrBadRef, n)
+	if int64(th.Load(off)&0xffffffff) != int64(n)+1 {
+		return refHeader
 	}
-	if got := th.Load(off + pmem.WordSize); got != key {
-		return fmt.Errorf("%w: record owned by key %d, not %d", ErrBadRef, got, key)
+	if th.Load(off+pmem.WordSize) != key {
+		return refOwner
+	}
+	return refOK
+}
+
+// checkRecord is classify for the read path, which reports the refusal.
+func (l *Log) checkRecord(th *pmem.Thread, key uint64, ref Ref) error {
+	switch l.classify(th, key, ref) {
+	case refBounds:
+		return fmt.Errorf("%w: off %d len %d", ErrBadRef, ref.Off(), ref.Len())
+	case refHeader:
+		return fmt.Errorf("%w: header disagrees with ref length %d", ErrBadRef, ref.Len())
+	case refOwner:
+		return fmt.Errorf("%w: record owned by key %d, not %d", ErrBadRef, th.Load(ref.Off()+pmem.WordSize), key)
 	}
 	return nil
 }
@@ -570,7 +594,7 @@ func (l *Log) checkRecord(th *pmem.Thread, key uint64, ref Ref) error {
 // It is the cheap validity test behind garbage accounting: a fixed-width
 // tree value misread as a ref fails it.
 func (l *Log) IsRecord(th *pmem.Thread, key uint64, ref Ref) bool {
-	return l.checkRecord(th, key, ref) == nil
+	return l.classify(th, key, ref) == refOK
 }
 
 // MarkStale records that the caller overwrote or deleted the tree entry

@@ -43,6 +43,9 @@ type Session struct {
 	kvRefs []KV
 	kvRuns []kvRun
 
+	// plan is Commit's reusable working set (see txnPlan).
+	plan txnPlan
+
 	// opTick drives latency sampling (see sampleOp). Plain field: a
 	// Session is single-goroutine by contract.
 	opTick uint32

@@ -211,7 +211,7 @@ type Store struct {
 
 	// commitStep, when non-nil, is invoked by Txn.Commit after every
 	// persist-generating step of the commit protocol (each intent
-	// append, each commit mark, each shard apply, each truncation) and
+	// append, the commit mark, each shard apply, each truncation) and
 	// by recoverTxns after each replay and truncation. Test hook for
 	// consistent-cut crash matrices; nil in production.
 	commitStep func()
@@ -385,10 +385,11 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 			garbage = 0
 		}
 		vl.ResetAccounting(live, garbage)
-		// Transaction redo-log recovery: bounds-check the tail, validate
-		// the published records (intents and commit marks survive here
-		// until recoverTxns below decides their fate). Images from before
-		// transactions existed get a fresh log.
+		// Transaction redo-log recovery: check the header, walk and
+		// validate the records of the current generation (intents and
+		// the commit mark survive here until recoverTxns below decides
+		// their fate). Images from before transactions existed get a
+		// fresh log.
 		var tl *txnlog.Log
 		if p.Root(th, txnSlot) == 0 {
 			tl, err = txnlog.Create(p, th, txnSlot, opts.TxnLogCap)

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/index"
@@ -26,15 +26,22 @@ import (
 //     projected append volume (ErrNoSpace). Nothing is written yet, so
 //     failure aborts with the store untouched.
 //  4. Append the intent record to each shard's redo log. Each append is
-//     durable when it returns (record flush, fence, tail publish).
-//  5. Append a commit mark to each shard's redo log. THE FIRST DURABLE
-//     MARK IS THE COMMIT POINT: recovery treats a mark on any shard as
-//     committing the transaction on every shard. Marks are written only
-//     after step 4 finished on all shards, so a crash image holding a
-//     mark always holds every intent.
+//     one flush+fence of the record's own lines and is durable when it
+//     returns (the log has no tail word; a record is published by its
+//     flush and validated at recovery by CRC and log generation).
+//  5. Append ONE commit mark, to the first participating shard's redo
+//     log. THE DURABLE MARK IS THE COMMIT POINT: recovery treats a mark
+//     on any shard as committing the transaction on every shard. The
+//     mark is written only after step 4 returned on all shards, so a
+//     crash image holding the mark always holds every intent.
 //  6. Apply the write-set to the trees through the same code paths plain
 //     writes use (idempotent final-value puts and deletes).
-//  7. Truncate each shard's redo log and unlock.
+//  7. Truncate each shard's redo log (one generation bump, one flushed
+//     line each) and unlock.
+//
+// A k-key, s-shard commit of fixed-width overwrites therefore costs
+// s intents + 1 mark + k applies + s truncations, one flush call and one
+// fence each: 2s+1+k fences (TestTxnPersistBudget gates it at equality).
 //
 // Recovery (Reopen → recoverTxns) scans every shard's log: intents whose
 // transaction has a mark anywhere are replayed — a replay of records a
@@ -43,15 +50,17 @@ import (
 // shard before truncating ANY log: each replayed write is durable
 // through the ordinary crash-consistent single-key paths, so a crash
 // mid-replay just replays again at the next reopen, while the logs — and
-// with them whichever single shard may hold a transaction's only commit
-// mark — stay intact until no shard needs them. At every consistent
-// crash cut, of the commit or of recovery itself, this yields
-// all-or-nothing: before the first mark no effect is visible (applies
-// had not started) and the intents are discarded; after it, replay
-// completes the transaction.
+// with them the one shard holding the transaction's commit mark — stay
+// intact until no shard needs them. At every consistent crash cut, of
+// the commit or of recovery itself, this yields all-or-nothing: before
+// the mark no effect is visible (applies had not started) and the
+// intents are discarded; after it, replay completes the transaction.
+// Truncation order does not matter: by then every shard's effects are
+// durable, so an intent orphaned by the mark shard truncating first
+// describes writes the trees already hold and is discarded harmlessly.
 //
-// A Commit that fails AFTER its commit point (a mark-append or apply
-// error — not a crash) returns ErrTxnIncomplete and latches the store
+// A Commit that fails AFTER its commit point (an apply error — not a
+// crash) returns ErrTxnIncomplete and latches the store
 // read-only: the committed transaction's redo records are still in the
 // shard logs awaiting replay, and any further commit's cleanup would
 // truncate them — durably losing a committed transaction — while any
@@ -246,8 +255,8 @@ type txnKVWrite struct {
 type Txn struct {
 	ss      *Session
 	ownSess bool
-	fixed   map[uint64]txnWrite
-	kv      map[string]txnKVWrite
+	fixed   map[uint64]txnWrite   // made by the first fixed-width write
+	kv      map[string]txnKVWrite // made by the first byte-key write
 	done    bool
 }
 
@@ -257,11 +266,7 @@ type Txn struct {
 // same session — the session's single-goroutine contract already
 // guarantees that.
 func (ss *Session) Begin() *Txn {
-	return &Txn{
-		ss:    ss,
-		fixed: make(map[uint64]txnWrite),
-		kv:    make(map[string]txnKVWrite),
-	}
+	return &Txn{ss: ss}
 }
 
 // Begin opens a transaction on a dedicated internal session, for callers
@@ -288,7 +293,7 @@ func (tx *Txn) Put(key, val uint64) error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	tx.fixed[key] = txnWrite{val: val}
+	tx.bufferFixed(key, txnWrite{val: val})
 	return nil
 }
 
@@ -297,8 +302,17 @@ func (tx *Txn) Delete(key uint64) error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	tx.fixed[key] = txnWrite{del: true}
+	tx.bufferFixed(key, txnWrite{del: true})
 	return nil
+}
+
+// bufferFixed records w as key's pending fixed-width write, making the
+// map on first use so a transaction only pays for the families it touches.
+func (tx *Txn) bufferFixed(key uint64, w txnWrite) {
+	if tx.fixed == nil {
+		tx.fixed = make(map[uint64]txnWrite)
+	}
+	tx.fixed[key] = w
 }
 
 // Get reads through the write-set: a buffered write or delete answers
@@ -329,7 +343,7 @@ func (tx *Txn) PutKV(key, val []byte) error {
 	if len(val) > MaxKVValue {
 		return fmt.Errorf("%w: %d > %d bytes", ErrValueTooLarge, len(val), MaxKVValue)
 	}
-	tx.kv[string(key)] = txnKVWrite{val: append([]byte(nil), val...)}
+	tx.bufferKV(key, txnKVWrite{val: append([]byte(nil), val...)})
 	return nil
 }
 
@@ -341,8 +355,16 @@ func (tx *Txn) DeleteKV(key []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	tx.kv[string(key)] = txnKVWrite{del: true}
+	tx.bufferKV(key, txnKVWrite{del: true})
 	return nil
+}
+
+// bufferKV is bufferFixed for the byte-key family.
+func (tx *Txn) bufferKV(key []byte, w txnKVWrite) {
+	if tx.kv == nil {
+		tx.kv = make(map[string]txnKVWrite)
+	}
+	tx.kv[string(key)] = w
 }
 
 // GetKV reads a byte key through the write-set, falling back to the store.
@@ -393,43 +415,67 @@ func (tx *Txn) Commit() error {
 	if ss.sampleOp() {
 		defer s.met.txnCommit.RecordSince(time.Now())
 	}
-	parts, ops, payloads := tx.plan()
-	staleShards, err := tx.commitLocked(parts, ops, payloads)
+	pl := tx.plan()
+	err := tx.commitLocked(pl)
 	s.release()
-	for _, i := range staleShards {
+	for _, i := range pl.stale {
 		ss.maybeGC(i)
+	}
+	// The scratch outlives the transaction; its byte keys and values
+	// must not.
+	for _, i := range pl.parts {
+		clear(pl.ops[i])
 	}
 	return err
 }
 
+// txnPlan is Commit's working set, kept on the Session (single-goroutine
+// by contract) so a steady stream of commits re-plans without allocating:
+// the sorted key lists, the per-shard decoded ops and encoded intent
+// payloads, the participating shards ascending, and the shards whose
+// displaced records turned stale.
+type txnPlan struct {
+	keys     []uint64
+	kvKeys   []string
+	ops      [][]txnOp
+	payloads [][]byte
+	parts    []int
+	stale    []int
+}
+
 // plan groups the write-set by shard in deterministic order (fixed keys
 // ascending, then byte keys ascending) and encodes one intent payload per
-// participating shard. parts lists participating shards ascending.
-func (tx *Txn) plan() (parts []int, ops [][]txnOp, payloads [][]byte) {
+// participating shard.
+func (tx *Txn) plan() *txnPlan {
 	s := tx.ss.s
-	n := len(s.shards)
-	ops = make([][]txnOp, n)
-	payloads = make([][]byte, n)
-	fixedKeys := make([]uint64, 0, len(tx.fixed))
-	for k := range tx.fixed {
-		fixedKeys = append(fixedKeys, k)
+	pl := &tx.ss.plan
+	if pl.ops == nil {
+		pl.ops = make([][]txnOp, len(s.shards))
+		pl.payloads = make([][]byte, len(s.shards))
 	}
-	sort.Slice(fixedKeys, func(a, b int) bool { return fixedKeys[a] < fixedKeys[b] })
-	for _, k := range fixedKeys {
+	for i := range pl.ops {
+		pl.ops[i] = pl.ops[i][:0]
+		pl.payloads[i] = pl.payloads[i][:0]
+	}
+	pl.keys, pl.kvKeys, pl.parts, pl.stale = pl.keys[:0], pl.kvKeys[:0], pl.parts[:0], pl.stale[:0]
+	for k := range tx.fixed {
+		pl.keys = append(pl.keys, k)
+	}
+	slices.Sort(pl.keys)
+	for _, k := range pl.keys {
 		w := tx.fixed[k]
 		i := s.ShardFor(k)
 		op := txnOp{kind: txnOpPut, key: k, val: w.val}
 		if w.del {
 			op = txnOp{kind: txnOpDelete, key: k}
 		}
-		ops[i] = append(ops[i], op)
+		pl.ops[i] = append(pl.ops[i], op)
 	}
-	kvKeys := make([]string, 0, len(tx.kv))
 	for k := range tx.kv {
-		kvKeys = append(kvKeys, k)
+		pl.kvKeys = append(pl.kvKeys, k)
 	}
-	sort.Strings(kvKeys)
-	for _, k := range kvKeys {
+	slices.Sort(pl.kvKeys)
+	for _, k := range pl.kvKeys {
 		w := tx.kv[k]
 		bk := []byte(k)
 		i := s.ShardForKey(bk)
@@ -437,18 +483,18 @@ func (tx *Txn) plan() (parts []int, ops [][]txnOp, payloads [][]byte) {
 		if w.del {
 			op = txnOp{kind: txnOpDelKV, bkey: bk}
 		}
-		ops[i] = append(ops[i], op)
+		pl.ops[i] = append(pl.ops[i], op)
 	}
-	for i := 0; i < n; i++ {
-		if len(ops[i]) == 0 {
+	for i, ops := range pl.ops {
+		if len(ops) == 0 {
 			continue
 		}
-		parts = append(parts, i)
-		for _, op := range ops[i] {
-			payloads[i] = appendTxnOp(payloads[i], op)
+		pl.parts = append(pl.parts, i)
+		for _, op := range ops {
+			pl.payloads[i] = appendTxnOp(pl.payloads[i], op)
 		}
 	}
-	return parts, ops, payloads
+	return pl
 }
 
 // step invokes the consistent-cut test hook, if armed.
@@ -458,12 +504,14 @@ func (s *Store) step() {
 	}
 }
 
-// commitLocked runs the locked portion of Commit and returns the shards
-// whose displaced records turned stale (the caller runs maybeGC after the
-// locks are down). See the protocol comment at the top of the file.
-func (tx *Txn) commitLocked(parts []int, ops [][]txnOp, payloads [][]byte) (staleShards []int, err error) {
+// commitLocked runs the locked portion of Commit, leaving in pl.stale the
+// shards whose displaced records turned stale (the caller runs maybeGC
+// after the locks are down). See the protocol comment at the top of the
+// file.
+func (tx *Txn) commitLocked(pl *txnPlan) error {
 	ss := tx.ss
 	s := ss.s
+	parts := pl.parts
 	for _, i := range parts {
 		s.shards[i].gc.applyMu.Lock()
 	}
@@ -479,7 +527,7 @@ func (tx *Txn) commitLocked(parts []int, ops [][]txnOp, payloads [][]byte) (stal
 	// Checked under the locks so a commit racing the failing one cannot
 	// slip past before the latch is set.
 	if s.txnFailed.Load() {
-		return nil, ErrReopenRequired
+		return ErrReopenRequired
 	}
 	for _, i := range parts {
 		tl := s.shards[i].tl
@@ -490,46 +538,45 @@ func (tx *Txn) commitLocked(parts []int, ops [][]txnOp, payloads [][]byte) (stal
 			// abort paths below Truncate — so latch and refuse until
 			// the store is reopened.
 			s.txnFailed.Store(true)
-			return nil, fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, n)
+			return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, n)
 		}
-		if txnlog.RecordSize(len(payloads[i]))+txnlog.RecordSize(0) > tl.Capacity() {
-			return nil, fmt.Errorf("%w: %d bytes of intents for shard %d, log capacity %d",
-				ErrTxnTooLarge, len(payloads[i]), i, tl.Capacity())
+		if txnlog.RecordSize(len(pl.payloads[i]))+txnlog.RecordSize(0) > tl.Capacity() {
+			return fmt.Errorf("%w: %d bytes of intents for shard %d, log capacity %d",
+				ErrTxnTooLarge, len(pl.payloads[i]), i, tl.Capacity())
 		}
-		if err := ss.admitTxnOps(i, ops[i]); err != nil {
-			return nil, err
+		if err := ss.admitTxnOps(i, pl.ops[i]); err != nil {
+			return err
 		}
 	}
 
 	id := s.txnSeq.Add(1)
+	// abort drops the intents appended so far; legal only while no mark
+	// is durable.
+	abort := func(appended []int) {
+		for _, j := range appended {
+			s.shards[j].tl.Truncate(ss.ths[j])
+		}
+	}
 	// Intents: each append is durable on return, so once the loop
-	// finishes every shard's intent is on stable media — the marks below
+	// finishes every shard's intent is on stable media — the mark below
 	// can never outrun an intent into a crash image.
 	for n, i := range parts {
-		if aerr := s.shards[i].tl.Append(ss.ths[i], id, txnlog.KindIntent, payloads[i]); aerr != nil {
-			for _, j := range parts[:n] {
-				s.shards[j].tl.Truncate(ss.ths[j])
-			}
-			return nil, fmt.Errorf("store: txn intent append on shard %d: %w", i, aerr)
+		if aerr := s.shards[i].tl.Append(ss.ths[i], id, txnlog.KindIntent, pl.payloads[i]); aerr != nil {
+			abort(parts[:n])
+			return fmt.Errorf("store: txn intent append on shard %d: %w", i, aerr)
 		}
 		s.step()
 	}
-	// Commit marks: the first durable mark commits the transaction
-	// everywhere.
-	for n, i := range parts {
-		if aerr := s.shards[i].tl.Append(ss.ths[i], id, txnlog.KindCommit, nil); aerr != nil {
-			if n == 0 {
-				// No mark durable yet: still abortable.
-				for _, j := range parts {
-					s.shards[j].tl.Truncate(ss.ths[j])
-				}
-				return nil, fmt.Errorf("store: txn commit mark on shard %d: %w", i, aerr)
-			}
-			s.txnFailed.Store(true)
-			return nil, fmt.Errorf("%w: mark append on shard %d: %v", ErrTxnIncomplete, i, aerr)
-		}
-		s.step()
+	// The commit mark: one, on the first participating shard; once it is
+	// durable the transaction is committed everywhere. Append refuses
+	// before it writes, so a failed mark append left nothing behind and
+	// the transaction is still abortable.
+	first := parts[0]
+	if aerr := s.shards[first].tl.Append(ss.ths[first], id, txnlog.KindCommit, nil); aerr != nil {
+		abort(parts)
+		return fmt.Errorf("store: txn commit mark on shard %d: %w", first, aerr)
 	}
+	s.step()
 	// Apply through the same paths plain writes use.
 	for _, i := range parts {
 		var aerr error
@@ -538,17 +585,17 @@ func (tx *Txn) commitLocked(parts []int, ops [][]txnOp, payloads [][]byte) (stal
 			aerr = s.applyFault(i)
 		}
 		if aerr == nil {
-			stale, aerr = ss.applyTxnOps(i, ops[i])
+			stale, aerr = ss.applyTxnOps(i, pl.ops[i])
 		}
 		if stale {
-			staleShards = append(staleShards, i)
+			pl.stale = append(pl.stale, i)
 		}
 		if aerr != nil {
 			// Past the commit point with the apply unfinished: latch the
 			// store read-only (see ErrReopenRequired) so the surviving
 			// redo records reach the next Reopen intact.
 			s.txnFailed.Store(true)
-			return staleShards, fmt.Errorf("%w: apply on shard %d: %v", ErrTxnIncomplete, i, aerr)
+			return fmt.Errorf("%w: apply on shard %d: %v", ErrTxnIncomplete, i, aerr)
 		}
 		s.step()
 	}
@@ -557,7 +604,7 @@ func (tx *Txn) commitLocked(parts []int, ops [][]txnOp, payloads [][]byte) (stal
 		s.shards[i].tl.Truncate(ss.ths[i])
 		s.step()
 	}
-	return staleShards, nil
+	return nil
 }
 
 // admitTxnOps pre-admits shard i's byte-key rewrites: every touched
@@ -668,12 +715,12 @@ func (ss *Session) applyTxnOps(i int, ops []txnOp) (stale bool, err error) {
 //
 // Recovery itself must survive a crash, so it runs in three strict
 // phases — decode everything, replay everything, then truncate
-// everything. Replay-before-truncate is the load-bearing order: when the
-// original crash landed in the mark-append window, ONE shard holds the
-// transaction's only commit mark, and truncating that shard's log before
-// the other shards replayed would erase the commit point — a second
-// crash would then make the next recovery discard the other shards'
-// intents as uncommitted, leaving a committed transaction half-applied.
+// everything. Replay-before-truncate is the load-bearing order: ONE shard
+// holds the transaction's only commit mark, and truncating that shard's
+// log before the other shards replayed would erase the commit point — a
+// second crash would then make the next recovery discard the other
+// shards' intents as uncommitted, leaving a committed transaction
+// half-applied.
 // With the phase order, a crash anywhere during replay leaves every log
 // (and every mark) intact for the next recovery to redo idempotently,
 // and a crash anywhere during truncation is past the point where every

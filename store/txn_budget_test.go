@@ -1,0 +1,174 @@
+package store
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/pmem"
+	"repro/internal/txnlog"
+)
+
+// The commit's cost ledger, gated at equality. The counts are what the
+// simulator charges — deterministic, so any extra flush or fence in the
+// commit path fails here before a wall-clock benchmark could see it.
+
+// spreadKeys returns k distinct fixed-width keys that land on exactly the
+// shards 0..s-1, dealt round-robin.
+func spreadKeys(t *testing.T, st *Store, k, s int) []uint64 {
+	t.Helper()
+	keys := make([]uint64, 0, k)
+	for c := uint64(1); len(keys) < k; c++ {
+		if c > 1<<20 {
+			t.Fatalf("could not spread %d keys over %d shards", k, s)
+		}
+		if st.ShardFor(c) == len(keys)%s {
+			keys = append(keys, c)
+		}
+	}
+	return keys
+}
+
+// linesSpanned counts the cache lines a record of size bytes touches when
+// appended at byte offset off of a line-aligned region.
+func linesSpanned(off, size int64) uint64 {
+	return uint64((off+size-1)/pmem.LineSize - off/pmem.LineSize + 1)
+}
+
+// TestTxnPersistBudget: a commit of k fixed-width overwrites spread over s
+// shards costs s intent appends + 1 commit mark + k in-place applies + s
+// truncations, one flush call and one fence each, and flushes exactly the
+// lines those records and words occupy.
+func TestTxnPersistBudget(t *testing.T) {
+	const txnPutLen = 1 + 8 + 8 // kind byte, key, value
+	for _, k := range []int{1, 4, 16} {
+		for _, s := range []int{1, 2, 4} {
+			if s > k {
+				continue
+			}
+			t.Run(fmt.Sprintf("k=%d/s=%d", k, s), func(t *testing.T) {
+				st := openTest(t, 4)
+				ss := st.NewSession()
+				defer ss.Close()
+				keys := spreadKeys(t, st, k, s)
+				perShard := make([]int, s)
+				for _, key := range keys {
+					if err := ss.Put(key, 1); err != nil {
+						t.Fatal(err)
+					}
+					perShard[st.ShardFor(key)]++
+				}
+				stats := func() (sum pmem.Stats) {
+					for _, th := range ss.ths {
+						sum.Add(th.Stats)
+					}
+					return sum
+				}
+				// Two rounds: the first commit on a store and every later
+				// one must cost the same.
+				for round := uint64(2); round < 4; round++ {
+					tx := ss.Begin()
+					for _, key := range keys {
+						if err := tx.Put(key, round); err != nil {
+							t.Fatal(err)
+						}
+					}
+					before := stats()
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					after := stats()
+
+					wantFences := uint64(2*s + 1 + k)
+					wantLines := uint64(k + s) // applies + truncations
+					for i, n := range perShard {
+						intent := txnlog.RecordSize(n * txnPutLen)
+						wantLines += linesSpanned(0, intent)
+						if i == 0 {
+							wantLines += linesSpanned(intent, txnlog.RecordSize(0))
+						}
+					}
+					if got := after.Fences - before.Fences; got != wantFences {
+						t.Errorf("round %d: %d fences, want 2s+1+k = %d", round, got, wantFences)
+					}
+					if got := after.FlushCalls - before.FlushCalls; got != wantFences {
+						t.Errorf("round %d: %d flush calls, want one per fence = %d", round, got, wantFences)
+					}
+					if got := after.FlushedLines - before.FlushedLines; got != wantLines {
+						t.Errorf("round %d: %d flushed lines, want %d", round, got, wantLines)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFixedWidthWritesAllocFree pins the garbage-accounting funnel's cost:
+// every displaced tree word is checked against the value log (retireWord),
+// and for a fixed-width value that check must refuse without allocating.
+func TestFixedWidthWritesAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
+	}
+	st := openTest(t, 4)
+	ss := st.NewSession()
+	defer ss.Close()
+	const runs = 200
+	for key := uint64(0); key <= runs; key++ {
+		if err := ss.Put(key, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	val := uint64(1)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		val++
+		if err := ss.Put(7, val); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Put overwrite allocs/op = %v, want 0", allocs)
+	}
+	key := uint64(0)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if ok, err := ss.Delete(key); err != nil || !ok {
+			t.Fatalf("Delete(%d) = (%v, %v)", key, ok, err)
+		}
+		key++
+	}); allocs != 0 {
+		t.Errorf("Delete allocs/op = %v, want 0", allocs)
+	}
+}
+
+// txnSink makes the measured transaction escape, as a caller's does.
+var txnSink *Txn
+
+// TestTxnCommitAllocBudget pins a steady-state commit of four fixed-width
+// overwrites — Begin, four Puts, Commit — at the transaction and its
+// write-set map (3 allocations measured; the parent commit made 36):
+// nothing per key, nothing for the plan, nothing in the locked section.
+func TestTxnCommitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
+	}
+	st := openTest(t, 4)
+	ss := st.NewSession()
+	defer ss.Close()
+	keys := spreadKeys(t, st, 4, 4)
+	val := uint64(0)
+	commit := func() {
+		val++
+		tx := ss.Begin()
+		txnSink = tx
+		for _, key := range keys {
+			if err := tx.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit() // sizes the session's plan scratch
+	if allocs := testing.AllocsPerRun(100, commit); allocs > 4 {
+		t.Errorf("4-put commit allocs/op = %v, want <= 4", allocs)
+	}
+}

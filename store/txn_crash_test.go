@@ -536,10 +536,12 @@ func TestTxnCrashRandomCampaign(t *testing.T) {
 // the recovery Reopen runs on that image, crashes THAT recovery at its
 // consistent cuts (second crash), and requires the final recovery to land
 // on the same all-or-nothing verdict the uninterrupted recovery reached.
-// The pivotal first-crash window is mark-append — exactly one shard holds
-// the transaction's only commit mark — where truncating any log before
-// every shard replayed would let a second crash erase the commit point
-// and strand a committed transaction half-applied.
+// One shard holds the transaction's only commit mark from the mark append
+// to the end of the commit, so every post-mark first crash is a state
+// where truncating any log before every shard replayed would let a second
+// crash erase the commit point and strand a committed transaction
+// half-applied; the first-crash cuts cover the mark append itself at every
+// persist point.
 func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 	rng := rand.New(rand.NewSource(20260808))
 	const shards = 2
@@ -561,7 +563,7 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 		committed[i] = i + 3
 	}
 	// One insert and one overwrite per shard, plus a byte key, so every
-	// shard both logs an intent and holds a commit mark.
+	// shard logs an intent; the first alone holds the commit mark.
 	var insertKeys, overKeys []uint64
 	seenIns := map[int]bool{}
 	seenOver := map[int]bool{}
@@ -628,8 +630,10 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 		t.Fatalf("commit: %v", err)
 	}
 	st.commitStep = nil
-	if len(vectors) != 4*shards+1 {
-		t.Fatalf("%d step vectors for a %d-shard txn, want %d", len(vectors), shards, 4*shards+1)
+	// The start, then one step per intent, one for the single mark, one
+	// per apply and one per truncation.
+	if want := 1 + shards + 1 + shards + shards; len(vectors) != want {
+		t.Fatalf("%d step vectors for a %d-shard txn, want %d", len(vectors), shards, want)
 	}
 
 	// checkState asserts invariants and the untouched population on a
@@ -651,8 +655,8 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 	}
 
 	// Boundary verdicts locate the commit point: the first boundary whose
-	// uninterrupted recovery lands post-txn is the cut where the first
-	// commit mark persisted.
+	// uninterrupted recovery lands post-txn is the cut where the commit
+	// mark persisted.
 	refVerdict := func(cut []int, tag string) bool {
 		t.Helper()
 		imgs := make([]*pmem.Pool, shards)
@@ -685,6 +689,9 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 			break
 		}
 	}
+	if flip != shards+1 {
+		t.Fatalf("commit point at boundary %d, want %d: the single mark, right after the %d intents", flip, shards+1, shards)
+	}
 	for s := flip; s < len(vectors); s++ {
 		if !verdicts[s] {
 			t.Fatalf("verdict regressed at boundary %d", s)
@@ -692,9 +699,9 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 	}
 
 	// First-crash cuts: the boundary before the commit point, every
-	// interior point of the flip segment and (full mode) its successor —
-	// the mark-append window — plus an apply-phase boundary and the full
-	// tape.
+	// interior point of the flip segment — the mark append — and (full
+	// mode) of its successor, the first shard's apply, plus an apply-phase
+	// boundary and the full tape.
 	type outerCut struct {
 		cut []int
 		tag string

@@ -416,7 +416,10 @@ func TestTxnPayloadCodecRoundTrip(t *testing.T) {
 // bytes recovery reads back out of the redo log). Any input must either
 // decode cleanly — in which case re-encoding the decoded ops must
 // reproduce the input exactly — or error without panicking; decoded ops
-// must always satisfy the documented caps.
+// must always satisfy the documented caps. The corpus under
+// testdata/fuzz adds a raw format-2 log image (header line, an intent
+// and its commit mark as they lie in the region), so mutation also starts
+// from the bytes a misdirected read would hand the parser.
 func FuzzTxnLogRecord(f *testing.F) {
 	var seed []byte
 	seed = appendTxnOp(seed, txnOp{kind: txnOpPut, key: 77, val: 777})
@@ -535,7 +538,7 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 	}
 
 	// A cross-shard transaction whose apply phase fails on its first
-	// shard: the commit marks are durable, nothing is applied.
+	// shard: the commit mark is durable, nothing is applied.
 	var insertKeys []uint64
 	seen := map[int]bool{}
 	for k := uint64(5000); len(insertKeys) < 2; k++ {
