@@ -27,7 +27,9 @@ type Impl interface {
 	// Delete removes key, reporting whether it was present.
 	Delete(th *pmem.Thread, key uint64) bool
 	// Scan visits pairs with lo <= key <= hi in ascending key order until
-	// fn returns false.
+	// fn returns false. fn must not block: the FAST+FAIR tree calls it
+	// inside a grace section of th, during which the pool recycles no
+	// retired block (see core.BTree.Scan).
 	Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bool)
 	// Len counts the keys (a full scan; not a hot path).
 	Len(th *pmem.Thread) int

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pmem"
 )
@@ -65,6 +66,14 @@ type BTree struct {
 	rootMu     sync.Mutex
 	splitLog   int64     // redo-log area for Options.LoggedSplit
 	scratch    sync.Pool // *scanScratch, reused across Scans
+
+	// suspect is set while the image may hold what only a crash leaves
+	// behind — a duplicate-pointer pair from an abandoned shift, a FAIR
+	// truncation that did not persist — and nobody has swept it yet: from
+	// Open until a Recover completes. A crash-free writer finishes its own
+	// node before unlatching, so on a tree that is not suspect the lazy
+	// repair pass has nothing to find and is skipped.
+	suspect atomic.Bool
 }
 
 // New creates an empty tree anchored at opts.RootSlot and persists it.
@@ -90,7 +99,8 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 // Open attaches to a tree previously created in the pool (e.g. a crash
 // image). It performs no recovery; call Recover to repair transient
 // inconsistency eagerly, or rely on readers tolerating it and writers fixing
-// it lazily.
+// it lazily — until a Recover has run, every latched write first repairs the
+// node it is about to change (see fixNodeLocked).
 func Open(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -105,6 +115,7 @@ func Open(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 		}
 		t.replaySplitLog(th)
 	}
+	t.suspect.Store(true)
 	return t, nil
 }
 
@@ -204,9 +215,14 @@ func (t *BTree) bracketSlot(th *pmem.Thread, n node, i int) (k1, p, prev, k2 uin
 // did), the node shifted after the line was captured; the not-yet-processed
 // remainder of that snapshot can no longer be trusted, so the line is
 // re-snapshotted and the slot re-examined. A bracket that coherently shows
-// an invalid slot (duplicate or zero pointer) is skipped, exactly as the
-// per-word scans skipped it. The whole-scan switch-counter revalidation
-// bracket is unchanged.
+// an invalid slot (duplicate or zero pointer) is skipped, as the per-word
+// scans skipped it — but a slot the snapshot showed holding the key and the
+// bracket shows invalid means a shift is passing through right now: it
+// copied the entry one slot on before invalidating this one, to a slot this
+// snapshot read before the copy. The per-word scans read that slot next,
+// and late enough; here the rest of the line is re-snapshotted first, or the
+// entry is found in neither place and a present key is reported absent. The
+// whole-scan switch-counter revalidation bracket is unchanged.
 
 // routeChild finds the child covering key in internal node n: the pointer of
 // the last valid entry with entryKey <= key, or the leftmost child when key
@@ -275,6 +291,7 @@ func (t *BTree) routeChild(th *pmem.Thread, n node, key uint64) uint64 {
 						continue
 					}
 					if p2 == 0 || p2 == prevW {
+						th.LoadLineRev(t.slotOff(n, base), &ln)
 						j--
 						continue
 					}
@@ -314,13 +331,32 @@ func (t *BTree) routeChildBinary(th *pmem.Thread, n node, key uint64) uint64 {
 // --- point lookup ----------------------------------------------------------
 
 // Get returns the value stored under key.
+//
+// A boxed value is two reads — the box pointer out of the leaf, then the
+// box — and a concurrent Remove may retire the box in between. The grace
+// section keeps it from being handed to another key until the load is done,
+// so a reader racing a delete sees the pre-delete value, never a recycled
+// cell. The section opens before the descent, not at the leaf: a FAIR split
+// links the sibling before it truncates the node, and in between a key of
+// the upper half can be deleted from the sibling — its box retired — while
+// the node still names it. The descent moves right past such a node once it
+// sees the link; a reader that checked the sibling pointer before the link
+// did so inside its section, which then predates the Retire.
 func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
+	boxed := !t.opts.InlineValues
+	if boxed {
+		th.Enter()
+		defer th.Exit()
+	}
 	n := t.descendToLeaf(th, key)
 	for {
 		if t.opts.LeafLocks {
 			t.rlockNode(th, n)
 		}
-		box, found := t.leafFind(th, n, key)
+		val, found := t.leafFind(th, n, key)
+		if found && boxed {
+			val = th.Load(int64(val))
+		}
 		var sib node
 		var right bool
 		if !found {
@@ -333,10 +369,7 @@ func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 			t.runlockNode(th, n)
 		}
 		if found {
-			if t.opts.InlineValues {
-				return box, true
-			}
-			return th.Load(int64(box)), true
+			return val, true
 		}
 		if right {
 			n = sib
@@ -378,6 +411,7 @@ func (t *BTree) leafFind(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 						continue
 					}
 					if p2 == 0 || p2 == prev {
+						th.LoadLine(t.slotOff(n, base), &ln)
 						j++
 						continue
 					}
@@ -406,6 +440,7 @@ func (t *BTree) leafFind(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 						continue
 					}
 					if p2 == 0 || p2 == prev {
+						th.LoadLineRev(t.slotOff(n, base), &ln)
 						j--
 						continue
 					}
@@ -451,6 +486,14 @@ type scanScratch struct {
 // calling fn for each; fn returning false stops the scan. Under concurrent
 // writes the scan has the paper's read-uncommitted semantics. Steady-state
 // scans are allocation-free: the per-leaf snapshot buffers come from a pool.
+//
+// Each leaf is visited inside one grace section (see Get) that covers the
+// snapshot of its box pointers, the read of its sibling pointer and the box
+// loads, which stay lazy: only the pairs handed to fn are loaded. fn
+// therefore runs inside the section — it may use the tree, but must not
+// block or wait for a grace period itself (pmem.Pool.Synchronize): while it
+// runs, no retired block in the pool is recycled. Callers with a callback
+// they do not control collect a page here and hand it on afterwards.
 func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bool) {
 	if hi < lo {
 		return
@@ -462,20 +505,44 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 	defer t.scratch.Put(sc)
 	n := t.descendToLeaf(th, lo)
 	keys, boxes := sc.keys, sc.boxes
-	defer func() { sc.keys, sc.boxes = keys, boxes }()
+	boxed := !t.opts.InlineValues
+	open := false // inside a leaf's section: fn may leave by panic or Goexit
+	defer func() {
+		sc.keys, sc.boxes = keys, boxes
+		if open {
+			th.Exit()
+		}
+	}()
 	last := lo
 	first := true
 	for n.valid() {
 		if t.opts.LeafLocks {
 			t.rlockNode(th, n)
 		}
+		if boxed {
+			th.Enter()
+			open = true
+		}
 		keys, boxes = t.leafCollect(th, n, keys[:0], boxes[:0])
 		sib := t.sibling(th, n)
 		if t.opts.LeafLocks {
 			t.runlockNode(th, n)
 		}
+		// Entries at or beyond the sibling's low fence are the sibling's
+		// to report. A leaf holds such entries between a split's link and
+		// its truncation (and for good when a crash fell in between): a
+		// key deleted from the sibling meanwhile is still named here,
+		// with a box that may have been retired before this section
+		// opened. A link this read missed came after the section opened,
+		// and so did every Retire behind it.
+		fence, onward := uint64(0), false // onward: the sibling may hold keys <= hi
+		if sib.valid() {
+			fence = t.lowKey(th, sib)
+			onward = fence <= hi
+		}
+		stop := false
 		for i, k := range keys {
-			if k < lo || k > hi {
+			if k < lo || k > hi || (onward && k >= fence) {
 				continue
 			}
 			// Monotonic filter: in-flight splits briefly expose an
@@ -485,14 +552,18 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 			}
 			last, first = k, false
 			v := boxes[i]
-			if !t.opts.InlineValues {
-				v = th.Load(int64(boxes[i]))
+			if boxed {
+				v = th.Load(int64(v))
 			}
-			if !fn(k, v) {
-				return
+			if stop = !fn(k, v); stop {
+				break
 			}
 		}
-		if !sib.valid() || t.lowKey(th, sib) > hi {
+		if boxed {
+			th.Exit()
+			open = false
+		}
+		if stop || !onward {
 			return
 		}
 		n = sib
@@ -559,8 +630,10 @@ func (t *BTree) leafCollect(th *pmem.Thread, n node, keys []uint64, boxes []uint
 					if p2 != 0 && p2 != prevW {
 						keys = append(keys, k1)
 						boxes = append(boxes, p2)
+					} else {
+						th.LoadLine(off, &ln2)
 					}
-					prev = p
+					prev = ln2[2*j+1]
 					j++
 				}
 			}

@@ -14,9 +14,26 @@ import (
 //
 // Emptied leaves stay in place: they keep routing their key range (searches
 // find nothing and correctly chase the sibling only when the sibling's low
-// fence allows), and Vacuum reclaims them offline. Value boxes are not
-// reused, so a lock-free reader that raced the delete still observes the
-// pre-delete value rather than recycled garbage.
+// fence allows), and Vacuum reclaims them offline.
+//
+// The value box is recycled, but not at once. A lock-free reader can read
+// the box pointer out of the leaf just before the commit store and load the
+// box just after, so Remove retires the box (pmem.Pool.Retire) — after the
+// last flush of the shift, so the delete is durable before the cell can
+// take another key's value, and after the unlatch. Readers run that window
+// inside a grace section (Get, Scan), the box reaches the allocator's free
+// list only when every section open at the Retire has closed, and the
+// racing reader still observes the pre-delete value rather than a recycled
+// cell. One more place can name the box: between a split's link and its
+// truncation the left node still holds the upper half, so a delete through
+// the sibling retires a box the left node has not let go of. Readers never
+// take such an entry from the left node on the strength of a section opened
+// after the Retire (Get moves right in the descent, Scan filters by the
+// sibling's low fence). Writers need no section: overwrite,
+// ReplaceIf and Remove touch a box only under the latch of the leaf that
+// names it, which the delete that retires it must also hold. The slots
+// beyond a split's terminator can keep naming a box long after it is gone;
+// nothing dereferences them (scanBound, fastInsert's zero-beyond rule).
 func (t *BTree) Delete(th *pmem.Thread, key uint64) bool {
 	_, existed := t.Remove(th, key)
 	return existed

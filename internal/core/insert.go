@@ -203,6 +203,11 @@ func (t *BTree) insertPending(th *pmem.Thread, n, sib node, level int, sepKey, k
 	return t.insertIntoNode(th, target, level, key, ptr)
 }
 
+// splitLinked, when a test sets it, runs on the splitting thread between a
+// split's sibling link and its truncation — the window in which the upper
+// half is live in the sibling while the still-latched node names it too.
+var splitLinked func(t *BTree, level int)
+
 // splitBody performs the node-local part of FAIR on latched node n and
 // releases the latch; the caller inserts the pending entry and installs the
 // separator in the parent.
@@ -245,6 +250,9 @@ func (t *BTree) splitBody(th *pmem.Thread, n node, level int) (uint64, node, err
 
 	th.Store(n.off+offSibling, uint64(sib.off))
 	th.Flush(n.off+offSibling, 8)
+	if splitLinked != nil {
+		splitLinked(t, level)
+	}
 
 	t.storePtr(th, n, median, 0) // truncate: single atomic store
 	th.Flush(t.slotOff(n, median)+8, 8)

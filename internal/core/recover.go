@@ -9,8 +9,16 @@ import (
 // fixNodeLocked is the paper's lazy recovery (§4.2), run by every writer
 // right after latching a node: tolerable inconsistency left by a crash is
 // repaired before the writer makes new changes. Readers never repair —
-// they only tolerate.
-//
+// they only tolerate. Only a crash leaves anything to repair, so the pass
+// runs only on a tree that was attached to an image and not yet swept by
+// Recover (BTree.suspect).
+func (t *BTree) fixNodeLocked(th *pmem.Thread, n node) {
+	if t.suspect.Load() {
+		t.repairNodeLocked(th, n)
+	}
+}
+
+// repairNodeLocked is the repair body behind fixNodeLocked and Recover.
 // Two kinds of leftovers can exist:
 //
 //  1. A truncation that did not persist after a crashed FAIR split: the
@@ -18,7 +26,7 @@ import (
 //     single-store truncation is simply redone.
 //  2. A duplicate-pointer pair from a crashed FAST shift: the garbage key
 //     between the duplicates is deleted by completing the left shift.
-func (t *BTree) fixNodeLocked(th *pmem.Thread, n node) {
+func (t *BTree) repairNodeLocked(th *pmem.Thread, n node) {
 	if sib := t.sibling(th, n); sib.valid() {
 		fence := t.lowKey(th, sib)
 		for i := 0; i < t.slots; i++ {
@@ -90,7 +98,8 @@ func (t *BTree) siblingHasKey(th *pmem.Thread, sib node, key uint64) bool {
 // pool (the post-crash, pre-restart situation).
 //
 // Recover is idempotent: running it on a consistent tree changes nothing,
-// and running it twice equals running it once.
+// and running it twice equals running it once. A successful Recover also
+// ends the lazy per-write repair pass (see fixNodeLocked).
 func (t *BTree) Recover(th *pmem.Thread) error {
 	if t.opts.LoggedSplit {
 		t.replaySplitLog(th)
@@ -124,7 +133,7 @@ func (t *BTree) Recover(th *pmem.Thread) error {
 	for li := len(levels) - 1; li >= 0; li-- {
 		for n := levels[li]; n.valid(); n = t.sibling(th, n) {
 			th.StoreVolatile(n.off+offLock, 0)
-			t.fixNodeLocked(th, n)
+			t.repairNodeLocked(th, n)
 			t.zeroBeyond(th, n)
 		}
 	}
@@ -152,6 +161,8 @@ func (t *BTree) Recover(th *pmem.Thread) error {
 			}
 		}
 	}
+	// Every node has been repaired; from here on writers leave none behind.
+	t.suspect.Store(false)
 	return nil
 }
 

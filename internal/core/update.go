@@ -124,13 +124,19 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 		t.unlockNode(th, n)
 		return 0, false
 	}
-	if t.opts.InlineValues {
-		old = t.ptrAt(th, n, pos)
-	} else {
-		old = th.Load(int64(t.ptrAt(th, n, pos)))
+	box := t.ptrAt(th, n, pos)
+	old = box
+	if !t.opts.InlineValues {
+		old = th.Load(int64(box))
 	}
 	th.BeginPhase(pmem.PhaseUpdate)
 	t.fastDelete(th, n, pos)
 	t.unlockNode(th, n)
+	if !t.opts.InlineValues {
+		// The delete is durable and no slot a reader visits names the
+		// box any more, but a reader that found it before the commit
+		// store may not have loaded it yet.
+		t.pool.Retire(th, int64(box), 8)
+	}
 	return old, true
 }

@@ -25,6 +25,26 @@
 //
 // Per-goroutine state (latency bookkeeping, statistics, phase timers) lives
 // in a Thread; every memory operation goes through a Thread.
+//
+// # Allocation and reclamation
+//
+// Alloc is a bump allocator with per-size free lists. Blocks come back by
+// one of two doors. Free is immediate and is for callers nobody can race:
+// offline maintenance, or a reclaimer that has just returned from
+// Synchronize. Retire is for a block that lock-free readers may still hold
+// an offset to: it waits in the retiring thread's limbo until every reader
+// section (Thread.Enter/Exit) open at that moment has closed, then is freed
+// on the thread's behalf. Synchronize and Retire are one grace-period
+// mechanism — the wait taken at once, or deferred — described in epoch.go.
+//
+// All of this metadata is volatile, as the paper's nv_malloc is assumed
+// away: the bump pointer, the free lists and the limbo lists live outside
+// the persistent image. After a crash the allocator resumes from the old
+// high-water mark, so it can never hand out memory a surviving structure
+// references; what it cannot do is remember which blocks below that mark
+// were free or in limbo at the crash. That — and nothing else — leaks, the
+// same bound a freed value-log extent has always had. There is no
+// persistent free list.
 package pmem
 
 import (
@@ -105,17 +125,27 @@ type Pool struct {
 	logMu sync.Mutex
 	log   *crashLog
 
-	// threads tracks aggregate statistics from released threads.
+	// stats aggregates the statistics of released threads.
 	statMu sync.Mutex
 	stats  Stats
 
-	dbgMu   sync.Mutex
-	dbgLive map[int64]int64
-}
+	// Block-state tracking behind SetAllocCheck.
+	dbgMu sync.Mutex
+	dbg   map[int64]blockInfo
 
-// debugAllocCheck enables overlap detection on every allocation (a
-// diagnostic for allocator regressions; enabled by tests).
-var debugAllocCheck = false
+	// Grace-period state (see epoch.go). epochMu guards registration and
+	// the orphan limbo; scans read threads without it.
+	epochMu  sync.Mutex
+	threads  atomic.Pointer[[]*Thread]
+	orphans  []retired
+	orphaned atomic.Bool
+
+	// epoch is read by every Enter; keep it off the lines the fields
+	// above are written on.
+	_     [LineSize]byte
+	epoch atomic.Uint64
+	_     [LineSize - 8]byte
+}
 
 // New creates a pool of the configured size. The arena is zeroed, which is
 // the persistent image of an empty device.
@@ -152,9 +182,12 @@ func (p *Pool) NewThread() *Thread {
 // Alloc reserves size bytes aligned to align (which must be a power of two,
 // at least WordSize). The returned offset is never 0. The memory is zeroed.
 //
-// Allocator metadata is volatile: the paper assumes a persistent nv_malloc,
-// and this emulator keeps the bump pointer and free lists outside the
-// persistent image (see DESIGN.md).
+// A block from a free list is zeroed with stores that bypass the crash log,
+// like the rest of the allocator's work: until the caller's own stores to it
+// are flushed, a crash image may show the block's previous contents. Callers
+// persist a block before publishing a pointer to it, recycled or not.
+//
+// Allocator metadata is volatile (see the package comment).
 func (p *Pool) Alloc(size, align int64) (int64, error) {
 	if size <= 0 || align < WordSize || align&(align-1) != 0 {
 		return 0, ErrBadSize
@@ -163,19 +196,8 @@ func (p *Pool) Alloc(size, align int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if debugAllocCheck {
-		p.dbgMu.Lock()
-		if p.dbgLive == nil {
-			p.dbgLive = map[int64]int64{}
-		}
-		for o, s := range p.dbgLive {
-			if off < o+s && o < off+size {
-				p.dbgMu.Unlock()
-				panic(fmt.Sprintf("pmem: Alloc overlap [%d,%d) with live [%d,%d)", off, off+size, o, o+s))
-			}
-		}
-		p.dbgLive[off] = size
-		p.dbgMu.Unlock()
+	if allocCheck {
+		p.checkBlock(off, size, "Alloc", blockLive, blockFree)
 	}
 	// Zero the block: freed blocks may contain stale data. Zeroing is
 	// part of allocation, not of the crash-ordered store stream (a real
@@ -186,9 +208,15 @@ func (p *Pool) Alloc(size, align int64) (int64, error) {
 	return off, nil
 }
 
-// Free returns a block to the allocator. The caller must pass the same size
-// used at Alloc time. Double frees are not detected.
+// Free returns a block to the allocator at once. The caller must pass the
+// same size used at Alloc time, and must know that nobody can still reach
+// the block: it has exclusive access, or has waited out the readers with
+// Synchronize. Everything else goes through Retire. Double frees are
+// detected only under SetAllocCheck.
 func (p *Pool) Free(off, size int64) {
+	if allocCheck {
+		p.checkBlock(off, size, "Free", blockFree, blockLive, blockRetired)
+	}
 	p.alloc.give(off, size)
 }
 
@@ -249,23 +277,29 @@ func (p *Pool) AddStats(s Stats) {
 	p.statMu.Unlock()
 }
 
-// TotalStats returns the aggregate of all released threads' statistics.
+// TotalStats returns the aggregate of all released threads' statistics,
+// plus the pool's own count of allocations served from a free list.
 func (p *Pool) TotalStats() Stats {
 	p.statMu.Lock()
-	defer p.statMu.Unlock()
-	return p.stats
+	s := p.stats
+	p.statMu.Unlock()
+	s.RecycledBlocks = p.alloc.recycledBlocks()
+	return s
 }
 
 // allocator is a bump allocator with power-of-two size-class free lists.
 // It is volatile by design (see Alloc).
 type allocator struct {
-	mu   sync.Mutex
-	next int64
-	free map[int64][]int64
+	mu       sync.Mutex
+	base     int64 // where this incarnation started bumping
+	next     int64
+	free     map[int64][]int64
+	recycled uint64 // allocations served from a free list
 }
 
 func (a *allocator) init(next int64) {
 	a.mu.Lock()
+	a.base = next
 	a.next = next
 	a.free = make(map[int64][]int64)
 	a.mu.Unlock()
@@ -283,6 +317,7 @@ func (a *allocator) take(size, align, limit int64) (int64, error) {
 			if lst[i]%align == 0 {
 				off := lst[i]
 				a.free[size] = append(lst[:i], lst[i+1:]...)
+				a.recycled++
 				return off, nil
 			}
 		}
@@ -313,6 +348,12 @@ func (a *allocator) freeBytes(limit int64) int64 {
 		b += size * int64(len(lst))
 	}
 	return b
+}
+
+func (a *allocator) recycledBlocks() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.recycled
 }
 
 func (a *allocator) highWater() int64 {

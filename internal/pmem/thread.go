@@ -48,6 +48,13 @@ type Stats struct {
 	Fences       uint64 // ordering fences (clflush barriers)
 	StoreFences  uint64 // store-store fences (NonTSO dmb); 0 on TSO
 
+	// RetiredBlocks counts blocks handed to Pool.Retire. RecycledBlocks
+	// counts allocations served from a free list; the allocator keeps it,
+	// so it is set only in Pool.TotalStats. A pool whose retired count
+	// keeps rising while its recycled count does not is leaking.
+	RetiredBlocks  uint64
+	RecycledBlocks uint64
+
 	// PhaseTime attributes wall-clock time (including emulated stalls)
 	// to phases. Index with Phase.
 	PhaseTime [numPhases]time.Duration
@@ -61,6 +68,8 @@ func (s *Stats) add(o Stats) {
 	s.FlushCalls += o.FlushCalls
 	s.Fences += o.Fences
 	s.StoreFences += o.StoreFences
+	s.RetiredBlocks += o.RetiredBlocks
+	s.RecycledBlocks += o.RecycledBlocks
 	for i := range s.PhaseTime {
 		s.PhaseTime[i] += o.PhaseTime[i]
 	}
@@ -89,6 +98,15 @@ type Thread struct {
 
 	phase      Phase
 	phaseStart time.Time
+
+	// Grace-period state (see epoch.go): section nesting depth, whether
+	// the pool's scans know this thread, the blocks it retired that are
+	// not yet free, and the retires since its last reclaim attempt.
+	depth        int
+	registered   bool
+	limbo        []retired
+	sinceReclaim int
+	slot         epochSlot
 }
 
 // Pool returns the pool this thread operates on.
@@ -102,9 +120,15 @@ func (t *Thread) resetCache() {
 }
 
 // Release folds the thread's statistics into the pool aggregate and resets
-// them.
+// them, frees what it can of the thread's limbo and leaves the rest with the
+// pool, and takes the thread out of the grace-period scans. The thread may
+// be used again: its next Enter registers it anew.
 func (t *Thread) Release() {
 	t.EndPhase()
+	if len(t.limbo) > 0 {
+		t.p.reclaim(t)
+	}
+	t.p.unregister(t)
 	t.p.AddStats(t.Stats)
 	t.Stats = Stats{}
 }

@@ -506,8 +506,8 @@ func (l *Log) grow(th *pmem.Thread, need int64) error {
 // tree value fails with ErrBadRef (or, with negligible probability for a
 // colliding header, ErrCorrupt) instead of returning garbage. Read is
 // lock-free; the caller is responsible for not racing a GC free of the
-// record's extent (the store brackets ref resolution in a shared lock the
-// GC fence takes exclusively).
+// record's extent (the store brackets ref resolution in a pmem grace
+// section, which the GC fence waits out).
 func (l *Log) Read(th *pmem.Thread, ref Ref, dst []byte) ([]byte, error) {
 	off, n := ref.Off(), ref.Len()
 	if off <= 0 || off%pmem.WordSize != 0 || n > MaxValue ||
@@ -641,9 +641,9 @@ type GCFuncs struct {
 	// return while any reader can still hold a reference snapshot taken
 	// before the sweep's swaps, nor while any writer is mid-flight
 	// between appending a record and installing its ref in the tree (the
-	// store implements it as a write-acquire of the shard's resolve lock,
-	// which lookups hold shared for the resolve window and writers hold
-	// shared across append+install). Optional only when no concurrent
+	// store implements it as pmem.Pool.Synchronize: lookups open a grace
+	// section for the resolve window, writers across append+install).
+	// Optional only when no concurrent
 	// readers or writers exist.
 	Fence func()
 }
@@ -666,9 +666,9 @@ type GCResult struct {
 // extent. The catch-up sweep exists because a liveness verdict can go
 // stale: a writer that appended a record into this extent long ago may
 // install its ref in the tree only after the first sweep judged the record
-// dead. The first fence waits such writers out (they hold the caller's
-// reader lock across append+install), the second sweep relocates whatever
-// they installed, and — since appends into a sealed extent are over and
+// dead. The first fence waits such writers out (they are inside the
+// caller's grace section across append+install), the second sweep relocates
+// whatever they installed, and — since appends into a sealed extent are over and
 // each append's ref is installed at most once — nothing new can appear
 // after it; the final fence then drains readers still holding pre-sweep
 // snapshots before the memory is recycled. The extent holding the append

@@ -85,6 +85,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"pmkv_store_op_seconds",
 		"pmkv_store_vlog_bytes",
 		"pmkv_pmem_loads_total",
+		"pmkv_pmem_used_bytes",
+		"pmkv_pmem_retired_blocks_total",
+		"pmkv_pmem_recycled_blocks_total",
 	} {
 		if !fams[want] {
 			t.Errorf("family %s missing from scrape", want)

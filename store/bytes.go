@@ -93,13 +93,13 @@ func (ss *Session) retireWord(i int, key uint64, old uint64) bool {
 // the shard's garbage accounting and may run an automatic GC pass (see
 // Options.GCGarbageRatio). On a closed store it returns ErrClosed.
 //
-// The append and the tree install happen inside the shard's reclamation
-// read-lock: a GC fence must not complete while a record exists whose ref
+// The append and the tree install happen inside one grace section on the
+// shard thread: a GC fence must not complete while a record exists whose ref
 // is still on its way into the tree, or the pass could judge that record
 // dead, free its extent, and let the install land on recycled memory (see
-// gc.go). The lock is shared — writers never wait on each other here.
+// gc.go). A section excludes nobody — writers never wait on each other here.
 //
-// Space admission runs first, outside the lock: when the shard's pool can
+// Space admission runs first, outside the section: when the shard's pool can
 // no longer hold the append plus an extent of GC headroom, PutBytes tries
 // one inline compaction pass and, if that does not clear the shortfall,
 // fails fast with ErrNoSpace — before the log is grown into the last free
@@ -137,10 +137,11 @@ func (ss *Session) PutBytes(key uint64, val []byte) error {
 		}
 	}
 	sh.gc.applyMu.RLock()
-	sh.gc.varMu.RLock()
-	ref, err := sh.vl.Append(ss.ths[i], key, val)
+	th := ss.ths[i]
+	th.Enter()
+	ref, err := sh.vl.Append(th, key, val)
 	if err != nil {
-		sh.gc.varMu.RUnlock()
+		th.Exit()
 		sh.gc.applyMu.RUnlock()
 		ss.s.release()
 		if errors.Is(err, vlog.ErrFull) {
@@ -150,17 +151,17 @@ func (ss *Session) PutBytes(key uint64, val []byte) error {
 		}
 		return fmt.Errorf("store: shard %d value log: %w", i, err)
 	}
-	old, existed, err := index.Exchange(sh.ix, ss.ths[i], key, uint64(ref))
+	old, existed, err := index.Exchange(sh.ix, th, key, uint64(ref))
 	if err != nil {
 		// The appended record is leaked until GC finds it dead; the
 		// operation itself failed cleanly.
-		sh.gc.varMu.RUnlock()
+		th.Exit()
 		sh.gc.applyMu.RUnlock()
 		ss.s.release()
 		return err
 	}
 	stale := existed && ss.retireWord(i, key, old)
-	sh.gc.varMu.RUnlock()
+	th.Exit()
 	sh.gc.applyMu.RUnlock()
 	ss.s.release()
 	if stale {
@@ -170,16 +171,18 @@ func (ss *Session) PutBytes(key uint64, val []byte) error {
 }
 
 // readCurrent resolves key's current value through the tree. The caller
-// must hold the shard's reclamation read-lock (gc.varMu.RLock), which
-// pins every record the tree currently names: GC cannot complete its
-// pre-free fence while we are inside it.
+// must be inside a grace section on the shard thread (ss.ths[i].Enter),
+// which pins every record the tree currently names: GC cannot complete its
+// pre-free fence while the section is open.
 //
 // One subtlety forces the retry loop: the tree's lock-free read protocol
-// lets a reader racing a Delete observe the pre-delete value word (value
-// boxes are never recycled, so that word is stable — but the log record
-// it names stopped being referenced the moment the delete committed, and
-// an already-running GC pass may have reclaimed it, reader lock
-// notwithstanding: the lock only protects records the tree still names).
+// lets a reader racing a Delete observe the pre-delete value word (the
+// tree's own section keeps the deleted key's box from being recycled under
+// the read, so the word is what the key last held — but the log record it
+// names stopped being referenced the moment the delete committed, and a GC
+// pass already past its final fence may have reclaimed it, our section
+// notwithstanding: a section opened after a fence began only protects
+// records the tree still names).
 // Such a dangling ref fails the record validation (owner key, header,
 // checksum); re-reading the tree then either shows the key gone (the
 // delete won — report absent), or a fresh word from a racing re-insert
@@ -210,9 +213,9 @@ func (ss *Session) readCurrent(i int, key uint64, dst []byte) ([]byte, bool, err
 // return reports presence. A key written through the fixed-width Put API
 // fails with ErrNotVarlen. On a closed store it returns ErrClosed.
 //
-// The ref load and the record read happen inside the shard's reclamation
-// read-lock, so a concurrent GC pass cannot free a record the tree names
-// mid-read (see gc.go).
+// The ref load and the record read happen inside one grace section, so a
+// concurrent GC pass cannot free a record the tree names mid-read (see
+// gc.go).
 func (ss *Session) GetBytes(key uint64, dst []byte) ([]byte, bool, error) {
 	if !ss.s.acquire() {
 		return dst, false, ErrClosed
@@ -222,9 +225,8 @@ func (ss *Session) GetBytes(key uint64, dst []byte) ([]byte, bool, error) {
 		defer ss.s.met.getBytes.RecordSince(time.Now())
 	}
 	i := ss.s.ShardFor(key)
-	sh := &ss.s.shards[i]
-	sh.gc.varMu.RLock()
-	defer sh.gc.varMu.RUnlock()
+	ss.ths[i].Enter()
+	defer ss.ths[i].Exit()
 	return ss.readCurrent(i, key, dst)
 }
 
@@ -239,16 +241,16 @@ func (ss *Session) DeleteBytes(key uint64) (bool, error) {
 }
 
 // resolveScanRef resolves one collected (key, word) pair to value bytes
-// under the shard's reclamation read-lock. A collected ref is a snapshot:
+// inside a grace section on the shard thread. A collected ref is a snapshot:
 // GC may have relocated and freed the record since ScanLimit read the
 // tree, so on validation failure the authoritative ref is re-read from the
-// tree under the same lock — GC cannot complete a free while we hold it —
-// and a key deleted in the meantime is skipped.
+// tree inside the same section — GC cannot free what the tree names while
+// it is open — and a key deleted in the meantime is skipped.
 func (ss *Session) resolveScanRef(kv KV) (val []byte, skip bool, err error) {
 	i := ss.s.ShardFor(kv.Key)
 	sh := &ss.s.shards[i]
-	sh.gc.varMu.RLock()
-	defer sh.gc.varMu.RUnlock()
+	ss.ths[i].Enter()
+	defer ss.ths[i].Exit()
 	buf, err := sh.vl.ReadKeyed(ss.ths[i], kv.Key, vlog.Ref(kv.Val), ss.valBuf[:0])
 	if err != nil {
 		var ok bool

@@ -15,37 +15,46 @@ import (
 // oldest-extent-first, copies the records its tree still references to the
 // log tail (an ordinary failure-atomic append), commits each copy with a
 // latched conditional replace of the tree word (old ref → new ref, refusing
-// if a concurrent writer got there first), then drains readers and frees
-// the extent. Liveness is the tree's word: a record is live iff
+// if a concurrent writer got there first), then waits out a grace period
+// and frees the extent. Liveness is the tree's word: a record is live iff
 // Get(record.key) returns its ref — the one fact the log cannot know by
 // itself and the reason records carry their key.
 //
 // # Why no tree ref can ever name freed log space
 //
-// The reclamation gate is shardGC.varMu, held shared by everyone who is
-// in a window where a log record matters without the tree fully saying so:
-// readers for their tree-word→log-bytes resolve, and PutBytes writers from
-// the log append to the tree install (the appended record is invisible to
-// GC's liveness until the install lands). The GC pass runs, per extent,
-// relocation sweep → fence → catch-up sweep → fence → free, where each
-// fence is an exclusive acquire-and-release of varMu. Consider extent E:
+// The reclamation gate is the shard pool's grace period (internal/pmem,
+// epoch.go) — the one that also recycles the tree's value boxes. Everyone
+// who is in a window where a log record matters without the tree fully
+// saying so is inside a section on its own shard thread (Thread.Enter /
+// Exit): readers for their tree-word→log-bytes resolve, and PutBytes /
+// PutKV writers from the log append to the tree install (the appended
+// record is invisible to GC's liveness until the install lands). The GC
+// pass runs, per extent, relocation sweep → fence → catch-up sweep → fence
+// → free, where each fence is Pool.Synchronize: it returns when every
+// section that was open at the call has closed. Consider extent E:
 //
-//   - A reader whose RLock precedes a fence's Lock: the fence waits, so E
-//     outlives the access. It may read a pre-swap (old) copy — intact
-//     (records are immutable and E unfreed) and byte-identical to the
-//     relocated one unless it raced an application overwrite, which is
+//   - A reader whose section was open when a fence began: the fence waits
+//     for it, so E outlives the access. It may read a pre-swap (old) copy —
+//     intact (records are immutable and E unfreed) and byte-identical to
+//     the relocated one unless it raced an application overwrite, which is
 //     the store's documented read-uncommitted window, not a GC artifact.
-//   - A reader whose RLock follows the final fence: it loads the ref from
-//     the tree after every swap committed, so the ref does not point
-//     into E.
+//   - A reader whose section opens after the final fence began: it loads
+//     the ref from the tree after every swap committed, so the ref does
+//     not point into E.
 //   - A writer that appended into E (necessarily before E was sealed) but
 //     had not yet installed the ref when the sweep judged the record
-//     dead: it holds the RLock, so the first fence waits out its install,
+//     dead: its section is open, so the first fence waits out its install,
 //     and the catch-up sweep relocates the record. No ref into E can be
 //     installed after that — each append's ref is installed exactly once,
 //     by its own writer, and those writers have drained.
 //
-// ScanBytes resolves refs collected before its per-record RLock, so it
+// A fence never blocks a section from opening, and sections nest, so the
+// tree's own per-read sections inside a store-level one are free. The pass
+// itself runs outside any section — Synchronize would otherwise wait for
+// its own caller — which is why every trigger fires after the triggering
+// operation has closed its section and dropped its locks.
+//
+// ScanBytes resolves refs collected before its per-record section, so it
 // additionally retries through the tree when a snapshot ref no longer
 // validates — see its implementation.
 //
@@ -136,16 +145,10 @@ func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, er
 		Swap: func(key uint64, old, new vlog.Ref) bool {
 			return index.ReplaceIf(sh.ix, th, key, uint64(old), uint64(new))
 		},
-		Fence: func() {
-			// A deliberately empty exclusive section: acquiring varMu
-			// waits out every reader that could hold a pre-swap ref
-			// snapshot and every writer mid-install of an appended
-			// record's ref (see the package comment above). Nothing is
-			// protected inside — the lock IS the barrier.
-			sh.gc.varMu.Lock()
-			//lint:ignore SA2001 quiescence barrier, not a critical section
-			sh.gc.varMu.Unlock()
-		},
+		// Waits out every reader that could hold a pre-swap ref snapshot
+		// and every writer mid-install of an appended record's ref (see
+		// the package comment above).
+		Fence: sh.pool.Synchronize,
 	})
 	ss.s.met.recordGC(start, res.Relocated)
 	return res, err

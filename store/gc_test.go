@@ -268,9 +268,9 @@ func TestChurnSurvivesOnlyWithGC(t *testing.T) {
 //
 // The safety argument under test (see store/gc.go): a GC pass frees an
 // extent only after (1) every tree ref into it was conditionally swapped
-// to a relocated copy and (2) the shard's varMu was acquired exclusively,
-// which waits out every reader holding a pre-swap ref snapshot — readers
-// resolve tree word → log bytes entirely inside an RLock. So a reader can
+// to a relocated copy and (2) the shard pool's Synchronize returned, which
+// waits out every reader holding a pre-swap ref snapshot — readers resolve
+// tree word → log bytes entirely inside one grace section. So a reader can
 // race a relocation or an overwrite (and legally observe either value of
 // that race) but can never observe freed, rezeroed, or recycled log space,
 // which is what the value self-check below would catch.

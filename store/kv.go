@@ -21,7 +21,7 @@ import (
 // payload is the sorted list of every (full key, value) pair in this shard
 // sharing that prefix. Prefix ties — distinct keys with equal first 8
 // bytes — therefore resolve by comparing full key bytes through the log,
-// under the same reclamation read-lock every varlen resolution takes.
+// inside the same grace section every varlen resolution opens (gc.go).
 //
 // PackPrefix is order-consistent with lexicographic byte order:
 // prefix(x) < prefix(y) implies x < y, so the tree's prefix order IS the
@@ -254,7 +254,7 @@ func bucketGet(bucket []byte, prefix uint64, key, dst []byte) (out []byte, found
 }
 
 // readBucket resolves prefix's current bucket through shard i's tree. The
-// caller must hold the shard's reclamation read-lock. Like readCurrent it
+// caller must be inside a grace section on the shard thread. Like readCurrent it
 // retries on validation failure with a re-read of the tree word — a
 // collected or racing snapshot may predate a GC relocation or a delete —
 // and only a word that fails validation AND re-reads unchanged classifies
@@ -366,13 +366,13 @@ func (ss *Session) putKVApply(i int, p uint64, key, val []byte) (stale bool, err
 	sh.gc.kvMu.Lock()
 	defer sh.gc.kvMu.Unlock()
 	for {
-		// One attempt under the reclamation read-lock; done=false with a
+		// One attempt inside a grace section; done=false with a
 		// nil error means a concurrent delete or GC relocation invalidated
 		// the snapshot — retry against the fresh tree word.
 		done := false
 		stale, err = func() (bool, error) {
-			sh.gc.varMu.RLock()
-			defer sh.gc.varMu.RUnlock()
+			th.Enter()
+			defer th.Exit()
 			ref, ok := sh.ix.Get(th, p)
 			var bucket []byte
 			if ok {
@@ -444,9 +444,8 @@ func (ss *Session) GetKV(key, dst []byte) ([]byte, bool, error) {
 	}
 	i := ss.s.ShardForKey(key)
 	p := PackPrefix(key)
-	sh := &ss.s.shards[i]
-	sh.gc.varMu.RLock()
-	defer sh.gc.varMu.RUnlock()
+	ss.ths[i].Enter()
+	defer ss.ths[i].Exit()
 	b, ok, err := ss.readBucket(i, p, 0, false)
 	if err != nil || !ok {
 		return dst, false, err
@@ -501,8 +500,8 @@ func (ss *Session) deleteKVApply(i int, p uint64, key []byte) (existed, stale bo
 	for {
 		done := false
 		existed, stale, err = func() (bool, bool, error) {
-			sh.gc.varMu.RLock()
-			defer sh.gc.varMu.RUnlock()
+			th.Enter()
+			defer th.Exit()
 			ref, ok := sh.ix.Get(th, p)
 			if !ok {
 				done = true
@@ -572,8 +571,8 @@ const (
 )
 
 // kvBucketPage is the tree-scan page while collecting bucket refs: refs
-// are collected outside the reclamation lock in pages, then resolved
-// under it, so huge prefix ranges never pin a lock across a full walk.
+// are collected in pages, then resolved one grace section each, so a huge
+// prefix range never holds reclamation up across a full walk.
 const kvBucketPage = 512
 
 // collectKVRun fills shard i's run with up to max entries in [lo, hi]
@@ -608,15 +607,15 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 	return nil
 }
 
-// resolveKVBucket resolves one collected (prefix, word) pair under the
-// shard's reclamation read-lock and appends its in-range entries to run.
+// resolveKVBucket resolves one collected (prefix, word) pair inside a grace
+// section on the shard thread and appends its in-range entries to run.
 // Like resolveScanRef, a stale snapshot (concurrent GC relocation or
 // delete) transparently re-resolves through the tree; a prefix deleted
 // mid-scan is skipped.
 func (ss *Session) resolveKVBucket(i int, prefix, word uint64, run *kvRun, lo, hi []byte) error {
 	sh := &ss.s.shards[i]
-	sh.gc.varMu.RLock()
-	defer sh.gc.varMu.RUnlock()
+	ss.ths[i].Enter()
+	defer ss.ths[i].Exit()
 	b, err := sh.vl.ReadKeyed(ss.ths[i], prefix, vlog.Ref(word), ss.kvBuf[:0])
 	if err != nil {
 		var ok bool
@@ -660,7 +659,7 @@ func (ss *Session) resolveKVBucket(i int, prefix, word uint64, run *kvRun, lo, h
 // Like ScanLimit, the collection is bounded and read-uncommitted: at most
 // max pairs return per call and each shard contributes its smallest
 // in-range entries, so the merged page is exactly the global first max.
-// Entries resolve through each shard's reclamation read-lock; concurrent
+// Entries resolve inside grace sections on each shard thread; concurrent
 // GC relocation re-resolves transparently, concurrently deleted prefixes
 // are skipped. A uint64-API key whose word lands in the prefix range
 // aborts with ErrNotKeyed. On a closed store it returns ErrClosed.

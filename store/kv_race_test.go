@@ -13,8 +13,8 @@ import (
 // prefix-colliding keys — every overwrite garbages the old bucket record,
 // and the bucket install's ReplaceIf must detect GC relocating the word
 // under it and retry — while a dedicated goroutine forces compaction
-// passes and readers Get/Scan through the reclamation read-locks the
-// whole time. The test asserts the end state exactly; the race detector
+// passes and readers Get/Scan through their grace sections the whole
+// time. The test asserts the end state exactly; the race detector
 // asserts everything else.
 func TestKVGCRaceChurn(t *testing.T) {
 	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20})

@@ -120,6 +120,23 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter("pmkv_pmem_fences_total", "",
 		"ordering fences issued",
 		func() uint64 { return s.Stats().Fences })
+	// Retired rising with recycled flat, or used_bytes rising under a
+	// stationary workload, is a reclamation leak.
+	reg.Counter("pmkv_pmem_retired_blocks_total", "",
+		"blocks handed to grace-period reclamation",
+		func() uint64 { return s.Stats().RetiredBlocks })
+	reg.Counter("pmkv_pmem_recycled_blocks_total", "",
+		"allocations served from a free list",
+		func() uint64 { return s.Stats().RecycledBlocks })
+	reg.Gauge("pmkv_pmem_used_bytes", "",
+		"arena bytes neither free-listed nor beyond the allocators' high-water marks, all shards",
+		func() float64 {
+			var used int64
+			for _, sh := range s.shards {
+				used += sh.pool.Size() - sh.pool.FreeBytes()
+			}
+			return float64(used)
+		})
 }
 
 // recordGC charges one GC pass to the pause and relocation histograms.

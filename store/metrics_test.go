@@ -87,6 +87,8 @@ func TestStoreMetrics(t *testing.T) {
 	for _, want := range []string{
 		"pmkv_store_op_seconds", "pmkv_store_gc_pause_seconds",
 		"pmkv_store_vlog_bytes", "pmkv_pmem_loads_total",
+		"pmkv_pmem_used_bytes", "pmkv_pmem_retired_blocks_total",
+		"pmkv_pmem_recycled_blocks_total",
 	} {
 		if !fams[want] {
 			t.Errorf("family %s missing from store scrape", want)

@@ -12,7 +12,9 @@ import (
 // each shard streams its range on its own goroutine (using that shard's
 // session thread) and the caller's goroutine merges the streams with a heap.
 // Per shard the scan has the paper's read-uncommitted semantics under
-// concurrent writers; there is no cross-shard snapshot. On a closed store it
+// concurrent writers; there is no cross-shard snapshot. fn runs on the
+// caller's goroutine and outside every grace section, so it may use the
+// store through another session, GC passes included. On a closed store it
 // returns ErrClosed without visiting anything; the store cannot close mid-
 // scan (the whole merge holds one in-flight reference).
 func (ss *Session) Scan(lo, hi uint64, fn func(key, val uint64) bool) error {
@@ -35,14 +37,30 @@ func (ss *Session) Scan(lo, hi uint64, fn func(key, val uint64) bool) error {
 			defer wg.Done()
 			defer close(c.ch)
 			ix, th := ss.s.shards[i].ix, ss.ths[i]
-			ix.Scan(th, lo, hi, func(k, v uint64) bool {
-				select {
-				case c.ch <- KV{k, v}:
-					return true
-				case <-done:
-					return false
+			// The tree runs its callback inside a grace section, and
+			// the channel send waits on fn — the caller's code, which
+			// may itself write, compact or just take its time. So a
+			// page is collected inside the tree scan and handed over
+			// outside it, the scan resuming after the page's last key.
+			page := make([]KV, 0, scanBuf)
+			for next := lo; ; {
+				page = page[:0]
+				ix.Scan(th, next, hi, func(k, v uint64) bool {
+					page = append(page, KV{k, v})
+					return len(page) < scanBuf
+				})
+				for _, kv := range page {
+					select {
+					case c.ch <- kv:
+					case <-done:
+						return
+					}
 				}
-			})
+				if len(page) < scanBuf || page[len(page)-1].Key == hi {
+					return
+				}
+				next = page[len(page)-1].Key + 1
+			}
 		}(i, c)
 	}
 	// Always release the producers, even when fn stops the merge early.

@@ -241,19 +241,11 @@ type shard struct {
 	gc   *shardGC
 }
 
-// shardGC is a shard's volatile GC coordination state. It lives behind a
-// pointer so shard values stay copyable.
+// shardGC is a shard's volatile write and GC coordination state. It lives
+// behind a pointer so shard values stay copyable. Readers take none of
+// these: what keeps a log record (or a value box) alive under a reader is a
+// grace section on its own shard thread, see gc.go.
 type shardGC struct {
-	// varMu is the reclamation gate: every resolution of a tree word
-	// into value-log bytes holds it shared for the load-ref/read-record
-	// window, and a GC pass acquires it exclusively (and immediately
-	// releases it) between retargeting the tree refs and freeing the
-	// drained extent. The exclusive acquire cannot complete until every
-	// reader that might hold a pre-swap ref snapshot has drained, and
-	// any reader arriving later re-reads the tree, which no longer names
-	// the extent — so no reader can ever dereference freed log space.
-	// Writers (appends) never take it: they hold no record references.
-	varMu sync.RWMutex
 	// runMu serialises GC passes per shard; automatic triggers TryLock
 	// it so concurrent writers never queue behind one another's passes.
 	runMu sync.Mutex
@@ -263,7 +255,7 @@ type shardGC struct {
 	// upserts into one bucket could otherwise both install and silently
 	// drop an entry. GC never takes it — relocation preserves bucket
 	// content, and the writers' ReplaceIf install detects and retries
-	// around a concurrent swap. Lock order: kvMu before varMu.
+	// around a concurrent swap.
 	kvMu sync.Mutex
 	// applyMu fences transaction commits against plain writers: every
 	// non-transactional mutation (Put, Delete, PutBatch, PutBytes,
@@ -278,7 +270,8 @@ type shardGC struct {
 	// correct cleanup. Commits lock their shards in ascending order
 	// (deadlock-free); plain writers hold at most one shard's applyMu at
 	// a time. Reads and GC never take it. Lock order: applyMu before
-	// kvMu before varMu.
+	// kvMu, and before runMu (a commit's space admission may compact);
+	// a GC pass takes neither of the other two.
 	applyMu sync.RWMutex
 }
 

@@ -653,9 +653,8 @@ func (ss *Session) admitTxnOps(i int, ops []txnOp) error {
 // turning a client-addressable state error (ErrNotKeyed) into
 // ErrTxnIncomplete and a latched store.
 func (ss *Session) projectBucket(i int, p uint64) (size int, err error) {
-	sh := &ss.s.shards[i]
-	sh.gc.varMu.RLock()
-	defer sh.gc.varMu.RUnlock()
+	ss.ths[i].Enter()
+	defer ss.ths[i].Exit()
 	b, ok, err := ss.readBucket(i, p, 0, false)
 	if err != nil || !ok {
 		return 0, err
