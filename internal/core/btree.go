@@ -100,7 +100,9 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 // image). It performs no recovery; call Recover to repair transient
 // inconsistency eagerly, or rely on readers tolerating it and writers fixing
 // it lazily — until a Recover has run, every latched write first repairs the
-// node it is about to change (see fixNodeLocked).
+// node it is about to change (see fixNodeLocked). The lazy route is open only
+// to images whose nodes carry high keys (node.go): one written before they
+// did must be recovered first.
 func Open(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -152,7 +154,7 @@ func (t *BTree) Height(th *pmem.Thread) int {
 func (t *BTree) descendToLeaf(th *pmem.Thread, key uint64) node {
 	n := t.root(th)
 	for {
-		if sib := t.sibling(th, n); sib.valid() && key >= t.lowKey(th, sib) {
+		if sib := t.rightOf(th, n, key); sib.valid() {
 			n = sib
 			continue
 		}
@@ -339,9 +341,10 @@ func (t *BTree) routeChildBinary(th *pmem.Thread, n node, key uint64) uint64 {
 // cell. The section opens before the descent, not at the leaf: a FAIR split
 // links the sibling before it truncates the node, and in between a key of
 // the upper half can be deleted from the sibling — its box retired — while
-// the node still names it. The descent moves right past such a node once it
-// sees the link; a reader that checked the sibling pointer before the link
-// did so inside its section, which then predates the Retire.
+// the node still names it. Such a delete reaches the sibling only past the
+// node's lowered high key, and the descent moves right once it sees that; a
+// reader that loaded the high key before it was lowered did so inside its
+// section, which then predates the Retire.
 func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 	boxed := !t.opts.InlineValues
 	if boxed {
@@ -358,12 +361,12 @@ func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 			val = th.Load(int64(val))
 		}
 		var sib node
-		var right bool
 		if !found {
 			// The key may have moved right past us (in-flight
-			// split); chase the sibling while it can cover key.
-			sib = t.sibling(th, n)
-			right = sib.valid() && key >= t.lowKey(th, sib)
+			// split); chase the sibling while it can cover key. A
+			// truncation that hid the key came after the high-key
+			// store, so this load sees the lowered fence.
+			sib = t.rightOf(th, n, key)
 		}
 		if t.opts.LeafLocks {
 			t.runlockNode(th, n)
@@ -371,11 +374,10 @@ func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 		if found {
 			return val, true
 		}
-		if right {
-			n = sib
-			continue
+		if !sib.valid() {
+			return 0, false
 		}
-		return 0, false
+		n = sib
 	}
 }
 
@@ -524,22 +526,20 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 			open = true
 		}
 		keys, boxes = t.leafCollect(th, n, keys[:0], boxes[:0])
+		fence := t.highKey(th, n) // before the sibling pointer, see node.go
 		sib := t.sibling(th, n)
 		if t.opts.LeafLocks {
 			t.runlockNode(th, n)
 		}
-		// Entries at or beyond the sibling's low fence are the sibling's
-		// to report. A leaf holds such entries between a split's link and
+		// Entries at or beyond the high fence are the sibling's to report.
+		// A leaf holds such entries between a split's high-key store and
 		// its truncation (and for good when a crash fell in between): a
 		// key deleted from the sibling meanwhile is still named here,
 		// with a box that may have been retired before this section
-		// opened. A link this read missed came after the section opened,
-		// and so did every Retire behind it.
-		fence, onward := uint64(0), false // onward: the sibling may hold keys <= hi
-		if sib.valid() {
-			fence = t.lowKey(th, sib)
-			onward = fence <= hi
-		}
+		// opened. Deletes reach the sibling only past the lowered high
+		// key: one this load missed was stored after the section opened,
+		// and so was every Retire behind it.
+		onward := sib.valid() && fence <= hi // the sibling may hold keys <= hi
 		stop := false
 		for i, k := range keys {
 			if k < lo || k > hi || (onward && k >= fence) {

@@ -28,8 +28,9 @@ import (
 // truncation the left node still holds the upper half, so a delete through
 // the sibling retires a box the left node has not let go of. Readers never
 // take such an entry from the left node on the strength of a section opened
-// after the Retire (Get moves right in the descent, Scan filters by the
-// sibling's low fence). Writers need no section: overwrite,
+// after the Retire (the delete got to the sibling past the left node's
+// lowered high key, which sends Get right in the descent and is what Scan
+// filters by). Writers need no section: overwrite,
 // ReplaceIf and Remove touch a box only under the latch of the leaf that
 // names it, which the delete that retires it must also hold. The slots
 // beyond a split's terminator can keep naming a box long after it is gone;

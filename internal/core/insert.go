@@ -13,10 +13,7 @@ func (t *BTree) Insert(th *pmem.Thread, key, val uint64) error {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.descendToLeaf(th, key)
-	t.lockNode(th, n)
-	n = t.moveRightLocked(th, n, key)
-	t.fixNodeLocked(th, n)
+	n := t.latchLeaf(th, key)
 
 	if t.opts.InlineValues && val == 0 {
 		t.unlockNode(th, n)
@@ -64,13 +61,25 @@ func (t *BTree) newBox(th *pmem.Thread, val uint64) (uint64, error) {
 	return uint64(off), nil
 }
 
-// moveRightLocked re-checks, under the node latch, whether key now belongs
-// to a right sibling (Algorithm 1 lines 2–8) and hands the latch rightward
-// until it holds the covering node.
-func (t *BTree) moveRightLocked(th *pmem.Thread, n node, key uint64) node {
+// latchLeaf is the writer prologue: descend to key's leaf and return it
+// latched, repaired and covering key.
+func (t *BTree) latchLeaf(th *pmem.Thread, key uint64) node {
+	return t.latchAt(th, t.descendToLeaf(th, key), key)
+}
+
+// latchAt latches n and re-checks, under the latch, whether key now belongs
+// to a right sibling (Algorithm 1 lines 2–8), handing the latch rightward
+// until it holds the covering node. On a suspect tree every node is repaired
+// before its high key is trusted: a crashed split can leave it linked with
+// the high key still the old, larger one, and testing first would keep the
+// latch here, redo the truncation, and then put a key of the upper half into
+// the node that has just given that half up.
+func (t *BTree) latchAt(th *pmem.Thread, n node, key uint64) node {
+	t.lockNode(th, n)
 	for {
-		sib := t.sibling(th, n)
-		if !sib.valid() || key < t.lowKey(th, sib) {
+		t.fixNodeLocked(th, n)
+		sib := t.rightOf(th, n, key)
+		if !sib.valid() {
 			return n
 		}
 		t.unlockNode(th, n)
@@ -190,22 +199,21 @@ func (t *BTree) split(th *pmem.Thread, n node, level int, key, ptr uint64) error
 // insertPending installs the entry whose insertion triggered the split. It
 // re-enters through the normal latched path: the moment splitBody stored the
 // sibling link, concurrent writers' lock-free descents could reach either
-// half, so the pending insert must re-latch, re-check move-right, apply lazy
-// fixes, and recount — it may even split again if a racer filled the target.
+// half, so the pending insert must re-latch, apply lazy fixes, re-check
+// move-right, and recount — it may even split again if a racer filled the
+// target.
 func (t *BTree) insertPending(th *pmem.Thread, n, sib node, level int, sepKey, key, ptr uint64) error {
 	target := n
 	if key >= sepKey {
 		target = sib
 	}
-	t.lockNode(th, target)
-	target = t.moveRightLocked(th, target, key)
-	t.fixNodeLocked(th, target)
-	return t.insertIntoNode(th, target, level, key, ptr)
+	return t.insertIntoNode(th, t.latchAt(th, target, key), level, key, ptr)
 }
 
 // splitLinked, when a test sets it, runs on the splitting thread between a
-// split's sibling link and its truncation — the window in which the upper
-// half is live in the sibling while the still-latched node names it too.
+// split's link (sibling pointer and high key, both flushed) and its
+// truncation — the window in which the upper half is live in the sibling
+// while the still-latched node names it too.
 var splitLinked func(t *BTree, level int)
 
 // splitBody performs the node-local part of FAIR on latched node n and
@@ -245,11 +253,16 @@ func (t *BTree) splitBody(th *pmem.Thread, n node, level int) (uint64, node, err
 		}
 	}
 	th.Store(sib.off+offSibling, uint64(t.sibling(th, n).off))
+	th.Store(sib.off+offHighKey, t.highKey(th, n))
 	t.setLastIdxHint(th, sib, scnt)
 	th.Persist(sib.off, int64(t.nodeSize))
 
+	// Link, then lower the high key, one flush for both header words: no
+	// reader and no crash image sees the lowered fence without the link.
 	th.Store(n.off+offSibling, uint64(sib.off))
-	th.Flush(n.off+offSibling, 8)
+	th.StoreFence()
+	th.Store(n.off+offHighKey, medKey)
+	th.Flush(n.off, headerBytes)
 	if splitLinked != nil {
 		splitLinked(t, level)
 	}
@@ -296,15 +309,13 @@ func (t *BTree) insertParent(th *pmem.Thread, child node, level int, sepKey uint
 
 		p := root
 		for t.level(th, p) > level+1 {
-			if sib := t.sibling(th, p); sib.valid() && sepKey >= t.lowKey(th, sib) {
+			if sib := t.rightOf(th, p, sepKey); sib.valid() {
 				p = sib
 				continue
 			}
 			p = node{int64(t.routeChild(th, p, sepKey))}
 		}
-		t.lockNode(th, p)
-		p = t.moveRightLocked(th, p, sepKey)
-		t.fixNodeLocked(th, p)
+		p = t.latchAt(th, p, sepKey)
 		if t.hasChildLocked(th, p, sibPtr) {
 			// Another writer (or recovery) beat us to it — the
 			// paper's "only one of them will succeed".

@@ -35,7 +35,11 @@ import (
 //	word 5  lock      volatile reader/writer spinlock word
 //	word 6  lowKey    low fence key (B-link): smallest key this node may
 //	                  hold; immutable once set
-//	word 7  reserved
+//	word 7  highKey   high fence key: a copy of the right sibling's lowKey,
+//	                  ^0 while the node has no sibling. Every move-right
+//	                  test is key >= highKey && sibling != 0 — two words of
+//	                  the header line the reader has already paid for; the
+//	                  sibling's own header is not touched
 //	+64...  records   16-byte (key, ptr) slots; a zero ptr terminates the
 //	                  array, and every slot at or beyond the terminator has
 //	                  a zero ptr (maintained by FAST, see insert.go)
@@ -43,6 +47,20 @@ import (
 // Record i's key is valid iff ptr(i-1) != ptr(i), where ptr(-1) is the
 // leftmost word. FAST's shifts are ordered so that at every instant exactly
 // the committed keys are valid.
+//
+// The high key only ever lags behind the link, never runs ahead of it.
+// Writers that give a node a nearer sibling (splitBody, and the lazy repair
+// of a crashed split) store the sibling pointer, fence, then lower the high
+// key, flush the header line once, and only then truncate; Vacuum, which
+// gives a node a farther sibling, raises the high key before it stores the
+// pointer. Readers load the high key first and the sibling second. So a
+// reader — or a crash image — can find a node "linked, high key still the
+// old, larger one", and in that state the node is not yet truncated: staying
+// put is correct, the not-found chase and the lower level's own move-right
+// catch what moved. The reverse (high key lowered, link missing) cannot be
+// observed. An image from before word 7 existed holds zero there; Recover
+// rewrites the word on every node (repairNodeLocked), so such an image must
+// be recovered before it is used — store.Reopen always does.
 //
 // The layout is deliberately line-granular, and the read path exploits it:
 // the header fills exactly one 64-byte cache line, the record area is a
@@ -63,6 +81,7 @@ const (
 	offLastIdx  = 32
 	offLock     = 40
 	offLowKey   = 48
+	offHighKey  = 56
 	headerBytes = 64
 	recordBytes = 16
 
@@ -112,6 +131,22 @@ func (t *BTree) sibling(th *pmem.Thread, n node) node {
 func (t *BTree) switchCtr(th *pmem.Thread, n node) uint64 { return th.Load(n.off + offSwitch) }
 
 func (t *BTree) lowKey(th *pmem.Thread, n node) uint64 { return th.Load(n.off + offLowKey) }
+
+func (t *BTree) highKey(th *pmem.Thread, n node) uint64 { return th.Load(n.off + offHighKey) }
+
+// noHighKey is the high key of a node without a right sibling.
+const noHighKey = ^uint64(0)
+
+// rightOf returns the sibling key belongs to when it lies at or beyond n's
+// high fence, and an invalid node when n covers key. The high key is loaded
+// before the sibling pointer (see the layout comment): whoever sees a lowered
+// high key also sees the link that came with it.
+func (t *BTree) rightOf(th *pmem.Thread, n node, key uint64) node {
+	if key < t.highKey(th, n) {
+		return node{}
+	}
+	return t.sibling(th, n)
+}
 
 func (t *BTree) lastIdxHint(th *pmem.Thread, n node) int {
 	return int(th.LoadVolatile(n.off + offLastIdx))
@@ -185,6 +220,7 @@ func (t *BTree) initNode(th *pmem.Thread, n node, level int, leftmost uint64, lo
 	th.StoreVolatile(n.off+offLastIdx, 0)
 	th.StoreVolatile(n.off+offLock, 0)
 	th.Store(n.off+offLowKey, lowKey)
+	th.Store(n.off+offHighKey, noHighKey)
 }
 
 // allocNode allocates and initialises a node.

@@ -7,11 +7,11 @@ import (
 )
 
 // fixNodeLocked is the paper's lazy recovery (§4.2), run by every writer
-// right after latching a node: tolerable inconsistency left by a crash is
-// repaired before the writer makes new changes. Readers never repair —
-// they only tolerate. Only a crash leaves anything to repair, so the pass
-// runs only on a tree that was attached to an image and not yet swept by
-// Recover (BTree.suspect).
+// right after latching a node (latchAt): tolerable inconsistency left by a
+// crash is repaired before the writer trusts the node's high key or makes
+// new changes. Readers never repair — they only tolerate. Only a crash
+// leaves anything to repair, so the pass runs only on a tree that was
+// attached to an image and not yet swept by Recover (BTree.suspect).
 func (t *BTree) fixNodeLocked(th *pmem.Thread, n node) {
 	if t.suspect.Load() {
 		t.repairNodeLocked(th, n)
@@ -19,16 +19,31 @@ func (t *BTree) fixNodeLocked(th *pmem.Thread, n node) {
 }
 
 // repairNodeLocked is the repair body behind fixNodeLocked and Recover.
-// Two kinds of leftovers can exist:
+// Three kinds of leftovers can exist:
 //
-//  1. A truncation that did not persist after a crashed FAIR split: the
+//  1. A high key that is not the sibling's low fence: the old, larger one
+//     after a crash between a split's link and its high-key store or inside
+//     Vacuum's unlink, zero or anything at all in an image written before
+//     the word existed. It is rewritten from the sibling — the one place
+//     outside CheckInvariants and root growth that reads a sibling's low
+//     key — and persisted before the truncation below: lowered fence
+//     first, entries gone second, the order splitBody keeps.
+//  2. A truncation that did not persist after a crashed FAIR split: the
 //     node still holds entries at or beyond its sibling's low fence. The
 //     single-store truncation is simply redone.
-//  2. A duplicate-pointer pair from a crashed FAST shift: the garbage key
+//  3. A duplicate-pointer pair from a crashed FAST shift: the garbage key
 //     between the duplicates is deleted by completing the left shift.
 func (t *BTree) repairNodeLocked(th *pmem.Thread, n node) {
-	if sib := t.sibling(th, n); sib.valid() {
-		fence := t.lowKey(th, sib)
+	sib := t.sibling(th, n)
+	fence := noHighKey
+	if sib.valid() {
+		fence = t.lowKey(th, sib)
+	}
+	if t.highKey(th, n) != fence {
+		th.Store(n.off+offHighKey, fence)
+		th.Flush(n.off+offHighKey, 8)
+	}
+	if sib.valid() {
 		for i := 0; i < t.slots; i++ {
 			if t.ptrAt(th, n, i) == 0 {
 				break
@@ -129,14 +144,13 @@ func (t *BTree) Recover(th *pmem.Thread) error {
 	}
 
 	// Per-level sweep, top down.
+	t.Nodes(th, func(off int64) {
+		n := node{off}
+		th.StoreVolatile(n.off+offLock, 0)
+		t.repairNodeLocked(th, n)
+		t.zeroBeyond(th, n)
+	})
 	levels := t.levelHeads(th)
-	for li := len(levels) - 1; li >= 0; li-- {
-		for n := levels[li]; n.valid(); n = t.sibling(th, n) {
-			th.StoreVolatile(n.off+offLock, 0)
-			t.repairNodeLocked(th, n)
-			t.zeroBeyond(th, n)
-		}
-	}
 
 	// Re-attach dangling siblings: every node in a level chain except the
 	// head must be referenced by its parent level.
@@ -178,6 +192,20 @@ func (t *BTree) levelHeads(th *pmem.Thread) []node {
 			return heads
 		}
 		n = node{int64(t.leftmost(th, n))}
+	}
+}
+
+// Nodes calls fn with the arena offset of every node, top level first and
+// left to right within a level. It follows leftmost children and sibling
+// pointers only, so it also walks an image whose high keys are not to be
+// trusted; like CheckInvariants it is a testing aid and needs a quiescent
+// tree.
+func (t *BTree) Nodes(th *pmem.Thread, fn func(off int64)) {
+	levels := t.levelHeads(th)
+	for li := len(levels) - 1; li >= 0; li-- {
+		for n := levels[li]; n.valid(); n = t.sibling(th, n) {
+			fn(n.off)
+		}
 	}
 }
 
@@ -226,9 +254,15 @@ func (t *BTree) Vacuum(th *pmem.Thread) error {
 		}
 		// 2. Remove the parent separator (FAST delete).
 		t.fastDelete(th, parent, pos)
-		// 3. Unlink (atomic store) and reclaim.
+		// 3. Unlink and reclaim: raise the high key to the absorbed
+		// leaf's, then store the pointer (atomic), one flush. An image
+		// with the raised fence and the old link keeps every key of
+		// the absorbed range in prev, where step 1 copied it; the
+		// reverse would send them past it.
+		th.Store(prev.off+offHighKey, t.highKey(th, n))
+		th.StoreFence()
 		th.Store(prev.off+offSibling, uint64(t.sibling(th, n).off))
-		th.Flush(prev.off+offSibling, 8)
+		th.Flush(prev.off, headerBytes)
 		t.pool.Free(n.off, int64(t.nodeSize))
 		// prev unchanged: it may absorb the next leaf too.
 	}
@@ -241,7 +275,7 @@ func (t *BTree) findParentEntry(th *pmem.Thread, n node) (node, int) {
 	key := t.lowKey(th, n)
 	p := t.root(th)
 	for t.level(th, p) > 1 {
-		if sib := t.sibling(th, p); sib.valid() && key >= t.lowKey(th, sib) {
+		if sib := t.rightOf(th, p, key); sib.valid() {
 			p = sib
 			continue
 		}
@@ -337,14 +371,18 @@ func (t *BTree) checkNode(th *pmem.Thread, n node, wantLevel int, lowBound uint6
 		prev = p
 		hi = k
 	}
+	fence := noHighKey
 	if sib := t.sibling(th, n); sib.valid() {
-		fence := t.lowKey(th, sib)
+		fence = t.lowKey(th, sib)
 		if cnt > 0 && hi >= fence {
 			return 0, fmt.Errorf("%w: node %d max key %d crosses sibling fence %d", ErrCorrupt, n.off, hi, fence)
 		}
 		if t.level(th, sib) != wantLevel {
 			return 0, fmt.Errorf("%w: node %d sibling level mismatch", ErrCorrupt, n.off)
 		}
+	}
+	if got := t.highKey(th, n); got != fence {
+		return 0, fmt.Errorf("%w: node %d high key %d, want %d (sibling's low fence, or ^0 without one)", ErrCorrupt, n.off, got, fence)
 	}
 	if wantLevel > 0 {
 		// Children: leftmost covers [lowKey, firstEntryKey), entry i

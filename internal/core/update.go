@@ -21,10 +21,7 @@ func (t *BTree) Exchange(th *pmem.Thread, key, val uint64) (old uint64, existed 
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.descendToLeaf(th, key)
-	t.lockNode(th, n)
-	n = t.moveRightLocked(th, n, key)
-	t.fixNodeLocked(th, n)
+	n := t.latchLeaf(th, key)
 
 	if t.opts.InlineValues && val == 0 {
 		t.unlockNode(th, n)
@@ -76,10 +73,7 @@ func (t *BTree) ReplaceIf(th *pmem.Thread, key, old, new uint64) bool {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.descendToLeaf(th, key)
-	t.lockNode(th, n)
-	n = t.moveRightLocked(th, n, key)
-	t.fixNodeLocked(th, n)
+	n := t.latchLeaf(th, key)
 
 	pos := t.findPosLocked(th, n, key)
 	if pos < 0 {
@@ -114,10 +108,7 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.descendToLeaf(th, key)
-	t.lockNode(th, n)
-	n = t.moveRightLocked(th, n, key)
-	t.fixNodeLocked(th, n)
+	n := t.latchLeaf(th, key)
 
 	pos := t.findPosLocked(th, n, key)
 	if pos < 0 {

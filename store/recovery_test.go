@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pmem"
 )
 
@@ -126,5 +127,89 @@ func TestCrashOneShardMidInsert(t *testing.T) {
 		}
 		rs.Close()
 		re.Close()
+	}
+}
+
+// TestRecoverInstallsHighKeys is the upgrade path of the tree's node format:
+// an image written before nodes carried a high key holds zero in header
+// word 7 — or, for this test's second round, anything at all. Reopen
+// recovers every shard before it reads through the tree, and recovery
+// rewrites the word on every node from the sibling's low fence, so such an
+// image reopens to full invariants with every key in place, and takes
+// writes.
+func TestRecoverInstallsHighKeys(t *testing.T) {
+	const nodeSize, highKeyWord = 128, 7 // 3 entries per node: many levels
+	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20, NodeSize: nodeSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := st.NewSession()
+	keys := testKeys(1500, 3)
+	for _, k := range keys {
+		if err := ss.Put(k, k^0x1234); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, fill := range map[string]func(*rand.Rand) uint64{
+		"Zeroed":  func(*rand.Rand) uint64 { return 0 },
+		"Garbage": func(r *rand.Rand) uint64 { return r.Uint64() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			imgs := make([]*pmem.Pool, st.NumShards())
+			for i := range imgs {
+				imgs[i] = st.Pool(i).Clone(false)
+				th := imgs[i].NewThread()
+				tr, err := core.Open(imgs[i], th, core.Options{NodeSize: nodeSize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.Height(th) < 4 {
+					t.Fatalf("shard %d: height %d, want a multi-level tree", i, tr.Height(th))
+				}
+				nodes := 0
+				tr.Nodes(th, func(off int64) {
+					th.Store(off+highKeyWord*pmem.WordSize, fill(rng))
+					nodes++
+				})
+				if nodes < 100 {
+					t.Fatalf("shard %d: only %d nodes damaged", i, nodes)
+				}
+			}
+			re, err := Reopen(imgs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			rs := re.NewSession()
+			defer rs.Close()
+			for _, k := range keys {
+				if v, ok, err := rs.Get(k); err != nil || !ok || v != k^0x1234 {
+					t.Fatalf("Get(%d) = %d,%v,%v after the upgrade", k, v, ok, err)
+				}
+			}
+			seen := 0
+			if err := rs.Scan(0, ^uint64(0), func(k, v uint64) bool { seen++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if seen != len(keys) {
+				t.Fatalf("Scan saw %d of %d keys", seen, len(keys))
+			}
+			for _, k := range testKeys(500, 4) {
+				if err := rs.Put(k, k+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatalf("after writes: %v", err)
+			}
+		})
 	}
 }

@@ -72,7 +72,9 @@ type Options struct {
 	// Txn commits). A transaction's encoded write-set for one shard,
 	// plus its commit mark, must fit the shard's log — larger
 	// transactions fail with ErrTxnTooLarge before writing anything.
-	// 0 picks a default scaled to ShardSize.
+	// 0 picks a default scaled to ShardSize. The log is allocated by the
+	// shard's first commit (ErrNoSpace if the pool cannot hold it then);
+	// a store that never commits spends nothing on it.
 	TxnLogCap int64
 
 	// recoverStep, when non-nil, is invoked by Reopen's transaction
@@ -237,12 +239,11 @@ type shard struct {
 	pool *pmem.Pool
 	ix   index.Index
 	vl   *vlog.Log
-	tl   *txnlog.Log
 	gc   *shardGC
 }
 
-// shardGC is a shard's volatile write and GC coordination state. It lives
-// behind a pointer so shard values stay copyable. Readers take none of
+// shardGC is a shard's volatile write, commit and GC coordination state. It
+// lives behind a pointer so shard values stay copyable. Readers take none of
 // these: what keeps a log record (or a value box) alive under a reader is a
 // grace section on its own shard thread, see gc.go.
 type shardGC struct {
@@ -273,6 +274,12 @@ type shardGC struct {
 	// kvMu, and before runMu (a commit's space admission may compact);
 	// a GC pass takes neither of the other two.
 	applyMu sync.RWMutex
+	// tl is the shard's transaction redo log: nil until the shard's first
+	// commit creates it (Store.redoLog) or Reopen finds one in the image.
+	// Read and written with applyMu held exclusively — commits — or with
+	// the store to oneself (Reopen). It lives here, not in shard, because
+	// shard values are copied freely and must not change after Open.
+	tl *txnlog.Log
 }
 
 // Open creates a fresh store: opts.Shards pools, one index per pool, each
@@ -295,14 +302,10 @@ func Open(opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: shard %d value log: %w", i, err)
 		}
-		tl, err := txnlog.Create(p, th, txnSlot, opts.TxnLogCap)
-		if err != nil {
-			return nil, fmt.Errorf("store: shard %d txn log: %w", i, err)
-		}
 		p.SetRoot(th, stampSlot, stamp(i, opts.Shards))
 		p.SetRoot(th, shapeSlot, shape(opts.Kind, opts.NodeSize))
 		th.Release()
-		s.shards[i] = shard{pool: p, ix: ix, vl: vl, tl: tl, gc: &shardGC{}}
+		s.shards[i] = shard{pool: p, ix: ix, vl: vl, gc: &shardGC{}}
 	}
 	return s, nil
 }
@@ -312,10 +315,17 @@ func Open(opts Options) (*Store, error) {
 // stamp and recorded index configuration, and runs the kind's eager crash
 // recovery on each shard. opts must carry the same Kind/NodeSize the store
 // was created with (a mismatch is rejected, never misread); opts.Shards, if
-// set, must equal len(pools). A zero opts.NodeSize adopts the recorded one.
+// set, must equal len(pools). A zero opts.NodeSize adopts the recorded one,
+// a zero opts.ShardSize the pools' size.
 func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 	if opts.Shards == 0 {
 		opts.Shards = len(pools)
+	}
+	if opts.ShardSize == 0 && len(pools) > 0 {
+		// The defaults scaled to ShardSize (the redo log a shard's first
+		// commit creates, the GC trigger) scale to the devices at hand, as
+		// they did at Open.
+		opts.ShardSize = pools[0].Size()
 	}
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -381,19 +391,16 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		// Transaction redo-log recovery: check the header, walk and
 		// validate the records of the current generation (intents and
 		// the commit mark survive here until recoverTxns below decides
-		// their fate). Images from before transactions existed get a
-		// fresh log.
+		// their fate). A shard that never committed has no log yet and
+		// nothing to settle (see Store.redoLog).
 		var tl *txnlog.Log
-		if p.Root(th, txnSlot) == 0 {
-			tl, err = txnlog.Create(p, th, txnSlot, opts.TxnLogCap)
-		} else {
-			tl, err = txnlog.Open(p, th, txnSlot)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: shard %d txn log recovery: %w", i, err)
+		if p.Root(th, txnSlot) != 0 {
+			if tl, err = txnlog.Open(p, th, txnSlot); err != nil {
+				return nil, fmt.Errorf("store: shard %d txn log recovery: %w", i, err)
+			}
 		}
 		th.Release()
-		s.shards[i] = shard{pool: p, ix: ix, vl: vl, tl: tl, gc: &shardGC{}}
+		s.shards[i] = shard{pool: p, ix: ix, vl: vl, gc: &shardGC{tl: tl}}
 	}
 	// With every shard rebuilt, settle in-flight transactions: replay the
 	// committed (a commit mark on ANY shard commits the transaction on

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/index"
+	"repro/internal/pmem"
 	"repro/internal/txnlog"
 )
 
@@ -28,7 +29,10 @@ import (
 //  4. Append the intent record to each shard's redo log. Each append is
 //     one flush+fence of the record's own lines and is durable when it
 //     returns (the log has no tail word; a record is published by its
-//     flush and validated at recovery by CRC and log generation).
+//     flush and validated at recovery by CRC and log generation). A
+//     shard's log is created here, on the shard's first commit
+//     (redoLog): two more flushes, once, and ErrNoSpace — still an abort,
+//     no mark is durable yet — when the pool cannot hold it.
 //  5. Append ONE commit mark, to the first participating shard's redo
 //     log. THE DURABLE MARK IS THE COMMIT POINT: recovery treats a mark
 //     on any shard as committing the transaction on every shard. The
@@ -41,7 +45,8 @@ import (
 //
 // A k-key, s-shard commit of fixed-width overwrites therefore costs
 // s intents + 1 mark + k applies + s truncations, one flush call and one
-// fence each: 2s+1+k fences (TestTxnPersistBudget gates it at equality).
+// fence each: 2s+1+k fences (TestTxnPersistBudget gates it at equality,
+// and the 2 a shard's first commit adds for creating its log).
 //
 // Recovery (Reopen → recoverTxns) scans every shard's log: intents whose
 // transaction has a mark anywhere are replayed — a replay of records a
@@ -530,19 +535,25 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 		return ErrReopenRequired
 	}
 	for _, i := range parts {
-		tl := s.shards[i].tl
-		if n := tl.Len(); n != 0 {
-			// A non-empty redo log at commit entry means a committed
-			// transaction's records still await replay (its apply or
-			// truncation never finished). Never truncate them — the
-			// abort paths below Truncate — so latch and refuse until
-			// the store is reopened.
-			s.txnFailed.Store(true)
-			return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, n)
+		// A shard that has never committed has no redo log yet: nothing
+		// awaits replay, and the log its intent append below creates will
+		// have the configured capacity.
+		capacity := s.opts.TxnLogCap
+		if tl := s.shards[i].gc.tl; tl != nil {
+			if n := tl.Len(); n != 0 {
+				// A non-empty redo log at commit entry means a committed
+				// transaction's records still await replay (its apply or
+				// truncation never finished). Never truncate them — the
+				// abort paths below Truncate — so latch and refuse until
+				// the store is reopened.
+				s.txnFailed.Store(true)
+				return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, n)
+			}
+			capacity = tl.Capacity()
 		}
-		if txnlog.RecordSize(len(pl.payloads[i]))+txnlog.RecordSize(0) > tl.Capacity() {
+		if txnlog.RecordSize(len(pl.payloads[i]))+txnlog.RecordSize(0) > capacity {
 			return fmt.Errorf("%w: %d bytes of intents for shard %d, log capacity %d",
-				ErrTxnTooLarge, len(pl.payloads[i]), i, tl.Capacity())
+				ErrTxnTooLarge, len(pl.payloads[i]), i, capacity)
 		}
 		if err := ss.admitTxnOps(i, pl.ops[i]); err != nil {
 			return err
@@ -554,14 +565,18 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	// is durable.
 	abort := func(appended []int) {
 		for _, j := range appended {
-			s.shards[j].tl.Truncate(ss.ths[j])
+			s.shards[j].gc.tl.Truncate(ss.ths[j])
 		}
 	}
 	// Intents: each append is durable on return, so once the loop
 	// finishes every shard's intent is on stable media — the mark below
 	// can never outrun an intent into a crash image.
 	for n, i := range parts {
-		if aerr := s.shards[i].tl.Append(ss.ths[i], id, txnlog.KindIntent, pl.payloads[i]); aerr != nil {
+		tl, aerr := s.redoLog(i, ss.ths[i])
+		if aerr == nil {
+			aerr = tl.Append(ss.ths[i], id, txnlog.KindIntent, pl.payloads[i])
+		}
+		if aerr != nil {
 			abort(parts[:n])
 			return fmt.Errorf("store: txn intent append on shard %d: %w", i, aerr)
 		}
@@ -572,7 +587,7 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	// before it writes, so a failed mark append left nothing behind and
 	// the transaction is still abortable.
 	first := parts[0]
-	if aerr := s.shards[first].tl.Append(ss.ths[first], id, txnlog.KindCommit, nil); aerr != nil {
+	if aerr := s.shards[first].gc.tl.Append(ss.ths[first], id, txnlog.KindCommit, nil); aerr != nil {
 		abort(parts)
 		return fmt.Errorf("store: txn commit mark on shard %d: %w", first, aerr)
 	}
@@ -601,10 +616,30 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	}
 	// The transaction is fully applied; drop the redo records.
 	for _, i := range parts {
-		s.shards[i].tl.Truncate(ss.ths[i])
+		s.shards[i].gc.tl.Truncate(ss.ths[i])
 		s.step()
 	}
 	return nil
+}
+
+// redoLog returns shard i's transaction redo log, creating it on the shard's
+// first commit: a store that never commits pays no TxnLogCap bytes per shard
+// for it. The caller holds the shard's applyMu exclusively, which is what
+// publishes the handle to the next committer. A pool too full for the region
+// fails the commit with ErrNoSpace while it is still abortable — no mark is
+// durable before every participating shard has its intent. A crash between
+// the region's allocation and the root-slot store leaves the slot empty; the
+// next commit allocates again.
+func (s *Store) redoLog(i int, th *pmem.Thread) (*txnlog.Log, error) {
+	sh := s.shards[i]
+	if sh.gc.tl == nil {
+		tl, err := txnlog.Create(sh.pool, th, txnSlot, s.opts.TxnLogCap)
+		if err != nil {
+			return nil, fmt.Errorf("%w: shard %d redo log: %v", ErrNoSpace, i, err)
+		}
+		sh.gc.tl = tl
+	}
+	return sh.gc.tl, nil
 }
 
 // admitTxnOps pre-admits shard i's byte-key rewrites: every touched
@@ -731,7 +766,11 @@ func (s *Store) recoverTxns() error {
 	committed := map[uint64]bool{}
 	empty := true
 	for i := range s.shards {
-		s.shards[i].tl.Scan(ss.ths[i], func(r txnlog.Rec) bool {
+		tl := s.shards[i].gc.tl
+		if tl == nil {
+			continue // never committed: no log, nothing to settle
+		}
+		tl.Scan(ss.ths[i], func(r txnlog.Rec) bool {
 			empty = false
 			if r.Kind == txnlog.KindCommit {
 				committed[r.ID] = true
@@ -747,8 +786,12 @@ func (s *Store) recoverTxns() error {
 	// or truncated.
 	ops := make([][]txnOp, len(s.shards))
 	for i := range s.shards {
+		tl := s.shards[i].gc.tl
+		if tl == nil {
+			continue
+		}
 		var derr error
-		s.shards[i].tl.Scan(ss.ths[i], func(r txnlog.Rec) bool {
+		tl.Scan(ss.ths[i], func(r txnlog.Rec) bool {
 			if r.Kind != txnlog.KindIntent || !committed[r.ID] {
 				return true
 			}
@@ -778,7 +821,9 @@ func (s *Store) recoverTxns() error {
 	}
 	// Phase 3: every shard's effects are durable; drop the logs.
 	for i := range s.shards {
-		s.shards[i].tl.Truncate(ss.ths[i])
+		if tl := s.shards[i].gc.tl; tl != nil {
+			tl.Truncate(ss.ths[i])
+		}
 		s.step()
 	}
 	return nil

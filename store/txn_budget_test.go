@@ -37,7 +37,9 @@ func linesSpanned(off, size int64) uint64 {
 // TestTxnPersistBudget: a commit of k fixed-width overwrites spread over s
 // shards costs s intent appends + 1 commit mark + k in-place applies + s
 // truncations, one flush call and one fence each, and flushes exactly the
-// lines those records and words occupy.
+// lines those records and words occupy. A shard's first commit creates its
+// redo log on top of that: the header line and the root slot, one flush
+// call and one fence each.
 func TestTxnPersistBudget(t *testing.T) {
 	const txnPutLen = 1 + 8 + 8 // kind byte, key, value
 	for _, k := range []int{1, 4, 16} {
@@ -63,9 +65,9 @@ func TestTxnPersistBudget(t *testing.T) {
 					}
 					return sum
 				}
-				// Two rounds: the first commit on a store and every later
-				// one must cost the same.
-				for round := uint64(2); round < 4; round++ {
+				// Three rounds: the first commit on a store pays for the s
+				// redo logs it creates, every later one must cost the same.
+				for round := uint64(2); round < 5; round++ {
 					tx := ss.Begin()
 					for _, key := range keys {
 						if err := tx.Put(key, round); err != nil {
@@ -80,6 +82,10 @@ func TestTxnPersistBudget(t *testing.T) {
 
 					wantFences := uint64(2*s + 1 + k)
 					wantLines := uint64(k + s) // applies + truncations
+					if round == 2 {
+						wantFences += uint64(2 * s)
+						wantLines += uint64(2 * s)
+					}
 					for i, n := range perShard {
 						intent := txnlog.RecordSize(n * txnPutLen)
 						wantLines += linesSpanned(0, intent)
@@ -88,7 +94,7 @@ func TestTxnPersistBudget(t *testing.T) {
 						}
 					}
 					if got := after.Fences - before.Fences; got != wantFences {
-						t.Errorf("round %d: %d fences, want 2s+1+k = %d", round, got, wantFences)
+						t.Errorf("round %d: %d fences, want 2s+1+k (+2s on the first commit) = %d", round, got, wantFences)
 					}
 					if got := after.FlushCalls - before.FlushCalls; got != wantFences {
 						t.Errorf("round %d: %d flush calls, want one per fence = %d", round, got, wantFences)

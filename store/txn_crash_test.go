@@ -542,7 +542,12 @@ func TestTxnCrashRandomCampaign(t *testing.T) {
 // crash erase the commit point and strand a committed transaction
 // half-applied; the first-crash cuts cover the mark append itself at every
 // persist point.
-func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
+//
+// The store has never committed before the taped commit, so no shard has a
+// redo log yet and the commit's intent appends create them. With reopened
+// set the populated store is first closed and reopened — every shard's
+// txnSlot must still read empty — and the matrix runs on that store.
+func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bool) {
 	rng := rand.New(rand.NewSource(20260808))
 	const shards = 2
 	st, err := Open(Options{
@@ -600,6 +605,17 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 	}
 	effects = append(effects, txnEffect{bkey: bkey, preKV: preKV, postKV: postKV})
 
+	if reopened {
+		ss.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = Reopen(st.Pools(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		ss = st.NewSession()
+		requireNoRedoLogs(t, st)
+	}
 	for i := 0; i < shards; i++ {
 		st.Pool(i).StartCrashLog()
 	}
@@ -867,5 +883,26 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel) {
 	st.Close()
 }
 
-func TestTxnRecoveryDoubleCrash(t *testing.T)       { txnRecoveryDoubleCrashMatrix(t, pmem.TSO) }
-func TestTxnRecoveryDoubleCrashNonTSO(t *testing.T) { txnRecoveryDoubleCrashMatrix(t, pmem.NonTSO) }
+func TestTxnRecoveryDoubleCrash(t *testing.T) { txnRecoveryDoubleCrashMatrix(t, pmem.TSO, false) }
+func TestTxnRecoveryDoubleCrashNonTSO(t *testing.T) {
+	txnRecoveryDoubleCrashMatrix(t, pmem.NonTSO, false)
+}
+
+// TestTxnFirstCommitAfterReopenDoubleCrash: a store that was closed and
+// reopened without ever committing still has no redo logs; its first commit
+// creates them and survives the double-crash matrix like any other.
+func TestTxnFirstCommitAfterReopenDoubleCrash(t *testing.T) {
+	txnRecoveryDoubleCrashMatrix(t, pmem.TSO, true)
+}
+
+// requireNoRedoLogs fails unless every shard's redo log is still to be
+// created: no handle, nothing anchored at txnSlot.
+func requireNoRedoLogs(t *testing.T, st *Store) {
+	t.Helper()
+	for i := range st.shards {
+		th := st.shards[i].pool.NewThread()
+		if off := st.shards[i].pool.Root(th, txnSlot); off != 0 || st.shards[i].gc.tl != nil {
+			t.Fatalf("shard %d has a redo log (root %d) though it never committed", i, off)
+		}
+	}
+}

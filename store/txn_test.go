@@ -563,7 +563,7 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 	// Both shards' redo logs still hold the committed records — the
 	// failure path must never truncate them.
 	for i := 0; i < 2; i++ {
-		if st.shards[i].tl.Len() == 0 {
+		if st.shards[i].gc.tl.Len() == 0 {
 			t.Fatalf("shard %d redo log empty after incomplete commit", i)
 		}
 	}
@@ -630,7 +630,7 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if n := re.shards[i].tl.Len(); n != 0 {
+		if n := re.shards[i].gc.tl.Len(); n != 0 {
 			t.Fatalf("shard %d redo log holds %d bytes after recovery", i, n)
 		}
 	}
@@ -659,10 +659,14 @@ func TestTxnCommitRefusesNonEmptyRedoLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := st.NewSession()
-	if err := st.shards[0].tl.Append(ss.ths[0], 99, txnlog.KindIntent, []byte("orphan")); err != nil {
+	tl, err := st.redoLog(0, ss.ths[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := st.shards[0].tl.Len()
+	if err := tl.Append(ss.ths[0], 99, txnlog.KindIntent, []byte("orphan")); err != nil {
+		t.Fatal(err)
+	}
+	before := st.shards[0].gc.tl.Len()
 	tx := ss.Begin()
 	if err := tx.Put(1, 2); err != nil {
 		t.Fatal(err)
@@ -670,7 +674,7 @@ func TestTxnCommitRefusesNonEmptyRedoLog(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrReopenRequired) {
 		t.Fatalf("commit over non-empty redo log: %v, want ErrReopenRequired", err)
 	}
-	if got := st.shards[0].tl.Len(); got != before {
+	if got := st.shards[0].gc.tl.Len(); got != before {
 		t.Fatalf("redo log %d bytes after refused commit, was %d — commit touched it", got, before)
 	}
 	ss.Close()
@@ -731,8 +735,8 @@ func TestTxnCrossFamilyRefusedAtPreflight(t *testing.T) {
 			t.Fatalf("cross-family commit escalated past a clean abort: %v", err)
 		}
 	}
-	if n := st.shards[0].tl.Len(); n != 0 {
-		t.Fatalf("redo log holds %d bytes after refused commits", n)
+	if tl := st.shards[0].gc.tl; tl != nil && tl.Len() != 0 {
+		t.Fatalf("redo log holds %d bytes after refused commits", tl.Len())
 	}
 	if _, ok, _ := ss.Get(7); ok {
 		t.Fatal("refused transaction's write visible")
@@ -750,5 +754,120 @@ func TestTxnCrossFamilyRefusedAtPreflight(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("honest commit after refusals: %v", err)
+	}
+}
+
+// TestTxnRedoLogCreatedOnFirstCommit: a shard has no redo log — no handle,
+// nothing at txnSlot, no TxnLogCap bytes taken from its pool — until its
+// first commit, across Close and Reopen; the first commit creates the logs
+// of the shards it touches and no others.
+func TestTxnRedoLogCreatedOnFirstCommit(t *testing.T) {
+	const shards, shardSize = 4, 8 << 20
+	st, err := Open(Options{Shards: shards, ShardSize: shardSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := st.NewSession()
+	for k := uint64(0); k < 200; k++ {
+		if err := ss.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireNoRedoLogs(t, st)
+	ss.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Reopen(st.Pools(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireNoRedoLogs(t, re)
+	if got, want := re.opts.TxnLogCap, int64(shardSize/16); got != want {
+		t.Fatalf("reopened store would create %d-byte redo logs, the store it reopens %d", got, want)
+	}
+	used := make([]int64, shards)
+	for i := range used {
+		used[i] = re.Pool(i).Size() - re.Pool(i).FreeBytes()
+	}
+
+	rs := re.NewSession()
+	defer rs.Close()
+	const key = 7
+	tx := rs.Begin()
+	if err := tx.Put(key, 70); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("first commit after reopen: %v", err)
+	}
+	if v, ok, err := rs.Get(key); err != nil || !ok || v != 70 {
+		t.Fatalf("committed key: v=%d ok=%v err=%v", v, ok, err)
+	}
+	for i := 0; i < shards; i++ {
+		grew := re.Pool(i).Size() - re.Pool(i).FreeBytes() - used[i]
+		switch {
+		case i == re.ShardFor(key):
+			if re.shards[i].gc.tl == nil || grew < re.opts.TxnLogCap {
+				t.Fatalf("committing shard %d: log %v, pool grew %d bytes", i, re.shards[i].gc.tl, grew)
+			}
+		case re.shards[i].gc.tl != nil || grew != 0:
+			t.Fatalf("shard %d took no part in the commit: log %v, pool grew %d bytes", i, re.shards[i].gc.tl, grew)
+		}
+	}
+}
+
+// TestTxnRedoLogNoSpaceAborts: a pool too full for the redo log fails the
+// shard's first commit with ErrNoSpace — a clean abort: nothing visible,
+// nothing latched, the other shard's intent dropped again.
+func TestTxnRedoLogNoSpaceAborts(t *testing.T) {
+	st, err := Open(Options{Shards: 2, ShardSize: 1 << 20, TxnLogCap: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ss := st.NewSession()
+	defer ss.Close()
+	// One key per shard, shard 0 first (commits visit shards ascending).
+	keys := spreadKeys(t, st, 2, 2)
+	// Fill shard 1 until its pool cannot hold the log region.
+	full := st.Pool(1)
+	for k := uint64(1 << 32); full.FreeBytes() >= st.opts.TxnLogCap; k++ {
+		if st.ShardFor(k) != 1 {
+			continue
+		}
+		if err := ss.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := ss.Begin()
+	for _, k := range keys {
+		if err := tx.Put(k, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = tx.Commit()
+	if !errors.Is(err, ErrNoSpace) || errors.Is(err, ErrTxnIncomplete) {
+		t.Fatalf("commit into a full pool: %v, want a plain ErrNoSpace", err)
+	}
+	for _, k := range keys {
+		if _, ok, _ := ss.Get(k); ok {
+			t.Fatalf("aborted transaction's key %d visible", k)
+		}
+	}
+	if tl := st.shards[0].gc.tl; tl == nil || tl.Len() != 0 {
+		t.Fatalf("shard 0's intent was not dropped by the abort (log %v)", tl)
+	}
+	if st.shards[1].gc.tl != nil {
+		t.Fatal("shard 1 has a redo log its pool had no room for")
+	}
+	// Not latched: a commit that stays on shard 0 goes through.
+	tx = ss.Begin()
+	if err := tx.Put(keys[0], 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit on the shard with room: %v", err)
 	}
 }
