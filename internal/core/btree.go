@@ -171,9 +171,15 @@ func (t *BTree) descendToLeaf(th *pmem.Thread, key uint64) node {
 // stale non-zero slots *beyond* the terminator (pre-split leftovers, consumed
 // lazily by fastInsert) are never visited. The scan is line-granular: one
 // latency charge per record line, terminator located in the snapshot.
-func (t *BTree) scanBound(th *pmem.Thread, n node) int {
+func (t *BTree) scanBound(th *pmem.Thread, n node) int { return t.scanBoundFrom(th, n, 0) }
+
+// scanBoundFrom is scanBound for a caller that knows every slot before from
+// holds a non-zero pointer: the walk starts at from's record line. A latched
+// search that stopped on that line continues to the terminator for free —
+// the line it stands on and each line after it are serial accesses.
+func (t *BTree) scanBoundFrom(th *pmem.Thread, n node, from int) int {
 	var ln [pmem.WordsPerLine]uint64
-	for base := 0; base < t.slots; base += slotsPerLine {
+	for base := from - from%slotsPerLine; base < t.slots; base += slotsPerLine {
 		th.LoadLine(t.slotOff(n, base), &ln)
 		for j := 0; j < slotsPerLine; j++ {
 			if ln[2*j+1] == 0 {

@@ -255,6 +255,71 @@ func TestCrashDeleteLast(t *testing.T) {
 		&inflightOp{key: 190, oldVal: old, oldOK: true, newOK: false})
 }
 
+// TestCrashDeleteBeforeFirstFlush targets the stretch of a delete in which its
+// commit store is still unflushed: the commit has no flush of its own, so
+// until the shift leaves the commit's line everything the delete has done
+// sits in one dirty line. The deleted key heads a record line with more than
+// a line of entries behind it, which makes that stretch as long as it gets —
+// the commit plus a whole line of shift stores. At every tape point of it,
+// in both memory models and every crash mode, the key is either present with
+// its value or absent, the unrecovered image serves every other key, and
+// Recover restores the invariants.
+func TestCrashDeleteBeforeFirstFlush(t *testing.T) {
+	forBothModels(t, func(t *testing.T, model pmem.MemModel) {
+		setup, order := buildSetup(3*slotsPerLine, 10, 100)
+		p := pmem.New(pmem.Config{Size: 2 << 20, TrackCrashes: true, Model: model})
+		th := p.NewThread()
+		tr, _ := New(p, th, Options{})
+		for _, k := range order {
+			tr.Insert(th, k, setup[k])
+		}
+		key := order[slotsPerLine] // first slot of the second record line
+		old := setup[key]
+		p.StartCrashLog()
+		tr.Delete(th, key)
+		delete(setup, key)
+
+		holds := func(img *pmem.Pool) bool {
+			ith := img.NewThread()
+			itr, err := Open(img, ith, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ok := itr.Get(ith, key)
+			return ok
+		}
+		// Nothing unflushed survives CrashNone, so the first point whose
+		// CrashNone image lacks the key is the first flush of its line.
+		first := 0
+		for holds(p.CrashImage(first, pmem.CrashNone, nil)) {
+			if first++; first > p.LogLen() {
+				t.Fatal("the completed delete never became durable")
+			}
+		}
+		if least := 1 + 2*slotsPerLine; first <= least {
+			t.Fatalf("first flush at tape point %d: the commit store and a line of shift stores (%d records) should precede it", first, least)
+		}
+		rng := rand.New(rand.NewSource(7))
+		present, absent := 0, 0
+		for point := 0; point <= first; point++ {
+			for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
+				img := p.CrashImage(point, mode, rng)
+				if holds(img) {
+					present++
+				} else {
+					absent++
+				}
+				verifyCrashImage(t, img, Options{}, setup,
+					&inflightOp{key: key, oldVal: old, oldOK: true, newOK: false},
+					fmt.Sprintf("point=%d/%d mode=%d", point, first, mode))
+			}
+		}
+		if present == 0 || absent == 0 {
+			t.Fatalf("window of %d points: key present in %d images, absent in %d; both outcomes are legal and both should occur", first+1, present, absent)
+		}
+	})
+}
+
 // TestCrashLeafSplit fills one leaf exactly and crashes inside the split of
 // the next insert — the FAIR sequence (build, link, truncate, insert,
 // parent update) in full.

@@ -40,10 +40,8 @@ func (t *BTree) Delete(th *pmem.Thread, key uint64) bool {
 	return existed
 }
 
-// fastDelete removes the entry at pos from the latched node.
-func (t *BTree) fastDelete(th *pmem.Thread, n node, pos int) {
-	cnt := t.count(th, n)
-
+// fastDelete removes the entry at pos from the latched node of cnt entries.
+func (t *BTree) fastDelete(th *pmem.Thread, n node, pos, cnt int) {
 	// Flip to delete direction so lock-free readers scan right-to-left:
 	// an entry moving left toward such a reader is seen twice at worst,
 	// never missed.
@@ -52,9 +50,14 @@ func (t *BTree) fastDelete(th *pmem.Thread, n node, pos int) {
 	}
 
 	// Commit: duplicating the left pointer atomically invalidates the key.
+	// No flush of its own: every store that follows goes to this same line
+	// until the shift flushes it on the way out (or the terminator's flush
+	// does, when the shift ends inside it), so the line persists as a
+	// program-order prefix that begins with the commit — the fence gives
+	// NonTSO the same — and the delete is durable at its last flush either
+	// way.
 	t.storePtr(th, n, pos, t.leftPtrOf(th, n, pos))
 	th.StoreFence()
-	th.Flush(t.slotOff(n, pos)+8, 8)
 
 	// Compact: shift the tail left, key before pointer; each pointer
 	// store atomically hands validity from the right copy to the left.

@@ -43,13 +43,18 @@ func budgetTree(t *testing.T) (*BTree, []uint64) {
 	return tr, keys
 }
 
-// chargedBy runs op on a thread with a cold line cache and returns the PM
-// reads it was charged.
-func chargedBy(tr *BTree, op func(th *pmem.Thread)) uint64 {
+// statsBy runs op on a fresh thread — cold line cache, zeroed counters — and
+// returns what the simulator charged it.
+func statsBy(tr *BTree, op func(th *pmem.Thread)) pmem.Stats {
 	th := tr.Pool().NewThread()
 	defer th.Release()
 	op(th)
-	return th.Stats.ChargedReads
+	return th.Stats
+}
+
+// chargedBy returns the PM reads op is charged on a cold line cache.
+func chargedBy(tr *BTree, op func(th *pmem.Thread)) uint64 {
+	return statsBy(tr, op).ChargedReads
 }
 
 // leafOf locates key's leaf, the leaf's entry count and key's slot (-1 when
@@ -114,14 +119,11 @@ func TestReadBudget(t *testing.T) {
 		for i := 0; i < len(keys); i += 3 {
 			k := keys[i]
 			cnt, pos := leafOf(tr, k)
-			// The descent, the box (Remove returns the old value), and one
-			// jump: the latched search stops at the key's line, and count()
-			// confirms its hint at the node's last entry before the shift
-			// works its way there line by line.
-			want := uint64(budgetHeight + 1)
-			if recordLine(cnt-1) != recordLine(pos) {
-				want++
-			}
+			// The descent and the box (Remove returns the old value), wherever
+			// the key sits: the latched search stops at the key's line, the
+			// count walks on from there to the terminator and the shift
+			// follows it, line after line.
+			const want = budgetHeight + 1
 			var ok bool
 			if got := chargedBy(tr, func(th *pmem.Thread) { _, ok = tr.Remove(th, k) }); got != want || !ok {
 				t.Fatalf("Remove(%d) at slot %d of %d charged %d reads (found %v), want %d", k, pos, cnt, got, ok, want)

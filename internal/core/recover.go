@@ -253,7 +253,7 @@ func (t *BTree) Vacuum(th *pmem.Thread) error {
 			t.fastInsert(th, prev, t.keyAt(th, n, i), t.ptrAt(th, n, i), pc+i)
 		}
 		// 2. Remove the parent separator (FAST delete).
-		t.fastDelete(th, parent, pos)
+		t.fastDelete(th, parent, pos, t.count(th, parent))
 		// 3. Unlink and reclaim: raise the high key to the absorbed
 		// leaf's, then store the pointer (atomic), one flush. An image
 		// with the raised fence and the old link keeps every key of

@@ -120,8 +120,12 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 	if !t.opts.InlineValues {
 		old = th.Load(int64(box))
 	}
+	// Count on from where the search stopped: the terminator lies on this
+	// record line or one the walk reaches serially, where count()'s check
+	// of its hint jumps to the node's last entry and pays for that line.
+	cnt := t.scanBoundFrom(th, n, pos)
 	th.BeginPhase(pmem.PhaseUpdate)
-	t.fastDelete(th, n, pos)
+	t.fastDelete(th, n, pos, cnt)
 	t.unlockNode(th, n)
 	if !t.opts.InlineValues {
 		// The delete is durable and no slot a reader visits names the

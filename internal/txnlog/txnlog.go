@@ -1,11 +1,16 @@
 // Package txnlog is a crash-consistent, bounded redo log for multi-key
-// transactions in simulated persistent memory. Each store shard owns one:
-// a transaction commit appends an intent record (the encoded write-set for
-// that shard) to every participating shard, then ONE commit mark to the
-// first of them, applies the write-sets to the shards' trees, and
-// truncates the logs. Recovery scans every shard's log, replays intents
-// whose transaction has a durable commit mark anywhere, and discards the
-// rest.
+// transactions in simulated persistent memory. A store shard gets one the
+// first time it is a transaction's home shard: a commit appends ONE
+// KindCommit record — the whole encoded write-set, every shard's ops — to
+// its home shard's log, applies the write-set to the shards' trees, and
+// truncates that log. The record's own flush is the commit point. Recovery
+// scans every shard's log and replays the payload of every record whose
+// transaction ID has a durable KindCommit record anywhere, discarding the
+// rest. The store no longer writes KindIntent: the kind remains in the
+// format, and recovery still honours it, for images a crashed commit of the
+// earlier protocol left behind (a KindIntent record with that shard's
+// write-set on every participating shard, then a payload-less KindCommit
+// mark on the first of them).
 //
 // The log is one fixed-capacity region — no extent chain, no space
 // accounting, no GC. The store serialises commits per shard, so at most
@@ -61,10 +66,13 @@ import (
 type Kind uint64
 
 const (
-	// KindIntent carries one shard's encoded write-set for a transaction.
+	// KindIntent carries part of a transaction's encoded write-set; it
+	// takes effect only if a KindCommit record with the same ID is durable
+	// in some log.
 	KindIntent Kind = 1
-	// KindCommit is the commit mark: a durable mark anywhere makes the
-	// transaction committed on every shard.
+	// KindCommit commits its transaction ID wherever that ID's records
+	// lie, and carries a payload of its own: the store's commit record is
+	// one KindCommit holding the whole write-set.
 	KindCommit Kind = 2
 )
 

@@ -67,14 +67,23 @@ type Options struct {
 	// 0 selects the default of 0.5; a negative value disables automatic
 	// GC entirely (Session.CompactValues still compacts on demand).
 	GCGarbageRatio float64
-	// TxnLogCap is the fixed capacity in bytes of each shard's
-	// transaction redo log (the crash-consistent intent buffer behind
-	// Txn commits). A transaction's encoded write-set for one shard,
-	// plus its commit mark, must fit the shard's log — larger
-	// transactions fail with ErrTxnTooLarge before writing anything.
-	// 0 picks a default scaled to ShardSize. The log is allocated by the
-	// shard's first commit (ErrNoSpace if the pool cannot hold it then);
-	// a store that never commits spends nothing on it.
+	// TxnLogCap is the fixed capacity in bytes of a shard's transaction
+	// redo log, and with it the size limit of a transaction: a commit
+	// writes its WHOLE encoded write-set — every shard's ops — as one
+	// record into the log of its home shard (the lowest-numbered shard it
+	// touches), so that record (24 bytes of header; 17 per fixed-width
+	// put, 9 per delete, 7 or 3 plus the key and value bytes per
+	// byte-key put or delete) must fit TxnLogCap. Larger transactions
+	// fail with ErrTxnTooLarge before writing anything. An operator knob:
+	// raise it to admit bigger transactions, at TxnLogCap bytes of pool
+	// per shard that is ever a home; lower it on small pools. 0 picks a
+	// default scaled to ShardSize (ShardSize/16 clamped to 64 KiB..4 MiB;
+	// 4 MiB holds any transaction that fits one 1 MiB wire frame). The
+	// log is allocated by the shard's first commit as home (ErrNoSpace if
+	// the pool cannot hold it then); a store that never commits, and a
+	// shard that only takes part in other shards' commits, spend nothing
+	// on it. The capacity is fixed when the log is created: a store
+	// reopened with another TxnLogCap keeps its existing logs' size.
 	TxnLogCap int64
 
 	// recoverStep, when non-nil, is invoked by Reopen's transaction
@@ -212,9 +221,9 @@ type Store struct {
 	txnFailed atomic.Bool
 
 	// commitStep, when non-nil, is invoked by Txn.Commit after every
-	// persist-generating step of the commit protocol (each intent
-	// append, the commit mark, each shard apply, each truncation) and
-	// by recoverTxns after each replay and truncation. Test hook for
+	// persist-generating step of the commit protocol (the commit
+	// record's append, each shard's apply, the truncation) and by
+	// recoverTxns after each replay and truncation. Test hook for
 	// consistent-cut crash matrices; nil in production.
 	commitStep func()
 
@@ -262,13 +271,15 @@ type shardGC struct {
 	// non-transactional mutation (Put, Delete, PutBatch, PutBytes,
 	// PutKV, DeleteKV) holds it shared for the mutation, and Txn.Commit
 	// holds it exclusively on every participating shard from before its
-	// first intent append until after its log truncation. Without it, a
-	// plain write landing between a committed transaction's tree apply
-	// and its truncation would be reverted if a crash forced recovery to
-	// replay the still-logged intents. Exclusive acquisition also
-	// serialises commits per shard, so at most one transaction's records
-	// ever occupy a redo log — which is what makes truncate-to-empty the
-	// correct cleanup. Commits lock their shards in ascending order
+	// commit record's append until after the record's truncation.
+	// Without it, a plain write landing between a committed
+	// transaction's tree apply and its truncation would be reverted if a
+	// crash forced recovery to replay the still-logged record. Exclusive
+	// acquisition also serialises commits per shard, so at most one
+	// transaction's record ever occupies a redo log — which is what makes
+	// truncate-to-empty the correct cleanup — and at most one
+	// un-truncated record names any shard. Commits lock their shards in
+	// ascending order
 	// (deadlock-free); plain writers hold at most one shard's applyMu at
 	// a time. Reads and GC never take it. Lock order: applyMu before
 	// kvMu, and before runMu (a commit's space admission may compact);
@@ -389,10 +400,10 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		}
 		vl.ResetAccounting(live, garbage)
 		// Transaction redo-log recovery: check the header, walk and
-		// validate the records of the current generation (intents and
-		// the commit mark survive here until recoverTxns below decides
-		// their fate). A shard that never committed has no log yet and
-		// nothing to settle (see Store.redoLog).
+		// validate the records of the current generation (they survive
+		// here until recoverTxns below decides their fate). A shard that
+		// was never a commit's home has no log yet and nothing to settle
+		// (see Store.redoLog).
 		var tl *txnlog.Log
 		if p.Root(th, txnSlot) != 0 {
 			if tl, err = txnlog.Open(p, th, txnSlot); err != nil {
@@ -403,10 +414,11 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		s.shards[i] = shard{pool: p, ix: ix, vl: vl, gc: &shardGC{tl: tl}}
 	}
 	// With every shard rebuilt, settle in-flight transactions: replay the
-	// committed (a commit mark on ANY shard commits the transaction on
-	// every shard), discard the rest, and truncate the logs — replay
-	// strictly before truncation, so a crash during recovery never
-	// erases a commit mark other shards still need (see recoverTxns).
+	// committed (a commit record in ANY shard's log commits the
+	// transaction on every shard it names), discard the rest, and
+	// truncate the logs — replay strictly before truncation, so a crash
+	// during recovery never erases a commit record other shards still
+	// need (see recoverTxns).
 	s.commitStep = opts.recoverStep
 	if err := s.recoverTxns(); err != nil {
 		return nil, err

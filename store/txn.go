@@ -14,63 +14,72 @@ import (
 
 // Multi-key ACID transactions. A Txn buffers writes — fixed-width and
 // byte-string keyed — in a volatile write-set with read-your-writes, and
-// Commit makes them durable atomically across any number of shards via a
-// per-shard crash-consistent redo log (internal/txnlog):
+// Commit makes them durable atomically across any number of shards with
+// ONE record in one crash-consistent redo log (internal/txnlog):
 //
-//  1. Group the write-set by shard and encode one deterministic intent
-//     payload per participating shard.
+//  1. Group the write-set by shard and encode ALL of it, in one
+//     deterministic order (fixed keys ascending, then byte keys
+//     ascending), into one commit-record payload.
 //  2. Lock every participating shard's applyMu exclusively, in ascending
-//     shard order (commits serialise per shard; plain writers drain).
-//  3. Pre-flight: the intent plus a commit mark must fit each shard's
-//     redo log (ErrTxnTooLarge), projected bucket rewrites must fit the
+//     shard order (commits serialise per shard; plain writers drain). The
+//     first participating shard is the transaction's HOME shard.
+//  3. Pre-flight: the record must fit the home shard's redo log
+//     (ErrTxnTooLarge), no participating shard's log may still hold
+//     records (ErrReopenRequired), projected bucket rewrites must fit the
 //     record bound (ErrBucketOverflow), and the value logs must admit the
 //     projected append volume (ErrNoSpace). Nothing is written yet, so
 //     failure aborts with the store untouched.
-//  4. Append the intent record to each shard's redo log. Each append is
-//     one flush+fence of the record's own lines and is durable when it
-//     returns (the log has no tail word; a record is published by its
-//     flush and validated at recovery by CRC and log generation). A
-//     shard's log is created here, on the shard's first commit
-//     (redoLog): two more flushes, once, and ErrNoSpace — still an abort,
-//     no mark is durable yet — when the pool cannot hold it.
-//  5. Append ONE commit mark, to the first participating shard's redo
-//     log. THE DURABLE MARK IS THE COMMIT POINT: recovery treats a mark
-//     on any shard as committing the transaction on every shard. The
-//     mark is written only after step 4 returned on all shards, so a
-//     crash image holding the mark always holds every intent.
-//  6. Apply the write-set to the trees through the same code paths plain
-//     writes use (idempotent final-value puts and deletes).
-//  7. Truncate each shard's redo log (one generation bump, one flushed
-//     line each) and unlock.
+//  4. Append the commit record — the whole write-set — to the home
+//     shard's redo log. The append is one flush+fence of the record's own
+//     lines and is durable when it returns (the log has no tail word; a
+//     record is published by its flush and validated at recovery by CRC
+//     and log generation). THE DURABLE RECORD IS THE COMMIT POINT: a
+//     crash image either holds it whole, and recovery replays it on every
+//     shard it names, or does not hold it, and nothing was applied. A
+//     failed append left nothing behind, so it is still a clean abort;
+//     that includes ErrNoSpace from creating the home shard's log, which
+//     happens here on the shard's first commit as home (redoLog: two more
+//     flushes, once). Non-home participants need no log at all.
+//  5. Apply the write-set to the trees, shard by shard, through the same
+//     code paths plain writes use (idempotent final-value puts and
+//     deletes), then truncate the home shard's redo log (one generation
+//     bump, one flushed line) and unlock.
 //
 // A k-key, s-shard commit of fixed-width overwrites therefore costs
-// s intents + 1 mark + k applies + s truncations, one flush call and one
-// fence each: 2s+1+k fences (TestTxnPersistBudget gates it at equality,
-// and the 2 a shard's first commit adds for creating its log).
+// 1 record + k applies + 1 truncation, one flush call and one fence each:
+// k+2 fences whatever s is, and lines(record)+k+1 flushed lines
+// (TestTxnPersistBudget gates both at equality, and the 2 a shard's first
+// commit as home adds for creating its log).
 //
-// Recovery (Reopen → recoverTxns) scans every shard's log: intents whose
-// transaction has a mark anywhere are replayed — a replay of records a
-// crashed commit already applied is harmless because intents carry final
-// values — and everything else is discarded. Recovery replays EVERY
-// shard before truncating ANY log: each replayed write is durable
-// through the ordinary crash-consistent single-key paths, so a crash
-// mid-replay just replays again at the next reopen, while the logs — and
-// with them the one shard holding the transaction's commit mark — stay
-// intact until no shard needs them. At every consistent crash cut, of
-// the commit or of recovery itself, this yields all-or-nothing: before
-// the mark no effect is visible (applies had not started) and the
-// intents are discarded; after it, replay completes the transaction.
-// Truncation order does not matter: by then every shard's effects are
-// durable, so an intent orphaned by the mark shard truncating first
-// describes writes the trees already hold and is discarded harmlessly.
+// Recovery (Reopen → recoverTxns) is one rule: a transaction is committed
+// iff a KindCommit record carrying its ID is durable in ANY shard's log,
+// and every record of a committed ID has its payload decoded and its ops
+// routed to shards BY KEY (ShardFor / ShardForKey), not by the log the
+// record was found in. For an image this writer produced that is the
+// commit record's own payload. For an image a crashed commit of the
+// earlier intent-per-shard protocol left behind it is that protocol's
+// KindIntent records, committed by its payload-less KindCommit mark; the
+// writer below never appends a KindIntent. Records of uncommitted IDs are
+// discarded. A replay of ops a crashed commit already applied is harmless
+// because the ops carry final values. Recovery replays EVERY shard
+// before truncating ANY log: each replayed write is durable through the
+// ordinary crash-consistent single-key paths, so a crash mid-replay just
+// replays again at the next reopen, while the logs — and with them the
+// one record that commits the transaction — stay intact until no shard
+// needs them. At every consistent crash cut, of the commit or of recovery
+// itself, this yields all-or-nothing: before the record no effect is
+// visible (applies had not started); after it, replay completes the
+// transaction. Replay order across logs cannot matter: a commit truncates
+// its record before it unlocks, and its locks cover every shard the
+// record names, so at most one un-truncated record names any shard.
 //
 // A Commit that fails AFTER its commit point (an apply error — not a
 // crash) returns ErrTxnIncomplete and latches the store
-// read-only: the committed transaction's redo records are still in the
-// shard logs awaiting replay, and any further commit's cleanup would
-// truncate them — durably losing a committed transaction — while any
+// read-only: the committed transaction's redo record is still in its
+// home shard's log awaiting replay, and a further commit homed there
+// would truncate it — durably losing a committed transaction — while any
 // further plain write could be silently superseded when Reopen replays
-// them. Until the pools are reopened, every mutation fails with
+// it. Until the pools are reopened, every mutation fails with
 // ErrReopenRequired; reads keep working.
 //
 // Isolation is write-side only: commits serialise against each other and
@@ -83,30 +92,31 @@ var (
 	// ErrTxnDone reports an operation on a transaction that was already
 	// committed or rolled back.
 	ErrTxnDone = errors.New("store: transaction already finished")
-	// ErrTxnTooLarge reports a Commit whose encoded write-set for one
-	// shard exceeds the shard's redo-log capacity (Options.TxnLogCap).
-	// Nothing was written; the transaction may be retried in pieces.
+	// ErrTxnTooLarge reports a Commit whose whole encoded write-set, as
+	// one redo record, exceeds the capacity of its home shard's redo log
+	// (Options.TxnLogCap). Nothing was written; the transaction may be
+	// retried in pieces.
 	ErrTxnTooLarge = errors.New("store: transaction exceeds redo-log capacity")
 	// ErrTxnIncomplete reports a Commit that reached its commit point but
 	// failed while applying to the trees. The transaction IS committed:
-	// its redo log survives, and the next Reopen replays it to
+	// its redo record survives, and the next Reopen replays it to
 	// completion. The store latches read-only — every further mutation,
 	// plain or transactional, fails with ErrReopenRequired — so nothing
 	// can truncate or overtake the pending replay before the reopen.
 	ErrTxnIncomplete = errors.New("store: committed transaction applied incompletely (redo log retained for reopen)")
 	// ErrReopenRequired reports a mutation refused because an earlier
 	// Commit on this store failed after its commit point
-	// (ErrTxnIncomplete): the committed transaction's redo records are
-	// still in the shard logs awaiting replay, so the store only serves
-	// reads. A further commit would truncate those records as part of
-	// its own cleanup — durably losing the committed transaction — and a
-	// further plain write could be silently superseded when Reopen
-	// replays them. Reopen the pools to replay the pending transaction
-	// and clear the condition.
+	// (ErrTxnIncomplete): the committed transaction's redo record is
+	// still in its home shard's log awaiting replay, so the store only
+	// serves reads. A further commit homed on that shard would truncate
+	// the record as part of its own cleanup — durably losing the
+	// committed transaction — and a further plain write could be silently
+	// superseded when Reopen replays it. Reopen the pools to replay the
+	// pending transaction and clear the condition.
 	ErrReopenRequired = errors.New("store: committed transaction awaits replay; store is read-only until reopened")
 )
 
-// Intent payload encoding: a flat sequence of ops, each
+// Redo-record payload encoding: a flat sequence of ops, each
 //
 //	kind 1 (put):      0x01, key u64, val u64
 //	kind 2 (delete):   0x02, key u64
@@ -160,9 +170,9 @@ func appendTxnOp(dst []byte, op txnOp) []byte {
 }
 
 // errBadTxnPayload is the internal decode failure; recovery wraps it.
-var errBadTxnPayload = errors.New("malformed transaction intent payload")
+var errBadTxnPayload = errors.New("malformed transaction redo payload")
 
-// walkTxnPayload decodes an intent payload, calling visit per op. It is
+// walkTxnPayload decodes a redo-record payload, calling visit per op. It is
 // fail-closed like parseBucket: the payload must consume exactly, kinds
 // must be known, byte keys must be 1..MaxKey bytes and values at most
 // MaxKVValue — anything else is errBadTxnPayload, never a partial parse.
@@ -230,7 +240,7 @@ func walkTxnPayload(b []byte, visit func(op txnOp) bool) error {
 	return nil
 }
 
-// decodeTxnOps decodes a full intent payload (fail-closed).
+// decodeTxnOps decodes a full redo-record payload (fail-closed).
 func decodeTxnOps(b []byte) ([]txnOp, error) {
 	var ops []txnOp
 	if err := walkTxnPayload(b, func(op txnOp) bool {
@@ -436,45 +446,63 @@ func (tx *Txn) Commit() error {
 
 // txnPlan is Commit's working set, kept on the Session (single-goroutine
 // by contract) so a steady stream of commits re-plans without allocating:
-// the sorted key lists, the per-shard decoded ops and encoded intent
-// payloads, the participating shards ascending, and the shards whose
-// displaced records turned stale.
+// the sorted key lists, the per-shard decoded ops, the whole write-set
+// encoded as one commit-record payload, the participating shards ascending
+// (parts[0] is the home shard), and the shards whose displaced records
+// turned stale.
 type txnPlan struct {
-	keys     []uint64
-	kvKeys   []string
-	ops      [][]txnOp
-	payloads [][]byte
-	parts    []int
-	stale    []int
+	keys    []uint64
+	kvKeys  []string
+	ops     [][]txnOp
+	payload []byte
+	parts   []int
+	stale   []int
 }
 
-// plan groups the write-set by shard in deterministic order (fixed keys
-// ascending, then byte keys ascending) and encodes one intent payload per
-// participating shard.
+// add routes op to its shard's apply list and appends its encoding to the
+// commit-record payload.
+func (pl *txnPlan) add(s *Store, op txnOp) {
+	i := s.shardOfOp(op)
+	pl.ops[i] = append(pl.ops[i], op)
+	pl.payload = appendTxnOp(pl.payload, op)
+}
+
+// shardOfOp returns the shard op's key lives on. Commit and recovery both
+// route by it, so a record is replayed where its writes were applied
+// whichever shard's log it was found in.
+func (s *Store) shardOfOp(op txnOp) int {
+	if op.kind == txnOpPutKV || op.kind == txnOpDelKV {
+		return s.ShardForKey(op.bkey)
+	}
+	return s.ShardFor(op.key)
+}
+
+// plan walks the write-set in deterministic order (fixed keys ascending,
+// then byte keys ascending), grouping the ops by shard for the apply phase
+// and encoding all of them, in that one order, as the commit record's
+// payload.
 func (tx *Txn) plan() *txnPlan {
 	s := tx.ss.s
 	pl := &tx.ss.plan
 	if pl.ops == nil {
 		pl.ops = make([][]txnOp, len(s.shards))
-		pl.payloads = make([][]byte, len(s.shards))
 	}
 	for i := range pl.ops {
 		pl.ops[i] = pl.ops[i][:0]
-		pl.payloads[i] = pl.payloads[i][:0]
 	}
 	pl.keys, pl.kvKeys, pl.parts, pl.stale = pl.keys[:0], pl.kvKeys[:0], pl.parts[:0], pl.stale[:0]
+	pl.payload = pl.payload[:0]
 	for k := range tx.fixed {
 		pl.keys = append(pl.keys, k)
 	}
 	slices.Sort(pl.keys)
 	for _, k := range pl.keys {
 		w := tx.fixed[k]
-		i := s.ShardFor(k)
 		op := txnOp{kind: txnOpPut, key: k, val: w.val}
 		if w.del {
 			op = txnOp{kind: txnOpDelete, key: k}
 		}
-		pl.ops[i] = append(pl.ops[i], op)
+		pl.add(s, op)
 	}
 	for k := range tx.kv {
 		pl.kvKeys = append(pl.kvKeys, k)
@@ -483,20 +511,15 @@ func (tx *Txn) plan() *txnPlan {
 	for _, k := range pl.kvKeys {
 		w := tx.kv[k]
 		bk := []byte(k)
-		i := s.ShardForKey(bk)
 		op := txnOp{kind: txnOpPutKV, bkey: bk, bval: w.val}
 		if w.del {
 			op = txnOp{kind: txnOpDelKV, bkey: bk}
 		}
-		pl.ops[i] = append(pl.ops[i], op)
+		pl.add(s, op)
 	}
 	for i, ops := range pl.ops {
-		if len(ops) == 0 {
-			continue
-		}
-		pl.parts = append(pl.parts, i)
-		for _, op := range ops {
-			pl.payloads[i] = appendTxnOp(pl.payloads[i], op)
+		if len(ops) != 0 {
+			pl.parts = append(pl.parts, i)
 		}
 	}
 	return pl
@@ -527,69 +550,49 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	}()
 
 	// Pre-flight: everything that can refuse must refuse before the
-	// first byte hits a redo log, so failure is a clean abort. With
+	// first byte hits the redo log, so failure is a clean abort. With
 	// applyMu held exclusively no other writer can move the projections.
 	// Checked under the locks so a commit racing the failing one cannot
 	// slip past before the latch is set.
 	if s.txnFailed.Load() {
 		return ErrReopenRequired
 	}
+	home := parts[0]
+	// A shard that has never been a home has no redo log yet: the log the
+	// record append below creates will have the configured capacity.
+	capacity := s.opts.TxnLogCap
+	if tl := s.shards[home].gc.tl; tl != nil {
+		capacity = tl.Capacity()
+	}
+	if need := txnlog.RecordSize(len(pl.payload)); need > capacity {
+		return fmt.Errorf("%w: a %d-byte record for the write-set, shard %d's log holds %d",
+			ErrTxnTooLarge, need, home, capacity)
+	}
 	for _, i := range parts {
-		// A shard that has never committed has no redo log yet: nothing
-		// awaits replay, and the log its intent append below creates will
-		// have the configured capacity.
-		capacity := s.opts.TxnLogCap
-		if tl := s.shards[i].gc.tl; tl != nil {
-			if n := tl.Len(); n != 0 {
-				// A non-empty redo log at commit entry means a committed
-				// transaction's records still await replay (its apply or
-				// truncation never finished). Never truncate them — the
-				// abort paths below Truncate — so latch and refuse until
-				// the store is reopened.
-				s.txnFailed.Store(true)
-				return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, n)
-			}
-			capacity = tl.Capacity()
-		}
-		if txnlog.RecordSize(len(pl.payloads[i]))+txnlog.RecordSize(0) > capacity {
-			return fmt.Errorf("%w: %d bytes of intents for shard %d, log capacity %d",
-				ErrTxnTooLarge, len(pl.payloads[i]), i, capacity)
+		if tl := s.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
+			// A non-empty redo log at commit entry means a committed
+			// transaction's record still awaits replay (its apply or
+			// truncation never finished). On the home shard this commit's
+			// truncation would erase it; on any other participant its
+			// replay would supersede this commit's applies. Latch and
+			// refuse until the store is reopened.
+			s.txnFailed.Store(true)
+			return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, tl.Len())
 		}
 		if err := ss.admitTxnOps(i, pl.ops[i]); err != nil {
 			return err
 		}
 	}
 
-	id := s.txnSeq.Add(1)
-	// abort drops the intents appended so far; legal only while no mark
-	// is durable.
-	abort := func(appended []int) {
-		for _, j := range appended {
-			s.shards[j].gc.tl.Truncate(ss.ths[j])
-		}
+	// The commit record: the whole write-set, one append to the home
+	// shard's log, durable on return — the commit point. Append refuses
+	// before it writes, so a failure here left nothing behind.
+	tl, err := s.redoLog(home, ss.ths[home])
+	if err == nil {
+		err = tl.Append(ss.ths[home], s.txnSeq.Add(1), txnlog.KindCommit, pl.payload)
 	}
-	// Intents: each append is durable on return, so once the loop
-	// finishes every shard's intent is on stable media — the mark below
-	// can never outrun an intent into a crash image.
-	for n, i := range parts {
-		tl, aerr := s.redoLog(i, ss.ths[i])
-		if aerr == nil {
-			aerr = tl.Append(ss.ths[i], id, txnlog.KindIntent, pl.payloads[i])
-		}
-		if aerr != nil {
-			abort(parts[:n])
-			return fmt.Errorf("store: txn intent append on shard %d: %w", i, aerr)
-		}
-		s.step()
-	}
-	// The commit mark: one, on the first participating shard; once it is
-	// durable the transaction is committed everywhere. Append refuses
-	// before it writes, so a failed mark append left nothing behind and
-	// the transaction is still abortable.
-	first := parts[0]
-	if aerr := s.shards[first].gc.tl.Append(ss.ths[first], id, txnlog.KindCommit, nil); aerr != nil {
-		abort(parts)
-		return fmt.Errorf("store: txn commit mark on shard %d: %w", first, aerr)
+	if err != nil {
+		return fmt.Errorf("store: txn commit record on shard %d: %w", home, err)
 	}
 	s.step()
 	// Apply through the same paths plain writes use.
@@ -608,28 +611,27 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 		if aerr != nil {
 			// Past the commit point with the apply unfinished: latch the
 			// store read-only (see ErrReopenRequired) so the surviving
-			// redo records reach the next Reopen intact.
+			// redo record reaches the next Reopen intact.
 			s.txnFailed.Store(true)
 			return fmt.Errorf("%w: apply on shard %d: %v", ErrTxnIncomplete, i, aerr)
 		}
 		s.step()
 	}
-	// The transaction is fully applied; drop the redo records.
-	for _, i := range parts {
-		s.shards[i].gc.tl.Truncate(ss.ths[i])
-		s.step()
-	}
+	// The transaction is fully applied; drop the redo record.
+	tl.Truncate(ss.ths[home])
+	s.step()
 	return nil
 }
 
 // redoLog returns shard i's transaction redo log, creating it on the shard's
-// first commit: a store that never commits pays no TxnLogCap bytes per shard
-// for it. The caller holds the shard's applyMu exclusively, which is what
-// publishes the handle to the next committer. A pool too full for the region
-// fails the commit with ErrNoSpace while it is still abortable — no mark is
-// durable before every participating shard has its intent. A crash between
-// the region's allocation and the root-slot store leaves the slot empty; the
-// next commit allocates again.
+// first commit as a home shard: a store that never commits pays no TxnLogCap
+// bytes for it, and neither does a shard that only ever takes part in other
+// shards' commits. The caller holds the shard's applyMu exclusively, which is
+// what publishes the handle to the next committer. A pool too full for the
+// region fails the commit with ErrNoSpace while it is still abortable —
+// nothing has been appended anywhere. A crash between the region's allocation
+// and the root-slot store leaves the slot empty; the next commit allocates
+// again.
 func (s *Store) redoLog(i int, th *pmem.Thread) (*txnlog.Log, error) {
 	sh := s.shards[i]
 	if sh.gc.tl == nil {
@@ -739,72 +741,65 @@ func (ss *Session) applyTxnOps(i int, ops []txnOp) (stale bool, err error) {
 	return stale, nil
 }
 
-// recoverTxns settles the redo logs during Reopen: a commit mark on any
-// shard commits its transaction everywhere, so every committed intent is
-// replayed (in log order, idempotently — intents carry final values) and
-// every unmarked intent is discarded. All logs end truncated. Runs after
+// recoverTxns settles the redo logs during Reopen by one rule: a
+// transaction is committed iff a KindCommit record with its ID is durable
+// in any shard's log, and every record of a committed ID is replayed — its
+// ops routed to shards by key (shardOfOp), idempotently, since they carry
+// final values. That covers this writer's images (the commit record is the
+// write-set) and images of the earlier intent-per-shard protocol (KindIntent
+// records committed by a payload-less KindCommit mark) alike. Records of
+// uncommitted IDs are discarded, and all logs end truncated. Runs after
 // every shard's index, value log and accounting are rebuilt; replayed
 // writes go through the ordinary apply paths and feed the ordinary
 // accounting.
 //
 // Recovery itself must survive a crash, so it runs in three strict
 // phases — decode everything, replay everything, then truncate
-// everything. Replay-before-truncate is the load-bearing order: ONE shard
-// holds the transaction's only commit mark, and truncating that shard's
-// log before the other shards replayed would erase the commit point — a
-// second crash would then make the next recovery discard the other
-// shards' intents as uncommitted, leaving a committed transaction
-// half-applied.
+// everything. Replay-before-truncate is the load-bearing order: ONE log
+// holds the record that commits the transaction, and truncating it before
+// every shard replayed would erase the commit point — a second crash would
+// then leave a committed transaction half-applied with nothing to finish
+// it from.
 // With the phase order, a crash anywhere during replay leaves every log
-// (and every mark) intact for the next recovery to redo idempotently,
-// and a crash anywhere during truncation is past the point where every
-// shard's effects are durably applied, so surviving intents — marked or
-// orphaned — describe writes the trees already hold.
+// (and every commit record) intact for the next recovery to redo
+// idempotently, and a crash anywhere during truncation is past the point
+// where every shard's effects are durably applied, so surviving records —
+// committed or orphaned — describe writes the trees already hold.
 func (s *Store) recoverTxns() error {
 	ss := s.NewSession()
 	defer ss.Close()
+	var recs []txnlog.Rec
 	committed := map[uint64]bool{}
-	empty := true
 	for i := range s.shards {
 		tl := s.shards[i].gc.tl
 		if tl == nil {
-			continue // never committed: no log, nothing to settle
+			continue // never a home shard: no log, nothing to settle
 		}
 		tl.Scan(ss.ths[i], func(r txnlog.Rec) bool {
-			empty = false
+			recs = append(recs, r)
 			if r.Kind == txnlog.KindCommit {
 				committed[r.ID] = true
 			}
 			return true
 		})
 	}
-	if empty {
+	if len(recs) == 0 {
 		return nil
 	}
-	// Phase 1: decode every shard's committed intents, fail-closed —
-	// an undecodable payload aborts recovery before anything is applied
-	// or truncated.
+	// Phase 1: decode every committed record, fail-closed — an undecodable
+	// payload aborts recovery before anything is applied or truncated.
 	ops := make([][]txnOp, len(s.shards))
-	for i := range s.shards {
-		tl := s.shards[i].gc.tl
-		if tl == nil {
+	for _, r := range recs {
+		if !committed[r.ID] {
 			continue
 		}
-		var derr error
-		tl.Scan(ss.ths[i], func(r txnlog.Rec) bool {
-			if r.Kind != txnlog.KindIntent || !committed[r.ID] {
-				return true
-			}
-			decoded, err := decodeTxnOps(r.Payload)
-			if err != nil {
-				derr = err
-				return false
-			}
-			ops[i] = append(ops[i], decoded...)
-			return true
-		})
-		if derr != nil {
-			return fmt.Errorf("store: shard %d txn recovery: %w", i, derr)
+		decoded, err := decodeTxnOps(r.Payload)
+		if err != nil {
+			return fmt.Errorf("store: txn %d recovery: %w", r.ID, err)
+		}
+		for _, op := range decoded {
+			i := s.shardOfOp(op)
+			ops[i] = append(ops[i], op)
 		}
 	}
 	// Phase 2: replay every shard. Each replayed write is durable through

@@ -34,12 +34,13 @@ func linesSpanned(off, size int64) uint64 {
 	return uint64((off+size-1)/pmem.LineSize - off/pmem.LineSize + 1)
 }
 
-// TestTxnPersistBudget: a commit of k fixed-width overwrites spread over s
-// shards costs s intent appends + 1 commit mark + k in-place applies + s
-// truncations, one flush call and one fence each, and flushes exactly the
-// lines those records and words occupy. A shard's first commit creates its
-// redo log on top of that: the header line and the root slot, one flush
-// call and one fence each.
+// TestTxnPersistBudget: a commit of k fixed-width overwrites costs one commit
+// record (the whole write-set, in the home shard's log) + k in-place applies +
+// 1 truncation, one flush call and one fence each — k+2 whatever the number
+// of shards s the keys spread over — and flushes exactly the lines that
+// record and those words occupy. A shard's first commit as home creates its
+// redo log on top of that: the header line and the root slot, one flush call
+// and one fence each.
 func TestTxnPersistBudget(t *testing.T) {
 	const txnPutLen = 1 + 8 + 8 // kind byte, key, value
 	for _, k := range []int{1, 4, 16} {
@@ -52,12 +53,10 @@ func TestTxnPersistBudget(t *testing.T) {
 				ss := st.NewSession()
 				defer ss.Close()
 				keys := spreadKeys(t, st, k, s)
-				perShard := make([]int, s)
 				for _, key := range keys {
 					if err := ss.Put(key, 1); err != nil {
 						t.Fatal(err)
 					}
-					perShard[st.ShardFor(key)]++
 				}
 				stats := func() (sum pmem.Stats) {
 					for _, th := range ss.ths {
@@ -65,8 +64,9 @@ func TestTxnPersistBudget(t *testing.T) {
 					}
 					return sum
 				}
-				// Three rounds: the first commit on a store pays for the s
-				// redo logs it creates, every later one must cost the same.
+				// Three rounds: the first commit on a store pays for the home
+				// shard's redo log it creates, every later one must cost the
+				// same.
 				for round := uint64(2); round < 5; round++ {
 					tx := ss.Begin()
 					for _, key := range keys {
@@ -80,21 +80,15 @@ func TestTxnPersistBudget(t *testing.T) {
 					}
 					after := stats()
 
-					wantFences := uint64(2*s + 1 + k)
-					wantLines := uint64(k + s) // applies + truncations
+					wantFences := uint64(k + 2)
+					// record + applies + truncation
+					wantLines := linesSpanned(0, txnlog.RecordSize(k*txnPutLen)) + uint64(k) + 1
 					if round == 2 {
-						wantFences += uint64(2 * s)
-						wantLines += uint64(2 * s)
-					}
-					for i, n := range perShard {
-						intent := txnlog.RecordSize(n * txnPutLen)
-						wantLines += linesSpanned(0, intent)
-						if i == 0 {
-							wantLines += linesSpanned(intent, txnlog.RecordSize(0))
-						}
+						wantFences += 2
+						wantLines += 2
 					}
 					if got := after.Fences - before.Fences; got != wantFences {
-						t.Errorf("round %d: %d fences, want 2s+1+k (+2s on the first commit) = %d", round, got, wantFences)
+						t.Errorf("round %d: %d fences, want k+2 (+2 on the first commit) = %d", round, got, wantFences)
 					}
 					if got := after.FlushCalls - before.FlushCalls; got != wantFences {
 						t.Errorf("round %d: %d flush calls, want one per fence = %d", round, got, wantFences)

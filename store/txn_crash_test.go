@@ -328,8 +328,10 @@ func txnCrossShardCrashMatrix(t *testing.T, model pmem.MemModel) {
 		t.Fatalf("commit: %v", err)
 	}
 	st.commitStep = nil
-	if len(vectors) < 2*shards {
-		t.Fatalf("only %d step vectors for a %d-shard txn", len(vectors), shards)
+	// The start, then one step for the commit record, one per shard's apply
+	// and one for the truncation.
+	if want := 1 + 1 + shards + 1; len(vectors) != want {
+		t.Fatalf("%d step vectors for a %d-shard txn, want %d", len(vectors), shards, want)
 	}
 
 	cuts := 0
@@ -391,11 +393,11 @@ func txnCrossShardCrashMatrix(t *testing.T, model pmem.MemModel) {
 			}
 		}
 		if adv == -1 {
-			continue // step with no persists (shard not participating in phase)
+			continue // step with no persists
 		}
 		want := -1
 		if s == len(vectors)-1 {
-			want = 1 // every log truncated: commit fully applied
+			want = 1 // home log truncated: commit fully applied
 		}
 		for point := prev[adv] + 1; point <= cur[adv]; point++ {
 			cut := append([]int(nil), prev...)
@@ -536,17 +538,17 @@ func TestTxnCrashRandomCampaign(t *testing.T) {
 // the recovery Reopen runs on that image, crashes THAT recovery at its
 // consistent cuts (second crash), and requires the final recovery to land
 // on the same all-or-nothing verdict the uninterrupted recovery reached.
-// One shard holds the transaction's only commit mark from the mark append
-// to the end of the commit, so every post-mark first crash is a state
-// where truncating any log before every shard replayed would let a second
-// crash erase the commit point and strand a committed transaction
-// half-applied; the first-crash cuts cover the mark append itself at every
-// persist point.
+// The home shard's log holds the transaction's one commit record — the whole
+// write-set — from its append to the end of the commit, so every post-record
+// first crash is a state where truncating that log before every shard
+// replayed would let a second crash erase the commit point and strand a
+// committed transaction half-applied; the first-crash cuts cover the record
+// append itself at every persist point.
 //
 // The store has never committed before the taped commit, so no shard has a
-// redo log yet and the commit's intent appends create them. With reopened
-// set the populated store is first closed and reopened — every shard's
-// txnSlot must still read empty — and the matrix runs on that store.
+// redo log yet and the commit's record append creates the home shard's. With
+// reopened set the populated store is first closed and reopened — every
+// shard's txnSlot must still read empty — and the matrix runs on that store.
 func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bool) {
 	rng := rand.New(rand.NewSource(20260808))
 	const shards = 2
@@ -567,8 +569,8 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 		}
 		committed[i] = i + 3
 	}
-	// One insert and one overwrite per shard, plus a byte key, so every
-	// shard logs an intent; the first alone holds the commit mark.
+	// One insert and one overwrite per shard, plus a byte key, so the commit
+	// record names every shard; the first shard's log alone holds it.
 	var insertKeys, overKeys []uint64
 	seenIns := map[int]bool{}
 	seenOver := map[int]bool{}
@@ -646,9 +648,9 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 		t.Fatalf("commit: %v", err)
 	}
 	st.commitStep = nil
-	// The start, then one step per intent, one for the single mark, one
-	// per apply and one per truncation.
-	if want := 1 + shards + 1 + shards + shards; len(vectors) != want {
+	// The start, then one step for the commit record, one per shard's apply
+	// and one for the truncation.
+	if want := 1 + 1 + shards + 1; len(vectors) != want {
 		t.Fatalf("%d step vectors for a %d-shard txn, want %d", len(vectors), shards, want)
 	}
 
@@ -672,7 +674,7 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 
 	// Boundary verdicts locate the commit point: the first boundary whose
 	// uninterrupted recovery lands post-txn is the cut where the commit
-	// mark persisted.
+	// record persisted.
 	refVerdict := func(cut []int, tag string) bool {
 		t.Helper()
 		imgs := make([]*pmem.Pool, shards)
@@ -705,8 +707,8 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 			break
 		}
 	}
-	if flip != shards+1 {
-		t.Fatalf("commit point at boundary %d, want %d: the single mark, right after the %d intents", flip, shards+1, shards)
+	if flip != 1 {
+		t.Fatalf("commit point at boundary %d, want 1: the commit record is the protocol's first persist", flip)
 	}
 	for s := flip; s < len(vectors); s++ {
 		if !verdicts[s] {
@@ -715,9 +717,9 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 	}
 
 	// First-crash cuts: the boundary before the commit point, every
-	// interior point of the flip segment — the mark append — and (full
-	// mode) of its successor, the first shard's apply, plus an apply-phase
-	// boundary and the full tape.
+	// interior point of the flip segment — the record append, the home log's
+	// creation included — and (full mode) of its successor, the first
+	// shard's apply, plus an apply-phase boundary and the full tape.
 	type outerCut struct {
 		cut []int
 		tag string
@@ -743,7 +745,7 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 			outers = append(outers, outerCut{c, fmt.Sprintf("seg %d pool %d point %d/%d", s, adv, p, cur[adv])})
 		}
 	}
-	outers = append(outers, outerCut{vectors[flip-1], fmt.Sprintf("boundary %d (pre-mark)", flip-1)})
+	outers = append(outers, outerCut{vectors[flip-1], fmt.Sprintf("boundary %d (pre-record)", flip-1)})
 	addSeg(flip)
 	if !testing.Short() {
 		if flip+1 <= last {
@@ -890,7 +892,7 @@ func TestTxnRecoveryDoubleCrashNonTSO(t *testing.T) {
 
 // TestTxnFirstCommitAfterReopenDoubleCrash: a store that was closed and
 // reopened without ever committing still has no redo logs; its first commit
-// creates them and survives the double-crash matrix like any other.
+// creates its home shard's and survives the double-crash matrix like any other.
 func TestTxnFirstCommitAfterReopenDoubleCrash(t *testing.T) {
 	txnRecoveryDoubleCrashMatrix(t, pmem.TSO, true)
 }

@@ -286,6 +286,67 @@ func TestTxnTooLarge(t *testing.T) {
 	}
 }
 
+// TestTxnTooLargeBoundary pins what ErrTxnTooLarge measures: the WHOLE
+// encoded write-set — every shard's ops — plus the record header, against
+// the home shard's log capacity. A write-set whose record fills the log to
+// the byte commits; one byte more aborts with the store untouched, whether
+// the capacity is still the configured one (no log yet) or the log's own.
+func TestTxnTooLargeBoundary(t *testing.T) {
+	const logCap = 1 << 10
+	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20, TxnLogCap: logCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ss := st.NewSession()
+	defer ss.Close()
+	keys := spreadKeys(t, st, 2, 2) // one fixed-width put on each shard
+	bkey := []byte("k")
+	// Two puts at 17 bytes, one put-kv at 7 + len(key) + len(val): pick the
+	// value that makes the record exactly logCap bytes.
+	fit := logCap - int(txnlog.RecordSize(0)) - 2*17 - 7 - len(bkey)
+	commit := func(vlen int) error {
+		tx := ss.Begin()
+		for _, k := range keys {
+			if err := tx.Put(k, uint64(vlen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.PutKV(bkey, bytes.Repeat([]byte{7}, vlen)); err != nil {
+			t.Fatal(err)
+		}
+		return tx.Commit()
+	}
+	requireUntouched := func(tag string, want uint64, present bool) {
+		t.Helper()
+		for _, k := range keys {
+			if v, ok, _ := ss.Get(k); ok != present || v != want {
+				t.Fatalf("%s: key %d reads (%d, %v), want (%d, %v)", tag, k, v, ok, want, present)
+			}
+		}
+		if v, ok, _ := ss.GetKV(bkey, nil); ok != present || (present && len(v) != int(want)) {
+			t.Fatalf("%s: byte key reads %d bytes, present=%v", tag, len(v), ok)
+		}
+	}
+
+	if err := commit(fit + 1); !errors.Is(err, ErrTxnTooLarge) {
+		t.Fatalf("one byte over, no log yet: %v, want ErrTxnTooLarge", err)
+	}
+	requireUntouched("refused before any log", 0, false)
+	requireNoRedoLogs(t, st)
+	if err := commit(fit); err != nil {
+		t.Fatalf("record of exactly %d bytes: %v", logCap, err)
+	}
+	requireUntouched("exact fit", uint64(fit), true)
+	if err := commit(fit + 1); !errors.Is(err, ErrTxnTooLarge) {
+		t.Fatalf("one byte over, existing log: %v, want ErrTxnTooLarge", err)
+	}
+	requireUntouched("refused against the log", uint64(fit), true)
+	if n := st.shards[0].gc.tl.Len(); n != 0 {
+		t.Fatalf("home log holds %d bytes after a refused commit", n)
+	}
+}
+
 func TestTxnBufferValidation(t *testing.T) {
 	st, err := Open(Options{Shards: 1, ShardSize: 8 << 20})
 	if err != nil {
@@ -521,8 +582,9 @@ func TestTxnReopenAfterManyCommits(t *testing.T) {
 // point into an injected apply failure and proves the store latches
 // read-only: every further mutation — transactional or plain, fixed-width
 // or byte-keyed — fails with ErrReopenRequired, reads keep serving, the
-// redo records survive untouched, and a Reopen replays the committed
-// transaction and lifts the latch.
+// redo record survives untouched in the home shard's log (the only log the
+// commit made), and a Reopen replays the committed transaction on both
+// shards and lifts the latch.
 func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20})
 	if err != nil {
@@ -538,7 +600,7 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 	}
 
 	// A cross-shard transaction whose apply phase fails on its first
-	// shard: the commit mark is durable, nothing is applied.
+	// shard: the commit record is durable, nothing is applied.
 	var insertKeys []uint64
 	seen := map[int]bool{}
 	for k := uint64(5000); len(insertKeys) < 2; k++ {
@@ -560,12 +622,13 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 	}
 	st.applyFault = nil
 
-	// Both shards' redo logs still hold the committed records — the
-	// failure path must never truncate them.
-	for i := 0; i < 2; i++ {
-		if st.shards[i].gc.tl.Len() == 0 {
-			t.Fatalf("shard %d redo log empty after incomplete commit", i)
-		}
+	// The home shard's redo log still holds the commit record — the
+	// failure path must never truncate it — and it is the only log.
+	if tl := st.shards[0].gc.tl; tl == nil || tl.Len() == 0 {
+		t.Fatalf("home shard's redo log (%v) does not hold the record after an incomplete commit", tl)
+	}
+	if st.shards[1].gc.tl != nil {
+		t.Fatal("non-home shard 1 was given a redo log")
 	}
 
 	// Every mutation path refuses with ErrReopenRequired.
@@ -629,10 +692,8 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 			t.Fatalf("replayed key %d: v=%d ok=%v err=%v", k, v, ok, err)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if n := re.shards[i].gc.tl.Len(); n != 0 {
-			t.Fatalf("shard %d redo log holds %d bytes after recovery", i, n)
-		}
+	if n := re.shards[0].gc.tl.Len(); n != 0 {
+		t.Fatalf("home shard's redo log holds %d bytes after recovery", n)
 	}
 	if err := rs.Put(11, 1); err != nil {
 		t.Fatalf("Put after reopen: %v", err)
@@ -649,53 +710,69 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 }
 
 // TestTxnCommitRefusesNonEmptyRedoLog plants an orphan record directly in
-// a shard's redo log and proves Commit refuses with ErrReopenRequired
-// without touching the log: the abort paths Truncate, and truncating
-// records a crashed commit left behind would durably erase a committed
-// transaction.
+// a shard's redo log and proves a Commit that takes that shard — as its
+// home, or as any other participant — refuses with ErrReopenRequired without
+// touching the log: the home shard's truncation would durably erase a record
+// a crashed commit left behind, and a leftover on another participant would
+// supersede this commit's applies when Reopen replays it.
 func TestTxnCommitRefusesNonEmptyRedoLog(t *testing.T) {
-	st, err := Open(Options{Shards: 1, ShardSize: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
+	for planted, name := range []string{"home", "participant"} {
+		t.Run(name, func(t *testing.T) {
+			st, err := Open(Options{Shards: 2, ShardSize: 8 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := st.NewSession()
+			tl, err := st.redoLog(planted, ss.ths[planted])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tl.Append(ss.ths[planted], 99, txnlog.KindIntent, []byte("orphan")); err != nil {
+				t.Fatal(err)
+			}
+			before := tl.Len()
+			// One key per shard: shard 0 is the home, shard 1 takes part.
+			keys := spreadKeys(t, st, 2, 2)
+			tx := ss.Begin()
+			for _, k := range keys {
+				if err := tx.Put(k, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); !errors.Is(err, ErrReopenRequired) {
+				t.Fatalf("commit over non-empty redo log: %v, want ErrReopenRequired", err)
+			}
+			if got := tl.Len(); got != before {
+				t.Fatalf("redo log %d bytes after refused commit, was %d — commit touched it", got, before)
+			}
+			for _, k := range keys {
+				if _, ok, _ := ss.Get(k); ok {
+					t.Fatalf("refused transaction's key %d visible", k)
+				}
+			}
+			ss.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The uncommitted orphan is discarded at reopen and the store works.
+			re, err := Reopen(st.Pools(), Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			rs := re.NewSession()
+			tx2 := rs.Begin()
+			for _, k := range keys {
+				if err := tx2.Put(k, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx2.Commit(); err != nil {
+				t.Fatalf("commit after reopen: %v", err)
+			}
+			rs.Close()
+			re.Close()
+		})
 	}
-	ss := st.NewSession()
-	tl, err := st.redoLog(0, ss.ths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.Append(ss.ths[0], 99, txnlog.KindIntent, []byte("orphan")); err != nil {
-		t.Fatal(err)
-	}
-	before := st.shards[0].gc.tl.Len()
-	tx := ss.Begin()
-	if err := tx.Put(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrReopenRequired) {
-		t.Fatalf("commit over non-empty redo log: %v, want ErrReopenRequired", err)
-	}
-	if got := st.shards[0].gc.tl.Len(); got != before {
-		t.Fatalf("redo log %d bytes after refused commit, was %d — commit touched it", got, before)
-	}
-	ss.Close()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The unmarked orphan is discarded at reopen and the store works.
-	re, err := Reopen(st.Pools(), Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	rs := re.NewSession()
-	tx2 := rs.Begin()
-	if err := tx2.Put(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatalf("commit after reopen: %v", err)
-	}
-	rs.Close()
-	re.Close()
 }
 
 // TestTxnCrossFamilyRefusedAtPreflight points a transactional byte-key op
@@ -759,8 +836,8 @@ func TestTxnCrossFamilyRefusedAtPreflight(t *testing.T) {
 
 // TestTxnRedoLogCreatedOnFirstCommit: a shard has no redo log — no handle,
 // nothing at txnSlot, no TxnLogCap bytes taken from its pool — until its
-// first commit, across Close and Reopen; the first commit creates the logs
-// of the shards it touches and no others.
+// first commit as a home shard, across Close and Reopen; a commit creates its
+// home shard's log and no other.
 func TestTxnRedoLogCreatedOnFirstCommit(t *testing.T) {
 	const shards, shardSize = 4, 8 << 20
 	st, err := Open(Options{Shards: shards, ShardSize: shardSize})
@@ -818,9 +895,9 @@ func TestTxnRedoLogCreatedOnFirstCommit(t *testing.T) {
 	}
 }
 
-// TestTxnRedoLogNoSpaceAborts: a pool too full for the redo log fails the
-// shard's first commit with ErrNoSpace — a clean abort: nothing visible,
-// nothing latched, the other shard's intent dropped again.
+// TestTxnRedoLogNoSpaceAborts: a home shard whose pool is too full for the
+// redo log fails its first commit with ErrNoSpace — a clean abort: nothing
+// visible, nothing latched, no log anywhere.
 func TestTxnRedoLogNoSpaceAborts(t *testing.T) {
 	st, err := Open(Options{Shards: 2, ShardSize: 1 << 20, TxnLogCap: 256 << 10})
 	if err != nil {
@@ -829,12 +906,12 @@ func TestTxnRedoLogNoSpaceAborts(t *testing.T) {
 	defer st.Close()
 	ss := st.NewSession()
 	defer ss.Close()
-	// One key per shard, shard 0 first (commits visit shards ascending).
+	// One key per shard; shard 0, the lowest participant, is the home.
 	keys := spreadKeys(t, st, 2, 2)
-	// Fill shard 1 until its pool cannot hold the log region.
-	full := st.Pool(1)
+	// Fill shard 0 until its pool cannot hold the log region.
+	full := st.Pool(0)
 	for k := uint64(1 << 32); full.FreeBytes() >= st.opts.TxnLogCap; k++ {
-		if st.ShardFor(k) != 1 {
+		if st.ShardFor(k) != 0 {
 			continue
 		}
 		if err := ss.Put(k, k); err != nil {
@@ -856,18 +933,169 @@ func TestTxnRedoLogNoSpaceAborts(t *testing.T) {
 			t.Fatalf("aborted transaction's key %d visible", k)
 		}
 	}
-	if tl := st.shards[0].gc.tl; tl == nil || tl.Len() != 0 {
-		t.Fatalf("shard 0's intent was not dropped by the abort (log %v)", tl)
-	}
-	if st.shards[1].gc.tl != nil {
-		t.Fatal("shard 1 has a redo log its pool had no room for")
-	}
-	// Not latched: a commit that stays on shard 0 goes through.
+	requireNoRedoLogs(t, st)
+	// Not latched: a commit homed on shard 1 goes through.
 	tx = ss.Begin()
-	if err := tx.Put(keys[0], 6); err != nil {
+	if err := tx.Put(keys[1], 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit on the shard with room: %v", err)
+	}
+}
+
+// TestNonHomeShardsGetNoLog: only a transaction's home shard — its lowest
+// participant — logs anything, so a store whose every commit includes shard 0
+// never creates a redo log on the others: no handle, nothing at txnSlot, no
+// TxnLogCap bytes taken from their pools, across Close and Reopen.
+func TestNonHomeShardsGetNoLog(t *testing.T) {
+	const shards = 4
+	st, err := Open(Options{Shards: shards, ShardSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := st.NewSession()
+	for s := 1; s <= shards; s++ {
+		keys := spreadKeys(t, st, 2*s, s) // shards 0..s-1, shard 0 always among them
+		for round := uint64(1); round <= 3; round++ {
+			tx := ss.Begin()
+			for _, k := range keys {
+				if err := tx.Put(k, round); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	requireOnlyShard0Logs := func(st *Store, tag string) {
+		t.Helper()
+		for i := range st.shards {
+			th := st.shards[i].pool.NewThread()
+			off, tl := st.shards[i].pool.Root(th, txnSlot), st.shards[i].gc.tl
+			th.Release()
+			if (off != 0) != (i == 0) || (tl != nil) != (i == 0) {
+				t.Fatalf("%s: shard %d: txnSlot root %d, log handle %v; only shard 0 was ever a home", tag, i, off, tl)
+			}
+		}
+	}
+	requireOnlyShard0Logs(st, "before close")
+	ss.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Reopen(st.Pools(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireOnlyShard0Logs(re, "after reopen")
+	rs := re.NewSession()
+	defer rs.Close()
+	for _, k := range spreadKeys(t, re, 2*shards, shards) {
+		if v, ok, err := rs.Get(k); err != nil || !ok || v != 3 {
+			t.Fatalf("key %d after reopen: v=%d ok=%v err=%v", k, v, ok, err)
+		}
+	}
+}
+
+// TestRecoverLegacyIntentMarkImage hand-builds the redo-log image a crashed
+// commit of the earlier protocol left behind — one KindIntent record per
+// participating shard, committed by a payload-less KindCommit mark — and
+// requires the one recovery rule to settle it all-or-nothing: with a mark (on
+// either shard: a mark anywhere commits) every intent is replayed, without
+// one every intent is discarded.
+func TestRecoverLegacyIntentMarkImage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mark int // shard holding the commit mark, -1 for none
+	}{{"unmarked", -1}, {"mark-on-first", 0}, {"mark-on-second", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const shards, id = 2, 41
+			st, err := Open(Options{Shards: shards, ShardSize: 8 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := st.NewSession()
+			keys := spreadKeys(t, st, 6, shards) // three per shard
+			for _, k := range keys[:4] {
+				if err := ss.Put(k, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bkey, preKV, postKV := []byte("legacy-kv"), []byte("before"), bytes.Repeat([]byte{0xab}, 90)
+			if err := ss.PutKV(bkey, preKV); err != nil {
+				t.Fatal(err)
+			}
+			// Per shard: one overwrite, one delete, one insert; plus a byte-key
+			// overwrite wherever it hashes.
+			effects := []txnEffect{{bkey: bkey, preKV: preKV, postKV: postKV}}
+			ops := []txnOp{{kind: txnOpPutKV, bkey: bkey, bval: postKV}}
+			for _, k := range keys[:2] {
+				effects = append(effects, txnEffect{fixed: true, key: k, pre: u64p(1), post: u64p(k * 5)})
+				ops = append(ops, txnOp{kind: txnOpPut, key: k, val: k * 5})
+			}
+			for _, k := range keys[2:4] {
+				effects = append(effects, txnEffect{fixed: true, key: k, pre: u64p(1), post: nil})
+				ops = append(ops, txnOp{kind: txnOpDelete, key: k})
+			}
+			for _, k := range keys[4:] {
+				effects = append(effects, txnEffect{fixed: true, key: k, pre: nil, post: u64p(k * 7)})
+				ops = append(ops, txnOp{kind: txnOpPut, key: k, val: k * 7})
+			}
+			intents := make([][]byte, shards)
+			for _, op := range ops {
+				i := st.shardOfOp(op)
+				intents[i] = appendTxnOp(intents[i], op)
+			}
+			for i, payload := range intents {
+				tl, err := st.redoLog(i, ss.ths[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tl.Append(ss.ths[i], id, txnlog.KindIntent, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.mark >= 0 {
+				if err := st.shards[tc.mark].gc.tl.Append(ss.ths[tc.mark], id, txnlog.KindCommit, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ss.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := Reopen(st.Pools(), Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			rs := re.NewSession()
+			defer rs.Close()
+			if post := checkAtomic(t, rs, effects, tc.name); post != (tc.mark >= 0) {
+				t.Fatalf("recovered post-transaction = %v with mark on shard %d", post, tc.mark)
+			}
+			for i := range re.shards {
+				if n := re.shards[i].gc.tl.Len(); n != 0 {
+					t.Fatalf("shard %d redo log holds %d bytes after recovery", i, n)
+				}
+			}
+			// The settled store commits again, under the new protocol.
+			tx := rs.Begin()
+			for _, k := range keys {
+				if err := tx.Put(k, 9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit after recovery: %v", err)
+			}
+		})
 	}
 }
