@@ -8,7 +8,7 @@ package repro
 //
 // Figure 7's thread axis maps to -cpu (e.g. -cpu 1,2,4). The store shard
 // axis (BenchmarkStoreShards) is its own sub-benchmark dimension; see also
-// cmd/storebench.
+// `benchfig shards`.
 
 import (
 	"math/rand"
@@ -264,7 +264,7 @@ func BenchmarkFig7Mixed(b *testing.B) {
 
 // BenchmarkStoreShards measures the sharded store's concurrent insert+get
 // throughput per shard count at 300ns write latency. Run with -cpu 8 (or
-// the host's core count) to see the shard axis separate; cmd/storebench
+// the host's core count) to see the shard axis separate; `benchfig shards`
 // prints the same sweep as a table with speedup columns.
 func BenchmarkStoreShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {

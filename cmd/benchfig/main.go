@@ -2,10 +2,9 @@
 //
 // Usage:
 //
-//	benchfig [-n keys] [-threads 1,2,4,8] [-tx 2000] [-warehouses 1]
-//	         [-json out.json] <figure>...
+//	benchfig [-n keys] [-threads 1,2,4,8] [-tx 2000] [-warehouses 1] <figure>...
 //
-// Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes shards server server-scaling hotpath all
+// Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes shards server hotpath all
 //
 // The tpcc figure runs the transactional TPC-C port over the sharded
 // store (FigTPCC); fig6 keeps the paper's index-level comparison.
@@ -13,16 +12,11 @@
 // Default scales are reduced from the paper's 10M/50M keys so every figure
 // regenerates in seconds to minutes; raise -n (and -tx) to approach
 // paper-scale runs. Expected qualitative shapes are printed with each table
-// and recorded in EXPERIMENTS.md.
-//
-// With -json, every produced table is also written to the given file as a
-// machine-readable snapshot (title, header, rows, notes per table); the
-// repository tracks `benchfig -json BENCH_hotpath.json hotpath` so the
-// read-path trend survives across PRs.
+// and recorded in EXPERIMENTS.md. The figures are on-demand tools; what
+// gates a change is benchmark/ (see BENCHMARK.json).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +34,6 @@ func main() {
 	threadsFlag := flag.String("threads", "1,2,4,8", "thread counts for fig7")
 	tx := flag.Int("tx", 2000, "transactions per TPC-C mix")
 	warehouses := flag.Int("warehouses", 1, "TPC-C warehouses")
-	jsonOut := flag.String("json", "", "also write the produced tables to this file as JSON")
 	flag.Parse()
 
 	var threads []int
@@ -55,14 +48,13 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchfig [flags] fig3|fig4|fig5a|fig5b|fig5c|fig5d|fig6|tpcc|fig7a|fig7b|fig7c|flushes|shards|server|server-scaling|hotpath|all")
+		fmt.Fprintln(os.Stderr, "usage: benchfig [flags] fig3|fig4|fig5a|fig5b|fig5c|fig5d|fig6|tpcc|fig7a|fig7b|fig7c|flushes|shards|server|hotpath|all")
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "tpcc", "fig7a", "fig7b", "fig7c", "flushes", "shards", "server", "server-scaling", "hotpath"}
+		args = []string{"fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "tpcc", "fig7a", "fig7b", "fig7c", "flushes", "shards", "server", "hotpath"}
 	}
 
-	var tables []*bench.Table
 	for _, fig := range args {
 		var tbl *bench.Table
 		switch fig {
@@ -102,8 +94,6 @@ func main() {
 			// buys against round trips; PM-latency sensitivity is the
 			// shards figure's axis.
 			tbl = bench.FigServer(bench.ServerConfig{Ops: *n})
-		case "server-scaling":
-			tbl = bench.FigServerScaling(bench.ScalingConfig{Ops: *n})
 		case "hotpath":
 			tbl = bench.FigHotpath(bench.HotpathConfig{Ops: *n})
 		default:
@@ -111,20 +101,5 @@ func main() {
 			os.Exit(2)
 		}
 		tbl.Fprint(os.Stdout)
-		tables = append(tables, tbl)
-	}
-
-	if *jsonOut != "" {
-		blob, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: encode tables: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d table(s) to %s\n", len(tables), *jsonOut)
 	}
 }

@@ -4,9 +4,8 @@
 // Usage:
 //
 //	pmkv-server [-addr :7841] [-shards 8] [-shard-size-mb 256]
-//	            [-workers 0] [-read-latency 0] [-write-latency 0]
-//	            [-gc-ratio 0.5] [-inflight 256] [-inline-batch 16]
-//	            [-flush-bytes 65536] [-flush-pending 64] [-flush-delay 200us]
+//	            [-read-latency 0] [-write-latency 0] [-gc-ratio 0.5]
+//	            [-admit 0] [-idle-timeout 0] [-drain 10s] [-quiet]
 //	            [-stats-interval 0] [-slow-op 0]
 //	            [-pprof addr] [-mutexprofile 0] [-blockprofile 0]
 //
@@ -15,13 +14,12 @@
 // SIGTERM triggers a graceful shutdown: the listeners close, in-flight
 // requests drain and answer, and only then does the store close.
 //
-// -workers sizes the server-wide worker pool that executes steered request
-// batches (0 = one per core); the remaining pipeline knobs map onto
-// server.Options — -inflight is the per-connection request window that
-// bounds memory under slow clients, -inline-batch the batch size below
-// which the reader executes requests itself, and the -flush-* trio the
-// response-coalescing policy (flush on bytes, on pending count, or after a
-// short delay while the window is open).
+// Each connection is served by one goroutine that reads a batch of frames,
+// executes it on its own store session and writes the responses back; there
+// is nothing to size or tune on that path. -admit caps the requests decoded
+// but not yet answered across all connections (past it the server sheds
+// with StatusBusy), and -idle-timeout cuts a connection that neither sends
+// a frame nor takes a response for that long.
 //
 // -gc-ratio tunes value-log compaction: when a shard's varlen garbage
 // fraction reaches the ratio, the writing session compacts the shard
@@ -67,15 +65,9 @@ func main() {
 	addr := flag.String("addr", ":7841", "listen address")
 	shards := flag.Int("shards", 8, "store shard count")
 	shardMB := flag.Int64("shard-size-mb", 256, "arena size per shard, MiB")
-	workers := flag.Int("workers", 0, "server-wide request workers (0 = one per core)")
 	readLat := flag.Duration("read-latency", 0, "simulated PM read latency (e.g. 150ns)")
 	writeLat := flag.Duration("write-latency", 0, "simulated PM write latency (e.g. 300ns)")
 	gcRatio := flag.Float64("gc-ratio", 0, "value-log garbage ratio that triggers automatic compaction (0 = default 0.5, negative disables)")
-	inflight := flag.Int("inflight", 0, "max pipelined requests per connection (0 = default 256)")
-	inlineBatch := flag.Int("inline-batch", 0, "largest ingest batch the reader executes inline (0 = default 16, negative = always steer)")
-	flushBytes := flag.Int("flush-bytes", 0, "response bytes that force a flush (0 = default 64 KiB)")
-	flushPending := flag.Int("flush-pending", 0, "coalesced responses that force a flush (0 = default 64)")
-	flushDelay := flag.Duration("flush-delay", 0, "max time a response waits for coalescing (0 = default 200us)")
 	admit := flag.Int("admit", 0, "global in-flight admission cap; past it requests are shed with StatusBusy (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
@@ -119,12 +111,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := server.Options{
-		Workers:           *workers,
-		MaxInflight:       *inflight,
-		InlineBatch:       *inlineBatch,
-		FlushBytes:        *flushBytes,
-		FlushPending:      *flushPending,
-		FlushDelay:        *flushDelay,
 		MaxServerInflight: *admit,
 		IdleTimeout:       *idleTimeout,
 	}
@@ -144,12 +130,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	effWorkers := *workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
-	}
-	log.Printf("pmkv-server: serving %d shards (%d MiB each) on %s, %d workers",
-		*shards, *shardMB, ln.Addr(), effWorkers)
+	log.Printf("pmkv-server: serving %d shards (%d MiB each) on %s",
+		*shards, *shardMB, ln.Addr())
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -198,8 +180,8 @@ func main() {
 	}
 	fmt.Printf("served %d ops (%d errors), %d conns total, %d B in, %d B out\n",
 		stats.Ops, stats.Errors, stats.ConnsTotal, stats.BytesIn, stats.BytesOut)
-	fmt.Printf("pipeline: %d read batches, %d inline ops, %d steered ops, %d write flushes\n",
-		stats.ReadBatches, stats.InlineOps, stats.SteeredOps, stats.Flushes)
+	fmt.Printf("batching: %d read batches, %d executed ops, %d write flushes\n",
+		stats.ReadBatches, stats.InlineOps, stats.Flushes)
 	if vs.Live+vs.Garbage+vs.Reclaimed > 0 {
 		fmt.Printf("value log: %d B live, %d B garbage, %d B reclaimed by GC\n",
 			vs.Live, vs.Garbage, vs.Reclaimed)

@@ -30,11 +30,9 @@ type HotpathConfig struct {
 	Mem pmem.Config
 }
 
-// FigHotpath is the repository's read-path trend line: a get-heavy (90/10)
-// mix against the sharded store in-process, and the same mix through the
-// network server over loopback. benchfig -json snapshots it to
-// BENCH_hotpath.json so the effect of every read-path change (line-granular
-// search, allocation-free serving) stays visible PR over PR.
+// FigHotpath is the read-path figure: a get-heavy (90/10) mix against the
+// sharded store in-process, and the same mix through the network server
+// over loopback, side by side.
 func FigHotpath(cfg HotpathConfig) *Table {
 	if cfg.Goroutines == 0 {
 		cfg.Goroutines = 8
@@ -49,7 +47,7 @@ func FigHotpath(cfg HotpathConfig) *Table {
 		Title: fmt.Sprintf("Hot path: get-heavy (%d%% read) throughput, %d ops/cell, %d goroutines",
 			int(cfg.ReadFrac*100), cfg.Ops, cfg.Goroutines),
 		Header: []string{"cell", "Kops/s", "us/op"},
-		Notes: fmt.Sprintf("store = in-process sharded store; server = same mix over the wire (loopback, async window %d per client). Tracked in BENCH_hotpath.json.",
+		Notes: fmt.Sprintf("store = in-process sharded store; server = same mix over the wire (loopback, async window %d per client).",
 			max(cfg.Pipeline, 1)),
 	}
 	for _, cell := range []struct {
@@ -166,7 +164,7 @@ func hotpathServer(cfg HotpathConfig) float64 {
 	}
 	putPct := putPercent(cfg.ReadFrac)
 	var elapsed time.Duration
-	withServerPool(pmem.Config{}, 0, conns, func(pool *client.Pool) {
+	withServerPool(pmem.Config{}, conns, func(pool *client.Pool) {
 		preloadPool(pool, space)
 		elapsed = runPipelinedMix(pool, cfg.Goroutines, perG, putPct, space, cfg.Pipeline)
 	})

@@ -25,9 +25,6 @@ type ServerConfig struct {
 	// Conns is the TCP connection count shared by the client goroutines
 	// (capped at the cell's client count). Default 4.
 	Conns int
-	// Workers is the server-wide request worker count (0 = the server's
-	// default, runtime.GOMAXPROCS).
-	Workers int
 	// Mem carries the simulated-latency configuration for the store.
 	Mem pmem.Config
 }
@@ -77,7 +74,7 @@ func FigServer(cfg ServerConfig) *Table {
 // pool of `conns` connections, then body(pool), then graceful drain and
 // teardown in the order the server contract requires (pool, Shutdown, Serve
 // return, store Close).
-func withServerPool(mem pmem.Config, workers, conns int, body func(pool *client.Pool)) {
+func withServerPool(mem pmem.Config, conns int, body func(pool *client.Pool)) {
 	st, err := store.Open(store.Options{
 		Shards:    8,
 		ShardSize: 64 << 20,
@@ -86,7 +83,7 @@ func withServerPool(mem pmem.Config, workers, conns int, body func(pool *client.
 	if err != nil {
 		panic(err)
 	}
-	srv := server.New(st, server.Options{Workers: workers})
+	srv := server.New(st, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -117,7 +114,7 @@ func serverRun(clients int, cfg ServerConfig) (tput float64, p50, p99 time.Durat
 	}
 	lats := make([][]time.Duration, clients)
 	var elapsed time.Duration
-	withServerPool(cfg.Mem, cfg.Workers, min(cfg.Conns, clients), func(pool *client.Pool) {
+	withServerPool(cfg.Mem, min(cfg.Conns, clients), func(pool *client.Pool) {
 		var wg sync.WaitGroup
 		t0 := time.Now()
 		for g := 0; g < clients; g++ {

@@ -471,9 +471,8 @@ func (b *StoreBench) CheckConsistency() error {
 
 // FigTPCC measures transactional TPC-C throughput over the sharded store:
 // each mix runs txPerMix transactions through the redo-log commit path and
-// must pass CheckConsistency afterwards. The "Kops/s" column (here:
-// thousands of TPC-C transactions per second, tpmC-style) is what
-// cmd/benchdiff gates against the committed BENCH_tpcc.json snapshot.
+// must pass CheckConsistency afterwards. The "Kops/s" column is thousands
+// of TPC-C transactions per second, tpmC-style.
 func FigTPCC(txPerMix, warehouses int) *bench.Table {
 	tbl := &bench.Table{
 		Title: fmt.Sprintf("TPC-C transactional throughput over the store, %d tx/mix, %d warehouse(s)",

@@ -230,7 +230,7 @@ func TestByteKeyScanByteBudget(t *testing.T) {
 }
 
 func TestByteKeyPipelined(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{Workers: 4})
+	ts := startServer(t, store.Options{}, Options{})
 	c, err := client.Dial(ts.addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)

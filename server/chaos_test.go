@@ -234,7 +234,7 @@ func TestServerDeathFailsPendingCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Options{Workers: 2})
+	srv := New(st, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -9,69 +9,60 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/store"
 	"repro/wire"
 )
 
-const ioBufSize = 64 << 10
+const (
+	// ioBufSize is a connection's read buffer: what one read wakeup can
+	// take off the socket, and so the most a batch can be decoded from.
+	ioBufSize = 64 << 10
+	// maxIngest caps the frames decoded per wakeup, bounding the decoded
+	// requests a single connection can pin and keeping batch latency flat.
+	maxIngest = 64
+	// slabFlush is the encoded size past which the response slab is
+	// written in the middle of a batch, so a connection never holds more
+	// unwritten bytes than slabFlush plus one response.
+	slabFlush = 64 << 10
+)
 
-// conn is one accepted connection on the steered pipeline. The handler
-// goroutine runs the frame reader; the response writer is spawned from it;
-// request execution happens either inline on the reader (small batches,
-// nothing steered) or on the connection's home worker (see steer.go).
+// conn is one accepted connection, run from accept to close by one
+// goroutine (handle). Nothing is handed to another goroutine, so apart from
+// the drain signal every field belongs to the handler alone.
 type conn struct {
 	srv      *Server
 	nc       net.Conn
-	home     int           // ring index every steered batch goes to
+	stripe   int           // hint for the striped per-opcode counters
 	draining chan struct{} // closed by beginDrain
 	drainSet sync.Once
 
-	// The flow-control trio. credits is a counting semaphore sized
-	// Options.MaxInflight and pre-filled: the reader takes one credit per
-	// request before dispatching it, the writer returns one per response
-	// it has finished with (encoded or dropped). respCh has the same
-	// capacity, so at most MaxInflight responses can ever be queued and a
-	// send into respCh never blocks — workers cannot be stalled by a slow
-	// client. inflight counts dispatched-but-unwritten requests; the
-	// writer uses it to tell "the pipe is empty, flush now" from "more
-	// responses are coming, coalesce".
-	credits  chan struct{}
-	respCh   chan svResp
-	inflight atomic.Int64
-
-	// steered counts this connection's requests handed to its home ring
-	// whose responses are not yet queued. The reader's inline fast path
-	// requires it to be zero, which preserves execution order across the
-	// inline/steered boundary.
-	steered atomic.Int64
-
-	// sampleCtr drives stage-latency sampling on the inline path. Only
-	// the reader goroutine touches it (inline execution runs there);
-	// steered execution uses the worker's own counter.
+	// batch holds the admitted requests of the current wakeup, slab their
+	// encoded responses not yet written, pend how many responses that is.
+	batch []wire.Request
+	slab  []byte
+	pend  int
+	// meta mirrors the slab's sampled responses (op slot + ready time) so a
+	// successful write can charge each one's flush-wait stage.
+	meta      []respMeta
 	sampleCtr uint32
 
-	// issued is the reader's final request count, published (then
-	// readerDone closed) when the reader exits so the writer knows how
-	// many responses it still owes. -1 until the reader is done.
-	issued     atomic.Int64
-	readerDone chan struct{}
-
-	// scanBufs recycles Scan response pair buffers between serve (fills
-	// one per Scan) and the writer (returns it after encoding), keeping
-	// the steady-state Scan path allocation-free. A channel rather than a
-	// sync.Pool: handing a slice through a buffered channel boxes
-	// nothing. varBufs is the same discipline for the varlen ops' value
-	// arenas and pair buffers.
-	scanBufs chan []wire.KV
-	varBufs  chan *varlenBuf
+	// A response is encoded into the slab before the next request runs, so
+	// one Scan pair buffer and one varlen buffer serve every request of
+	// the connection; the steady-state read paths allocate nothing.
+	pairs []wire.KV
+	vb    varlenBuf
 }
 
-// varlenBuf is the pooled backing store of one varlen response: GetV and
-// GetK borrow the arena for their value bytes, ScanV additionally borrows
-// the pair slice (every Val a subslice of the arena) and the per-pair end
+type respMeta struct {
+	slot   uint8
+	served int64
+}
+
+// varlenBuf is the backing store of one varlen response: GetV and GetK
+// borrow the arena for their value bytes, ScanV additionally borrows the
+// pair slice (every Val a subslice of the arena) and the per-pair end
 // offsets used to rebuild those subslices after the arena stops growing.
 // ScanK borrows kpairs the same way, with two ends per pair (key end,
 // value end) since both the key and the value live in the arena.
@@ -82,54 +73,22 @@ type varlenBuf struct {
 	ends   []int
 }
 
-// svResp pairs a wire response with the pooled buffers it borrows, so the
-// writer can hand them back once the response is encoded (or dropped on a
-// broken connection), and the mnow() time the response became ready, so
-// the writer can charge the flush-wait stage at the write syscall. A zero
-// served (protocol-error responses, which never executed) records nothing.
-type svResp struct {
-	wire.Response
-	vb     *varlenBuf
-	served int64
+func (vb *varlenBuf) reset() *varlenBuf {
+	vb.pairs = vb.pairs[:0]
+	vb.kpairs = vb.kpairs[:0]
+	vb.arena = vb.arena[:0]
+	vb.ends = vb.ends[:0]
+	return vb
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{
-		srv:        s,
-		nc:         nc,
-		home:       int(s.nextHome.Add(1)-1) % s.opts.Workers,
-		draining:   make(chan struct{}),
-		credits:    make(chan struct{}, s.opts.MaxInflight),
-		respCh:     make(chan svResp, s.opts.MaxInflight),
-		readerDone: make(chan struct{}),
-		scanBufs:   make(chan []wire.KV, 16),
-		varBufs:    make(chan *varlenBuf, 16),
-	}
-	c.issued.Store(-1)
-	for i := 0; i < s.opts.MaxInflight; i++ {
-		c.credits <- struct{}{}
-	}
-	return c
+	return &conn{srv: s, nc: nc, draining: make(chan struct{})}
 }
 
-// takeVarBuf fetches a recycled varlen buffer or makes a fresh one.
-func (c *conn) takeVarBuf() *varlenBuf {
-	select {
-	case vb := <-c.varBufs:
-		vb.pairs = vb.pairs[:0]
-		vb.kpairs = vb.kpairs[:0]
-		vb.arena = vb.arena[:0]
-		vb.ends = vb.ends[:0]
-		return vb
-	default:
-		return &varlenBuf{}
-	}
-}
-
-// beginDrain stops the reader: it marks the connection draining and kicks
-// the blocked Read with an immediate deadline. Requests already queued keep
-// flowing to the workers and their responses still go out (only the read
-// side is deadlined).
+// beginDrain stops the connection taking new work: it marks it draining
+// and kicks a blocked Read with an immediate deadline. Frames already read
+// off the socket are still executed and answered (only the read side is
+// deadlined).
 func (c *conn) beginDrain() {
 	c.drainSet.Do(func() {
 		close(c.draining)
@@ -146,77 +105,34 @@ func (c *conn) isDraining() bool {
 	}
 }
 
-// handle runs the connection to completion: reader (this goroutine) →
-// inline serve or home ring → response queue → writer. The writer is
-// joined before the socket closes, and it only exits once it has written
-// (or dropped) a response for every request the reader issued — so every
-// accepted request is answered even when execution is spread across shared
-// workers.
+// handle runs the connection to completion as one loop: block for a frame,
+// decode every complete frame already buffered (up to maxIngest) into one
+// batch, execute the batch in order on the connection's own session,
+// encoding each response straight into the slab, write the slab, repeat.
+// Arrival-order execution is the loop itself. Backpressure is TCP's own: a
+// peer that stops reading blocks this goroutine in Write, which stops it
+// reading, which fills the peer's send buffer — and it stalls nobody else,
+// since no other connection's work runs here. The socket closes only after
+// the loop has written (or failed to write) a response for every frame it
+// decoded, which is what makes Shutdown's drain complete.
+//
+// A malformed frame gets a best-effort error response (when the id survived
+// decoding) after everything decoded before it was executed and answered,
+// and ends the connection: framing is lost, nothing after it can be
+// trusted.
 func (c *conn) handle() {
 	s := c.srv
 	defer s.wg.Done()
 	defer s.dropConn(c)
-	s.connsTotal.Add(1)
+	defer c.nc.Close()
+	c.stripe = int(s.connsTotal.Add(1))
 	s.connsLive.Add(1)
 	defer s.connsLive.Add(-1)
 
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop()
-	}()
-
-	issued := c.readLoop()
-
-	c.issued.Store(int64(issued))
-	close(c.readerDone)
-	<-writerDone
-	c.nc.Close()
-}
-
-// readLoop ingests frames until EOF, error, or drain, and returns how many
-// requests it dispatched. Each wakeup decodes every complete frame already
-// buffered (up to maxIngest) into one batch, then dispatches the batch as
-// a unit: inline on this goroutine when it is small and nothing from this
-// connection is steered, otherwise as one slab handed to the home ring. A
-// malformed frame gets a best-effort error response (when the id survived
-// decoding) and ends the connection: framing is lost, nothing after it can
-// be trusted.
-func (c *conn) readLoop() (issued int) {
-	s := c.srv
 	br := bufio.NewReaderSize(c.nc, ioBufSize)
 	ss := s.st.NewSession()
 	defer ss.Close()
 	var scratch []byte
-	var batch []wire.Request
-	dispatch := func() {
-		if len(batch) == 0 {
-			return
-		}
-		// Credits for every batched request are already held (taken as
-		// each frame was decoded), so the responses always fit respCh.
-		s.readBatches.Add(1)
-		s.met.readBatch.Record(int64(len(batch)))
-		c.inflight.Add(int64(len(batch)))
-		issued += len(batch)
-		// t0 starts every batched request's queue-wait clock: inline
-		// execution begins immediately (queue wait ~0), a steered batch
-		// waits in its home ring.
-		t0 := s.mnow()
-		if s.opts.InlineBatch >= 0 && len(batch) <= s.opts.InlineBatch &&
-			c.steered.Load() == 0 {
-			s.inlineOps.Add(uint64(len(batch)))
-			for i := range batch {
-				c.respCh <- c.executeOne(ss, &batch[i], t0, c.home, &c.sampleCtr)
-			}
-		} else {
-			s.steeredOps.Add(uint64(len(batch)))
-			c.steered.Add(int64(len(batch)))
-			slab := append(s.takeSlab(), batch...)
-			s.rings[c.home] <- task{c: c, reqs: slab, t0: t0}
-		}
-		batch = batch[:0]
-	}
 	for {
 		// First frame of the wakeup: a blocking read, bounded by the idle
 		// timeout when one is set. beginDrain may race this and must win:
@@ -231,246 +147,173 @@ func (c *conn) readLoop() (issued int) {
 		}
 		body, err := wire.ReadFrame(br, s.opts.MaxFrame, scratch)
 		if err != nil {
-			c.noteReadEnd(err)
-			return issued
+			c.noteEnd("read", err)
+			return
 		}
-		for {
+		for n := 1; ; n++ {
 			s.bytesIn.Add(uint64(wire.FrameHdrSize + len(body)))
 			req, derr := wire.DecodeRequest(body)
 			if derr != nil {
 				// Framing is lost; answer what decoded, then the error,
-				// then hang up. dispatch-before-protoErr keeps the
-				// credit wait deadlock-free (see below).
+				// then hang up. A write that fails on the way has already
+				// filed the connection's end.
 				s.logf("server: %s: %v", c.nc.RemoteAddr(), derr)
-				dispatch()
-				c.protoErr(body, derr, &issued)
-				return issued
+				if c.runBatch(ss) {
+					c.protoErr(body, derr)
+					if c.flush() {
+						s.resets.Add(1)
+					}
+				}
+				return
 			}
 			scratch = body[:0]
-			// One credit per request, taken before it joins the batch.
-			// If none is free, dispatch what we have first: then every
-			// held credit belongs to a dispatched request, whose
-			// response must eventually hand the credit back — so the
-			// blocking take below cannot deadlock, and a full window
-			// means this reader (alone) stalls until its client drains.
-			select {
-			case <-c.credits:
-			default:
-				dispatch()
-				<-c.credits
-			}
 			// Global admission: past Options.MaxServerInflight the request
-			// is shed with StatusBusy instead of joining the batch. The
-			// credit just taken stays charged to the shed response, so the
-			// writer's accounting is identical either way.
-			if !s.tryAdmit() {
-				c.shed(&req, &issued)
+			// is shed with StatusBusy instead of joining the batch.
+			if s.tryAdmit() {
+				c.batch = append(c.batch, req)
 			} else {
-				batch = append(batch, req)
+				c.shed(&req)
 			}
-			if len(batch) >= maxIngest || !wire.FrameBuffered(br, s.opts.MaxFrame) {
+			if n >= maxIngest || !wire.FrameBuffered(br, s.opts.MaxFrame) {
 				break
 			}
 			if body, err = wire.ReadFrame(br, s.opts.MaxFrame, scratch); err != nil {
 				// FrameBuffered said a whole frame (or an oversized
 				// length) was buffered, so this is a reject, not a
-				// blocked read; dispatch what we have and die.
-				c.noteReadEnd(err)
-				dispatch()
-				return issued
+				// blocked read; answer what we have and die.
+				if c.runBatch(ss) {
+					c.noteEnd("read", err)
+				}
+				return
 			}
 		}
-		dispatch()
+		if !c.runBatch(ss) {
+			return
+		}
 	}
 }
 
-// noteReadEnd classifies why the reader stopped, for the failure counters:
-// a drain or a clean client EOF is nobody's fault, an idle-timeout expiry
-// counts in idleCloses, and anything else — resets, frames torn mid-read,
-// checksum failures — counts in resets.
-func (c *conn) noteReadEnd(err error) {
+// runBatch executes the batch in order and writes the slab: once at the
+// end, and whenever it passes slabFlush on the way. It reports whether the
+// connection is still usable. After a failed write the rest of the batch is
+// dropped unexecuted — the peer can no longer learn the outcome — and only
+// gives its admission slots back.
+func (c *conn) runBatch(ss *store.Session) bool {
+	s := c.srv
+	if n := len(c.batch); n > 0 {
+		s.readBatches.Add(1)
+		s.met.readBatch.Record(int64(n))
+	}
+	// t0 starts every batched request's queue-wait clock: what a request
+	// waits for is the requests decoded ahead of it in its own batch.
+	t0 := s.mnow()
+	ok, executed := true, 0
+	for i := range c.batch {
+		if !ok {
+			s.releaseAdmit()
+			continue
+		}
+		c.serveOne(ss, &c.batch[i], t0)
+		executed++
+		if len(c.slab) >= slabFlush {
+			ok = c.flush()
+		}
+	}
+	s.inlineOps.Add(uint64(executed))
+	// Requests can pin PutBatch pair slices and PutV values; drop them
+	// before the connection goes back to waiting.
+	clear(c.batch)
+	c.batch = c.batch[:0]
+	return ok && c.flush()
+}
+
+// flush writes the slab with a single Write and reports whether the
+// connection is still usable. With Options.IdleTimeout set the write gets
+// the same bound as a read: a peer that stops reading is cut like one that
+// stops sending, instead of parking this goroutine in Write forever.
+func (c *conn) flush() bool {
+	if len(c.slab) == 0 {
+		return true
+	}
+	s := c.srv
+	if d := s.opts.IdleTimeout; d > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(d))
+	}
+	if _, err := c.nc.Write(c.slab); err != nil {
+		c.noteEnd("write", err)
+		return false
+	}
+	s.bytesOut.Add(uint64(len(c.slab)))
+	s.flushes.Add(1)
+	s.met.flushBytes.Record(int64(len(c.slab)))
+	s.met.flushPend.Record(int64(c.pend))
+	if len(c.meta) > 0 {
+		now := s.mnow()
+		for _, m := range c.meta {
+			s.met.flush[m.slot].Record(now - m.served)
+		}
+	}
+	c.resetSlab()
+	return true
+}
+
+func (c *conn) resetSlab() {
+	c.slab, c.meta, c.pend = c.slab[:0], c.meta[:0], 0
+}
+
+// emit encodes one response into the slab.
+func (c *conn) emit(resp *wire.Response) {
+	c.slab = wire.MustAppendResponse(c.slab, resp)
+	c.pend++
+}
+
+// noteEnd classifies why the connection stopped, for the failure counters:
+// a drain (Shutdown, Close) or a clean client EOF is nobody's fault, a
+// deadline expiry — no frame, or no room for a response, within
+// Options.IdleTimeout — counts in idleCloses, and anything else — resets,
+// frames torn mid-read, checksum failures — counts in resets.
+func (c *conn) noteEnd(dir string, err error) {
 	s := c.srv
 	switch {
-	case c.isDraining() || errors.Is(err, net.ErrClosed):
-		// Shutdown kicked the read; not a failure.
+	case c.isDraining():
 	case errors.Is(err, io.EOF):
 		// Clean close: the client finished between frames.
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		s.idleCloses.Add(1)
-		s.logf("server: %s: closing idle connection (no frame in %v)",
-			c.nc.RemoteAddr(), s.opts.IdleTimeout)
+		s.logf("server: %s: closing idle connection (%s made no progress in %v)",
+			c.nc.RemoteAddr(), dir, s.opts.IdleTimeout)
 	default:
 		s.resets.Add(1)
-		s.logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
+		s.logf("server: %s: %s: %v", c.nc.RemoteAddr(), dir, err)
 	}
 }
 
-// shed answers one admitted-over-cap request with StatusBusy without
-// executing it. The caller already holds the request's credit; like
-// protoErr, the response flows through respCh so the writer's
-// issued/handled accounting stays exact.
-func (c *conn) shed(req *wire.Request, issued *int) {
+// shed answers one over-the-cap request with StatusBusy without executing
+// it.
+func (c *conn) shed(req *wire.Request) {
 	s := c.srv
 	s.ops.Add(1)
 	s.shed.Add(1)
-	s.met.reqs[opSlot(req.Op)].Inc(c.home)
-	c.inflight.Add(1)
-	*issued++
-	c.respCh <- svResp{Response: wire.Response{
+	s.met.reqs[opSlot(req.Op)].Inc(c.stripe)
+	c.emit(&wire.Response{
 		ID: req.ID, Op: req.Op, Status: wire.StatusBusy,
 		Msg: "server: overloaded, retry later",
-	}}
+	})
 }
 
-// protoErr queues the error response for an undecodable frame, charging it
-// a credit like any request so the writer's accounting stays exact.
-func (c *conn) protoErr(body []byte, err error, issued *int) {
+// protoErr answers an undecodable frame, echoing its id when the body is
+// long enough to hold one. The caller cuts the connection right after.
+func (c *conn) protoErr(body []byte, err error) {
 	s := c.srv
 	s.ops.Add(1)
 	s.errs.Add(1)
-	s.met.reqs[0].Inc(c.home)
-	s.met.errs[0].Inc(c.home)
-	s.resets.Add(1) // the connection is cut right after this response
+	s.met.reqs[0].Inc(c.stripe)
+	s.met.errs[0].Inc(c.stripe)
 	resp := wire.Response{Status: wire.StatusErr, Msg: err.Error()}
 	if len(body) >= 8 {
 		resp.ID = binary.BigEndian.Uint64(body)
 	}
-	<-c.credits
-	c.inflight.Add(1)
-	*issued++
-	c.respCh <- svResp{Response: resp}
-}
-
-// writeLoop coalesces responses into a slab and flushes it with single
-// Write calls under an explicit policy: flush when the slab reaches
-// Options.FlushBytes, when it holds Options.FlushPending responses, when
-// nothing is left in flight (a waiting client gets its answer
-// immediately), or when responses are in flight but none arrives within
-// Options.FlushDelay (bounding coalescing-added latency). After a write
-// error it keeps draining — dropping responses, recycling their buffers,
-// returning their credits — until it has accounted for every request the
-// reader issued, so workers and the reader can never deadlock on a dead
-// connection.
-func (c *conn) writeLoop() {
-	s := c.srv
-	opts := &s.opts
-	var slab []byte
-	var timer *time.Timer
-	// pendMeta mirrors the slab's responses (op slot + ready time) so a
-	// successful flush can charge each one's flush-wait stage; the slice is
-	// reused across flushes.
-	type respMeta struct {
-		slot   uint8
-		served int64
-	}
-	var pendMeta []respMeta
-	pend := 0
-	broken := false
-	flush := func() {
-		if len(slab) > 0 && !broken {
-			if _, err := c.nc.Write(slab); err != nil {
-				broken = true
-			} else {
-				s.bytesOut.Add(uint64(len(slab)))
-				s.flushes.Add(1)
-				s.met.flushBytes.Record(int64(len(slab)))
-				s.met.flushPend.Record(int64(pend))
-				now := s.mnow()
-				for _, pm := range pendMeta {
-					s.met.flush[pm.slot].Record(now - pm.served)
-				}
-			}
-		}
-		slab = slab[:0]
-		pendMeta = pendMeta[:0]
-		pend = 0
-	}
-	var handled, issued int64 = 0, -1
-	for issued < 0 || handled < issued {
-		var resp svResp
-		if issued < 0 {
-			if len(slab) == 0 {
-				select {
-				case resp = <-c.respCh:
-				case <-c.readerDone:
-					issued = c.issued.Load()
-					continue
-				}
-			} else {
-				select {
-				case resp = <-c.respCh:
-				default:
-					if c.inflight.Load() == 0 {
-						flush()
-						continue
-					}
-					if timer == nil {
-						timer = time.NewTimer(opts.FlushDelay)
-					} else {
-						timer.Reset(opts.FlushDelay)
-					}
-					select {
-					case resp = <-c.respCh:
-						timer.Stop()
-					case <-timer.C:
-						flush()
-						continue
-					case <-c.readerDone:
-						timer.Stop()
-						issued = c.issued.Load()
-						continue
-					}
-				}
-			}
-		} else {
-			// The reader is gone and owes us issued-handled more
-			// responses; nothing new can arrive, so flush before any
-			// blocking wait.
-			select {
-			case resp = <-c.respCh:
-			default:
-				flush()
-				resp = <-c.respCh
-			}
-		}
-		handled++
-		c.inflight.Add(-1)
-		if !broken {
-			slab = wire.MustAppendResponse(slab, &resp.Response)
-			pend++
-			if resp.served != 0 {
-				pendMeta = append(pendMeta, respMeta{uint8(opSlot(resp.Op)), resp.served})
-			}
-		}
-		c.recycleRespBufs(&resp)
-		c.credits <- struct{}{}
-		if len(slab) >= opts.FlushBytes || pend >= opts.FlushPending {
-			flush()
-		}
-	}
-	flush()
-}
-
-// recycleRespBufs returns a response's pooled buffers — the Scan pair
-// buffer and/or the varlen buffer — to the connection's recycle channels
-// once the response no longer needs them (encoded or dropped). If a channel
-// is full the buffer is simply left to the GC.
-func (c *conn) recycleRespBufs(resp *svResp) {
-	if resp.Op == wire.OpScan && resp.Pairs != nil {
-		select {
-		case c.scanBufs <- resp.Pairs[:0]:
-		default:
-		}
-		resp.Pairs = nil
-	}
-	if resp.vb != nil {
-		select {
-		case c.varBufs <- resp.vb:
-		default:
-		}
-		resp.vb = nil
-		resp.VVal, resp.VPairs, resp.KPairs = nil, nil, nil
-	}
+	c.emit(&resp)
 }
 
 // latencySampleMask sets the server's stage-latency sampling rate to one
@@ -479,27 +322,26 @@ func (c *conn) recycleRespBufs(resp *svResp) {
 // per-request overhead to a counter increment and a branch. Setting
 // Options.SlowOpThreshold forces every request onto the clocked path —
 // the slow-op log must not sample — at that clocking cost.
-var latencySampleMask uint32 = 7
+const latencySampleMask = 7
 
-// executeOne runs one request through serve with the stage instrumentation
-// around it: the queue-wait histogram (batch ingest t0 to execution start),
-// the execute histogram, the per-class whole-request histogram backing the
-// wire Stats latency summary, and the slow-op check. Stage latencies are
-// sampled one in latencySampleMask+1 requests via ctr, a counter owned by
-// the calling executor goroutine (the reader's on the inline path, the
-// worker's on the steered path). wid hints the striped counters. A sampled
-// response carries its ready time so the writer can charge the flush-wait
-// stage; an unsampled one carries zero and the writer skips it.
-func (c *conn) executeOne(ss *store.Session, req *wire.Request, t0 int64, wid int, ctr *uint32) svResp {
+// serveOne runs one request through serve and encodes its response into
+// the slab, with the stage instrumentation around it: the queue-wait
+// histogram (batch ingest t0 to execution start), the execute histogram,
+// the per-class whole-request histogram backing the wire Stats latency
+// summary, and the slow-op check. Stage latencies are sampled one in
+// latencySampleMask+1 requests. A sampled response leaves its ready time in
+// meta so the write can charge the flush-wait stage.
+func (c *conn) serveOne(ss *store.Session, req *wire.Request, t0 int64) {
 	s := c.srv
-	*ctr++
-	if *ctr&latencySampleMask != 0 && s.opts.SlowOpThreshold == 0 {
-		out := c.serve(ss, req, wid)
+	c.sampleCtr++
+	if c.sampleCtr&latencySampleMask != 0 && s.opts.SlowOpThreshold == 0 {
+		resp := c.serve(ss, req)
 		s.releaseAdmit()
-		return out
+		c.emit(&resp)
+		return
 	}
 	start := s.mnow()
-	out := c.serve(ss, req, wid)
+	resp := c.serve(ss, req)
 	s.releaseAdmit()
 	now := s.mnow()
 	slot := opSlot(req.Op)
@@ -510,32 +352,28 @@ func (c *conn) executeOne(ss *store.Session, req *wire.Request, t0 int64, wid in
 	if thr := int64(s.opts.SlowOpThreshold); thr > 0 && now-t0 >= thr {
 		s.noteSlow(req, slot, start-t0, now-start, now)
 	}
-	if now == 0 {
-		now = 1 // mnow()==0 only at the epoch instant; keep served != 0
-	}
-	out.served = now
-	return out
+	c.emit(&resp)
+	c.meta = append(c.meta, respMeta{uint8(slot), now})
 }
 
-// serve executes one request against the given session and shapes the
-// response. Store-level failures become StatusErr; a closed store (the
+// serve executes one request against the connection's session and shapes
+// the response. Store-level failures become StatusErr; a closed store (the
 // server lost a race with Store.Close) becomes StatusClosed; a Txn commit
 // that crossed its commit point but failed to apply becomes
 // StatusTxnIncomplete so clients can tell "committed, pending replay"
-// from "refused, nothing applied". Responses that
-// borrow pooled buffers (Scan pairs, varlen values) carry them in the
-// svResp wrapper for the writer to recycle. wid hints the per-opcode
-// striped counters.
-func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
+// from "refused, nothing applied". Scan pairs and varlen values in the
+// response borrow the connection's scratch buffers: the response must be
+// encoded before the next serve.
+func (c *conn) serve(ss *store.Session, req *wire.Request) wire.Response {
 	s := c.srv
 	s.ops.Add(1)
 	slot := opSlot(req.Op)
-	s.met.reqs[slot].Inc(wid)
-	out := svResp{Response: wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}}
-	resp := &out.Response
-	fail := func(err error) svResp {
+	s.met.reqs[slot].Inc(c.stripe)
+	out := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
+	resp := &out
+	fail := func(err error) wire.Response {
 		s.errs.Add(1)
-		s.met.errs[slot].Inc(wid)
+		s.met.errs[slot].Inc(c.stripe)
 		resp.Status = wire.StatusErr
 		switch {
 		case errors.Is(err, store.ErrClosed):
@@ -593,19 +431,14 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 		if err != nil {
 			return fail(err)
 		}
-		var pairs []wire.KV
-		select {
-		case pairs = <-c.scanBufs:
-			pairs = pairs[:0]
-		default:
-		}
+		pairs := c.pairs[:0]
 		for _, kv := range kvs {
 			pairs = append(pairs, wire.KV{Key: kv.Key, Val: kv.Val})
 		}
+		c.pairs = pairs
 		resp.Pairs = pairs
 	case wire.OpGetV:
-		vb := c.takeVarBuf()
-		out.vb = vb
+		vb := c.vb.reset()
 		val, ok, err := ss.GetBytes(req.Key, vb.arena[:0])
 		if err != nil {
 			return fail(err)
@@ -625,8 +458,7 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 		if req.Max != 0 && int(req.Max) < max {
 			max = int(req.Max)
 		}
-		vb := c.takeVarBuf()
-		out.vb = vb
+		vb := c.vb.reset()
 		// The response must stay under the frame cap: count bounded by
 		// max, bytes bounded by a budget charging each pair's 12-byte
 		// header as it is appended. A first value too big for the budget
@@ -669,8 +501,7 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 		}
 		resp.VPairs = vb.pairs
 	case wire.OpGetK:
-		vb := c.takeVarBuf()
-		out.vb = vb
+		vb := c.vb.reset()
 		val, ok, err := ss.GetKV(req.KKey, vb.arena[:0])
 		if err != nil {
 			return fail(err)
@@ -698,8 +529,7 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 		if req.Max != 0 && int(req.Max) < max {
 			max = int(req.Max)
 		}
-		vb := c.takeVarBuf()
-		out.vb = vb
+		vb := c.vb.reset()
 		// Same frame-cap discipline as ScanV, with a 6-byte per-pair
 		// header (klen u16 + vlen u32) and the key bytes charged along
 		// with the value. The first pair always fits: keys are capped at
@@ -734,7 +564,7 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 		resp.KPairs = vb.kpairs
 	case wire.OpTxn:
 		// The whole write-set commits atomically through the store's
-		// redo-log protocol, on this executor's session (sessions are
+		// redo-log protocol, on this connection's session (sessions are
 		// per-goroutine, honoring Commit's single-goroutine contract).
 		tx := ss.Begin()
 		for i := range req.TxnOps {

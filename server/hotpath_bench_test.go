@@ -7,7 +7,7 @@ import (
 	"repro/wire"
 )
 
-// The serve+encode hot path — what one worker plus the writer do per request,
+// The serve+encode hot path — what a connection's loop does per request,
 // minus the socket — must stay allocation-free in steady state for Get and
 // Scan: that is what keeps the server's read throughput GC-quiet.
 
@@ -31,31 +31,25 @@ func newServePath(tb testing.TB, nKeys int) (*conn, *store.Session, []uint64) {
 	return newConn(s, nil), ss, keys
 }
 
-// serveEncode runs one request through executeOne — serve plus the stage
-// instrumentation, so the alloc pins cover the metrics record path — and
-// the writer's encode step, recycling the pooled buffers the way writeLoop
-// does.
-func serveEncode(c *conn, ss *store.Session, req *wire.Request, buf []byte) ([]byte, wire.Status) {
-	resp := c.executeOne(ss, req, c.srv.mnow(), 0, &c.sampleCtr)
-	buf, err := wire.AppendResponse(buf[:0], &resp.Response)
-	if err != nil {
-		panic(err)
-	}
-	c.recycleRespBufs(&resp)
-	return buf, resp.Status
+// serveEncode runs one request through serveOne — serve, the stage
+// instrumentation (so the alloc pins cover the metrics record path) and the
+// encode into the connection's slab — then empties the slab the way a
+// flush does, and returns the status byte of the frame it encoded.
+func serveEncode(c *conn, ss *store.Session, req *wire.Request) wire.Status {
+	c.serveOne(ss, req, c.srv.mnow())
+	st := wire.Status(c.slab[wire.FrameHdrSize+9])
+	c.resetSlab()
+	return st
 }
 
 func BenchmarkServeGet(b *testing.B) {
 	c, ss, keys := newServePath(b, 20000)
 	req := wire.Request{ID: 1, Op: wire.OpGet}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Key = keys[i%len(keys)]
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &req, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &req); st != wire.StatusOK {
 			b.Fatalf("status %v", st)
 		}
 	}
@@ -64,13 +58,10 @@ func BenchmarkServeGet(b *testing.B) {
 func BenchmarkServeScan(b *testing.B) {
 	c, ss, _ := newServePath(b, 20000)
 	req := wire.Request{ID: 1, Op: wire.OpScan, Lo: 0, Hi: ^uint64(0), Max: 100}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &req, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &req); st != wire.StatusOK {
 			b.Fatalf("status %v", st)
 		}
 	}
@@ -104,14 +95,11 @@ func newServePathV(tb testing.TB, nKeys, valSize int) (*conn, *store.Session, []
 func BenchmarkServeGetV(b *testing.B) {
 	c, ss, keys := newServePathV(b, 20000, 128)
 	req := wire.Request{ID: 1, Op: wire.OpGetV}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Key = keys[i%len(keys)]
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &req, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &req); st != wire.StatusOK {
 			b.Fatalf("status %v", st)
 		}
 	}
@@ -121,14 +109,11 @@ func BenchmarkServePutV(b *testing.B) {
 	c, ss, keys := newServePathV(b, 20000, 128)
 	val := make([]byte, 128)
 	req := wire.Request{ID: 1, Op: wire.OpPutV, VVal: val}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Key = keys[i%len(keys)]
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &req, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &req); st != wire.StatusOK {
 			b.Fatalf("status %v", st)
 		}
 	}
@@ -137,20 +122,17 @@ func BenchmarkServePutV(b *testing.B) {
 func BenchmarkServeScanV(b *testing.B) {
 	c, ss, _ := newServePathV(b, 20000, 128)
 	req := wire.Request{ID: 1, Op: wire.OpScanV, Lo: 0, Hi: ^uint64(0), Max: 100}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &req, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &req); st != wire.StatusOK {
 			b.Fatalf("status %v", st)
 		}
 	}
 }
 
 // TestServeVarlenAllocDiscipline bounds the varlen serve+encode path: all
-// buffers (value arena, pair slices, frame) are pooled, so the only
+// buffers (value arena, pair slices, slab) are the connection's own, so the only
 // steady-state allocations allowed are the small constant ones the scan
 // callback needs — never per-byte or per-pair costs. GetV, whose path has
 // no closure, must stay allocation-free like the fixed ops.
@@ -159,17 +141,14 @@ func TestServeVarlenAllocDiscipline(t *testing.T) {
 		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
 	}
 	c, ss, keys := newServePathV(t, 5000, 256)
-	var buf []byte
 
 	get := wire.Request{ID: 1, Op: wire.OpGetV, Key: keys[0]}
-	buf, _ = serveEncode(c, ss, &get, buf) // warm-up: sizes buffers
+	serveEncode(c, ss, &get) // warm-up: sizes buffers
 	i := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		get.Key = keys[i%len(keys)]
 		i++
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &get, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &get); st != wire.StatusOK {
 			t.Fatalf("status %v", st)
 		}
 	}); allocs != 0 {
@@ -177,11 +156,9 @@ func TestServeVarlenAllocDiscipline(t *testing.T) {
 	}
 
 	scan := wire.Request{ID: 2, Op: wire.OpScanV, Lo: 0, Hi: ^uint64(0), Max: 64}
-	buf, _ = serveEncode(c, ss, &scan, buf) // warm-up
+	serveEncode(c, ss, &scan) // warm-up
 	if allocs := testing.AllocsPerRun(100, func() {
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &scan, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &scan); st != wire.StatusOK {
 			t.Fatalf("status %v", st)
 		}
 	}); allocs > 3 {
@@ -197,17 +174,14 @@ func TestServeReadPathAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
 	}
 	c, ss, keys := newServePath(t, 5000)
-	var buf []byte
 
 	get := wire.Request{ID: 1, Op: wire.OpGet, Key: keys[0]}
-	buf, _ = serveEncode(c, ss, &get, buf) // warm-up: sizes buffers
+	serveEncode(c, ss, &get) // warm-up: sizes buffers
 	i := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		get.Key = keys[i%len(keys)]
 		i++
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &get, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &get); st != wire.StatusOK {
 			t.Fatalf("status %v", st)
 		}
 	}); allocs != 0 {
@@ -215,11 +189,9 @@ func TestServeReadPathAllocs(t *testing.T) {
 	}
 
 	scan := wire.Request{ID: 2, Op: wire.OpScan, Lo: 0, Hi: ^uint64(0), Max: 128}
-	buf, _ = serveEncode(c, ss, &scan, buf) // warm-up
+	serveEncode(c, ss, &scan) // warm-up
 	if allocs := testing.AllocsPerRun(100, func() {
-		var st wire.Status
-		buf, st = serveEncode(c, ss, &scan, buf)
-		if st != wire.StatusOK {
+		if st := serveEncode(c, ss, &scan); st != wire.StatusOK {
 			t.Fatalf("status %v", st)
 		}
 	}); allocs != 0 {

@@ -60,14 +60,15 @@ var opClasses = [numOps]int{
 }
 
 // serverMetrics is the server's always-on instrumentation: per-opcode
-// request/error counters (striped by worker so the hot path never contends
-// a shared line; always exact), per-opcode stage histograms splitting each
-// request's life into queue wait (ingest to execution start), execution,
-// and flush wait (response ready to write syscall), per-class
-// whole-request histograms backing the wire Stats latency summary, and
-// pipeline shape distributions (ingest batch size, flush size in bytes
-// and responses). The latency histograms observe a 1-in-latencySampleMask+1
-// sample of requests — see executeOne — unless SlowOpThreshold is set.
+// request/error counters (striped by connection so the hot path never
+// contends a shared line; always exact), per-opcode stage histograms
+// splitting each request's life into queue wait (batch ingest to execution
+// start — the requests ahead of it in its own batch), execution, and flush
+// wait (response ready to write syscall), per-class whole-request
+// histograms backing the wire Stats latency summary, and batch shape
+// distributions (ingest batch size, flush size in bytes and responses). The
+// latency histograms observe a 1-in-latencySampleMask+1 sample of requests
+// — see serveOne — unless SlowOpThreshold is set.
 type serverMetrics struct {
 	reqs [numOps]*metrics.Striped
 	errs [numOps]*metrics.Striped
@@ -95,11 +96,11 @@ type serverMetrics struct {
 // with a suppressed count carried on the next line.
 const slowLogEvery = int64(100 * time.Millisecond)
 
-func newServerMetrics(workers int) *serverMetrics {
+func newServerMetrics(stripes int) *serverMetrics {
 	m := &serverMetrics{}
 	for i := 0; i < numOps; i++ {
-		m.reqs[i] = metrics.NewStriped(workers)
-		m.errs[i] = metrics.NewStriped(workers)
+		m.reqs[i] = metrics.NewStriped(stripes)
+		m.errs[i] = metrics.NewStriped(stripes)
 		m.queue[i] = metrics.NewHistogram()
 		m.exec[i] = metrics.NewHistogram()
 		m.flush[i] = metrics.NewHistogram()
@@ -170,11 +171,9 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.Counter("pmkv_server_connections_total", "",
 		"connections accepted since start", s.connsTotal.Load)
 	reg.Counter("pmkv_server_read_batches_total", "",
-		"ingest batches dispatched", s.readBatches.Load)
+		"ingest batches executed", s.readBatches.Load)
 	reg.Counter("pmkv_server_inline_requests_total", "",
-		"requests executed inline on their reader", s.inlineOps.Load)
-	reg.Counter("pmkv_server_steered_requests_total", "",
-		"requests executed on a steered worker", s.steeredOps.Load)
+		"requests executed (on their connection's goroutine: there is no other site)", s.inlineOps.Load)
 	reg.Counter("pmkv_server_flushes_total", "",
 		"response write syscalls", s.flushes.Load)
 	reg.Counter("pmkv_server_shed_requests_total", "",
@@ -201,8 +200,7 @@ func (s *Server) OpLatencies() (p50, p99 [3]time.Duration) {
 }
 
 // mnow is the server's monotonic clock: nanoseconds since the server was
-// constructed. time.Since on a monotonic time.Time is allocation-free, and
-// an int64 travels through svResp without boxing.
+// constructed. time.Since on a monotonic time.Time is allocation-free.
 func (s *Server) mnow() int64 {
 	return int64(time.Since(s.epoch))
 }

@@ -11,26 +11,29 @@ import (
 )
 
 // TestAdmissionShedsBusy pins the global admission cap's whole contract at
-// once: under a pipelined burst far wider than MaxServerInflight some
-// requests are shed with StatusBusy (surfacing as client.ErrBusy, which is
-// Retryable), every call still completes, and — the critical half — a shed
-// write was NEVER executed: its key must be absent afterwards.
+// once: under pipelined bursts from several connections, far wider than
+// MaxServerInflight, some requests are shed with StatusBusy (surfacing as
+// client.ErrBusy, which is Retryable), every call still completes, and —
+// the critical half — a shed write was NEVER executed: its key must be
+// absent afterwards.
 func TestAdmissionShedsBusy(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{
-		Workers:           1,
-		InlineBatch:       -1, // force steering so admitted requests queue
-		MaxServerInflight: 4,
-	})
-	c, err := client.Dial(ts.addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
+	ts := startServer(t, store.Options{}, Options{MaxServerInflight: 2})
+	const conns = 4
 	const n = 4000
+	var cs [conns]*client.Conn
+	for i := range cs {
+		c, err := client.Dial(ts.addr, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cs[i] = c
+	}
+	c := cs[0]
+
 	calls := make([]*client.Call, n)
 	for i := 0; i < n; i++ {
-		calls[i] = c.PutAsync(uint64(i+1), uint64(i+1)*3)
+		calls[i] = cs[i%conns].PutAsync(uint64(i+1), uint64(i+1)*3)
 	}
 	shed, applied := 0, 0
 	for i, call := range calls {
@@ -47,7 +50,7 @@ func TestAdmissionShedsBusy(t *testing.T) {
 		}
 	}
 	if shed == 0 {
-		t.Fatal("no request was shed despite MaxServerInflight=4 under a 4000-deep pipeline")
+		t.Fatal("no request was shed despite MaxServerInflight=2 under a 4000-deep pipeline on 4 connections")
 	}
 	if applied == 0 {
 		t.Fatal("every request was shed; admission admitted nothing")

@@ -3,28 +3,32 @@
 // request ids, so one connection carries many in-flight requests and
 // responses stream back as they complete.
 //
-// The data path is a steered, batching pipeline. Each connection's reader
-// decodes every complete frame already buffered per read wakeup into one
-// batch; small batches execute inline on the reader itself, larger ones
-// are handed — as a single slab — to the connection's home worker, one of
-// Options.Workers server-wide workers that each own a store.Session and
-// serve many connections (see steer.go). A per-connection writer coalesces
-// responses into slabs and flushes them with single Write calls under an
-// explicit byte / count / delay policy. Responses may leave in a different
-// order than requests arrived; the echoed id is the contract — but a
-// connection's requests always *execute* in arrival order, so same-key
-// operations on one connection are totally ordered.
+// The data path is one rule: a connection is one goroutine that loops —
+// block for a frame, decode every complete frame already buffered (at most
+// maxIngest) into a batch, execute the batch in order on the connection's
+// own store.Session, encode each response straight into one slab, write the
+// slab when the batch ends (or when it passes 64 KiB on the way), repeat.
+// FAST+FAIR reads take no lock and writes latch one node, so any number of
+// sessions run side by side without a dispatcher; nothing stands between a
+// frame and the store but its own connection's loop. A pipelined client is
+// served in batches — one read and one write syscall per window — and an
+// unpipelined one in batches of one. A connection's requests execute in
+// arrival order, so same-key operations on one connection are totally
+// ordered; the echoed id, not response order, remains the wire contract.
 //
-// A connection may hold at most Options.MaxInflight unanswered requests;
-// past that its reader stops, exerting TCP backpressure on that client
-// alone. Because response queues are sized to that bound, workers never
-// block on a slow client, and one stalled connection cannot stall another.
+// Backpressure is TCP's own: a peer that stops reading blocks its
+// connection's goroutine in Write, which stops it reading, which fills the
+// peer's send buffer. It stalls nobody else, and what it can pin on the
+// server is one batch of decoded requests plus one slab (64 KiB and one
+// response at most). Options.IdleTimeout bounds both directions, so a dead
+// peer does not hold even that forever.
 //
-// Shutdown is graceful by default: Shutdown stops the listeners, lets every
-// queued request finish, flushes the responses, and only then returns — so
-// the caller can Close the store knowing no request is in flight. A session
-// that races the store's Close anyway fails with store.ErrClosed, which the
-// server reports as wire.StatusClosed rather than tearing the connection.
+// Shutdown is graceful by default: Shutdown stops the listeners, stops
+// every connection reading, lets each loop execute and answer the frames it
+// had already read, and only then returns — so the caller can Close the
+// store knowing no request is in flight. A session that races the store's
+// Close anyway fails with store.ErrClosed, which the server reports as
+// wire.StatusClosed rather than tearing the connection.
 package server
 
 import (
@@ -49,35 +53,6 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Options configures a Server. The zero value is ready for use.
 type Options struct {
-	// Workers is the number of server-wide request-processing goroutines,
-	// each owning one store.Session and serving batches from every
-	// connection steered to it (connections are spread round-robin).
-	// Default: runtime.GOMAXPROCS(0).
-	Workers int
-	// MaxInflight caps one connection's unanswered requests. Past it the
-	// connection's reader stops until responses drain, bounding the
-	// server-side memory a slow client can pin and guaranteeing workers
-	// never block writing responses. Default 256.
-	MaxInflight int
-	// InlineBatch is the largest ingest batch the reader executes on its
-	// own goroutine instead of steering to a worker, provided nothing
-	// from the connection is currently steered (preserving execution
-	// order). Inline execution skips the handoff entirely — the win for
-	// unpipelined and lightly-pipelined clients. Negative disables
-	// inlining; 0 means the default, 16.
-	InlineBatch int
-	// FlushBytes flushes the writer's coalescing slab when it reaches
-	// this many encoded bytes. Default 64 KiB.
-	FlushBytes int
-	// FlushPending flushes the slab when it holds this many responses.
-	// Default 64.
-	FlushPending int
-	// FlushDelay bounds how long a coalesced response may wait for
-	// company while more requests are in flight. A slab is always
-	// flushed immediately once nothing is in flight, so this delay is
-	// only ever added under pipelining, where it trades a bounded
-	// latency bump for fewer write syscalls. Default 200µs.
-	FlushDelay time.Duration
 	// MaxFrame caps an incoming frame body in bytes. Default
 	// wire.MaxFrame.
 	MaxFrame uint32
@@ -96,41 +71,24 @@ type Options struct {
 	// reads per request), since the slow-op log must not sample.
 	// Default: disabled.
 	SlowOpThreshold time.Duration
-	// IdleTimeout closes a connection whose reader sees no frame for this
-	// long: an abandoned peer (half-open TCP, a crashed client whose FIN
-	// never arrived) otherwise pins a connection slot, its buffers, and
-	// its window forever. Closes are counted in Stats.IdleCloses. 0
-	// disables.
+	// IdleTimeout closes a connection that makes no progress for this
+	// long — no frame arrives, or a response write finds no room: an
+	// abandoned peer (half-open TCP, a crashed client whose FIN never
+	// arrived, a client that stopped reading) otherwise pins a connection
+	// slot, its goroutine and its buffers forever. Closes are counted in
+	// Stats.IdleCloses. 0 disables.
 	IdleTimeout time.Duration
 	// MaxServerInflight caps requests admitted for execution across ALL
 	// connections. Past it the server sheds: the request is answered
 	// immediately with wire.StatusBusy (counted in Stats.Shed) and never
-	// executes — bounding total queued work under a connection flood the
-	// per-connection MaxInflight window cannot see. Shedding is a retry
+	// executes — bounding the decoded, unanswered requests of all
+	// connections together under a connection flood. Shedding is a retry
 	// invitation, not an error: nothing was applied, so clients may
 	// safely retry any shed request after backing off. 0 disables.
 	MaxServerInflight int
 }
 
 func (o *Options) fill() {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 256
-	}
-	if o.InlineBatch == 0 {
-		o.InlineBatch = 16
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 64 << 10
-	}
-	if o.FlushPending <= 0 {
-		o.FlushPending = 64
-	}
-	if o.FlushDelay <= 0 {
-		o.FlushDelay = 200 * time.Microsecond
-	}
 	if o.MaxFrame == 0 {
 		o.MaxFrame = wire.MaxFrame
 	}
@@ -141,10 +99,10 @@ func (o *Options) fill() {
 
 // Stats is a snapshot of the server's counters. Ops counts requests
 // answered; Errors the subset answered with StatusErr or StatusClosed;
-// bytes include frame headers. The pipeline counters expose how the data
-// path behaved: ReadBatches is ingest batches dispatched (Ops/ReadBatches
-// is the mean ingest batch size), InlineOps and SteeredOps split requests
-// by execution site, and Flushes is response write syscalls
+// bytes include frame headers. The batching counters expose how the data
+// path behaved: ReadBatches is ingest batches executed (Ops/ReadBatches
+// is the mean ingest batch size), InlineOps is requests executed (Ops less
+// the shed and the undecodable), and Flushes is response write syscalls
 // (Ops/Flushes is the mean coalescing factor). The failure counters track
 // self-protection: Shed is requests answered StatusBusy at admission
 // (never executed), IdleCloses is connections cut by Options.IdleTimeout,
@@ -159,7 +117,6 @@ type Stats struct {
 	ConnsTotal  uint64
 	ReadBatches uint64
 	InlineOps   uint64
-	SteeredOps  uint64
 	Flushes     uint64
 	Shed        uint64
 	IdleCloses  uint64
@@ -178,28 +135,22 @@ type Server struct {
 	met   *serverMetrics
 	reg   *metrics.Registry
 
-	ops, errs             atomic.Uint64
-	bytesIn, bytesOut     atomic.Uint64
-	connsTotal            atomic.Uint64
-	connsLive             atomic.Int64
-	readBatches           atomic.Uint64
-	inlineOps, steeredOps atomic.Uint64
-	flushes               atomic.Uint64
-	shed                  atomic.Uint64
-	idleCloses            atomic.Uint64
-	resets                atomic.Uint64
-	admitted              atomic.Int64 // requests inside the MaxServerInflight window
-	nextHome              atomic.Uint64
+	ops, errs         atomic.Uint64
+	bytesIn, bytesOut atomic.Uint64
+	connsTotal        atomic.Uint64
+	connsLive         atomic.Int64
+	readBatches       atomic.Uint64
+	inlineOps         atomic.Uint64
+	flushes           atomic.Uint64
+	shed              atomic.Uint64
+	idleCloses        atomic.Uint64
+	resets            atomic.Uint64
+	admitted          atomic.Int64 // requests inside the MaxServerInflight window
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[*conn]struct{}
 	shutdown  bool
-	started   bool // workers running (see steer.go)
-
-	rings    []chan task
-	slabs    chan []wire.Request
-	workerWG sync.WaitGroup
 
 	wg sync.WaitGroup // one per connection handler
 }
@@ -213,11 +164,10 @@ func New(st *store.Store, opts Options) *Server {
 		st:        st,
 		opts:      opts,
 		epoch:     time.Now(),
-		met:       newServerMetrics(opts.Workers),
+		met:       newServerMetrics(runtime.GOMAXPROCS(0)),
 		reg:       metrics.NewRegistry(),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
-		slabs:     make(chan []wire.Request, slabPoolSize),
 	}
 	s.registerMetrics(s.reg)
 	st.RegisterMetrics(s.reg)
@@ -250,7 +200,6 @@ func (s *Server) Stats() Stats {
 		ConnsTotal:  s.connsTotal.Load(),
 		ReadBatches: s.readBatches.Load(),
 		InlineOps:   s.inlineOps.Load(),
-		SteeredOps:  s.steeredOps.Load(),
 		Flushes:     s.flushes.Load(),
 		Shed:        s.shed.Load(),
 		IdleCloses:  s.idleCloses.Load(),
@@ -302,7 +251,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		ln.Close()
 		return ErrServerClosed
 	}
-	s.startWorkersLocked()
 	s.listeners[ln] = struct{}{}
 	s.mu.Unlock()
 	defer func() {
@@ -389,12 +337,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.stopWorkers()
 		return nil
 	case <-ctx.Done():
 		s.abortConns()
 		<-done
-		s.stopWorkers()
 		return ctx.Err()
 	}
 }
@@ -405,7 +351,6 @@ func (s *Server) Close() error {
 	s.stopAccepting()
 	s.abortConns()
 	s.wg.Wait()
-	s.stopWorkers()
 	return nil
 }
 
@@ -433,6 +378,9 @@ func (s *Server) abortConns() {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
+		// Draining first, so the handler files the Close under "stopped
+		// by the server", not under resets.
+		c.beginDrain()
 		c.nc.Close()
 	}
 }

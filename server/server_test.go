@@ -26,6 +26,16 @@ type testServer struct {
 
 func startServer(t *testing.T, sopts store.Options, opts Options) *testServer {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startServerOn(t, ln, sopts, opts)
+}
+
+// startServerOn serves on any listener; Serve takes what it is given.
+func startServerOn(t *testing.T, ln net.Listener, sopts store.Options, opts Options) *testServer {
+	t.Helper()
 	if sopts.Shards == 0 {
 		sopts.Shards = 4
 	}
@@ -37,10 +47,6 @@ func startServer(t *testing.T, sopts store.Options, opts Options) *testServer {
 		t.Fatal(err)
 	}
 	srv := New(st, opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := &testServer{st: st, srv: srv, addr: ln.Addr().String(), done: make(chan error, 1)}
 	go func() { ts.done <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -118,9 +124,9 @@ func TestRoundTrip(t *testing.T) {
 
 // TestPipelined issues a window of async calls before waiting on any of
 // them, so correctness of the id-matching (not just FIFO luck) is what
-// passes the test — the multi-worker server answers out of order.
+// passes the test.
 func TestPipelined(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{Workers: 4})
+	ts := startServer(t, store.Options{}, Options{})
 	c, err := client.Dial(ts.addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +161,7 @@ func TestPipelined(t *testing.T) {
 // TestConcurrentClients drives many goroutines over a small connection pool
 // and several independent connections at once (run under -race in CI).
 func TestConcurrentClients(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{Workers: 2})
+	ts := startServer(t, store.Options{}, Options{})
 	pool, err := client.DialPool(ts.addr, 4, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +212,7 @@ func TestConcurrentClients(t *testing.T) {
 // server acknowledged before Shutdown must be durable in the store after
 // Shutdown returns, and a following Store.Close must not race anything.
 func TestGracefulShutdown(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{Workers: 2})
+	ts := startServer(t, store.Options{}, Options{})
 	c, err := client.Dial(ts.addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +294,13 @@ func TestServeAfterStoreCloseReportsClosed(t *testing.T) {
 	}
 }
 
+// rawFrame puts a valid frame header (length + CRC-32C) on any body.
+func rawFrame(body []byte) []byte {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, body...)
+}
+
 // TestMalformedFrame checks the protocol-error path: a garbage frame gets a
 // best-effort error response and the connection is cut.
 func TestMalformedFrame(t *testing.T) {
@@ -298,11 +311,7 @@ func TestMalformedFrame(t *testing.T) {
 	}
 	defer nc.Close()
 	// Valid frame header (length + CRC), body with unknown opcode 0xee.
-	body := append(make([]byte, 8), 0xee)
-	frame := []byte{0, 0, 0, byte(len(body))}
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	frame = append(frame, body...)
-	if _, err := nc.Write(frame); err != nil {
+	if _, err := nc.Write(rawFrame(append(make([]byte, 8), 0xee))); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))

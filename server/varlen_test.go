@@ -61,7 +61,7 @@ func TestVarlenRoundTrip(t *testing.T) {
 }
 
 func TestVarlenPipelined(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{Workers: 4})
+	ts := startServer(t, store.Options{}, Options{})
 	c, err := client.Dial(ts.addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
