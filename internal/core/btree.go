@@ -61,8 +61,9 @@ type BTree struct {
 	pool       *pmem.Pool
 	opts       Options
 	nodeSize   int
-	slots      int // record slots per node
-	maxEntries int // slots - 1: the last slot always keeps a zero ptr
+	slots      int    // record slots per node
+	maxEntries int    // slots - 1: the last slot always keeps a zero ptr
+	deadBit    uint64 // 1 on a boxed tree: an odd leaf pointer is a tombstone (node.go)
 	rootMu     sync.Mutex
 	splitLog   int64     // redo-log area for Options.LoggedSplit
 	scratch    sync.Pool // *scanScratch, reused across Scans
@@ -123,13 +124,17 @@ func Open(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 
 func newHandle(p *pmem.Pool, opts Options) *BTree {
 	slots := (opts.NodeSize - headerBytes) / recordBytes
-	return &BTree{
+	t := &BTree{
 		pool:       p,
 		opts:       opts,
 		nodeSize:   opts.NodeSize,
 		slots:      slots,
 		maxEntries: slots - 1,
 	}
+	if !opts.InlineValues {
+		t.deadBit = 1
+	}
+	return t
 }
 
 // Pool returns the backing pool.
@@ -199,8 +204,9 @@ func (t *BTree) scanBoundFrom(th *pmem.Thread, n node, from int) int {
 // left-duplicate of an in-flight insert. Callers classify the readout:
 //
 //	k1 != k2                     torn (a shift is running): re-snapshot
-//	k1 == k2, p == 0 or p == prev  committed invalid: skip the slot
-//	k1 == k2, p != 0, p != prev    valid entry (k1, p)
+//	k1 == k2, !validPtr(p, prev)   committed invalid — terminator, duplicate
+//	                               or tombstone: skip the slot
+//	k1 == k2, validPtr(p, prev)    valid entry (k1, p)
 func (t *BTree) bracketSlot(th *pmem.Thread, n node, i int) (k1, p, prev, k2 uint64) {
 	k1 = t.keyAt(th, n, i)
 	p = t.ptrAt(th, n, i)
@@ -223,8 +229,8 @@ func (t *BTree) bracketSlot(th *pmem.Thread, n node, i int) (k1, p, prev, k2 uin
 // did), the node shifted after the line was captured; the not-yet-processed
 // remainder of that snapshot can no longer be trusted, so the line is
 // re-snapshotted and the slot re-examined. A bracket that coherently shows
-// an invalid slot (duplicate or zero pointer) is skipped, as the per-word
-// scans skipped it — but a slot the snapshot showed holding the key and the
+// an invalid slot (duplicate, zero or tombstone pointer) is skipped, as the
+// per-word scans skipped it — but a slot the snapshot showed holding the key and the
 // bracket shows invalid means a shift is passing through right now: it
 // copied the entry one slot on before invalidating this one, to a slot this
 // snapshot read before the copy. The per-word scans read that slot next,
@@ -418,7 +424,7 @@ func (t *BTree) leafFind(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 						th.LoadLine(t.slotOff(n, base), &ln)
 						continue
 					}
-					if p2 == 0 || p2 == prev {
+					if !t.validPtr(p2, prev) {
 						th.LoadLine(t.slotOff(n, base), &ln)
 						j++
 						continue
@@ -447,7 +453,7 @@ func (t *BTree) leafFind(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 						th.LoadLineRev(t.slotOff(n, base), &ln)
 						continue
 					}
-					if p2 == 0 || p2 == prev {
+					if !t.validPtr(p2, prev) {
 						th.LoadLineRev(t.slotOff(n, base), &ln)
 						j--
 						continue
@@ -475,8 +481,11 @@ func (t *BTree) leafFindBinary(th *pmem.Thread, n node, key uint64) (uint64, boo
 			hi = mid
 		}
 	}
-	if lo < cnt && t.keyAt(th, n, lo) == key && t.ptrAt(th, n, lo) != t.leftPtrOf(th, n, lo) {
-		return t.ptrAt(th, n, lo), true
+	// A tombstone may keep key's stale copy in front of the live entry.
+	for ; lo < cnt && t.keyAt(th, n, lo) == key; lo++ {
+		if p := t.ptrAt(th, n, lo); t.validPtr(p, t.leftPtrOf(th, n, lo)) {
+			return p, true
+		}
 	}
 	return 0, false
 }
@@ -591,10 +600,16 @@ func (t *BTree) leafCollect(th *pmem.Thread, n node, keys []uint64, boxes []uint
 			// line was quiescent across the window, so validity comes
 			// straight from the image with no per-slot brackets. A
 			// word changing and changing back between the reads would
-			// need a delete (shifts move entries monotonically within
-			// one direction; a delete flips the switch counter, which
-			// the revalidation below rejects) or racing in-place value
-			// updates, whose either value is a committed one. A line
+			// need a shift the other way (shifts move entries
+			// monotonically within one direction; a left shift flips
+			// the switch counter, which the revalidation below
+			// rejects), racing in-place value updates, whose either
+			// value is a committed one, or a slot that is tombstoned
+			// and taken back: pointer, sentinel, pointer. That last
+			// one flips nothing, but it cannot show one image twice:
+			// the pointer that comes back is another box — the old
+			// one was retired, and no retired block is recycled while
+			// this reader's grace section (Scan) is open. A line
 			// caught mid-shift falls back to bracket-confirmed slots.
 			prev := t.leftmost(th, n)
 		scan:
@@ -608,7 +623,7 @@ func (t *BTree) leafCollect(th *pmem.Thread, n node, keys []uint64, boxes []uint
 						if p == 0 {
 							break scan
 						}
-						if p != prev {
+						if p != prev && !t.dead(p) {
 							keys = append(keys, k)
 							boxes = append(boxes, p)
 						}
@@ -621,7 +636,8 @@ func (t *BTree) leafCollect(th *pmem.Thread, n node, keys []uint64, boxes []uint
 					if p == 0 {
 						break scan
 					}
-					if p == prev {
+					if p == prev || t.dead(p) {
+						prev = p
 						j++
 						continue
 					}
@@ -633,7 +649,7 @@ func (t *BTree) leafCollect(th *pmem.Thread, n node, keys []uint64, boxes []uint
 						}
 						continue
 					}
-					if p2 != 0 && p2 != prevW {
+					if t.validPtr(p2, prevW) {
 						keys = append(keys, k1)
 						boxes = append(boxes, p2)
 					} else {
@@ -664,7 +680,7 @@ func (t *BTree) leafCollect(th *pmem.Thread, n node, keys []uint64, boxes []uint
 						th.LoadLineRev(t.slotOff(n, base), &ln)
 						continue
 					}
-					if p2 != 0 && p2 != prevW {
+					if t.validPtr(p2, prevW) {
 						keys = append(keys, k1)
 						boxes = append(boxes, p2)
 					}

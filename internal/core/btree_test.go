@@ -232,20 +232,46 @@ func TestScanFullKeyspaceBounds(t *testing.T) {
 }
 
 // oracleCheck runs an op tape against the tree and a map, verifying every
-// response.
+// response: five inserts and two deletes in ten operations.
 func oracleCheck(t *testing.T, tr *BTree, th *pmem.Thread, rng *rand.Rand, nOps int, keySpace uint64) {
+	t.Helper()
+	oracleCheckMix(t, tr, th, rng, nOps, keySpace, 5, 2)
+}
+
+// oracleCheckMix is oracleCheck with ins inserts and del deletes in ten
+// operations, the rest lookups and bounded scans.
+func oracleCheckMix(t *testing.T, tr *BTree, th *pmem.Thread, rng *rand.Rand, nOps int, keySpace uint64, ins, del int) {
 	t.Helper()
 	oracle := map[uint64]uint64{}
 	for op := 0; op < nOps; op++ {
 		k := rng.Uint64() % keySpace
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4: // insert
+		switch r := rng.Intn(10); {
+		case r < ins:
 			v := rng.Uint64()
 			if err := tr.Insert(th, k, v); err != nil {
 				t.Fatal(err)
 			}
 			oracle[k] = v
-		case 5, 6: // delete
+		case op%64 == 0: // a short scan: bounds and content against the map
+			hi := k + keySpace/50
+			want := 0
+			for ok := range oracle {
+				if ok >= k && ok <= hi {
+					want++
+				}
+			}
+			got := 0
+			tr.Scan(th, k, hi, func(sk, sv uint64) bool {
+				if v, ok := oracle[sk]; !ok || v != sv || sk < k || sk > hi {
+					t.Fatalf("op %d: Scan(%d, %d) returned (%d, %d), oracle (%d, %v)", op, k, hi, sk, sv, v, ok)
+				}
+				got++
+				return true
+			})
+			if got != want {
+				t.Fatalf("op %d: Scan(%d, %d) returned %d keys, oracle has %d", op, k, hi, got, want)
+			}
+		case r < ins+del:
 			_, want := oracle[k]
 			if got := tr.Delete(th, k); got != want {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", op, k, got, want)
@@ -282,6 +308,28 @@ func oracleCheck(t *testing.T, tr *BTree, th *pmem.Thread, rng *rand.Rand, nOps 
 	})
 	if n != len(oracle) {
 		t.Fatalf("scan visited %d, oracle has %d", n, len(oracle))
+	}
+}
+
+// TestOracleDeleteHeavy runs as many deletes as inserts over a small key
+// space, so that leaves are mostly tombstones and nearly every insert lands
+// in one, shifts into one or splits a leaf that has none left — in every
+// search mode a boxed tree has.
+func TestOracleDeleteHeavy(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"Default":      {},
+		"SmallNodes":   {NodeSize: 128},
+		"BinarySearch": {BinarySearch: true},
+		"LeafLocks":    {LeafLocks: true},
+		"LoggedSplit":  {LoggedSplit: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, th := newTestTree(t, opts)
+			oracleCheckMix(t, tr, th, rand.New(rand.NewSource(11)), 30000, 1500, 4, 4)
+			if tombs, _ := tombstoneCensus(tr, th); tombs == 0 {
+				t.Fatal("the tape left no tombstone")
+			}
+		})
 	}
 }
 
@@ -512,13 +560,20 @@ func TestVacuumMergesLeaves(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		tr.Insert(th, i, i)
 	}
-	// Delete most keys, leaving sparse leaves.
+	// Delete most keys, leaving sparse leaves, and a whole stretch, leaving
+	// leaves of nothing but tombstones.
+	kept := 0
 	for i := uint64(0); i < n; i++ {
-		if i%10 != 0 {
+		if i%10 != 0 || i >= 1000 && i < 1200 {
 			tr.Delete(th, i)
+		} else {
+			kept++
 		}
 	}
 	leavesBefore := countLeaves(tr, th)
+	if tombs, deadLeaves := tombstoneCensus(tr, th); tombs != n-kept || deadLeaves < 5 {
+		t.Fatalf("before Vacuum: %d tombstones (want %d), %d leaves of nothing else (want some)", tombs, n-kept, deadLeaves)
+	}
 	if err := tr.Vacuum(th); err != nil {
 		t.Fatal(err)
 	}
@@ -526,17 +581,52 @@ func TestVacuumMergesLeaves(t *testing.T) {
 	if leavesAfter >= leavesBefore {
 		t.Errorf("Vacuum did not shrink leaf chain: %d -> %d", leavesBefore, leavesAfter)
 	}
+	// Compacted, an all-tombstone leaf is an empty one, and fits into any
+	// neighbour: none survives but a parent's leftmost child.
+	if tombs, _ := tombstoneCensus(tr, th); tombs != 0 {
+		t.Errorf("Vacuum left %d tombstones", tombs)
+	}
+	empty := 0
+	for l := tr.levelHeads(th)[0]; l.valid(); l = tr.sibling(th, l) {
+		if tr.count(th, l) == 0 {
+			if p, _ := tr.findParentEntry(th, l); p.valid() {
+				empty++
+			}
+		}
+	}
+	if empty != 0 {
+		t.Errorf("Vacuum left %d mergeable empty leaves", empty)
+	}
 	if err := tr.CheckInvariants(th); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i += 10 {
-		if v, ok := tr.Get(th, i); !ok || v != i {
+		v, ok := tr.Get(th, i)
+		if want := i < 1000 || i >= 1200; ok != want || ok && v != i {
 			t.Fatalf("post-vacuum Get(%d) = %d,%v", i, v, ok)
 		}
 	}
-	if got := tr.Len(th); got != n/10 {
-		t.Fatalf("post-vacuum Len = %d, want %d", got, n/10)
+	if got := tr.Len(th); got != kept {
+		t.Fatalf("post-vacuum Len = %d, want %d", got, kept)
 	}
+}
+
+// tombstoneCensus counts the tombstoned slots of the leaf level, and the
+// leaves that hold tombstones and no live entry.
+func tombstoneCensus(tr *BTree, th *pmem.Thread) (tombs, deadLeaves int) {
+	for l := tr.levelHeads(th)[0]; l.valid(); l = tr.sibling(th, l) {
+		cnt, dead := tr.count(th, l), 0
+		for i := 0; i < cnt; i++ {
+			if tr.dead(tr.ptrAt(th, l, i)) {
+				dead++
+			}
+		}
+		tombs += dead
+		if dead > 0 && dead == cnt {
+			deadLeaves++
+		}
+	}
+	return tombs, deadLeaves
 }
 
 func countLeaves(tr *BTree, th *pmem.Thread) int {

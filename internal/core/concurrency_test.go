@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The concurrency suite exercises §IV of the paper: lock-free searches run
@@ -146,8 +147,10 @@ func TestLockFreeSearchDuringInserts(t *testing.T) {
 }
 
 // TestLockFreeSearchDuringDeletes: readers hammer keys that are never
-// deleted while writers delete the interleaved ones (right-to-left scan
-// protocol under left shifts).
+// deleted while writers delete the interleaved ones. On a boxed tree a delete
+// shifts nothing — the interleaved slots turn into tombstones under the
+// readers — so the left shift under right-to-left scans is
+// TestHoleShiftsNeverHideAKey's to exercise.
 func TestLockFreeSearchDuringDeletes(t *testing.T) {
 	tr, th0 := newTestTree(t, Options{NodeSize: 256})
 	const n = 20000
@@ -195,6 +198,142 @@ func TestLockFreeSearchDuringDeletes(t *testing.T) {
 			t.Fatalf("Get(%d) present=%v want %v", i, ok, want)
 		}
 	}
+}
+
+// TestHoleShiftsNeverHideAKey: anchor keys that are always present, and two
+// writers toggling the keys between them, so that the anchors are carried
+// right into tombstones and left out of them all the time, in leaves whose
+// direction flips with every other insert. One reader Gets anchors — never
+// absent, never another key's value — and one Scans ranges — every anchor of
+// the range, once, in order. Run with -race.
+func TestHoleShiftsNeverHideAKey(t *testing.T) {
+	tr, th0 := newTestTree(t, Options{})
+	const (
+		span    = 1024 // keys 0..span-1: some dozens of leaves
+		stride  = 4    // anchors are the multiples of stride
+		writers = 2
+	)
+	anchorVal := func(k uint64) uint64 { return k*2654435761 + 1 }
+	for k := uint64(0); k < span; k += stride {
+		if err := tr.Insert(th0, k, anchorVal(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Half of the keys in between start out present, so the leaves are full
+	// enough for a hole to lie lines away from an insertion point.
+	for k := uint64(0); k < span; k++ {
+		if k%stride != 0 && k%2 == 0 {
+			if err := tr.Insert(th0, k, ^k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d := 30 * time.Second
+	if testing.Short() {
+		d = time.Second
+	}
+	deadline := time.Now().Add(d)
+
+	var stop atomic.Bool
+	var wwg, rwg sync.WaitGroup
+	var toggles, leftShifts atomic.Int64
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			th := tr.Pool().NewThread()
+			defer th.Release()
+			rng := rand.New(rand.NewSource(int64(w)))
+			// Writer w owns the in-between keys of its parity.
+			present := map[uint64]bool{}
+			for k := uint64(0); k < span; k++ {
+				if k%stride != 0 && k%2 == uint64(w) {
+					present[k] = k%2 == 0
+				}
+			}
+			n := int64(0)
+			for ; !t.Failed() && (n%256 != 0 || time.Now().Before(deadline)); n++ {
+				k := rng.Uint64() % span
+				if k%stride == 0 || k%2 != uint64(w) {
+					continue
+				}
+				if present[k] {
+					if !tr.Delete(th, k) {
+						t.Errorf("writer %d: Delete(%d) missed a key it had inserted", w, k)
+						return
+					}
+				} else {
+					leaf := tr.descendToLeaf(th, k)
+					if err := tr.Insert(th, k, ^k); err != nil {
+						t.Error(err)
+						return
+					}
+					if tr.switchCtr(th, leaf)%2 == 1 {
+						leftShifts.Add(1) // a racy peek; only its being non-zero matters
+					}
+				}
+				present[k] = !present[k]
+			}
+			toggles.Add(n)
+		}(w)
+	}
+	var gets, scans atomic.Int64
+	rwg.Add(2)
+	go func() {
+		defer rwg.Done()
+		th := tr.Pool().NewThread()
+		defer th.Release()
+		rng := rand.New(rand.NewSource(100))
+		n := int64(0)
+		for ; !stop.Load() && !t.Failed(); n++ {
+			k := rng.Uint64() % (span / stride) * stride
+			if v, ok := tr.Get(th, k); !ok || v != anchorVal(k) {
+				t.Errorf("Get(%d) = %#x,%v: an anchor went missing or took another key's value", k, v, ok)
+			}
+		}
+		gets.Add(n)
+	}()
+	go func() {
+		defer rwg.Done()
+		th := tr.Pool().NewThread()
+		defer th.Release()
+		rng := rand.New(rand.NewSource(101))
+		n := int64(0)
+		for ; !stop.Load() && !t.Failed(); n++ {
+			lo := rng.Uint64() % span
+			hi := min(lo+rng.Uint64()%128, span-1)
+			next := (lo + stride - 1) / stride * stride // the anchor the scan owes next
+			tr.Scan(th, lo, hi, func(k, v uint64) bool {
+				if k%stride != 0 {
+					if v != ^k {
+						t.Errorf("Scan(%d, %d) returned (%d, %#x): another key's value", lo, hi, k, v)
+					}
+					return true
+				}
+				if k != next || v != anchorVal(k) {
+					t.Errorf("Scan(%d, %d) returned anchor (%d, %#x), want anchor %d next", lo, hi, k, v, next)
+				}
+				next = k + stride
+				return true
+			})
+			if next <= hi {
+				t.Errorf("Scan(%d, %d) stopped short of anchor %d", lo, hi, next)
+			}
+		}
+		scans.Add(n)
+	}()
+	wwg.Wait()
+	stop.Store(true)
+	rwg.Wait()
+
+	if err := tr.CheckInvariants(th0); err != nil {
+		t.Fatal(err)
+	}
+	if leftShifts.Load() == 0 {
+		t.Fatal("no insert left its leaf in delete direction: the test exercised no left shift into a hole")
+	}
+	t.Logf("%d toggle attempts (%d inserts seen leaving a leaf odd) under %d Gets and %d Scans",
+		toggles.Load(), leftShifts.Load(), gets.Load(), scans.Load())
 }
 
 // TestConcurrentMixed is the Figure 7(c) shape: every writer alternates

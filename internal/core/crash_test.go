@@ -255,15 +255,12 @@ func TestCrashDeleteLast(t *testing.T) {
 		&inflightOp{key: 190, oldVal: old, oldOK: true, newOK: false})
 }
 
-// TestCrashDeleteBeforeFirstFlush targets the stretch of a delete in which its
-// commit store is still unflushed: the commit has no flush of its own, so
-// until the shift leaves the commit's line everything the delete has done
-// sits in one dirty line. The deleted key heads a record line with more than
-// a line of entries behind it, which makes that stretch as long as it gets —
-// the commit plus a whole line of shift stores. At every tape point of it,
-// in both memory models and every crash mode, the key is either present with
-// its value or absent, the unrecovered image serves every other key, and
-// Recover restores the invariants.
+// TestCrashDeleteBeforeFirstFlush: on a boxed tree there is no such stretch
+// any more. A delete's tape is one store, one flush, one fence — the
+// tombstone over the slot's pointer and the flush of its line — wherever the
+// key sits and however many entries follow it. Before the store the key is
+// there, after the flush it is gone, and in between it is whichever the crash
+// makes it; every image serves every other key and recovers.
 func TestCrashDeleteBeforeFirstFlush(t *testing.T) {
 	forBothModels(t, func(t *testing.T, model pmem.MemModel) {
 		setup, order := buildSetup(3*slotsPerLine, 10, 100)
@@ -275,9 +272,27 @@ func TestCrashDeleteBeforeFirstFlush(t *testing.T) {
 		}
 		key := order[slotsPerLine] // first slot of the second record line
 		old := setup[key]
+		leaf := tr.descendToLeaf(th, key)
+		sw, cnt := tr.switchCtr(th, leaf), tr.count(th, leaf)
+		before := th.Stats
 		p.StartCrashLog()
 		tr.Delete(th, key)
 		delete(setup, key)
+
+		if n := p.LogLen(); n != 3 {
+			t.Fatalf("the delete's tape holds %d records, want 3: store, flush, fence", n)
+		}
+		if st := th.Stats; st.FlushedLines-before.FlushedLines != 1 || st.Fences-before.Fences != 1 ||
+			st.StoreFences != before.StoreFences {
+			t.Fatalf("the delete flushed %d lines with %d fences and %d store fences, want 1, 1, 0",
+				st.FlushedLines-before.FlushedLines, st.Fences-before.Fences, st.StoreFences-before.StoreFences)
+		}
+		if got := tr.switchCtr(th, leaf); got != sw {
+			t.Fatalf("the delete moved the switch counter %d -> %d", sw, got)
+		}
+		if got := tr.count(th, leaf); got != cnt {
+			t.Fatalf("the delete moved the terminator: %d slots in use, was %d", got, cnt)
+		}
 
 		holds := func(img *pmem.Pool) bool {
 			ith := img.NewThread()
@@ -288,34 +303,19 @@ func TestCrashDeleteBeforeFirstFlush(t *testing.T) {
 			_, ok := itr.Get(ith, key)
 			return ok
 		}
-		// Nothing unflushed survives CrashNone, so the first point whose
-		// CrashNone image lacks the key is the first flush of its line.
-		first := 0
-		for holds(p.CrashImage(first, pmem.CrashNone, nil)) {
-			if first++; first > p.LogLen() {
-				t.Fatal("the completed delete never became durable")
-			}
-		}
-		if least := 1 + 2*slotsPerLine; first <= least {
-			t.Fatalf("first flush at tape point %d: the commit store and a line of shift stores (%d records) should precede it", first, least)
-		}
 		rng := rand.New(rand.NewSource(7))
-		present, absent := 0, 0
-		for point := 0; point <= first; point++ {
+		for point := 0; point <= p.LogLen(); point++ {
 			for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
 				img := p.CrashImage(point, mode, rng)
-				if holds(img) {
-					present++
-				} else {
-					absent++
+				// Point 1 is the store alone: durable only if evicted.
+				want := point == 0 || point == 1 && mode == pmem.CrashNone
+				if got := holds(img); got != want && !(point == 1 && mode == pmem.CrashRandom) {
+					t.Fatalf("point=%d mode=%d: key present = %v, want %v", point, mode, got, want)
 				}
 				verifyCrashImage(t, img, Options{}, setup,
 					&inflightOp{key: key, oldVal: old, oldOK: true, newOK: false},
-					fmt.Sprintf("point=%d/%d mode=%d", point, first, mode))
+					fmt.Sprintf("point=%d mode=%d", point, mode))
 			}
-		}
-		if present == 0 || absent == 0 {
-			t.Fatalf("window of %d points: key present in %d images, absent in %d; both outcomes are legal and both should occur", first+1, present, absent)
 		}
 	})
 }
@@ -416,7 +416,9 @@ func TestCrashCampaign(t *testing.T) {
 		for i := 0; i < nOps; i++ {
 			pos := p.Mark(int64(i))
 			k := rng.Uint64() % 200
-			if rng.Intn(4) == 0 {
+			// Half deletes: the tape's inserts land in, shift into and
+			// split around tombstones.
+			if rng.Intn(2) == 0 {
 				ops = append(ops, opRec{pos, true, k, 0})
 				tr.Delete(th, k)
 			} else {

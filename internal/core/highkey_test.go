@@ -243,12 +243,21 @@ func TestCrashVacuumEveryPoint(t *testing.T) {
 			return n
 		}
 		before := leaves()
+		// The deletes left tombstones, some leaves nothing else: the tape
+		// begins with their compaction, and every cut of that is a crashed
+		// left shift.
+		if tombs, deadLeaves := tombstoneCensus(tr, th); tombs != 40 || deadLeaves == 0 {
+			t.Fatalf("before Vacuum: %d tombstones (want 40), %d leaves of nothing else (want some)", tombs, deadLeaves)
+		}
 		p.StartCrashLog()
 		if err := tr.Vacuum(th); err != nil {
 			t.Fatal(err)
 		}
 		if after := leaves(); after >= before {
 			t.Fatalf("Vacuum merged nothing (%d leaves before, %d after)", before, after)
+		}
+		if tombs, _ := tombstoneCensus(tr, th); tombs != 0 {
+			t.Fatalf("Vacuum left %d tombstones", tombs)
 		}
 		if err := tr.CheckInvariants(th); err != nil {
 			t.Fatal(err)

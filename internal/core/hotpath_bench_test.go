@@ -13,7 +13,9 @@ import (
 // Hot-path microbenchmarks for the read path: in-node search where it
 // happens (leafFind, routeChild) and the full point lookup (Get), each under
 // a DRAM config (no latency charging — the pure bookkeeping cost) and a
-// PM-latency config (300ns serial line reads, the paper's midpoint).
+// PM-latency config (300ns serial line reads, the paper's midpoint) — and for
+// the write path that the store's churn runs, the insert/delete toggle
+// (BenchmarkTreeToggle).
 
 func hotpathConfigs() []struct {
 	name string
@@ -144,6 +146,54 @@ func BenchmarkTreeScan(b *testing.B) {
 					return got < 100
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkTreeToggle is the paper's churn on one boxed tree, the shape the
+// store runs: a universe of keys, half of them present, and uniform toggles —
+// delete the key if it is there, insert it if not. It reports what a toggle
+// costs in the simulator's own units beside the wall clock: flushed lines
+// (the value box, the commit's line, the lines of a shift into a tombstone)
+// and charged reads. The universe is toggled through once before the clock
+// starts, so that the leaves hold their stationary share of tombstones.
+func BenchmarkTreeToggle(b *testing.B) {
+	for _, c := range hotpathConfigs() {
+		b.Run(c.name, func(b *testing.B) {
+			p := pmem.New(c.cfg)
+			th := p.NewThread()
+			tr, err := New(p, th, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys := benchKeys(hotpathKeys, 3)
+			present := make([]bool, len(keys))
+			toggle := func(j int) {
+				if present[j] {
+					if !tr.Delete(th, keys[j]) {
+						b.Fatal("key missing")
+					}
+				} else if err := tr.Insert(th, keys[j], keys[j]); err != nil {
+					b.Fatal(err)
+				}
+				present[j] = !present[j]
+			}
+			for j := 0; j < len(keys); j += 2 {
+				toggle(j)
+			}
+			pick := benchKeys(len(keys)+b.N, 4)
+			for _, x := range pick[:len(keys)] {
+				toggle(int(x % uint64(len(keys))))
+			}
+			before := th.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, x := range pick[len(keys):] {
+				toggle(int(x % uint64(len(keys))))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(th.Stats.FlushedLines-before.FlushedLines)/float64(b.N), "flushed-lines/op")
+			b.ReportMetric(float64(th.Stats.ChargedReads-before.ChargedReads)/float64(b.N), "charged-reads/op")
 		})
 	}
 }

@@ -6,10 +6,51 @@ import (
 	"repro/internal/pmem"
 )
 
+// An insert into a leaf is the value's new box and then one of three
+// shapes, chosen by insertIntoLeaf from what one latched pass over the leaf
+// (probeLeafLocked) found: the insertion point pos, the nearest tombstone on
+// either side of it, and the terminator. The cheapest in flushed lines wins,
+// a tombstone over the tail on a tie and the right one over the left. (With
+// Options.InlineValues there is no box and never a tombstone: always the
+// tail.)
+//
+//   - Right: a tombstone at h >= pos. FAST's right shift of [pos, h) that
+//     starts at the hole instead of the terminator, even direction. Its
+//     first store puts the left neighbour's pointer over the sentinel — the
+//     slot goes from tombstone to duplicate, invalid either way — and from
+//     there every store is one Algorithm 1 makes; a crash leaves a
+//     duplicate pair, which repairNodeLocked compacts. With h == pos
+//     nothing moves: the slot is reused in place, key store, fence, pointer
+//     store, one flush. Until the pointer store the slot is a tombstone with
+//     another stale key, which rule 1 of node.go allows because the new key
+//     sorts between the same neighbours.
+//   - Left: a tombstone at h < pos. FAST's left shift of (h, pos-1] into the
+//     hole, odd direction: the first store copies the right neighbour's key
+//     over the stale one (equal keys, rule 1), the second its pointer — the
+//     hole turns valid and the neighbour a duplicate in one store — and so
+//     on up to slot pos-1, which ends as a duplicate of pos-2 and takes the
+//     new entry key first, pointer second. A crash leaves the stale-key
+//     tombstone or a duplicate pair. With h == pos-1 it is the in-place
+//     reuse again, even direction: a re-inserted key always finds its own
+//     stale slot here.
+//   - Tail: Algorithm 1 unchanged (fastInsert), taken when it is strictly
+//     cheaper than either hole or the leaf has none.
+//
+// A hole shift never moves the terminator, so the zero-beyond rule below is
+// the tail's business alone. A leaf splits when it has neither a tombstone
+// nor a free slot — exactly when it did before tombstones existed.
+
 // Insert stores val under key, replacing any existing value (an existing
 // key's value box is updated in place with one atomic store + flush, which
 // is failure-atomic by itself).
 func (t *BTree) Insert(th *pmem.Thread, key, val uint64) error {
+	_, _, err := t.upsert(th, key, val, false)
+	return err
+}
+
+// upsert is Insert and Exchange: wantOld says whether the displaced value is
+// worth a read of the box.
+func (t *BTree) upsert(th *pmem.Thread, key, val uint64, wantOld bool) (old uint64, existed bool, err error) {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
@@ -17,35 +58,43 @@ func (t *BTree) Insert(th *pmem.Thread, key, val uint64) error {
 
 	if t.opts.InlineValues && val == 0 {
 		t.unlockNode(th, n)
-		return fmt.Errorf("%w: InlineValues forbids zero values", ErrBadOptions)
+		return 0, false, fmt.Errorf("%w: InlineValues forbids zero values", ErrBadOptions)
 	}
-	if pos := t.findPosLocked(th, n, key); pos >= 0 {
+	pr := t.probeLeafLocked(th, n, key)
+	if pr.at >= 0 {
 		th.BeginPhase(pmem.PhaseUpdate)
-		if t.opts.InlineValues {
-			// The record pointer is the value: one atomic store
-			// replaces it (uniqueness keeps neighbours valid).
-			t.storePtr(th, n, pos, val)
-			th.Flush(t.slotOff(n, pos)+8, 8)
-		} else {
-			box := int64(t.ptrAt(th, n, pos))
-			th.Store(box, val)
-			th.Flush(box, 8)
-		}
+		old = t.overwriteLocked(th, n, pr.at, val, wantOld)
 		t.unlockNode(th, n)
-		return nil
+		return old, true, nil
 	}
-
-	box := val
+	ptr := val
 	if !t.opts.InlineValues {
-		var err error
-		box, err = t.newBox(th, val)
-		if err != nil {
+		if ptr, err = t.newBox(th, val); err != nil {
 			t.unlockNode(th, n)
-			return err
+			return 0, false, err
 		}
 	}
 	th.BeginPhase(pmem.PhaseUpdate)
-	return t.insertIntoNode(th, n, 0, key, box)
+	return 0, false, t.insertIntoLeaf(th, n, key, ptr, pr)
+}
+
+// overwriteLocked replaces the value of the live entry in slot pos of the
+// latched leaf with one atomic store and its flush, and returns the old one
+// if asked to: on a boxed tree that is a read of the box, which is otherwise
+// stored to, never loaded.
+func (t *BTree) overwriteLocked(th *pmem.Thread, n node, pos int, val uint64, wantOld bool) (old uint64) {
+	word := t.slotOff(n, pos) + 8
+	if !t.opts.InlineValues {
+		word = int64(th.Load(word)) // the box
+	}
+	// With InlineValues the record pointer is the value (uniqueness keeps
+	// the neighbours valid).
+	if wantOld || t.opts.InlineValues {
+		old = th.Load(word)
+	}
+	th.Store(word, val)
+	th.Flush(word, 8)
+	return old
 }
 
 // newBox allocates and persists a value cell. The box is persistent before
@@ -88,9 +137,10 @@ func (t *BTree) latchAt(th *pmem.Thread, n node, key uint64) node {
 	}
 }
 
-// findPosLocked returns the slot of key in the latched node, or -1. Under
+// findPosLocked returns the slot of key in the latched leaf, or -1. Under
 // the latch (and after fixNodeLocked) every entry before the terminator is
-// valid, so a plain line-granular scan suffices — no brackets needed.
+// valid or a tombstone, so a plain line-granular scan suffices — no
+// brackets needed. A tombstone may keep key's stale copy: the scan goes on.
 func (t *BTree) findPosLocked(th *pmem.Thread, n node, key uint64) int {
 	var ln [pmem.WordsPerLine]uint64
 	for base := 0; base < t.slots; base += slotsPerLine {
@@ -99,7 +149,7 @@ func (t *BTree) findPosLocked(th *pmem.Thread, n node, key uint64) int {
 			if ln[2*j+1] == 0 {
 				return -1
 			}
-			if ln[2*j] == key {
+			if ln[2*j] == key && !t.dead(ln[2*j+1]) {
 				return base + j
 			}
 		}
@@ -107,40 +157,143 @@ func (t *BTree) findPosLocked(th *pmem.Thread, n node, key uint64) int {
 	return -1
 }
 
+// leafProbe is what one latched pass over a leaf tells an insert of key.
+// When the key is live (at >= 0) the pass stops there and the other fields
+// are not set. With InlineValues there are no tombstones to find.
+type leafProbe struct {
+	at    int // slot holding key, or -1
+	pos   int // insertion point: the slots before it hold the keys <= key
+	cnt   int // slots in use, tombstones included: the terminator's index
+	left  int // nearest tombstone below pos, or -1
+	right int // nearest tombstone at or above pos, or -1
+}
+
+// probeLeafLocked walks the latched leaf's record lines once, up to the
+// terminator. Stale keys are weakly ordered with the live ones (node.go,
+// rule 1), so the keys <= key are a prefix of the slots in use.
+func (t *BTree) probeLeafLocked(th *pmem.Thread, n node, key uint64) leafProbe {
+	pr := leafProbe{at: -1, cnt: t.slots, left: -1, right: -1}
+	var ln [pmem.WordsPerLine]uint64
+scan:
+	for base := 0; base < t.slots; base += slotsPerLine {
+		th.LoadLine(t.slotOff(n, base), &ln)
+		for j := 0; j < slotsPerLine; j++ {
+			k, p := ln[2*j], ln[2*j+1]
+			if p == 0 {
+				pr.cnt = base + j
+				break scan
+			}
+			switch tomb := t.dead(p); {
+			case k > key:
+				if tomb && pr.right < 0 {
+					pr.right = base + j
+				}
+			case tomb:
+				pr.left, pr.pos = base+j, base+j+1
+			case k == key:
+				pr.at = base + j
+				return pr
+			default:
+				pr.pos = base + j + 1
+			}
+		}
+	}
+	return pr
+}
+
+// insertIntoLeaf inserts (key, ptr) into the latched leaf in the cheapest of
+// the three shapes described at the top of this file, or splits. It
+// releases the latch.
+func (t *BTree) insertIntoLeaf(th *pmem.Thread, n node, key, ptr uint64, pr leafProbe) error {
+	if pr.at >= 0 {
+		// Only behind a split: the splitter let go of the latch (splitBody)
+		// and a racing insert of the same key got in first. The key is
+		// there, so this is an overwrite; a new box was never published.
+		val := ptr
+		if !t.opts.InlineValues {
+			val = th.Load(int64(ptr))
+		}
+		t.overwriteLocked(th, n, pr.at, val, false)
+		t.unlockNode(th, n)
+		if !t.opts.InlineValues {
+			t.pool.Free(int64(ptr), 8)
+		}
+		return nil
+	}
+	const never = 1 << 30
+	lines := func(lo, hi int) int { return hi/slotsPerLine - lo/slotsPerLine + 1 }
+	left, right, tail := never, never, never
+	if pr.left >= 0 {
+		left = lines(pr.left, pr.pos-1)
+	}
+	if pr.right >= 0 {
+		right = lines(pr.pos, pr.right)
+	}
+	if pr.cnt < t.maxEntries {
+		tail = lines(pr.pos, pr.cnt)
+	}
+	switch best := min(right, left, tail); {
+	case best == never:
+		return t.split(th, n, 0, key, ptr)
+	case best == right:
+		t.setDirection(th, n, 0)
+		t.shiftIn(th, n, key, ptr, pr.right)
+	case best == left:
+		// Odd only if something moves left: reuse in place leaves the leaf
+		// in insert direction, where lock-free scans take their fast path.
+		parity := uint64(1)
+		if pr.left == pr.pos-1 {
+			parity = 0
+		}
+		t.setDirection(th, n, parity)
+		t.shiftLeft(th, n, pr.left, pr.pos-1)
+		t.commitSlot(th, n, pr.pos-1, key, ptr)
+	default:
+		t.fastInsert(th, n, key, ptr, pr.cnt)
+	}
+	t.unlockNode(th, n)
+	return nil
+}
+
 // insertIntoNode inserts (key, ptr) into latched node n at the given level,
 // splitting when full. It releases the latch.
 func (t *BTree) insertIntoNode(th *pmem.Thread, n node, level int, key, ptr uint64) error {
+	if level == 0 {
+		return t.insertIntoLeaf(th, n, key, ptr, t.probeLeafLocked(th, n, key))
+	}
 	cnt := t.count(th, n)
 	if cnt < t.maxEntries {
 		t.fastInsert(th, n, key, ptr, cnt)
 		t.unlockNode(th, n)
 		return nil
 	}
-	if t.opts.LoggedSplit {
-		return t.splitLogged(th, n, level, key, ptr)
-	}
 	return t.split(th, n, level, key, ptr)
 }
 
 func lineOf(off int64) int64 { return off / pmem.LineSize }
 
+// setDirection gives the node's switch counter the parity a shift needs
+// before its first store: 0 for a right shift, so lock-free readers scan
+// left-to-right (a right shift can double-deliver but never hide an entry
+// from such a scan), 1 for a left shift and right-to-left readers.
+func (t *BTree) setDirection(th *pmem.Thread, n node, parity uint64) {
+	if sw := t.switchCtr(th, n); sw%2 != parity {
+		th.Store(n.off+offSwitch, sw+1)
+	}
+}
+
 // fastInsert is Failure-Atomic ShifT (Algorithm 1): shift the entries that
 // follow key one slot right — per slot, pointer first, then key — flushing
-// each cache line before touching the next, then write the new entry as
-// (left-duplicate pointer, key, pointer), where the final pointer store is
-// the atomic commit.
+// each cache line before touching the next, then write the new entry into
+// the slot that came free, where the final pointer store is the atomic
+// commit. cnt is the terminator's index; the terminator moves one slot up.
 //
 // Every intermediate 8-byte store leaves the node readable: the duplicated
 // pointers make exactly one copy of each shifted key valid, and the new key
 // stays invalid (its pointer equals its left neighbour's) until the commit
 // store.
 func (t *BTree) fastInsert(th *pmem.Thread, n node, key, ptr uint64, cnt int) {
-	// Flip the node to insert direction so lock-free readers scan
-	// left-to-right (a right-shift can double-deliver but never hide an
-	// entry from a left-to-right scan).
-	if sw := t.switchCtr(th, n); sw%2 == 1 {
-		th.Store(n.off+offSwitch, sw+1)
-	}
+	t.setDirection(th, n, 0)
 
 	// Zero-beyond invariant: before slot cnt can become non-zero the slot
 	// after it must hold a zero pointer, or a reader running past the old
@@ -150,8 +303,15 @@ func (t *BTree) fastInsert(th *pmem.Thread, n node, key, ptr uint64, cnt int) {
 		t.storePtr(th, n, cnt+1, 0)
 		th.Flush(t.slotOff(n, cnt+1)+8, 8)
 	}
+	t.shiftIn(th, n, key, ptr, cnt)
+	t.setLastIdxHint(th, n, cnt+1)
+}
 
-	i := cnt - 1
+// shiftIn is the shift and the commit of fastInsert. end is a slot whose
+// pointer no reader trusts — the terminator, or a tombstone with every key
+// from the insertion point up to it greater than key.
+func (t *BTree) shiftIn(th *pmem.Thread, n node, key, ptr uint64, end int) {
+	i := end - 1
 	for ; i >= 0; i-- {
 		k := t.keyAt(th, n, i)
 		if k <= key {
@@ -167,13 +327,25 @@ func (t *BTree) fastInsert(th *pmem.Thread, n node, key, ptr uint64, cnt int) {
 		}
 	}
 	pos := i + 1
-	t.storePtr(th, n, pos, t.leftPtrOf(th, n, pos))
-	th.StoreFence()
+	if pos != end {
+		// The slot still holds the entry that now also sits one slot up:
+		// the left neighbour's pointer invalidates this copy and hands
+		// validity to that one. When nothing was shifted the slot is end
+		// itself, invalid as it stands.
+		t.storePtr(th, n, pos, t.leftPtrOf(th, n, pos))
+		th.StoreFence()
+	}
+	t.commitSlot(th, n, pos, key, ptr)
+}
+
+// commitSlot writes (key, ptr) into slot pos, whose pointer is invalid where
+// it stands — zero, a duplicate of its left neighbour's or a tombstone — and
+// flushes the slot's line. The pointer store is the commit.
+func (t *BTree) commitSlot(th *pmem.Thread, n node, pos int, key, ptr uint64) {
 	t.storeKey(th, n, pos, key)
 	th.StoreFence()
-	t.storePtr(th, n, pos, ptr) // commit
+	t.storePtr(th, n, pos, ptr)
 	th.Flush(t.slotOff(n, pos), recordBytes)
-	t.setLastIdxHint(th, n, cnt+1)
 }
 
 // split is Failure-Atomic In-place Rebalance (Algorithm 2): build the new
@@ -186,6 +358,9 @@ func (t *BTree) fastInsert(th *pmem.Thread, n node, key, ptr uint64, cnt int) {
 // the separator may be missing from the parent, which the sibling chase
 // hides and Recover repairs.
 func (t *BTree) split(th *pmem.Thread, n node, level int, key, ptr uint64) error {
+	if t.opts.LoggedSplit {
+		return t.splitLogged(th, n, level, key, ptr)
+	}
 	sepKey, sib, err := t.splitBody(th, n, level)
 	if err != nil {
 		return err

@@ -44,9 +44,35 @@ import (
 //	                  array, and every slot at or beyond the terminator has
 //	                  a zero ptr (maintained by FAST, see insert.go)
 //
-// Record i's key is valid iff ptr(i-1) != ptr(i), where ptr(-1) is the
-// leftmost word. FAST's shifts are ordered so that at every instant exactly
+// Record i's key is valid iff ptr(i) != 0 and ptr(i) != ptr(i-1), where
+// ptr(-1) is the leftmost word — and, in a leaf of a boxed tree, ptr(i) is
+// even (validPtr). FAST's shifts are ordered so that at every instant exactly
 // the committed keys are valid.
+//
+// The odd word is a tombstone. Box pointers are 8-byte aligned, so no live
+// record of a boxed leaf is odd, and a delete there is its commit store
+// alone: Remove writes the leaf's own sentinel (leafSentinel, the word slot 0
+// already compares against) over the slot's pointer and flushes that line.
+// The slot stays where it is — counted by count(), skipped by every reader
+// and latched search — until an insert into the leaf takes it back
+// (insertIntoLeaf) or Vacuum compacts it. Three rules go with it:
+//
+//  1. A tombstone keeps a stale key, and that key stays weakly ordered
+//     between its neighbours: key(i-1) <= key(i) <= key(i+1) holds over all
+//     slots in use, strictly between live ones. The latched position search
+//     (probeLeafLocked) relies on it: the slots holding keys <= k are a
+//     prefix. Equality is real — a left shift's first store copies the right
+//     neighbour's key into the hole, and a crash may stop there.
+//  2. A tombstone is committed state, not damage. Recover leaves it. Two
+//     adjacent tombstones, or one in slot 0, are also a duplicate-pointer
+//     pair; on a tree not yet recovered repairNodeLocked compacts them like
+//     one, which loses a reusable slot and nothing else.
+//  3. Only a boxed leaf's own writers store the sentinel, under its latch,
+//     into its own slots. Internal nodes never hold an odd word (routeChild
+//     knows nothing of tombstones), a split only ever runs on a leaf without
+//     one, and Vacuum compacts a leaf before it copies from it. With
+//     Options.InlineValues every 64-bit word is a legal value, no tombstone
+//     can be encoded, and deletes are FAST's eager left shift (delete.go).
 //
 // The high key only ever lags behind the link, never runs ahead of it.
 // Writers that give a node a nearer sibling (splitBody, and the lazy repair
@@ -202,10 +228,21 @@ func (t *BTree) count(th *pmem.Thread, n node) int {
 	return t.scanBound(th, n)
 }
 
-// leafSentinel is the odd pseudo-pointer a leaf uses as its leftmost word.
-// It is unique per node (derived from the node offset) and can never equal a
-// real record pointer (allocations are 8-byte aligned, hence even).
+// leafSentinel is the odd pseudo-pointer a leaf uses as its leftmost word
+// and, on a boxed tree, as the pointer of a tombstoned slot. It is unique per
+// node (derived from the node offset) and can never equal a real record
+// pointer (allocations are 8-byte aligned, hence even).
 func leafSentinel(off int64) uint64 { return uint64(off) | 1 }
+
+// dead reports whether leaf record pointer p is a tombstone. deadBit is 0
+// with InlineValues, where odd words are values.
+func (t *BTree) dead(p uint64) bool { return p&t.deadBit != 0 }
+
+// validPtr is the validity rule of the layout comment for a leaf slot whose
+// pointer is p and whose left neighbour's is prev.
+func (t *BTree) validPtr(p, prev uint64) bool {
+	return p != 0 && p != prev && !t.dead(p)
+}
 
 // initNode writes a fresh node's header with plain stores. The caller
 // persists the node before publishing it.

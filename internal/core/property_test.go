@@ -91,11 +91,19 @@ func TestQuickVacuumPreservesContent(t *testing.T) {
 				delete(oracle, k)
 			}
 		}
+		if tombs, _ := tombstoneCensus(tr, th); tombs == 0 {
+			t.Logf("seed %d: the deletes left no tombstone", seed)
+			return false
+		}
 		if err := tr.Vacuum(th); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.CheckInvariants(th); err != nil {
 			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if tombs, _ := tombstoneCensus(tr, th); tombs != 0 {
+			t.Logf("seed %d: Vacuum left %d tombstones", seed, tombs)
 			return false
 		}
 		if tr.Len(th) != len(oracle) {
@@ -172,24 +180,47 @@ func TestLazyFixOnWritePath(t *testing.T) {
 	}
 }
 
-// TestSwitchCounterParity: the scan-direction flag must be even after an
-// insert and odd after a delete on the affected leaf.
+// TestSwitchCounterParity: the scan-direction flag follows the shifts, not
+// the operations. A delete shifts nothing and leaves the parity alone; an
+// insert leaves it even when it reused a slot in place, shifted right into a
+// tombstone or shifted to the terminator, and odd when it shifted left into a
+// tombstone.
 func TestSwitchCounterParity(t *testing.T) {
 	tr, th := newTestTree(t, Options{})
-	for i := uint64(0); i < 5; i++ {
-		tr.Insert(th, i, i+1)
+	for i := uint64(0); i < 20; i++ {
+		tr.Insert(th, i*10, i+1)
 	}
-	leaf := tr.descendToLeaf(th, 2)
-	if sw := tr.switchCtr(th, leaf); sw%2 != 0 {
-		t.Fatalf("switch counter odd after inserts: %d", sw)
+	leaf := tr.descendToLeaf(th, 0)
+	parity := func() uint64 { return tr.switchCtr(th, leaf) % 2 }
+	step := func(what string, want uint64, op func()) {
+		t.Helper()
+		op()
+		if got := parity(); got != want {
+			t.Fatalf("switch counter parity %d after %s, want %d", got, what, want)
+		}
+		if err := tr.CheckInvariants(th); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
 	}
-	tr.Delete(th, 2)
-	if sw := tr.switchCtr(th, leaf); sw%2 != 1 {
-		t.Fatalf("switch counter even after delete: %d", sw)
-	}
-	tr.Insert(th, 2, 3)
-	if sw := tr.switchCtr(th, leaf); sw%2 != 0 {
-		t.Fatalf("switch counter odd after re-insert: %d", sw)
+	step("tail inserts", 0, func() {})
+	step("a delete on an even leaf", 0, func() { tr.Delete(th, 20) })
+	// Slot 2 is a tombstone; 145 belongs after slot 14: the hole is three
+	// lines to the left and the terminator two to the right, so the tail wins.
+	step("a tail insert past a far tombstone", 0, func() { tr.Insert(th, 145, 1) })
+	// 75 belongs after slot 7: hole two lines left, terminator four right.
+	step("a left-hole insert", 1, func() { tr.Insert(th, 75, 1) })
+	step("a delete on an odd leaf", 1, func() { tr.Delete(th, 100) })
+	step("an in-place re-insert", 0, func() { tr.Insert(th, 100, 2) })
+	step("a delete", 0, func() { tr.Delete(th, 110) })
+	step("a left-hole insert", 1, func() { tr.Insert(th, 135, 1) })
+	step("a delete", 1, func() { tr.Delete(th, 170) })
+	// 5 belongs after slot 0; the hole sits lines to the right of it.
+	step("a right-hole insert", 0, func() { tr.Insert(th, 5, 1) })
+	step("a delete", 0, func() { tr.Delete(th, 60) })
+	step("a left-hole insert", 1, func() { tr.Insert(th, 95, 1) })
+	step("a tail insert", 0, func() { tr.Insert(th, 500, 1) })
+	if got, want := tr.Len(th), 22; got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
 	}
 }
 

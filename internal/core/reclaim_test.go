@@ -164,9 +164,10 @@ const limboSlack = 4 << 10
 
 // TestToggleFootprintIsStationary: inserting and deleting the same universe
 // over and over must not grow the pool. After the first pass has built the
-// leaves (emptied leaves stay, and take the same keys back without
-// splitting), every further pass costs nothing but the boxes in limbo. With
-// boxes never recycled, each pass costs 8 bytes per key.
+// leaves (emptied leaves stay, full of tombstones, and every key takes its
+// own stale slot back), every further pass costs nothing but the boxes in
+// limbo — and not one node. With boxes never recycled, each pass costs 8
+// bytes per key.
 func TestToggleFootprintIsStationary(t *testing.T) {
 	tr, th := newTestTree(t, Options{})
 	p := tr.Pool()
@@ -174,6 +175,7 @@ func TestToggleFootprintIsStationary(t *testing.T) {
 	keys := rand.New(rand.NewSource(1)).Perm(universe)
 	used := func() int64 { return p.Size() - p.FreeBytes() }
 	var after2 int64
+	var nodes2 int
 	for pass := 1; pass <= 20; pass++ {
 		for _, k := range keys {
 			if err := tr.Insert(th, uint64(k), uint64(k)+1); err != nil {
@@ -186,7 +188,10 @@ func TestToggleFootprintIsStationary(t *testing.T) {
 			}
 		}
 		if pass == 2 {
-			after2 = used()
+			after2, nodes2 = used(), countNodes(tr, th)
+		}
+		if got := countNodes(tr, th); pass > 2 && got != nodes2 {
+			t.Fatalf("pass %d allocated %d nodes: a re-insert did not land on its own stale slot", pass, got-nodes2)
 		}
 	}
 	if grew := used() - after2; grew > limboSlack {
@@ -471,5 +476,52 @@ func TestScanSkipsOverlapOfLiveSplit(t *testing.T) {
 	})
 	if seen != 11 {
 		t.Errorf("after the split: %d keys, want 11", seen)
+	}
+}
+
+// TestSplitWindowSameKeyInsert: a splitter lets go of its latch between the
+// split and the insert that caused it. A racing insert of the same key that
+// gets in first — here through the link, while the splitter is still inside
+// the split — must leave the splitter's an overwrite, not a second entry.
+func TestSplitWindowSameKeyInsert(t *testing.T) {
+	t.Run("Boxed", func(t *testing.T) { splitWindowSameKeyInsert(t, Options{NodeSize: 256}) })
+	t.Run("InlineValues", func(t *testing.T) { splitWindowSameKeyInsert(t, Options{NodeSize: 256, InlineValues: true}) })
+}
+
+func splitWindowSameKeyInsert(t *testing.T, opts Options) {
+	tr, th := newTestTree(t, opts) // 11 entries per leaf
+	for i := uint64(0); i < 11; i++ {
+		if err := tr.Insert(th, 100+i*10, 100+i*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const key = 195 // upper half: the racer reaches the sibling past the lowered high key
+	ran := false
+	splitLinked = func(st *BTree, level int) {
+		if st != tr || level != 0 || ran {
+			return
+		}
+		ran = true
+		th2 := tr.Pool().NewThread()
+		defer th2.Release()
+		if err := tr.Insert(th2, key, 1); err != nil {
+			t.Error(err)
+		}
+	}
+	defer func() { splitLinked = nil }()
+	if old, existed, err := tr.Exchange(th, key, 2); err != nil || existed || old != 0 {
+		t.Fatalf("Exchange = %d, %v, %v", old, existed, err)
+	}
+	if !ran {
+		t.Fatal("the insert did not split")
+	}
+	if err := tr.CheckInvariants(th); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := tr.Get(th, key); !ok || v != 2 {
+		t.Fatalf("Get(%d) = %d,%v want the later writer's 2", key, v, ok)
+	}
+	if n := tr.Len(th); n != 12 {
+		t.Fatalf("Len = %d, want 12", n)
 	}
 }

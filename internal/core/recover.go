@@ -31,8 +31,13 @@ func (t *BTree) fixNodeLocked(th *pmem.Thread, n node) {
 //  2. A truncation that did not persist after a crashed FAIR split: the
 //     node still holds entries at or beyond its sibling's low fence. The
 //     single-store truncation is simply redone.
-//  3. A duplicate-pointer pair from a crashed FAST shift: the garbage key
+//  3. A duplicate-pointer pair from a crashed FAST shift — to the
+//     terminator or into a tombstone, it is the same pair: the garbage key
 //     between the duplicates is deleted by completing the left shift.
+//
+// A tombstone (node.go) is none of these: it is a committed delete, and it
+// stays. Two adjacent ones, or one in slot 0, hold equal adjacent pointers
+// and go the way of case 3, which costs the leaf a reusable slot.
 func (t *BTree) repairNodeLocked(th *pmem.Thread, n node) {
 	sib := t.sibling(th, n)
 	fence := noHighKey
@@ -75,11 +80,7 @@ func (t *BTree) repairNodeLocked(th *pmem.Thread, n node) {
 		fixed := false
 		for i := 0; i < cnt; i++ {
 			if t.ptrAt(th, n, i) == t.leftPtrOf(th, n, i) {
-				// Complete the abandoned shift. Readers must
-				// scan right-to-left while we shift left.
-				if sw := t.switchCtr(th, n); sw%2 == 0 {
-					th.Store(n.off+offSwitch, sw+1)
-				}
+				// Complete the abandoned shift.
 				t.completeShiftLocked(th, n, i, cnt)
 				fixed = true
 				break
@@ -225,33 +226,37 @@ func (t *BTree) zeroBeyond(th *pmem.Thread, n node) {
 	}
 }
 
-// Vacuum is offline maintenance (exclusive access required): it merges each
-// leaf into its left neighbour when their entries fit in one node, keeping
-// space bounded under delete-heavy workloads. Every step is crash-safe —
-// entries are copied with FAST (duplicates across adjacent leaves resolve to
-// the same value boxes), the parent separator is removed with FAST, and the
-// unlink is a single pointer store.
+// Vacuum is offline maintenance (exclusive access required): it compacts
+// the tombstones out of every leaf and merges each leaf into its left
+// neighbour when their entries fit in one node, keeping space bounded under
+// delete-heavy workloads. Every step is crash-safe — a tombstone goes by the
+// left shift that removes a crashed shift's duplicate, entries are copied
+// with FAST (duplicates across adjacent leaves resolve to the same value
+// boxes), the parent separator is removed with FAST, and the unlink is a
+// single pointer store.
 func (t *BTree) Vacuum(th *pmem.Thread) error {
 	heads := t.levelHeads(th)
+	prev := heads[0]
+	pc := t.compactLeaf(th, prev)
 	if len(heads) < 2 {
 		return nil // a lone root leaf cannot be merged
 	}
-	prev := heads[0]
 	for {
 		n := t.sibling(th, prev)
 		if !n.valid() {
 			return nil
 		}
-		pc, nc := t.count(th, prev), t.count(th, n)
+		nc := t.compactLeaf(th, n)
 		parent, pos := t.findParentEntry(th, n)
 		if pc+nc >= t.maxEntries || !parent.valid() {
-			prev = n
+			prev, pc = n, nc
 			continue
 		}
 		// 1. Copy entries left (each FAST insert is failure-atomic).
 		for i := 0; i < nc; i++ {
 			t.fastInsert(th, prev, t.keyAt(th, n, i), t.ptrAt(th, n, i), pc+i)
 		}
+		pc += nc
 		// 2. Remove the parent separator (FAST delete).
 		t.fastDelete(th, parent, pos, t.count(th, parent))
 		// 3. Unlink and reclaim: raise the high key to the absorbed
@@ -266,6 +271,20 @@ func (t *BTree) Vacuum(th *pmem.Thread) error {
 		t.pool.Free(n.off, int64(t.nodeSize))
 		// prev unchanged: it may absorb the next leaf too.
 	}
+}
+
+// compactLeaf removes the leaf's tombstones, last first so that no entry
+// moves twice past one, and returns the number of entries left. A crash
+// inside leaves what any crashed left shift leaves.
+func (t *BTree) compactLeaf(th *pmem.Thread, n node) int {
+	cnt := t.count(th, n)
+	for i := cnt - 1; i >= 0; i-- {
+		if t.dead(t.ptrAt(th, n, i)) {
+			t.completeShiftLocked(th, n, i, cnt)
+			cnt--
+		}
+	}
+	return cnt
 }
 
 // findParentEntry locates the internal level-1 node and slot whose pointer
@@ -313,12 +332,16 @@ func (t *BTree) CheckInvariants(th *pmem.Thread) error {
 	if err != nil {
 		return err
 	}
-	// Leaf chain must be globally sorted.
+	// Leaf chain must be globally sorted. Tombstones' stale keys are only
+	// weakly ordered (checkNode) and take no part.
 	prevSet := false
 	var prevKey uint64
 	for n := t.levelHeads(th)[0]; n.valid(); n = t.sibling(th, n) {
 		cnt := t.count(th, n)
 		for i := 0; i < cnt; i++ {
+			if t.dead(t.ptrAt(th, n, i)) {
+				continue
+			}
 			k := t.keyAt(th, n, i)
 			if prevSet && k <= prevKey {
 				return fmt.Errorf("%w: leaf chain unsorted at key %d (node %d)", ErrCorrupt, k, n.off)
@@ -356,17 +379,29 @@ func (t *BTree) checkNode(th *pmem.Thread, n node, wantLevel int, lowBound uint6
 	} else if t.leftmost(th, n) == 0 {
 		return 0, fmt.Errorf("%w: internal %d nil leftmost", ErrCorrupt, n.off)
 	}
+	// A leaf's tombstones (node.go): the pointer is the leaf's own sentinel
+	// — equal adjacent ones are two tombstones, not a duplicate — and the
+	// stale key is ordered weakly, where live keys are ordered strictly.
 	prev := t.leftmost(th, n)
+	var lastLive uint64
+	liveSeen := false
 	for i := 0; i < cnt; i++ {
 		k, p := t.keyAt(th, n, i), t.ptrAt(th, n, i)
-		if p == prev {
+		tomb := wantLevel == 0 && t.dead(p)
+		if tomb && p != leafSentinel(n.off) {
+			return 0, fmt.Errorf("%w: leaf %d odd pointer %#x at slot %d is not its sentinel", ErrCorrupt, n.off, p, i)
+		}
+		if !tomb && p == prev {
 			return 0, fmt.Errorf("%w: node %d duplicate pointer at slot %d", ErrCorrupt, n.off, i)
 		}
 		if k < low {
 			return 0, fmt.Errorf("%w: node %d key %d below lowKey %d", ErrCorrupt, n.off, k, low)
 		}
-		if i > 0 && k <= t.keyAt(th, n, i-1) {
+		if i > 0 && k < hi || !tomb && liveSeen && k <= lastLive {
 			return 0, fmt.Errorf("%w: node %d keys unsorted at slot %d", ErrCorrupt, n.off, i)
+		}
+		if !tomb {
+			lastLive, liveSeen = k, true
 		}
 		prev = p
 		hi = k

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/pmem"
 )
 
@@ -18,42 +16,7 @@ import (
 // The store layer needs the displaced word to retire the value-log record
 // it may name.
 func (t *BTree) Exchange(th *pmem.Thread, key, val uint64) (old uint64, existed bool, err error) {
-	th.BeginPhase(pmem.PhaseSearch)
-	defer th.EndPhase()
-
-	n := t.latchLeaf(th, key)
-
-	if t.opts.InlineValues && val == 0 {
-		t.unlockNode(th, n)
-		return 0, false, fmt.Errorf("%w: InlineValues forbids zero values", ErrBadOptions)
-	}
-	if pos := t.findPosLocked(th, n, key); pos >= 0 {
-		th.BeginPhase(pmem.PhaseUpdate)
-		if t.opts.InlineValues {
-			old = t.ptrAt(th, n, pos)
-			t.storePtr(th, n, pos, val)
-			th.Flush(t.slotOff(n, pos)+8, 8)
-		} else {
-			box := int64(t.ptrAt(th, n, pos))
-			old = th.Load(box)
-			th.Store(box, val)
-			th.Flush(box, 8)
-		}
-		t.unlockNode(th, n)
-		return old, true, nil
-	}
-
-	box := val
-	if !t.opts.InlineValues {
-		var err error
-		box, err = t.newBox(th, val)
-		if err != nil {
-			t.unlockNode(th, n)
-			return 0, false, err
-		}
-	}
-	th.BeginPhase(pmem.PhaseUpdate)
-	return 0, false, t.insertIntoNode(th, n, 0, key, box)
+	return t.upsert(th, key, val, true)
 }
 
 // ReplaceIf atomically replaces key's value old→new, refusing (and
@@ -116,22 +79,25 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 		return 0, false
 	}
 	box := t.ptrAt(th, n, pos)
-	old = box
-	if !t.opts.InlineValues {
-		old = th.Load(int64(box))
+	if t.opts.InlineValues {
+		// Count on from where the search stopped: the terminator lies on
+		// this record line or one the walk reaches serially, where count()'s
+		// check of its hint jumps to the node's last entry and pays for
+		// that line.
+		cnt := t.scanBoundFrom(th, n, pos)
+		th.BeginPhase(pmem.PhaseUpdate)
+		t.fastDelete(th, n, pos, cnt)
+		t.unlockNode(th, n)
+		return box, true
 	}
-	// Count on from where the search stopped: the terminator lies on this
-	// record line or one the walk reaches serially, where count()'s check
-	// of its hint jumps to the node's last entry and pays for that line.
-	cnt := t.scanBoundFrom(th, n, pos)
+	old = th.Load(int64(box))
 	th.BeginPhase(pmem.PhaseUpdate)
-	t.fastDelete(th, n, pos, cnt)
+	// The tombstone is the whole delete: commit store, its line, one fence.
+	t.storePtr(th, n, pos, leafSentinel(n.off))
+	th.Flush(t.slotOff(n, pos)+8, 8)
 	t.unlockNode(th, n)
-	if !t.opts.InlineValues {
-		// The delete is durable and no slot a reader visits names the
-		// box any more, but a reader that found it before the commit
-		// store may not have loaded it yet.
-		t.pool.Retire(th, int64(box), 8)
-	}
+	// The delete is durable and no reader trusts the slot any more, but one
+	// that found the box before the commit store may not have loaded it yet.
+	t.pool.Retire(th, int64(box), 8)
 	return old, true
 }

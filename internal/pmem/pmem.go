@@ -182,28 +182,34 @@ func (p *Pool) NewThread() *Thread {
 // Alloc reserves size bytes aligned to align (which must be a power of two,
 // at least WordSize). The returned offset is never 0. The memory is zeroed.
 //
-// A block from a free list is zeroed with stores that bypass the crash log,
-// like the rest of the allocator's work: until the caller's own stores to it
-// are flushed, a crash image may show the block's previous contents. Callers
-// persist a block before publishing a pointer to it, recycled or not.
+// Only a block from a free list needs zeroing for that: the arena beyond the
+// bump pointer has never been stored to — New zeroes it, and Clone and
+// CrashImage seat the bump pointer at the source's high-water mark, beyond
+// every block it ever handed out. A recycled block is zeroed with stores
+// that bypass the crash log, like the rest of the allocator's work: until the
+// caller's own stores to it are flushed, a crash image may show the block's
+// previous contents. Callers persist a block before publishing a pointer to
+// it, recycled or not.
 //
 // Allocator metadata is volatile (see the package comment).
 func (p *Pool) Alloc(size, align int64) (int64, error) {
 	if size <= 0 || align < WordSize || align&(align-1) != 0 {
 		return 0, ErrBadSize
 	}
-	off, err := p.alloc.take(size, align, p.Size())
+	off, recycled, err := p.alloc.take(size, align, p.Size())
 	if err != nil {
 		return 0, err
 	}
 	if allocCheck {
 		p.checkBlock(off, size, "Alloc", blockLive, blockFree)
 	}
-	// Zero the block: freed blocks may contain stale data. Zeroing is
-	// part of allocation, not of the crash-ordered store stream (a real
-	// allocator hands out zeroed or initialised-by-caller memory).
-	for w := off / WordSize; w < (off+size)/WordSize; w++ {
-		atomic.StoreUint64(&p.words[w], 0)
+	if recycled {
+		// Freed blocks hold stale data. Zeroing is part of allocation,
+		// not of the crash-ordered store stream (a real allocator hands
+		// out zeroed or initialised-by-caller memory).
+		for w := off / WordSize; w < (off+size)/WordSize; w++ {
+			atomic.StoreUint64(&p.words[w], 0)
+		}
 	}
 	return off, nil
 }
@@ -305,7 +311,9 @@ func (a *allocator) init(next int64) {
 	a.mu.Unlock()
 }
 
-func (a *allocator) take(size, align, limit int64) (int64, error) {
+// take returns a block and whether it came off a free list (and so holds
+// whatever its last owner left in it) rather than from the untouched arena.
+func (a *allocator) take(size, align, limit int64) (off int64, recycled bool, err error) {
 	size = roundUp(size, WordSize)
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -318,16 +326,16 @@ func (a *allocator) take(size, align, limit int64) (int64, error) {
 				off := lst[i]
 				a.free[size] = append(lst[:i], lst[i+1:]...)
 				a.recycled++
-				return off, nil
+				return off, true, nil
 			}
 		}
 	}
-	off := roundUp(a.next, align)
+	off = roundUp(a.next, align)
 	if off+size > limit {
-		return 0, ErrOutOfMemory
+		return 0, false, ErrOutOfMemory
 	}
 	a.next = off + size
-	return off, nil
+	return off, false, nil
 }
 
 func (a *allocator) give(off, size int64) {

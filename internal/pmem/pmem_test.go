@@ -78,6 +78,72 @@ func TestAllocFreeReuseIsZeroed(t *testing.T) {
 	}
 }
 
+// TestAllocZeroedFromBothSources: Alloc zeroes only what comes off a free
+// list; a block cut from the arena is zero because nothing was ever stored
+// beyond the bump pointer. That has to hold on every pool a caller can get —
+// a fresh one, a clone and a crash image, which both re-seat the bump pointer
+// at the source's high-water mark, above blocks that are full of data and
+// whose free lists are gone. (SetAllocCheck is on for this package.)
+func TestAllocZeroedFromBothSources(t *testing.T) {
+	dirty := func(p *Pool) {
+		// Fill the arena's allocated part with non-zero words, free some of
+		// it, and leave some live: the high-water mark sits above all of it.
+		th := p.NewThread()
+		var blocks []int64
+		for _, size := range []int64{8, 64, 512, 8, 64, 512} {
+			off, err := p.Alloc(size, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := int64(0); w < size; w += WordSize {
+				th.Store(off+w, 0xa5a5a5a5a5a5a5a5)
+			}
+			th.Flush(off, size)
+			blocks = append(blocks, off)
+		}
+		p.Free(blocks[0], 8)
+		p.Free(blocks[1], 64)
+		p.Free(blocks[2], 512)
+	}
+	requireZeroed := func(t *testing.T, p *Pool, wantRecycled uint64) {
+		t.Helper()
+		th := p.NewThread()
+		before := p.TotalStats().RecycledBlocks
+		for round := 0; round < 2; round++ { // free list first (if any), then the arena
+			for _, size := range []int64{8, 64, 512} {
+				off, err := p.Alloc(size, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := int64(0); w < size; w += WordSize {
+					if got := th.Load(off + w); got != 0 {
+						t.Fatalf("round %d: Alloc(%d) at %d: word %d = %#x, want 0", round, size, off, w/WordSize, got)
+					}
+				}
+			}
+		}
+		if got := p.TotalStats().RecycledBlocks - before; got != wantRecycled {
+			t.Fatalf("%d blocks came off a free list, want %d", got, wantRecycled)
+		}
+	}
+	t.Run("Fresh", func(t *testing.T) {
+		p := New(Config{Size: 1 << 16})
+		dirty(p)
+		requireZeroed(t, p, 3)
+	})
+	t.Run("Clone", func(t *testing.T) {
+		p := New(Config{Size: 1 << 16})
+		dirty(p)
+		requireZeroed(t, p.Clone(false), 0)
+	})
+	t.Run("CrashImage", func(t *testing.T) {
+		p := New(Config{Size: 1 << 16, TrackCrashes: true})
+		p.StartCrashLog()
+		dirty(p)
+		requireZeroed(t, p.CrashImage(p.LogLen(), CrashAll, nil), 0)
+	})
+}
+
 func TestAllocNoOverlapQuick(t *testing.T) {
 	p := New(Config{Size: 1 << 22})
 	type block struct{ off, size int64 }

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/pmem"
 )
 
 // TestToggleFootprintIsStationary: putting and deleting the same universe
@@ -13,7 +16,10 @@ import (
 // own prefix and so its own tree entry and value box. Value-log extents are
 // kept small so that what GC holds back between passes stays below the
 // bound; each shard thread may hold a few retire batches of boxes in limbo.
-// With boxes never recycled, every pass costs 8 bytes per key.
+// With boxes never recycled, every pass costs 8 bytes per key. The trees do
+// not grow at all: a deleted key leaves a tombstone in its leaf, and its next
+// put takes that very slot back, so after the second pass no node is
+// allocated.
 func TestToggleFootprintIsStationary(t *testing.T) {
 	const (
 		universe = 3000
@@ -49,7 +55,19 @@ func TestToggleFootprintIsStationary(t *testing.T) {
 				}
 				return u
 			}
+			nodes := func() (n int) {
+				for _, p := range st.Pools() {
+					th := p.NewThread()
+					tr, err := core.Open(p, th, core.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr.Nodes(th, func(int64) { n++ })
+				}
+				return n
+			}
 			var after2 int64
+			var nodes2 int
 			for pass := 1; pass <= passes; pass++ {
 				for _, k := range order {
 					if err := f.put(ss, k); err != nil {
@@ -62,7 +80,10 @@ func TestToggleFootprintIsStationary(t *testing.T) {
 					}
 				}
 				if pass == 2 {
-					after2 = used()
+					after2, nodes2 = used(), nodes()
+				}
+				if got := nodes(); pass > 2 && got != nodes2 {
+					t.Fatalf("pass %d allocated %d tree nodes", pass, got-nodes2)
 				}
 			}
 			if grew := used() - after2; grew > slack {
@@ -71,6 +92,91 @@ func TestToggleFootprintIsStationary(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTombstoneHeavyStoreMatchesReference: as many deletes as puts over a
+// small universe leave the shards' leaves mostly tombstones. Point reads,
+// scans with arbitrary bounds and the store's own invariants must agree with
+// a reference map all the way, and after a reopen.
+func TestTombstoneHeavyStoreMatchesReference(t *testing.T) {
+	st, err := Open(Options{Shards: 4, ShardSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := st.NewSession()
+	const universe = 4000
+	ref := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(5))
+	checkScan := func(ss *Session, lo, hi uint64) {
+		t.Helper()
+		want := 0
+		for k := range ref {
+			if k >= lo && k <= hi {
+				want++
+			}
+		}
+		got, last := 0, uint64(0)
+		if err := ss.Scan(lo, hi, func(k, v uint64) bool {
+			if w, ok := ref[k]; !ok || w != v || k < lo || k > hi || got > 0 && k <= last {
+				t.Fatalf("Scan(%d, %d) returned (%d, %d) after %d; reference has (%d, %v)", lo, hi, k, v, last, w, ok)
+			}
+			got, last = got+1, k
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("Scan(%d, %d) returned %d pairs, reference has %d", lo, hi, got, want)
+		}
+	}
+	for op := 0; op < 60000; op++ {
+		k := rng.Uint64() % universe
+		switch r := rng.Intn(10); {
+		case r < 4:
+			v := rng.Uint64()
+			if err := ss.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			ref[k] = v
+		case r < 8:
+			_, want := ref[k]
+			if ok, err := ss.Delete(k); err != nil || ok != want {
+				t.Fatalf("op %d: Delete(%d) = %v, %v want %v", op, k, ok, err, want)
+			}
+			delete(ref, k)
+		default:
+			want, wantOK := ref[k]
+			if v, ok, err := ss.Get(k); err != nil || ok != wantOK || ok && v != want {
+				t.Fatalf("op %d: Get(%d) = %d, %v, %v want %d, %v", op, k, v, ok, err, want, wantOK)
+			}
+		}
+		if op%500 == 0 {
+			checkScan(ss, k, k+rng.Uint64()%400)
+		}
+	}
+	checkScan(ss, 0, ^uint64(0))
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	ss.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*pmem.Pool, st.NumShards())
+	for i := range imgs {
+		imgs[i] = st.Pool(i).Clone(false)
+	}
+	re, err := Reopen(imgs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	rs := re.NewSession()
+	defer rs.Close()
+	checkScan(rs, 0, ^uint64(0))
 }
 
 // TestScanCallbackMayCompact: Session.Scan hands pairs to the caller's
