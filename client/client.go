@@ -10,6 +10,8 @@
 package client
 
 import (
+	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -243,13 +245,25 @@ func (c *Conn) appendReq(slab []byte, req *wire.Request) []byte {
 	return out
 }
 
+// ioBufSize sizes the per-connection buffered reader; large enough that a
+// pipelined burst of responses coalesces into few read syscalls. (The
+// write side batches into a slab instead — see Conn.writeLoop.)
+const ioBufSize = 64 << 10
+
 // readLoop decodes response frames and completes their Calls.
 func (c *Conn) readLoop() {
 	defer c.loops.Done()
-	br := newBufReader(c.nc)
+	br := bufio.NewReaderSize(c.nc, ioBufSize)
 	var scratch []byte
 	for {
 		body, err := wire.ReadFrame(br, c.opts.MaxFrame, scratch)
+		if errors.Is(err, wire.ErrFrameTooBig) {
+			// An absurd length prefix on a response is a damaged stream (a
+			// flipped bit in the prefix), not a request of ours that was too
+			// big to encode — which is what the bare sentinel means to
+			// Retryable, and why the retry verdict is changed here, not there.
+			err = fmt.Errorf("%w: %v", wire.ErrMalformed, err)
+		}
 		if err != nil {
 			c.terminate(fmt.Errorf("client: read: %w", err))
 			return
@@ -270,24 +284,32 @@ func (c *Conn) readLoop() {
 			continue
 		}
 		call.Resp = resp
+		var cerr error
 		switch resp.Status {
 		case wire.StatusErr:
-			call.Err = &RemoteError{Op: resp.Op, Msg: resp.Msg}
+			cerr = &RemoteError{Op: resp.Op, Msg: resp.Msg}
 		case wire.StatusClosed:
-			call.Err = fmt.Errorf("%w: %s", ErrStoreClosed, resp.Msg)
+			cerr = fmt.Errorf("%w: %s", ErrStoreClosed, resp.Msg)
 		case wire.StatusBusy:
-			call.Err = fmt.Errorf("%w: %s", ErrBusy, resp.Msg)
+			cerr = fmt.Errorf("%w: %s", ErrBusy, resp.Msg)
 		case wire.StatusNoSpace:
-			call.Err = fmt.Errorf("%w: %s", ErrNoSpace, resp.Msg)
+			cerr = fmt.Errorf("%w: %s", ErrNoSpace, resp.Msg)
 		case wire.StatusTxnIncomplete:
-			call.Err = fmt.Errorf("%w: %s", ErrTxnIncomplete, resp.Msg)
+			cerr = fmt.Errorf("%w: %s", ErrTxnIncomplete, resp.Msg)
 		}
-		if call.timer != nil {
-			call.timer.Stop()
-		}
-		close(call.done)
-		c.calls.Done()
+		c.complete(call, cerr)
 	}
+}
+
+// complete delivers a call's outcome. The caller has removed the call from
+// the pending map under c.mu, which is what makes it the only completer.
+func (c *Conn) complete(call *Call, err error) {
+	if call.timer != nil {
+		call.timer.Stop()
+	}
+	call.Err = err
+	close(call.done)
+	c.calls.Done()
 }
 
 // failCall completes one pending call with err (no-op if the call already
@@ -297,15 +319,9 @@ func (c *Conn) failCall(id uint64, err error) {
 	call := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
-	if call == nil {
-		return
+	if call != nil {
+		c.complete(call, err)
 	}
-	if call.timer != nil {
-		call.timer.Stop()
-	}
-	call.Err = err
-	close(call.done)
-	c.calls.Done()
 }
 
 // terminate tears the connection down once: it records the terminal error,
@@ -323,12 +339,7 @@ func (c *Conn) terminate(err error) {
 	c.mu.Unlock()
 	c.nc.Close()
 	for _, call := range pend {
-		if call.timer != nil {
-			call.timer.Stop()
-		}
-		call.Err = err
-		close(call.done)
-		c.calls.Done()
+		c.complete(call, err)
 	}
 }
 
@@ -365,6 +376,40 @@ func (c *Conn) Err() error {
 	return nil
 }
 
+// do is the one synchronous request core: issue req, wait for its response
+// or for ctx to end. Every blocking method is do plus a projection of the
+// Call's response; the plain ones pass context.Background().
+func (c *Conn) do(ctx context.Context, req wire.Request) (*Call, error) {
+	call := c.start(req)
+	return call, c.wait(ctx, call)
+}
+
+// found, u64Val and bytesVal project a completed call onto the result shapes
+// the typed wrappers return. They take do's (or Pool.read's) results
+// directly; on any error the response carries no value, so none is returned.
+func found(call *Call, err error) (bool, error) {
+	return err == nil && call.Resp.Status == wire.StatusOK, err
+}
+
+func u64Val(call *Call, err error) (uint64, bool, error) {
+	ok, err := found(call, err)
+	return call.Resp.Val, ok, err
+}
+
+func bytesVal(call *Call, err error) ([]byte, bool, error) {
+	ok, err := found(call, err)
+	return call.Resp.VVal, ok, err
+}
+
+// scanMax is a scan's page bound as the wire carries it: max when it is in
+// 1..wire.MaxPairs, else 0 — the server's cap.
+func scanMax(max int) uint32 {
+	if max > 0 && max <= wire.MaxPairs {
+		return uint32(max)
+	}
+	return 0
+}
+
 // GetAsync issues a pipelined Get.
 func (c *Conn) GetAsync(key uint64) *Call {
 	return c.start(wire.Request{Op: wire.OpGet, Key: key})
@@ -372,11 +417,7 @@ func (c *Conn) GetAsync(key uint64) *Call {
 
 // Get returns the value stored under key on the server.
 func (c *Conn) Get(key uint64) (uint64, bool, error) {
-	call := c.GetAsync(key)
-	if err := call.Wait(); err != nil {
-		return 0, false, err
-	}
-	return call.Resp.Val, call.Resp.Status == wire.StatusOK, nil
+	return c.GetContext(context.Background(), key)
 }
 
 // PutAsync issues a pipelined Put.
@@ -387,7 +428,7 @@ func (c *Conn) PutAsync(key, val uint64) *Call {
 // Put stores val under key on the server. When Put returns nil the write is
 // durable on the server (the store's per-operation persistence contract).
 func (c *Conn) Put(key, val uint64) error {
-	return c.PutAsync(key, val).Wait()
+	return c.PutContext(context.Background(), key, val)
 }
 
 // DeleteAsync issues a pipelined Delete.
@@ -397,11 +438,7 @@ func (c *Conn) DeleteAsync(key uint64) *Call {
 
 // Delete removes key on the server, reporting whether it was present.
 func (c *Conn) Delete(key uint64) (bool, error) {
-	call := c.DeleteAsync(key)
-	if err := call.Wait(); err != nil {
-		return false, err
-	}
-	return call.Resp.Status == wire.StatusOK, nil
+	return c.DeleteContext(context.Background(), key)
 }
 
 // PutBatchAsync issues one pipelined PutBatch frame. len(pairs) must not
@@ -433,22 +470,14 @@ func (c *Conn) PutBatch(pairs []KV) error {
 // ScanAsync issues a pipelined Scan for lo <= key <= hi, returning at most
 // max pairs (0 = the server's cap; never more than wire.MaxPairs).
 func (c *Conn) ScanAsync(lo, hi uint64, max int) *Call {
-	m := uint32(0)
-	if max > 0 && max <= wire.MaxPairs {
-		m = uint32(max)
-	}
-	return c.start(wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: m})
+	return c.start(wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
 }
 
 // Scan returns pairs with lo <= key <= hi in ascending key order, truncated
 // to max (or the server's cap when max is 0). A full result set exactly at
 // the cap may be a truncation; page with lo = lastKey+1 to continue.
 func (c *Conn) Scan(lo, hi uint64, max int) ([]KV, error) {
-	call := c.ScanAsync(lo, hi, max)
-	if err := call.Wait(); err != nil {
-		return nil, err
-	}
-	return call.Resp.Pairs, nil
+	return c.ScanContext(context.Background(), lo, hi, max)
 }
 
 // GetBytesAsync issues a pipelined GetV (varlen Get).
@@ -460,11 +489,7 @@ func (c *Conn) GetBytesAsync(key uint64) *Call {
 // The returned slice is owned by the caller. Reading a key written through
 // the fixed-width Put API fails with a *RemoteError.
 func (c *Conn) GetBytes(key uint64) ([]byte, bool, error) {
-	call := c.GetBytesAsync(key)
-	if err := call.Wait(); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
+	return c.GetBytesContext(context.Background(), key)
 }
 
 // PutBytesAsync issues a pipelined PutV (varlen Put). val must not exceed
@@ -477,17 +502,13 @@ func (c *Conn) PutBytesAsync(key uint64, val []byte) *Call {
 // PutBytes stores val as a byte-string value under key on the server. When
 // it returns nil the value is durable in the store's persistence model.
 func (c *Conn) PutBytes(key uint64, val []byte) error {
-	return c.PutBytesAsync(key, val).Wait()
+	return c.PutBytesContext(context.Background(), key, val)
 }
 
 // ScanBytesAsync issues a pipelined ScanV for lo <= key <= hi, returning
 // at most max pairs (0 = the server's cap).
 func (c *Conn) ScanBytesAsync(lo, hi uint64, max int) *Call {
-	m := uint32(0)
-	if max > 0 && max <= wire.MaxPairs {
-		m = uint32(max)
-	}
-	return c.start(wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: m})
+	return c.start(wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
 }
 
 // ScanBytes returns varlen pairs with lo <= key <= hi in ascending key
@@ -496,11 +517,7 @@ func (c *Conn) ScanBytesAsync(lo, hi uint64, max int) *Call {
 // be a truncation; page with lo = lastKey+1 to continue. The pairs' value
 // slices share one allocation owned by the caller.
 func (c *Conn) ScanBytes(lo, hi uint64, max int) ([]VKV, error) {
-	call := c.ScanBytesAsync(lo, hi, max)
-	if err := call.Wait(); err != nil {
-		return nil, err
-	}
-	return call.Resp.VPairs, nil
+	return c.ScanBytesContext(context.Background(), lo, hi, max)
 }
 
 // StatsAsync issues a pipelined Stats request.
@@ -510,9 +527,5 @@ func (c *Conn) StatsAsync() *Call {
 
 // Stats fetches the server's counter snapshot.
 func (c *Conn) Stats() (wire.Stats, error) {
-	call := c.StatsAsync()
-	if err := call.Wait(); err != nil {
-		return wire.Stats{}, err
-	}
-	return call.Resp.Stats, nil
+	return c.StatsContext(context.Background())
 }

@@ -199,3 +199,37 @@ func TestDialFailure(t *testing.T) {
 		t.Fatal("Dial to closed listener succeeded")
 	}
 }
+
+// TestOversizedLengthPrefixIsStreamDamage: a response whose length prefix
+// reads above MaxFrame — what one flipped high bit makes of a healthy frame —
+// must fail the pending call as transport damage (Retryable), not as
+// wire.ErrFrameTooBig, which to Retryable is the encoder's "your value is
+// too big" and final. The transport is a pipe handed in through
+// Options.Dial.
+func TestOversizedLengthPrefixIsStreamDamage(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go func() {
+		if _, err := wire.ReadFrame(srv, wire.MaxFrame, nil); err != nil {
+			return
+		}
+		var hdr [wire.FrameHdrSize]byte
+		hdr[0] = 0x80 // big-endian length 0x80000000
+		srv.Write(hdr[:])
+	}()
+	c, err := Dial("pipe", Options{Dial: func(string, time.Duration) (net.Conn, error) { return cli, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	call := c.GetAsync(1)
+	if err := call.Wait(); err == nil {
+		t.Fatal("Get over a damaged stream succeeded")
+	}
+	if !Retryable(call.Err) || !errors.Is(call.Err, wire.ErrMalformed) {
+		t.Fatalf("call failed with %v: want a Retryable wire.ErrMalformed", call.Err)
+	}
+	if !errors.Is(c.Err(), wire.ErrMalformed) {
+		t.Fatalf("connection error %v, want it terminated as malformed", c.Err())
+	}
+}

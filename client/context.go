@@ -23,67 +23,48 @@ func (c *Conn) wait(ctx context.Context, call *Call) error {
 
 // GetContext is Get bounded by ctx.
 func (c *Conn) GetContext(ctx context.Context, key uint64) (uint64, bool, error) {
-	call := c.GetAsync(key)
-	if err := c.wait(ctx, call); err != nil {
-		return 0, false, err
-	}
-	return call.Resp.Val, call.Resp.Status == wire.StatusOK, nil
+	return u64Val(c.do(ctx, wire.Request{Op: wire.OpGet, Key: key}))
 }
 
 // PutContext is Put bounded by ctx. A ctx cut leaves the write's outcome
 // unknown: the request may still reach the server and be applied.
 func (c *Conn) PutContext(ctx context.Context, key, val uint64) error {
-	return c.wait(ctx, c.PutAsync(key, val))
+	_, err := c.do(ctx, wire.Request{Op: wire.OpPut, Key: key, Val: val})
+	return err
 }
 
 // DeleteContext is Delete bounded by ctx (same unknown-outcome caveat as
 // PutContext).
 func (c *Conn) DeleteContext(ctx context.Context, key uint64) (bool, error) {
-	call := c.DeleteAsync(key)
-	if err := c.wait(ctx, call); err != nil {
-		return false, err
-	}
-	return call.Resp.Status == wire.StatusOK, nil
+	return found(c.do(ctx, wire.Request{Op: wire.OpDelete, Key: key}))
 }
 
 // ScanContext is Scan bounded by ctx.
 func (c *Conn) ScanContext(ctx context.Context, lo, hi uint64, max int) ([]KV, error) {
-	call := c.ScanAsync(lo, hi, max)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, err
-	}
-	return call.Resp.Pairs, nil
+	call, err := c.do(ctx, wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return call.Resp.Pairs, err
 }
 
 // GetBytesContext is GetBytes bounded by ctx.
 func (c *Conn) GetBytesContext(ctx context.Context, key uint64) ([]byte, bool, error) {
-	call := c.GetBytesAsync(key)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
+	return bytesVal(c.do(ctx, wire.Request{Op: wire.OpGetV, Key: key}))
 }
 
 // PutBytesContext is PutBytes bounded by ctx (same unknown-outcome caveat
 // as PutContext).
 func (c *Conn) PutBytesContext(ctx context.Context, key uint64, val []byte) error {
-	return c.wait(ctx, c.PutBytesAsync(key, val))
+	_, err := c.do(ctx, wire.Request{Op: wire.OpPutV, Key: key, VVal: val})
+	return err
 }
 
 // ScanBytesContext is ScanBytes bounded by ctx.
 func (c *Conn) ScanBytesContext(ctx context.Context, lo, hi uint64, max int) ([]VKV, error) {
-	call := c.ScanBytesAsync(lo, hi, max)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, err
-	}
-	return call.Resp.VPairs, nil
+	call, err := c.do(ctx, wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return call.Resp.VPairs, err
 }
 
 // StatsContext is Stats bounded by ctx.
 func (c *Conn) StatsContext(ctx context.Context) (wire.Stats, error) {
-	call := c.StatsAsync()
-	if err := c.wait(ctx, call); err != nil {
-		return wire.Stats{}, err
-	}
-	return call.Resp.Stats, nil
+	call, err := c.do(ctx, wire.Request{Op: wire.OpStats})
+	return call.Resp.Stats, err
 }

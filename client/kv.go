@@ -22,11 +22,7 @@ func (c *Conn) GetKVAsync(key []byte) *Call {
 // caller. Reading a prefix written through the uint64-keyed APIs fails
 // with a *RemoteError.
 func (c *Conn) GetKV(key []byte) ([]byte, bool, error) {
-	call := c.GetKVAsync(key)
-	if err := call.Wait(); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
+	return c.GetKVContext(context.Background(), key)
 }
 
 // PutKVAsync issues a pipelined PutK (byte-string-keyed Put). key must be
@@ -40,7 +36,7 @@ func (c *Conn) PutKVAsync(key, val []byte) *Call {
 // PutKV stores val under the byte-string key on the server. When it
 // returns nil the write is durable in the store's persistence model.
 func (c *Conn) PutKV(key, val []byte) error {
-	return c.PutKVAsync(key, val).Wait()
+	return c.PutKVContext(context.Background(), key, val)
 }
 
 // DeleteKVAsync issues a pipelined DeleteK. key is captured by reference;
@@ -52,11 +48,7 @@ func (c *Conn) DeleteKVAsync(key []byte) *Call {
 // DeleteKV removes the byte-string key on the server, reporting whether it
 // was present.
 func (c *Conn) DeleteKV(key []byte) (bool, error) {
-	call := c.DeleteKVAsync(key)
-	if err := call.Wait(); err != nil {
-		return false, err
-	}
-	return call.Resp.Status == wire.StatusOK, nil
+	return c.DeleteKVContext(context.Background(), key)
 }
 
 // ScanKVAsync issues a pipelined ScanK for lo <= key <= hi in bytewise
@@ -65,11 +57,7 @@ func (c *Conn) DeleteKV(key []byte) (bool, error) {
 // bytes so a pagination cursor lastKey+"\x00" always fits. Bounds are
 // captured by reference until the call completes.
 func (c *Conn) ScanKVAsync(lo, hi []byte, max int) *Call {
-	m := uint32(0)
-	if max > 0 && max <= wire.MaxPairs {
-		m = uint32(max)
-	}
-	return c.start(wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: m})
+	return c.start(wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
 }
 
 // ScanKV returns byte-keyed pairs with lo <= key <= hi in ascending
@@ -79,55 +67,36 @@ func (c *Conn) ScanKVAsync(lo, hi []byte, max int) *Call {
 // immediate successor) to continue. The pairs' key and value slices share
 // one allocation owned by the caller.
 func (c *Conn) ScanKV(lo, hi []byte, max int) ([]KKV, error) {
-	call := c.ScanKVAsync(lo, hi, max)
-	if err := call.Wait(); err != nil {
-		return nil, err
-	}
-	return call.Resp.KPairs, nil
+	return c.ScanKVContext(context.Background(), lo, hi, max)
 }
 
 // GetKVContext is GetKV bounded by ctx.
 func (c *Conn) GetKVContext(ctx context.Context, key []byte) ([]byte, bool, error) {
-	call := c.GetKVAsync(key)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
+	return bytesVal(c.do(ctx, wire.Request{Op: wire.OpGetK, KKey: key}))
 }
 
 // PutKVContext is PutKV bounded by ctx. A ctx cut leaves the write's
 // outcome unknown: the request may still reach the server and be applied.
 func (c *Conn) PutKVContext(ctx context.Context, key, val []byte) error {
-	return c.wait(ctx, c.PutKVAsync(key, val))
+	_, err := c.do(ctx, wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
+	return err
 }
 
 // DeleteKVContext is DeleteKV bounded by ctx (same unknown-outcome caveat
 // as PutKVContext).
 func (c *Conn) DeleteKVContext(ctx context.Context, key []byte) (bool, error) {
-	call := c.DeleteKVAsync(key)
-	if err := c.wait(ctx, call); err != nil {
-		return false, err
-	}
-	return call.Resp.Status == wire.StatusOK, nil
+	return found(c.do(ctx, wire.Request{Op: wire.OpDeleteK, KKey: key}))
 }
 
 // ScanKVContext is ScanKV bounded by ctx.
 func (c *Conn) ScanKVContext(ctx context.Context, lo, hi []byte, max int) ([]KKV, error) {
-	call := c.ScanKVAsync(lo, hi, max)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, err
-	}
-	return call.Resp.KPairs, nil
+	call, err := c.do(ctx, wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
+	return call.Resp.KPairs, err
 }
 
 // GetKV round-robins a byte-keyed Get (retried if Options.RetryReads).
 func (p *Pool) GetKV(key []byte) (val []byte, ok bool, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		val, ok, e = c.GetKV(key)
-		return e
-	})
-	return val, ok, err
+	return bytesVal(p.read(wire.Request{Op: wire.OpGetK, KKey: key}))
 }
 
 // PutKV round-robins a byte-keyed Put. Writes are never auto-retried.
@@ -138,10 +107,6 @@ func (p *Pool) DeleteKV(key []byte) (bool, error) { return p.Conn().DeleteKV(key
 
 // ScanKV round-robins a byte-keyed Scan (retried if Options.RetryReads).
 func (p *Pool) ScanKV(lo, hi []byte, max int) (kvs []KKV, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		kvs, e = c.ScanKV(lo, hi, max)
-		return e
-	})
-	return kvs, err
+	call, err := p.read(wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
+	return call.Resp.KPairs, err
 }

@@ -1,21 +1,13 @@
 package client
 
 import (
-	"bufio"
-	"io"
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/wire"
 )
-
-// ioBufSize sizes the per-connection buffered reader; large enough that a
-// pipelined burst of responses coalesces into few read syscalls. (The
-// write side batches into a slab instead — see Conn.writeLoop.)
-const ioBufSize = 64 << 10
-
-func newBufReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, ioBufSize) }
 
 // Pool is a fixed set of Conns to one server with round-robin dispatch.
 // With many goroutines sharing a Pool, each connection carries a slice of
@@ -144,29 +136,22 @@ func (p *Pool) Close() error {
 // retries, ~35ms of backoff worst-case before the final attempt.
 const readAttempts = 4
 
-// retryRead runs op for idempotent calls, retrying per Options.RetryReads.
-func (p *Pool) retryRead(op func(c *Conn) error) error {
-	err := op(p.Conn())
-	if err == nil || !p.opts.RetryReads || !Retryable(err) {
-		return err
-	}
-	for a := 1; a < readAttempts; a++ {
+// read issues an idempotent request on the next connection and returns the
+// completed call, retrying per Options.RetryReads: a Retryable failure is
+// reissued, after a backoff, on whatever connection is next (fresh or
+// redialed).
+func (p *Pool) read(req wire.Request) (*Call, error) {
+	call, err := p.Conn().do(context.Background(), req)
+	for a := 1; a < readAttempts && p.opts.RetryReads && Retryable(err); a++ {
 		time.Sleep(backoff(a-1, 2*time.Millisecond, 50*time.Millisecond))
-		if err = op(p.Conn()); err == nil || !Retryable(err) {
-			return err
-		}
+		call, err = p.Conn().do(context.Background(), req)
 	}
-	return err
+	return call, err
 }
 
 // Get round-robins a Get (retried if Options.RetryReads).
 func (p *Pool) Get(key uint64) (v uint64, ok bool, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		v, ok, e = c.Get(key)
-		return e
-	})
-	return v, ok, err
+	return u64Val(p.read(wire.Request{Op: wire.OpGet, Key: key}))
 }
 
 // Put round-robins a Put. Writes are never auto-retried.
@@ -180,22 +165,13 @@ func (p *Pool) PutBatch(pairs []KV) error { return p.Conn().PutBatch(pairs) }
 
 // Scan round-robins a Scan (retried if Options.RetryReads).
 func (p *Pool) Scan(lo, hi uint64, max int) (kvs []KV, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		kvs, e = c.Scan(lo, hi, max)
-		return e
-	})
-	return kvs, err
+	call, err := p.read(wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return call.Resp.Pairs, err
 }
 
 // GetBytes round-robins a varlen Get (retried if Options.RetryReads).
 func (p *Pool) GetBytes(key uint64) (val []byte, ok bool, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		val, ok, e = c.GetBytes(key)
-		return e
-	})
-	return val, ok, err
+	return bytesVal(p.read(wire.Request{Op: wire.OpGetV, Key: key}))
 }
 
 // PutBytes round-robins a varlen Put. Writes are never auto-retried.
@@ -203,20 +179,12 @@ func (p *Pool) PutBytes(key uint64, val []byte) error { return p.Conn().PutBytes
 
 // ScanBytes round-robins a varlen Scan (retried if Options.RetryReads).
 func (p *Pool) ScanBytes(lo, hi uint64, max int) (kvs []VKV, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		kvs, e = c.ScanBytes(lo, hi, max)
-		return e
-	})
-	return kvs, err
+	call, err := p.read(wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return call.Resp.VPairs, err
 }
 
 // Stats round-robins a Stats fetch (retried if Options.RetryReads).
 func (p *Pool) Stats() (st wire.Stats, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		st, e = c.Stats()
-		return e
-	})
-	return st, err
+	call, err := p.read(wire.Request{Op: wire.OpStats})
+	return call.Resp.Stats, err
 }

@@ -79,10 +79,7 @@ func (c *Conn) CommitTxnAsync(tx *Txn) *Call {
 // unknown, like any other write. An empty transaction commits as a no-op
 // without touching the connection.
 func (c *Conn) CommitTxn(tx *Txn) error {
-	if tx.Len() == 0 {
-		return nil
-	}
-	return c.CommitTxnAsync(tx).Wait()
+	return c.CommitTxnContext(context.Background(), tx)
 }
 
 // CommitTxnContext is CommitTxn bounded by ctx. A ctx cut leaves the
@@ -92,7 +89,8 @@ func (c *Conn) CommitTxnContext(ctx context.Context, tx *Txn) error {
 	if tx.Len() == 0 {
 		return nil
 	}
-	return c.wait(ctx, c.CommitTxnAsync(tx))
+	_, err := c.do(ctx, wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
+	return err
 }
 
 // CommitTxn round-robins a transaction commit. Like every write, commits

@@ -4,7 +4,7 @@
 //
 //	benchfig [-n keys] [-threads 1,2,4,8] [-tx 2000] [-warehouses 1] <figure>...
 //
-// Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes shards server hotpath all
+// Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes shards all
 //
 // The tpcc figure runs the transactional TPC-C port over the sharded
 // store (FigTPCC); fig6 keeps the paper's index-level comparison.
@@ -48,11 +48,11 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchfig [flags] fig3|fig4|fig5a|fig5b|fig5c|fig5d|fig6|tpcc|fig7a|fig7b|fig7c|flushes|shards|server|hotpath|all")
+		fmt.Fprintln(os.Stderr, "usage: benchfig [flags] fig3|fig4|fig5a|fig5b|fig5c|fig5d|fig6|tpcc|fig7a|fig7b|fig7c|flushes|shards|all")
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "tpcc", "fig7a", "fig7b", "fig7c", "flushes", "shards", "server", "hotpath"}
+		args = []string{"fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "tpcc", "fig7a", "fig7b", "fig7c", "flushes", "shards"}
 	}
 
 	for _, fig := range args {
@@ -89,13 +89,6 @@ func main() {
 				Goroutines:  8,
 				Mem:         pmem.Config{WriteLatency: 300 * time.Nanosecond},
 			})
-		case "server":
-			// DRAM latency: the remote figure isolates what pipelining
-			// buys against round trips; PM-latency sensitivity is the
-			// shards figure's axis.
-			tbl = bench.FigServer(bench.ServerConfig{Ops: *n})
-		case "hotpath":
-			tbl = bench.FigHotpath(bench.HotpathConfig{Ops: *n})
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
 			os.Exit(2)

@@ -82,7 +82,7 @@ func TestGCReclaimsGarbageAndPreservesLive(t *testing.T) {
 	if before.Garbage == 0 || before.GarbageRatio() < 0.5 {
 		t.Fatalf("churn left no garbage to collect: %+v", before)
 	}
-	res, err := l.GC(th, 0, tree.funcs())
+	res, err := l.GC(th, 0, true, tree.funcs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestGCReclaimsGarbageAndPreservesLive(t *testing.T) {
 	// of the tail extent and frees nothing more... unless relocation
 	// itself left movable garbage behind, so run to a fixed point.
 	for i := 0; i < 10; i++ {
-		res, err = l.GC(th, 0, tree.funcs())
+		res, err = l.GC(th, 0, true, tree.funcs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestGCBoundedInPlace(t *testing.T) {
 			want[k] = v
 		}
 		if l.QuickStats().GarbageRatio() > 0.5 {
-			if _, err := l.GC(th, 0, tree.funcs()); err != nil {
+			if _, err := l.GC(th, 0, true, tree.funcs()); err != nil {
 				t.Fatalf("round %d GC: %v", r, err)
 			}
 		}
@@ -197,7 +197,7 @@ func TestGCSkipsRecordOverwrittenMidPass(t *testing.T) {
 		}
 		return innerSwap(key, old, new)
 	}
-	res, err := l.GC(th, 0, fs)
+	res, err := l.GC(th, 0, true, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestGCNeverTouchesTailExtent(t *testing.T) {
 		}
 		tree[1] = ref
 	}
-	res, err := l.GC(th, 0, tree.funcs())
+	res, err := l.GC(th, 0, true, tree.funcs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestGCRequiresSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.GC(th, 0, GCFuncs{}); err == nil {
+	if _, err := l.GC(th, 0, true, GCFuncs{}); err == nil {
 		t.Fatal("GC without Swap must refuse")
 	}
 }
@@ -312,7 +312,7 @@ func TestAccountingFollowsLifecycle(t *testing.T) {
 		}
 		tree[k] = r
 	}
-	if _, err := l.GC(th, 0, tree.funcs()); err != nil {
+	if _, err := l.GC(th, 0, true, tree.funcs()); err != nil {
 		t.Fatal(err)
 	}
 	st := l.QuickStats()
@@ -336,4 +336,36 @@ func TestAccountingFollowsLifecycle(t *testing.T) {
 	if got := re.QuickStats(); got.Live != 3100 || got.Garbage != 42 {
 		t.Fatalf("ResetAccounting: %+v", got)
 	}
+}
+
+// TestGCNoWaitYieldsToRunningPass: passes are singular per log, and a
+// caller that asked not to wait gets Busy — no work, no error, no queueing —
+// while another pass holds the log. The second call is made from inside the
+// first pass's own fence, where waiting would be a deadlock.
+func TestGCNoWaitYieldsToRunningPass(t *testing.T) {
+	p, th := newPool(t, 8<<20, false)
+	l, err := Create(p, th, 5, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := mapTree{}
+	want := fillAndChurn(t, l, th, tree, 40, 4, 120)
+
+	fs := tree.funcs()
+	fences := 0
+	fs.Fence = func() {
+		fences++
+		res, err := l.GC(th, 0, false, tree.funcs())
+		if err != nil || !res.Busy || res.Extents != 0 || res.Relocated != 0 {
+			t.Fatalf("GC(wait=false) under a running pass = %+v, %v; want Busy and nothing done", res, err)
+		}
+	}
+	res, err := l.GC(th, 0, true, fs)
+	if err != nil || res.Busy || res.Extents == 0 || fences == 0 {
+		t.Fatalf("outer pass = %+v, %v after %d fences; want extents reclaimed", res, err, fences)
+	}
+	if res, err = l.GC(th, 0, false, tree.funcs()); err != nil || res.Busy {
+		t.Fatalf("GC(wait=false) on an idle log = %+v, %v; want it to run", res, err)
+	}
+	verifyTree(t, l, th, tree, want, "after nested no-wait GC")
 }

@@ -656,6 +656,7 @@ type GCResult struct {
 	RelocatedBytes int64 // their payload bytes
 	DroppedBytes   int64 // payload of dead records discarded with their extents
 	Skipped        int   // relocations abandoned: the key changed mid-GC
+	Busy           bool  // wait was false and another pass (or Check) held the log: nothing ran
 }
 
 // GC reclaims up to maxExtents (0 = no bound) sealed extents from the head
@@ -673,7 +674,10 @@ type GCResult struct {
 // after it; the final fence then drains readers still holding pre-sweep
 // snapshots before the memory is recycled. The extent holding the append
 // tail is never touched, so GC runs concurrently with appends and
-// lock-free reads; passes serialise with each other.
+// lock-free reads; passes serialise with each other on gcMu. A caller that
+// must not queue behind a running pass — the store's automatic trigger,
+// fired from a writer's own operation — passes wait=false: GC then only
+// tries the lock and, when it is taken, returns at once with Busy set.
 //
 // Crash-wise every step is covered by an existing argument: the copies are
 // ordinary appends (all-or-nothing via the tail publish), each swap is the
@@ -689,12 +693,17 @@ type GCResult struct {
 // (compaction needs headroom for one extent's live data — callers should
 // GC before the pool is wholly full, which the store's garbage-ratio
 // trigger does).
-func (l *Log) GC(th *pmem.Thread, maxExtents int, f GCFuncs) (GCResult, error) {
+func (l *Log) GC(th *pmem.Thread, maxExtents int, wait bool, f GCFuncs) (GCResult, error) {
 	var res GCResult
 	if f.Swap == nil {
 		return res, errors.New("vlog: GC requires a Swap callback")
 	}
-	l.gcMu.Lock()
+	if wait {
+		l.gcMu.Lock()
+	} else if !l.gcMu.TryLock() {
+		res.Busy = true
+		return res, nil
+	}
 	defer l.gcMu.Unlock()
 	// The pass is bounded by the chain as it stood on entry: relocation
 	// appends grow the tail, and without a stopping extent a full pass

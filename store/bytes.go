@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/index"
 	"repro/internal/vlog"
 )
 
@@ -26,11 +25,11 @@ import (
 // torn value behind a live key.
 //
 // Overwriting or deleting a varlen key turns the old record into garbage;
-// the displaced tree word is fed to the shard's accounting (every path
-// that displaces a word — Put, PutBytes, PutBatch, Delete, DeleteBytes —
-// goes through retireWord, the one place stale bytes are counted), and
-// value-log GC reclaims the space (Options.GCGarbageRatio,
-// Session.CompactValues; see gc.go for the full reclamation argument).
+// the displaced tree word is fed to the shard's accounting (every write is
+// one Session.apply, and every word it displaces goes through retireWord,
+// the one place stale bytes are counted), and value-log GC reclaims the
+// space (Options.GCGarbageRatio, Session.CompactValues; see gc.go for the
+// full reclamation argument).
 //
 // Fixed-width (Put/Get) and varlen (PutBytes/GetBytes) values share one
 // tree per shard, so a single key must be used through one API
@@ -65,14 +64,83 @@ var (
 	ErrNoSpace = errors.New("store: value log out of space")
 )
 
-// wrapReadErr classifies a vlog read failure: checksum failures are
-// corruption, everything else (bad offset, header/key/ref disagreement) is
-// a fixed-width key read through the varlen API.
-func wrapReadErr(key uint64, err error) error {
+// wrapReadErr classifies a value-log read (or bucket parse) failure under
+// key: checksum failures are corruption, everything else — bad offset,
+// header/key/ref disagreement, a payload that is no bucket — is a word the
+// caller's key family did not write, reported as that family's sentinel
+// (ErrNotVarlen for the varlen API, ErrNotKeyed for the byte-key API).
+func wrapReadErr(notFamily error, key uint64, err error) error {
 	if errors.Is(err, vlog.ErrCorrupt) {
-		return fmt.Errorf("%w (key %d): %v", ErrValueCorrupt, key, err)
+		notFamily = ErrValueCorrupt
 	}
-	return fmt.Errorf("%w (key %d): %v", ErrNotVarlen, key, err)
+	return fmt.Errorf("%w (key %#x): %v", notFamily, key, err)
+}
+
+// spaceErr is the one mapping from a value-log refusal — Admit's or
+// Append's — to the store's errors: a pool that cannot hold the record
+// (ErrFull; admission refuses early to keep GC headroom, and an Append that
+// raced another writer into the last extent is the same condition) or a
+// record above the log's bound (ErrTooLarge) is ErrNoSpace; anything else
+// passes through wrapped.
+func spaceErr(i int, err error) error {
+	if errors.Is(err, vlog.ErrFull) || errors.Is(err, vlog.ErrTooLarge) {
+		return fmt.Errorf("%w: shard %d: %v", ErrNoSpace, i, err)
+	}
+	return fmt.Errorf("store: shard %d value log: %w", i, err)
+}
+
+// admit runs value-log space admission for a write that will append need
+// payload bytes to shard i's log: when the pool can no longer hold the
+// append plus an extent of GC headroom, it tries one inline compaction pass
+// and, if that does not clear the shortfall, fails fast with ErrNoSpace —
+// before the log is grown into the last free bytes GC would need to stage
+// relocations. Reads, deletes, and GC are unaffected, and the condition
+// clears once compaction frees extents. It runs before the caller's grace
+// section (a pass must not wait on its own caller) and, for plain writes,
+// before any lock; a commit calls it with applyMu held, which a pass never
+// takes.
+//
+// The pass is best-effort reclamation before refusing: a full one
+// (wait=true queues behind any running pass, so its frees count too), then
+// one re-check. The slow path is paid only by writers already out of
+// space — and only when automatic compaction is enabled; with
+// GCGarbageRatio < 0 the operator asked for manual-only GC, so admission
+// refuses immediately and CompactValues is the way out.
+func (ss *Session) admit(i, need int) error {
+	vl := ss.s.shards[i].vl
+	if vl.Admit(need) == nil {
+		return nil
+	}
+	if ss.s.opts.GCGarbageRatio >= 0 {
+		_, _ = ss.compactShard(i, 0, true)
+	}
+	if err := vl.Admit(need); err != nil {
+		return spaceErr(i, err)
+	}
+	return nil
+}
+
+// appendNeed projects the value-log payload a plain write of op appends on
+// shard i, or -1 when it needs no admission: fixed-width writes append
+// nothing, and a delete's rewrite only shrinks a bucket. A byte-key put
+// rewrites its prefix's bucket, projected as the current image (an advisory
+// read of the tree word — a Ref carries its record's length) plus the new
+// entry; a projection past the record bound is left to the rewrite itself,
+// which refuses with ErrBucketOverflow or finds the bucket smaller.
+func (ss *Session) appendNeed(i int, op txnOp) int {
+	switch op.kind {
+	case opPutBytes:
+		return len(op.bval)
+	case txnOpPutKV:
+		need := kvEntryHdr + len(op.bkey) + len(op.bval)
+		if ref, ok := ss.s.shards[i].ix.Get(ss.ths[i], PackPrefix(op.bkey)); ok {
+			need += vlog.Ref(ref).Len()
+		}
+		if need <= maxBucket {
+			return need
+		}
+	}
+	return -1
 }
 
 // retireWord is the single funnel for garbage accounting: every operation
@@ -91,89 +159,26 @@ func (ss *Session) retireWord(i int, key uint64, old uint64) bool {
 // returns; a crash mid-call can only lose the whole update, never expose
 // a torn or partial value. An overwrite retires the old record's bytes to
 // the shard's garbage accounting and may run an automatic GC pass (see
-// Options.GCGarbageRatio). On a closed store it returns ErrClosed.
-//
-// The append and the tree install happen inside one grace section on the
-// shard thread: a GC fence must not complete while a record exists whose ref
-// is still on its way into the tree, or the pass could judge that record
-// dead, free its extent, and let the install land on recycled memory (see
-// gc.go). A section excludes nobody — writers never wait on each other here.
-//
-// Space admission runs first, outside the section: when the shard's pool can
-// no longer hold the append plus an extent of GC headroom, PutBytes tries
-// one inline compaction pass and, if that does not clear the shortfall,
-// fails fast with ErrNoSpace — before the log is grown into the last free
-// bytes GC would need to stage relocations. Reads, deletes, and GC are
-// unaffected, and the condition clears once compaction frees extents.
+// Options.GCGarbageRatio). On a closed store it returns ErrClosed; when the
+// shard cannot guarantee log space with GC headroom intact it fails fast
+// with ErrNoSpace (see admit).
 func (ss *Session) PutBytes(key uint64, val []byte) error {
-	if len(val) > MaxValue {
-		return fmt.Errorf("%w: %d > %d bytes", ErrValueTooLarge, len(val), MaxValue)
-	}
-	if !ss.s.acquire() {
-		return ErrClosed
-	}
-	if err := ss.s.writable(); err != nil {
-		ss.s.release()
-		return err
-	}
-	if ss.sampleOp() {
-		defer ss.s.met.putBytes.RecordSince(time.Now())
-	}
-	i := ss.s.ShardFor(key)
-	sh := &ss.s.shards[i]
-	if sh.vl.Admit(len(val)) != nil {
-		// Best-effort reclamation before refusing: a full pass (wait=true
-		// queues behind any running one, so its frees count too), then one
-		// re-check. The slow path is paid only by writers already out of
-		// space — and only when automatic compaction is enabled; with
-		// GCGarbageRatio < 0 the operator asked for manual-only GC, so
-		// admission refuses immediately and CompactValues is the way out.
-		if ss.s.opts.GCGarbageRatio >= 0 {
-			_, _ = ss.compactShard(i, 0, true)
-		}
-		if aerr := sh.vl.Admit(len(val)); aerr != nil {
-			ss.s.release()
-			return fmt.Errorf("%w: shard %d: %v", ErrNoSpace, i, aerr)
-		}
-	}
-	sh.gc.applyMu.RLock()
-	th := ss.ths[i]
-	th.Enter()
-	ref, err := sh.vl.Append(th, key, val)
-	if err != nil {
-		th.Exit()
-		sh.gc.applyMu.RUnlock()
-		ss.s.release()
-		if errors.Is(err, vlog.ErrFull) {
-			// Admission raced another writer into the last extent; the
-			// hard failure is the same condition.
-			return fmt.Errorf("%w: shard %d: %v", ErrNoSpace, i, err)
-		}
-		return fmt.Errorf("store: shard %d value log: %w", i, err)
-	}
-	old, existed, err := index.Exchange(sh.ix, th, key, uint64(ref))
-	if err != nil {
-		// The appended record is leaked until GC finds it dead; the
-		// operation itself failed cleanly.
-		th.Exit()
-		sh.gc.applyMu.RUnlock()
-		ss.s.release()
-		return err
-	}
-	stale := existed && ss.retireWord(i, key, old)
-	th.Exit()
-	sh.gc.applyMu.RUnlock()
-	ss.s.release()
-	if stale {
-		ss.maybeGC(i)
-	}
-	return nil
+	_, err := ss.mutate(txnOp{kind: opPutBytes, key: key, bval: val})
+	return err
 }
 
-// readCurrent resolves key's current value through the tree. The caller
-// must be inside a grace section on the shard thread (ss.ths[i].Enter),
-// which pins every record the tree currently names: GC cannot complete its
-// pre-free fence while the section is open.
+// resolve returns the value-log payload shard i's tree names under key,
+// appended to dst, and the tree word it resolved — the one retry loop
+// behind every read of a log record (GetBytes, GetKV, ScanBytes, ScanKV, a
+// commit's bucket projection, a bucket rewrite). With haveWord the first
+// attempt uses word, a snapshot the caller collected earlier (a scan page);
+// otherwise the word is read from the tree. notFamily is the sentinel a
+// word that names no record of the caller's key family is reported as.
+//
+// The resolution runs inside a grace section on the shard thread, which
+// pins every record the tree currently names: GC cannot complete its
+// pre-free fence while the section is open (sections nest, so a writer
+// holding one across its install calls this freely).
 //
 // One subtlety forces the retry loop: the tree's lock-free read protocol
 // lets a reader racing a Delete observe the pre-delete value word (the
@@ -182,30 +187,36 @@ func (ss *Session) PutBytes(key uint64, val []byte) error {
 // names stopped being referenced the moment the delete committed, and a GC
 // pass already past its final fence may have reclaimed it, our section
 // notwithstanding: a section opened after a fence began only protects
-// records the tree still names).
+// records the tree still names). A snapshot word is weaker still: GC may
+// have relocated and freed its record before the section opened.
 // Such a dangling ref fails the record validation (owner key, header,
 // checksum); re-reading the tree then either shows the key gone (the
-// delete won — report absent), or a fresh word from a racing re-insert
-// (resolve that instead). Only a word that fails validation AND re-reads
-// unchanged is a genuine classification: a fixed-width value (ErrNotVarlen)
-// or real corruption.
-func (ss *Session) readCurrent(i int, key uint64, dst []byte) ([]byte, bool, error) {
+// delete won — report absent), or a fresh word from a racing re-insert or a
+// relocation (resolve that instead). Only a word that was read from the
+// tree inside the section, fails validation AND re-reads unchanged is a
+// genuine classification: a word of another key family (notFamily) or real
+// corruption.
+func (ss *Session) resolve(i int, key, word uint64, haveWord bool, dst []byte, notFamily error) (out []byte, cur uint64, ok bool, err error) {
 	sh := &ss.s.shards[i]
-	ref, ok := sh.ix.Get(ss.ths[i], key)
-	for {
-		if !ok {
-			return dst, false, nil
-		}
-		out, err := sh.vl.ReadKeyed(ss.ths[i], key, vlog.Ref(ref), dst)
-		if err == nil {
-			return out, true, nil
-		}
-		ref2, ok2 := sh.ix.Get(ss.ths[i], key)
-		if ok2 && ref2 == ref {
-			return dst, false, wrapReadErr(key, err)
-		}
-		ref, ok = ref2, ok2
+	th := ss.ths[i]
+	th.Enter()
+	defer th.Exit()
+	cur, ok = word, true
+	if !haveWord {
+		cur, ok = sh.ix.Get(th, key)
 	}
+	for fromTree := !haveWord; ok; fromTree = true {
+		out, err = sh.vl.ReadKeyed(th, key, vlog.Ref(cur), dst)
+		if err == nil {
+			return out, cur, true, nil
+		}
+		again, still := sh.ix.Get(th, key)
+		if fromTree && still && again == cur {
+			return dst, cur, false, wrapReadErr(notFamily, key, err)
+		}
+		cur, ok = again, still
+	}
+	return dst, 0, false, nil
 }
 
 // GetBytes returns the byte-string value stored under key, appended to dst
@@ -215,19 +226,17 @@ func (ss *Session) readCurrent(i int, key uint64, dst []byte) ([]byte, bool, err
 //
 // The ref load and the record read happen inside one grace section, so a
 // concurrent GC pass cannot free a record the tree names mid-read (see
-// gc.go).
+// resolve and gc.go).
 func (ss *Session) GetBytes(key uint64, dst []byte) ([]byte, bool, error) {
 	if !ss.s.acquire() {
 		return dst, false, ErrClosed
 	}
 	defer ss.s.release()
 	if ss.sampleOp() {
-		defer ss.s.met.getBytes.RecordSince(time.Now())
+		defer ss.s.met.op[opGetBytes].RecordSince(time.Now())
 	}
-	i := ss.s.ShardFor(key)
-	ss.ths[i].Enter()
-	defer ss.ths[i].Exit()
-	return ss.readCurrent(i, key, dst)
+	out, _, ok, err := ss.resolve(ss.s.ShardFor(key), key, 0, false, dst, ErrNotVarlen)
+	return out, ok, err
 }
 
 // DeleteBytes removes a varlen key, reporting whether it was present. The
@@ -238,32 +247,6 @@ func (ss *Session) GetBytes(key uint64, dst []byte) ([]byte, bool, error) {
 // to the reclaim stats through the same retireWord funnel.
 func (ss *Session) DeleteBytes(key uint64) (bool, error) {
 	return ss.Delete(key)
-}
-
-// resolveScanRef resolves one collected (key, word) pair to value bytes
-// inside a grace section on the shard thread. A collected ref is a snapshot:
-// GC may have relocated and freed the record since ScanLimit read the
-// tree, so on validation failure the authoritative ref is re-read from the
-// tree inside the same section — GC cannot free what the tree names while
-// it is open — and a key deleted in the meantime is skipped.
-func (ss *Session) resolveScanRef(kv KV) (val []byte, skip bool, err error) {
-	i := ss.s.ShardFor(kv.Key)
-	sh := &ss.s.shards[i]
-	ss.ths[i].Enter()
-	defer ss.ths[i].Exit()
-	buf, err := sh.vl.ReadKeyed(ss.ths[i], kv.Key, vlog.Ref(kv.Val), ss.valBuf[:0])
-	if err != nil {
-		var ok bool
-		buf, ok, err = ss.readCurrent(i, kv.Key, ss.valBuf[:0])
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, true, nil
-		}
-	}
-	ss.valBuf = buf
-	return buf, false, nil
 }
 
 // ScanBytes visits varlen pairs with lo <= key <= hi in ascending global
@@ -278,8 +261,9 @@ func (ss *Session) resolveScanRef(kv KV) (val []byte, skip bool, err error) {
 // range aborts the scan with ErrNotVarlen: keep fixed and varlen keys in
 // disjoint ranges if both share a store. Pairs whose key is concurrently
 // deleted mid-resolution are skipped; a pair relocated by a concurrent GC
-// pass is transparently re-resolved. On a closed store it returns
-// ErrClosed.
+// pass is transparently re-resolved (a collected word is a snapshot; each
+// pair resolves in its own grace section — see resolve). On a closed store
+// it returns ErrClosed.
 func (ss *Session) ScanBytes(lo, hi uint64, max int, fn func(key uint64, val []byte) bool) error {
 	if max <= 0 || max > maxScanPage {
 		max = maxScanPage
@@ -289,20 +273,21 @@ func (ss *Session) ScanBytes(lo, hi uint64, max int, fn func(key uint64, val []b
 	}
 	defer ss.s.release()
 	if ss.sampleOp() {
-		defer ss.s.met.scanBytes.RecordSince(time.Now())
+		defer ss.s.met.op[opScanBytes].RecordSince(time.Now())
 	}
 	kvs, err := ss.ScanLimit(lo, hi, max)
 	if err != nil {
 		return err
 	}
 	for _, kv := range kvs {
-		val, skip, err := ss.resolveScanRef(kv)
+		val, _, ok, err := ss.resolve(ss.s.ShardFor(kv.Key), kv.Key, kv.Val, true, ss.valBuf[:0], ErrNotVarlen)
 		if err != nil {
 			return err
 		}
-		if skip {
+		if !ok {
 			continue
 		}
+		ss.valBuf = val
 		if !fn(kv.Key, val) {
 			return nil
 		}

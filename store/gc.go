@@ -54,16 +54,16 @@ import (
 // its own caller — which is why every trigger fires after the triggering
 // operation has closed its section and dropped its locks.
 //
-// ScanBytes resolves refs collected before its per-record section, so it
-// additionally retries through the tree when a snapshot ref no longer
-// validates — see its implementation.
+// Scans resolve words collected before their per-record section, so they
+// additionally retry through the tree when a snapshot word no longer
+// validates — see Session.resolve, the one loop every reader shares.
 //
 // Automatic passes piggyback on the writing session: when an overwrite or
 // delete tips a shard past Options.GCGarbageRatio (and one extent's worth
 // of garbage exists), the writer runs the pass inline on its own
-// per-shard thread. shardGC.runMu keeps passes singular per shard;
-// automatic triggers TryLock it, so at most one writer pays while the
-// rest proceed.
+// per-shard thread. The log's own gcMu keeps passes singular per shard;
+// automatic triggers only try it (vlog.Log.GC with wait=false), so at most
+// one writer pays while the rest proceed.
 
 // CompactStats aggregates the work of the per-shard GC passes one
 // CompactValues call ran.
@@ -129,15 +129,9 @@ const autoGCExtents = 4
 // no-op. Caller holds the store's close gate.
 func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, error) {
 	sh := &ss.s.shards[i]
-	if wait {
-		sh.gc.runMu.Lock()
-	} else if !sh.gc.runMu.TryLock() {
-		return vlog.GCResult{}, nil
-	}
-	defer sh.gc.runMu.Unlock()
 	th := ss.ths[i]
 	start := time.Now()
-	res, err := sh.vl.GC(th, maxExtents, vlog.GCFuncs{
+	res, err := sh.vl.GC(th, maxExtents, wait, vlog.GCFuncs{
 		Live: func(key uint64, ref vlog.Ref) bool {
 			v, ok := sh.ix.Get(th, key)
 			return ok && v == uint64(ref)
@@ -150,7 +144,9 @@ func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, er
 		// the package comment above).
 		Fence: sh.pool.Synchronize,
 	})
-	ss.s.met.recordGC(start, res.Relocated)
+	if !res.Busy {
+		ss.s.met.recordGC(start, res.Relocated)
+	}
 	return res, err
 }
 

@@ -34,10 +34,11 @@ import (
 // exists anywhere, and the tree install of that Ref is one atomic 8-byte
 // store. A crash mid-PutKV leaves either the old bucket (new record
 // unreachable; leaked until GC or truncated by Reopen) or the new one —
-// never a torn key or value behind a live prefix. GC relocation and
-// Reopen's accounting rebuild need no new code: every live bucket is named
-// directly by a tree word, which is all their Live/Swap callbacks and
-// IsRecord walks assume.
+// never a torn key or value behind a live prefix. Both byte-key writes are
+// one loop (rewriteBucket), whether a plain write or a transaction's apply
+// runs it. GC relocation and Reopen's accounting rebuild need no new code:
+// every live bucket is named directly by a tree word, which is all their
+// Live/Swap callbacks and IsRecord walks assume.
 //
 // Buckets and the uint64 APIs share each shard's tree and log, so the
 // prefix keyspace must be disjoint from any fixed/varlen uint64 keys: a
@@ -126,16 +127,6 @@ func checkKey(key []byte) error {
 		return fmt.Errorf("%w: %d > %d bytes", ErrKeyTooLarge, len(key), MaxKey)
 	}
 	return nil
-}
-
-// wrapKVReadErr classifies a bucket resolution failure like wrapReadErr
-// does for varlen values: checksum failures are corruption, everything
-// else is a prefix whose word was never a bucket.
-func wrapKVReadErr(prefix uint64, err error) error {
-	if errors.Is(err, vlog.ErrCorrupt) {
-		return fmt.Errorf("%w (prefix %#x): %v", ErrValueCorrupt, prefix, err)
-	}
-	return fmt.Errorf("%w (prefix %#x): %v", ErrNotKeyed, prefix, err)
 }
 
 // errBadBucket is the internal parse failure; public paths wrap it in
@@ -253,54 +244,6 @@ func bucketGet(bucket []byte, prefix uint64, key, dst []byte) (out []byte, found
 	return out, found, nil
 }
 
-// readBucket resolves prefix's current bucket through shard i's tree. The
-// caller must be inside a grace section on the shard thread. Like readCurrent it
-// retries on validation failure with a re-read of the tree word — a
-// collected or racing snapshot may predate a GC relocation or a delete —
-// and only a word that fails validation AND re-reads unchanged classifies
-// as ErrNotKeyed/ErrValueCorrupt. The returned payload lives in ss.kvBuf.
-func (ss *Session) readBucket(i int, prefix uint64, word uint64, haveWord bool) ([]byte, bool, error) {
-	sh := &ss.s.shards[i]
-	th := ss.ths[i]
-	ref, ok := word, haveWord
-	if !haveWord {
-		ref, ok = sh.ix.Get(th, prefix)
-	}
-	for {
-		if !ok {
-			return nil, false, nil
-		}
-		b, err := sh.vl.ReadKeyed(th, prefix, vlog.Ref(ref), ss.kvBuf[:0])
-		if err == nil {
-			ss.kvBuf = b
-			return b, true, nil
-		}
-		ref2, ok2 := sh.ix.Get(th, prefix)
-		if ok2 && ref2 == ref {
-			return nil, false, wrapKVReadErr(prefix, err)
-		}
-		ref, ok = ref2, ok2
-	}
-}
-
-// admitKV runs space admission for a bucket rewrite of projected payload
-// size need (the caller's advisory estimate: current bucket image plus the
-// new entry). Falls back to one inline compaction pass before refusing,
-// like PutBytes.
-func (ss *Session) admitKV(i, need int) error {
-	sh := &ss.s.shards[i]
-	if sh.vl.Admit(need) == nil {
-		return nil
-	}
-	if ss.s.opts.GCGarbageRatio >= 0 {
-		_, _ = ss.compactShard(i, 0, true)
-	}
-	if aerr := sh.vl.Admit(need); aerr != nil {
-		return fmt.Errorf("%w: shard %d: %v", ErrNoSpace, i, aerr)
-	}
-	return nil
-}
-
 // PutKV stores val under a byte-string key of 1..MaxKey bytes, replacing
 // any existing value. Durability and crash atomicity match PutBytes: the
 // rewritten bucket record is fully durable before the tree install, and
@@ -311,120 +254,100 @@ func (ss *Session) admitKV(i, need int) error {
 // returns ErrClosed; when the shard cannot guarantee log space with GC
 // headroom intact it fails fast with ErrNoSpace.
 func (ss *Session) PutKV(key, val []byte) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	if len(val) > MaxKVValue {
-		return fmt.Errorf("%w: %d > %d bytes", ErrValueTooLarge, len(val), MaxKVValue)
-	}
-	if !ss.s.acquire() {
-		return ErrClosed
-	}
-	if err := ss.s.writable(); err != nil {
-		ss.s.release()
-		return err
-	}
-	if ss.sampleOp() {
-		defer ss.s.met.putKV.RecordSince(time.Now())
-	}
-	i := ss.s.ShardForKey(key)
-	p := PackPrefix(key)
-	sh := &ss.s.shards[i]
-	th := ss.ths[i]
-	// Admission before any lock: project the rewritten bucket as the
-	// current image (advisory word read) plus the new entry.
-	need := kvEntryHdr + len(key) + len(val)
-	if ref, ok := sh.ix.Get(th, p); ok {
-		need += vlog.Ref(ref).Len()
-	}
-	if need <= maxBucket {
-		if err := ss.admitKV(i, need); err != nil {
-			ss.s.release()
-			return err
-		}
-	}
-	sh.gc.applyMu.RLock()
-	stale, perr := ss.putKVApply(i, p, key, val)
-	sh.gc.applyMu.RUnlock()
-	ss.s.release()
-	if stale {
-		ss.maybeGC(i)
-	}
-	return perr
+	_, err := ss.mutate(txnOp{kind: txnOpPutKV, bkey: key, bval: val})
+	return err
 }
 
-// putKVApply performs the locked bucket rewrite behind PutKV: read the
-// prefix's current bucket, upsert the entry, append the new image, install
-// it over the old word. It serialises on the shard's kvMu and retries
-// around concurrent GC relocations. The caller must hold the shard's
-// applyMu (shared for plain writes, exclusive inside a transaction commit)
-// or be the only mutator (recovery replay), and reports whether a displaced
-// record turned stale (the caller runs maybeGC once its locks are down).
-func (ss *Session) putKVApply(i int, p uint64, key, val []byte) (stale bool, err error) {
+// DeleteKV removes a byte-string key, reporting whether it was present.
+// Removing the last key of a prefix removes the tree entry; otherwise the
+// bucket is rewritten without the entry — which appends, so a delete can
+// (rarely) fail with ErrNoSpace on a log with no headroom, same as an
+// overwrite. The displaced bucket record retires through the standard
+// accounting funnel and may trigger automatic GC.
+func (ss *Session) DeleteKV(key []byte) (bool, error) {
+	return ss.mutate(txnOp{kind: txnOpDelKV, bkey: key})
+}
+
+// rewriteBucket is the one read-modify-write loop behind both byte-key
+// writes: read prefix's current bucket on shard i, apply edit to it (a
+// txnOpPutKV upserts its entry, a txnOpDelKV removes it), append the new
+// image, install it over the old word — Exchange on a vacant prefix,
+// ReplaceIf over the word that was read, Remove when the last entry goes.
+// It serialises on the shard's kvMu and retries around concurrent GC
+// relocations. The caller must hold the shard's applyMu (shared for plain
+// writes, exclusive inside a transaction commit) or be the only mutator
+// (recovery replay). It reports whether edit's key existed and whether a
+// displaced record turned stale (the caller runs maybeGC once its locks are
+// down).
+func (ss *Session) rewriteBucket(i int, prefix uint64, edit txnOp) (existed, stale bool, err error) {
+	gc := ss.s.shards[i].gc
+	gc.kvMu.Lock()
+	defer gc.kvMu.Unlock()
+	for done := false; !done && err == nil; {
+		existed, stale, done, err = ss.tryRewrite(i, prefix, edit)
+	}
+	return existed, stale, err
+}
+
+// tryRewrite is one attempt of rewriteBucket, inside one grace section on
+// the shard thread from the bucket read to the install: the appended image
+// is invisible to GC's liveness until its ref lands in the tree (the
+// PutBytes argument, see Session.apply). done=false with a nil error means
+// a GC relocation moved the word between the read and the install — retry
+// against the fresh one.
+func (ss *Session) tryRewrite(i int, prefix uint64, edit txnOp) (existed, stale, done bool, err error) {
 	sh := &ss.s.shards[i]
 	th := ss.ths[i]
-	sh.gc.kvMu.Lock()
-	defer sh.gc.kvMu.Unlock()
-	for {
-		// One attempt inside a grace section; done=false with a
-		// nil error means a concurrent delete or GC relocation invalidated
-		// the snapshot — retry against the fresh tree word.
-		done := false
-		stale, err = func() (bool, error) {
-			th.Enter()
-			defer th.Exit()
-			ref, ok := sh.ix.Get(th, p)
-			var bucket []byte
-			if ok {
-				b, found, err := ss.readBucket(i, p, ref, true)
-				if err != nil {
-					return false, err
-				}
-				if !found {
-					// Deleted between Get and read (uint64-API race);
-					// treat as absent on the next attempt.
-					return false, nil
-				}
-				bucket = b
-			}
-			newb, _, err := bucketUpsert(ss.kvNew[:0], bucket, p, key, val)
-			if err != nil {
-				return false, wrapKVReadErr(p, err)
-			}
-			ss.kvNew = newb
-			if len(newb) > maxBucket {
-				return false, fmt.Errorf("%w: prefix %#x at %d bytes", ErrBucketOverflow, p, len(newb))
-			}
-			newRef, aerr := sh.vl.Append(th, p, newb)
-			if aerr != nil {
-				if errors.Is(aerr, vlog.ErrFull) || errors.Is(aerr, vlog.ErrTooLarge) {
-					return false, fmt.Errorf("%w: shard %d: %v", ErrNoSpace, i, aerr)
-				}
-				return false, fmt.Errorf("store: shard %d value log: %w", i, aerr)
-			}
-			if !ok {
-				old, existed, xerr := index.Exchange(sh.ix, th, p, uint64(newRef))
-				if xerr != nil {
-					return false, xerr
-				}
-				done = true
-				return existed && ss.retireWord(i, p, old), nil
-			}
-			if !index.ReplaceIf(sh.ix, th, p, ref, uint64(newRef)) {
-				// A GC pass relocated the bucket between our read and the
-				// install: the new record targets a superseded image.
-				// Retire it and rebuild against the fresh word. (Only GC
-				// moves the word — byte-key writers hold kvMu.)
-				ss.retireWord(i, p, uint64(newRef))
-				return false, nil
-			}
-			done = true
-			return ss.retireWord(i, p, ref), nil
-		}()
-		if err != nil || done {
-			return stale, err
-		}
+	th.Enter()
+	defer th.Exit()
+	bucket, ref, ok, err := ss.resolve(i, prefix, 0, false, ss.kvBuf[:0], ErrNotKeyed)
+	if err != nil {
+		return false, false, true, err
 	}
+	ss.kvBuf = bucket // empty when the prefix is vacant
+	var newb []byte
+	switch {
+	case edit.kind == txnOpPutKV:
+		newb, existed, err = bucketUpsert(ss.kvNew[:0], bucket, prefix, edit.bkey, edit.bval)
+	case ok:
+		newb, existed, err = bucketRemove(ss.kvNew[:0], bucket, prefix, edit.bkey)
+	}
+	if err != nil {
+		return false, false, true, wrapReadErr(ErrNotKeyed, prefix, err)
+	}
+	if !existed && edit.kind == txnOpDelKV {
+		return false, false, true, nil // nothing to remove, nothing written
+	}
+	ss.kvNew = newb
+	if len(newb) == 0 {
+		// Last entry: drop the prefix. Between our read and the Remove only
+		// GC can have moved the word (same content), so whatever Remove
+		// displaces is this bucket's live record.
+		old, was := index.Remove(sh.ix, th, prefix)
+		return true, was && ss.retireWord(i, prefix, old), true, nil
+	}
+	if len(newb) > maxBucket {
+		return false, false, true, fmt.Errorf("%w: prefix %#x at %d bytes", ErrBucketOverflow, prefix, len(newb))
+	}
+	newRef, aerr := sh.vl.Append(th, prefix, newb)
+	if aerr != nil {
+		return false, false, true, spaceErr(i, aerr)
+	}
+	if !ok {
+		// Vacant prefix. A uint64-API writer may have raced a word in since
+		// the read; Exchange displaces it like any other overwrite.
+		old, was, xerr := index.Exchange(sh.ix, th, prefix, uint64(newRef))
+		return existed, xerr == nil && was && ss.retireWord(i, prefix, old), true, xerr
+	}
+	if !index.ReplaceIf(sh.ix, th, prefix, ref, uint64(newRef)) {
+		// A GC pass relocated the bucket between our read and the install:
+		// the new record targets a superseded image. Retire it and rebuild
+		// against the fresh word. (Only GC moves the word — byte-key
+		// writers hold kvMu.)
+		ss.retireWord(i, prefix, uint64(newRef))
+		return false, false, false, nil
+	}
+	return existed, ss.retireWord(i, prefix, ref), true, nil
 }
 
 // GetKV returns the value stored under a byte-string key, appended to dst
@@ -440,116 +363,19 @@ func (ss *Session) GetKV(key, dst []byte) ([]byte, bool, error) {
 	}
 	defer ss.s.release()
 	if ss.sampleOp() {
-		defer ss.s.met.getKV.RecordSince(time.Now())
+		defer ss.s.met.op[opGetKV].RecordSince(time.Now())
 	}
-	i := ss.s.ShardForKey(key)
 	p := PackPrefix(key)
-	ss.ths[i].Enter()
-	defer ss.ths[i].Exit()
-	b, ok, err := ss.readBucket(i, p, 0, false)
+	b, _, ok, err := ss.resolve(ss.s.ShardForKey(key), p, 0, false, ss.kvBuf[:0], ErrNotKeyed)
 	if err != nil || !ok {
 		return dst, false, err
 	}
+	ss.kvBuf = b
 	out, found, perr := bucketGet(b, p, key, dst)
 	if perr != nil {
-		return dst, false, wrapKVReadErr(p, perr)
+		return dst, false, wrapReadErr(ErrNotKeyed, p, perr)
 	}
 	return out, found, nil
-}
-
-// DeleteKV removes a byte-string key, reporting whether it was present.
-// Removing the last key of a prefix removes the tree entry; otherwise the
-// bucket is rewritten without the entry — which appends, so a delete can
-// (rarely) fail with ErrNoSpace on a log with no headroom, same as an
-// overwrite. The displaced bucket record retires through the standard
-// accounting funnel and may trigger automatic GC.
-func (ss *Session) DeleteKV(key []byte) (bool, error) {
-	if err := checkKey(key); err != nil {
-		return false, err
-	}
-	if !ss.s.acquire() {
-		return false, ErrClosed
-	}
-	if err := ss.s.writable(); err != nil {
-		ss.s.release()
-		return false, err
-	}
-	if ss.sampleOp() {
-		defer ss.s.met.delKV.RecordSince(time.Now())
-	}
-	i := ss.s.ShardForKey(key)
-	p := PackPrefix(key)
-	gc := ss.s.shards[i].gc
-	gc.applyMu.RLock()
-	existed, stale, err := ss.deleteKVApply(i, p, key)
-	gc.applyMu.RUnlock()
-	ss.s.release()
-	if stale {
-		ss.maybeGC(i)
-	}
-	return existed, err
-}
-
-// deleteKVApply performs the locked bucket rewrite behind DeleteKV, under
-// the same caller contract as putKVApply.
-func (ss *Session) deleteKVApply(i int, p uint64, key []byte) (existed, stale bool, err error) {
-	sh := &ss.s.shards[i]
-	th := ss.ths[i]
-	sh.gc.kvMu.Lock()
-	defer sh.gc.kvMu.Unlock()
-	for {
-		done := false
-		existed, stale, err = func() (bool, bool, error) {
-			th.Enter()
-			defer th.Exit()
-			ref, ok := sh.ix.Get(th, p)
-			if !ok {
-				done = true
-				return false, false, nil
-			}
-			b, found, err := ss.readBucket(i, p, ref, true)
-			if err != nil {
-				return false, false, err
-			}
-			if !found {
-				done = true
-				return false, false, nil
-			}
-			newb, removed, perr := bucketRemove(ss.kvNew[:0], b, p, key)
-			if perr != nil {
-				return false, false, wrapKVReadErr(p, perr)
-			}
-			ss.kvNew = newb
-			if !removed {
-				done = true
-				return false, false, nil
-			}
-			if len(newb) == 0 {
-				// Last entry: drop the prefix. Between our read and the
-				// Remove only GC can have moved the word (same content), so
-				// whatever Remove displaces is this bucket's live record.
-				old, was := index.Remove(sh.ix, th, p)
-				done = true
-				return true, was && ss.retireWord(i, p, old), nil
-			}
-			newRef, aerr := sh.vl.Append(th, p, newb)
-			if aerr != nil {
-				if errors.Is(aerr, vlog.ErrFull) {
-					return false, false, fmt.Errorf("%w: shard %d: %v", ErrNoSpace, i, aerr)
-				}
-				return false, false, fmt.Errorf("store: shard %d value log: %w", i, aerr)
-			}
-			if !index.ReplaceIf(sh.ix, th, p, ref, uint64(newRef)) {
-				ss.retireWord(i, p, uint64(newRef))
-				return false, false, nil
-			}
-			done = true
-			return true, ss.retireWord(i, p, ref), nil
-		}()
-		if err != nil || done {
-			return existed, stale, err
-		}
-	}
 }
 
 // kvSpan locates one collected entry inside a shard run's arena:
@@ -591,7 +417,7 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 			return nil
 		}
 		for _, kv := range ss.kvRefs {
-			if err := ss.resolveKVBucket(i, kv.Key, kv.Val, run, lo, hi); err != nil {
+			if err := ss.collectBucket(i, kv.Key, kv.Val, run, lo, hi); err != nil {
 				return err
 			}
 		}
@@ -607,25 +433,14 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 	return nil
 }
 
-// resolveKVBucket resolves one collected (prefix, word) pair inside a grace
-// section on the shard thread and appends its in-range entries to run.
-// Like resolveScanRef, a stale snapshot (concurrent GC relocation or
-// delete) transparently re-resolves through the tree; a prefix deleted
-// mid-scan is skipped.
-func (ss *Session) resolveKVBucket(i int, prefix, word uint64, run *kvRun, lo, hi []byte) error {
-	sh := &ss.s.shards[i]
-	ss.ths[i].Enter()
-	defer ss.ths[i].Exit()
-	b, err := sh.vl.ReadKeyed(ss.ths[i], prefix, vlog.Ref(word), ss.kvBuf[:0])
-	if err != nil {
-		var ok bool
-		b, ok, err = ss.readBucket(i, prefix, 0, false)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
+// collectBucket resolves one collected (prefix, word) pair — a snapshot,
+// so a concurrent GC relocation or delete transparently re-resolves through
+// the tree (see resolve) and a prefix deleted mid-scan is skipped — and
+// appends its in-range entries to run.
+func (ss *Session) collectBucket(i int, prefix, word uint64, run *kvRun, lo, hi []byte) error {
+	b, _, ok, err := ss.resolve(i, prefix, word, true, ss.kvBuf[:0], ErrNotKeyed)
+	if err != nil || !ok {
+		return err
 	}
 	ss.kvBuf = b
 	perr := parseBucket(prefix, b, func(k, v []byte) bool {
@@ -643,7 +458,7 @@ func (ss *Session) resolveKVBucket(i int, prefix, word uint64, run *kvRun, lo, h
 		return true
 	})
 	if perr != nil {
-		return wrapKVReadErr(prefix, perr)
+		return wrapReadErr(ErrNotKeyed, prefix, perr)
 	}
 	return nil
 }
@@ -678,7 +493,7 @@ func (ss *Session) ScanKV(lo, hi []byte, max int, fn func(key, val []byte) bool)
 	}
 	defer ss.s.release()
 	if ss.sampleOp() {
-		defer ss.s.met.scanKV.RecordSince(time.Now())
+		defer ss.s.met.op[opScanKV].RecordSince(time.Now())
 	}
 	n := len(ss.ths)
 	if ss.kvRuns == nil {

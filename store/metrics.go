@@ -12,16 +12,13 @@ import (
 var opSampleMask uint32 = 7
 
 // storeMetrics is the store's always-on instrumentation: one latency
-// histogram per session operation (recorded with two clock reads around
-// one in every opSampleMask+1 calls — lock-free, allocation-free; see
-// Session.sampleOp) and the GC pass distributions. Counters for the
-// value log and the pmem layer are not duplicated here; RegisterMetrics
-// exposes the existing accounting read-function-backed.
+// histogram per session operation, indexed by op kind (recorded with two
+// clock reads around one in every opSampleMask+1 calls — lock-free,
+// allocation-free; see Session.sampleOp) and the GC pass distributions.
+// Counters for the value log and the pmem layer are not duplicated here;
+// RegisterMetrics exposes the existing accounting read-function-backed.
 type storeMetrics struct {
-	get, put, del, putBatch, scan *metrics.Histogram
-	getBytes, putBytes, scanBytes *metrics.Histogram
-	getKV, putKV, delKV, scanKV   *metrics.Histogram
-	txnCommit                     *metrics.Histogram
+	op [numOps]*metrics.Histogram
 
 	// gcPause is the duration of one GC pass (manual or automatic — the
 	// latency a triggering writer absorbs); gcRelocated the live records
@@ -30,24 +27,20 @@ type storeMetrics struct {
 	gcRelocated *metrics.Histogram
 }
 
+// opNames is the op="…" label of each kind's pmkv_store_op_seconds series.
+var opNames = [numOps]string{
+	txnOpPut: "Put", txnOpDelete: "Delete", txnOpPutKV: "PutKV", txnOpDelKV: "DeleteKV",
+	opPutBytes: "PutBytes", opGet: "Get", opPutBatch: "PutBatch", opScan: "Scan",
+	opGetBytes: "GetBytes", opScanBytes: "ScanBytes", opGetKV: "GetKV",
+	opScanKV: "ScanKV", opTxnCommit: "TxnCommit",
+}
+
 func newStoreMetrics() *storeMetrics {
-	return &storeMetrics{
-		get:         metrics.NewHistogram(),
-		put:         metrics.NewHistogram(),
-		del:         metrics.NewHistogram(),
-		putBatch:    metrics.NewHistogram(),
-		scan:        metrics.NewHistogram(),
-		getBytes:    metrics.NewHistogram(),
-		putBytes:    metrics.NewHistogram(),
-		scanBytes:   metrics.NewHistogram(),
-		getKV:       metrics.NewHistogram(),
-		putKV:       metrics.NewHistogram(),
-		delKV:       metrics.NewHistogram(),
-		scanKV:      metrics.NewHistogram(),
-		txnCommit:   metrics.NewHistogram(),
-		gcPause:     metrics.NewHistogram(),
-		gcRelocated: metrics.NewHistogram(),
+	m := &storeMetrics{gcPause: metrics.NewHistogram(), gcRelocated: metrics.NewHistogram()}
+	for k := range m.op {
+		m.op[k] = metrics.NewHistogram()
 	}
+	return m
 }
 
 // RegisterMetrics exposes the store's instrumentation on reg: per-operation
@@ -56,21 +49,11 @@ func newStoreMetrics() *storeMetrics {
 // registries; the families read shared live state.
 func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	m := s.met
-	ops := []struct {
-		name string
-		h    *metrics.Histogram
-	}{
-		{"Get", m.get}, {"Put", m.put}, {"Delete", m.del},
-		{"PutBatch", m.putBatch}, {"Scan", m.scan},
-		{"GetBytes", m.getBytes}, {"PutBytes", m.putBytes},
-		{"ScanBytes", m.scanBytes},
-		{"GetKV", m.getKV}, {"PutKV", m.putKV},
-		{"DeleteKV", m.delKV}, {"ScanKV", m.scanKV},
-		{"TxnCommit", m.txnCommit},
-	}
-	for _, op := range ops {
-		reg.Histogram("pmkv_store_op_seconds", `op="`+op.name+`"`,
-			"store operation latency", 1e-9, op.h)
+	for k, name := range opNames {
+		if name != "" {
+			reg.Histogram("pmkv_store_op_seconds", `op="`+name+`"`,
+				"store operation latency", 1e-9, m.op[k])
+		}
 	}
 	reg.Histogram("pmkv_store_gc_pause_seconds", "",
 		"duration of one value-log GC pass", 1e-9, m.gcPause)

@@ -61,11 +61,11 @@ func TestStoreMetrics(t *testing.T) {
 		h    *metrics.Histogram
 		min  uint64
 	}{
-		{"get", m.get, n},
-		{"put", m.put, n},
-		{"delete", m.del, n},
-		{"scan", m.scan, 1},
-		{"putBytes", m.putBytes, n},
+		{"get", m.op[opGet], n},
+		{"put", m.op[txnOpPut], n},
+		{"delete", m.op[txnOpDelete], n},
+		{"scan", m.op[opScan], 1},
+		{"putBytes", m.op[opPutBytes], n},
 		{"gcPause", m.gcPause, 1},
 	}
 	for _, c := range checks {

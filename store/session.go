@@ -20,11 +20,11 @@ type Session struct {
 	s   *Store
 	ths []*pmem.Thread
 
-	// ScanLimit's reusable state: per-shard collection buffers, their
-	// merge cursors, the pre-built per-shard collector closures, the
-	// current per-shard pair cap, and the merged output buffer. All lazily
-	// sized on first use and reused so steady-state bounded scans are
-	// allocation-free.
+	// The u64 scans' reusable state (see mergeScan): each shard's current
+	// page and the cursor into it, the pre-built per-shard collector
+	// closures, the current page size, and ScanLimit's merged output
+	// buffer. All lazily sized on first use and reused so steady-state
+	// bounded scans are allocation-free.
 	scanBufs [][]KV
 	scanCur  []int
 	collect  []func(uint64, uint64) bool
@@ -89,32 +89,122 @@ type KV struct {
 	Key, Val uint64
 }
 
+// mutate is the single funnel every plain (non-transactional) write goes
+// through — Put, Delete, PutBytes, PutKV and DeleteKV are one txnOp each —
+// in this order:
+//
+//	validate → close gate → read-only latch → sampled latency clock, by
+//	op kind → shard of the key → value-log space admission → applyMu
+//	shared → apply → unlock → release the gate → automatic GC trigger
+//
+// Validation failures touch nothing. The gate (Store.acquire) is held
+// until the write is applied and dropped before the GC trigger, which
+// re-acquires it: a long pass never delays Close observing the write's
+// completion, and the pass runs outside every lock and grace section (see
+// gc.go). Admission runs before any lock, because its slow path may
+// compact (see admit). It reports whether the key existed.
+func (ss *Session) mutate(op txnOp) (existed bool, err error) {
+	if err := op.validate(); err != nil {
+		return false, err
+	}
+	s := ss.s
+	if err := s.acquireWrite(); err != nil {
+		return false, err
+	}
+	if ss.sampleOp() {
+		defer s.met.op[op.kind].RecordSince(time.Now())
+	}
+	i := s.shardOfOp(op)
+	if need := ss.appendNeed(i, op); need >= 0 {
+		if err := ss.admit(i, need); err != nil {
+			s.release()
+			return false, err
+		}
+	}
+	existed, stale, err := ss.applyShared(i, op)
+	s.release()
+	if stale {
+		ss.maybeGC(i)
+	}
+	return existed, err
+}
+
+// applyShared applies op to shard i as a plain write: with the shard's
+// applyMu held shared, which is what fences it against a transaction commit
+// on the shard (see shardGC.applyMu). It is the one place the lock is taken
+// shared — by mutate, and by PutBatch for each of its pairs.
+func (ss *Session) applyShared(i int, op txnOp) (existed, stale bool, err error) {
+	gc := ss.s.shards[i].gc
+	gc.applyMu.RLock()
+	existed, stale, err = ss.apply(i, op)
+	gc.applyMu.RUnlock()
+	return existed, stale, err
+}
+
+// applyOps applies shard i's ops in order, stopping at the first error, and
+// reports whether any displaced record turned stale. The caller holds the
+// shard's applyMu exclusively (Txn.Commit) or is the only mutator (recovery
+// replay).
+func (ss *Session) applyOps(i int, ops []txnOp) (stale bool, err error) {
+	for _, op := range ops {
+		_, st, err := ss.apply(i, op)
+		stale = stale || st
+		if err != nil {
+			return stale, err
+		}
+	}
+	return stale, nil
+}
+
+// apply is the one body behind every write to shard i's tree, whoever
+// issues it: a plain write (mutate), a PutBatch group, a commit's apply
+// phase, recovery's replay. Each case is one failure-atomic 8-byte store
+// into the tree — Exchange, Remove, or a byte-key op's bucket install — and
+// every displaced word goes through retireWord, the one place stale bytes
+// are counted. It reports whether the key existed and whether a displaced
+// log record turned stale (the caller runs maybeGC once its locks are
+// down). The caller holds the shard's applyMu — shared (applyShared) or
+// exclusively (Txn.Commit) — or is the only mutator (recovery replay).
+//
+// A varlen put appends its record and installs the Ref inside one grace
+// section on the shard thread: a GC fence must not complete while a record
+// exists whose ref is still on its way into the tree, or the pass could
+// judge that record dead, free its extent, and let the install land on
+// recycled memory (see gc.go). A section excludes nobody — writers never
+// wait on each other here. An install that fails leaves the appended record
+// leaked until GC finds it dead; the operation itself failed cleanly.
+func (ss *Session) apply(i int, op txnOp) (existed, stale bool, err error) {
+	sh := &ss.s.shards[i]
+	th := ss.ths[i]
+	var old uint64
+	switch op.kind {
+	case txnOpPut:
+		old, existed, err = index.Exchange(sh.ix, th, op.key, op.val)
+		return existed, err == nil && existed && old != op.val && ss.retireWord(i, op.key, old), err
+	case txnOpDelete:
+		old, existed = index.Remove(sh.ix, th, op.key)
+		return existed, existed && ss.retireWord(i, op.key, old), nil
+	case opPutBytes:
+		th.Enter()
+		defer th.Exit()
+		ref, aerr := sh.vl.Append(th, op.key, op.bval)
+		if aerr != nil {
+			return false, false, spaceErr(i, aerr)
+		}
+		old, existed, err = index.Exchange(sh.ix, th, op.key, uint64(ref))
+		return existed, err == nil && existed && ss.retireWord(i, op.key, old), err
+	default: // txnOpPutKV, txnOpDelKV
+		return ss.rewriteBucket(i, PackPrefix(op.bkey), op)
+	}
+}
+
 // Put stores val under key, replacing any existing value. Completed Puts
 // are persistent; an in-flight Put is atomic under any crash. Overwriting
 // a key that held a varlen value retires the old log record through the
 // same accounting funnel as PutBytes (see retireWord). On a closed store
 // it returns ErrClosed.
 func (ss *Session) Put(key, val uint64) error {
-	if !ss.s.acquire() {
-		return ErrClosed
-	}
-	if err := ss.s.writable(); err != nil {
-		ss.s.release()
-		return err
-	}
-	if ss.sampleOp() {
-		defer ss.s.met.put.RecordSince(time.Now())
-	}
-	i := ss.s.ShardFor(key)
-	gc := ss.s.shards[i].gc
-	gc.applyMu.RLock()
-	old, existed, err := index.Exchange(ss.s.shards[i].ix, ss.ths[i], key, val)
-	stale := err == nil && existed && old != val && ss.retireWord(i, key, old)
-	gc.applyMu.RUnlock()
-	ss.s.release()
-	if stale {
-		ss.maybeGC(i)
-	}
+	_, err := ss.mutate(txnOp{kind: txnOpPut, key: key, val: val})
 	return err
 }
 
@@ -126,7 +216,7 @@ func (ss *Session) Get(key uint64) (uint64, bool, error) {
 	}
 	defer ss.s.release()
 	if ss.sampleOp() {
-		defer ss.s.met.get.RecordSince(time.Now())
+		defer ss.s.met.op[opGet].RecordSince(time.Now())
 	}
 	i := ss.s.ShardFor(key)
 	v, ok := ss.s.shards[i].ix.Get(ss.ths[i], key)
@@ -139,27 +229,7 @@ func (ss *Session) Get(key uint64) (uint64, bool, error) {
 // feeds nothing, so the reclaim stats stay consistent whichever API wrote
 // the key. On a closed store it returns ErrClosed.
 func (ss *Session) Delete(key uint64) (bool, error) {
-	if !ss.s.acquire() {
-		return false, ErrClosed
-	}
-	if err := ss.s.writable(); err != nil {
-		ss.s.release()
-		return false, err
-	}
-	if ss.sampleOp() {
-		defer ss.s.met.del.RecordSince(time.Now())
-	}
-	i := ss.s.ShardFor(key)
-	gc := ss.s.shards[i].gc
-	gc.applyMu.RLock()
-	old, existed := index.Remove(ss.s.shards[i].ix, ss.ths[i], key)
-	stale := existed && ss.retireWord(i, key, old)
-	gc.applyMu.RUnlock()
-	ss.s.release()
-	if stale {
-		ss.maybeGC(i)
-	}
-	return existed, nil
+	return ss.mutate(txnOp{kind: txnOpDelete, key: key})
 }
 
 // PutBatch groups the pairs by shard and inserts each group on its own
@@ -175,15 +245,11 @@ func (ss *Session) PutBatch(pairs []KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	if !ss.s.acquire() {
-		return ErrClosed
-	}
-	if err := ss.s.writable(); err != nil {
-		ss.s.release()
+	if err := ss.s.acquireWrite(); err != nil {
 		return err
 	}
 	if ss.sampleOp() {
-		defer ss.s.met.putBatch.RecordSince(time.Now())
+		defer ss.s.met.op[opPutBatch].RecordSince(time.Now())
 	}
 	n := len(ss.ths)
 	groups := make([][]KV, n)
@@ -200,21 +266,17 @@ func (ss *Session) PutBatch(pairs []KV) error {
 		}
 		active++
 		go func(i int, g []KV) {
-			ix, th := ss.s.shards[i].ix, ss.ths[i]
-			gc := ss.s.shards[i].gc
-			gc.applyMu.RLock()
-			defer gc.applyMu.RUnlock()
+			var err error
 			for _, kv := range g {
-				old, existed, err := index.Exchange(ix, th, kv.Key, kv.Val)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if existed && old != kv.Val && ss.retireWord(i, kv.Key, old) {
+				var st bool
+				if _, st, err = ss.applyShared(i, txnOp{kind: txnOpPut, key: kv.Key, val: kv.Val}); st {
 					stale[i] = true
 				}
+				if err != nil {
+					break
+				}
 			}
-			errs <- nil
+			errs <- err
 		}(i, g)
 	}
 	var first error
@@ -229,10 +291,7 @@ func (ss *Session) PutBatch(pairs []KV) error {
 			ss.maybeGC(i)
 		}
 	}
-	if first != nil {
-		return first
-	}
-	return nil
+	return first
 }
 
 // Len counts the keys across all shards (full scans; not a hot path). On a

@@ -234,11 +234,16 @@ type Store struct {
 	applyFault func(shard int) error
 }
 
-// writable reports nil when the store accepts mutations, and
-// ErrReopenRequired once an incomplete transaction commit has latched it
-// read-only. Write paths check it after acquire; reads never do.
-func (s *Store) writable() error {
+// acquireWrite is acquire for plain mutations: besides the close gate
+// (ErrClosed) it refuses, with ErrReopenRequired, once an incomplete
+// transaction commit has latched the store read-only (see txnFailed).
+// Reads never check the latch; a commit checks it under its locks.
+func (s *Store) acquireWrite() error {
+	if !s.acquire() {
+		return ErrClosed
+	}
 	if s.txnFailed.Load() {
+		s.release()
 		return ErrReopenRequired
 	}
 	return nil
@@ -251,14 +256,11 @@ type shard struct {
 	gc   *shardGC
 }
 
-// shardGC is a shard's volatile write, commit and GC coordination state. It
+// shardGC is a shard's volatile write and commit coordination state. It
 // lives behind a pointer so shard values stay copyable. Readers take none of
 // these: what keeps a log record (or a value box) alive under a reader is a
 // grace section on its own shard thread, see gc.go.
 type shardGC struct {
-	// runMu serialises GC passes per shard; automatic triggers TryLock
-	// it so concurrent writers never queue behind one another's passes.
-	runMu sync.Mutex
 	// kvMu serialises byte-key writers (PutKV/DeleteKV) on this shard:
 	// a bucket update is a read-modify-write of one log record, and the
 	// tree's Exchange cannot express insert-if-absent, so two concurrent
@@ -269,7 +271,8 @@ type shardGC struct {
 	kvMu sync.Mutex
 	// applyMu fences transaction commits against plain writers: every
 	// non-transactional mutation (Put, Delete, PutBatch, PutBytes,
-	// PutKV, DeleteKV) holds it shared for the mutation, and Txn.Commit
+	// PutKV, DeleteKV) holds it shared for the mutation — taken in one
+	// place, Session.applyShared — and Txn.Commit
 	// holds it exclusively on every participating shard from before its
 	// commit record's append until after the record's truncation.
 	// Without it, a plain write landing between a committed
@@ -282,8 +285,9 @@ type shardGC struct {
 	// ascending order
 	// (deadlock-free); plain writers hold at most one shard's applyMu at
 	// a time. Reads and GC never take it. Lock order: applyMu before
-	// kvMu, and before runMu (a commit's space admission may compact);
-	// a GC pass takes neither of the other two.
+	// kvMu, and before the value log's gcMu (a commit's space admission
+	// may compact; vlog.Log.GC serialises passes itself); a GC pass takes
+	// neither of these two.
 	applyMu sync.RWMutex
 	// tl is the shard's transaction redo log: nil until the shard's first
 	// commit creates it (Store.redoLog) or Reopen finds one in the image.

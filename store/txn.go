@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/index"
 	"repro/internal/pmem"
 	"repro/internal/txnlog"
 )
@@ -40,10 +39,10 @@ import (
 //     that includes ErrNoSpace from creating the home shard's log, which
 //     happens here on the shard's first commit as home (redoLog: two more
 //     flushes, once). Non-home participants need no log at all.
-//  5. Apply the write-set to the trees, shard by shard, through the same
-//     code paths plain writes use (idempotent final-value puts and
-//     deletes), then truncate the home shard's redo log (one generation
-//     bump, one flushed line) and unlock.
+//  5. Apply the write-set to the trees, shard by shard, through
+//     Session.apply — the one body plain writes go through too
+//     (idempotent final-value puts and deletes) — then truncate the home
+//     shard's redo log (one generation bump, one flushed line) and unlock.
 //
 // A k-key, s-shard commit of fixed-width overwrites therefore costs
 // 1 record + k applies + 1 truncation, one flush call and one fence each:
@@ -125,21 +124,60 @@ var (
 //
 // all little-endian. Decoding is fail-closed: exact consumption, length
 // caps, no partial results (see walkTxnPayload).
+//
+// The kinds double as the store's op kinds: every mutation, plain or
+// transactional, is one txnOp handed to Session.apply, and the per-op
+// latency histograms are indexed by kind (see opNames). Kinds from
+// opPutBytes on exist in memory only — the decoder rejects them, so no
+// redo record can carry one.
 const (
 	txnOpPut    = 1
 	txnOpDelete = 2
 	txnOpPutKV  = 3
 	txnOpDelKV  = 4
+
+	// opPutBytes is the varlen write (key, bval); it never joins a
+	// write-set. The kinds after it name operations that are not txnOps at
+	// all and only index the histograms.
+	opPutBytes = iota + 1
+	opGet
+	opPutBatch
+	opScan
+	opGetBytes
+	opScanBytes
+	opGetKV
+	opScanKV
+	opTxnCommit
+	numOps
 )
 
-// txnOp is one decoded write-set operation. Fixed-width ops use key/val;
-// byte-key ops use bkey/bval.
+// txnOp is one write operation: decoded from a redo record, planned by a
+// commit, or built by a plain write on its way through Session.mutate.
+// Fixed-width ops use key/val, byte-key ops bkey/bval, opPutBytes key/bval.
 type txnOp struct {
 	kind byte
 	key  uint64
 	val  uint64
 	bkey []byte
 	bval []byte
+}
+
+// validate checks op's caller-supplied sizes: what Session.mutate refuses
+// before taking the close gate and Txn refuses before buffering.
+func (op txnOp) validate() error {
+	limit := MaxKVValue
+	switch op.kind {
+	case opPutBytes:
+		limit = MaxValue
+	case txnOpPutKV, txnOpDelKV:
+		if err := checkKey(op.bkey); err != nil {
+			return err
+		}
+	}
+	if len(op.bval) > limit {
+		return fmt.Errorf("%w: %d > %d bytes", ErrValueTooLarge, len(op.bval), limit)
+	}
+	return nil
 }
 
 // appendTxnOp appends op's encoding to dst.
@@ -179,29 +217,22 @@ var errBadTxnPayload = errors.New("malformed transaction redo payload")
 // The bkey/bval slices alias b.
 func walkTxnPayload(b []byte, visit func(op txnOp) bool) error {
 	for off := 0; off < len(b); {
-		kind := b[off]
+		op := txnOp{kind: b[off]}
 		off++
-		switch kind {
+		switch op.kind {
 		case txnOpPut:
 			if len(b)-off < 16 {
 				return errBadTxnPayload
 			}
-			op := txnOp{kind: kind,
-				key: binary.LittleEndian.Uint64(b[off:]),
-				val: binary.LittleEndian.Uint64(b[off+8:])}
+			op.key = binary.LittleEndian.Uint64(b[off:])
+			op.val = binary.LittleEndian.Uint64(b[off+8:])
 			off += 16
-			if !visit(op) {
-				return nil
-			}
 		case txnOpDelete:
 			if len(b)-off < 8 {
 				return errBadTxnPayload
 			}
-			op := txnOp{kind: kind, key: binary.LittleEndian.Uint64(b[off:])}
+			op.key = binary.LittleEndian.Uint64(b[off:])
 			off += 8
-			if !visit(op) {
-				return nil
-			}
 		case txnOpPutKV:
 			if len(b)-off < 6 {
 				return errBadTxnPayload
@@ -212,13 +243,9 @@ func walkTxnPayload(b []byte, visit func(op txnOp) bool) error {
 			if kl < 1 || kl > MaxKey || vl > MaxKVValue || kl+vl > len(b)-off {
 				return errBadTxnPayload
 			}
-			op := txnOp{kind: kind,
-				bkey: b[off : off+kl : off+kl],
-				bval: b[off+kl : off+kl+vl : off+kl+vl]}
+			op.bkey = b[off : off+kl : off+kl]
+			op.bval = b[off+kl : off+kl+vl : off+kl+vl]
 			off += kl + vl
-			if !visit(op) {
-				return nil
-			}
 		case txnOpDelKV:
 			if len(b)-off < 2 {
 				return errBadTxnPayload
@@ -228,13 +255,13 @@ func walkTxnPayload(b []byte, visit func(op txnOp) bool) error {
 			if kl < 1 || kl > MaxKey || kl > len(b)-off {
 				return errBadTxnPayload
 			}
-			op := txnOp{kind: kind, bkey: b[off : off+kl : off+kl]}
+			op.bkey = b[off : off+kl : off+kl]
 			off += kl
-			if !visit(op) {
-				return nil
-			}
 		default:
 			return errBadTxnPayload
+		}
+		if !visit(op) {
+			return nil
 		}
 	}
 	return nil
@@ -253,7 +280,8 @@ func decodeTxnOps(b []byte) ([]txnOp, error) {
 }
 
 // txnWrite is a buffered fixed-width write; txnKVWrite a buffered
-// byte-key write. del=true buffers a delete.
+// byte-key write. del=true buffers a delete. (Kept this small on purpose:
+// the write-set maps are a commit's largest allocation.)
 type txnWrite struct {
 	val uint64
 	del bool
@@ -303,31 +331,51 @@ func (tx *Txn) finish() {
 	}
 }
 
-// Put buffers a fixed-width write of val under key.
-func (tx *Txn) Put(key, val uint64) error {
+// buffer records op as its key's pending write (the last one wins),
+// refusing what Session.mutate would refuse of the same op. The maps are
+// made on first use, so a transaction only pays for the families it
+// touches; a byte key and value are copied, so the caller may reuse its
+// slices immediately.
+func (tx *Txn) buffer(op txnOp) error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	tx.bufferFixed(key, txnWrite{val: val})
+	if err := op.validate(); err != nil {
+		return err
+	}
+	if op.kind == txnOpPut || op.kind == txnOpDelete {
+		if tx.fixed == nil {
+			tx.fixed = make(map[uint64]txnWrite)
+		}
+		tx.fixed[op.key] = txnWrite{val: op.val, del: op.kind == txnOpDelete}
+		return nil
+	}
+	if tx.kv == nil {
+		tx.kv = make(map[string]txnKVWrite)
+	}
+	tx.kv[string(op.bkey)] = txnKVWrite{val: append([]byte(nil), op.bval...), del: op.kind == txnOpDelKV}
 	return nil
+}
+
+// Put buffers a fixed-width write of val under key.
+func (tx *Txn) Put(key, val uint64) error {
+	return tx.buffer(txnOp{kind: txnOpPut, key: key, val: val})
 }
 
 // Delete buffers a fixed-width delete of key.
 func (tx *Txn) Delete(key uint64) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	tx.bufferFixed(key, txnWrite{del: true})
-	return nil
+	return tx.buffer(txnOp{kind: txnOpDelete, key: key})
 }
 
-// bufferFixed records w as key's pending fixed-width write, making the
-// map on first use so a transaction only pays for the families it touches.
-func (tx *Txn) bufferFixed(key uint64, w txnWrite) {
-	if tx.fixed == nil {
-		tx.fixed = make(map[uint64]txnWrite)
-	}
-	tx.fixed[key] = w
+// PutKV buffers a byte-key write. Key and value are copied, so the caller
+// may reuse its slices immediately. Size limits match Session.PutKV.
+func (tx *Txn) PutKV(key, val []byte) error {
+	return tx.buffer(txnOp{kind: txnOpPutKV, bkey: key, bval: val})
+}
+
+// DeleteKV buffers a byte-key delete.
+func (tx *Txn) DeleteKV(key []byte) error {
+	return tx.buffer(txnOp{kind: txnOpDelKV, bkey: key})
 }
 
 // Get reads through the write-set: a buffered write or delete answers
@@ -338,48 +386,9 @@ func (tx *Txn) Get(key uint64) (uint64, bool, error) {
 		return 0, false, ErrTxnDone
 	}
 	if w, ok := tx.fixed[key]; ok {
-		if w.del {
-			return 0, false, nil
-		}
-		return w.val, true, nil
+		return w.val, !w.del, nil
 	}
 	return tx.ss.Get(key)
-}
-
-// PutKV buffers a byte-key write. Key and value are copied, so the caller
-// may reuse its slices immediately. Size limits match Session.PutKV.
-func (tx *Txn) PutKV(key, val []byte) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	if len(val) > MaxKVValue {
-		return fmt.Errorf("%w: %d > %d bytes", ErrValueTooLarge, len(val), MaxKVValue)
-	}
-	tx.bufferKV(key, txnKVWrite{val: append([]byte(nil), val...)})
-	return nil
-}
-
-// DeleteKV buffers a byte-key delete.
-func (tx *Txn) DeleteKV(key []byte) error {
-	if tx.done {
-		return ErrTxnDone
-	}
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	tx.bufferKV(key, txnKVWrite{del: true})
-	return nil
-}
-
-// bufferKV is bufferFixed for the byte-key family.
-func (tx *Txn) bufferKV(key []byte, w txnKVWrite) {
-	if tx.kv == nil {
-		tx.kv = make(map[string]txnKVWrite)
-	}
-	tx.kv[string(key)] = w
 }
 
 // GetKV reads a byte key through the write-set, falling back to the store.
@@ -388,10 +397,7 @@ func (tx *Txn) GetKV(key, dst []byte) ([]byte, bool, error) {
 		return dst, false, ErrTxnDone
 	}
 	if w, ok := tx.kv[string(key)]; ok {
-		if w.del {
-			return dst, false, nil
-		}
-		return append(dst, w.val...), true, nil
+		return append(dst, w.val...), !w.del, nil
 	}
 	return tx.ss.GetKV(key, dst)
 }
@@ -428,7 +434,7 @@ func (tx *Txn) Commit() error {
 		return ErrClosed
 	}
 	if ss.sampleOp() {
-		defer s.met.txnCommit.RecordSince(time.Now())
+		defer s.met.op[opTxnCommit].RecordSince(time.Now())
 	}
 	pl := tx.plan()
 	err := tx.commitLocked(pl)
@@ -595,7 +601,7 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 		return fmt.Errorf("store: txn commit record on shard %d: %w", home, err)
 	}
 	s.step()
-	// Apply through the same paths plain writes use.
+	// Apply through the body plain writes use (Session.apply).
 	for _, i := range parts {
 		var aerr error
 		var stale bool
@@ -603,7 +609,7 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 			aerr = s.applyFault(i)
 		}
 		if aerr == nil {
-			stale, aerr = ss.applyTxnOps(i, pl.ops[i])
+			stale, aerr = ss.applyOps(i, pl.ops[i])
 		}
 		if stale {
 			pl.stale = append(pl.stale, i)
@@ -647,8 +653,8 @@ func (s *Store) redoLog(i int, th *pmem.Thread) (*txnlog.Log, error) {
 // admitTxnOps pre-admits shard i's byte-key rewrites: every touched
 // prefix must currently hold a valid bucket (or nothing), projected
 // bucket images must fit the record bound, and the value log must admit
-// the projected append volume (with one inline compaction attempt, like
-// admitKV). With applyMu held exclusively only GC can move words, and
+// the projected append volume (admit: one inline compaction attempt before
+// refusing). With applyMu held exclusively only GC can move words, and
 // relocation preserves content and sizes.
 func (ss *Session) admitTxnOps(i int, ops []txnOp) error {
 	need := 0
@@ -678,67 +684,27 @@ func (ss *Session) admitTxnOps(i int, ops []txnOp) error {
 	if need == 0 {
 		return nil
 	}
-	return ss.admitKV(i, need)
+	return ss.admit(i, need)
 }
 
 // projectBucket resolves and validates prefix p's current bucket on
 // shard i, returning its payload size (0 when the prefix is vacant).
-// Unlike the plain paths' advisory Ref-length projection, a commit's
-// pre-flight must fully validate here: a prefix whose word was written
+// Unlike the plain path's advisory Ref-length projection (appendNeed), a
+// commit's pre-flight must fully validate here: a prefix whose word was written
 // through a uint64 API — or any payload failing bucket parse — would
 // otherwise surface only inside the apply phase, AFTER the commit point,
 // turning a client-addressable state error (ErrNotKeyed) into
 // ErrTxnIncomplete and a latched store.
 func (ss *Session) projectBucket(i int, p uint64) (size int, err error) {
-	ss.ths[i].Enter()
-	defer ss.ths[i].Exit()
-	b, ok, err := ss.readBucket(i, p, 0, false)
+	b, _, ok, err := ss.resolve(i, p, 0, false, ss.kvBuf[:0], ErrNotKeyed)
 	if err != nil || !ok {
 		return 0, err
 	}
+	ss.kvBuf = b
 	if perr := parseBucket(p, b, func(_, _ []byte) bool { return true }); perr != nil {
-		return 0, wrapKVReadErr(p, perr)
+		return 0, wrapReadErr(ErrNotKeyed, p, perr)
 	}
 	return len(b), nil
-}
-
-// applyTxnOps applies one shard's decoded ops in order through the plain
-// write paths' inner helpers. The caller either holds the shard's applyMu
-// exclusively (commit) or is the only mutator (recovery replay). Returns
-// whether any displaced record turned stale.
-func (ss *Session) applyTxnOps(i int, ops []txnOp) (stale bool, err error) {
-	sh := &ss.s.shards[i]
-	th := ss.ths[i]
-	for _, op := range ops {
-		switch op.kind {
-		case txnOpPut:
-			old, existed, xerr := index.Exchange(sh.ix, th, op.key, op.val)
-			if xerr != nil {
-				return stale, xerr
-			}
-			if existed && old != op.val && ss.retireWord(i, op.key, old) {
-				stale = true
-			}
-		case txnOpDelete:
-			old, existed := index.Remove(sh.ix, th, op.key)
-			if existed && ss.retireWord(i, op.key, old) {
-				stale = true
-			}
-		case txnOpPutKV:
-			st, perr := ss.putKVApply(i, PackPrefix(op.bkey), op.bkey, op.bval)
-			stale = stale || st
-			if perr != nil {
-				return stale, perr
-			}
-		case txnOpDelKV:
-			_, st, derr := ss.deleteKVApply(i, PackPrefix(op.bkey), op.bkey)
-			stale = stale || st
-			if derr != nil {
-				return stale, derr
-			}
-		}
-	}
-	return stale, nil
 }
 
 // recoverTxns settles the redo logs during Reopen by one rule: a
@@ -809,7 +775,7 @@ func (s *Store) recoverTxns() error {
 		if len(ops[i]) == 0 {
 			continue
 		}
-		if _, err := ss.applyTxnOps(i, ops[i]); err != nil {
+		if _, err := ss.applyOps(i, ops[i]); err != nil {
 			return fmt.Errorf("store: shard %d txn replay: %w", i, err)
 		}
 		s.step()
