@@ -1,8 +1,8 @@
 // Package txnlog is a crash-consistent, bounded redo log for multi-key
 // transactions in simulated persistent memory. A store shard gets one the
-// first time it is a transaction's home shard: a commit appends ONE
-// KindCommit record — the whole encoded write-set, every shard's ops — to
-// its home shard's log, applies the write-set to the shards' trees, and
+// first time a commit takes it: a commit owns one log for its duration,
+// appends ONE KindCommit record — the whole encoded write-set, every
+// shard's ops — to it, applies the write-set to the shards' trees, and
 // truncates that log. The record's own flush is the commit point. Recovery
 // scans every shard's log and replays the payload of every record whose
 // transaction ID has a durable KindCommit record anywhere, discarding the
@@ -13,9 +13,9 @@
 // mark on the first of them).
 //
 // The log is one fixed-capacity region — no extent chain, no space
-// accounting, no GC. The store serialises commits per shard, so at most
-// one transaction's records live in a log at a time and truncation always
-// empties it.
+// accounting, no GC. The store lets one commit at a time own a log, so at
+// most one transaction's records live in a log at a time and truncation
+// always empties it.
 //
 // # Persistence protocol (format version 2: publish by flush)
 //

@@ -97,8 +97,8 @@ func spaceErr(i int, err error) error {
 // relocations. Reads, deletes, and GC are unaffected, and the condition
 // clears once compaction frees extents. It runs before the caller's grace
 // section (a pass must not wait on its own caller) and, for plain writes,
-// before any lock; a commit calls it with applyMu held, which a pass never
-// takes.
+// before any lock; a commit calls it with its stripes and a redo log's tlMu
+// held, which a pass never takes.
 //
 // The pass is best-effort reclamation before refusing: a full one
 // (wait=true queues behind any running pass, so its frees count too), then

@@ -248,9 +248,9 @@ func bucketGet(bucket []byte, prefix uint64, key, dst []byte) (out []byte, found
 // any existing value. Durability and crash atomicity match PutBytes: the
 // rewritten bucket record is fully durable before the tree install, and
 // the install is one atomic 8-byte store (see the package comment above).
-// Byte-key writers to the same shard serialize on a per-shard mutex — the
-// bucket rewrite is a read-modify-write — while readers, uint64-API
-// writers, and other shards proceed concurrently. On a closed store it
+// Byte-key writers to one prefix on one shard serialize on its key stripe —
+// the bucket rewrite is a read-modify-write — while readers, other
+// stripes, and other shards proceed concurrently. On a closed store it
 // returns ErrClosed; when the shard cannot guarantee log space with GC
 // headroom intact it fails fast with ErrNoSpace.
 func (ss *Session) PutKV(key, val []byte) error {
@@ -273,16 +273,13 @@ func (ss *Session) DeleteKV(key []byte) (bool, error) {
 // txnOpPutKV upserts its entry, a txnOpDelKV removes it), append the new
 // image, install it over the old word — Exchange on a vacant prefix,
 // ReplaceIf over the word that was read, Remove when the last entry goes.
-// It serialises on the shard's kvMu and retries around concurrent GC
-// relocations. The caller must hold the shard's applyMu (shared for plain
-// writes, exclusive inside a transaction commit) or be the only mutator
-// (recovery replay). It reports whether edit's key existed and whether a
-// displaced record turned stale (the caller runs maybeGC once its locks are
-// down).
+// It retries around concurrent GC relocations and takes no lock itself: the
+// caller holds the prefix's stripe exclusively (applyShared for a plain
+// write, Txn.Commit for a transaction's apply), which serialises every
+// writer of the bucket, or is the only mutator (recovery replay). It
+// reports whether edit's key existed and whether a displaced record turned
+// stale (the caller runs maybeGC once its locks are down).
 func (ss *Session) rewriteBucket(i int, prefix uint64, edit txnOp) (existed, stale bool, err error) {
-	gc := ss.s.shards[i].gc
-	gc.kvMu.Lock()
-	defer gc.kvMu.Unlock()
 	for done := false; !done && err == nil; {
 		existed, stale, done, err = ss.tryRewrite(i, prefix, edit)
 	}
@@ -334,8 +331,9 @@ func (ss *Session) tryRewrite(i int, prefix uint64, edit txnOp) (existed, stale,
 		return false, false, true, spaceErr(i, aerr)
 	}
 	if !ok {
-		// Vacant prefix. A uint64-API writer may have raced a word in since
-		// the read; Exchange displaces it like any other overwrite.
+		// Vacant prefix. Every writer of the word holds its stripe, so none
+		// raced a word in since the read; Exchange would retire one like
+		// any other overwrite.
 		old, was, xerr := index.Exchange(sh.ix, th, prefix, uint64(newRef))
 		return existed, xerr == nil && was && ss.retireWord(i, prefix, old), true, xerr
 	}
@@ -343,7 +341,7 @@ func (ss *Session) tryRewrite(i int, prefix uint64, edit txnOp) (existed, stale,
 		// A GC pass relocated the bucket between our read and the install:
 		// the new record targets a superseded image. Retire it and rebuild
 		// against the fresh word. (Only GC moves the word — byte-key
-		// writers hold kvMu.)
+		// writers hold the prefix's stripe exclusively.)
 		ss.retireWord(i, prefix, uint64(newRef))
 		return false, false, false, nil
 	}

@@ -43,8 +43,11 @@ type Session struct {
 	kvRefs []KV
 	kvRuns []kvRun
 
-	// plan is Commit's reusable working set (see txnPlan).
-	plan txnPlan
+	// plan is Commit's reusable working set (see txnPlan), and spareFixed
+	// the cleared fixed-width write-set map the last finished transaction
+	// handed back for the next one (see Txn.finish).
+	plan       txnPlan
+	spareFixed map[uint64]txnWrite
 
 	// opTick drives latency sampling (see sampleOp). Plain field: a
 	// Session is single-goroutine by contract.
@@ -94,8 +97,8 @@ type KV struct {
 // in this order:
 //
 //	validate → close gate → read-only latch → sampled latency clock, by
-//	op kind → shard of the key → value-log space admission → applyMu
-//	shared → apply → unlock → release the gate → automatic GC trigger
+//	op kind → shard of the key → value-log space admission → the key's
+//	stripe → apply → unlock → release the gate → automatic GC trigger
 //
 // Validation failures touch nothing. The gate (Store.acquire) is held
 // until the write is applied and dropped before the GC trigger, which
@@ -129,21 +132,26 @@ func (ss *Session) mutate(op txnOp) (existed bool, err error) {
 	return existed, err
 }
 
-// applyShared applies op to shard i as a plain write: with the shard's
-// applyMu held shared, which is what fences it against a transaction commit
-// on the shard (see shardGC.applyMu). It is the one place the lock is taken
-// shared — by mutate, and by PutBatch for each of its pairs.
+// applyShared applies op to shard i as a plain write, holding its key's
+// stripe, which is what fences it against a transaction commit naming the
+// key (see shardGC.stripes): shared, except for a byte-key write, whose
+// bucket rewrite needs its prefix to itself. It is the one place a plain
+// write takes a stripe — by mutate, and by PutBatch for each of its pairs.
 func (ss *Session) applyShared(i int, op txnOp) (existed, stale bool, err error) {
-	gc := ss.s.shards[i].gc
-	gc.applyMu.RLock()
-	existed, stale, err = ss.apply(i, op)
-	gc.applyMu.RUnlock()
-	return existed, stale, err
+	st := &ss.s.shards[i].gc.stripes[stripeOf(op.treeKey())]
+	if op.keyed() {
+		st.Lock()
+		defer st.Unlock()
+	} else {
+		st.RLock()
+		defer st.RUnlock()
+	}
+	return ss.apply(i, op)
 }
 
 // applyOps applies shard i's ops in order, stopping at the first error, and
 // reports whether any displaced record turned stale. The caller holds the
-// shard's applyMu exclusively (Txn.Commit) or is the only mutator (recovery
+// ops' stripes exclusively (Txn.Commit) or is the only mutator (recovery
 // replay).
 func (ss *Session) applyOps(i int, ops []txnOp) (stale bool, err error) {
 	for _, op := range ops {
@@ -163,8 +171,8 @@ func (ss *Session) applyOps(i int, ops []txnOp) (stale bool, err error) {
 // every displaced word goes through retireWord, the one place stale bytes
 // are counted. It reports whether the key existed and whether a displaced
 // log record turned stale (the caller runs maybeGC once its locks are
-// down). The caller holds the shard's applyMu — shared (applyShared) or
-// exclusively (Txn.Commit) — or is the only mutator (recovery replay).
+// down). The caller holds the key's stripe (applyShared, Txn.Commit) or is
+// the only mutator (recovery replay).
 //
 // A varlen put appends its record and installs the Ref inside one grace
 // section on the shard thread: a GC fence must not complete while a record

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/index"
 	"repro/internal/pmem"
@@ -70,20 +71,21 @@ type Options struct {
 	// TxnLogCap is the fixed capacity in bytes of a shard's transaction
 	// redo log, and with it the size limit of a transaction: a commit
 	// writes its WHOLE encoded write-set — every shard's ops — as one
-	// record into the log of its home shard (the lowest-numbered shard it
-	// touches), so that record (24 bytes of header; 17 per fixed-width
-	// put, 9 per delete, 7 or 3 plus the key and value bytes per
-	// byte-key put or delete) must fit TxnLogCap. Larger transactions
-	// fail with ErrTxnTooLarge before writing anything. An operator knob:
-	// raise it to admit bigger transactions, at TxnLogCap bytes of pool
-	// per shard that is ever a home; lower it on small pools. 0 picks a
-	// default scaled to ShardSize (ShardSize/16 clamped to 64 KiB..4 MiB;
-	// 4 MiB holds any transaction that fits one 1 MiB wire frame). The
-	// log is allocated by the shard's first commit as home (ErrNoSpace if
-	// the pool cannot hold it then); a store that never commits, and a
-	// shard that only takes part in other shards' commits, spend nothing
-	// on it. The capacity is fixed when the log is created: a store
-	// reopened with another TxnLogCap keeps its existing logs' size.
+	// record into the first free log from its home shard (the
+	// lowest-numbered shard it touches) up, so that record (24 bytes of
+	// header; 17 per fixed-width put, 9 per delete, 7 or 3 plus the key
+	// and value bytes per byte-key put or delete) must fit TxnLogCap.
+	// Larger transactions fail with ErrTxnTooLarge before writing
+	// anything. An operator knob: raise it to admit bigger transactions,
+	// at TxnLogCap bytes of pool per shard whose log a commit ever used;
+	// lower it on small pools. 0 picks a default scaled to ShardSize
+	// (ShardSize/16 clamped to 64 KiB..4 MiB; 4 MiB holds any transaction
+	// that fits one 1 MiB wire frame). The log is allocated by the first
+	// commit to use it (ErrNoSpace if the pool cannot hold it then): a
+	// store that never commits spends nothing on it, and a lone committer
+	// only ever uses its home shard's. The capacity is fixed when the log
+	// is created: a store reopened with another TxnLogCap keeps its
+	// existing logs' size.
 	TxnLogCap int64
 
 	// recoverStep, when non-nil, is invoked by Reopen's transaction
@@ -261,40 +263,64 @@ type shard struct {
 // these: what keeps a log record (or a value box) alive under a reader is a
 // grace section on its own shard thread, see gc.go.
 type shardGC struct {
-	// kvMu serialises byte-key writers (PutKV/DeleteKV) on this shard:
-	// a bucket update is a read-modify-write of one log record, and the
-	// tree's Exchange cannot express insert-if-absent, so two concurrent
-	// upserts into one bucket could otherwise both install and silently
-	// drop an entry. GC never takes it — relocation preserves bucket
-	// content, and the writers' ReplaceIf install detects and retries
-	// around a concurrent swap.
-	kvMu sync.Mutex
-	// applyMu fences transaction commits against plain writers: every
-	// non-transactional mutation (Put, Delete, PutBatch, PutBytes,
-	// PutKV, DeleteKV) holds it shared for the mutation — taken in one
-	// place, Session.applyShared — and Txn.Commit
-	// holds it exclusively on every participating shard from before its
-	// commit record's append until after the record's truncation.
-	// Without it, a plain write landing between a committed
+	// stripes are the shard's key locks; a tree key (a u64 key, or a byte
+	// key's PackPrefix) maps to stripes[stripeOf(key)]. They fence
+	// transaction commits against plain writers and against each other,
+	// per key rather than per shard:
+	//   - Every plain write holds its key's stripe for its apply, taken in
+	//     one place, Session.applyShared: shared for u64 and varlen
+	//     writes, exclusively for PutKV/DeleteKV, whose bucket rewrite is a
+	//     read-modify-write of one log record (the tree's Exchange cannot
+	//     express insert-if-absent, so two concurrent upserts into one
+	//     bucket could both install and silently drop an entry).
+	//   - Txn.Commit holds every stripe its ops name exclusively, from
+	//     before its commit record's append until after the record's
+	//     truncation, and all of a shard's stripes when it appends to that
+	//     shard's value log (byte-key ops), so no concurrent writer spends
+	//     the space its pre-flight admitted.
+	// Without the commit's hold, a plain write landing between a committed
 	// transaction's tree apply and its truncation would be reverted if a
-	// crash forced recovery to replay the still-logged record. Exclusive
-	// acquisition also serialises commits per shard, so at most one
-	// transaction's record ever occupies a redo log — which is what makes
-	// truncate-to-empty the correct cleanup — and at most one
-	// un-truncated record names any shard. Commits lock their shards in
-	// ascending order
-	// (deadlock-free); plain writers hold at most one shard's applyMu at
-	// a time. Reads and GC never take it. Lock order: applyMu before
-	// kvMu, and before the value log's gcMu (a commit's space admission
-	// may compact; vlog.Log.GC serialises passes itself); a GC pass takes
-	// neither of these two.
-	applyMu sync.RWMutex
-	// tl is the shard's transaction redo log: nil until the shard's first
-	// commit creates it (Store.redoLog) or Reopen finds one in the image.
-	// Read and written with applyMu held exclusively — commits — or with
-	// the store to oneself (Reopen). It lives here, not in shard, because
-	// shard values are copied freely and must not change after Open.
+	// crash forced recovery to replay the still-logged record; between
+	// commits, it is what keeps at most one un-truncated record naming any
+	// key, so replay order across logs cannot matter. Commits lock in
+	// ascending (shard, stripe) order (deadlock-free); plain writers hold
+	// one stripe at a time. Reads and GC never take them — relocation
+	// preserves bucket content, and a bucket rewrite's ReplaceIf install
+	// detects and retries around a concurrent swap. Lock order: stripes,
+	// then tlMu, then the value log's gcMu (a commit's space admission may
+	// compact; vlog.Log.GC serialises passes itself).
+	stripes [keyStripes]stripe
+	// tlMu owns tl: a commit writes its record into whichever shard's log
+	// it holds, trying the logs from its lowest participating shard up
+	// (see Store.takeRedoLog), so at most one record ever occupies a log —
+	// which is what makes truncate-to-empty the correct cleanup.
+	tlMu sync.Mutex
+	// tl is the shard's transaction redo log: nil until a commit holding
+	// tlMu creates it (Store.redoLog) or Reopen finds one in the image.
+	// Read and written with tlMu held, or with the store to oneself
+	// (Reopen). It lives here, not in shard, because shard values are
+	// copied freely and must not change after Open.
 	tl *txnlog.Log
+}
+
+// keyStripes is the number of key-lock stripes per shard. At most 64, so a
+// commit's stripes on one shard fit one mask word (txnPlan.stripes).
+const (
+	stripeBits = 6
+	keyStripes = 1 << stripeBits
+)
+
+// stripe is one key lock, padded to a cache line's size so that
+// neighbouring stripes taken by different cores keep their lock words apart.
+type stripe struct {
+	sync.RWMutex
+	_ [64 - unsafe.Sizeof(sync.RWMutex{})]byte
+}
+
+// stripeOf maps a tree key to its stripe: the high bits of its mix, which
+// the shard choice (the low end, mod the shard count) leaves uncorrelated.
+func stripeOf(treeKey uint64) int {
+	return int(mix(treeKey) >> (64 - stripeBits))
 }
 
 // Open creates a fresh store: opts.Shards pools, one index per pool, each
@@ -405,9 +431,9 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		vl.ResetAccounting(live, garbage)
 		// Transaction redo-log recovery: check the header, walk and
 		// validate the records of the current generation (they survive
-		// here until recoverTxns below decides their fate). A shard that
-		// was never a commit's home has no log yet and nothing to settle
-		// (see Store.redoLog).
+		// here until recoverTxns below decides their fate). A shard whose
+		// log no commit ever used has none yet and nothing to settle (see
+		// Store.redoLog).
 		var tl *txnlog.Log
 		if p.Root(th, txnSlot) != 0 {
 			if tl, err = txnlog.Open(p, th, txnSlot); err != nil {

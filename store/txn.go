@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -19,36 +20,40 @@ import (
 //  1. Group the write-set by shard and encode ALL of it, in one
 //     deterministic order (fixed keys ascending, then byte keys
 //     ascending), into one commit-record payload.
-//  2. Lock every participating shard's applyMu exclusively, in ascending
-//     shard order (commits serialise per shard; plain writers drain). The
-//     first participating shard is the transaction's HOME shard.
-//  3. Pre-flight: the record must fit the home shard's redo log
-//     (ErrTxnTooLarge), no participating shard's log may still hold
-//     records (ErrReopenRequired), projected bucket rewrites must fit the
-//     record bound (ErrBucketOverflow), and the value logs must admit the
-//     projected append volume (ErrNoSpace). Nothing is written yet, so
-//     failure aborts with the store untouched.
-//  4. Append the commit record — the whole write-set — to the home
-//     shard's redo log. The append is one flush+fence of the record's own
-//     lines and is durable when it returns (the log has no tail word; a
-//     record is published by its flush and validated at recovery by CRC
-//     and log generation). THE DURABLE RECORD IS THE COMMIT POINT: a
-//     crash image either holds it whole, and recovery replays it on every
-//     shard it names, or does not hold it, and nothing was applied. A
-//     failed append left nothing behind, so it is still a clean abort;
-//     that includes ErrNoSpace from creating the home shard's log, which
-//     happens here on the shard's first commit as home (redoLog: two more
-//     flushes, once). Non-home participants need no log at all.
+//  2. Lock every key stripe the write-set names exclusively, in ascending
+//     (shard, stripe) order — all of a shard's stripes where its ops
+//     append to its value log (byte keys) — so commits serialise per key
+//     and plain writers of those keys drain (see shardGC.stripes). Then
+//     take a redo log: the first whose tlMu is free, trying shards from
+//     the transaction's HOME shard (its first participating one) up;
+//     when every one is busy, wait for the home shard's. A lone committer
+//     therefore always writes its home shard's log.
+//  3. Pre-flight: the record must fit that log (ErrTxnTooLarge), neither
+//     it nor any participating shard's log that no commit holds may still
+//     hold records (ErrReopenRequired), projected bucket rewrites must
+//     fit the record bound (ErrBucketOverflow), and the value logs must
+//     admit the projected append volume (ErrNoSpace). Nothing is written
+//     yet, so failure aborts with the store untouched.
+//  4. Append the commit record — the whole write-set — to the log taken.
+//     The append is one flush+fence of the record's own lines and is
+//     durable when it returns (the log has no tail word; a record is
+//     published by its flush and validated at recovery by CRC and log
+//     generation). THE DURABLE RECORD IS THE COMMIT POINT: a crash image
+//     either holds it whole, and recovery replays it on every shard it
+//     names, or does not hold it, and nothing was applied. A failed
+//     append left nothing behind, so it is still a clean abort; that
+//     includes ErrNoSpace from creating the log, which happens here on
+//     the first commit to take it (redoLog: two more flushes, once).
 //  5. Apply the write-set to the trees, shard by shard, through
 //     Session.apply — the one body plain writes go through too
-//     (idempotent final-value puts and deletes) — then truncate the home
-//     shard's redo log (one generation bump, one flushed line) and unlock.
+//     (idempotent final-value puts and deletes) — then truncate the log
+//     (one generation bump, one flushed line) and unlock.
 //
 // A k-key, s-shard commit of fixed-width overwrites therefore costs
 // 1 record + k applies + 1 truncation, one flush call and one fence each:
 // k+2 fences whatever s is, and lines(record)+k+1 flushed lines
-// (TestTxnPersistBudget gates both at equality, and the 2 a shard's first
-// commit as home adds for creating its log).
+// (TestTxnPersistBudget gates both at equality, and the 2 the first commit
+// to take a shard's log adds for creating it).
 //
 // Recovery (Reopen → recoverTxns) is one rule: a transaction is committed
 // iff a KindCommit record carrying its ID is durable in ANY shard's log,
@@ -68,22 +73,24 @@ import (
 // needs them. At every consistent crash cut, of the commit or of recovery
 // itself, this yields all-or-nothing: before the record no effect is
 // visible (applies had not started); after it, replay completes the
-// transaction. Replay order across logs cannot matter: a commit truncates
-// its record before it unlocks, and its locks cover every shard the
-// record names, so at most one un-truncated record names any shard.
+// transaction. Several logs may hold records at a crash — one per commit
+// in flight — but replay order across them cannot matter: a commit
+// truncates its record before it unlocks, and its stripes cover every key
+// the record names, so at most one un-truncated record names any key.
 //
 // A Commit that fails AFTER its commit point (an apply error — not a
 // crash) returns ErrTxnIncomplete and latches the store
-// read-only: the committed transaction's redo record is still in its
-// home shard's log awaiting replay, and a further commit homed there
-// would truncate it — durably losing a committed transaction — while any
+// read-only: the committed transaction's redo record is still in the log
+// it took, awaiting replay, and a further commit taking that log would
+// truncate it — durably losing a committed transaction — while any
 // further plain write could be silently superseded when Reopen replays
 // it. Until the pools are reopened, every mutation fails with
 // ErrReopenRequired; reads keep working.
 //
 // Isolation is write-side only: commits serialise against each other and
-// against plain writers per shard (applyMu), but readers never block —
-// a concurrent Get/Scan may observe a subset of a committing
+// against plain writers per key (the key stripes), so commits over
+// disjoint stripes run side by side, each in its own redo log; readers
+// never block — a concurrent Get/Scan may observe a subset of a committing
 // transaction's writes, matching the store's read-uncommitted scans.
 
 // Errors of the transaction API.
@@ -92,7 +99,7 @@ var (
 	// committed or rolled back.
 	ErrTxnDone = errors.New("store: transaction already finished")
 	// ErrTxnTooLarge reports a Commit whose whole encoded write-set, as
-	// one redo record, exceeds the capacity of its home shard's redo log
+	// one redo record, exceeds the capacity of the redo log it took
 	// (Options.TxnLogCap). Nothing was written; the transaction may be
 	// retried in pieces.
 	ErrTxnTooLarge = errors.New("store: transaction exceeds redo-log capacity")
@@ -106,9 +113,9 @@ var (
 	// ErrReopenRequired reports a mutation refused because an earlier
 	// Commit on this store failed after its commit point
 	// (ErrTxnIncomplete): the committed transaction's redo record is
-	// still in its home shard's log awaiting replay, so the store only
-	// serves reads. A further commit homed on that shard would truncate
-	// the record as part of its own cleanup — durably losing the
+	// still in a shard's log awaiting replay, so the store only serves
+	// reads. A further commit taking that log would truncate the record
+	// as part of its own cleanup — durably losing the
 	// committed transaction — and a further plain write could be silently
 	// superseded when Reopen replays it. Reopen the pools to replay the
 	// pending transaction and clear the condition.
@@ -160,6 +167,21 @@ type txnOp struct {
 	val  uint64
 	bkey []byte
 	bval []byte
+}
+
+// keyed reports whether op is a byte-key write: a bucket rewrite of its
+// key's prefix, which may append to the shard's value log.
+func (op txnOp) keyed() bool {
+	return op.kind == txnOpPutKV || op.kind == txnOpDelKV
+}
+
+// treeKey returns the tree key op writes: its u64 key, or its byte key's
+// prefix.
+func (op txnOp) treeKey() uint64 {
+	if op.keyed() {
+		return PackPrefix(op.bkey)
+	}
+	return op.key
 }
 
 // validate checks op's caller-supplied sizes: what Session.mutate refuses
@@ -298,7 +320,7 @@ type txnKVWrite struct {
 type Txn struct {
 	ss      *Session
 	ownSess bool
-	fixed   map[uint64]txnWrite   // made by the first fixed-width write
+	fixed   map[uint64]txnWrite   // taken by the first fixed-width write
 	kv      map[string]txnKVWrite // made by the first byte-key write
 	done    bool
 }
@@ -322,9 +344,22 @@ func (s *Store) Begin() *Txn {
 	return tx
 }
 
-// finish marks the transaction done and releases an owned session.
+// spareWriteSet bounds the fixed-width write-set a finished transaction
+// hands back to its session for the next one: small transactions, the
+// common case, then make no map, and a huge one does not pin its table.
+const spareWriteSet = 64
+
+// finish marks the transaction done, hands a small fixed-width write-set
+// map back to the session, and releases an owned session. The finished
+// Txn keeps no map, so nothing it is called with afterwards can reach the
+// next transaction's write-set.
 func (tx *Txn) finish() {
 	tx.done = true
+	if tx.fixed != nil && len(tx.fixed) <= spareWriteSet {
+		clear(tx.fixed)
+		tx.ss.spareFixed = tx.fixed
+	}
+	tx.fixed = nil
 	if tx.ownSess {
 		tx.ss.Close()
 		tx.ownSess = false
@@ -333,9 +368,10 @@ func (tx *Txn) finish() {
 
 // buffer records op as its key's pending write (the last one wins),
 // refusing what Session.mutate would refuse of the same op. The maps are
-// made on first use, so a transaction only pays for the families it
-// touches; a byte key and value are copied, so the caller may reuse its
-// slices immediately.
+// taken on first use — the fixed-width one from the session's spare when
+// it has one — so a transaction only pays for the families it touches; a
+// byte key and value are copied, so the caller may reuse its slices
+// immediately.
 func (tx *Txn) buffer(op txnOp) error {
 	if tx.done {
 		return ErrTxnDone
@@ -343,9 +379,12 @@ func (tx *Txn) buffer(op txnOp) error {
 	if err := op.validate(); err != nil {
 		return err
 	}
-	if op.kind == txnOpPut || op.kind == txnOpDelete {
+	if !op.keyed() {
 		if tx.fixed == nil {
-			tx.fixed = make(map[uint64]txnWrite)
+			tx.fixed, tx.ss.spareFixed = tx.ss.spareFixed, nil
+			if tx.fixed == nil {
+				tx.fixed = make(map[uint64]txnWrite)
+			}
 		}
 		tx.fixed[op.key] = txnWrite{val: op.val, del: op.kind == txnOpDelete}
 		return nil
@@ -452,24 +491,32 @@ func (tx *Txn) Commit() error {
 
 // txnPlan is Commit's working set, kept on the Session (single-goroutine
 // by contract) so a steady stream of commits re-plans without allocating:
-// the sorted key lists, the per-shard decoded ops, the whole write-set
-// encoded as one commit-record payload, the participating shards ascending
-// (parts[0] is the home shard), and the shards whose displaced records
-// turned stale.
+// the sorted key lists, the per-shard decoded ops and the mask of key
+// stripes they name, the whole write-set encoded as one commit-record
+// payload, the participating shards ascending (parts[0] is the home
+// shard), and the shards whose displaced records turned stale.
 type txnPlan struct {
 	keys    []uint64
 	kvKeys  []string
 	ops     [][]txnOp
+	stripes []uint64
 	payload []byte
 	parts   []int
 	stale   []int
 }
 
-// add routes op to its shard's apply list and appends its encoding to the
-// commit-record payload.
+// add routes op to its shard's apply list and stripe mask and appends its
+// encoding to the commit-record payload. A byte-key op claims every stripe
+// of its shard: it appends to the shard's value log, whose space the
+// pre-flight admits for the whole commit.
 func (pl *txnPlan) add(s *Store, op txnOp) {
 	i := s.shardOfOp(op)
 	pl.ops[i] = append(pl.ops[i], op)
+	if op.keyed() {
+		pl.stripes[i] = ^uint64(0)
+	} else {
+		pl.stripes[i] |= 1 << stripeOf(op.key)
+	}
 	pl.payload = appendTxnOp(pl.payload, op)
 }
 
@@ -477,7 +524,7 @@ func (pl *txnPlan) add(s *Store, op txnOp) {
 // route by it, so a record is replayed where its writes were applied
 // whichever shard's log it was found in.
 func (s *Store) shardOfOp(op txnOp) int {
-	if op.kind == txnOpPutKV || op.kind == txnOpDelKV {
+	if op.keyed() {
 		return s.ShardForKey(op.bkey)
 	}
 	return s.ShardFor(op.key)
@@ -492,10 +539,12 @@ func (tx *Txn) plan() *txnPlan {
 	pl := &tx.ss.plan
 	if pl.ops == nil {
 		pl.ops = make([][]txnOp, len(s.shards))
+		pl.stripes = make([]uint64, len(s.shards))
 	}
 	for i := range pl.ops {
 		pl.ops[i] = pl.ops[i][:0]
 	}
+	clear(pl.stripes)
 	pl.keys, pl.kvKeys, pl.parts, pl.stale = pl.keys[:0], pl.kvKeys[:0], pl.parts[:0], pl.stale[:0]
 	pl.payload = pl.payload[:0]
 	for k := range tx.fixed {
@@ -547,58 +596,67 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	s := ss.s
 	parts := pl.parts
 	for _, i := range parts {
-		s.shards[i].gc.applyMu.Lock()
+		stripes := &s.shards[i].gc.stripes
+		for m := pl.stripes[i]; m != 0; m &= m - 1 {
+			stripes[bits.TrailingZeros64(m)].Lock()
+		}
 	}
 	defer func() {
 		for _, i := range parts {
-			s.shards[i].gc.applyMu.Unlock()
+			stripes := &s.shards[i].gc.stripes
+			for m := pl.stripes[i]; m != 0; m &= m - 1 {
+				stripes[bits.TrailingZeros64(m)].Unlock()
+			}
 		}
 	}()
+	own := s.takeRedoLog(pl)
+	defer s.shards[own].gc.tlMu.Unlock()
 
 	// Pre-flight: everything that can refuse must refuse before the
-	// first byte hits the redo log, so failure is a clean abort. With
-	// applyMu held exclusively no other writer can move the projections.
-	// Checked under the locks so a commit racing the failing one cannot
-	// slip past before the latch is set.
+	// first byte hits the redo log, so failure is a clean abort. With the
+	// write-set's stripes held exclusively no other writer can move the
+	// projections. Checked under the locks so a commit racing the failing
+	// one cannot slip past before the latch is set.
 	if s.txnFailed.Load() {
 		return ErrReopenRequired
 	}
-	home := parts[0]
-	// A shard that has never been a home has no redo log yet: the log the
-	// record append below creates will have the configured capacity.
+	// A log no commit has taken yet does not exist: the one the record
+	// append below creates will have the configured capacity.
 	capacity := s.opts.TxnLogCap
-	if tl := s.shards[home].gc.tl; tl != nil {
+	if tl := s.shards[own].gc.tl; tl != nil {
 		capacity = tl.Capacity()
 	}
 	if need := txnlog.RecordSize(len(pl.payload)); need > capacity {
 		return fmt.Errorf("%w: a %d-byte record for the write-set, shard %d's log holds %d",
-			ErrTxnTooLarge, need, home, capacity)
+			ErrTxnTooLarge, need, own, capacity)
+	}
+	if err := s.requireEmptyLog(own); err != nil {
+		return err
 	}
 	for _, i := range parts {
-		if tl := s.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
-			// A non-empty redo log at commit entry means a committed
-			// transaction's record still awaits replay (its apply or
-			// truncation never finished). On the home shard this commit's
-			// truncation would erase it; on any other participant its
-			// replay would supersede this commit's applies. Latch and
-			// refuse until the store is reopened.
-			s.txnFailed.Store(true)
-			return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, tl.Len())
+		// A participant's log another commit holds carries that commit's
+		// record, which names none of this commit's keys.
+		if gc := s.shards[i].gc; i != own && gc.tlMu.TryLock() {
+			err := s.requireEmptyLog(i)
+			gc.tlMu.Unlock()
+			if err != nil {
+				return err
+			}
 		}
 		if err := ss.admitTxnOps(i, pl.ops[i]); err != nil {
 			return err
 		}
 	}
 
-	// The commit record: the whole write-set, one append to the home
-	// shard's log, durable on return — the commit point. Append refuses
+	// The commit record: the whole write-set, one append to the log this
+	// commit holds, durable on return — the commit point. Append refuses
 	// before it writes, so a failure here left nothing behind.
-	tl, err := s.redoLog(home, ss.ths[home])
+	tl, err := s.redoLog(own, ss.ths[own])
 	if err == nil {
-		err = tl.Append(ss.ths[home], s.txnSeq.Add(1), txnlog.KindCommit, pl.payload)
+		err = tl.Append(ss.ths[own], s.txnSeq.Add(1), txnlog.KindCommit, pl.payload)
 	}
 	if err != nil {
-		return fmt.Errorf("store: txn commit record on shard %d: %w", home, err)
+		return fmt.Errorf("store: txn commit record on shard %d: %w", own, err)
 	}
 	s.step()
 	// Apply through the body plain writes use (Session.apply).
@@ -624,20 +682,59 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 		s.step()
 	}
 	// The transaction is fully applied; drop the redo record.
-	tl.Truncate(ss.ths[home])
+	tl.Truncate(ss.ths[own])
 	s.step()
 	return nil
 }
 
-// redoLog returns shard i's transaction redo log, creating it on the shard's
-// first commit as a home shard: a store that never commits pays no TxnLogCap
-// bytes for it, and neither does a shard that only ever takes part in other
-// shards' commits. The caller holds the shard's applyMu exclusively, which is
-// what publishes the handle to the next committer. A pool too full for the
-// region fails the commit with ErrNoSpace while it is still abortable —
-// nothing has been appended anywhere. A crash between the region's allocation
-// and the root-slot store leaves the slot empty; the next commit allocates
-// again.
+// takeRedoLog locks and returns the shard whose redo log the commit planned
+// in pl writes: the first whose tlMu is free, trying shards from the home
+// shard up (wrapping), or else the home shard's once it frees. A lone
+// committer therefore always writes its home shard's log. A shard with no
+// log yet is taken only if the commit takes part in it: creating the log
+// spends pool space, and on a shard the commit holds no stripe of, another
+// commit may hold all of them with that space admitted for its value-log
+// appends.
+func (s *Store) takeRedoLog(pl *txnPlan) int {
+	home, n := pl.parts[0], len(s.shards)
+	for d := 0; d < n; d++ {
+		i := (home + d) % n
+		gc := s.shards[i].gc
+		if !gc.tlMu.TryLock() {
+			continue
+		}
+		if gc.tl != nil || len(pl.ops[i]) != 0 {
+			return i
+		}
+		gc.tlMu.Unlock()
+	}
+	s.shards[home].gc.tlMu.Lock()
+	return home
+}
+
+// requireEmptyLog refuses, latching the store, when shard i's redo log —
+// whose tlMu the caller holds — is not empty at commit entry: a committed
+// transaction's record still awaits replay there (its apply or truncation
+// never finished). In the log a commit writes, its truncation would erase
+// that record; in a participant's, the record's replay would supersede the
+// commit's applies. The store stays read-only until reopened.
+func (s *Store) requireEmptyLog(i int) error {
+	if tl := s.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
+		s.txnFailed.Store(true)
+		return fmt.Errorf("%w (shard %d redo log holds %d bytes)", ErrReopenRequired, i, tl.Len())
+	}
+	return nil
+}
+
+// redoLog returns shard i's transaction redo log, creating it on the first
+// commit to take it: a store that never commits pays no TxnLogCap bytes for
+// it, and neither does a shard whose log no commit ever took. The caller
+// holds the shard's tlMu, which is what publishes the handle to the next
+// commit to take it (or, in tests, has the store to itself). A pool too
+// full for the region fails the commit with ErrNoSpace while it is still
+// abortable — nothing has been appended anywhere. A crash between the
+// region's allocation and the root-slot store leaves the slot empty; the
+// next commit allocates again.
 func (s *Store) redoLog(i int, th *pmem.Thread) (*txnlog.Log, error) {
 	sh := s.shards[i]
 	if sh.gc.tl == nil {
@@ -654,7 +751,8 @@ func (s *Store) redoLog(i int, th *pmem.Thread) (*txnlog.Log, error) {
 // prefix must currently hold a valid bucket (or nothing), projected
 // bucket images must fit the record bound, and the value log must admit
 // the projected append volume (admit: one inline compaction attempt before
-// refusing). With applyMu held exclusively only GC can move words, and
+// refusing). With the shard's stripes held exclusively (a commit with
+// byte-key ops on a shard holds all of them) only GC can move words, and
 // relocation preserves content and sizes.
 func (ss *Session) admitTxnOps(i int, ops []txnOp) error {
 	need := 0

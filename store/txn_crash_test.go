@@ -908,3 +908,185 @@ func requireNoRedoLogs(t *testing.T, st *Store) {
 		}
 	}
 }
+
+// TestTxnCrashTwoRecordsInFlight crashes two commits in flight at once, each
+// with its record in its own redo log. Commit A pauses right after its
+// record's append; inside that commitStep firing, commit B — disjoint keys,
+// on the same shards, so in key stripes A does not hold — runs to
+// completion, writing its record into the other shard's log because A holds
+// its home shard's; then A finishes. Every persist point of that combined
+// tape, under every crash mode and both memory models, must recover to a
+// state where each transaction is all-or-nothing (and committed once its
+// record is durable), every key an earlier crash-free commit wrote holds its
+// value, every redo log is truncated, and the invariants hold.
+func TestTxnCrashTwoRecordsInFlight(t *testing.T) {
+	for _, model := range []pmem.MemModel{pmem.TSO, pmem.NonTSO} {
+		t.Run(model.String(), func(t *testing.T) { txnTwoRecordsCrashMatrix(t, model) })
+	}
+}
+
+func txnTwoRecordsCrashMatrix(t *testing.T, model pmem.MemModel) {
+	rng := rand.New(rand.NewSource(4242))
+	const shards = 2
+	st, err := Open(Options{
+		Shards:    shards,
+		ShardSize: 8 << 20,
+		Mem:       pmem.Config{TrackCrashes: true, Model: model},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, sb := st.NewSession(), st.NewSession()
+
+	// One key per shard each for A and B, in disjoint stripes, each
+	// overwriting a value a crash-free commit wrote.
+	keysA := spreadKeys(t, st, shards, shards)
+	keysB := keysOffStripes(t, st, keysA, []int{0, 1})
+	committed := map[uint64]uint64{}
+	for i := uint64(0); i < 40; i++ {
+		committed[1<<40+i] = i + 1
+	}
+	var effA, effB []txnEffect
+	for i := range keysA {
+		committed[keysA[i]], committed[keysB[i]] = 7, 7
+		effA = append(effA, txnEffect{fixed: true, key: keysA[i], pre: u64p(7), post: u64p(100)})
+		effB = append(effB, txnEffect{fixed: true, key: keysB[i], pre: u64p(7), post: u64p(200)})
+	}
+	pre := ss.Begin()
+	for k, v := range committed {
+		if err := pre.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pre.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range keysA {
+		delete(committed, keysA[i])
+		delete(committed, keysB[i])
+	}
+	commit := func(ss *Session, keys []uint64, val uint64) error {
+		tx := ss.Begin()
+		for _, k := range keys {
+			if err := tx.Put(k, val); err != nil {
+				return err
+			}
+		}
+		return tx.Commit()
+	}
+
+	for i := 0; i < shards; i++ {
+		st.Pool(i).StartCrashLog()
+	}
+	snap := func() []int {
+		v := make([]int, shards)
+		for i := 0; i < shards; i++ {
+			v[i] = st.Pool(i).LogLen()
+		}
+		return v
+	}
+	vectors := [][]int{snap()}
+	st.commitStep = func() {
+		vectors = append(vectors, snap())
+		if len(vectors) == 2 { // A's record just landed: run B beside it
+			done := make(chan error, 1)
+			go func() { done <- commit(sb, keysB, 200) }()
+			waitErr(t, done, "commit B while commit A is paused")
+		}
+	}
+	if err := commit(ss, keysA, 100); err != nil {
+		t.Fatalf("commit A: %v", err)
+	}
+	st.commitStep = nil
+	// The start; A's record; B's record, two applies and truncation; A's two
+	// applies and truncation.
+	if want := 1 + 1 + (1 + shards + 1) + (shards + 1); len(vectors) != want {
+		t.Fatalf("%d step vectors, want %d", len(vectors), want)
+	}
+	// Segment s runs from vectors[s-1] to vectors[s]: A's record append is
+	// segment 1, B's segment 2. A transaction is committed from the end of
+	// its append's segment on, and invisible before that segment starts.
+	const segA, segB = 1, 2
+
+	cuts := 0
+	examine := func(cut []int, tag string, wantA, wantB int) {
+		t.Helper()
+		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
+			imgs := make([]*pmem.Pool, shards)
+			for i := 0; i < shards; i++ {
+				imgs[i] = st.Pool(i).CrashImage(cut[i], mode, rng)
+			}
+			mtag := fmt.Sprintf("%s mode %d", tag, mode)
+			re, err := Reopen(imgs, Options{})
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", mtag, err)
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatalf("%s: invariants: %v", mtag, err)
+			}
+			for i := range re.shards {
+				if tl := re.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
+					t.Fatalf("%s: shard %d redo log holds %d bytes after recovery", mtag, i, tl.Len())
+				}
+			}
+			rs := re.NewSession()
+			for k, v := range committed {
+				if got, ok, err := rs.Get(k); err != nil || !ok || got != v {
+					t.Fatalf("%s: committed key %d: got=%d ok=%v err=%v", mtag, k, got, ok, err)
+				}
+			}
+			for _, c := range []struct {
+				name    string
+				effects []txnEffect
+				want    int
+			}{{"A", effA, wantA}, {"B", effB, wantB}} {
+				if post := checkAtomic(t, rs, c.effects, mtag+" txn "+c.name); c.want >= 0 && post != (c.want == 1) {
+					t.Fatalf("%s: txn %s post=%v, want %v", mtag, c.name, post, c.want == 1)
+				}
+			}
+			if err := commit(rs, []uint64{keysA[0], keysB[1]}, 300); err != nil {
+				t.Fatalf("%s: post-recovery commit: %v", mtag, err)
+			}
+			rs.Close()
+			re.Close()
+			cuts++
+		}
+	}
+	// verdict is a transaction's expected state at point p of segment s:
+	// 0 before its append, 1 once the append returned, -1 (either) inside it.
+	verdict := func(seg, s, p, end int) int {
+		switch {
+		case s < seg:
+			return 0
+		case s > seg || p == end:
+			return 1
+		}
+		return -1
+	}
+	examine(vectors[0], "cut v0", 0, 0)
+	for s := 1; s < len(vectors); s++ {
+		prev, cur := vectors[s-1], vectors[s]
+		adv := -1
+		for i := 0; i < shards; i++ {
+			if cur[i] != prev[i] {
+				if adv != -1 {
+					t.Fatalf("segment %d: pools %d and %d both advanced (%v -> %v)", s, adv, i, prev, cur)
+				}
+				adv = i
+			}
+		}
+		if adv == -1 {
+			t.Fatalf("segment %d persisted nothing (%v)", s, cur)
+		}
+		for point := prev[adv] + 1; point <= cur[adv]; point++ {
+			cut := append([]int(nil), prev...)
+			cut[adv] = point
+			examine(cut, fmt.Sprintf("seg %d pool %d point %d/%d", s, adv, point, cur[adv]),
+				verdict(segA, s, point, cur[adv]), verdict(segB, s, point, cur[adv]))
+		}
+	}
+	t.Logf("examined %d cuts over %d step vectors", cuts, len(vectors))
+	sb.Close()
+	ss.Close()
+	st.Close()
+}

@@ -12,9 +12,13 @@ import (
 // several sessions against plain writers, point readers, scans and forced
 // value-log compaction; it earns its keep under -race (CI runs the store
 // package with the detector on). Each committer owns a disjoint fixed-key
-// range plus prefix-colliding byte keys, so the end state is exact; the
-// shared applyMu choreography — committers exclusive in ascending shard
-// order, plain writers shared, GC and readers outside — is what the
+// range plus prefix-colliding byte keys, so the end state is exact, and
+// all of them also write one shared fixed key and one byte key each under
+// one shared prefix on one shard, so commits wait on each other's
+// exclusive stripes and meet in one bucket, which a commit takes all of
+// its shard's stripes to rewrite. The key-stripe choreography — committers
+// exclusive in ascending (shard, stripe) order, each in the first free
+// redo log, plain writers shared, GC and readers outside — is what the
 // detector is pointed at.
 func TestTxnCommitRaceChurn(t *testing.T) {
 	st, err := Open(Options{Shards: 4, ShardSize: 8 << 20})
@@ -35,6 +39,16 @@ func TestTxnCommitRaceChurn(t *testing.T) {
 	}
 	bval := func(w, i, r int) []byte {
 		return bytes.Repeat([]byte{byte(w*37 + i + r)}, 100+(w*keysPer+i)%150)
+	}
+	const sharedKey = 1 << 50
+	sharedVal := func(w, r int) uint64 { return uint64(w)<<32 | uint64(r) }
+	sharedKV := make([][]byte, committers) // one prefix, one shard
+	for w, n := 0, 0; w < committers; n++ {
+		k := []byte(fmt.Sprintf("txnshare-%d-%d", w, n))
+		if w == 0 || st.ShardForKey(k) == st.ShardForKey(sharedKV[0]) {
+			sharedKV[w] = k
+			w++
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -59,6 +73,14 @@ func TestTxnCommitRaceChurn(t *testing.T) {
 						return
 					}
 				}
+				if err := tx.Put(sharedKey, sharedVal(w, r)); err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.PutKV(sharedKV[w], bval(w, keysPer, r)); err != nil {
+					errs <- err
+					return
+				}
 				// A delete inside every other round exercises the remove
 				// paths under commit's exclusive locks.
 				if r%2 == 1 {
@@ -79,8 +101,8 @@ func TestTxnCommitRaceChurn(t *testing.T) {
 			errs <- nil
 		}(w)
 	}
-	// Plain writer on its own key range: shared applyMu against the
-	// committers' exclusive holds.
+	// Plain writer on its own key range: shared stripes against the
+	// committers' exclusive holds, and exclusive ones for its byte keys.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -208,6 +230,17 @@ func TestTxnCommitRaceChurn(t *testing.T) {
 			} else if !ok || !bytes.Equal(bv2, bval(w, i, rounds-1)) {
 				t.Fatalf("committer %d byte key %d: ok=%v len=%d", w, i, ok, len(bv2))
 			}
+		}
+	}
+	// The shared keys hold what one committer's final round wrote: the
+	// fixed key any committer's, the bucket every committer's own entry.
+	v, ok, err := ss.Get(sharedKey)
+	if err != nil || !ok || v>>32 >= committers || v&(1<<32-1) != uint64(rounds-1) {
+		t.Fatalf("shared key: v=%#x ok=%v err=%v, want one committer's final round", v, ok, err)
+	}
+	for w, k := range sharedKV {
+		if got, ok, err := ss.GetKV(k, nil); err != nil || !ok || !bytes.Equal(got, bval(w, keysPer, rounds-1)) {
+			t.Fatalf("committer %d shared-prefix key: ok=%v err=%v len=%d", w, ok, err, len(got))
 		}
 	}
 	if err := st.CheckInvariants(); err != nil {

@@ -3,7 +3,10 @@ package store
 import (
 	"bytes"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/txnlog"
 )
@@ -1097,5 +1100,143 @@ func TestRecoverLegacyIntentMarkImage(t *testing.T) {
 				t.Fatalf("commit after recovery: %v", err)
 			}
 		})
+	}
+}
+
+// keysOffStripes returns one fixed-width key per entry of shards, on that
+// shard, each in a key stripe no key of taken — nor an earlier returned
+// key — occupies on its shard.
+func keysOffStripes(t *testing.T, st *Store, taken []uint64, shards []int) []uint64 {
+	t.Helper()
+	busy := map[[2]int]bool{}
+	for _, k := range taken {
+		busy[[2]int{st.ShardFor(k), stripeOf(k)}] = true
+	}
+	keys := make([]uint64, 0, len(shards))
+	for c := uint64(1 << 32); len(keys) < len(shards); c++ {
+		at := [2]int{shards[len(keys)], stripeOf(c)}
+		if st.ShardFor(c) == at[0] && !busy[at] {
+			busy[at] = true
+			keys = append(keys, c)
+		}
+	}
+	return keys
+}
+
+// waitErr waits for what op sends on ch and fails the test unless it is nil
+// and arrives within ten seconds.
+func waitErr(t *testing.T, ch <-chan error, op string) {
+	t.Helper()
+	select {
+	case err := <-ch:
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return", op)
+	}
+}
+
+// TestCommitFencesPerKey pauses a commit right after its record's append —
+// the commit point, with none of its applies done — and proves the fence
+// it holds is its keys' stripes, not their shards: a plain Put to one of
+// its keys waits for it, while a plain Put to another stripe of the same
+// shard, and a second session's commit over disjoint keys on the same
+// shards, go through. The second commit writes its record into another
+// shard's redo log, the paused one's being taken. Once the first commit
+// finishes, the waiting Put lands after it and its value is final.
+func TestCommitFencesPerKey(t *testing.T) {
+	const shards = 4
+	st, err := Open(Options{Shards: shards, ShardSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	all := []int{0, 1, 2, 3}
+	keysA := spreadKeys(t, st, shards, shards)
+	keysB := keysOffStripes(t, st, keysA, all)
+	bystander := keysOffStripes(t, st, append(append([]uint64(nil), keysA...), keysB...), all[:1])[0]
+
+	paused, resume := make(chan struct{}), make(chan struct{})
+	var steps atomic.Int32
+	var bLogs []int // the non-empty redo logs when B's record had landed
+	st.commitStep = func() {
+		switch steps.Add(1) {
+		case 1: // A's record is durable
+			close(paused)
+			<-resume
+		case 2: // B's record is durable; A's is still in its log
+			for i := range st.shards {
+				if tl := st.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
+					bLogs = append(bLogs, i)
+				}
+			}
+		}
+	}
+	var resumeOnce sync.Once
+	release := func() { resumeOnce.Do(func() { close(resume) }) }
+	defer release() // a failing check must not leave A, and Close, waiting
+
+	run := func(f func(ss *Session) error) <-chan error {
+		ch := make(chan error, 1)
+		go func() {
+			ss := st.NewSession()
+			defer ss.Close()
+			ch <- f(ss)
+		}()
+		return ch
+	}
+	commit := func(keys []uint64, val uint64) func(*Session) error {
+		return func(ss *Session) error {
+			tx := ss.Begin()
+			for _, k := range keys {
+				if err := tx.Put(k, val); err != nil {
+					return err
+				}
+			}
+			return tx.Commit()
+		}
+	}
+
+	aDone := run(commit(keysA, 1))
+	select {
+	case <-paused:
+	case err := <-aDone:
+		t.Fatalf("commit A returned (%v) without reaching its commit point", err)
+	}
+	blocked := run(func(ss *Session) error { return ss.Put(keysA[0], 2) })
+	waitErr(t, run(func(ss *Session) error { return ss.Put(bystander, 3) }),
+		"a plain Put to another stripe of a shard the paused commit holds")
+	waitErr(t, run(commit(keysB, 4)), "a commit over disjoint keys on the paused commit's shards")
+	if len(bLogs) != 2 || bLogs[0] != 0 {
+		t.Fatalf("redo logs holding records with both commits past their append: %v, want shard 0's (A) and one other (B)", bLogs)
+	}
+	select {
+	case err := <-blocked:
+		t.Fatalf("a plain Put to a key of the paused commit returned (%v) before the commit did", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	release()
+	waitErr(t, aDone, "commit A")
+	waitErr(t, blocked, "the plain Put to commit A's key")
+	ss := st.NewSession()
+	defer ss.Close()
+	want := map[uint64]uint64{keysA[0]: 2, bystander: 3}
+	for _, k := range keysA[1:] {
+		want[k] = 1
+	}
+	for _, k := range keysB {
+		want[k] = 4
+	}
+	for k, v := range want {
+		if got, ok, err := ss.Get(k); err != nil || !ok || got != v {
+			t.Fatalf("key %d: got=%d ok=%v err=%v, want %d", k, got, ok, err, v)
+		}
+	}
+	for i := range st.shards {
+		if tl := st.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
+			t.Fatalf("shard %d redo log holds %d bytes after both commits", i, tl.Len())
+		}
 	}
 }
