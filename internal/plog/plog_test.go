@@ -1,0 +1,84 @@
+package plog
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+
+	"repro/internal/pmem"
+)
+
+// TestRecordImage pins the record bytes both logs have always written: the
+// header word is len+1 in the low half and, in the high half, the CRC-32C
+// of the meta words (little-endian) followed by the payload; then the meta
+// words; then the payload packed little-endian into zero-padded words. One
+// Write is one flush call of exactly the record's lines.
+func TestRecordImage(t *testing.T) {
+	p := pmem.New(pmem.Config{Size: 1 << 16})
+	th := p.NewThread()
+	f := Format{Meta: 2}
+	meta := []uint64{0x1122334455667788, 0x2a<<8 | 2}
+	payload := []byte("eleven byte")
+	const off = 5 * pmem.LineSize
+	if size := f.Write(th, off, meta, payload); size != 3*8+16 {
+		t.Fatalf("Write returned size %d, want 40", size)
+	}
+	if th.Stats.FlushCalls != 1 || th.Stats.FlushedLines != 1 {
+		t.Fatalf("Write flushed %d lines in %d calls, want 1 in 1", th.Stats.FlushedLines, th.Stats.FlushCalls)
+	}
+	var img []byte
+	for _, w := range meta {
+		img = binary.LittleEndian.AppendUint64(img, w)
+	}
+	img = append(img, payload...)
+	crc := crc32.Checksum(img, crc32.MakeTable(crc32.Castagnoli))
+	want := []uint64{uint64(len(payload)+1) | uint64(crc)<<32, meta[0], meta[1],
+		binary.LittleEndian.Uint64([]byte("eleven b")), binary.LittleEndian.Uint64([]byte("yte\x00\x00\x00\x00\x00"))}
+	for i, w := range want {
+		if got := th.Load(off + int64(i)*pmem.WordSize); got != w {
+			t.Errorf("word %d = %#x, want %#x", i, got, w)
+		}
+	}
+	if got := f.AppendPayload(th, []byte("x"), off, len(payload)); !bytes.Equal(got, append([]byte("x"), payload...)) {
+		t.Fatalf("AppendPayload = %q", got)
+	}
+}
+
+// TestWalkStops: a walk yields records laid end to end and stops at a zero
+// header (clean), at a record that would overrun the end, or — verifying —
+// at a checksum mismatch (not clean). A header-only walk passes a record
+// whose payload is damaged.
+func TestWalkStops(t *testing.T) {
+	p := pmem.New(pmem.Config{Size: 1 << 16})
+	th := p.NewThread()
+	f := Format{Meta: 1}
+	const start = pmem.LineSize
+	pos := int64(start)
+	for i, n := range []int{0, 7, 64} {
+		pos += f.Write(th, pos, []uint64{uint64(i)}, bytes.Repeat([]byte{byte(i)}, n))
+	}
+	walk := func(end int64, verify bool) (n int, it Iter) {
+		it = f.Walk(th, start, end, verify)
+		for ; it.Next(); n++ {
+			if it.Meta[0] != uint64(n) {
+				t.Fatalf("record %d carries meta %d", n, it.Meta[0])
+			}
+		}
+		return n, it
+	}
+	if n, it := walk(pos+pmem.LineSize, true); n != 3 || it.Off != pos || !it.Terminated() {
+		t.Fatalf("clean walk: %d records, stop %d (want 3, %d), terminated %v", n, it.Off, pos, it.Terminated())
+	}
+	second, third := start+f.Size(0), start+f.Size(0)+f.Size(7)
+	if n, it := walk(pos-8, true); n != 2 || it.Off != third || it.Terminated() {
+		t.Fatalf("overrun walk: %d records, stop %d, terminated %v; want 2, %d, false", n, it.Off, it.Terminated(), third)
+	}
+	th.Store(second+2*pmem.WordSize, th.Load(second+2*pmem.WordSize)^1)
+	if n, it := walk(pos+pmem.LineSize, true); n != 1 || it.Off != second || it.Terminated() {
+		t.Fatalf("damaged walk: %d records, stop %d, terminated %v; want 1, %d, false", n, it.Off, it.Terminated(), second)
+	}
+	if n, _ := walk(pos+pmem.LineSize, false); n != 3 {
+		t.Fatalf("header-only walk: %d records, want 3", n)
+	}
+}

@@ -19,10 +19,11 @@
 //
 // # Persistence protocol (format version 2: publish by flush)
 //
-// There is no persisted tail. A record is published by its own flush:
-// Append stores the payload words, the transaction ID, the kind word
-// (kind byte | the log's current GENERATION) and the header word
-// (length+1 and a CRC-32C over ID, kind word and payload), flushes the
+// Records are internal/plog records with two meta words, and follow plog's
+// one publish rule: there is no persisted tail, and a record is published
+// by its own flush. Append stores the payload words, the transaction ID,
+// the kind word (kind byte | the log's current GENERATION) and the header
+// word (length+1 and a CRC-32C over ID, kind word and payload), flushes the
 // record's lines — one flush call, one fence — and returns; the record is
 // durable then. Truncate bumps the generation word in the log's header
 // line and flushes that one line, which invalidates every record of the
@@ -30,20 +31,20 @@
 //
 // # Recovery
 //
-// Open walks the region from offset 0 and keeps records while the header
-// length is in bounds, the CRC matches, and the kind word carries the
-// header's current generation; it stops at the first record failing any
-// of the three. A crash mid-append leaves a record some of whose words
-// never reached the media: its CRC fails and it is dropped whole, with
-// every earlier record intact. The generation is what makes the walk safe
-// without a tail: the region is never scrubbed, so a complete, CRC-clean
-// record of an earlier generation can lie directly behind a shorter
-// record of the current one, and it is refused deterministically, not by
-// checksum luck. For the same reason no append may ever share a
-// generation with bytes a crashed append left behind: Open starts a fresh
-// generation when it recovers an empty log, and a log recovered WITH
-// records refuses Append (ErrNotTruncated) until Truncate — a redo log's
-// recovered records are replayed and dropped, never extended.
+// Open walks the region from offset 0 with plog's iterator and keeps
+// records while the header length is in bounds, the CRC matches, and the
+// kind word carries the header's current generation; it stops at the first
+// record failing any of the three. A crash mid-append leaves a record some
+// of whose words never reached the media: its CRC fails and it is dropped
+// whole, with every earlier record intact. The generation is what makes
+// the walk safe without a tail: the region is never scrubbed, so a
+// complete, CRC-clean record of an earlier generation can lie directly
+// behind a shorter record of the current one, and it is refused
+// deterministically, not by checksum luck. For the same reason no append
+// may ever share a generation with bytes a crashed append left behind:
+// Open starts a fresh generation when it recovers an empty log, and a log
+// recovered WITH records refuses Append (ErrNotTruncated) until Truncate —
+// a redo log's recovered records are replayed and dropped, never extended.
 //
 // The header's immutable words are guarded by a check word and the
 // generation word carries its own check bits, so a damaged header fails
@@ -55,10 +56,10 @@ package txnlog
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
 	"sync"
 
+	"repro/internal/plog"
 	"repro/internal/pmem"
 )
 
@@ -106,8 +107,9 @@ var (
 //	        low byte makes every single-bit flip of the word detectable
 //	word 4: ^(word 0 ^ word 1 ^ word 2), written once by Create
 //
-// Record layout: an 8-byte header, the 8-byte transaction ID, the 8-byte
-// kind word, then the payload padded to whole words.
+// Record layout: a plog record with two meta words — an 8-byte header, the
+// 8-byte transaction ID, the 8-byte kind word, then the payload padded to
+// whole words.
 //
 //	header: (payload length + 1) in the low 32 bits, CRC-32C of the ID,
 //	        the kind word and the payload in the high 32. The +1 keeps
@@ -125,28 +127,12 @@ const (
 	hdrCheckWord  = 4
 	hdrBytes      = pmem.LineSize
 
-	// recHdrBytes is the fixed per-record overhead: header word +
-	// transaction-ID word + kind word.
-	recHdrBytes = 3 * pmem.WordSize
-
 	// DefaultCap is the region capacity used when Create gets zero.
 	DefaultCap = 1 << 20
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// recordCRC hashes the transaction ID and the kind word (little-endian)
-// and the payload. Folding the fixed fields in directly keeps the append
-// path allocation-free, like the vlog's recordCRC.
-func recordCRC(id, kindWord uint64, payload []byte) uint32 {
-	crc := ^uint32(0)
-	for _, w := range [2]uint64{id, kindWord} {
-		for i := 0; i < 8; i++ {
-			crc = crcTable[byte(crc)^byte(w>>(8*i))] ^ crc>>8
-		}
-	}
-	return crc32.Update(^crc, crcTable, payload)
-}
+// rec is the redo log's record format: the transaction ID and kind word.
+var rec = plog.Format{Meta: 2}
 
 // genWord encodes a generation for the header line.
 func genWord(gen uint64) uint64 { return gen<<8 | uint64(bits.OnesCount64(gen)) }
@@ -156,7 +142,6 @@ func genWord(gen uint64) uint64 { return gen<<8 | uint64(bits.OnesCount64(gen)) 
 // commits per shard, so records from different transactions never
 // interleave.
 type Log struct {
-	p      *pmem.Pool
 	hdrOff int64
 
 	mu        sync.Mutex
@@ -179,9 +164,7 @@ func (l *Log) Capacity() int64 { return l.cap }
 
 // RecordSize returns the log bytes one record of payloadLen bytes
 // occupies: header, ID and kind words plus the word-padded payload.
-func RecordSize(payloadLen int) int64 {
-	return recHdrBytes + roundUp(int64(payloadLen), pmem.WordSize)
-}
+func RecordSize(payloadLen int) int64 { return rec.Size(payloadLen) }
 
 // SpaceFor reports whether a payload of n bytes fits an EMPTY log — the
 // admission check commits run before writing anything, so a too-large
@@ -194,7 +177,7 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, capBytes int64) (*Log, erro
 	if capBytes <= 0 {
 		capBytes = DefaultCap
 	}
-	capBytes = roundUp(capBytes, pmem.LineSize)
+	capBytes = plog.Lines(capBytes)
 	hdr, err := p.Alloc(hdrBytes, pmem.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("txnlog: alloc header: %w", err)
@@ -203,7 +186,7 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, capBytes int64) (*Log, erro
 	if err != nil {
 		return nil, fmt.Errorf("txnlog: alloc region: %w", err)
 	}
-	l := &Log{p: p, hdrOff: hdr, region: region, cap: capBytes, gen: 1}
+	l := &Log{hdrOff: hdr, region: region, cap: capBytes, gen: 1}
 	magic := logMagic<<32 | logVersion
 	th.Store(hdr+hdrRegionWord*pmem.WordSize, uint64(region))
 	th.Store(hdr+hdrCapWord*pmem.WordSize, uint64(capBytes))
@@ -240,7 +223,7 @@ func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 	if th.Load(hdr+hdrCheckWord*pmem.WordSize) != ^(magic ^ region ^ capBytes) {
 		return nil, fmt.Errorf("%w: header check word mismatch at root slot %d", ErrCorrupt, slot)
 	}
-	l := &Log{p: p, hdrOff: hdr, region: int64(region), cap: int64(capBytes)}
+	l := &Log{hdrOff: hdr, region: int64(region), cap: int64(capBytes)}
 	if l.region <= 0 || l.cap <= 0 || l.region%pmem.WordSize != 0 || l.cap%pmem.WordSize != 0 ||
 		l.region > p.Size() || l.cap > p.Size()-l.region {
 		return nil, fmt.Errorf("%w: region [%d,+%d) outside pool", ErrCorrupt, l.region, l.cap)
@@ -250,14 +233,10 @@ func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 	if gw != genWord(l.gen) {
 		return nil, fmt.Errorf("%w: generation word %#x fails its check bits", ErrCorrupt, gw)
 	}
-	for {
-		n, ok := l.checkRecord(th, l.tail)
-		if !ok {
-			break
-		}
-		l.tail += n
+	it := rec.Walk(th, l.region, l.region+l.cap, true)
+	for it.Next() && l.current(it.Meta[1]) {
 	}
-	if l.tail == 0 {
+	if l.tail = it.Off - l.region; l.tail == 0 {
 		l.bumpGen(th)
 	} else {
 		l.recovered = true
@@ -265,32 +244,11 @@ func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 	return l, nil
 }
 
-// checkRecord validates the record at byte offset off (within the region),
-// returning its total size and whether it lies inside the region, is
-// CRC-clean and belongs to the current generation.
-func (l *Log) checkRecord(th *pmem.Thread, off int64) (int64, bool) {
-	if off+recHdrBytes > l.cap {
-		return 0, false
-	}
-	hdrWord := th.Load(l.region + off)
-	plen := int64(hdrWord&0xffffffff) - 1
-	if plen < 0 {
-		return 0, false
-	}
-	need := recHdrBytes + roundUp(plen, pmem.WordSize)
-	if off+need > l.cap {
-		return 0, false
-	}
-	id := th.Load(l.region + off + pmem.WordSize)
-	kindWord := th.Load(l.region + off + 2*pmem.WordSize)
-	if kind := Kind(kindWord & 0xff); kindWord>>8 != l.gen || (kind != KindIntent && kind != KindCommit) {
-		return 0, false
-	}
-	payload := appendPayload(th, nil, l.region+off+recHdrBytes, int(plen))
-	if recordCRC(id, kindWord, payload) != uint32(hdrWord>>32) {
-		return 0, false
-	}
-	return need, true
+// current reports whether a CRC-clean record's kind word names a known kind
+// and the current generation: the records Open keeps.
+func (l *Log) current(kindWord uint64) bool {
+	kind := Kind(kindWord & 0xff)
+	return kindWord>>8 == l.gen && (kind == KindIntent || kind == KindCommit)
 }
 
 // Append publishes one record with a single flush+fence of its own lines.
@@ -309,16 +267,7 @@ func (l *Log) Append(th *pmem.Thread, id uint64, kind Kind, payload []byte) erro
 	if l.tail+need > l.cap {
 		return fmt.Errorf("%w: %d bytes free, need %d", ErrFull, l.cap-l.tail, need)
 	}
-	off := l.region + l.tail
-	for i, pos := 0, off+recHdrBytes; i < len(payload); i, pos = i+8, pos+pmem.WordSize {
-		th.Store(pos, packWord(payload[i:]))
-	}
-	kindWord := uint64(kind) | l.gen<<8
-	th.Store(off+pmem.WordSize, id)
-	th.Store(off+2*pmem.WordSize, kindWord)
-	th.Store(off, uint64(len(payload)+1)|uint64(recordCRC(id, kindWord, payload))<<32)
-	th.Flush(off, need)
-	l.tail += need
+	l.tail += rec.Write(th, l.region+l.tail, []uint64{id, uint64(kind) | l.gen<<8}, payload)
 	return nil
 }
 
@@ -363,48 +312,11 @@ func (l *Log) Scan(th *pmem.Thread, fn func(r Rec) bool) {
 	l.mu.Lock()
 	tail := l.tail
 	l.mu.Unlock()
-	off := int64(0)
-	for off < tail {
-		hdrWord := th.Load(l.region + off)
-		plen := int64(hdrWord&0xffffffff) - 1
-		r := Rec{
-			ID:   th.Load(l.region + off + pmem.WordSize),
-			Kind: Kind(th.Load(l.region+off+2*pmem.WordSize) & 0xff),
-		}
-		r.Payload = appendPayload(th, nil, l.region+off+recHdrBytes, int(plen))
+	for it := rec.Walk(th, l.region, l.region+tail, false); it.Next(); {
+		r := Rec{ID: it.Meta[0], Kind: Kind(it.Meta[1] & 0xff)}
+		r.Payload = rec.AppendPayload(th, nil, it.Off, it.Len)
 		if !fn(r) {
 			return
 		}
-		off += recHdrBytes + roundUp(plen, pmem.WordSize)
 	}
 }
-
-// packWord packs up to 8 bytes little-endian.
-func packWord(b []byte) uint64 {
-	var w uint64
-	n := len(b)
-	if n > 8 {
-		n = 8
-	}
-	for i := 0; i < n; i++ {
-		w |= uint64(b[i]) << (8 * i)
-	}
-	return w
-}
-
-// appendPayload appends n payload bytes stored word-packed at off to dst.
-func appendPayload(th *pmem.Thread, dst []byte, off int64, n int) []byte {
-	for i := 0; i < n; i += 8 {
-		w := th.Load(off + int64(i))
-		m := n - i
-		if m > 8 {
-			m = 8
-		}
-		for b := 0; b < m; b++ {
-			dst = append(dst, byte(w>>(8*b)))
-		}
-	}
-	return dst
-}
-
-func roundUp(v, m int64) int64 { return (v + m - 1) / m * m }

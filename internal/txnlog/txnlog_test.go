@@ -7,10 +7,25 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/plog"
 	"repro/internal/pmem"
 )
 
 const testSlot = 6
+
+// recHdrBytes is a record's fixed overhead: header, ID and kind words.
+const recHdrBytes = 3 * pmem.WordSize
+
+// checkRecord validates the record at byte offset off (within the region)
+// the way Open's walk does, returning its total size and whether it lies
+// inside the region, is CRC-clean and belongs to the current generation.
+func (l *Log) checkRecord(th *pmem.Thread, off int64) (int64, bool) {
+	it := rec.Walk(th, l.region+off, l.region+l.cap, true)
+	if !it.Next() || !l.current(it.Meta[1]) {
+		return 0, false
+	}
+	return RecordSize(it.Len), true
+}
 
 func testValue(rng *rand.Rand, n int) []byte {
 	v := make([]byte, n)
@@ -367,7 +382,7 @@ func TestTornFirstRecordStartsNewGeneration(t *testing.T) {
 	line2 := l.region + pmem.LineSize
 	th.Store(line2+pmem.WordSize, 666)
 	th.Store(line2+2*pmem.WordSize, ghostKind)
-	th.Store(line2, 1|uint64(recordCRC(666, ghostKind, nil))<<32)
+	th.Store(line2, 1|uint64(plog.RecordCRC([]uint64{666, ghostKind}, nil))<<32)
 	th.Flush(line2, recHdrBytes)
 
 	re, err := Open(p, th, testSlot)

@@ -6,35 +6,30 @@
 // log — following the pointer-into-PM reading of values the paper itself
 // uses (§3) and the log-structured value separation of WiscKey/Badger.
 //
-// # Persistence protocol
+// # Persistence protocol (format version 3: publish by flush)
 //
-// A record is published in three ordered steps, all within the hardware
-// contract the emulator models (8-byte failure-atomic stores, explicit
-// cache-line write-back, store fencing):
-//
-//  1. The payload words, the owning key, and the record header (length+1
-//     and a CRC-32C of key+payload packed into one 8-byte word) are stored
-//     and flushed.
-//  2. A store fence orders the record ahead of its publication (free on
-//     TSO, a dmb on NonTSO).
-//  3. The log tail — a single 8-byte word in the log header line — is
-//     advanced over the record with one atomic store and flushed.
-//
-// The tail store is the commit point: a crash before it leaves the record
-// bytes beyond the persisted tail, where they are unreachable garbage; a
-// crash after it leaves a fully-flushed record below the tail. No crash can
-// expose a torn record through a published tail.
+// Records are internal/plog records with one meta word, the owning key, and
+// follow plog's one publish rule. Append stores the payload words, the key
+// and the record header (length+1 and a CRC-32C of key+payload packed into
+// one 8-byte word), then flushes the record's lines: one flush call, one
+// fence. The record is published when that flush returns. There is no tail
+// word: the append cursor is volatile. A crash mid-append leaves a record
+// whose CRC fails, never a torn record that validates.
 //
 // # Recovery
 //
-// Open re-attaches to a log image and eagerly repairs it: it walks the
-// extent chain, bounds-checks the persisted tail, rewinds it into the last
-// extent if a crash interrupted extent growth, truncates the torn or
-// unpublished record at the tail (zeroing its header word so later scans
-// terminate there), and then validates every published record's header and
-// checksum from the beginning of the log. Validation failures below the
-// tail — impossible under the publish protocol, but checked anyway —
-// truncate the log at the first bad record.
+// Open is a read-only walk: it issues no persistent store. It follows the
+// extent chain and walks every extent's records, verifying each checksum.
+// A sealed extent — every extent but the last — ends at the zero header
+// word that growth writes and flushes before it links the next extent, so a
+// record failing validation before that terminator is damage, and Open
+// fails closed with ErrCorrupt. The last extent ends at the first record
+// that fails validation (a torn append, or the terminator), and appends
+// resume there. The walk may also accept bytes behind the last real record
+// that happen to validate — a stale record in a recycled extent, or a
+// record image inside a torn append — and it needs no generation word to
+// make that safe: such a record is garbage no tree word names (see package
+// plog), and accounting and GC already treat it as garbage.
 //
 // # Space and garbage collection
 //
@@ -69,10 +64,10 @@ package vlog
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/plog"
 	"repro/internal/pmem"
 )
 
@@ -98,6 +93,10 @@ var (
 	// ErrFull wraps pmem.ErrOutOfMemory when the pool cannot hold a new
 	// extent.
 	ErrFull = errors.New("vlog: pool exhausted")
+	// ErrVersion reports a log image written in another format version.
+	// There is no migration path: version 2 logs published records through
+	// a persisted tail word this version neither reads nor maintains.
+	ErrVersion = errors.New("vlog: unsupported log format version")
 )
 
 // Ref names one published record: the arena offset of its header word in
@@ -119,65 +118,42 @@ func (r Ref) Len() int { return int(uint64(r) >> 40) }
 //	word 0: magic | version
 //	word 1: offset of the first extent (GC advances it as head extents
 //	        are reclaimed)
-//	word 2: tail — arena offset of the next append (the commit point)
-//	word 3: configured extent size
+//	word 2: configured extent size
 //
 // Extent layout: a 16-byte header then record space.
 //
 //	word 0: offset of the next extent (0 = end of chain)
 //	word 1: offset one past the extent (its exclusive end)
 //
-// Record layout: an 8-byte header, the 8-byte key the record was written
-// under, then the payload, padded to whole words.
+// Record layout: a plog record whose one meta word is the key the record
+// was written under — header, key, then the payload, padded to whole
+// words. The checksum covers the key, so it ties the payload to its owner:
+// a Ref forged for the wrong key fails validation even at a colliding
+// offset. A zero header word terminates a sealed extent's records.
 //
-//	header: (payload length + 1) in the low 32 bits, CRC-32C of the
-//	        key bytes followed by the payload in the high 32. A zero
-//	        header word terminates the record sequence of an extent
-//	        (extents are allocated zeroed, and truncation re-zeroes the
-//	        header at the tail).
-//
-// The +1 keeps an empty record's header nonzero, so "no record here" and
-// "zero-length record" stay distinguishable. The key word exists for GC:
-// a compaction pass walking an extent must ask the index layer "does key K
-// still point at this record?", which requires knowing K (the WiscKey
-// arrangement — the log is the authority on which key owns a record).
+// The key word exists for GC: a compaction pass walking an extent must ask
+// the index layer "does key K still point at this record?", which requires
+// knowing K (the WiscKey arrangement — the log is the authority on which
+// key owns a record).
 const (
-	logMagic   = uint64(0x564c4f47) // "VLOG"
-	logVersion = 2                  // version 1 records carried no key word
+	logMagic = uint64(0x564c4f47) // "VLOG"
+	// logVersion 2 published records through a tail word in the header
+	// line; version 1 records carried no key word.
+	logVersion = 3
 
 	hdrMagicWord = 0
 	hdrFirstWord = 1
-	hdrTailWord  = 2
-	hdrExtWord   = 3
+	hdrExtWord   = 2
 	hdrBytes     = pmem.LineSize
 
 	extHdrBytes = 2 * pmem.WordSize
-
-	// recHdrBytes is the fixed per-record overhead: header word + key word.
-	recHdrBytes = 2 * pmem.WordSize
 
 	// DefaultExtent is the extent size used when Options leave it zero.
 	DefaultExtent = 1 << 20
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// recordCRC hashes the record's key bytes (little-endian) followed by its
-// payload: the checksum ties the payload to its owner, so a Ref forged for
-// the wrong key fails validation even at a colliding offset. The key bytes
-// are folded in with the table directly — a temporary byte slice would
-// escape into the (assembly-backed) crc32.Update and put one heap
-// allocation on the zero-alloc read path.
-func recordCRC(key uint64, val []byte) uint32 {
-	crc := ^uint32(0)
-	for i := 0; i < 8; i++ {
-		crc = crcTable[byte(crc)^byte(key>>(8*i))] ^ crc>>8
-	}
-	// crc32.Update takes and returns finalized values; unfinalize the raw
-	// state around the (fast, possibly vectorised) payload pass. The
-	// result equals crc32.Update(crc32.Update(0, t, keyLE), t, val).
-	return crc32.Update(^crc, crcTable, val)
-}
+// rec is the value log's record format: one meta word, the owner key.
+var rec = plog.Format{Meta: 1}
 
 // Log is a handle on one value log. Appends serialise on an internal
 // (volatile) mutex; reads of published records are lock-free and may run
@@ -190,8 +166,8 @@ type Log struct {
 	hdrOff int64
 
 	mu      sync.Mutex
-	tail    int64 // next append offset (mirrors the persisted tail word)
-	curExt  int64 // extent containing tail
+	tail    int64 // next append offset (volatile: records publish themselves)
+	curExt  int64 // extent containing tail: the chain's last
 	curEnd  int64 // curExt's exclusive end
 	first   int64 // first extent in the chain (GC moves it forward)
 	extSize int64
@@ -218,7 +194,7 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, extSize int64) (*Log, error
 	if extSize <= 0 {
 		extSize = DefaultExtent
 	}
-	extSize = roundUp(extSize, pmem.LineSize)
+	extSize = plog.Lines(extSize)
 	hdr, err := p.Alloc(hdrBytes, pmem.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFull, err)
@@ -232,7 +208,6 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, extSize int64) (*Log, error
 	l.curEnd = ext + extSize
 	l.tail = ext + extHdrBytes
 	th.Store(hdr+hdrFirstWord*pmem.WordSize, uint64(ext))
-	th.Store(hdr+hdrTailWord*pmem.WordSize, uint64(l.tail))
 	th.Store(hdr+hdrExtWord*pmem.WordSize, uint64(extSize))
 	th.Store(hdr+hdrMagicWord*pmem.WordSize, logMagic<<32|logVersion)
 	th.Persist(hdr, hdrBytes)
@@ -240,10 +215,11 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, extSize int64) (*Log, error
 	return l, nil
 }
 
-// Open re-attaches to the log anchored at slot and runs recovery: the tail
-// is bounds-checked and rewound into the last extent if a crash interrupted
-// growth, the record at the tail (torn or unpublished) is truncated, and
-// every published record is re-validated from the start of the log.
+// Open re-attaches to the log anchored at slot and recovers it with one
+// read-only walk (see Recovery in the package comment): every record is
+// re-validated, a damaged sealed extent fails with ErrCorrupt, and appends
+// resume where the last extent's records stop. An image of another format
+// version fails with ErrVersion.
 //
 // Accounting after Open assumes every surviving record is live; a caller
 // that can compute real liveness (the store walks its trees) should follow
@@ -254,128 +230,72 @@ func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 		return nil, fmt.Errorf("%w: no log at root slot %d", ErrCorrupt, slot)
 	}
 	magic := th.Load(hdr + hdrMagicWord*pmem.WordSize)
-	if magic>>32 != logMagic || magic&0xffffffff != logVersion {
+	if magic>>32 != logMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x at root slot %d", ErrCorrupt, magic, slot)
+	}
+	if v := magic & 0xffffffff; v != logVersion {
+		return nil, fmt.Errorf("%w: image is version %d, this build reads version %d", ErrVersion, v, logVersion)
 	}
 	l := &Log{
 		p:       p,
 		hdrOff:  hdr,
 		first:   int64(th.Load(hdr + hdrFirstWord*pmem.WordSize)),
-		tail:    int64(th.Load(hdr + hdrTailWord*pmem.WordSize)),
 		extSize: int64(th.Load(hdr + hdrExtWord*pmem.WordSize)),
 	}
 	if l.first == 0 || l.extSize <= 0 {
 		return nil, fmt.Errorf("%w: empty extent chain", ErrCorrupt)
 	}
-	if err := l.recover(th); err != nil {
+	var st Stats
+	last, stop, err := l.walk(th, l.first, 0, 0, &st)
+	if err != nil {
 		return nil, err
 	}
+	l.curExt, l.curEnd, l.tail = last, int64(th.Load(last+pmem.WordSize)), stop
+	l.capBytes.Store(st.Cap)
+	// Everything the walk passed is live until the caller says otherwise.
+	l.live.Store(st.Bytes)
 	return l, nil
 }
 
-// recover restores the append invariants after a crash (see Open).
-func (l *Log) recover(th *pmem.Thread) error {
-	// Walk the chain to its last extent, remembering the extent holding
-	// the persisted tail. The chain is bounded by the pool size, so a
-	// corrupt cycle cannot loop forever.
-	var tailExt, tailEnd int64
-	last, lastEnd := int64(0), int64(0)
+// walk follows the extent chain from first, verifying every record's
+// checksum and summing what it passes into st. Every extent but the last
+// must end at its terminator. The last is cur, whose records must end
+// exactly at tail — or, when cur is 0 (Open), the chain's end, whose
+// records end at the first one that fails validation. walk returns the last
+// extent and the offset its records stop at. The chain is bounded by the
+// pool size, so a corrupt cycle cannot loop forever.
+func (l *Log) walk(th *pmem.Thread, first, cur, tail int64, st *Stats) (last, stop int64, err error) {
 	limit := l.p.Size()
-	var capSum int64
-	for ext, hops := l.first, int64(0); ext != 0; hops++ {
-		if ext < 0 || ext+extHdrBytes > limit || hops > limit/extHdrBytes {
-			return fmt.Errorf("%w: extent chain leaves the arena", ErrCorrupt)
+	for ext, hops := first, int64(0); ; hops++ {
+		if ext <= 0 || ext+extHdrBytes > limit || hops > limit/extHdrBytes {
+			return 0, 0, fmt.Errorf("%w: extent chain leaves the arena", ErrCorrupt)
 		}
 		end := int64(th.Load(ext + pmem.WordSize))
 		if end <= ext+extHdrBytes || end > limit {
-			return fmt.Errorf("%w: extent %d has end %d", ErrCorrupt, ext, end)
+			return 0, 0, fmt.Errorf("%w: extent %d has end %d", ErrCorrupt, ext, end)
 		}
-		if l.tail >= ext+extHdrBytes && l.tail <= end {
-			tailExt, tailEnd = ext, end
+		next, bound := int64(th.Load(ext)), end
+		if ext == cur {
+			bound = tail
 		}
-		capSum += end - ext - extHdrBytes
-		last, lastEnd = ext, end
-		ext = int64(th.Load(ext))
-	}
-	if tailExt == 0 {
-		return fmt.Errorf("%w: tail %d is outside every extent", ErrCorrupt, l.tail)
-	}
-	l.capBytes.Store(capSum)
-	// A crash between linking a fresh extent and moving the tail leaves
-	// the tail in an earlier extent. Everything at or beyond it is
-	// unpublished; resume in the last extent so the chain order stays the
-	// append order. (The abandoned space was already terminated with a
-	// zero header word by growth, or is truncated just below.)
-	if tailExt != last {
-		l.truncate(th, l.tail, tailEnd)
-		l.tail = last + extHdrBytes
-		l.persistTail(th)
-	}
-	l.curExt, l.curEnd = last, lastEnd
-	// Truncate the record straddling the tail: a torn append, or a
-	// complete one whose publication never landed. Either way nothing
-	// references it.
-	l.truncate(th, l.tail, l.curEnd)
-
-	// Defensive full-log validation: the publish protocol guarantees every
-	// record below the tail is intact, so any failure here means the image
-	// itself is damaged; truncating at the first bad record keeps the
-	// intact prefix serviceable. The walk also sums payload bytes, which
-	// seed the liveness accounting (everything live until the caller says
-	// otherwise).
-	var payload int64
-	for ext := l.first; ext != 0; {
-		end := int64(th.Load(ext + pmem.WordSize))
-		pos := ext + extHdrBytes
-		for pos+pmem.WordSize <= end {
-			if ext == l.curExt && pos >= l.tail {
-				break
-			}
-			hdr := th.Load(pos)
-			if hdr == 0 {
-				break // rest of the extent is unused
-			}
-			n := int64(hdr&0xffffffff) - 1
-			rend := pos + recHdrBytes + roundUp(n, pmem.WordSize)
-			if n < 0 || n > MaxValue || rend > end ||
-				(ext == l.curExt && rend > l.tail) ||
-				l.checksumAt(th, pos, int(n)) != uint32(hdr>>32) {
-				l.tail = pos
-				l.curExt, l.curEnd = ext, end
-				l.truncate(th, pos, end)
-				l.persistTail(th)
-				l.live.Store(payload)
-				return nil
-			}
-			payload += n
-			pos = rend
+		it := rec.Walk(th, ext+extHdrBytes, bound, true)
+		for it.Next() {
+			st.Records++
+			st.Bytes += int64(it.Len)
 		}
-		if ext == l.curExt {
-			break
+		st.Used += it.Off - ext - extHdrBytes
+		st.Cap += end - ext - extHdrBytes
+		st.Extents++
+		switch {
+		case ext == cur && it.Off != tail:
+			return 0, 0, fmt.Errorf("%w: bad record at %d", ErrCorrupt, it.Off)
+		case ext == cur || cur == 0 && next == 0:
+			return ext, it.Off, nil
+		case !it.Terminated():
+			return 0, 0, fmt.Errorf("%w: bad record at %d in sealed extent %d", ErrCorrupt, it.Off, ext)
 		}
-		ext = int64(th.Load(ext))
+		ext = next
 	}
-	l.live.Store(payload)
-	return nil
-}
-
-// truncate zeroes and persists the record header at off (when the extent
-// has room for one), so scans terminate there.
-func (l *Log) truncate(th *pmem.Thread, off, end int64) {
-	if off+pmem.WordSize > end {
-		return
-	}
-	th.Store(off, 0)
-	th.Flush(off, pmem.WordSize)
-}
-
-// persistTail publishes l.tail with the fenced 8-byte store that commits
-// appends.
-func (l *Log) persistTail(th *pmem.Thread) {
-	th.StoreFence()
-	off := l.hdrOff + hdrTailWord*pmem.WordSize
-	th.Store(off, uint64(l.tail))
-	th.Flush(off, pmem.WordSize)
 }
 
 // allocExtent carves a zeroed extent of the given size out of the pool and
@@ -404,10 +324,10 @@ func (l *Log) Append(th *pmem.Thread, key uint64, val []byte) (Ref, error) {
 	if len(val) > MaxValue {
 		return 0, fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, len(val), MaxValue)
 	}
-	need := recHdrBytes + roundUp(int64(len(val)), pmem.WordSize)
+	need := rec.Size(len(val))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.tail+need > l.curEnd {
+	if l.tail+need > l.curEnd {
 		if err := l.grow(th, need); err != nil {
 			return 0, err
 		}
@@ -416,18 +336,9 @@ func (l *Log) Append(th *pmem.Thread, key uint64, val []byte) (Ref, error) {
 	if off+need >= maxOffset {
 		return 0, fmt.Errorf("%w: offset exceeds Ref range", ErrFull)
 	}
-	// Step 1: payload words, the key, then the header word, flushed
-	// together.
-	for i, pos := 0, off+recHdrBytes; i < len(val); i, pos = i+8, pos+pmem.WordSize {
-		th.Store(pos, packWord(val[i:]))
-	}
-	th.Store(off+pmem.WordSize, key)
-	crc := recordCRC(key, val)
-	th.Store(off, uint64(len(val)+1)|uint64(crc)<<32)
-	th.Flush(off, need)
-	// Steps 2+3: fence, then commit by advancing the tail over the record.
+	// One store per word and one flush: the flush publishes the record.
+	rec.Write(th, off, []uint64{key}, val)
 	l.tail = off + need
-	l.persistTail(th)
 	l.live.Add(int64(len(val)))
 	return MakeRef(off, len(val)), nil
 }
@@ -450,17 +361,14 @@ func (l *Log) Admit(valLen int) error {
 	if valLen > MaxValue {
 		return fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, valLen, MaxValue)
 	}
-	need := recHdrBytes + roundUp(int64(valLen), pmem.WordSize)
+	need := rec.Size(valLen)
 	l.mu.Lock()
 	room := l.curEnd - l.tail
 	l.mu.Unlock()
 	if room >= need {
 		return nil
 	}
-	size := l.extSize
-	if min := need + extHdrBytes; size < min {
-		size = roundUp(min, pmem.LineSize)
-	}
+	size := l.extentFor(need)
 	if free := l.p.FreeBytes(); free < size+l.extSize {
 		return fmt.Errorf("%w: admission refused: %d bytes free, need %d plus %d GC reserve",
 			ErrFull, free, size, l.extSize)
@@ -468,63 +376,48 @@ func (l *Log) Admit(valLen int) error {
 	return nil
 }
 
-// grow makes room for a record of `need` bytes: it advances into an
-// already-linked next extent (left over from a crashed growth) or allocates
-// and links a fresh one. The abandoned space in the old extent is
-// terminated with a zero header word so scans stop there.
+// extentFor returns the size of the extent growth allocates for a record of
+// need bytes: the configured size, or a one-off extent the record fits.
+func (l *Log) extentFor(need int64) int64 { return max(l.extSize, plog.Lines(need+extHdrBytes)) }
+
+// grow seals the current extent and links a fresh one that fits a record of
+// need bytes. The terminator — a zero header word at the tail, when the
+// extent has room for one — is persisted first and the new extent's header
+// next; only then, behind a store fence, is the new extent linked. So
+// recovery never follows a pointer to uninitialised space, and every sealed
+// extent ends at its terminator.
 func (l *Log) grow(th *pmem.Thread, need int64) error {
-	l.truncate(th, l.tail, l.curEnd)
-	next := int64(th.Load(l.curExt))
-	if next == 0 {
-		size := l.extSize
-		if min := need + extHdrBytes; size < min {
-			size = roundUp(min, pmem.LineSize)
-		}
-		ext, err := l.allocExtent(th, size)
-		if err != nil {
-			return err
-		}
-		// Link after the extent header is durable, so recovery never
-		// follows a pointer to uninitialised space.
-		th.StoreFence()
-		th.Store(l.curExt, uint64(ext))
-		th.Flush(l.curExt, pmem.WordSize)
-		next = ext
+	if l.tail+pmem.WordSize <= l.curEnd {
+		th.Store(l.tail, 0)
+		th.Flush(l.tail, pmem.WordSize)
 	}
-	l.curExt = next
-	l.curEnd = int64(th.Load(next + pmem.WordSize))
-	l.tail = next + extHdrBytes
-	// Publishing the moved tail commits the growth; the record that
-	// triggered it commits separately with its own tail advance.
-	l.persistTail(th)
+	size := l.extentFor(need)
+	ext, err := l.allocExtent(th, size)
+	if err != nil {
+		return err
+	}
+	th.StoreFence()
+	th.Store(l.curExt, uint64(ext))
+	th.Flush(l.curExt, pmem.WordSize)
+	l.curExt, l.curEnd, l.tail = ext, ext+size, ext+extHdrBytes
 	return nil
 }
 
 // Read resolves ref and appends the record's payload to dst, returning the
-// extended slice. It validates the header against the Ref and the key and
-// payload against the record checksum, so a Ref forged from a fixed-width
-// tree value fails with ErrBadRef (or, with negligible probability for a
-// colliding header, ErrCorrupt) instead of returning garbage. Read is
-// lock-free; the caller is responsible for not racing a GC free of the
-// record's extent (the store brackets ref resolution in a pmem grace
-// section, which the GC fence waits out).
+// extended slice. It is ReadKeyed for whichever key owns the record: it
+// validates the header against the Ref and the key and payload against the
+// record checksum, so a Ref forged from a fixed-width tree value fails with
+// ErrBadRef (or, with negligible probability for a colliding header,
+// ErrCorrupt) instead of returning garbage. Read is lock-free; the caller
+// is responsible for not racing a GC free of the record's extent (the store
+// brackets ref resolution in a pmem grace section, which the GC fence waits
+// out).
 func (l *Log) Read(th *pmem.Thread, ref Ref, dst []byte) ([]byte, error) {
-	off, n := ref.Off(), ref.Len()
-	if off <= 0 || off%pmem.WordSize != 0 || n > MaxValue ||
-		off+recHdrBytes+roundUp(int64(n), pmem.WordSize) > l.p.Size() {
-		return dst, fmt.Errorf("%w: off %d len %d", ErrBadRef, off, n)
+	var owner uint64
+	if l.inBounds(ref) {
+		owner = th.Load(ref.Off() + pmem.WordSize)
 	}
-	hdr := th.Load(off)
-	if int64(hdr&0xffffffff) != int64(n)+1 {
-		return dst, fmt.Errorf("%w: header disagrees with ref length %d", ErrBadRef, n)
-	}
-	key := th.Load(off + pmem.WordSize)
-	start := len(dst)
-	dst = appendPayload(th, dst, off+recHdrBytes, n)
-	if crc := recordCRC(key, dst[start:]); crc != uint32(hdr>>32) {
-		return dst[:start], fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
-	}
-	return dst, nil
+	return l.ReadKeyed(th, owner, ref, dst)
 }
 
 // ReadKeyed is Read for a caller that knows which key the ref came from:
@@ -533,14 +426,19 @@ func (l *Log) Read(th *pmem.Thread, ref Ref, dst []byte) ([]byte, error) {
 // value that happens to decode as a plausible ref still cannot alias
 // another key's record.
 func (l *Log) ReadKeyed(th *pmem.Thread, key uint64, ref Ref, dst []byte) ([]byte, error) {
-	if err := l.checkRecord(th, key, ref); err != nil {
-		return dst, err
-	}
 	off, n := ref.Off(), ref.Len()
-	hdr := th.Load(off)
+	hdr, fault := l.classify(th, key, ref)
+	switch fault {
+	case refBounds:
+		return dst, fmt.Errorf("%w: off %d len %d", ErrBadRef, off, n)
+	case refHeader:
+		return dst, fmt.Errorf("%w: header disagrees with ref length %d", ErrBadRef, n)
+	case refOwner:
+		return dst, fmt.Errorf("%w: record owned by key %d, not %d", ErrBadRef, th.Load(off+pmem.WordSize), key)
+	}
 	start := len(dst)
-	dst = appendPayload(th, dst, off+recHdrBytes, n)
-	if crc := recordCRC(key, dst[start:]); crc != uint32(hdr>>32) {
+	dst = rec.AppendPayload(th, dst, off, n)
+	if _, crc := plog.Header(hdr); plog.RecordCRC([]uint64{key}, dst[start:]) != crc {
 		return dst[:start], fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
 	}
 	return dst, nil
@@ -556,37 +454,30 @@ const (
 	refOwner           // record written under another key
 )
 
-// classify checks that ref names a record owned by key: bounds,
-// header/length agreement, and the stored key word. It does not checksum
-// the payload. It is the one copy of these checks: IsRecord reads the
-// verdict as a bool without allocating (garbage accounting runs it on
-// every displaced tree word), checkRecord renders it as an error.
-func (l *Log) classify(th *pmem.Thread, key uint64, ref Ref) refFault {
-	off, n := ref.Off(), ref.Len()
-	if off <= 0 || off%pmem.WordSize != 0 || n > MaxValue ||
-		off+recHdrBytes+roundUp(int64(n), pmem.WordSize) > l.p.Size() {
-		return refBounds
-	}
-	if int64(th.Load(off)&0xffffffff) != int64(n)+1 {
-		return refHeader
-	}
-	if th.Load(off+pmem.WordSize) != key {
-		return refOwner
-	}
-	return refOK
+// inBounds reports whether ref names an aligned record that fits the arena.
+func (l *Log) inBounds(ref Ref) bool {
+	off := ref.Off()
+	return off > 0 && off%pmem.WordSize == 0 && off+rec.Size(ref.Len()) <= l.p.Size()
 }
 
-// checkRecord is classify for the read path, which reports the refusal.
-func (l *Log) checkRecord(th *pmem.Thread, key uint64, ref Ref) error {
-	switch l.classify(th, key, ref) {
-	case refBounds:
-		return fmt.Errorf("%w: off %d len %d", ErrBadRef, ref.Off(), ref.Len())
-	case refHeader:
-		return fmt.Errorf("%w: header disagrees with ref length %d", ErrBadRef, ref.Len())
-	case refOwner:
-		return fmt.Errorf("%w: record owned by key %d, not %d", ErrBadRef, th.Load(ref.Off()+pmem.WordSize), key)
+// classify checks that ref names a record owned by key: bounds,
+// header/length agreement, and the stored key word, returning the header
+// word it read. It does not checksum the payload. It is the one copy of
+// these checks: IsRecord reads the verdict as a bool without allocating
+// (garbage accounting runs it on every displaced tree word), ReadKeyed
+// renders it as an error.
+func (l *Log) classify(th *pmem.Thread, key uint64, ref Ref) (uint64, refFault) {
+	if !l.inBounds(ref) {
+		return 0, refBounds
 	}
-	return nil
+	hdr := th.Load(ref.Off())
+	if n, _ := plog.Header(hdr); n != ref.Len() {
+		return hdr, refHeader
+	}
+	if th.Load(ref.Off()+pmem.WordSize) != key {
+		return hdr, refOwner
+	}
+	return hdr, refOK
 }
 
 // IsRecord reports whether ref names a published record owned by key
@@ -594,7 +485,8 @@ func (l *Log) checkRecord(th *pmem.Thread, key uint64, ref Ref) error {
 // It is the cheap validity test behind garbage accounting: a fixed-width
 // tree value misread as a ref fails it.
 func (l *Log) IsRecord(th *pmem.Thread, key uint64, ref Ref) bool {
-	return l.classify(th, key, ref) == refOK
+	_, fault := l.classify(th, key, ref)
+	return fault == refOK
 }
 
 // MarkStale records that the caller overwrote or deleted the tree entry
@@ -680,7 +572,7 @@ type GCResult struct {
 // tries the lock and, when it is taken, returns at once with Busy set.
 //
 // Crash-wise every step is covered by an existing argument: the copies are
-// ordinary appends (all-or-nothing via the tail publish), each swap is the
+// ordinary appends (all-or-nothing via their own flush), each swap is the
 // tree's single atomic 8-byte value store, and the unlink is one persisted
 // store of the chain-head pointer issued only after the swaps' flushes
 // completed. A crash anywhere leaves each live key naming exactly one
@@ -722,22 +614,12 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, wait bool, f GCFuncs) (GCResul
 	// current extent, records are immutable once published, and gcMu
 	// makes this the only GC pass.
 	sweep := func(victim, end int64) (payload, relocated int64, err error) {
-		pos := victim + extHdrBytes
-		for pos+pmem.WordSize <= end {
-			hdr := th.Load(pos)
-			if hdr == 0 {
-				break
-			}
-			n := int64(hdr&0xffffffff) - 1
-			rend := pos + recHdrBytes + roundUp(n, pmem.WordSize)
-			if n < 0 || n > MaxValue || rend > end {
-				return payload, relocated, fmt.Errorf("%w: bad record header at %d during GC", ErrCorrupt, pos)
-			}
+		// Headers only: what is relocated is checksummed by ReadKeyed.
+		it := rec.Walk(th, victim+extHdrBytes, end, false)
+		for it.Next() {
+			n, key, ref := int64(it.Len), it.Meta[0], MakeRef(it.Off, it.Len)
 			payload += n
-			key := th.Load(pos + pmem.WordSize)
-			ref := MakeRef(pos, int(n))
 			if f.Live != nil && !f.Live(key, ref) {
-				pos = rend
 				continue
 			}
 			buf, err = l.ReadKeyed(th, key, ref, buf[:0])
@@ -765,7 +647,9 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, wait bool, f GCFuncs) (GCResul
 				l.garbage.Add(n)
 				res.Skipped++
 			}
-			pos = rend
+		}
+		if !it.Terminated() {
+			return payload, relocated, fmt.Errorf("%w: bad record header at %d during GC", ErrCorrupt, it.Off)
 		}
 		return payload, relocated, nil
 	}
@@ -883,7 +767,7 @@ func (l *Log) QuickStats() Stats {
 
 // Check walks the whole log, re-validating every published record, and
 // returns the space accounting. It is the testing/diagnostic counterpart
-// of Open's recovery scan. Check excludes concurrent GC passes (their
+// of Open's recovery walk. Check excludes concurrent GC passes (their
 // unlinks would pull the chain out from under the walk) but not concurrent
 // appends, whose records it simply does not visit.
 func (l *Log) Check(th *pmem.Thread) (Stats, error) {
@@ -894,91 +778,6 @@ func (l *Log) Check(th *pmem.Thread) (Stats, error) {
 	l.mu.Unlock()
 	st := l.QuickStats()
 	st.Cap = 0
-	for ext := first; ext != 0; {
-		end := int64(th.Load(ext + pmem.WordSize))
-		st.Cap += end - ext - extHdrBytes
-		st.Extents++
-		pos := ext + extHdrBytes
-		for pos+pmem.WordSize <= end {
-			if ext == curExt && pos >= tail {
-				break
-			}
-			hdr := th.Load(pos)
-			if hdr == 0 {
-				break
-			}
-			n := int64(hdr&0xffffffff) - 1
-			rend := pos + recHdrBytes + roundUp(n, pmem.WordSize)
-			if n < 0 || n > MaxValue || rend > end || (ext == curExt && rend > tail) {
-				return st, fmt.Errorf("%w: bad record header at %d", ErrCorrupt, pos)
-			}
-			if l.checksumAt(th, pos, int(n)) != uint32(hdr>>32) {
-				return st, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, pos)
-			}
-			st.Records++
-			st.Bytes += n
-			st.Used += rend - pos
-			pos = rend
-		}
-		if ext == curExt {
-			break
-		}
-		ext = int64(th.Load(ext))
-	}
-	return st, nil
+	_, _, err := l.walk(th, first, curExt, tail, &st)
+	return st, err
 }
-
-// checksumAt computes the CRC-32C of the record at off: its key word
-// followed by n payload bytes.
-func (l *Log) checksumAt(th *pmem.Thread, off int64, n int) uint32 {
-	var buf [8]byte
-	key := th.Load(off + pmem.WordSize)
-	for b := 0; b < 8; b++ {
-		buf[b] = byte(key >> (8 * b))
-	}
-	crc := crc32.Update(0, crcTable, buf[:])
-	pay := off + recHdrBytes
-	for i := 0; i < n; i += 8 {
-		w := th.Load(pay + int64(i))
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(w >> (8 * b))
-		}
-		m := n - i
-		if m > 8 {
-			m = 8
-		}
-		crc = crc32.Update(crc, crcTable, buf[:m])
-	}
-	return crc
-}
-
-// packWord packs up to 8 payload bytes into one little-endian word,
-// zero-padding the tail.
-func packWord(b []byte) uint64 {
-	var w uint64
-	n := len(b)
-	if n > 8 {
-		n = 8
-	}
-	for i := 0; i < n; i++ {
-		w |= uint64(b[i]) << (8 * i)
-	}
-	return w
-}
-
-// appendPayload appends n payload bytes stored word-packed at off to dst.
-func appendPayload(th *pmem.Thread, dst []byte, off int64, n int) []byte {
-	for i := 0; i < n; i += 8 {
-		w := th.Load(off + int64(i))
-		m := n - i
-		if m > 8 {
-			m = 8
-		}
-		for b := 0; b < m; b++ {
-			dst = append(dst, byte(w>>(8*b)))
-		}
-	}
-	return dst
-}
-
-func roundUp(v, m int64) int64 { return (v + m - 1) / m * m }

@@ -253,3 +253,68 @@ func TestConcurrentReadersOneAppender(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenFailsClosedOnDamagedSealedExtent flips one payload bit of a record
+// in the first of several sealed extents. Growth sealed that extent with a
+// flushed terminator before linking the next, so no crash can leave a bad
+// record ahead of it: it is damage, and Open refuses the image instead of
+// resuming appends inside the damaged extent, where they would run on into
+// the next extent's live records. A header stamped with another format
+// version is refused by name.
+func TestOpenFailsClosedOnDamagedSealedExtent(t *testing.T) {
+	p, th := newPool(t, 1<<20, false)
+	l, err := Create(p, th, 5, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	var refs []Ref
+	for k := uint64(1); k <= 20; k++ { // 56-byte records, eight to an extent
+		ref, err := l.Append(th, k, testValue(rng, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	if st, err := l.Check(th); err != nil || st.Extents < 3 {
+		t.Fatalf("setup: %+v, %v; want three extents", st, err)
+	}
+	e1, e2 := l.first, int64(th.Load(l.first))
+	damaged := refs[1].Off() + 2*pmem.WordSize
+	th.Store(damaged, th.Load(damaged)^1<<7)
+	th.Flush(damaged, pmem.WordSize)
+
+	rl, err := Open(p, th, 5)
+	if err == nil {
+		// Appends resume inside the damaged extent and, once it fills, in
+		// the next one, over its live records.
+		for i := 0; i < 40; i++ {
+			if _, err := rl.Append(th, uint64(1000+i), testValue(rng, 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ref := range refs {
+			if ref.Off() > e2 && ref.Off() < e2+512 {
+				if _, err := rl.ReadKeyed(th, uint64(i+1), ref, nil); err != nil {
+					t.Fatalf("Open accepted a damaged sealed extent, and appends then destroyed a record of the next one: %v", err)
+				}
+			}
+		}
+		t.Fatal("Open accepted a damaged sealed extent")
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged sealed extent %d: err = %v, want ErrCorrupt", e1, err)
+	}
+
+	// A version-2 image (records published through a tail word) is refused
+	// by name, not misread.
+	p, th = newPool(t, 1<<20, false)
+	if _, err := Create(p, th, 5, 512); err != nil {
+		t.Fatal(err)
+	}
+	hdr := p.Root(th, 5)
+	th.Store(hdr, logMagic<<32|2)
+	if _, err := Open(p, th, 5); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 2 image: err = %v, want ErrVersion", err)
+	}
+}

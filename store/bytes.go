@@ -16,13 +16,13 @@ import (
 // record's owner key, header and checksum on the way.
 //
 // Crash atomicity composes from the two layers' own guarantees: the log
-// record is fully durable before its Ref exists anywhere (the log tail
-// publish is ordered after the record flush, and the tree insert of the
-// Ref starts only after Append returns), and the tree insert is the
-// paper's single atomic 8-byte store. A crash mid-PutBytes therefore
-// leaves either no trace (record unreachable, truncated by Reopen) or a
-// leaked-but-intact record (tail published, tree insert lost) — never a
-// torn value behind a live key.
+// record is fully durable before its Ref exists anywhere (the record is
+// published by its own flush, and the tree insert of the Ref starts only
+// after Append returns), and the tree insert is the paper's single atomic
+// 8-byte store. A crash mid-PutBytes therefore leaves either no trace
+// (a torn record, where Reopen's walk stops) or a leaked-but-intact record
+// (record flushed, tree insert lost) — never a torn value behind a live
+// key.
 //
 // Overwriting or deleting a varlen key turns the old record into garbage;
 // the displaced tree word is fed to the shard's accounting (every write is

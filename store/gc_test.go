@@ -168,6 +168,15 @@ func TestGCCrashCampaignRandomPoints(t *testing.T) {
 		if err := re.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d point %d: invariants: %v", trial, point, err)
 		}
+		// Reopen's accounting comes from vlog.Open's one walk: live plus
+		// garbage is every payload byte a fresh Check walks.
+		cth := img.NewThread()
+		cs, err := re.shards[0].vl.Check(cth)
+		cth.Release()
+		if vs := re.ValueStats(); err != nil || vs.Live+vs.Garbage != cs.Bytes {
+			t.Fatalf("trial %d point %d: accounting live %d + garbage %d, Check walks %d bytes (%v)",
+				trial, point, vs.Live, vs.Garbage, cs.Bytes, err)
+		}
 		rs := re.NewSession()
 		// Keys written before the log started are committed; later
 		// overwrites may or may not have landed, but a key must resolve

@@ -30,11 +30,11 @@ import (
 //
 // Crash atomicity is PutBytes' argument verbatim, because a bucket is an
 // ordinary keyed record: the new bucket image (old entries plus the upsert)
-// is fully durable — record flush, fence, tail publish — before its Ref
+// is fully durable — published by its own record flush — before its Ref
 // exists anywhere, and the tree install of that Ref is one atomic 8-byte
 // store. A crash mid-PutKV leaves either the old bucket (new record
-// unreachable; leaked until GC or truncated by Reopen) or the new one —
-// never a torn key or value behind a live prefix. Both byte-key writes are
+// unreachable: leaked until GC, or torn and passed over by Reopen) or the
+// new one — never a torn key or value behind a live prefix. Both byte-key writes are
 // one loop (rewriteBucket), whether a plain write or a transaction's apply
 // runs it. GC relocation and Reopen's accounting rebuild need no new code:
 // every live bucket is named directly by a tree word, which is all their

@@ -396,9 +396,9 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		if err := index.Recover(ix, th); err != nil {
 			return nil, fmt.Errorf("store: shard %d recovery: %w", i, err)
 		}
-		// Value-log recovery: bounds-check the tail, truncate the torn or
-		// unpublished record at it, re-validate every published record.
-		// Images from before the value log existed get a fresh one.
+		// Value-log recovery: one read-only walk re-validates every record
+		// and finds where appends resume; a damaged sealed extent fails
+		// closed. Images from before the value log existed get a fresh one.
 		var vl *vlog.Log
 		if p.Root(th, vlogSlot) == 0 {
 			vl, err = vlog.Create(p, th, vlogSlot, opts.ValueLogExtent)
@@ -409,14 +409,12 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: shard %d value log recovery: %w", i, err)
 		}
 		// Rebuild the live/garbage accounting the crash discarded (it is
-		// volatile): the log walk gives the total surviving payload, the
-		// tree walk the subset still referenced. The difference is
-		// garbage the next GC pass can reclaim — without this, a store
-		// reopened after heavy churn would never trigger automatic GC.
-		cs, err := vl.Check(th)
-		if err != nil {
-			return nil, fmt.Errorf("store: shard %d value log check: %w", i, err)
-		}
+		// volatile): Open's walk counted the total surviving payload as
+		// live, the tree walk gives the subset still referenced. The
+		// difference is garbage the next GC pass can reclaim — without
+		// this, a store reopened after heavy churn would never trigger
+		// automatic GC.
+		total := vl.QuickStats().Live
 		var live int64
 		ix.Scan(th, 0, ^uint64(0), func(k, v uint64) bool {
 			if r := vlog.Ref(v); vl.IsRecord(th, k, r) {
@@ -424,7 +422,7 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 			}
 			return true
 		})
-		garbage := cs.Bytes - live
+		garbage := total - live
 		if garbage < 0 {
 			garbage = 0
 		}
