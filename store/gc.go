@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/index"
 	"repro/internal/vlog"
 )
 
@@ -137,7 +136,7 @@ func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, er
 			return ok && v == uint64(ref)
 		},
 		Swap: func(key uint64, old, new vlog.Ref) bool {
-			return index.ReplaceIf(sh.ix, th, key, uint64(old), uint64(new))
+			return sh.ix.ReplaceIf(th, key, uint64(old), uint64(new))
 		},
 		// Waits out every reader that could hold a pre-swap ref snapshot
 		// and every writer mid-install of an appended record's ref (see

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/index"
 	"repro/internal/vlog"
 )
 
@@ -320,7 +319,7 @@ func (ss *Session) tryRewrite(i int, prefix uint64, edit txnOp) (existed, stale,
 		// Last entry: drop the prefix. Between our read and the Remove only
 		// GC can have moved the word (same content), so whatever Remove
 		// displaces is this bucket's live record.
-		old, was := index.Remove(sh.ix, th, prefix)
+		old, was := sh.ix.Remove(th, prefix)
 		return true, was && ss.retireWord(i, prefix, old), true, nil
 	}
 	if len(newb) > maxBucket {
@@ -334,10 +333,10 @@ func (ss *Session) tryRewrite(i int, prefix uint64, edit txnOp) (existed, stale,
 		// Vacant prefix. Every writer of the word holds its stripe, so none
 		// raced a word in since the read; Exchange would retire one like
 		// any other overwrite.
-		old, was, xerr := index.Exchange(sh.ix, th, prefix, uint64(newRef))
+		old, was, xerr := sh.ix.Exchange(th, prefix, uint64(newRef))
 		return existed, xerr == nil && was && ss.retireWord(i, prefix, old), true, xerr
 	}
-	if !index.ReplaceIf(sh.ix, th, prefix, ref, uint64(newRef)) {
+	if !sh.ix.ReplaceIf(th, prefix, ref, uint64(newRef)) {
 		// A GC pass relocated the bucket between our read and the install:
 		// the new record targets a superseded image. Retire it and rebuild
 		// against the fresh word. (Only GC moves the word — byte-key

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // TestStoreMetrics checks that the per-operation histograms observe real
-// traffic (including the varlen path and a GC pass) and that the
-// registered families render and lint.
+// traffic (including the varlen and byte-key paths and a GC pass) — each
+// public call exactly once, under its own op — and that the registered
+// families render and lint.
 func TestStoreMetrics(t *testing.T) {
 	// Clock every operation so the count assertions below are exact;
 	// production samples one in opSampleMask+1.
@@ -18,7 +20,8 @@ func TestStoreMetrics(t *testing.T) {
 	opSampleMask = 0
 	defer func() { opSampleMask = old }()
 
-	st, err := Open(Options{Shards: 2, ShardSize: 16 << 20, ValueLogExtent: 8 << 10})
+	// Automatic GC off, so the only passes are CompactValues' one per shard.
+	st, err := Open(Options{Shards: 2, ShardSize: 16 << 20, ValueLogExtent: 8 << 10, GCGarbageRatio: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +50,14 @@ func TestStoreMetrics(t *testing.T) {
 		}
 	}
 	for i := uint64(1000); i < 1000+n; i++ {
+		if _, _, err := ss.GetBytes(i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ss.ScanBytes(1000, 1000+n, 0, func(uint64, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1000); i < 1000+n; i++ {
 		if _, err := ss.Delete(i); err != nil {
 			t.Fatal(err)
 		}
@@ -54,23 +65,42 @@ func TestStoreMetrics(t *testing.T) {
 	if _, err := ss.CompactValues(); err != nil {
 		t.Fatal(err)
 	}
+	kvKey := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
+	for i := 0; i < n; i++ {
+		if err := ss.PutKV(kvKey(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, _, err := ss.GetKV(kvKey(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ss.ScanKV([]byte("key-"), nil, 0, func(k, v []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
 
 	m := st.met
 	checks := []struct {
 		name string
 		h    *metrics.Histogram
-		min  uint64
+		want uint64
 	}{
 		{"get", m.op[opGet], n},
 		{"put", m.op[txnOpPut], n},
 		{"delete", m.op[txnOpDelete], n},
 		{"scan", m.op[opScan], 1},
 		{"putBytes", m.op[opPutBytes], n},
-		{"gcPause", m.gcPause, 1},
+		{"getBytes", m.op[opGetBytes], n},
+		{"scanBytes", m.op[opScanBytes], 1},
+		{"putKV", m.op[txnOpPutKV], n},
+		{"getKV", m.op[opGetKV], n},
+		{"scanKV", m.op[opScanKV], 1},
+		{"gcPause", m.gcPause, 2},
 	}
 	for _, c := range checks {
-		if got := c.h.Snapshot().Count(); got < c.min {
-			t.Errorf("%s histogram count = %d, want >= %d", c.name, got, c.min)
+		if got := c.h.Snapshot().Count(); got != c.want {
+			t.Errorf("%s histogram count = %d, want %d", c.name, got, c.want)
 		}
 	}
 

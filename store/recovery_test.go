@@ -138,13 +138,13 @@ func TestCrashOneShardMidInsert(t *testing.T) {
 // image reopens to full invariants with every key in place, and takes
 // writes.
 func TestRecoverInstallsHighKeys(t *testing.T) {
-	const nodeSize, highKeyWord = 128, 7 // 3 entries per node: many levels
-	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20, NodeSize: nodeSize})
+	const highKeyWord = 7
+	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ss := st.NewSession()
-	keys := testKeys(1500, 3)
+	keys := testKeys(20000, 3) // enough for three levels of 512-byte nodes
 	for _, k := range keys {
 		if err := ss.Put(k, k^0x1234); err != nil {
 			t.Fatal(err)
@@ -164,11 +164,11 @@ func TestRecoverInstallsHighKeys(t *testing.T) {
 			for i := range imgs {
 				imgs[i] = st.Pool(i).Clone(false)
 				th := imgs[i].NewThread()
-				tr, err := core.Open(imgs[i], th, core.Options{NodeSize: nodeSize})
+				tr, err := core.Open(imgs[i], th, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tr.Height(th) < 4 {
+				if tr.Height(th) < 3 {
 					t.Fatalf("shard %d: height %d, want a multi-level tree", i, tr.Height(th))
 				}
 				nodes := 0

@@ -51,6 +51,13 @@ func (ss *Session) ScanLimit(lo, hi uint64, max int) ([]KV, error) {
 	if ss.sampleOp() {
 		defer ss.s.met.op[opScan].RecordSince(time.Now())
 	}
+	return ss.collectLimit(lo, hi, max), nil
+}
+
+// collectLimit is ScanLimit's body without its gate and latency sample,
+// shared with ScanBytes so that one ScanBytes call is one sample, under its
+// own op. The caller holds the close gate.
+func (ss *Session) collectLimit(lo, hi uint64, max int) []KV {
 	ss.scanOut = ss.scanOut[:0]
 	ss.mergeScan(lo, hi, max, max, func(k, v uint64) bool {
 		ss.scanOut = append(ss.scanOut, KV{k, v})
@@ -60,7 +67,7 @@ func (ss *Session) ScanLimit(lo, hi uint64, max int) ([]KV, error) {
 	if cap(out) > scanRetainCap {
 		ss.scanOut = nil // out itself stays alive with the caller
 	}
-	return out, nil
+	return out
 }
 
 // mergeScan is the one walk behind Scan and ScanLimit: a k-way merge over

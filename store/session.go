@@ -3,7 +3,6 @@ package store
 import (
 	"time"
 
-	"repro/index"
 	"repro/internal/pmem"
 )
 
@@ -187,10 +186,10 @@ func (ss *Session) apply(i int, op txnOp) (existed, stale bool, err error) {
 	var old uint64
 	switch op.kind {
 	case txnOpPut:
-		old, existed, err = index.Exchange(sh.ix, th, op.key, op.val)
+		old, existed, err = sh.ix.Exchange(th, op.key, op.val)
 		return existed, err == nil && existed && old != op.val && ss.retireWord(i, op.key, old), err
 	case txnOpDelete:
-		old, existed = index.Remove(sh.ix, th, op.key)
+		old, existed = sh.ix.Remove(th, op.key)
 		return existed, existed && ss.retireWord(i, op.key, old), nil
 	case opPutBytes:
 		th.Enter()
@@ -199,7 +198,7 @@ func (ss *Session) apply(i int, op txnOp) (existed, stale bool, err error) {
 		if aerr != nil {
 			return false, false, spaceErr(i, aerr)
 		}
-		old, existed, err = index.Exchange(sh.ix, th, op.key, uint64(ref))
+		old, existed, err = sh.ix.Exchange(th, op.key, uint64(ref))
 		return existed, err == nil && existed && ss.retireWord(i, op.key, old), err
 	default: // txnOpPutKV, txnOpDelKV
 		return ss.rewriteBucket(i, PackPrefix(op.bkey), op)

@@ -1,9 +1,11 @@
 // Package store layers a sharded, concurrent key-value store over the
 // FAST+FAIR B+-tree. Keys are hash-partitioned across N independent shards,
-// each an index structure in its own pmem.Pool, so writers contend only
-// within a shard and each shard keeps its own allocator, latency state and
-// crash log — the standard multi-core scaling route for persistent trees
-// (FP-tree's and Circ-Tree's partitioned deployments take the same shape).
+// each one FAST+FAIR tree (internal/core) in its own pmem.Pool, so writers
+// contend only within a shard and each shard keeps its own allocator, latency
+// state and crash log — the standard multi-core scaling route for persistent
+// trees (FP-tree's and Circ-Tree's partitioned deployments take the same
+// shape). Every write is one of the tree's latched failure-atomic 8-byte
+// stores (Exchange, ReplaceIf, Remove), called on the tree itself.
 //
 // Callers never handle *pmem.Thread directly: a Session owns one thread per
 // shard for its goroutine (see NewSession). Cross-shard reads are merged on
@@ -25,7 +27,7 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/index"
+	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/txnlog"
 	"repro/internal/vlog"
@@ -50,11 +52,6 @@ type Options struct {
 	// callers outside this module can shape the device without naming
 	// internal/pmem types. Non-zero fields override the same knobs in Mem.
 	Latency LatencyOptions
-	// Kind selects the index structure per shard. Default index.FastFair.
-	// Reopen requires a kind whose driver can re-attach pool images.
-	Kind index.Kind
-	// NodeSize overrides the per-shard node size.
-	NodeSize int
 	// ValueLogExtent is the growth unit of each shard's value log in
 	// bytes (the persistent log behind PutBytes/GetBytes). 0 picks a
 	// default scaled to ShardSize; oversized values allocate one-off
@@ -126,9 +123,6 @@ func (o *Options) fill() error {
 	if o.Latency.Barrier != 0 {
 		o.Mem.BarrierLatency = o.Latency.Barrier
 	}
-	if o.Kind == "" {
-		o.Kind = index.FastFair
-	}
 	if o.GCGarbageRatio == 0 {
 		o.GCGarbageRatio = 0.5
 	}
@@ -162,14 +156,12 @@ func (o *Options) fill() error {
 // maxShards bounds the stamp encoding (16 bits) far above any sane count.
 const maxShards = 1 << 16
 
-// The pool root slots holding shard metadata. The tree anchors at slot 0
-// and the FAST+Logging split log (and FP-tree recovery cursor) would claim
-// slot 4, so slots 2, 3, 5 and 6 are free for every supported kind.
+// The pool root slots holding shard metadata; the tree anchors at slot 0.
 // stampSlot identifies the shard (magic, shard count, shard id); shapeSlot
-// records how the shard's index was configured (kind hash, node size) so
-// Reopen refuses to misinterpret an image with the wrong options; vlogSlot
-// anchors the shard's value log (varlen values); txnSlot anchors the
-// shard's transaction redo log (Txn commits).
+// holds shapeWord, the shard tree's format, so Reopen refuses to misread an
+// image built some other way; vlogSlot anchors the shard's value log
+// (varlen values); txnSlot anchors the shard's transaction redo log (Txn
+// commits).
 const (
 	stampSlot = 3
 	shapeSlot = 2
@@ -184,16 +176,12 @@ func stamp(shardID, shards int) int64 {
 	return int64(stampMagic<<32 | uint64(shards)<<16 | uint64(shardID))
 }
 
-// shape encodes the index configuration: FNV-1a hash of the kind name in
-// the top word, the raw NodeSize option (0 = kind default) in the bottom.
-func shape(kind index.Kind, nodeSize int) int64 {
-	h := uint64(2166136261)
-	for i := 0; i < len(kind); i++ {
-		h ^= uint64(kind[i])
-		h *= 16777619
-	}
-	return int64((h&0xffffffff)<<32 | uint64(uint32(nodeSize)))
-}
+// shapeWord is the one shard shape: a FAST+FAIR tree at core's default
+// node size. It is the root word 0xabb2529a<<32 (the FNV-1a hash of
+// "FAST+FAIR" over a zero node size) that every shard image has carried
+// since the shape slot exists, so those images reopen; a shard built with
+// another index kind or node size carries another word and is refused.
+const shapeWord = -0x544dad66 << 32 // 0xabb2529a<<32 as an int64 root word
 
 // Store is a sharded KV store. All operations go through Sessions; the Store
 // itself only manages shard lifecycle.
@@ -253,7 +241,7 @@ func (s *Store) acquireWrite() error {
 
 type shard struct {
 	pool *pmem.Pool
-	ix   index.Index
+	ix   *core.BTree
 	vl   *vlog.Log
 	gc   *shardGC
 }
@@ -323,8 +311,9 @@ func stripeOf(treeKey uint64) int {
 	return int(mix(treeKey) >> (64 - stripeBits))
 }
 
-// Open creates a fresh store: opts.Shards pools, one index per pool, each
-// branded with a shard stamp so Reopen can reject mismatched images.
+// Open creates a fresh store: opts.Shards pools, one FAST+FAIR tree per
+// pool, each branded with a shard stamp so Reopen can reject mismatched
+// images.
 func Open(opts Options) (*Store, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -335,7 +324,7 @@ func Open(opts Options) (*Store, error) {
 		mem.Size = opts.ShardSize
 		p := pmem.New(mem)
 		th := p.NewThread()
-		ix, err := index.Open(opts.Kind, p, th, index.Options{NodeSize: opts.NodeSize})
+		ix, err := core.New(p, th, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("store: shard %d: %w", i, err)
 		}
@@ -344,7 +333,7 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: shard %d value log: %w", i, err)
 		}
 		p.SetRoot(th, stampSlot, stamp(i, opts.Shards))
-		p.SetRoot(th, shapeSlot, shape(opts.Kind, opts.NodeSize))
+		p.SetRoot(th, shapeSlot, shapeWord)
 		th.Release()
 		s.shards[i] = shard{pool: p, ix: ix, vl: vl, gc: &shardGC{}}
 	}
@@ -353,11 +342,10 @@ func Open(opts Options) (*Store, error) {
 
 // Reopen attaches to the pools of a previously opened store — reopened
 // devices or post-crash images, in shard order — verifies every shard's
-// stamp and recorded index configuration, and runs the kind's eager crash
-// recovery on each shard. opts must carry the same Kind/NodeSize the store
-// was created with (a mismatch is rejected, never misread); opts.Shards, if
-// set, must equal len(pools). A zero opts.NodeSize adopts the recorded one,
-// a zero opts.ShardSize the pools' size.
+// stamp and shape (an image of another shape is rejected, never misread),
+// and runs FAST+FAIR's eager crash recovery on each shard's tree.
+// opts.Shards, if set, must equal len(pools); a zero opts.ShardSize adopts
+// the pools' size.
 func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 	if opts.Shards == 0 {
 		opts.Shards = len(pools)
@@ -380,20 +368,15 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		if got, want := p.Root(th, stampSlot), stamp(i, len(pools)); got != want {
 			return nil, fmt.Errorf("store: shard %d stamp %#x, want %#x (wrong pool, order, or shard count)", i, got, want)
 		}
-		rec := p.Root(th, shapeSlot)
-		if opts.NodeSize == 0 {
-			opts.NodeSize = int(uint32(rec))
-			s.opts.NodeSize = opts.NodeSize
+		if got := p.Root(th, shapeSlot); got != shapeWord {
+			return nil, fmt.Errorf("store: shard %d shape %#x is not a default FAST+FAIR tree's (built with another index kind or node size)",
+				i, uint64(got))
 		}
-		if want := shape(opts.Kind, opts.NodeSize); rec != want {
-			return nil, fmt.Errorf("store: shard %d was created with a different kind or node size (shape %#x, want %#x for %s/%d)",
-				i, rec, want, opts.Kind, opts.NodeSize)
-		}
-		ix, err := index.OpenExisting(opts.Kind, p, th, index.Options{NodeSize: opts.NodeSize})
+		ix, err := core.Open(p, th, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("store: shard %d: %w", i, err)
 		}
-		if err := index.Recover(ix, th); err != nil {
+		if err := ix.Recover(th); err != nil {
 			return nil, fmt.Errorf("store: shard %d recovery: %w", i, err)
 		}
 		// Value-log recovery: one read-only walk re-validates every record
@@ -476,9 +459,6 @@ func (s *Store) ShardFor(key uint64) int {
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// Kind returns the index kind backing every shard.
-func (s *Store) Kind() index.Kind { return s.opts.Kind }
-
 // Pool returns shard i's pool — the handles a caller snapshots for crash
 // simulation and passes back to Reopen.
 func (s *Store) Pool(i int) *pmem.Pool { return s.shards[i].pool }
@@ -520,7 +500,7 @@ func (s *Store) CheckInvariants() error {
 	defer s.release()
 	for i, sh := range s.shards {
 		th := sh.pool.NewThread()
-		err := index.CheckInvariants(sh.ix, th)
+		err := sh.ix.CheckInvariants(th)
 		if err == nil {
 			_, err = sh.vl.Check(th)
 		}
@@ -586,10 +566,10 @@ func (s *Store) Stats() pmem.Stats {
 	return total
 }
 
-// Close marks the store closed, drains in-flight operations, and closes
-// every shard index handle. The persistent images stay valid;
-// Reopen(st.Pools(), opts) resumes from them. Sessions may outlive Close:
-// their operations fail with ErrClosed instead of racing the teardown.
+// Close marks the store closed and drains in-flight operations. The
+// persistent images stay valid; Reopen(st.Pools(), opts) resumes from them.
+// Sessions may outlive Close: their operations fail with ErrClosed instead
+// of racing the teardown. The error is always nil.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -604,11 +584,5 @@ func (s *Store) Close() error {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	var first error
-	for _, sh := range s.shards {
-		if err := sh.ix.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }

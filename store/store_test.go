@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/index"
 	"repro/internal/pmem"
 )
 
@@ -259,41 +258,28 @@ func TestReopenRejectsMismatchedPools(t *testing.T) {
 }
 
 func TestReopenRejectsMismatchedShape(t *testing.T) {
-	st, err := Open(Options{Shards: 2, ShardSize: 32 << 20, Kind: index.SkipList})
-	if err != nil {
-		t.Fatal(err)
+	// The shape word is the one every earlier image carries (the hash of
+	// "FAST+FAIR" over a default node size), so those images still reopen.
+	if w := int64(shapeWord); uint64(w) != 0xabb2529a<<32 {
+		t.Fatalf("shape word %#x, want %#x", uint64(w), uint64(0xabb2529a<<32))
 	}
-	defer st.Close()
-	// Defaulted Kind (FastFair) disagrees with the recorded SkipList shape:
-	// the image must be rejected, never misread as a B+-tree.
-	if _, err := Reopen(st.Pools(), Options{}); err == nil {
-		t.Fatal("reopen with wrong kind accepted")
+	st := openTest(t, 2)
+	// A shard whose slot holds another word — an image built with another
+	// index kind or node size — must be rejected, never misread.
+	for _, foreign := range []int64{0, shapeWord | 1024, 0x1234 << 32} {
+		imgs := []*pmem.Pool{st.Pool(0).Clone(false), st.Pool(1).Clone(false)}
+		th := imgs[1].NewThread()
+		imgs[1].SetRoot(th, shapeSlot, foreign)
+		th.Release()
+		if _, err := Reopen(imgs, Options{}); err == nil {
+			t.Fatalf("reopen with shape %#x accepted", uint64(foreign))
+		}
 	}
-	// The right kind still works.
-	re, err := Reopen(st.Pools(), Options{Kind: index.SkipList})
+	re, err := Reopen(st.Pools(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	re.Close()
-
-	st2, err := Open(Options{Shards: 2, ShardSize: 32 << 20, NodeSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	// An explicit contradicting node size is rejected...
-	if _, err := Reopen(st2.Pools(), Options{NodeSize: 256}); err == nil {
-		t.Fatal("reopen with wrong node size accepted")
-	}
-	// ...while a zero NodeSize adopts the recorded one.
-	re2, err := Reopen(st2.Pools(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if re2.opts.NodeSize != 1024 {
-		t.Fatalf("reopen adopted NodeSize %d, want 1024", re2.opts.NodeSize)
-	}
 }
 
 // TestSessionOnClosedStore covers the drain contract: sessions created
@@ -395,23 +381,9 @@ func TestCloseDrainsConcurrentOps(t *testing.T) {
 	t.Logf("%d puts acknowledged before close", acked.Load())
 }
 
-func TestReopenRequiresReopenableKind(t *testing.T) {
-	st, err := Open(Options{Shards: 2, ShardSize: 32 << 20, Kind: index.BLink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := Reopen(st.Pools(), Options{Kind: index.BLink}); !errors.Is(err, index.ErrNotReopenable) {
-		t.Fatalf("err = %v, want ErrNotReopenable", err)
-	}
-}
-
 func TestOptionsValidation(t *testing.T) {
 	if _, err := Open(Options{Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
-	}
-	if _, err := Open(Options{Kind: "nope", ShardSize: 1 << 20}); err == nil {
-		t.Fatal("unknown kind accepted")
 	}
 }
 
@@ -459,7 +431,7 @@ func TestShardScaling(t *testing.T) {
 		defer st.Close()
 		// Monotonic keys from a shared counter: on one shard every
 		// writer chases the same rightmost leaf; sharding spreads the
-		// append point (see bench.FigShards).
+		// append point (BenchmarkStoreShards measures the same axis).
 		var ctr atomic.Uint64
 		var wg sync.WaitGroup
 		t0 := time.Now()
