@@ -12,6 +12,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -53,10 +54,11 @@ type Options struct {
 	DialTimeout time.Duration
 	// MaxFrame caps an incoming response frame. Default wire.MaxFrame.
 	MaxFrame uint32
-	// SendQueue is the number of requests that may sit between callers
-	// and the socket writer before issuing blocks. It is also the
-	// writer's coalescing window: everything queued when the writer
-	// wakes goes out in one Write. Default 1024.
+	// SendQueue is the number of requests that may sit encoded in the
+	// connection's out buffer, waiting for the socket writer, before
+	// issuing blocks (256 KiB of encoded requests blocks it too). The
+	// buffer is also the writer's coalescing window: everything issued
+	// by the time the writer wakes goes out in one Write. Default 1024.
 	SendQueue int
 	// CallTimeout bounds each call from issue to response. When it
 	// expires the call fails with ErrCallTimeout but the connection stays
@@ -92,20 +94,36 @@ func (o *Options) fill() {
 // outcome: Err is nil on any well-formed server reply, including NotFound —
 // inspect Resp.Status for that.
 type Call struct {
-	Op    wire.Op
-	Resp  wire.Response
-	Err   error
+	done bool // completed; guarded by conn.mu. It fills Op's padding.
+	Op   wire.Op
+	Resp wire.Response
+	Err  error
+
+	conn  *Conn
 	id    uint64
-	timer *time.Timer // CallTimeout timer; nil when timeouts are off
-	done  chan struct{}
+	timer *time.Timer    // CallTimeout timer; nil when timeouts are off
+	wg    sync.WaitGroup // released by the completion
+	ch    chan struct{}  // made by the first Done, closed by the completion
 }
 
-// Done is closed when the call completes.
-func (c *Call) Done() <-chan struct{} { return c.done }
+// Done returns a channel that is closed when the call completes. The
+// channel is made on the first Done, so a call that is only waited for
+// never pays for one.
+func (c *Call) Done() <-chan struct{} {
+	c.conn.mu.Lock()
+	defer c.conn.mu.Unlock()
+	if c.ch == nil {
+		c.ch = make(chan struct{})
+		if c.done {
+			close(c.ch)
+		}
+	}
+	return c.ch
+}
 
 // Wait blocks until the call completes and returns its error.
 func (c *Call) Wait() error {
-	<-c.done
+	c.wg.Wait()
 	return c.Err
 }
 
@@ -114,17 +132,20 @@ type Conn struct {
 	nc   net.Conn
 	opts Options
 
-	sendCh chan wire.Request
-	stop   chan struct{} // closed by terminate
+	kick chan struct{} // one slot: the out buffer went from empty to non-empty
+	stop chan struct{} // closed by terminate
 
 	mu        sync.Mutex
-	pending   map[uint64]*Call
+	cond      sync.Cond // on mu: the writer took the out buffer, the last in-flight call completed, or the conn terminated
+	out       []byte    // encoded requests the writer has not taken yet
+	queued    int       // requests in out
+	pending   callQueue // calls sent or about to be, awaiting their responses
+	inflight  int       // calls issued and not completed: what Close drains
 	nextID    uint64
 	closing   bool
 	closeDone chan struct{} // closed when the first Close finishes
 	termErr   error
 
-	calls sync.WaitGroup // in-flight Calls
 	loops sync.WaitGroup // reader + writer goroutines
 }
 
@@ -147,110 +168,104 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	c := &Conn{
 		nc:        nc,
 		opts:      opts,
-		sendCh:    make(chan wire.Request, opts.SendQueue),
+		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		closeDone: make(chan struct{}),
-		pending:   make(map[uint64]*Call),
 	}
+	c.cond.L = &c.mu
 	c.loops.Add(2)
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
 
-// start registers a Call and queues its request. It never blocks on the
-// network round trip — only on the bounded send queue.
-func (c *Conn) start(req wire.Request) *Call {
-	call := &Call{Op: req.Op, done: make(chan struct{})}
+// maxWriteSlab caps the encoded bytes the out buffer holds before issuing
+// blocks: deep enough to amortize the writer's syscall across a pipelined
+// burst, shallow enough to keep frames flowing while a huge burst drains.
+const maxWriteSlab = 256 << 10
+
+// start issues a call: it encodes req straight into the out buffer and
+// queues the call for its response, all under c.mu, and wakes the writer
+// when the buffer was empty. It never blocks on the network round trip —
+// only on a full out buffer. An unencodable request (e.g. an oversized
+// batch) is that call's own failure, not the connection's.
+func (c *Conn) start(req *wire.Request) *Call {
+	call := &Call{Op: req.Op, conn: c}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closing || c.termErr != nil {
-		err := c.termErr
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrConnClosed
+		call.Err = c.termErr
+		if call.Err == nil {
+			call.Err = ErrConnClosed
 		}
-		call.Err = err
-		close(call.done)
+		call.done = true
+		return call
+	}
+	c.inflight++
+	call.wg.Add(1)
+	for c.termErr == nil && (c.queued >= c.opts.SendQueue || len(c.out) >= maxWriteSlab) {
+		c.cond.Wait()
+	}
+	if c.termErr != nil {
+		c.complete(call, c.termErr)
 		return call
 	}
 	c.nextID++
 	req.ID = c.nextID
-	call.id = req.ID
-	c.pending[req.ID] = call
-	c.calls.Add(1)
-	if d := c.opts.CallTimeout; d > 0 {
-		// Armed before the call is visible to any completion path (all of
-		// them run under c.mu), so call.timer is immutable after this.
-		call.timer = time.AfterFunc(d, func() {
-			c.failCall(call.id, fmt.Errorf("%w: %s after %v", ErrCallTimeout, call.Op, d))
-		})
+	out, err := wire.AppendRequest(c.out, req)
+	if err != nil {
+		c.complete(call, err)
+		return call
 	}
-	c.mu.Unlock()
-	select {
-	case c.sendCh <- req:
-	case <-c.stop:
-		// terminate ran (or is running): it sweeps the pending map and
-		// fails this call; nothing more to do here.
+	if len(c.out) == 0 {
+		select {
+		case c.kick <- struct{}{}:
+		default:
+		}
+	}
+	c.out = out
+	c.queued++
+	call.id = req.ID
+	c.pending.push(call)
+	if d := c.opts.CallTimeout; d > 0 {
+		call.timer = time.AfterFunc(d, func() {
+			c.fail(call, fmt.Errorf("%w: %s after %v", ErrCallTimeout, call.Op, d))
+		})
 	}
 	return call
 }
 
-// maxWriteSlab caps the bytes one writer wakeup coalesces into a single
-// Write: deep enough to amortize the syscall across a pipelined burst,
-// shallow enough to keep frames flowing while a huge queue drains.
-const maxWriteSlab = 256 << 10
-
-// writeLoop drains the send queue into a reused slab and ships each slab
-// with one Write call: every request queued by the time the writer wakes
-// rides the same syscall, so deep pipelining costs syscalls logarithmically
-// rather than linearly.
+// writeLoop ships the out buffer: woken once per batch — when the buffer
+// goes from empty to non-empty — it swaps in its spare buffer and writes
+// everything issued so far with one Write call, so deep pipelining costs
+// syscalls logarithmically rather than linearly.
 func (c *Conn) writeLoop() {
 	defer c.loops.Done()
-	var slab []byte
+	var buf []byte
 	for {
 		select {
-		case req := <-c.sendCh:
-			slab = c.appendReq(slab[:0], &req)
-		fill:
-			for len(slab) < maxWriteSlab {
-				select {
-				case req = <-c.sendCh:
-					slab = c.appendReq(slab, &req)
-				default:
-					break fill
-				}
-			}
-			if len(slab) == 0 {
-				continue // everything in the burst failed to encode
-			}
-			if _, err := c.nc.Write(slab); err != nil {
-				c.terminate(fmt.Errorf("client: write: %w", err))
-				return
-			}
+		case <-c.kick:
 		case <-c.stop:
+			return
+		}
+		c.mu.Lock()
+		buf, c.out = c.out, buf[:0]
+		c.queued = 0
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		if _, err := c.nc.Write(buf); err != nil {
+			c.terminate(fmt.Errorf("client: write: %w", err))
 			return
 		}
 	}
 }
 
-// appendReq encodes one request onto the slab. An unencodable request
-// (e.g. an oversized batch) is that call's own failure, not the
-// connection's: it is failed alone and the slab returned unchanged.
-func (c *Conn) appendReq(slab []byte, req *wire.Request) []byte {
-	out, err := wire.AppendRequest(slab, req)
-	if err != nil {
-		c.failCall(req.ID, err)
-		return slab
-	}
-	return out
-}
-
 // ioBufSize sizes the per-connection buffered reader; large enough that a
 // pipelined burst of responses coalesces into few read syscalls. (The
-// write side batches into a slab instead — see Conn.writeLoop.)
+// write side batches in the out buffer instead — see Conn.start.)
 const ioBufSize = 64 << 10
 
-// readLoop decodes response frames and completes their Calls.
+// readLoop reads response frames and delivers them to their Calls.
 func (c *Conn) readLoop() {
 	defer c.loops.Done()
 	br := bufio.NewReaderSize(c.nc, ioBufSize)
@@ -264,68 +279,95 @@ func (c *Conn) readLoop() {
 			// Retryable, and why the retry verdict is changed here, not there.
 			err = fmt.Errorf("%w: %v", wire.ErrMalformed, err)
 		}
-		if err != nil {
-			c.terminate(fmt.Errorf("client: read: %w", err))
-			return
+		if err == nil {
+			scratch = body[:0]
+			err = c.deliver(body)
+		} else {
+			err = fmt.Errorf("client: read: %w", err)
 		}
-		resp, err := wire.DecodeResponse(body)
 		if err != nil {
 			c.terminate(err)
 			return
 		}
-		scratch = body[:0]
-		c.mu.Lock()
-		call := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if call == nil {
-			// A response nothing waits for: either a duplicate or a
-			// server bug. Ignoring it keeps the stream usable.
-			continue
-		}
-		call.Resp = resp
-		var cerr error
-		switch resp.Status {
-		case wire.StatusErr:
-			cerr = &RemoteError{Op: resp.Op, Msg: resp.Msg}
-		case wire.StatusClosed:
-			cerr = fmt.Errorf("%w: %s", ErrStoreClosed, resp.Msg)
-		case wire.StatusBusy:
-			cerr = fmt.Errorf("%w: %s", ErrBusy, resp.Msg)
-		case wire.StatusNoSpace:
-			cerr = fmt.Errorf("%w: %s", ErrNoSpace, resp.Msg)
-		case wire.StatusTxnIncomplete:
-			cerr = fmt.Errorf("%w: %s", ErrTxnIncomplete, resp.Msg)
-		}
-		c.complete(call, cerr)
 	}
 }
 
-// complete delivers a call's outcome. The caller has removed the call from
-// the pending map under c.mu, which is what makes it the only completer.
+// deliver decodes one response body straight into the Resp of the call it
+// answers — found by the id its first 8 bytes carry (ReadFrame passes no
+// shorter body) — and completes that call.
+func (c *Conn) deliver(body []byte) error {
+	id := binary.BigEndian.Uint64(body)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	call := c.pending.find(id)
+	if call == nil {
+		// A response nothing waits for: the late answer to a call cut
+		// short by its CallTimeout or ctx, a duplicate, or a server bug.
+		// Ignoring it keeps the stream usable, as long as it decodes.
+		_, err := wire.DecodeResponse(body)
+		return err
+	}
+	var err error
+	if call.Resp, err = wire.DecodeResponse(body); err != nil {
+		call.Resp = wire.Response{}
+		return err
+	}
+	c.complete(call, statusErr(&call.Resp))
+	c.pending.popDone()
+	return nil
+}
+
+// statusErr is the error a well-formed response completes its call with:
+// nil for StatusOK and StatusNotFound.
+func statusErr(resp *wire.Response) error {
+	switch resp.Status {
+	case wire.StatusErr:
+		return &RemoteError{Op: resp.Op, Msg: resp.Msg}
+	case wire.StatusClosed:
+		return fmt.Errorf("%w: %s", ErrStoreClosed, resp.Msg)
+	case wire.StatusBusy:
+		return fmt.Errorf("%w: %s", ErrBusy, resp.Msg)
+	case wire.StatusNoSpace:
+		return fmt.Errorf("%w: %s", ErrNoSpace, resp.Msg)
+	case wire.StatusTxnIncomplete:
+		return fmt.Errorf("%w: %s", ErrTxnIncomplete, resp.Msg)
+	}
+	return nil
+}
+
+// complete delivers a call's outcome. It runs under c.mu on a call that is
+// not done yet, which makes it the call's only completer.
 func (c *Conn) complete(call *Call, err error) {
 	if call.timer != nil {
 		call.timer.Stop()
 	}
 	call.Err = err
-	close(call.done)
-	c.calls.Done()
+	call.done = true
+	if call.ch != nil {
+		close(call.ch)
+	}
+	call.wg.Done()
+	c.inflight--
+	if c.inflight == 0 && c.closing {
+		c.cond.Broadcast()
+	}
 }
 
-// failCall completes one pending call with err (no-op if the call already
-// completed or was swept by terminate).
-func (c *Conn) failCall(id uint64, err error) {
+// fail completes call with err unless it already completed. A failed call
+// that is still queued stays there as a hole until it reaches the head;
+// its late response, if one comes, is dropped.
+func (c *Conn) fail(call *Call, err error) {
 	c.mu.Lock()
-	call := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if call != nil {
+	defer c.mu.Unlock()
+	if !call.done {
 		c.complete(call, err)
+		c.pending.popDone()
 	}
 }
 
 // terminate tears the connection down once: it records the terminal error,
-// stops both loops, closes the socket, and fails every pending Call.
+// stops both loops, fails every pending Call and wakes every blocked
+// issuer, then closes the socket.
 func (c *Conn) terminate(err error) {
 	c.mu.Lock()
 	if c.termErr != nil {
@@ -333,14 +375,16 @@ func (c *Conn) terminate(err error) {
 		return
 	}
 	c.termErr = err
-	pend := c.pending
-	c.pending = make(map[uint64]*Call)
 	close(c.stop)
+	for _, call := range c.pending.calls[c.pending.head:] {
+		if !call.done {
+			c.complete(call, err)
+		}
+	}
+	c.pending = callQueue{}
+	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.nc.Close()
-	for _, call := range pend {
-		c.complete(call, err)
-	}
 }
 
 // Close drains the connection gracefully: new calls fail immediately,
@@ -358,8 +402,10 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closing = true
+	for c.inflight > 0 {
+		c.cond.Wait()
+	}
 	c.mu.Unlock()
-	c.calls.Wait()
 	c.terminate(ErrConnClosed)
 	c.loops.Wait()
 	close(c.closeDone)
@@ -376,10 +422,53 @@ func (c *Conn) Err() error {
 	return nil
 }
 
+// callQueue holds a connection's issued calls in id order. The server
+// answers a connection's requests in arrival order, so a response normally
+// matches the head; the protocol allows any order, and any other id is
+// found by a forward search. A completed call left in the queue (one cut
+// short by a timeout or a ctx) is a hole, dropped once it reaches the head.
+type callQueue struct {
+	calls []*Call // calls[head:] is the queue
+	head  int
+}
+
+func (q *callQueue) push(call *Call) {
+	if len(q.calls) == cap(q.calls) && 2*q.head >= len(q.calls) {
+		// Reuse the popped front before growing: at most half the slots
+		// are live, so this copy is paid for by as many pushes.
+		n := copy(q.calls, q.calls[q.head:])
+		clear(q.calls[n:])
+		q.calls, q.head = q.calls[:n], 0
+	}
+	q.calls = append(q.calls, call)
+}
+
+// find returns the queued call awaiting the response with this id, or nil.
+// Ids ascend along the queue, so the search stops at the first larger one.
+func (q *callQueue) find(id uint64) *Call {
+	for _, call := range q.calls[q.head:] {
+		if call.id >= id {
+			if call.id == id && !call.done {
+				return call
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// popDone drops the completed calls at the head of the queue.
+func (q *callQueue) popDone() {
+	for q.head < len(q.calls) && q.calls[q.head].done {
+		q.calls[q.head] = nil
+		q.head++
+	}
+}
+
 // do is the one synchronous request core: issue req, wait for its response
 // or for ctx to end. Every blocking method is do plus a projection of the
 // Call's response; the plain ones pass context.Background().
-func (c *Conn) do(ctx context.Context, req wire.Request) (*Call, error) {
+func (c *Conn) do(ctx context.Context, req *wire.Request) (*Call, error) {
 	call := c.start(req)
 	return call, c.wait(ctx, call)
 }
@@ -412,7 +501,7 @@ func scanMax(max int) uint32 {
 
 // GetAsync issues a pipelined Get.
 func (c *Conn) GetAsync(key uint64) *Call {
-	return c.start(wire.Request{Op: wire.OpGet, Key: key})
+	return c.start(&wire.Request{Op: wire.OpGet, Key: key})
 }
 
 // Get returns the value stored under key on the server.
@@ -422,7 +511,7 @@ func (c *Conn) Get(key uint64) (uint64, bool, error) {
 
 // PutAsync issues a pipelined Put.
 func (c *Conn) PutAsync(key, val uint64) *Call {
-	return c.start(wire.Request{Op: wire.OpPut, Key: key, Val: val})
+	return c.start(&wire.Request{Op: wire.OpPut, Key: key, Val: val})
 }
 
 // Put stores val under key on the server. When Put returns nil the write is
@@ -433,7 +522,7 @@ func (c *Conn) Put(key, val uint64) error {
 
 // DeleteAsync issues a pipelined Delete.
 func (c *Conn) DeleteAsync(key uint64) *Call {
-	return c.start(wire.Request{Op: wire.OpDelete, Key: key})
+	return c.start(&wire.Request{Op: wire.OpDelete, Key: key})
 }
 
 // Delete removes key on the server, reporting whether it was present.
@@ -444,7 +533,7 @@ func (c *Conn) Delete(key uint64) (bool, error) {
 // PutBatchAsync issues one pipelined PutBatch frame. len(pairs) must not
 // exceed wire.MaxPairs; the synchronous PutBatch chunks automatically.
 func (c *Conn) PutBatchAsync(pairs []KV) *Call {
-	return c.start(wire.Request{Op: wire.OpPutBatch, Pairs: pairs})
+	return c.start(&wire.Request{Op: wire.OpPutBatch, Pairs: pairs})
 }
 
 // PutBatch stores all pairs, chunking across frames when the batch exceeds
@@ -470,7 +559,7 @@ func (c *Conn) PutBatch(pairs []KV) error {
 // ScanAsync issues a pipelined Scan for lo <= key <= hi, returning at most
 // max pairs (0 = the server's cap; never more than wire.MaxPairs).
 func (c *Conn) ScanAsync(lo, hi uint64, max int) *Call {
-	return c.start(wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return c.start(&wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
 }
 
 // Scan returns pairs with lo <= key <= hi in ascending key order, truncated
@@ -482,7 +571,7 @@ func (c *Conn) Scan(lo, hi uint64, max int) ([]KV, error) {
 
 // GetBytesAsync issues a pipelined GetV (varlen Get).
 func (c *Conn) GetBytesAsync(key uint64) *Call {
-	return c.start(wire.Request{Op: wire.OpGetV, Key: key})
+	return c.start(&wire.Request{Op: wire.OpGetV, Key: key})
 }
 
 // GetBytes returns the byte-string value stored under key on the server.
@@ -493,10 +582,10 @@ func (c *Conn) GetBytes(key uint64) ([]byte, bool, error) {
 }
 
 // PutBytesAsync issues a pipelined PutV (varlen Put). val must not exceed
-// wire.MaxValue; it is captured by reference, so the caller must not
-// mutate it until the call completes.
+// wire.MaxValue; it is copied into the request at issue, so the caller may
+// reuse it as soon as PutBytesAsync returns.
 func (c *Conn) PutBytesAsync(key uint64, val []byte) *Call {
-	return c.start(wire.Request{Op: wire.OpPutV, Key: key, VVal: val})
+	return c.start(&wire.Request{Op: wire.OpPutV, Key: key, VVal: val})
 }
 
 // PutBytes stores val as a byte-string value under key on the server. When
@@ -508,7 +597,7 @@ func (c *Conn) PutBytes(key uint64, val []byte) error {
 // ScanBytesAsync issues a pipelined ScanV for lo <= key <= hi, returning
 // at most max pairs (0 = the server's cap).
 func (c *Conn) ScanBytesAsync(lo, hi uint64, max int) *Call {
-	return c.start(wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return c.start(&wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
 }
 
 // ScanBytes returns varlen pairs with lo <= key <= hi in ascending key
@@ -522,7 +611,7 @@ func (c *Conn) ScanBytes(lo, hi uint64, max int) ([]VKV, error) {
 
 // StatsAsync issues a pipelined Stats request.
 func (c *Conn) StatsAsync() *Call {
-	return c.start(wire.Request{Op: wire.OpStats})
+	return c.start(&wire.Request{Op: wire.OpStats})
 }
 
 // Stats fetches the server's counter snapshot.

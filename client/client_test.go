@@ -1,10 +1,15 @@
 package client
 
 import (
+	"bufio"
+	"context"
 	"errors"
+	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/wire"
 )
@@ -231,5 +236,226 @@ func TestOversizedLengthPrefixIsStreamDamage(t *testing.T) {
 	}
 	if !errors.Is(c.Err(), wire.ErrMalformed) {
 		t.Fatalf("connection error %v, want it terminated as malformed", c.Err())
+	}
+}
+
+// peer is a scripted server on the far end of a net.Pipe handed to Dial
+// through Options.Dial: the test decides when each request is answered, and
+// in which order. A Get is answered with its key + getBias, so every call
+// can tell its own response from another's.
+type peer struct {
+	t       *testing.T
+	nc      net.Conn
+	br      *bufio.Reader
+	scratch []byte
+	out     []byte
+}
+
+const getBias = 1000
+
+// dialPeer returns a Conn whose transport is a pipe to the returned peer.
+func dialPeer(t *testing.T, opts Options) (*Conn, *peer) {
+	t.Helper()
+	cli, srv := net.Pipe()
+	opts.Dial = func(string, time.Duration) (net.Conn, error) { return cli, nil }
+	c, err := Dial("pipe", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		c.Close()
+	})
+	return c, &peer{t: t, nc: srv, br: bufio.NewReader(srv)}
+}
+
+// read returns the next request frame, decoded.
+func (p *peer) read() (wire.Request, error) {
+	body, err := wire.ReadFrame(p.br, wire.MaxFrame, p.scratch)
+	if err != nil {
+		return wire.Request{}, err
+	}
+	p.scratch = body[:0]
+	return wire.DecodeRequest(body)
+}
+
+// readN returns the next n requests, failing the test on a transport error.
+func (p *peer) readN(n int) []wire.Request {
+	p.t.Helper()
+	reqs := make([]wire.Request, n)
+	for i := range reqs {
+		var err error
+		if reqs[i], err = p.read(); err != nil {
+			p.t.Fatalf("peer: reading request %d of %d: %v", i+1, n, err)
+		}
+	}
+	return reqs
+}
+
+// appendAnswer encodes the StatusOK response to req onto p.out.
+func (p *peer) appendAnswer(req *wire.Request) {
+	resp := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
+	if req.Op == wire.OpGet {
+		resp.Val = req.Key + getBias
+	}
+	p.out = wire.MustAppendResponse(p.out, &resp)
+}
+
+// answer writes the responses to reqs, in the order given, with one Write.
+func (p *peer) answer(reqs ...wire.Request) {
+	p.t.Helper()
+	p.out = p.out[:0]
+	for i := range reqs {
+		p.appendAnswer(&reqs[i])
+	}
+	if _, err := p.nc.Write(p.out); err != nil {
+		p.t.Fatalf("peer: write: %v", err)
+	}
+}
+
+// serve answers every request as it arrives until the pipe closes. It
+// allocates nothing per request, so allocation counts taken while it runs
+// are the client's own.
+func (p *peer) serve() {
+	for {
+		req, err := p.read()
+		if err != nil {
+			return
+		}
+		p.out = p.out[:0]
+		p.appendAnswer(&req)
+		if _, err := p.nc.Write(p.out); err != nil {
+			return
+		}
+	}
+}
+
+// checkGets waits for calls — Gets of keys base, base+1, ... — and checks
+// that each got its own value.
+func checkGets(t *testing.T, calls []*Call, base uint64) {
+	t.Helper()
+	for i, call := range calls {
+		if err := call.Wait(); err != nil {
+			t.Fatalf("Get(%d): %v", base+uint64(i), err)
+		}
+		if want := base + uint64(i) + getBias; call.Resp.Val != want {
+			t.Fatalf("Get(%d) = %d, want %d: a response reached the wrong call", base+uint64(i), call.Resp.Val, want)
+		}
+	}
+}
+
+// TestResponsesOutOfOrder: responses are matched to calls by id, whatever
+// order they arrive in (PROTOCOL.md); a call cut short by its ctx drops its
+// late response without disturbing the next call; a response with an id
+// nothing waits for is ignored; and Close returns only after every call in
+// flight has completed.
+func TestResponsesOutOfOrder(t *testing.T) {
+	c, p := dialPeer(t, Options{})
+	const window = 32
+	issue := func(base uint64) []*Call {
+		calls := make([]*Call, window)
+		for i := range calls {
+			calls[i] = c.GetAsync(base + uint64(i))
+		}
+		return calls
+	}
+
+	t.Run("Reverse", func(t *testing.T) {
+		calls := issue(0)
+		reqs := p.readN(window)
+		slices.Reverse(reqs)
+		p.answer(reqs...)
+		checkGets(t, calls, 0)
+	})
+	t.Run("Shuffled", func(t *testing.T) {
+		calls := issue(100)
+		reqs := p.readN(window)
+		rand.New(rand.NewSource(1)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		p.answer(reqs...)
+		checkGets(t, calls, 100)
+	})
+	t.Run("CtxCut", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := c.GetContext(ctx, 200)
+			errc <- err
+		}()
+		cut := p.readN(1)
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("GetContext after cancel: %v, want context.Canceled", err)
+		}
+		next := c.GetAsync(201)
+		reqs := append(cut, p.readN(1)...)
+		p.answer(reqs...) // the cut call's late response first
+		checkGets(t, []*Call{next}, 201)
+	})
+	t.Run("UnknownID", func(t *testing.T) {
+		call := c.GetAsync(300)
+		req := p.readN(1)[0]
+		stray := wire.Request{ID: req.ID + 1000, Op: wire.OpGet, Key: 7}
+		p.answer(stray, req)
+		checkGets(t, []*Call{call}, 300)
+		if err := c.Err(); err != nil {
+			t.Fatalf("connection failed on a stray response: %v", err)
+		}
+	})
+	t.Run("CloseDrains", func(t *testing.T) {
+		calls := issue(400)
+		reqs := p.readN(window)
+		closed := make(chan struct{})
+		go func() {
+			c.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+			t.Fatal("Close returned with calls in flight")
+		case <-time.After(50 * time.Millisecond):
+		}
+		p.answer(reqs...)
+		<-closed
+		checkGets(t, calls, 400)
+		if err := c.Put(1, 1); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("Put after Close: %v, want ErrConnClosed", err)
+		}
+	})
+}
+
+// TestCallAllocs pins the client's allocation budget: the Call is the only
+// heap object a call costs — its request is encoded straight into the
+// connection's out buffer, and its response decoded straight into the Call
+// — and the Done channel is made only for a caller who asks for it.
+func TestCallAllocs(t *testing.T) {
+	var call Call
+	if size := unsafe.Sizeof(call); size > 352 {
+		t.Errorf("Call is %d bytes, want it in the 352-byte size class", size)
+	}
+	c, p := dialPeer(t, Options{})
+	go p.serve()
+	for i := range 100 { // warm-up: sizes the buffers and the queue
+		if err := c.Put(uint64(i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		call func() error
+	}{
+		{"GetAsync+Wait", 1, func() error { return c.GetAsync(1).Wait() }},
+		{"Get", 1, func() error { _, _, err := c.Get(1); return err }},
+		{"GetContext(Background)", 1, func() error { _, _, err := c.GetContext(context.Background(), 1); return err }},
+		{"Put", 1, func() error { return c.Put(1, 2) }},
+		{"GetAsync+Done", 2, func() error { call := c.GetAsync(1); <-call.Done(); return call.Err }},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.call(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != tc.want {
+			t.Errorf("%s: %v allocs per call, want %v", tc.name, allocs, tc.want)
+		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 type KKV = wire.KKV
 
 // GetKVAsync issues a pipelined GetK (byte-string-keyed Get). key is
-// captured by reference; the caller must not mutate it until the call
-// completes.
+// copied into the request at issue; the caller may reuse it as soon as
+// GetKVAsync returns.
 func (c *Conn) GetKVAsync(key []byte) *Call {
-	return c.start(wire.Request{Op: wire.OpGetK, KKey: key})
+	return c.start(&wire.Request{Op: wire.OpGetK, KKey: key})
 }
 
 // GetKV returns the value stored under the byte-string key on the server.
@@ -26,11 +26,11 @@ func (c *Conn) GetKV(key []byte) ([]byte, bool, error) {
 }
 
 // PutKVAsync issues a pipelined PutK (byte-string-keyed Put). key must be
-// 1..wire.MaxKey bytes and val at most wire.MaxKValue; both are captured
-// by reference, so the caller must not mutate them until the call
-// completes.
+// 1..wire.MaxKey bytes and val at most wire.MaxKValue; both are copied
+// into the request at issue, so the caller may reuse them as soon as
+// PutKVAsync returns.
 func (c *Conn) PutKVAsync(key, val []byte) *Call {
-	return c.start(wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
+	return c.start(&wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
 }
 
 // PutKV stores val under the byte-string key on the server. When it
@@ -39,10 +39,10 @@ func (c *Conn) PutKV(key, val []byte) error {
 	return c.PutKVContext(context.Background(), key, val)
 }
 
-// DeleteKVAsync issues a pipelined DeleteK. key is captured by reference;
-// the caller must not mutate it until the call completes.
+// DeleteKVAsync issues a pipelined DeleteK. key is copied into the
+// request at issue.
 func (c *Conn) DeleteKVAsync(key []byte) *Call {
-	return c.start(wire.Request{Op: wire.OpDeleteK, KKey: key})
+	return c.start(&wire.Request{Op: wire.OpDeleteK, KKey: key})
 }
 
 // DeleteKV removes the byte-string key on the server, reporting whether it
@@ -55,9 +55,9 @@ func (c *Conn) DeleteKV(key []byte) (bool, error) {
 // order, returning at most max pairs (0 = the server's cap). A zero-length
 // bound is unbounded on that side; bounds may be up to wire.MaxScanBound
 // bytes so a pagination cursor lastKey+"\x00" always fits. Bounds are
-// captured by reference until the call completes.
+// copied into the request at issue.
 func (c *Conn) ScanKVAsync(lo, hi []byte, max int) *Call {
-	return c.start(wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
+	return c.start(&wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
 }
 
 // ScanKV returns byte-keyed pairs with lo <= key <= hi in ascending
@@ -72,31 +72,31 @@ func (c *Conn) ScanKV(lo, hi []byte, max int) ([]KKV, error) {
 
 // GetKVContext is GetKV bounded by ctx.
 func (c *Conn) GetKVContext(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return bytesVal(c.do(ctx, wire.Request{Op: wire.OpGetK, KKey: key}))
+	return bytesVal(c.do(ctx, &wire.Request{Op: wire.OpGetK, KKey: key}))
 }
 
 // PutKVContext is PutKV bounded by ctx. A ctx cut leaves the write's
 // outcome unknown: the request may still reach the server and be applied.
 func (c *Conn) PutKVContext(ctx context.Context, key, val []byte) error {
-	_, err := c.do(ctx, wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
 	return err
 }
 
 // DeleteKVContext is DeleteKV bounded by ctx (same unknown-outcome caveat
 // as PutKVContext).
 func (c *Conn) DeleteKVContext(ctx context.Context, key []byte) (bool, error) {
-	return found(c.do(ctx, wire.Request{Op: wire.OpDeleteK, KKey: key}))
+	return found(c.do(ctx, &wire.Request{Op: wire.OpDeleteK, KKey: key}))
 }
 
 // ScanKVContext is ScanKV bounded by ctx.
 func (c *Conn) ScanKVContext(ctx context.Context, lo, hi []byte, max int) ([]KKV, error) {
-	call, err := c.do(ctx, wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
+	call, err := c.do(ctx, &wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
 	return call.Resp.KPairs, err
 }
 
 // GetKV round-robins a byte-keyed Get (retried if Options.RetryReads).
 func (p *Pool) GetKV(key []byte) (val []byte, ok bool, err error) {
-	return bytesVal(p.read(wire.Request{Op: wire.OpGetK, KKey: key}))
+	return bytesVal(p.read(&wire.Request{Op: wire.OpGetK, KKey: key}))
 }
 
 // PutKV round-robins a byte-keyed Put. Writes are never auto-retried.
@@ -107,6 +107,6 @@ func (p *Pool) DeleteKV(key []byte) (bool, error) { return p.Conn().DeleteKV(key
 
 // ScanKV round-robins a byte-keyed Scan (retried if Options.RetryReads).
 func (p *Pool) ScanKV(lo, hi []byte, max int) (kvs []KKV, err error) {
-	call, err := p.read(wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
+	call, err := p.read(&wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
 	return call.Resp.KPairs, err
 }

@@ -140,7 +140,7 @@ const readAttempts = 4
 // completed call, retrying per Options.RetryReads: a Retryable failure is
 // reissued, after a backoff, on whatever connection is next (fresh or
 // redialed).
-func (p *Pool) read(req wire.Request) (*Call, error) {
+func (p *Pool) read(req *wire.Request) (*Call, error) {
 	call, err := p.Conn().do(context.Background(), req)
 	for a := 1; a < readAttempts && p.opts.RetryReads && Retryable(err); a++ {
 		time.Sleep(backoff(a-1, 2*time.Millisecond, 50*time.Millisecond))
@@ -151,7 +151,7 @@ func (p *Pool) read(req wire.Request) (*Call, error) {
 
 // Get round-robins a Get (retried if Options.RetryReads).
 func (p *Pool) Get(key uint64) (v uint64, ok bool, err error) {
-	return u64Val(p.read(wire.Request{Op: wire.OpGet, Key: key}))
+	return u64Val(p.read(&wire.Request{Op: wire.OpGet, Key: key}))
 }
 
 // Put round-robins a Put. Writes are never auto-retried.
@@ -165,13 +165,13 @@ func (p *Pool) PutBatch(pairs []KV) error { return p.Conn().PutBatch(pairs) }
 
 // Scan round-robins a Scan (retried if Options.RetryReads).
 func (p *Pool) Scan(lo, hi uint64, max int) (kvs []KV, err error) {
-	call, err := p.read(wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
+	call, err := p.read(&wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
 	return call.Resp.Pairs, err
 }
 
 // GetBytes round-robins a varlen Get (retried if Options.RetryReads).
 func (p *Pool) GetBytes(key uint64) (val []byte, ok bool, err error) {
-	return bytesVal(p.read(wire.Request{Op: wire.OpGetV, Key: key}))
+	return bytesVal(p.read(&wire.Request{Op: wire.OpGetV, Key: key}))
 }
 
 // PutBytes round-robins a varlen Put. Writes are never auto-retried.
@@ -179,12 +179,12 @@ func (p *Pool) PutBytes(key uint64, val []byte) error { return p.Conn().PutBytes
 
 // ScanBytes round-robins a varlen Scan (retried if Options.RetryReads).
 func (p *Pool) ScanBytes(lo, hi uint64, max int) (kvs []VKV, err error) {
-	call, err := p.read(wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
+	call, err := p.read(&wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
 	return call.Resp.VPairs, err
 }
 
 // Stats round-robins a Stats fetch (retried if Options.RetryReads).
 func (p *Pool) Stats() (st wire.Stats, err error) {
-	call, err := p.read(wire.Request{Op: wire.OpStats})
+	call, err := p.read(&wire.Request{Op: wire.OpStats})
 	return call.Resp.Stats, err
 }

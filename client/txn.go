@@ -39,14 +39,14 @@ func (t *Txn) Delete(key uint64) *Txn {
 
 // PutKV buffers a byte-string-keyed write. key must be 1..wire.MaxKey
 // bytes and val at most wire.MaxKValue; both are captured by reference,
-// so the caller must not mutate them until the commit completes.
+// so the caller must not mutate them until the commit is issued.
 func (t *Txn) PutKV(key, val []byte) *Txn {
 	t.ops = append(t.ops, TxnOp{Kind: wire.TxnPutK, KKey: key, VVal: val})
 	return t
 }
 
 // DeleteKV buffers a byte-string-keyed delete (captured by reference
-// until the commit completes).
+// until the commit is issued).
 func (t *Txn) DeleteKV(key []byte) *Txn {
 	t.ops = append(t.ops, TxnOp{Kind: wire.TxnDeleteK, KKey: key})
 	return t
@@ -59,13 +59,14 @@ func (t *Txn) Len() int { return len(t.ops) }
 func (t *Txn) Reset() { t.ops = t.ops[:0] }
 
 // CommitTxnAsync issues a pipelined transaction commit carrying tx's
-// write-set. The write-set (including all byte slices) is captured by
-// reference until the call completes. Size violations — more than
+// write-set. The write-set (including all byte slices) is copied into the
+// request at issue, so tx may be reset and reused as soon as
+// CommitTxnAsync returns. Size violations — more than
 // wire.MaxTxnOps operations, an op with an out-of-range key or value, or
 // a set that overflows one frame — fail the call locally without
 // touching the connection.
 func (c *Conn) CommitTxnAsync(tx *Txn) *Call {
-	return c.start(wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
+	return c.start(&wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
 }
 
 // CommitTxn commits tx's write-set atomically on the server: when it
@@ -89,7 +90,7 @@ func (c *Conn) CommitTxnContext(ctx context.Context, tx *Txn) error {
 	if tx.Len() == 0 {
 		return nil
 	}
-	_, err := c.do(ctx, wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
 	return err
 }
 

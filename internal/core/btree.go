@@ -241,6 +241,24 @@ func (t *BTree) bracketSlot(th *pmem.Thread, n node, i int) (k1, p, prev, k2 uin
 // routeChild finds the child covering key in internal node n: the pointer of
 // the last valid entry with entryKey <= key, or the leftmost child when key
 // precedes every entry. It runs lock-free under the switch-counter protocol.
+//
+// The insert-direction scan is the paper's: it stops at the first
+// snapshot-valid entry whose key exceeds key, so a lookup reads the record
+// lines up to that separator, not up to the terminator. No entry with a
+// key <= key can lie right of the stop:
+//   - internal nodes never hold tombstones (node.go, rule 3), so every slot
+//     before the terminator is a valid entry or a transient duplicate, and
+//     snapshot validity (p != prev) skips the duplicates;
+//   - an even switch counter admits only right shifts, which copy slot i to
+//     i+1 pointer first, key second, from the terminator down, so keys stay
+//     non-decreasing over every slot in use at every instant;
+//   - a separator inserted after the scan passed its slot lands left of
+//     every larger key, the stop's included.
+//
+// Routing left of the true child is safe in any case: the candidate's key
+// is <= key, and the child's high key sends the descent right
+// (descendToLeaf). The delete-direction scan already stops at its first
+// confirmed entry.
 func (t *BTree) routeChild(th *pmem.Thread, n node, key uint64) uint64 {
 	if t.opts.BinarySearch {
 		return t.routeChildBinary(th, n, key)
@@ -251,8 +269,9 @@ func (t *BTree) routeChild(th *pmem.Thread, n node, key uint64) uint64 {
 		var best uint64
 		found := false
 		if sw%2 == 0 {
-			// Insert direction: scan lines left to right, tracking the
-			// last snapshot-valid entry with entryKey <= key, then
+			// Insert direction: scan lines left to right up to the
+			// first snapshot-valid entry with entryKey > key, tracking
+			// the last snapshot-valid entry with entryKey <= key, then
 			// confirm that one slot. Snapshot validity (p != prev, both
 			// from the same pass) keeps committed duplicates out of
 			// the candidate seat, so a failed confirmation always
@@ -267,7 +286,10 @@ func (t *BTree) routeChild(th *pmem.Thread, n node, key uint64) uint64 {
 					if p == 0 {
 						break scan
 					}
-					if k <= key && p != prev {
+					if p != prev {
+						if k > key {
+							break scan
+						}
 						cand = base + j
 					}
 					prev = p

@@ -131,3 +131,57 @@ func TestReadBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestRouteStopsAtFirstLargerKey: the insert-direction routing scan reads
+// record lines up to the first entry whose key exceeds the search key, not
+// up to the terminator. Counted in word loads on a quiescent root: the
+// switch counter and the leftmost word, the record lines, the candidate's
+// 4-word bracket and the closing switch-counter load.
+func TestRouteStopsAtFirstLargerKey(t *testing.T) {
+	p := pmem.New(pmem.Config{Size: 16 << 20})
+	th := p.NewThread()
+	tr, err := New(p, th, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.root(th)
+	for k := uint64(10); tr.level(th, root) == 0 || tr.count(th, root) < 20; k += 10 {
+		if err := tr.Insert(th, k, k+1); err != nil {
+			t.Fatal(err)
+		}
+		root = tr.root(th)
+	}
+	if h := tr.Height(th); h != 2 {
+		t.Fatalf("height %d, want 2", h)
+	}
+	cnt := tr.count(th, root)
+	loadsOf := func(key uint64) (child uint64, loads uint64) {
+		before := th.Stats.Loads
+		child = tr.routeChild(th, root, key)
+		return child, th.Stats.Loads - before
+	}
+	const fixed = 2 + 4 + 1
+	for i := 0; i < slotsPerLine-1; i++ {
+		// Separator i+1, the stop, shares the first record line.
+		key := tr.keyAt(th, root, i)
+		child, loads := loadsOf(key)
+		if want := tr.ptrAt(th, root, i); child != want {
+			t.Fatalf("routeChild(%d) = %d, want separator %d's child %d", key, child, i, want)
+		}
+		if want := uint64(fixed + pmem.WordsPerLine); loads != want {
+			t.Errorf("routing %d (separator %d of %d) loaded %d words, want %d: one record line",
+				key, i, cnt, loads, want)
+		}
+	}
+	// Past the last separator nothing is larger: the scan reads on to the
+	// terminator's line.
+	key := tr.keyAt(th, root, cnt-1) + 1
+	child, loads := loadsOf(key)
+	if want := tr.ptrAt(th, root, cnt-1); child != want {
+		t.Fatalf("routeChild(%d) = %d, want the last child %d", key, child, want)
+	}
+	if want := uint64(fixed + (recordLine(cnt)+1)*pmem.WordsPerLine); loads != want {
+		t.Errorf("routing past the last of %d separators loaded %d words, want %d: every line to the terminator's",
+			cnt, loads, want)
+	}
+}

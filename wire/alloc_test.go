@@ -1,11 +1,48 @@
 package wire
 
-import "testing"
+import (
+	"bufio"
+	"bytes"
+	"testing"
+)
 
 // The codec's allocation contract, pinned with testing.AllocsPerRun:
-// encoding into a reused buffer never allocates, fixed-size decodes never
+// encoding into a reused buffer never allocates, reading frames into a
+// recycled scratch buffer never allocates, fixed-size decodes never
 // allocate, and variable-size decodes allocate exactly their payload slice.
-// The server's zero-allocation read path is built on these guarantees.
+// The server's and the client's zero-allocation read paths are built on
+// these guarantees.
+
+// TestReadFrameAllocFree: a frame read through a bufio.Reader into a
+// recycled scratch buffer costs no allocation — the 8-byte header included,
+// which a local array would leak to the heap through io.ReadFull.
+func TestReadFrameAllocFree(t *testing.T) {
+	const frames = 64
+	var stream []byte
+	for i := range frames {
+		var err error
+		stream, err = AppendRequest(stream, &Request{ID: uint64(i + 1), Op: OpPut, Key: uint64(i), Val: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := bytes.NewReader(stream)
+	br := bufio.NewReader(rd)
+	scratch := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(stream)
+		br.Reset(rd)
+		for range frames {
+			body, err := ReadFrame(br, MaxFrame, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch = body[:0]
+		}
+	}); allocs != 0 {
+		t.Errorf("ReadFrame allocs per %d frames = %v, want 0", frames, allocs)
+	}
+}
 
 func TestAppendRequestAllocFree(t *testing.T) {
 	pairs := []KV{{1, 2}, {3, 4}}

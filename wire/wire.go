@@ -300,25 +300,31 @@ const FrameHdrSize = 8
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ReadFrame reads one frame body from r, validating its length bounds and
-// header CRC. scratch, if large enough, backs the returned slice (callers
-// recycle it across reads); the returned body is valid until the next
-// ReadFrame with the same scratch. Frames longer than max are rejected
-// before any body allocation; a body failing its CRC fails with
-// ErrFrameCorrupt (the connection is unusable — a corrupt length would
-// misalign every later frame).
+// header CRC. scratch, if large enough, backs the header and the returned
+// slice (callers recycle it across reads), so a recycled scratch makes the
+// read allocation-free; the returned body is valid until the next ReadFrame
+// with the same scratch. Frames longer than max are rejected before any
+// body allocation; a body failing its CRC fails with ErrFrameCorrupt (the
+// connection is unusable — a corrupt length would misalign every later
+// frame).
 func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
-	var hdr [FrameHdrSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header goes through scratch too: a local array would escape
+	// through io.ReadFull's io.Reader and cost an allocation per frame.
+	buf := scratch
+	if cap(buf) < FrameHdrSize {
+		buf = make([]byte, FrameHdrSize)
+	}
+	hdr := buf[:FrameHdrSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := be.Uint32(hdr[:4])
+	n, sum := be.Uint32(hdr[:4]), be.Uint32(hdr[4:]) // the body overwrites hdr
 	if n > max {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooBig, n, max)
 	}
 	if n < reqHeader {
 		return nil, malformed("body of %d bytes is below the %d-byte header", n, reqHeader)
 	}
-	buf := scratch
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
@@ -331,7 +337,7 @@ func ReadFrame(r io.Reader, max uint32, scratch []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.Checksum(buf, castagnoli) != be.Uint32(hdr[4:]) {
+	if crc32.Checksum(buf, castagnoli) != sum {
 		return nil, ErrFrameCorrupt
 	}
 	return buf, nil
