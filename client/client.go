@@ -52,14 +52,6 @@ func (e *RemoteError) Error() string {
 type Options struct {
 	// DialTimeout bounds connection establishment. Default 5s.
 	DialTimeout time.Duration
-	// MaxFrame caps an incoming response frame. Default wire.MaxFrame.
-	MaxFrame uint32
-	// SendQueue is the number of requests that may sit encoded in the
-	// connection's out buffer, waiting for the socket writer, before
-	// issuing blocks (256 KiB of encoded requests blocks it too). The
-	// buffer is also the writer's coalescing window: everything issued
-	// by the time the writer wakes goes out in one Write. Default 1024.
-	SendQueue int
 	// CallTimeout bounds each call from issue to response. When it
 	// expires the call fails with ErrCallTimeout but the connection stays
 	// up — the late response, if it ever arrives, is discarded. The
@@ -81,12 +73,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = wire.MaxFrame
-	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = 1024
 	}
 }
 
@@ -179,10 +165,15 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	return c, nil
 }
 
-// maxWriteSlab caps the encoded bytes the out buffer holds before issuing
-// blocks: deep enough to amortize the writer's syscall across a pipelined
-// burst, shallow enough to keep frames flowing while a huge burst drains.
-const maxWriteSlab = 256 << 10
+// The out buffer holds at most sendQueue requests and maxWriteSlab encoded
+// bytes before issuing blocks: deep enough to amortize the writer's syscall
+// across a pipelined burst — everything issued by the time the writer wakes
+// goes out in one Write — shallow enough to keep frames flowing while a huge
+// burst drains.
+const (
+	sendQueue    = 1024
+	maxWriteSlab = 256 << 10
+)
 
 // start issues a call: it encodes req straight into the out buffer and
 // queues the call for its response, all under c.mu, and wakes the writer
@@ -203,7 +194,7 @@ func (c *Conn) start(req *wire.Request) *Call {
 	}
 	c.inflight++
 	call.wg.Add(1)
-	for c.termErr == nil && (c.queued >= c.opts.SendQueue || len(c.out) >= maxWriteSlab) {
+	for c.termErr == nil && (c.queued >= sendQueue || len(c.out) >= maxWriteSlab) {
 		c.cond.Wait()
 	}
 	if c.termErr != nil {
@@ -271,7 +262,7 @@ func (c *Conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, ioBufSize)
 	var scratch []byte
 	for {
-		body, err := wire.ReadFrame(br, c.opts.MaxFrame, scratch)
+		body, err := wire.ReadFrame(br, wire.MaxFrame, scratch)
 		if errors.Is(err, wire.ErrFrameTooBig) {
 			// An absurd length prefix on a response is a damaged stream (a
 			// flipped bit in the prefix), not a request of ours that was too

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,8 +50,10 @@ type conn struct {
 	sampleCtr uint32
 
 	// A response is encoded into the slab before the next request runs, so
-	// one Scan pair buffer and one varlen buffer serve every request of
-	// the connection; the steady-state read paths allocate nothing.
+	// one response (a local handed to the table's handlers would escape), one
+	// Scan pair buffer and one varlen buffer serve every request of the
+	// connection; the steady-state read paths allocate nothing.
+	resp  wire.Response
 	pairs []wire.KV
 	vb    varlenBuf
 }
@@ -60,25 +63,58 @@ type respMeta struct {
 	served int64
 }
 
-// varlenBuf is the backing store of one varlen response: GetV and GetK
-// borrow the arena for their value bytes, ScanV additionally borrows the
-// pair slice (every Val a subslice of the arena) and the per-pair end
-// offsets used to rebuild those subslices after the arena stops growing.
-// ScanK borrows kpairs the same way, with two ends per pair (key end,
-// value end) since both the key and the value live in the arena.
+// varlenBuf backs one varlen response: GetV and GetK borrow the arena for
+// their value, ScanV and ScanK build their page in it (see add).
 type varlenBuf struct {
-	pairs  []wire.VKV
-	kpairs []wire.KKV
-	arena  []byte
-	ends   []int
+	pairs    []wire.VKV
+	kpairs   []wire.KKV
+	arena    []byte
+	ends     []int // two per page pair: where its key and its value end in arena
+	max, hdr int   // the page being built: its pair cap and per-pair header bytes
 }
 
-func (vb *varlenBuf) reset() *varlenBuf {
+func (vb *varlenBuf) reset(max, hdr int) *varlenBuf {
 	vb.pairs = vb.pairs[:0]
 	vb.kpairs = vb.kpairs[:0]
 	vb.arena = vb.arena[:0]
 	vb.ends = vb.ends[:0]
+	vb.max, vb.hdr = max, hdr
 	return vb
+}
+
+// pageBudget bounds a ScanV or ScanK page's encoded bytes under the frame
+// cap.
+const pageBudget = wire.MaxFrame - 64
+
+// add is the one frame-budgeted page builder behind ScanV and ScanK: it
+// appends a pair's key and value bytes to the arena, reporting whether the
+// pair was taken and whether another may follow. A page holds at most max
+// pairs and pageBudget bytes, each pair charged a hdr-byte header. The first
+// pair is always taken (progress guarantee: wire.MaxValue, wire.MaxKey and
+// wire.MaxKValue keep it within a frame); a later one that would overflow
+// ends the page.
+func (vb *varlenBuf) add(k, v []byte) (taken, more bool) {
+	n := len(vb.ends) / 2
+	if n > 0 && len(vb.arena)+vb.hdr*(n+1)+len(k)+len(v) > pageBudget {
+		return false, false
+	}
+	vb.arena = append(vb.arena, k...)
+	vb.ends = append(vb.ends, len(vb.arena))
+	vb.arena = append(vb.arena, v...)
+	vb.ends = append(vb.ends, len(vb.arena))
+	n++
+	return true, n < vb.max && len(vb.arena)+vb.hdr*n < pageBudget
+}
+
+// pair returns page pair i's key and value as capped subslices of the
+// arena, once it has stopped growing.
+func (vb *varlenBuf) pair(i int) (k, v []byte) {
+	start := 0
+	if i > 0 {
+		start = vb.ends[2*i-1]
+	}
+	ke, ve := vb.ends[2*i], vb.ends[2*i+1]
+	return vb.arena[start:ke:ke], vb.arena[ke:ve:ve]
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -105,16 +141,11 @@ func (c *conn) isDraining() bool {
 	}
 }
 
-// handle runs the connection to completion as one loop: block for a frame,
-// decode every complete frame already buffered (up to maxIngest) into one
-// batch, execute the batch in order on the connection's own session,
-// encoding each response straight into the slab, write the slab, repeat.
-// Arrival-order execution is the loop itself. Backpressure is TCP's own: a
-// peer that stops reading blocks this goroutine in Write, which stops it
-// reading, which fills the peer's send buffer — and it stalls nobody else,
-// since no other connection's work runs here. The socket closes only after
-// the loop has written (or failed to write) a response for every frame it
-// decoded, which is what makes Shutdown's drain complete.
+// handle runs the connection to completion as the one loop the package
+// comment describes; arrival-order execution and TCP backpressure are the
+// loop itself. The socket closes only after the loop has written (or failed
+// to write) a response for every frame it decoded, which is what makes
+// Shutdown's drain complete.
 //
 // A malformed frame gets a best-effort error response (when the id survived
 // decoding) after everything decoded before it was executed and answered,
@@ -145,20 +176,21 @@ func (c *conn) handle() {
 				c.nc.SetReadDeadline(time.Now())
 			}
 		}
-		body, err := wire.ReadFrame(br, s.opts.MaxFrame, scratch)
+		body, err := wire.ReadFrame(br, wire.MaxFrame, scratch)
 		if err != nil {
 			c.noteEnd("read", err)
 			return
 		}
+		in := 0 // bytes of the frames read this wakeup
 		for n := 1; ; n++ {
-			s.bytesIn.Add(uint64(wire.FrameHdrSize + len(body)))
+			in += wire.FrameHdrSize + len(body)
 			req, derr := wire.DecodeRequest(body)
 			if derr != nil {
 				// Framing is lost; answer what decoded, then the error,
 				// then hang up. A write that fails on the way has already
 				// filed the connection's end.
 				s.logf("server: %s: %v", c.nc.RemoteAddr(), derr)
-				if c.runBatch(ss) {
+				if c.runBatch(ss, in) {
 					c.protoErr(body, derr)
 					if c.flush() {
 						s.resets.Add(1)
@@ -174,52 +206,51 @@ func (c *conn) handle() {
 			} else {
 				c.shed(&req)
 			}
-			if n >= maxIngest || !wire.FrameBuffered(br, s.opts.MaxFrame) {
+			if n >= maxIngest || !wire.FrameBuffered(br, wire.MaxFrame) {
 				break
 			}
-			if body, err = wire.ReadFrame(br, s.opts.MaxFrame, scratch); err != nil {
+			if body, err = wire.ReadFrame(br, wire.MaxFrame, scratch); err != nil {
 				// FrameBuffered said a whole frame (or an oversized
 				// length) was buffered, so this is a reject, not a
 				// blocked read; answer what we have and die.
-				if c.runBatch(ss) {
+				if c.runBatch(ss, in) {
 					c.noteEnd("read", err)
 				}
 				return
 			}
 		}
-		if !c.runBatch(ss) {
+		if !c.runBatch(ss, in) {
 			return
 		}
 	}
 }
 
-// runBatch executes the batch in order and writes the slab: once at the
-// end, and whenever it passes slabFlush on the way. It reports whether the
-// connection is still usable. After a failed write the rest of the batch is
-// dropped unexecuted — the peer can no longer learn the outcome — and only
-// gives its admission slots back.
-func (c *conn) runBatch(ss *store.Session) bool {
+// runBatch counts the in bytes its frames took on the wire, executes the
+// batch in order and writes the slab: once at the end, and whenever it
+// passes slabFlush on the way. It reports whether the connection is still
+// usable. After a failed write the rest of the batch is dropped unexecuted —
+// the peer can no longer learn the outcome — and only gives its admission
+// slots back.
+func (c *conn) runBatch(ss *store.Session, in int) bool {
 	s := c.srv
+	s.bytesIn.Add(uint64(in))
 	if n := len(c.batch); n > 0 {
-		s.readBatches.Add(1)
 		s.met.readBatch.Record(int64(n))
 	}
 	// t0 starts every batched request's queue-wait clock: what a request
 	// waits for is the requests decoded ahead of it in its own batch.
 	t0 := s.mnow()
-	ok, executed := true, 0
+	ok := true
 	for i := range c.batch {
 		if !ok {
 			s.releaseAdmit()
 			continue
 		}
 		c.serveOne(ss, &c.batch[i], t0)
-		executed++
 		if len(c.slab) >= slabFlush {
 			ok = c.flush()
 		}
 	}
-	s.inlineOps.Add(uint64(executed))
 	// Requests can pin PutBatch pair slices and PutV values; drop them
 	// before the connection goes back to waiting.
 	clear(c.batch)
@@ -244,7 +275,6 @@ func (c *conn) flush() bool {
 		return false
 	}
 	s.bytesOut.Add(uint64(len(c.slab)))
-	s.flushes.Add(1)
 	s.met.flushBytes.Record(int64(len(c.slab)))
 	s.met.flushPend.Record(int64(c.pend))
 	if len(c.meta) > 0 {
@@ -289,12 +319,12 @@ func (c *conn) noteEnd(dir string, err error) {
 }
 
 // shed answers one over-the-cap request with StatusBusy without executing
-// it.
+// it. It is counted under its opcode before it is counted shed, which is
+// what keeps Stats' InlineOps from going below zero.
 func (c *conn) shed(req *wire.Request) {
 	s := c.srv
-	s.ops.Add(1)
-	s.shed.Add(1)
 	s.met.reqs[opSlot(req.Op)].Inc(c.stripe)
+	s.shed.Add(1)
 	c.emit(&wire.Response{
 		ID: req.ID, Op: req.Op, Status: wire.StatusBusy,
 		Msg: "server: overloaded, retry later",
@@ -304,11 +334,9 @@ func (c *conn) shed(req *wire.Request) {
 // protoErr answers an undecodable frame, echoing its id when the body is
 // long enough to hold one. The caller cuts the connection right after.
 func (c *conn) protoErr(body []byte, err error) {
-	s := c.srv
-	s.ops.Add(1)
-	s.errs.Add(1)
-	s.met.reqs[0].Inc(c.stripe)
-	s.met.errs[0].Inc(c.stripe)
+	m := c.srv.met
+	m.reqs[0].Inc(c.stripe)
+	m.errs[0].Inc(c.stripe)
 	resp := wire.Response{Status: wire.StatusErr, Msg: err.Error()}
 	if len(body) >= 8 {
 		resp.ID = binary.BigEndian.Uint64(body)
@@ -316,306 +344,233 @@ func (c *conn) protoErr(body []byte, err error) {
 	c.emit(&resp)
 }
 
-// latencySampleMask sets the server's stage-latency sampling rate to one
-// in (mask+1) requests; must be a power of two minus one. Two clock
-// reads cost ~100ns on some hosts, so sampling keeps the pipeline's
-// per-request overhead to a counter increment and a branch. Setting
-// Options.SlowOpThreshold forces every request onto the clocked path —
-// the slow-op log must not sample — at that clocking cost.
+// latencySampleMask sets the stage-latency sampling rate to one in mask+1
+// requests (a power of two minus one): two clock reads cost ~100ns on some
+// hosts, so an unsampled request pays a counter increment and a branch.
+// Options.SlowOpThreshold clocks every request.
 const latencySampleMask = 7
 
-// serveOne runs one request through serve and encodes its response into
-// the slab, with the stage instrumentation around it: the queue-wait
-// histogram (batch ingest t0 to execution start), the execute histogram,
-// the per-class whole-request histogram backing the wire Stats latency
-// summary, and the slow-op check. Stage latencies are sampled one in
-// latencySampleMask+1 requests. A sampled response leaves its ready time in
-// meta so the write can charge the flush-wait stage.
+// serveOne executes one request through its opcode's handler (see ops),
+// counting it and any failure under its opcode, and encodes the response —
+// which borrows the connection's scratch buffers — into the slab. One in
+// latencySampleMask+1 requests is clocked: queue wait (batch ingest t0 to
+// execution start), execution, the per-class whole-request histogram behind
+// the wire Stats latency summary, the slow-op check, and a meta entry so the
+// write can charge the flush-wait stage.
 func (c *conn) serveOne(ss *store.Session, req *wire.Request, t0 int64) {
-	s := c.srv
+	s, m, slot := c.srv, c.srv.met, opSlot(req.Op)
 	c.sampleCtr++
-	if c.sampleCtr&latencySampleMask != 0 && s.opts.SlowOpThreshold == 0 {
-		resp := c.serve(ss, req)
-		s.releaseAdmit()
-		c.emit(&resp)
+	clocked := c.sampleCtr&latencySampleMask == 0 || s.opts.SlowOpThreshold > 0
+	var start int64
+	if clocked {
+		start = s.mnow()
+	}
+	m.reqs[slot].Inc(c.stripe)
+	c.resp = wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
+	if err := ops[slot].serve(c, ss, req); err != nil {
+		m.errs[slot].Inc(c.stripe)
+		c.resp = wire.Response{ID: req.ID, Op: req.Op, Status: statusOf(err), Msg: err.Error()}
+	}
+	s.releaseAdmit()
+	c.emit(&c.resp)
+	if !clocked {
 		return
 	}
-	start := s.mnow()
-	resp := c.serve(ss, req)
-	s.releaseAdmit()
 	now := s.mnow()
-	slot := opSlot(req.Op)
-	m := s.met
 	m.queue[slot].Record(start - t0)
 	m.exec[slot].Record(now - start)
-	m.class[opClasses[slot]].Record(now - t0)
+	m.class[ops[slot].class].Record(now - t0)
 	if thr := int64(s.opts.SlowOpThreshold); thr > 0 && now-t0 >= thr {
 		s.noteSlow(req, slot, start-t0, now-start, now)
 	}
-	c.emit(&resp)
 	c.meta = append(c.meta, respMeta{uint8(slot), now})
 }
 
-// serve executes one request against the connection's session and shapes
-// the response. Store-level failures become StatusErr; a closed store (the
-// server lost a race with Store.Close) becomes StatusClosed; a Txn commit
-// that crossed its commit point but failed to apply becomes
-// StatusTxnIncomplete so clients can tell "committed, pending replay"
-// from "refused, nothing applied". Scan pairs and varlen values in the
-// response borrow the connection's scratch buffers: the response must be
-// encoded before the next serve.
-func (c *conn) serve(ss *store.Session, req *wire.Request) wire.Response {
-	s := c.srv
-	s.ops.Add(1)
-	slot := opSlot(req.Op)
-	s.met.reqs[slot].Inc(c.stripe)
-	out := wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
-	resp := &out
-	fail := func(err error) wire.Response {
-		s.errs.Add(1)
-		s.met.errs[slot].Inc(c.stripe)
-		resp.Status = wire.StatusErr
-		switch {
-		case errors.Is(err, store.ErrClosed):
-			resp.Status = wire.StatusClosed
-		case errors.Is(err, store.ErrNoSpace):
-			resp.Status = wire.StatusNoSpace
-		case errors.Is(err, store.ErrTxnIncomplete):
-			// The transaction reached its commit point: it is durable
-			// and replays at the next reopen, but is not yet visible.
-			// ErrReopenRequired (a later commit refused by the latch)
-			// stays StatusErr — that one really did apply nothing.
-			resp.Status = wire.StatusTxnIncomplete
-		}
-		resp.Msg = err.Error()
-		resp.VVal, resp.VPairs, resp.KPairs = nil, nil, nil
-		return out
+// statusOf is the one error→status mapping: a closed store (the server lost
+// a race with Store.Close) is StatusClosed, a full value log StatusNoSpace,
+// and a Txn commit past its commit point but not applied StatusTxnIncomplete
+// — durable, replayed at the next reopen. Everything else, ErrReopenRequired
+// included (a later commit the latch refused: nothing applied), is StatusErr.
+func statusOf(err error) wire.Status {
+	switch {
+	case errors.Is(err, store.ErrClosed):
+		return wire.StatusClosed
+	case errors.Is(err, store.ErrNoSpace):
+		return wire.StatusNoSpace
+	case errors.Is(err, store.ErrTxnIncomplete):
+		return wire.StatusTxnIncomplete
 	}
-	switch req.Op {
-	case wire.OpGet:
-		v, ok, err := ss.Get(req.Key)
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return out
-		}
-		resp.Val = v
-	case wire.OpPut:
-		if err := ss.Put(req.Key, req.Val); err != nil {
-			return fail(err)
-		}
-	case wire.OpDelete:
-		ok, err := ss.Delete(req.Key)
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			resp.Status = wire.StatusNotFound
-		}
-	case wire.OpPutBatch:
-		pairs := make([]store.KV, len(req.Pairs))
-		for i, kv := range req.Pairs {
-			pairs[i] = store.KV{Key: kv.Key, Val: kv.Val}
-		}
-		if err := ss.PutBatch(pairs); err != nil {
-			return fail(err)
-		}
-	case wire.OpScan:
-		max := s.opts.MaxScan
-		if req.Max != 0 && int(req.Max) < max {
-			max = int(req.Max)
-		}
-		kvs, err := ss.ScanLimit(req.Lo, req.Hi, max)
-		if err != nil {
-			return fail(err)
-		}
-		pairs := c.pairs[:0]
-		for _, kv := range kvs {
-			pairs = append(pairs, wire.KV{Key: kv.Key, Val: kv.Val})
-		}
-		c.pairs = pairs
-		resp.Pairs = pairs
-	case wire.OpGetV:
-		vb := c.vb.reset()
-		val, ok, err := ss.GetBytes(req.Key, vb.arena[:0])
-		if err != nil {
-			return fail(err)
-		}
-		vb.arena = val
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return out
-		}
-		resp.VVal = val
-	case wire.OpPutV:
-		if err := ss.PutBytes(req.Key, req.VVal); err != nil {
-			return fail(err)
-		}
-	case wire.OpScanV:
-		max := s.opts.MaxScan
-		if req.Max != 0 && int(req.Max) < max {
-			max = int(req.Max)
-		}
-		vb := c.vb.reset()
-		// The response must stay under the frame cap: count bounded by
-		// max, bytes bounded by a budget charging each pair's 12-byte
-		// header as it is appended. A first value too big for the budget
-		// alone is still sent (progress guarantee; it fits a frame since
-		// values are capped at wire.MaxValue); anything later that would
-		// overflow ends the page.
-		budget := int(wire.MaxFrame) - 64
-		var oversizedKey uint64
-		oversized := false
-		err := ss.ScanBytes(req.Lo, req.Hi, max, func(k uint64, v []byte) bool {
-			if len(v) > wire.MaxValue {
-				// Stored through the embedded API above the wire cap;
-				// an empty page here would strand paginating clients,
-				// so surface it as the request's failure instead.
-				if len(vb.pairs) == 0 {
-					oversized, oversizedKey = true, k
-				}
-				return false
+	return wire.StatusErr
+}
+
+// ops is the server's one opcode table: each opcode's latency class and
+// handler. A handler fills c.resp (ID, Op and StatusOK preset); an error it
+// returns becomes a payload-free response with statusOf's status instead.
+var ops = [numOps]struct {
+	class int
+	serve func(c *conn, ss *store.Session, req *wire.Request) error
+}{
+	0:               {classRead, (*conn).unknown},
+	wire.OpGet:      {classRead, (*conn).get},
+	wire.OpPut:      {classWrite, (*conn).put},
+	wire.OpDelete:   {classWrite, (*conn).delete},
+	wire.OpPutBatch: {classWrite, (*conn).putBatch},
+	wire.OpScan:     {classScan, (*conn).scan},
+	wire.OpStats:    {classRead, (*conn).stats},
+	wire.OpGetV:     {classRead, (*conn).getBytes},
+	wire.OpPutV:     {classWrite, (*conn).putBytes},
+	wire.OpScanV:    {classScan, (*conn).scanBytes},
+	wire.OpGetK:     {classRead, (*conn).getBytes},
+	wire.OpPutK:     {classWrite, (*conn).putKV},
+	wire.OpDeleteK:  {classWrite, (*conn).deleteKV},
+	wire.OpScanK:    {classScan, (*conn).scanKV},
+	wire.OpTxn:      {classWrite, (*conn).txn},
+}
+
+// found sets StatusNotFound on a read or delete that succeeded without
+// finding its key, and passes err through.
+func (c *conn) found(ok bool, err error) error {
+	if err == nil && !ok {
+		c.resp.Status = wire.StatusNotFound
+	}
+	return err
+}
+
+// pageMax is a scan request's pair bound: its Max, capped at (and by
+// default) wire.MaxPairs.
+func pageMax(req *wire.Request) int {
+	if req.Max == 0 || req.Max > wire.MaxPairs {
+		return wire.MaxPairs
+	}
+	return int(req.Max)
+}
+
+func (c *conn) unknown(_ *store.Session, r *wire.Request) error {
+	return errors.New("server: unhandled opcode " + r.Op.String())
+}
+
+func (c *conn) put(ss *store.Session, r *wire.Request) error      { return ss.Put(r.Key, r.Val) }
+func (c *conn) delete(ss *store.Session, r *wire.Request) error   { return c.found(ss.Delete(r.Key)) }
+func (c *conn) putBytes(ss *store.Session, r *wire.Request) error { return ss.PutBytes(r.Key, r.VVal) }
+func (c *conn) putKV(ss *store.Session, r *wire.Request) error    { return ss.PutKV(r.KKey, r.VVal) }
+func (c *conn) deleteKV(ss *store.Session, r *wire.Request) error {
+	return c.found(ss.DeleteKV(r.KKey))
+}
+
+func (c *conn) get(ss *store.Session, req *wire.Request) (err error) {
+	var ok bool
+	c.resp.Val, ok, err = ss.Get(req.Key)
+	return c.found(ok, err)
+}
+
+func (c *conn) putBatch(ss *store.Session, req *wire.Request) error {
+	pairs := make([]store.KV, len(req.Pairs))
+	for i, kv := range req.Pairs {
+		pairs[i] = store.KV{Key: kv.Key, Val: kv.Val}
+	}
+	return ss.PutBatch(pairs)
+}
+
+func (c *conn) scan(ss *store.Session, req *wire.Request) error {
+	kvs, err := ss.ScanLimit(req.Lo, req.Hi, pageMax(req))
+	c.pairs = c.pairs[:0]
+	for _, kv := range kvs {
+		c.pairs = append(c.pairs, wire.KV{Key: kv.Key, Val: kv.Val})
+	}
+	c.resp.Pairs = c.pairs
+	return err
+}
+
+// getBytes is GetV and GetK: the value lands in the connection's varlen
+// arena, which the response borrows.
+func (c *conn) getBytes(ss *store.Session, req *wire.Request) (err error) {
+	var ok bool
+	if req.Op == wire.OpGetK {
+		c.vb.arena, ok, err = ss.GetKV(req.KKey, c.vb.arena[:0])
+	} else {
+		c.vb.arena, ok, err = ss.GetBytes(req.Key, c.vb.arena[:0])
+	}
+	c.resp.VVal = c.vb.arena
+	return c.found(ok, err)
+}
+
+func (c *conn) scanBytes(ss *store.Session, req *wire.Request) error {
+	vb := c.vb.reset(pageMax(req), 12)
+	var oversized error
+	err := ss.ScanBytes(req.Lo, req.Hi, vb.max, func(k uint64, v []byte) bool {
+		if len(v) > wire.MaxValue {
+			// Stored through the embedded API above the wire cap; an
+			// empty page here would strand paginating clients, so
+			// surface it as the request's failure instead.
+			if len(vb.pairs) == 0 {
+				oversized = fmt.Errorf("server: value at key %d exceeds the wire size cap", k)
 			}
-			used := len(vb.arena) + 12*len(vb.pairs)
-			if len(vb.pairs) > 0 && used+12+len(v) > budget {
-				return false
-			}
-			vb.arena = append(vb.arena, v...)
+			return false
+		}
+		taken, more := vb.add(nil, v)
+		if taken {
 			vb.pairs = append(vb.pairs, wire.VKV{Key: k})
-			vb.ends = append(vb.ends, len(vb.arena))
-			return len(vb.pairs) < max && len(vb.arena)+12*len(vb.pairs) < budget
-		})
-		if err != nil {
-			return fail(err)
 		}
-		if oversized {
-			return fail(fmt.Errorf("server: value at key %d exceeds the wire size cap", oversizedKey))
-		}
-		// The arena has stopped moving; point the pairs into it.
-		start := 0
-		for i := range vb.pairs {
-			vb.pairs[i].Val = vb.arena[start:vb.ends[i]:vb.ends[i]]
-			start = vb.ends[i]
-		}
-		resp.VPairs = vb.pairs
-	case wire.OpGetK:
-		vb := c.vb.reset()
-		val, ok, err := ss.GetKV(req.KKey, vb.arena[:0])
-		if err != nil {
-			return fail(err)
-		}
-		vb.arena = val
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return out
-		}
-		resp.VVal = val
-	case wire.OpPutK:
-		if err := ss.PutKV(req.KKey, req.VVal); err != nil {
-			return fail(err)
-		}
-	case wire.OpDeleteK:
-		ok, err := ss.DeleteKV(req.KKey)
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			resp.Status = wire.StatusNotFound
-		}
-	case wire.OpScanK:
-		max := s.opts.MaxScan
-		if req.Max != 0 && int(req.Max) < max {
-			max = int(req.Max)
-		}
-		vb := c.vb.reset()
-		// Same frame-cap discipline as ScanV, with a 6-byte per-pair
-		// header (klen u16 + vlen u32) and the key bytes charged along
-		// with the value. The first pair always fits: keys are capped at
-		// wire.MaxKey and stored values at wire.MaxKValue = MaxFrame-2048.
-		// Both key and value land in the arena; ends records two offsets
-		// per pair so the subslices can be rebuilt once it stops growing.
-		budget := int(wire.MaxFrame) - 64
-		err := ss.ScanKV(req.KLo, req.KHi, max, func(k, v []byte) bool {
-			used := len(vb.arena) + 6*len(vb.kpairs)
-			if len(vb.kpairs) > 0 && used+6+len(k)+len(v) > budget {
-				return false
-			}
-			vb.arena = append(vb.arena, k...)
-			vb.ends = append(vb.ends, len(vb.arena))
-			vb.arena = append(vb.arena, v...)
-			vb.ends = append(vb.ends, len(vb.arena))
-			vb.kpairs = append(vb.kpairs, wire.KKV{})
-			return len(vb.kpairs) < max && len(vb.arena)+6*len(vb.kpairs) < budget
-		})
-		if err != nil {
-			return fail(err)
-		}
-		start := 0
-		for i := range vb.kpairs {
-			ke, ve := vb.ends[2*i], vb.ends[2*i+1]
-			vb.kpairs[i].Key = vb.arena[start:ke:ke]
-			if ve > ke {
-				vb.kpairs[i].Val = vb.arena[ke:ve:ve]
-			}
-			start = ve
-		}
-		resp.KPairs = vb.kpairs
-	case wire.OpTxn:
-		// The whole write-set commits atomically through the store's
-		// redo-log protocol, on this connection's session (sessions are
-		// per-goroutine, honoring Commit's single-goroutine contract).
-		tx := ss.Begin()
-		for i := range req.TxnOps {
-			op := &req.TxnOps[i]
-			var err error
-			switch op.Kind {
-			case wire.TxnPut:
-				err = tx.Put(op.Key, op.Val)
-			case wire.TxnDelete:
-				err = tx.Delete(op.Key)
-			case wire.TxnPutK:
-				err = tx.PutKV(op.KKey, op.VVal)
-			case wire.TxnDeleteK:
-				err = tx.DeleteKV(op.KKey)
-			default:
-				err = fmt.Errorf("server: txn op %d has unknown kind %d", i, op.Kind)
-			}
-			if err != nil {
-				tx.Rollback()
-				return fail(err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return fail(err)
-		}
-	case wire.OpStats:
-		st := s.Stats()
-		vs := s.st.ValueStats()
-		sum := s.met.classSummary()
-		resp.Stats = wire.Stats{
-			Ops:           st.Ops,
-			Errors:        st.Errors,
-			BytesIn:       st.BytesIn,
-			BytesOut:      st.BytesOut,
-			ConnsLive:     st.ConnsLive,
-			ConnsTotal:    st.ConnsTotal,
-			VlogLive:      uint64(vs.Live),
-			VlogGarbage:   uint64(vs.Garbage),
-			VlogReclaimed: uint64(vs.Reclaimed),
-			Shed:          st.Shed,
-			IdleCloses:    st.IdleCloses,
-			Resets:        st.Resets,
-			ReadP50:       sum[0],
-			ReadP99:       sum[1],
-			WriteP50:      sum[2],
-			WriteP99:      sum[3],
-			ScanP50:       sum[4],
-			ScanP99:       sum[5],
-		}
-	default:
-		return fail(errors.New("server: unhandled opcode " + req.Op.String()))
+		return more
+	})
+	for i := range vb.pairs {
+		_, vb.pairs[i].Val = vb.pair(i)
 	}
-	return out
+	c.resp.VPairs = vb.pairs
+	return cmp.Or(err, oversized)
+}
+
+func (c *conn) scanKV(ss *store.Session, req *wire.Request) error {
+	vb := c.vb.reset(pageMax(req), 6)
+	err := ss.ScanKV(req.KLo, req.KHi, vb.max, func(k, v []byte) bool {
+		_, more := vb.add(k, v)
+		return more
+	})
+	for i := range len(vb.ends) / 2 {
+		k, v := vb.pair(i)
+		vb.kpairs = append(vb.kpairs, wire.KKV{Key: k, Val: v})
+	}
+	c.resp.KPairs = vb.kpairs
+	return err
+}
+
+// txn commits the whole write-set atomically through the store's redo-log
+// protocol, on this connection's session (sessions are per-goroutine,
+// honoring Commit's single-goroutine contract).
+func (c *conn) txn(ss *store.Session, req *wire.Request) error {
+	tx := ss.Begin()
+	for i := range req.TxnOps {
+		op := &req.TxnOps[i]
+		var err error
+		switch op.Kind {
+		case wire.TxnPut:
+			err = tx.Put(op.Key, op.Val)
+		case wire.TxnDelete:
+			err = tx.Delete(op.Key)
+		case wire.TxnPutK:
+			err = tx.PutKV(op.KKey, op.VVal)
+		case wire.TxnDeleteK:
+			err = tx.DeleteKV(op.KKey)
+		default:
+			err = fmt.Errorf("server: txn op %d has unknown kind %d", i, op.Kind)
+		}
+		if err != nil {
+			tx.Rollback()
+			return err
+		}
+	}
+	return tx.Commit()
+}
+
+func (c *conn) stats(_ *store.Session, _ *wire.Request) error {
+	s := c.srv
+	st, vs, sum := s.Stats(), s.st.ValueStats(), s.met.classSummary()
+	c.resp.Stats = wire.Stats{
+		Ops: st.Ops, Errors: st.Errors, BytesIn: st.BytesIn, BytesOut: st.BytesOut,
+		ConnsLive: st.ConnsLive, ConnsTotal: st.ConnsTotal,
+		VlogLive: uint64(vs.Live), VlogGarbage: uint64(vs.Garbage), VlogReclaimed: uint64(vs.Reclaimed),
+		Shed: st.Shed, IdleCloses: st.IdleCloses, Resets: st.Resets,
+		ReadP50: sum[0], ReadP99: sum[1], WriteP50: sum[2], WriteP99: sum[3], ScanP50: sum[4], ScanP99: sum[5],
+	}
+	return nil
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // Per-opcode metric slots: slot 0 collects anything outside the known
-// opcode range (unknown ops, undecodable frames), slots 1..14 mirror the
-// wire opcodes. Arrays indexed by slot keep the hot-path record a bounds-
-// checked array access, no map lookups.
-const numOps = 15
+// opcode range (undecodable frames), slots 1..numOps-1 mirror the wire
+// opcodes. Arrays indexed by slot keep the hot-path record a bounds-checked
+// array access, no map lookups.
+const numOps = int(wire.OpTxn) + 1
 
 func opSlot(op wire.Op) int {
 	if op >= wire.OpGet && op <= wire.OpTxn {
@@ -22,16 +22,17 @@ func opSlot(op wire.Op) int {
 	return 0
 }
 
-var opNames = [numOps]string{
-	"other", "Get", "Put", "Delete", "PutBatch",
-	"Scan", "Stats", "GetV", "PutV", "ScanV",
-	"GetK", "PutK", "DeleteK", "ScanK", "Txn",
+// opName is slot's op="…" label: its opcode's wire name, "other" for slot 0.
+func opName(slot int) string {
+	if slot == 0 {
+		return "other"
+	}
+	return wire.Op(slot).String()
 }
 
-// Op classes summarize latency for the wire Stats frame: read = Get/GetV/
-// GetK/Stats, write = Put/PutV/PutK/Delete/DeleteK/PutBatch, scan =
-// Scan/ScanV/ScanK. Slot 0 (unknown) counts as read — it never carries
-// store work.
+// Op classes summarize latency for the wire Stats frame; each opcode's
+// class is its row of the opcode table (ops). Slot 0 counts as read — it
+// never carries store work.
 const (
 	classRead = iota
 	classWrite
@@ -40,24 +41,6 @@ const (
 )
 
 var classNames = [numClasses]string{"read", "write", "scan"}
-
-var opClasses = [numOps]int{
-	classRead,  // other
-	classRead,  // Get
-	classWrite, // Put
-	classWrite, // Delete
-	classWrite, // PutBatch
-	classScan,  // Scan
-	classRead,  // Stats
-	classRead,  // GetV
-	classWrite, // PutV
-	classScan,  // ScanV
-	classRead,  // GetK
-	classWrite, // PutK
-	classWrite, // DeleteK
-	classScan,  // ScanK
-	classWrite, // Txn
-}
 
 // serverMetrics is the server's always-on instrumentation: per-opcode
 // request/error counters (striped by connection so the hot path never
@@ -133,11 +116,11 @@ func (m *serverMetrics) classSummary() (out [2 * numClasses]uint64) {
 func (s *Server) registerMetrics(reg *metrics.Registry) {
 	m := s.met
 	for i := 0; i < numOps; i++ {
-		op := `op="` + opNames[i] + `"`
+		op := `op="` + opName(i) + `"`
 		reg.Counter("pmkv_server_requests_total", op,
 			"requests served, by opcode", m.reqs[i].Load)
 		reg.Counter("pmkv_server_request_errors_total", op,
-			"requests answered with StatusErr or StatusClosed, by opcode", m.errs[i].Load)
+			"requests answered with an error status (StatusErr, StatusClosed, StatusNoSpace, StatusTxnIncomplete), protocol errors included, by opcode", m.errs[i].Load)
 		reg.Histogram("pmkv_server_request_stage_seconds", op+`,stage="queue"`,
 			"per-request pipeline stage latency", 1e-9, m.queue[i])
 		reg.Histogram("pmkv_server_request_stage_seconds", op+`,stage="execute"`,
@@ -161,21 +144,13 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.Counter("pmkv_server_bytes_total", `direction="out"`,
 		"wire bytes moved, including frame headers", s.bytesOut.Load)
 	reg.Gauge("pmkv_server_connections_live", "",
-		"currently open connections", func() float64 {
-			live := s.connsLive.Load()
-			if live < 0 {
-				live = 0
-			}
-			return float64(live)
-		})
+		"currently open connections", func() float64 { return float64(max(s.connsLive.Load(), 0)) })
 	reg.Counter("pmkv_server_connections_total", "",
 		"connections accepted since start", s.connsTotal.Load)
 	reg.Counter("pmkv_server_read_batches_total", "",
-		"ingest batches executed", s.readBatches.Load)
-	reg.Counter("pmkv_server_inline_requests_total", "",
-		"requests executed (on their connection's goroutine: there is no other site)", s.inlineOps.Load)
+		"ingest batches executed", func() uint64 { return m.readBatch.Snapshot().Count() })
 	reg.Counter("pmkv_server_flushes_total", "",
-		"response write syscalls", s.flushes.Load)
+		"response write syscalls", func() uint64 { return m.flushBytes.Snapshot().Count() })
 	reg.Counter("pmkv_server_shed_requests_total", "",
 		"requests answered StatusBusy at the MaxServerInflight admission cap", s.shed.Load)
 	reg.Counter("pmkv_server_idle_closes_total", "",
@@ -223,11 +198,10 @@ func (s *Server) noteSlow(req *wire.Request, slot int, queueNS, execNS, now int6
 	if suppressed > 0 {
 		extra = fmt.Sprintf(" (+%d suppressed)", suppressed)
 	}
+	key := fmt.Sprint(req.Key)
 	if len(req.KKey) > 0 {
-		s.logf("server: slow op %s key=%q queue=%v execute=%v%s",
-			opNames[slot], req.KKey, time.Duration(queueNS), time.Duration(execNS), extra)
-		return
+		key = fmt.Sprintf("%q", req.KKey)
 	}
-	s.logf("server: slow op %s key=%d queue=%v execute=%v%s",
-		opNames[slot], req.Key, time.Duration(queueNS), time.Duration(execNS), extra)
+	s.logf("server: slow op %s key=%s queue=%v execute=%v%s",
+		opName(slot), key, time.Duration(queueNS), time.Duration(execNS), extra)
 }

@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -169,5 +173,114 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	if _, err := metrics.LintText(rec.Body.Bytes()); err != nil {
 		t.Errorf("handler body does not lint: %v", err)
+	}
+}
+
+// familySum adds up every series of one counter family in a scrape.
+func familySum(exposition, family string) (sum float64) {
+	for _, line := range strings.Split(exposition, "\n") {
+		rest, ok := strings.CutPrefix(line, family+"{")
+		if !ok {
+			continue
+		}
+		var v float64
+		fmt.Sscanf(rest[strings.LastIndexByte(rest, ' ')+1:], "%g", &v)
+		sum += v
+	}
+	return sum
+}
+
+// TestStatsAgreeWithMetrics: Server.Stats is read off the metric families,
+// not kept beside them, so after traffic over every opcode family — with a
+// store error and a protocol error among it — each Stats counter equals
+// its family in a scrape of the quiesced server.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	ts := startServer(t, store.Options{}, Options{})
+	c, err := client.Dial(ts.addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(c.Put(1, 10))
+	_, _, err = c.Get(1)
+	must(err)
+	_, err = c.Delete(1)
+	must(err)
+	must(c.PutBatch([]client.KV{{Key: 2, Val: 20}, {Key: 3, Val: 30}}))
+	_, err = c.Scan(0, 10, 0)
+	must(err)
+	_, err = c.Stats()
+	must(err)
+	must(c.PutBytes(100, []byte("v")))
+	_, _, err = c.GetBytes(100)
+	must(err)
+	_, err = c.ScanBytes(100, 200, 0)
+	must(err)
+	must(c.PutKV([]byte("k1"), []byte("v1")))
+	_, _, err = c.GetKV([]byte("k1"))
+	must(err)
+	_, err = c.ScanKV([]byte("k"), []byte("l"), 0)
+	must(err)
+	_, err = c.DeleteKV([]byte("k1"))
+	must(err)
+	must(c.CommitTxn(new(client.Txn).Put(4, 40).PutKV([]byte("k2"), []byte("v2"))))
+	// A store error: a fixed-width key read as a varlen one.
+	var remote *client.RemoteError
+	if _, _, err := c.GetBytes(2); !errors.As(err, &remote) {
+		t.Fatalf("GetBytes of a fixed-width key: %v, want a RemoteError", err)
+	}
+	c.Close()
+
+	// A protocol error on a second connection: a well-framed unknown opcode.
+	nc, err := net.Dial("tcp", ts.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(rawFrame(append(binary.BigEndian.AppendUint64(nil, 9), 0xee))); err != nil {
+		t.Fatal(err)
+	}
+	if _, end := readResponses(t, nc, 2); !errors.Is(end, io.EOF) {
+		t.Fatalf("after a malformed frame the stream ended with %v, want EOF", end)
+	}
+
+	// Quiesce: the flush counters record after each Write returns.
+	for deadline := time.Now().Add(5 * time.Second); ts.srv.Stats().ConnsLive != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("connections never closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st := ts.srv.Stats()
+	var buf bytes.Buffer
+	if err := ts.srv.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	decoded := familySum(out, "pmkv_server_requests_total") -
+		sampleValue(t, out, `pmkv_server_requests_total{op="other"}`)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Ops", float64(st.Ops), familySum(out, "pmkv_server_requests_total")},
+		{"Errors", float64(st.Errors), familySum(out, "pmkv_server_request_errors_total")},
+		{"ReadBatches", float64(st.ReadBatches), sampleValue(t, out, "pmkv_server_read_batch_requests_count")},
+		{"Flushes", float64(st.Flushes), sampleValue(t, out, "pmkv_server_flush_responses_count")},
+		{"InlineOps", float64(st.InlineOps), decoded - sampleValue(t, out, "pmkv_server_shed_requests_total")},
+	} {
+		if c.got != c.want {
+			t.Errorf("Stats.%s = %v, metrics say %v", c.name, c.got, c.want)
+		}
+	}
+	// Fifteen requests and one undecodable frame; the GetV of a fixed key
+	// and the frame are the errors.
+	if st.Ops != 16 || st.Errors != 2 || st.InlineOps != 15 {
+		t.Errorf("Ops %d Errors %d InlineOps %d, want 16 2 15", st.Ops, st.Errors, st.InlineOps)
 	}
 }

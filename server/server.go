@@ -35,8 +35,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -44,7 +46,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/store"
-	"repro/wire"
 )
 
 // ErrServerClosed is returned by Serve and ListenAndServe after Shutdown or
@@ -53,23 +54,14 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Options configures a Server. The zero value is ready for use.
 type Options struct {
-	// MaxFrame caps an incoming frame body in bytes. Default
-	// wire.MaxFrame.
-	MaxFrame uint32
-	// MaxScan caps the pairs returned by one Scan request, bounding the
-	// response frame. Requests asking for more are truncated to this.
-	// Default wire.MaxPairs.
-	MaxScan int
 	// Logf, when set, receives connection-level diagnostics (accept and
 	// protocol failures) and the slow-op log. Default: silent.
 	Logf func(format string, args ...any)
-	// SlowOpThreshold, when positive, logs (via Logf, rate-limited to one
-	// line per 100ms with a suppressed count) every request whose queue
-	// wait plus execution time meets it, with its op, key, and per-stage
-	// breakdown. Setting it also switches the stage-latency histograms
-	// from 1-in-8 sampling to clocking every request (two extra clock
-	// reads per request), since the slow-op log must not sample.
-	// Default: disabled.
+	// SlowOpThreshold, when positive, logs (via Logf, at most one line per
+	// 100ms plus a suppressed count) every request whose queue wait plus
+	// execution meets it, with its op, key and per-stage breakdown. It also
+	// clocks every request instead of 1 in 8, since the slow-op log must
+	// not sample. Default: disabled.
 	SlowOpThreshold time.Duration
 	// IdleTimeout closes a connection that makes no progress for this
 	// long — no frame arrives, or a response write finds no room: an
@@ -79,35 +71,26 @@ type Options struct {
 	// Stats.IdleCloses. 0 disables.
 	IdleTimeout time.Duration
 	// MaxServerInflight caps requests admitted for execution across ALL
-	// connections. Past it the server sheds: the request is answered
-	// immediately with wire.StatusBusy (counted in Stats.Shed) and never
-	// executes — bounding the decoded, unanswered requests of all
-	// connections together under a connection flood. Shedding is a retry
-	// invitation, not an error: nothing was applied, so clients may
-	// safely retry any shed request after backing off. 0 disables.
+	// connections, bounding their decoded, unanswered requests together
+	// under a flood. Past it a request is shed: answered wire.StatusBusy
+	// (counted in Stats.Shed) and never executed, so clients may safely
+	// retry it after backing off. 0 disables.
 	MaxServerInflight int
 }
 
-func (o *Options) fill() {
-	if o.MaxFrame == 0 {
-		o.MaxFrame = wire.MaxFrame
-	}
-	if o.MaxScan <= 0 || o.MaxScan > wire.MaxPairs {
-		o.MaxScan = wire.MaxPairs
-	}
-}
-
 // Stats is a snapshot of the server's counters. Ops counts requests
-// answered; Errors the subset answered with StatusErr or StatusClosed;
-// bytes include frame headers. The batching counters expose how the data
-// path behaved: ReadBatches is ingest batches executed (Ops/ReadBatches
-// is the mean ingest batch size), InlineOps is requests executed (Ops less
-// the shed and the undecodable), and Flushes is response write syscalls
-// (Ops/Flushes is the mean coalescing factor). The failure counters track
-// self-protection: Shed is requests answered StatusBusy at admission
-// (never executed), IdleCloses is connections cut by Options.IdleTimeout,
-// and Resets is connections that died mid-stream (reset, torn frame,
-// corrupt frame, protocol error) rather than closing cleanly.
+// answered; Errors the subset answered with an error status (StatusErr,
+// StatusClosed, StatusNoSpace, StatusTxnIncomplete), protocol errors
+// included; bytes include frame headers. The batching counters expose how
+// the data path behaved: ReadBatches is ingest batches executed
+// (Ops/ReadBatches is the mean ingest batch size), InlineOps is requests
+// executed (Ops less the shed and the undecodable), and Flushes is response
+// write syscalls (Ops/Flushes is the mean coalescing factor). The failure
+// counters track self-protection: Shed is requests answered StatusBusy at
+// admission (never executed), IdleCloses is connections cut by
+// Options.IdleTimeout, and Resets is connections that died mid-stream
+// (reset, torn frame, corrupt frame, protocol error) rather than closing
+// cleanly.
 type Stats struct {
 	Ops         uint64
 	Errors      uint64
@@ -135,13 +118,9 @@ type Server struct {
 	met   *serverMetrics
 	reg   *metrics.Registry
 
-	ops, errs         atomic.Uint64
 	bytesIn, bytesOut atomic.Uint64
 	connsTotal        atomic.Uint64
 	connsLive         atomic.Int64
-	readBatches       atomic.Uint64
-	inlineOps         atomic.Uint64
-	flushes           atomic.Uint64
 	shed              atomic.Uint64
 	idleCloses        atomic.Uint64
 	resets            atomic.Uint64
@@ -159,7 +138,6 @@ type Server struct {
 // store after Shutdown returns (requests racing a premature store Close are
 // answered with wire.StatusClosed).
 func New(st *store.Store, opts Options) *Server {
-	opts.fill()
 	s := &Server{
 		st:        st,
 		opts:      opts,
@@ -185,26 +163,32 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Stats snapshots the serve-side counters.
+// Stats snapshots the serve-side counters, read off the per-opcode counters
+// and the unsampled batch histograms, not kept twice. Shed is loaded first:
+// a shed request counts under its opcode before it counts as shed.
 func (s *Server) Stats() Stats {
-	live := s.connsLive.Load()
-	if live < 0 {
-		live = 0
-	}
-	return Stats{
-		Ops:         s.ops.Load(),
-		Errors:      s.errs.Load(),
+	m := s.met
+	st := Stats{
+		Shed:        s.shed.Load(),
 		BytesIn:     s.bytesIn.Load(),
 		BytesOut:    s.bytesOut.Load(),
-		ConnsLive:   uint64(live),
+		ConnsLive:   uint64(max(s.connsLive.Load(), 0)),
 		ConnsTotal:  s.connsTotal.Load(),
-		ReadBatches: s.readBatches.Load(),
-		InlineOps:   s.inlineOps.Load(),
-		Flushes:     s.flushes.Load(),
-		Shed:        s.shed.Load(),
+		ReadBatches: m.readBatch.Snapshot().Count(),
+		Flushes:     m.flushBytes.Snapshot().Count(),
 		IdleCloses:  s.idleCloses.Load(),
 		Resets:      s.resets.Load(),
 	}
+	// Slot 0 counts only undecodable frames; a decoded request was either
+	// shed or executed.
+	undecoded := m.reqs[0].Load()
+	st.Ops, st.Errors = undecoded, m.errs[0].Load()
+	for i := 1; i < numOps; i++ {
+		st.Ops += m.reqs[i].Load()
+		st.Errors += m.errs[i].Load()
+	}
+	st.InlineOps = st.Ops - undecoded - st.Shed
+	return st
 }
 
 // tryAdmit claims one slot of the global MaxServerInflight window (always
@@ -273,11 +257,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			// client load, handshakes aborted before accept) must not
 			// kill the accept loop: back off and retry.
 			if retryableAccept(err) {
-				if backoff == 0 {
-					backoff = 5 * time.Millisecond
-				} else if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
+				backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
 				s.logf("server: accept: %v; retrying in %v", err, backoff)
 				time.Sleep(backoff)
 				continue
@@ -326,15 +306,11 @@ func retryableAccept(err error) bool {
 // connections. If ctx expires first the remaining connections are aborted
 // and ctx.Err() is returned. After Shutdown it is safe to Close the store.
 func (s *Server) Shutdown(ctx context.Context) error {
-	conns := s.stopAccepting()
-	for _, c := range conns {
+	for _, c := range s.stopAccepting() {
 		c.beginDrain()
 	}
 	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
+	go func() { s.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
@@ -348,7 +324,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Close aborts the server: listeners and connections are torn down without
 // waiting for in-flight requests' responses to reach their clients.
 func (s *Server) Close() error {
-	s.stopAccepting()
 	s.abortConns()
 	s.wg.Wait()
 	return nil
@@ -363,21 +338,11 @@ func (s *Server) stopAccepting() []*conn {
 	for ln := range s.listeners {
 		ln.Close()
 	}
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	return conns
+	return slices.Collect(maps.Keys(s.conns))
 }
 
 func (s *Server) abortConns() {
-	s.mu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range s.stopAccepting() {
 		// Draining first, so the handler files the Close under "stopped
 		// by the server", not under resets.
 		c.beginDrain()

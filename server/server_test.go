@@ -335,7 +335,7 @@ func TestMalformedFrame(t *testing.T) {
 // TestOversizedFrameRejected: a length prefix beyond MaxFrame never
 // allocates; the connection just dies.
 func TestOversizedFrameRejected(t *testing.T) {
-	ts := startServer(t, store.Options{}, Options{MaxFrame: 1 << 16})
+	ts := startServer(t, store.Options{}, Options{})
 	nc, err := net.Dial("tcp", ts.addr)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/vlog"
 )
@@ -148,7 +147,7 @@ func (ss *Session) appendNeed(i int, op txnOp) int {
 // by validating the word against the record it would name — whether it
 // was a varlen reference whose bytes just became garbage. Fixed-width
 // values fail the validation and change nothing, which is what makes
-// Delete/DeleteBytes on never-varlen keys account consistently (nothing
+// Delete on never-varlen keys account consistently (nothing
 // to reclaim, nothing counted).
 func (ss *Session) retireWord(i int, key uint64, old uint64) bool {
 	return ss.s.shards[i].vl.MarkStale(ss.ths[i], key, vlog.Ref(old))
@@ -228,25 +227,13 @@ func (ss *Session) resolve(i int, key, word uint64, haveWord bool, dst []byte, n
 // concurrent GC pass cannot free a record the tree names mid-read (see
 // resolve and gc.go).
 func (ss *Session) GetBytes(key uint64, dst []byte) ([]byte, bool, error) {
-	if !ss.s.acquire() {
-		return dst, false, ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return dst, false, err
 	}
-	defer ss.s.release()
-	if ss.sampleOp() {
-		defer ss.s.met.op[opGetBytes].RecordSince(time.Now())
-	}
+	defer ss.done(opGetBytes, t0)
 	out, _, ok, err := ss.resolve(ss.s.ShardFor(key), key, 0, false, dst, ErrNotVarlen)
 	return out, ok, err
-}
-
-// DeleteBytes removes a varlen key, reporting whether it was present. The
-// tree entry disappears atomically; the value's log record is retired to
-// the garbage accounting and reclaimed by GC. It is Delete with a name
-// that documents the varlen discipline — the two are interchangeable for
-// removal, and a delete of a never-varlen (fixed-width) key feeds nothing
-// to the reclaim stats through the same retireWord funnel.
-func (ss *Session) DeleteBytes(key uint64) (bool, error) {
-	return ss.Delete(key)
 }
 
 // ScanBytes visits varlen pairs with lo <= key <= hi in ascending global
@@ -268,13 +255,11 @@ func (ss *Session) ScanBytes(lo, hi uint64, max int, fn func(key uint64, val []b
 	if max <= 0 || max > maxScanPage {
 		max = maxScanPage
 	}
-	if !ss.s.acquire() {
-		return ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return err
 	}
-	defer ss.s.release()
-	if ss.sampleOp() {
-		defer ss.s.met.op[opScanBytes].RecordSince(time.Now())
-	}
+	defer ss.done(opScanBytes, t0)
 	for _, kv := range ss.collectLimit(lo, hi, max) {
 		val, _, ok, err := ss.resolve(ss.s.ShardFor(kv.Key), kv.Key, kv.Val, true, ss.valBuf[:0], ErrNotVarlen)
 		if err != nil {

@@ -53,7 +53,7 @@ func TestPutGetBytesRoundTrip(t *testing.T) {
 		t.Fatalf("miss: (%v, %v)", ok, err)
 	}
 	for k := range want {
-		if ok, err := ss.DeleteBytes(k); !ok || err != nil {
+		if ok, err := ss.Delete(k); !ok || err != nil {
 			t.Fatalf("delete %d: (%v, %v)", k, ok, err)
 		}
 		if _, ok, _ := ss.GetBytes(k, nil); ok {

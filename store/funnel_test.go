@@ -51,6 +51,27 @@ var funnelRows = []struct {
 	}},
 }
 
+// funnelReads names each read entry point. Reads take the same close gate
+// as the writes, and nothing else: a store latched read-only still serves
+// them.
+var funnelReads = []struct {
+	name string
+	run  func(ss *Session) error
+}{
+	{"Get", func(ss *Session) error { _, _, err := ss.Get(funnelUKey); return err }},
+	{"GetBytes", func(ss *Session) error { _, _, err := ss.GetBytes(funnelUKey, nil); return err }},
+	{"GetKV", func(ss *Session) error { _, _, err := ss.GetKV(funnelBKey, nil); return err }},
+	{"Scan", func(ss *Session) error { return ss.Scan(0, ^uint64(0), func(_, _ uint64) bool { return true }) }},
+	{"ScanLimit", func(ss *Session) error { _, err := ss.ScanLimit(0, ^uint64(0), 16); return err }},
+	{"ScanBytes", func(ss *Session) error {
+		return ss.ScanBytes(funnelUKey, funnelUKey, 0, func(uint64, []byte) bool { return true })
+	}},
+	{"ScanKV", func(ss *Session) error {
+		return ss.ScanKV(funnelBKey, funnelBKey, 0, func(_, _ []byte) bool { return true })
+	}},
+	{"Len", func(ss *Session) error { _, err := ss.Len(); return err }},
+}
+
 func commitOne(ss *Session, buffer func(*Txn) error) error {
 	tx := ss.Begin()
 	if err := buffer(tx); err != nil {
@@ -115,6 +136,13 @@ func TestFunnelContract(t *testing.T) {
 				t.Errorf("%s on a closed store: %v, want ErrClosed", row.name, err)
 			}
 		}
+		for _, row := range funnelReads {
+			st, ss := openFunnel(t, Options{ShardSize: 4 << 20}, funnelSmall)
+			st.Close()
+			if err := row.run(ss); !errors.Is(err, ErrClosed) {
+				t.Errorf("%s on a closed store: %v, want ErrClosed", row.name, err)
+			}
+		}
 	})
 
 	t.Run("latched", func(t *testing.T) {
@@ -127,6 +155,13 @@ func TestFunnelContract(t *testing.T) {
 			}
 			if after := readFunnelState(t, st, ss); after != before {
 				t.Errorf("%s refused by the latch changed the store:\n before %+v\n after  %+v", row.name, before, after)
+			}
+		}
+		for _, row := range funnelReads {
+			st, ss := openFunnel(t, Options{ShardSize: 4 << 20}, funnelSmall)
+			st.txnFailed.Store(true)
+			if err := row.run(ss); err != nil {
+				t.Errorf("%s on a latched store: %v, want it served", row.name, err)
 			}
 		}
 	})

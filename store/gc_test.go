@@ -55,7 +55,7 @@ func gcCrashMatrix(t *testing.T, model pmem.MemModel) {
 		}
 		want[k] = v
 	}
-	if _, err := ss.DeleteBytes(4); err != nil {
+	if _, err := ss.Delete(4); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, 4)
@@ -347,7 +347,7 @@ func TestConcurrentGCAndVarlenOps(t *testing.T) {
 				k := uint64(rng.Intn(nKeys) + 1)
 				switch rng.Intn(10) {
 				case 0:
-					if _, err := ss.DeleteBytes(k); err != nil {
+					if _, err := ss.Delete(k); err != nil {
 						errs <- fmt.Errorf("w%d delete %d: %w", w, k, err)
 						return
 					}
@@ -470,7 +470,7 @@ func TestScanBytesDuringGC(t *testing.T) {
 // --- accounting ------------------------------------------------------------
 
 // TestDeleteAccountingUnified pins the satellite fix: every path that
-// displaces a tree word (Delete, DeleteBytes, Put, PutBytes, overwrite or
+// displaces a tree word (Delete, Put, PutBytes, overwrite or
 // removal, fixed or varlen) feeds the same retireWord funnel, so reclaim
 // stats move exactly when a varlen record died and never otherwise.
 func TestDeleteAccountingUnified(t *testing.T) {
@@ -492,8 +492,8 @@ func TestDeleteAccountingUnified(t *testing.T) {
 	if err := ss.Put(1, 200); err != nil { // fixed overwrite
 		t.Fatal(err)
 	}
-	if ok, err := ss.DeleteBytes(1); !ok || err != nil {
-		t.Fatalf("DeleteBytes on fixed key: (%v, %v)", ok, err)
+	if ok, err := ss.Delete(1); !ok || err != nil {
+		t.Fatalf("Delete on fixed key: (%v, %v)", ok, err)
 	}
 	if err := ss.Put(2, 300); err != nil {
 		t.Fatal(err)
@@ -515,7 +515,7 @@ func TestDeleteAccountingUnified(t *testing.T) {
 	if g := garbage(); g != 100 {
 		t.Fatalf("after varlen overwrite: garbage %d, want 100", g)
 	}
-	if ok, err := ss.DeleteBytes(10); !ok || err != nil {
+	if ok, err := ss.Delete(10); !ok || err != nil {
 		t.Fatal(err)
 	}
 	if g := garbage(); g != 150 {

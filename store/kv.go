@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/vlog"
 )
@@ -355,13 +354,11 @@ func (ss *Session) GetKV(key, dst []byte) ([]byte, bool, error) {
 	if err := checkKey(key); err != nil {
 		return dst, false, err
 	}
-	if !ss.s.acquire() {
-		return dst, false, ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return dst, false, err
 	}
-	defer ss.s.release()
-	if ss.sampleOp() {
-		defer ss.s.met.op[opGetKV].RecordSince(time.Now())
-	}
+	defer ss.done(opGetKV, t0)
 	p := PackPrefix(key)
 	b, _, ok, err := ss.resolve(ss.s.ShardForKey(key), p, 0, false, ss.kvBuf[:0], ErrNotKeyed)
 	if err != nil || !ok {
@@ -485,13 +482,11 @@ func (ss *Session) ScanKV(lo, hi []byte, max int, fn func(key, val []byte) bool)
 	if max <= 0 || max > maxScanPage {
 		max = maxScanPage
 	}
-	if !ss.s.acquire() {
-		return ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return err
 	}
-	defer ss.s.release()
-	if ss.sampleOp() {
-		defer ss.s.met.op[opScanKV].RecordSince(time.Now())
-	}
+	defer ss.done(opScanKV, t0)
 	n := len(ss.ths)
 	if ss.kvRuns == nil {
 		ss.kvRuns = make([]kvRun, n)

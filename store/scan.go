@@ -1,7 +1,5 @@
 package store
 
-import "time"
-
 // Scan visits pairs with lo <= key <= hi in ascending global key order,
 // calling fn until it returns false. Shards hold disjoint hash partitions
 // whose individual scans are ordered, so the global order is a k-way merge
@@ -44,13 +42,11 @@ func (ss *Session) ScanLimit(lo, hi uint64, max int) ([]KV, error) {
 	if hi < lo || max <= 0 {
 		return nil, nil
 	}
-	if !ss.s.acquire() {
-		return nil, ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return nil, err
 	}
-	defer ss.s.release()
-	if ss.sampleOp() {
-		defer ss.s.met.op[opScan].RecordSince(time.Now())
-	}
+	defer ss.done(opScan, t0)
 	return ss.collectLimit(lo, hi, max), nil
 }
 

@@ -48,21 +48,44 @@ type Session struct {
 	plan       txnPlan
 	spareFixed map[uint64]txnWrite
 
-	// opTick drives latency sampling (see sampleOp). Plain field: a
-	// Session is single-goroutine by contract.
+	// opTick drives latency sampling (see gate). Plain field: a Session is
+	// single-goroutine by contract.
 	opTick uint32
 }
 
-// sampleOp reports whether this operation's latency should be clocked.
-// Reading the clock twice costs ~100ns on some hosts — a large fraction
-// of a ~0.5µs Get — so the per-op histograms observe one in every
-// opSampleMask+1 operations. Quantiles over a uniform 1-in-N sample of
-// the op stream converge to the true quantiles; only the histogram
-// _count reflects samples, not operations (exact op counts live in the
-// server's per-opcode counters).
-func (ss *Session) sampleOp() bool {
-	ss.opTick++
-	return ss.opTick&opSampleMask == 0
+// gate is the one preamble of every clocked operation, read or write: the
+// close gate (ErrClosed) and, for a plain write, the read-only latch of an
+// incomplete commit (ErrReopenRequired, see Store.txnFailed; a commit checks
+// it under its locks). One operation in opSampleMask+1 reads the clock into
+// t0 — two reads cost ~100ns on some hosts, a fifth of a Get — so only a
+// histogram's _count reflects samples, not operations. The caller releases
+// the gate and hands t0 to clock; done does both at once.
+func (ss *Session) gate(write bool) (t0 time.Time, err error) {
+	s := ss.s
+	if !s.acquire() {
+		return t0, ErrClosed
+	}
+	if write && s.txnFailed.Load() {
+		s.release()
+		return t0, ErrReopenRequired
+	}
+	if ss.opTick++; ss.opTick&opSampleMask == 0 {
+		t0 = time.Now()
+	}
+	return t0, nil
+}
+
+// clock charges an operation gate sampled to kind's latency histogram.
+func (ss *Session) clock(kind byte, t0 time.Time) {
+	if !t0.IsZero() {
+		ss.s.met.op[kind].RecordSince(t0)
+	}
+}
+
+// done ends an operation that held the gate throughout.
+func (ss *Session) done(kind byte, t0 time.Time) {
+	ss.clock(kind, t0)
+	ss.s.release()
 }
 
 // NewSession returns a fresh Session bound to the calling goroutine. It may
@@ -99,7 +122,7 @@ type KV struct {
 //	op kind → shard of the key → value-log space admission → the key's
 //	stripe → apply → unlock → release the gate → automatic GC trigger
 //
-// Validation failures touch nothing. The gate (Store.acquire) is held
+// Validation failures touch nothing. The gate (Session.gate) is held
 // until the write is applied and dropped before the GC trigger, which
 // re-acquires it: a long pass never delays Close observing the write's
 // completion, and the pass runs outside every lock and grace section (see
@@ -110,12 +133,11 @@ func (ss *Session) mutate(op txnOp) (existed bool, err error) {
 		return false, err
 	}
 	s := ss.s
-	if err := s.acquireWrite(); err != nil {
+	t0, err := ss.gate(true)
+	if err != nil {
 		return false, err
 	}
-	if ss.sampleOp() {
-		defer s.met.op[op.kind].RecordSince(time.Now())
-	}
+	defer ss.clock(op.kind, t0)
 	i := s.shardOfOp(op)
 	if need := ss.appendNeed(i, op); need >= 0 {
 		if err := ss.admit(i, need); err != nil {
@@ -218,13 +240,11 @@ func (ss *Session) Put(key, val uint64) error {
 // Get returns the value stored under key. On a closed store it returns
 // ErrClosed.
 func (ss *Session) Get(key uint64) (uint64, bool, error) {
-	if !ss.s.acquire() {
-		return 0, false, ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return 0, false, err
 	}
-	defer ss.s.release()
-	if ss.sampleOp() {
-		defer ss.s.met.op[opGet].RecordSince(time.Now())
-	}
+	defer ss.done(opGet, t0)
 	i := ss.s.ShardFor(key)
 	v, ok := ss.s.shards[i].ix.Get(ss.ths[i], key)
 	return v, ok, nil
@@ -252,12 +272,11 @@ func (ss *Session) PutBatch(pairs []KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	if err := ss.s.acquireWrite(); err != nil {
+	t0, err := ss.gate(true)
+	if err != nil {
 		return err
 	}
-	if ss.sampleOp() {
-		defer ss.s.met.op[opPutBatch].RecordSince(time.Now())
-	}
+	defer ss.clock(opPutBatch, t0)
 	n := len(ss.ths)
 	groups := make([][]KV, n)
 	for _, kv := range pairs {

@@ -224,21 +224,6 @@ type Store struct {
 	applyFault func(shard int) error
 }
 
-// acquireWrite is acquire for plain mutations: besides the close gate
-// (ErrClosed) it refuses, with ErrReopenRequired, once an incomplete
-// transaction commit has latched the store read-only (see txnFailed).
-// Reads never check the latch; a commit checks it under its locks.
-func (s *Store) acquireWrite() error {
-	if !s.acquire() {
-		return ErrClosed
-	}
-	if s.txnFailed.Load() {
-		s.release()
-		return ErrReopenRequired
-	}
-	return nil
-}
-
 type shard struct {
 	pool *pmem.Pool
 	ix   *core.BTree

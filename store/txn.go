@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/pmem"
 	"repro/internal/txnlog"
@@ -468,16 +467,14 @@ func (tx *Txn) Commit() error {
 	if len(tx.fixed)+len(tx.kv) == 0 {
 		return nil
 	}
-	s := ss.s
-	if !s.acquire() {
-		return ErrClosed
+	t0, err := ss.gate(false)
+	if err != nil {
+		return err
 	}
-	if ss.sampleOp() {
-		defer s.met.op[opTxnCommit].RecordSince(time.Now())
-	}
+	defer ss.clock(opTxnCommit, t0)
 	pl := tx.plan()
-	err := tx.commitLocked(pl)
-	s.release()
+	err = tx.commitLocked(pl)
+	ss.s.release()
 	for _, i := range pl.stale {
 		ss.maybeGC(i)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -135,6 +136,49 @@ func TestFixedWidthWritesAllocFree(t *testing.T) {
 		key++
 	}); allocs != 0 {
 		t.Errorf("Delete allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestPointReadsAllocFree pins the read side of the same contract: a warm
+// Get, and a GetBytes or GetKV handed a reused dst, allocate nothing.
+func TestPointReadsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
+	}
+	st := openTest(t, 4)
+	ss := st.NewSession()
+	defer ss.Close()
+	const runs = 200
+	val := bytes.Repeat([]byte("v"), 100)
+	for key := uint64(0); key < runs; key++ {
+		if err := ss.Put(key, key); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.PutBytes(1<<40+key, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.PutKV([]byte(fmt.Sprintf("alloc-key-%03d", key)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kkey := []byte("alloc-key-007")
+	dst := make([]byte, 0, 256)
+	for _, read := range []struct {
+		name string
+		run  func() (bool, error)
+	}{
+		{"Get", func() (bool, error) { _, ok, err := ss.Get(7); return ok, err }},
+		{"GetBytes", func() (ok bool, err error) { dst, ok, err = ss.GetBytes(1<<40+7, dst[:0]); return ok, err }},
+		{"GetKV", func() (ok bool, err error) { dst, ok, err = ss.GetKV(kkey, dst[:0]); return ok, err }},
+	} {
+		read.run() // warm-up: sizes the session's buffers
+		if allocs := testing.AllocsPerRun(runs, func() {
+			if ok, err := read.run(); !ok || err != nil {
+				t.Fatalf("%s = (%v, %v)", read.name, ok, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocs/op = %v, want 0", read.name, allocs)
+		}
 	}
 }
 

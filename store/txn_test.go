@@ -647,8 +647,8 @@ func TestTxnIncompleteLatchesStoreReadOnly(t *testing.T) {
 	if err := ss.PutBytes(13, []byte("x")); !errors.Is(err, ErrReopenRequired) {
 		t.Fatalf("PutBytes on latched store: %v", err)
 	}
-	if _, err := ss.DeleteBytes(13); !errors.Is(err, ErrReopenRequired) {
-		t.Fatalf("DeleteBytes on latched store: %v", err)
+	if _, err := ss.Delete(13); !errors.Is(err, ErrReopenRequired) {
+		t.Fatalf("Delete on latched store: %v", err)
 	}
 	if err := ss.PutKV([]byte("nope"), []byte("x")); !errors.Is(err, ErrReopenRequired) {
 		t.Fatalf("PutKV on latched store: %v", err)

@@ -9,7 +9,7 @@ import (
 	"io"
 )
 
-// MaxFrame is the default cap on a frame body. It bounds both the decoder's
+// MaxFrame is the fixed cap on a frame body. It bounds both the decoder's
 // allocations and a PutBatch/Scan payload (65536 pairs fit with room for the
 // header).
 const MaxFrame = 1 << 20
@@ -202,7 +202,7 @@ type KKV struct {
 // values live behind a log the server compacts; see the store package).
 type Stats struct {
 	Ops           uint64 // requests served
-	Errors        uint64 // requests answered with StatusErr, StatusClosed, or StatusNoSpace
+	Errors        uint64 // requests answered with an error status (StatusErr, StatusClosed, StatusNoSpace, StatusTxnIncomplete), protocol errors included
 	BytesIn       uint64 // request bytes read, including frame headers
 	BytesOut      uint64 // response bytes written, including frame headers
 	ConnsLive     uint64 // currently open connections
@@ -213,8 +213,9 @@ type Stats struct {
 
 	// Per-op-class server-side latency summaries, in nanoseconds, measured
 	// over the whole request lifetime (queue wait + execute). Classes:
-	// read = Get/GetV/Stats, write = Put/PutV/Delete/PutBatch,
-	// scan = Scan/ScanV. Zero when the class has served no requests.
+	// read = Get/GetV/GetK/Stats, write = Put/PutV/PutK/Delete/DeleteK/
+	// PutBatch/Txn, scan = Scan/ScanV/ScanK. Zero when the class has served
+	// no requests.
 	ReadP50  uint64
 	ReadP99  uint64
 	WriteP50 uint64
