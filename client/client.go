@@ -1,8 +1,15 @@
 // Package client is the Go client for a pmkv server (package server): one
 // Conn is one TCP connection speaking the pmkv wire protocol with full
 // pipelining — any number of requests in flight, responses matched back to
-// their Calls by id — plus synchronous wrappers for the common case and a
-// round-robin connection Pool for fan-out.
+// their Calls by id — and a Pool picks among a fixed set of Conns.
+//
+// Every operation has two forms. XAsync issues the request and returns its
+// *Call without waiting; the request is encoded at issue, so the caller may
+// reuse any slice it passed as soon as XAsync returns. X(ctx, ...) waits
+// for the response or for ctx to end. A ctx cut abandons the call, not the
+// connection: the call fails with ctx.Err(), its late response is dropped,
+// and the outcome of a cut write is unknown — the request may still reach
+// the server and be applied.
 //
 // A Conn is safe for concurrent use by any number of goroutines; the
 // pipelining is what turns that concurrency into throughput, since nobody
@@ -50,31 +57,20 @@ func (e *RemoteError) Error() string {
 
 // Options configures a Conn.
 type Options struct {
-	// DialTimeout bounds connection establishment. Default 5s.
-	DialTimeout time.Duration
 	// CallTimeout bounds each call from issue to response. When it
 	// expires the call fails with ErrCallTimeout but the connection stays
 	// up — the late response, if it ever arrives, is discarded. The
 	// outcome of a timed-out write is unknown (it may have been applied);
 	// only the caller can decide whether reissuing is safe. 0 disables.
 	CallTimeout time.Duration
-	// RetryReads opts a Pool into transparently retrying idempotent
-	// operations (Get, GetBytes, GetKV, Scan, ScanBytes, ScanKV, Stats)
-	// whose failure is Retryable, with exponential backoff across
-	// (possibly redialed) connections. Writes are never auto-retried: a retried Put whose
-	// first attempt was applied but unacknowledged would double-apply.
-	RetryReads bool
 	// Dial, when non-nil, replaces net.DialTimeout for connection
 	// establishment — the hook fault-injection tests use to wrap the
 	// transport (see internal/netfault).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-func (o *Options) fill() {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-}
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // Call is one in-flight request. Wait (or Done + the fields) delivers the
 // outcome: Err is nil on any well-formed server reply, including NotFound —
@@ -137,14 +133,13 @@ type Conn struct {
 
 // Dial connects to a pmkv server at addr ("host:port").
 func Dial(addr string, opts Options) (*Conn, error) {
-	opts.fill()
 	dial := opts.Dial
 	if dial == nil {
 		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	nc, err := dial(addr, opts.DialTimeout)
+	nc, err := dial(addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -456,17 +451,34 @@ func (q *callQueue) popDone() {
 	}
 }
 
-// do is the one synchronous request core: issue req, wait for its response
-// or for ctx to end. Every blocking method is do plus a projection of the
-// Call's response; the plain ones pass context.Background().
+// wait blocks until call completes or ctx ends; a ctx cut fails the call
+// with ctx.Err() (see the package comment). A ctx that can never end
+// (context.Background) goes straight to Wait, so the call never makes its
+// Done channel.
+func (c *Conn) wait(ctx context.Context, call *Call) error {
+	done := ctx.Done()
+	if done == nil {
+		return call.Wait()
+	}
+	select {
+	case <-call.Done():
+	case <-done:
+		c.fail(call, ctx.Err())
+	}
+	return call.Wait()
+}
+
+// do is the one blocking request core: issue req, then wait for its
+// response or for ctx to end. Every blocking method is do plus a projection
+// of the Call's response.
 func (c *Conn) do(ctx context.Context, req *wire.Request) (*Call, error) {
 	call := c.start(req)
 	return call, c.wait(ctx, call)
 }
 
 // found, u64Val and bytesVal project a completed call onto the result shapes
-// the typed wrappers return. They take do's (or Pool.read's) results
-// directly; on any error the response carries no value, so none is returned.
+// the blocking methods return; on any error the response carries no value,
+// so none is returned.
 func found(call *Call, err error) (bool, error) {
 	return err == nil && call.Resp.Status == wire.StatusOK, err
 }
@@ -496,8 +508,8 @@ func (c *Conn) GetAsync(key uint64) *Call {
 }
 
 // Get returns the value stored under key on the server.
-func (c *Conn) Get(key uint64) (uint64, bool, error) {
-	return c.GetContext(context.Background(), key)
+func (c *Conn) Get(ctx context.Context, key uint64) (uint64, bool, error) {
+	return u64Val(c.do(ctx, &wire.Request{Op: wire.OpGet, Key: key}))
 }
 
 // PutAsync issues a pipelined Put.
@@ -507,8 +519,9 @@ func (c *Conn) PutAsync(key, val uint64) *Call {
 
 // Put stores val under key on the server. When Put returns nil the write is
 // durable on the server (the store's per-operation persistence contract).
-func (c *Conn) Put(key, val uint64) error {
-	return c.PutContext(context.Background(), key, val)
+func (c *Conn) Put(ctx context.Context, key, val uint64) error {
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpPut, Key: key, Val: val})
+	return err
 }
 
 // DeleteAsync issues a pipelined Delete.
@@ -517,21 +530,21 @@ func (c *Conn) DeleteAsync(key uint64) *Call {
 }
 
 // Delete removes key on the server, reporting whether it was present.
-func (c *Conn) Delete(key uint64) (bool, error) {
-	return c.DeleteContext(context.Background(), key)
+func (c *Conn) Delete(ctx context.Context, key uint64) (bool, error) {
+	return found(c.do(ctx, &wire.Request{Op: wire.OpDelete, Key: key}))
 }
 
 // PutBatchAsync issues one pipelined PutBatch frame. len(pairs) must not
-// exceed wire.MaxPairs; the synchronous PutBatch chunks automatically.
+// exceed wire.MaxPairs; PutBatch chunks automatically.
 func (c *Conn) PutBatchAsync(pairs []KV) *Call {
 	return c.start(&wire.Request{Op: wire.OpPutBatch, Pairs: pairs})
 }
 
 // PutBatch stores all pairs, chunking across frames when the batch exceeds
-// wire.MaxPairs. Chunks are pipelined, not transactional: each pair is
-// individually atomic on the server, and on error a suffix of the batch may
-// be unapplied.
-func (c *Conn) PutBatch(pairs []KV) error {
+// wire.MaxPairs, and waits for every chunk. Chunks are pipelined, not
+// transactional: each pair is individually atomic on the server, and on
+// error a suffix of the batch may be unapplied.
+func (c *Conn) PutBatch(ctx context.Context, pairs []KV) error {
 	var calls []*Call
 	for len(pairs) > 0 {
 		n := min(len(pairs), wire.MaxPairs)
@@ -540,7 +553,7 @@ func (c *Conn) PutBatch(pairs []KV) error {
 	}
 	var first error
 	for _, call := range calls {
-		if err := call.Wait(); err != nil && first == nil {
+		if err := c.wait(ctx, call); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -556,8 +569,9 @@ func (c *Conn) ScanAsync(lo, hi uint64, max int) *Call {
 // Scan returns pairs with lo <= key <= hi in ascending key order, truncated
 // to max (or the server's cap when max is 0). A full result set exactly at
 // the cap may be a truncation; page with lo = lastKey+1 to continue.
-func (c *Conn) Scan(lo, hi uint64, max int) ([]KV, error) {
-	return c.ScanContext(context.Background(), lo, hi, max)
+func (c *Conn) Scan(ctx context.Context, lo, hi uint64, max int) ([]KV, error) {
+	call, err := c.do(ctx, &wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return call.Resp.Pairs, err
 }
 
 // GetBytesAsync issues a pipelined GetV (varlen Get).
@@ -568,21 +582,21 @@ func (c *Conn) GetBytesAsync(key uint64) *Call {
 // GetBytes returns the byte-string value stored under key on the server.
 // The returned slice is owned by the caller. Reading a key written through
 // the fixed-width Put API fails with a *RemoteError.
-func (c *Conn) GetBytes(key uint64) ([]byte, bool, error) {
-	return c.GetBytesContext(context.Background(), key)
+func (c *Conn) GetBytes(ctx context.Context, key uint64) ([]byte, bool, error) {
+	return bytesVal(c.do(ctx, &wire.Request{Op: wire.OpGetV, Key: key}))
 }
 
 // PutBytesAsync issues a pipelined PutV (varlen Put). val must not exceed
-// wire.MaxValue; it is copied into the request at issue, so the caller may
-// reuse it as soon as PutBytesAsync returns.
+// wire.MaxValue.
 func (c *Conn) PutBytesAsync(key uint64, val []byte) *Call {
 	return c.start(&wire.Request{Op: wire.OpPutV, Key: key, VVal: val})
 }
 
 // PutBytes stores val as a byte-string value under key on the server. When
 // it returns nil the value is durable in the store's persistence model.
-func (c *Conn) PutBytes(key uint64, val []byte) error {
-	return c.PutBytesContext(context.Background(), key, val)
+func (c *Conn) PutBytes(ctx context.Context, key uint64, val []byte) error {
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpPutV, Key: key, VVal: val})
+	return err
 }
 
 // ScanBytesAsync issues a pipelined ScanV for lo <= key <= hi, returning
@@ -596,8 +610,9 @@ func (c *Conn) ScanBytesAsync(lo, hi uint64, max int) *Call {
 // and by the response frame budget — so a result set at either bound may
 // be a truncation; page with lo = lastKey+1 to continue. The pairs' value
 // slices share one allocation owned by the caller.
-func (c *Conn) ScanBytes(lo, hi uint64, max int) ([]VKV, error) {
-	return c.ScanBytesContext(context.Background(), lo, hi, max)
+func (c *Conn) ScanBytes(ctx context.Context, lo, hi uint64, max int) ([]VKV, error) {
+	call, err := c.do(ctx, &wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
+	return call.Resp.VPairs, err
 }
 
 // StatsAsync issues a pipelined Stats request.
@@ -606,6 +621,10 @@ func (c *Conn) StatsAsync() *Call {
 }
 
 // Stats fetches the server's counter snapshot.
-func (c *Conn) Stats() (wire.Stats, error) {
-	return c.StatsContext(context.Background())
+func (c *Conn) Stats(ctx context.Context) (st wire.Stats, err error) {
+	call, err := c.do(ctx, &wire.Request{Op: wire.OpStats})
+	if call.Resp.Stats != nil {
+		st = *call.Resp.Stats
+	}
+	return st, err
 }

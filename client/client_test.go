@@ -64,7 +64,7 @@ func TestRemoteErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Put(1, 2)
+	err = c.Put(context.Background(), 1, 2)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Msg != "arena exhausted" || re.Op != wire.OpPut {
 		t.Fatalf("err = %v, want RemoteError{Put, arena exhausted}", err)
@@ -78,7 +78,7 @@ func TestStoreClosedSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Get(1); !errors.Is(err, ErrStoreClosed) {
+	if _, _, err := c.Get(context.Background(), 1); !errors.Is(err, ErrStoreClosed) {
 		t.Fatalf("err = %v, want ErrStoreClosed", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestTxnIncompleteSurfaces(t *testing.T) {
 	defer c.Close()
 	var tx Txn
 	tx.Put(1, 2)
-	err = c.CommitTxn(&tx)
+	err = c.CommitTxn(context.Background(), &tx)
 	if !errors.Is(err, ErrTxnIncomplete) {
 		t.Fatalf("err = %v, want ErrTxnIncomplete", err)
 	}
@@ -140,7 +140,7 @@ func TestAbruptDisconnectFailsPending(t *testing.T) {
 		t.Fatal("connection reports no terminal error")
 	}
 	// New calls fail fast on the dead connection.
-	if err := c.Put(9, 9); err == nil {
+	if err := c.Put(context.Background(), 9, 9); err == nil {
 		t.Fatal("call on dead connection succeeded")
 	}
 }
@@ -159,11 +159,11 @@ func TestOversizedBatchFailsOnlyThatCall(t *testing.T) {
 		t.Fatalf("oversized batch: %v, want ErrTooManyKV", err)
 	}
 	// The connection is still healthy.
-	if err := c.Put(1, 2); err != nil {
+	if err := c.Put(context.Background(), 1, 2); err != nil {
 		t.Fatalf("Put after oversized batch: %v", err)
 	}
 	// The chunking sync wrapper handles the same batch fine.
-	if err := c.PutBatch(make([]KV, wire.MaxPairs+1)); err != nil {
+	if err := c.PutBatch(context.Background(), make([]KV, wire.MaxPairs+1)); err != nil {
 		t.Fatalf("chunked PutBatch: %v", err)
 	}
 }
@@ -174,13 +174,13 @@ func TestCallsAfterCloseFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(1, 2); err != nil {
+	if err := c.Put(context.Background(), 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(3, 4); !errors.Is(err, ErrConnClosed) {
+	if err := c.Put(context.Background(), 3, 4); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("Put after Close: %v, want ErrConnClosed", err)
 	}
 	if err := c.Close(); err != nil {
@@ -200,7 +200,7 @@ func TestDialFailure(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	if _, err := Dial(addr, Options{DialTimeout: 2 * time.Second}); err == nil {
+	if _, err := Dial(addr, Options{}); err == nil {
 		t.Fatal("Dial to closed listener succeeded")
 	}
 }
@@ -378,13 +378,13 @@ func TestResponsesOutOfOrder(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
-			_, _, err := c.GetContext(ctx, 200)
+			_, _, err := c.Get(ctx, 200)
 			errc <- err
 		}()
 		cut := p.readN(1)
 		cancel()
 		if err := <-errc; !errors.Is(err, context.Canceled) {
-			t.Fatalf("GetContext after cancel: %v, want context.Canceled", err)
+			t.Fatalf("Get after cancel: %v, want context.Canceled", err)
 		}
 		next := c.GetAsync(201)
 		reqs := append(cut, p.readN(1)...)
@@ -417,7 +417,7 @@ func TestResponsesOutOfOrder(t *testing.T) {
 		p.answer(reqs...)
 		<-closed
 		checkGets(t, calls, 400)
-		if err := c.Put(1, 1); !errors.Is(err, ErrConnClosed) {
+		if err := c.Put(context.Background(), 1, 1); !errors.Is(err, ErrConnClosed) {
 			t.Fatalf("Put after Close: %v, want ErrConnClosed", err)
 		}
 	})
@@ -426,28 +426,31 @@ func TestResponsesOutOfOrder(t *testing.T) {
 // TestCallAllocs pins the client's allocation budget: the Call is the only
 // heap object a call costs — its request is encoded straight into the
 // connection's out buffer, and its response decoded straight into the Call
-// — and the Done channel is made only for a caller who asks for it.
+// — and the Done channel is made only for a caller who asks for it, or who
+// waits under a ctx that can end.
 func TestCallAllocs(t *testing.T) {
 	var call Call
-	if size := unsafe.Sizeof(call); size > 352 {
-		t.Errorf("Call is %d bytes, want it in the 352-byte size class", size)
+	if size := unsafe.Sizeof(call); size > 224 {
+		t.Errorf("Call is %d bytes, want it in the 224-byte size class", size)
 	}
 	c, p := dialPeer(t, Options{})
 	go p.serve()
 	for i := range 100 { // warm-up: sizes the buffers and the queue
-		if err := c.Put(uint64(i), 1); err != nil {
+		if err := c.Put(context.Background(), uint64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, tc := range []struct {
 		name string
 		want float64
 		call func() error
 	}{
+		{"Get(Background)", 1, func() error { _, _, err := c.Get(context.Background(), 1); return err }},
+		{"Get(cancellable)", 2, func() error { _, _, err := c.Get(cancellable, 1); return err }},
 		{"GetAsync+Wait", 1, func() error { return c.GetAsync(1).Wait() }},
-		{"Get", 1, func() error { _, _, err := c.Get(1); return err }},
-		{"GetContext(Background)", 1, func() error { _, _, err := c.GetContext(context.Background(), 1); return err }},
-		{"Put", 1, func() error { return c.Put(1, 2) }},
+		{"Put", 1, func() error { return c.Put(context.Background(), 1, 2) }},
 		{"GetAsync+Done", 2, func() error { call := c.GetAsync(1); <-call.Done(); return call.Err }},
 	} {
 		if allocs := testing.AllocsPerRun(200, func() {
@@ -457,5 +460,83 @@ func TestCallAllocs(t *testing.T) {
 		}); allocs != tc.want {
 			t.Errorf("%s: %v allocs per call, want %v", tc.name, allocs, tc.want)
 		}
+	}
+}
+
+// TestBlockingCallsHonourCtx: every blocking Conn method gives up with
+// ctx.Err() when its ctx ends, PutBatch included (it waits for each chunk
+// the same way), and the connection survives: once the peer answers, the
+// late answers to the abandoned calls are dropped and a new call gets its
+// own response.
+func TestBlockingCallsHonourCtx(t *testing.T) {
+	c, p := dialPeer(t, Options{})
+	serve := make(chan struct{})
+	go func() {
+		// Read every frame; answer none until serve closes, then answer
+		// everything held, in arrival order.
+		var held []wire.Request
+		for {
+			req, err := p.read()
+			if err != nil {
+				return
+			}
+			held = append(held, req)
+			select {
+			case <-serve:
+			default:
+				continue
+			}
+			p.out = p.out[:0]
+			for i := range held {
+				p.appendAnswer(&held[i])
+			}
+			held = held[:0]
+			if _, err := p.nc.Write(p.out); err != nil {
+				return
+			}
+		}
+	}()
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var tx Txn
+	tx.Put(1, 1)
+	key := []byte("k")
+	for _, tc := range []struct {
+		name string
+		call func(ctx context.Context) error
+	}{
+		{"Get", func(ctx context.Context) error { _, _, err := c.Get(ctx, 1); return err }},
+		{"Put", func(ctx context.Context) error { return c.Put(ctx, 1, 1) }},
+		{"Delete", func(ctx context.Context) error { _, err := c.Delete(ctx, 1); return err }},
+		{"PutBatch", func(ctx context.Context) error { return c.PutBatch(ctx, []KV{{Key: 1, Val: 1}}) }},
+		{"Scan", func(ctx context.Context) error { _, err := c.Scan(ctx, 0, 9, 0); return err }},
+		{"GetBytes", func(ctx context.Context) error { _, _, err := c.GetBytes(ctx, 1); return err }},
+		{"PutBytes", func(ctx context.Context) error { return c.PutBytes(ctx, 1, key) }},
+		{"ScanBytes", func(ctx context.Context) error { _, err := c.ScanBytes(ctx, 0, 9, 0); return err }},
+		{"Stats", func(ctx context.Context) error { _, err := c.Stats(ctx); return err }},
+		{"GetKV", func(ctx context.Context) error { _, _, err := c.GetKV(ctx, key); return err }},
+		{"PutKV", func(ctx context.Context) error { return c.PutKV(ctx, key, key) }},
+		{"DeleteKV", func(ctx context.Context) error { _, err := c.DeleteKV(ctx, key); return err }},
+		{"ScanKV", func(ctx context.Context) error { _, err := c.ScanKV(ctx, nil, nil, 0); return err }},
+		{"CommitTxn", func(ctx context.Context) error { return c.CommitTxn(ctx, &tx) }},
+	} {
+		if err := tc.call(cancelled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled ctx: %v, want context.Canceled", tc.name, err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := c.PutBatch(ctx, make([]KV, 2*wire.MaxPairs+1)); err != ctx.Err() || err == nil {
+		t.Errorf("PutBatch past its deadline: %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	close(serve)
+	if v, ok, err := c.Get(context.Background(), 7); err != nil || !ok || v != 7+getBias {
+		t.Fatalf("Get after the cut calls = %d, %v, %v; want %d, true, nil", v, ok, err, 7+getBias)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("connection failed: %v", err)
 	}
 }

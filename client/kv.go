@@ -10,9 +10,7 @@ import (
 // wire layer.
 type KKV = wire.KKV
 
-// GetKVAsync issues a pipelined GetK (byte-string-keyed Get). key is
-// copied into the request at issue; the caller may reuse it as soon as
-// GetKVAsync returns.
+// GetKVAsync issues a pipelined GetK (byte-string-keyed Get).
 func (c *Conn) GetKVAsync(key []byte) *Call {
 	return c.start(&wire.Request{Op: wire.OpGetK, KKey: key})
 }
@@ -21,41 +19,38 @@ func (c *Conn) GetKVAsync(key []byte) *Call {
 // Keys are 1..wire.MaxKey bytes. The returned slice is owned by the
 // caller. Reading a prefix written through the uint64-keyed APIs fails
 // with a *RemoteError.
-func (c *Conn) GetKV(key []byte) ([]byte, bool, error) {
-	return c.GetKVContext(context.Background(), key)
+func (c *Conn) GetKV(ctx context.Context, key []byte) ([]byte, bool, error) {
+	return bytesVal(c.do(ctx, &wire.Request{Op: wire.OpGetK, KKey: key}))
 }
 
 // PutKVAsync issues a pipelined PutK (byte-string-keyed Put). key must be
-// 1..wire.MaxKey bytes and val at most wire.MaxKValue; both are copied
-// into the request at issue, so the caller may reuse them as soon as
-// PutKVAsync returns.
+// 1..wire.MaxKey bytes and val at most wire.MaxKValue.
 func (c *Conn) PutKVAsync(key, val []byte) *Call {
 	return c.start(&wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
 }
 
 // PutKV stores val under the byte-string key on the server. When it
 // returns nil the write is durable in the store's persistence model.
-func (c *Conn) PutKV(key, val []byte) error {
-	return c.PutKVContext(context.Background(), key, val)
+func (c *Conn) PutKV(ctx context.Context, key, val []byte) error {
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
+	return err
 }
 
-// DeleteKVAsync issues a pipelined DeleteK. key is copied into the
-// request at issue.
+// DeleteKVAsync issues a pipelined DeleteK.
 func (c *Conn) DeleteKVAsync(key []byte) *Call {
 	return c.start(&wire.Request{Op: wire.OpDeleteK, KKey: key})
 }
 
 // DeleteKV removes the byte-string key on the server, reporting whether it
 // was present.
-func (c *Conn) DeleteKV(key []byte) (bool, error) {
-	return c.DeleteKVContext(context.Background(), key)
+func (c *Conn) DeleteKV(ctx context.Context, key []byte) (bool, error) {
+	return found(c.do(ctx, &wire.Request{Op: wire.OpDeleteK, KKey: key}))
 }
 
 // ScanKVAsync issues a pipelined ScanK for lo <= key <= hi in bytewise
 // order, returning at most max pairs (0 = the server's cap). A zero-length
 // bound is unbounded on that side; bounds may be up to wire.MaxScanBound
-// bytes so a pagination cursor lastKey+"\x00" always fits. Bounds are
-// copied into the request at issue.
+// bytes so a pagination cursor lastKey+"\x00" always fits.
 func (c *Conn) ScanKVAsync(lo, hi []byte, max int) *Call {
 	return c.start(&wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
 }
@@ -66,47 +61,7 @@ func (c *Conn) ScanKVAsync(lo, hi []byte, max int) *Call {
 // either bound may be a truncation; page with lo = lastKey+"\x00" (the
 // immediate successor) to continue. The pairs' key and value slices share
 // one allocation owned by the caller.
-func (c *Conn) ScanKV(lo, hi []byte, max int) ([]KKV, error) {
-	return c.ScanKVContext(context.Background(), lo, hi, max)
-}
-
-// GetKVContext is GetKV bounded by ctx.
-func (c *Conn) GetKVContext(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return bytesVal(c.do(ctx, &wire.Request{Op: wire.OpGetK, KKey: key}))
-}
-
-// PutKVContext is PutKV bounded by ctx. A ctx cut leaves the write's
-// outcome unknown: the request may still reach the server and be applied.
-func (c *Conn) PutKVContext(ctx context.Context, key, val []byte) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpPutK, KKey: key, VVal: val})
-	return err
-}
-
-// DeleteKVContext is DeleteKV bounded by ctx (same unknown-outcome caveat
-// as PutKVContext).
-func (c *Conn) DeleteKVContext(ctx context.Context, key []byte) (bool, error) {
-	return found(c.do(ctx, &wire.Request{Op: wire.OpDeleteK, KKey: key}))
-}
-
-// ScanKVContext is ScanKV bounded by ctx.
-func (c *Conn) ScanKVContext(ctx context.Context, lo, hi []byte, max int) ([]KKV, error) {
+func (c *Conn) ScanKV(ctx context.Context, lo, hi []byte, max int) ([]KKV, error) {
 	call, err := c.do(ctx, &wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
-	return call.Resp.KPairs, err
-}
-
-// GetKV round-robins a byte-keyed Get (retried if Options.RetryReads).
-func (p *Pool) GetKV(key []byte) (val []byte, ok bool, err error) {
-	return bytesVal(p.read(&wire.Request{Op: wire.OpGetK, KKey: key}))
-}
-
-// PutKV round-robins a byte-keyed Put. Writes are never auto-retried.
-func (p *Pool) PutKV(key, val []byte) error { return p.Conn().PutKV(key, val) }
-
-// DeleteKV round-robins a byte-keyed Delete. Writes are never auto-retried.
-func (p *Pool) DeleteKV(key []byte) (bool, error) { return p.Conn().DeleteKV(key) }
-
-// ScanKV round-robins a byte-keyed Scan (retried if Options.RetryReads).
-func (p *Pool) ScanKV(lo, hi []byte, max int) (kvs []KKV, err error) {
-	call, err := p.read(&wire.Request{Op: wire.OpScanK, KLo: lo, KHi: hi, Max: scanMax(max)})
 	return call.Resp.KPairs, err
 }

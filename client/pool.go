@@ -1,25 +1,22 @@
 package client
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/wire"
 )
 
-// Pool is a fixed set of Conns to one server with round-robin dispatch.
-// With many goroutines sharing a Pool, each connection carries a slice of
-// the pipelined traffic, spreading both client and server per-connection
-// work across cores.
+// Pool is a fixed set of Conns to one server that only picks connections:
+// Conn hands them out round-robin, and every operation is a Conn method
+// (pool.Conn().Get(ctx, k)). With many goroutines sharing a Pool, each
+// connection carries a slice of the pipelined traffic, spreading both
+// client and server per-connection work across cores.
 //
 // The Pool also owns connection lifecycle: a terminally-failed conn is
 // skipped by Conn() immediately and replaced in the background by a redial
 // loop with exponential backoff + jitter, so a transient server outage
-// costs the affected calls, not the slot. With Options.RetryReads set,
-// idempotent operations additionally retry across (fresh) connections when
-// their failure is Retryable; writes never auto-retry.
+// costs the affected calls, not the slot. Nothing is retried for the
+// caller; Retryable says which failures are worth reissuing.
 type Pool struct {
 	addr string
 	opts Options
@@ -130,61 +127,4 @@ func (p *Pool) Close() error {
 		p.conns[i].Load().Close()
 	}
 	return nil
-}
-
-// readAttempts bounds one RetryReads operation: the initial try plus three
-// retries, ~35ms of backoff worst-case before the final attempt.
-const readAttempts = 4
-
-// read issues an idempotent request on the next connection and returns the
-// completed call, retrying per Options.RetryReads: a Retryable failure is
-// reissued, after a backoff, on whatever connection is next (fresh or
-// redialed).
-func (p *Pool) read(req *wire.Request) (*Call, error) {
-	call, err := p.Conn().do(context.Background(), req)
-	for a := 1; a < readAttempts && p.opts.RetryReads && Retryable(err); a++ {
-		time.Sleep(backoff(a-1, 2*time.Millisecond, 50*time.Millisecond))
-		call, err = p.Conn().do(context.Background(), req)
-	}
-	return call, err
-}
-
-// Get round-robins a Get (retried if Options.RetryReads).
-func (p *Pool) Get(key uint64) (v uint64, ok bool, err error) {
-	return u64Val(p.read(&wire.Request{Op: wire.OpGet, Key: key}))
-}
-
-// Put round-robins a Put. Writes are never auto-retried.
-func (p *Pool) Put(key, val uint64) error { return p.Conn().Put(key, val) }
-
-// Delete round-robins a Delete. Writes are never auto-retried.
-func (p *Pool) Delete(key uint64) (bool, error) { return p.Conn().Delete(key) }
-
-// PutBatch round-robins a chunked PutBatch. Writes are never auto-retried.
-func (p *Pool) PutBatch(pairs []KV) error { return p.Conn().PutBatch(pairs) }
-
-// Scan round-robins a Scan (retried if Options.RetryReads).
-func (p *Pool) Scan(lo, hi uint64, max int) (kvs []KV, err error) {
-	call, err := p.read(&wire.Request{Op: wire.OpScan, Lo: lo, Hi: hi, Max: scanMax(max)})
-	return call.Resp.Pairs, err
-}
-
-// GetBytes round-robins a varlen Get (retried if Options.RetryReads).
-func (p *Pool) GetBytes(key uint64) (val []byte, ok bool, err error) {
-	return bytesVal(p.read(&wire.Request{Op: wire.OpGetV, Key: key}))
-}
-
-// PutBytes round-robins a varlen Put. Writes are never auto-retried.
-func (p *Pool) PutBytes(key uint64, val []byte) error { return p.Conn().PutBytes(key, val) }
-
-// ScanBytes round-robins a varlen Scan (retried if Options.RetryReads).
-func (p *Pool) ScanBytes(lo, hi uint64, max int) (kvs []VKV, err error) {
-	call, err := p.read(&wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
-	return call.Resp.VPairs, err
-}
-
-// Stats round-robins a Stats fetch (retried if Options.RetryReads).
-func (p *Pool) Stats() (st wire.Stats, err error) {
-	call, err := p.read(&wire.Request{Op: wire.OpStats})
-	return call.Resp.Stats, err
 }

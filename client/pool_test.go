@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func killOneConn(t *testing.T, p *Pool, victim net.Conn) *Conn {
 			t.Fatal("no conn observed the reset")
 		}
 		for _, c := range originals {
-			c.Put(1, 1) // drive traffic so the failure surfaces
+			c.Put(context.Background(), 1, 1) // drive traffic so the failure surfaces
 			if c.Err() != nil {
 				return c
 			}
@@ -97,7 +98,7 @@ func TestPoolSkipsDeadConn(t *testing.T) {
 		if c == dead {
 			t.Fatalf("Conn() returned the dead connection on pick %d", i)
 		}
-		if err := c.Put(uint64(i), uint64(i)); err != nil {
+		if err := c.Put(context.Background(), uint64(i), uint64(i)); err != nil {
 			t.Fatalf("healthy conn failed: %v", err)
 		}
 	}
@@ -126,7 +127,7 @@ func TestPoolAllDeadFallsBack(t *testing.T) {
 		allDead := true
 		for i := range p.conns {
 			c := p.conns[i].Load()
-			c.Put(1, 1)
+			c.Put(context.Background(), 1, 1)
 			if c.Err() == nil {
 				allDead = false
 			}
@@ -141,7 +142,7 @@ func TestPoolAllDeadFallsBack(t *testing.T) {
 	if c := p.Conn(); c == nil {
 		t.Fatal("Conn() returned nil with every conn dead")
 	}
-	if err := p.Put(1, 1); err == nil {
+	if err := p.Conn().Put(context.Background(), 1, 1); err == nil {
 		t.Fatal("Put on an all-dead pool unexpectedly succeeded")
 	}
 }
@@ -187,32 +188,8 @@ func TestPoolRedialsDeadConn(t *testing.T) {
 		t.Fatal("no redialed connection reached the server")
 	}
 	for i := 0; i < 10; i++ {
-		if err := p.Put(uint64(i), 1); err != nil {
+		if err := p.Conn().Put(context.Background(), uint64(i), 1); err != nil {
 			t.Fatalf("Put on redialed pool: %v", err)
-		}
-	}
-}
-
-// TestRetryReadsSurviveConnDeath: with RetryReads set, a Get landing on a
-// freshly-killed conn retries onto a healthy one and the caller never sees
-// the transport error. (Writes get no such cover — Put may fail.)
-func TestRetryReadsSurviveConnDeath(t *testing.T) {
-	addr, accepted, closeLn := poolServer(t)
-	defer closeLn()
-
-	p, err := DialPool(addr, 2, Options{RetryReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	nc0 := <-accepted
-	<-accepted
-	nc0.Close() // kill one conn; do NOT wait for the client to notice
-
-	for i := 0; i < 100; i++ {
-		if _, _, err := p.Get(uint64(i)); err != nil {
-			t.Fatalf("Get %d through RetryReads pool: %v", i, err)
 		}
 	}
 }

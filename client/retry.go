@@ -45,8 +45,8 @@ var (
 //   - ErrBusy: yes. The server explicitly invited a retry; it executed
 //     nothing.
 //   - ErrCallTimeout: yes, for idempotent operations. The outcome is
-//     unknown, so a write may already be applied — which is exactly why
-//     the automatic policy (Options.RetryReads) covers reads only.
+//     unknown, so a write may already be applied; reissuing one is the
+//     caller's call.
 //   - Connection failures (ErrConnClosed, resets, EOFs, net timeouts,
 //     corrupt frames): yes. The conversation died, not the request; a
 //     fresh connection gets a fresh verdict.

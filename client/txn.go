@@ -59,12 +59,10 @@ func (t *Txn) Len() int { return len(t.ops) }
 func (t *Txn) Reset() { t.ops = t.ops[:0] }
 
 // CommitTxnAsync issues a pipelined transaction commit carrying tx's
-// write-set. The write-set (including all byte slices) is copied into the
-// request at issue, so tx may be reset and reused as soon as
-// CommitTxnAsync returns. Size violations — more than
-// wire.MaxTxnOps operations, an op with an out-of-range key or value, or
-// a set that overflows one frame — fail the call locally without
-// touching the connection.
+// write-set; tx may be reset and reused as soon as it returns. Size
+// violations — more than wire.MaxTxnOps operations, an op with an
+// out-of-range key or value, or a set that overflows one frame — fail the
+// call locally without touching the connection.
 func (c *Conn) CommitTxnAsync(tx *Txn) *Call {
 	return c.start(&wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
 }
@@ -76,26 +74,13 @@ func (c *Conn) CommitTxnAsync(tx *Txn) *Call {
 // crossed its durable commit point but failed to finish applying, so the
 // transaction IS committed — the server replays it to completion when its
 // store reopens — just not yet visible. Treat it as success that must not
-// be reissued, not as a refusal. A transport failure leaves the outcome
-// unknown, like any other write. An empty transaction commits as a no-op
-// without touching the connection.
-func (c *Conn) CommitTxn(tx *Txn) error {
-	return c.CommitTxnContext(context.Background(), tx)
-}
-
-// CommitTxnContext is CommitTxn bounded by ctx. A ctx cut leaves the
-// commit's outcome unknown: the request may still reach the server and
-// be applied in full.
-func (c *Conn) CommitTxnContext(ctx context.Context, tx *Txn) error {
+// be reissued, not as a refusal. A transport failure or a ctx cut leaves
+// the outcome unknown, like any other write. An empty transaction commits
+// as a no-op without touching the connection.
+func (c *Conn) CommitTxn(ctx context.Context, tx *Txn) error {
 	if tx.Len() == 0 {
 		return nil
 	}
 	_, err := c.do(ctx, &wire.Request{Op: wire.OpTxn, TxnOps: tx.ops})
 	return err
 }
-
-// CommitTxn round-robins a transaction commit. Like every write, commits
-// are never auto-retried: a transport failure leaves the outcome
-// unknown, an ErrTxnIncomplete outcome is already committed, and
-// retrying either could apply the transaction twice.
-func (p *Pool) CommitTxn(tx *Txn) error { return p.Conn().CommitTxn(tx) }

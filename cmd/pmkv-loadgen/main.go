@@ -55,6 +55,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -266,7 +267,7 @@ func main() {
 				k := rng.Uint64()%*keys + 1
 				batch[i] = client.KV{Key: k, Val: k ^ 0xdead}
 			}
-			if err := pool.PutBatch(batch); err != nil {
+			if err := pool.Conn().PutBatch(context.Background(), batch); err != nil {
 				log.Fatalf("preload: %v", err)
 			}
 		}
@@ -433,7 +434,7 @@ func main() {
 		fmt.Println()
 	}
 
-	if stats, err := pool.Stats(); err == nil {
+	if stats, err := pool.Conn().Stats(context.Background()); err == nil {
 		fmt.Printf("server: %d ops (%d errors), %d conns live, %d B in, %d B out\n",
 			stats.Ops, stats.Errors, stats.ConnsLive, stats.BytesIn, stats.BytesOut)
 		// Server-side per-class percentiles (queue wait + execution, no

@@ -5,8 +5,9 @@
 // baseline index structures, a benchmark harness regenerating every figure,
 // and the public layers on top:
 //
-//   - package index — the canonical Index interface, the Kind registry, and
-//     the Open/OpenExisting/New factories over every structure under test;
+//   - package index — the canonical Index interface and the
+//     Open/OpenExisting/New factories: one closed switch over the eight
+//     structures under test;
 //   - package store — a sharded concurrent KV store that hash-partitions
 //     keys across FAST+FAIR trees (one pool per shard), hides per-goroutine
 //     pmem.Thread handling behind Sessions, stores fixed-width uint64
@@ -17,11 +18,13 @@
 //   - package wire — the pmkv network protocol: length-prefixed binary
 //     frames with request ids for pipelining, fixed-width and varlen
 //     opcodes, fuzz-hardened decoders (normative spec in wire/PROTOCOL.md);
-//   - package server — a TCP server over a store.Store with per-connection
-//     worker Sessions, graceful drain on Shutdown, and serve-side counters
-//     (run it with cmd/pmkv-server, load it with cmd/pmkv-loadgen);
-//   - package client — the pipelined Go client: async Calls matched by id,
-//     synchronous wrappers, and a round-robin connection Pool.
+//   - package server — a TCP server over a store.Store, one goroutine and
+//     one Session per connection, with graceful drain on Shutdown and
+//     serve-side counters (run it with cmd/pmkv-server, load it with
+//     cmd/pmkv-loadgen);
+//   - package client — the pipelined Go client: each operation is XAsync,
+//     returning a Call matched by id, or a blocking X(ctx, ...), plus a
+//     Pool that picks connections round-robin.
 //
 // See README.md for the package layout and how to run the benchmarks,
 // ARCHITECTURE.md for the layer map and the per-layer crash-consistency

@@ -198,10 +198,10 @@ func TestSlowClientBackpressure(t *testing.T) {
 	defer c.Close()
 	start := time.Now()
 	for i := uint64(1); i <= 500; i++ {
-		if err := c.Put(i, i*3); err != nil {
+		if err := c.Put(context.Background(), i, i*3); err != nil {
 			t.Fatalf("healthy conn Put while peer wedged: %v", err)
 		}
-		if v, ok, err := c.Get(i); err != nil || !ok || v != i*3 {
+		if v, ok, err := c.Get(context.Background(), i); err != nil || !ok || v != i*3 {
 			t.Fatalf("healthy conn Get(%d) = (%d,%v,%v)", i, v, ok, err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestShutdownAbortsWedgedClient(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := c.PutBytes(77, big); err != nil {
+	if err := c.PutBytes(context.Background(), 77, big); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -330,7 +330,7 @@ func TestWriteIdleTimeout(t *testing.T) {
 	busy := ln.client(t)
 	defer busy.Close()
 	big := make([]byte, 256<<10)
-	if err := busy.PutBytes(9, big); err != nil {
+	if err := busy.PutBytes(context.Background(), 9, big); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,7 +356,7 @@ func TestWriteIdleTimeout(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("a peer that never reads was never cut")
 		}
-		if err := busy.Put(2, i); err != nil {
+		if err := busy.Put(context.Background(), 2, i); err != nil {
 			t.Fatalf("active conn cut next to a stalled reader on ping %d: %v", i, err)
 		}
 		time.Sleep(idle / 10)
@@ -370,7 +370,7 @@ func TestWriteIdleTimeout(t *testing.T) {
 	if n, err := stalled.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
 		t.Fatalf("stalled peer read (%d, %v), want (0, EOF)", n, err)
 	}
-	if err := busy.Put(3, 3); err != nil {
+	if err := busy.Put(context.Background(), 3, 3); err != nil {
 		t.Fatalf("active conn after the neighbour's cut: %v", err)
 	}
 	if st := ts.srv.Stats(); st.IdleCloses != 1 || st.ConnsLive != 1 {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,34 +59,34 @@ func TestByteKeyRoundTrip(t *testing.T) {
 		k := key(i)
 		v := make([]byte, rng.Intn(2000))
 		rng.Read(v)
-		if err := c.PutKV(k, v); err != nil {
+		if err := c.PutKV(context.Background(), k, v); err != nil {
 			t.Fatalf("PutKV %q: %v", k, err)
 		}
 		want[string(k)] = v
 	}
 	for k, v := range want {
-		got, ok, err := c.GetKV([]byte(k))
+		got, ok, err := c.GetKV(context.Background(), []byte(k))
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("key %q: ok=%v err=%v (%d bytes, want %d)", k, ok, err, len(got), len(v))
 		}
 	}
 	// Miss, empty value, delete.
-	if _, ok, err := c.GetKV([]byte("never written")); ok || err != nil {
+	if _, ok, err := c.GetKV(context.Background(), []byte("never written")); ok || err != nil {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
-	if err := c.PutKV([]byte("empty"), nil); err != nil {
+	if err := c.PutKV(context.Background(), []byte("empty"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := c.GetKV([]byte("empty")); err != nil || !ok || len(got) != 0 {
+	if got, ok, err := c.GetKV(context.Background(), []byte("empty")); err != nil || !ok || len(got) != 0 {
 		t.Fatalf("empty value: %q ok=%v err=%v", got, ok, err)
 	}
-	if ok, err := c.DeleteKV([]byte("empty")); !ok || err != nil {
+	if ok, err := c.DeleteKV(context.Background(), []byte("empty")); !ok || err != nil {
 		t.Fatalf("delete: ok=%v err=%v", ok, err)
 	}
-	if _, ok, _ := c.GetKV([]byte("empty")); ok {
+	if _, ok, _ := c.GetKV(context.Background(), []byte("empty")); ok {
 		t.Fatal("key survives delete")
 	}
-	if ok, err := c.DeleteKV([]byte("empty")); ok || err != nil {
+	if ok, err := c.DeleteKV(context.Background(), []byte("empty")); ok || err != nil {
 		t.Fatalf("re-delete: ok=%v err=%v", ok, err)
 	}
 }
@@ -103,30 +104,30 @@ func TestByteKeyLimitsOverWire(t *testing.T) {
 
 	maxKey := bytes.Repeat([]byte{0xee}, wire.MaxKey)
 	maxVal := bytes.Repeat([]byte{0x5a}, wire.MaxKValue)
-	if err := c.PutKV(maxKey, maxVal); err != nil {
+	if err := c.PutKV(context.Background(), maxKey, maxVal); err != nil {
 		t.Fatalf("max key+value PutKV: %v", err)
 	}
-	got, ok, err := c.GetKV(maxKey)
+	got, ok, err := c.GetKV(context.Background(), maxKey)
 	if err != nil || !ok || !bytes.Equal(got, maxVal) {
 		t.Fatalf("max key+value GetKV: ok=%v err=%v len=%d", ok, err, len(got))
 	}
 	// The max-shaped pair must also survive a scan page.
-	pairs, err := c.ScanKV(maxKey, maxKey, 0)
+	pairs, err := c.ScanKV(context.Background(), maxKey, maxKey, 0)
 	if err != nil || len(pairs) != 1 || !bytes.Equal(pairs[0].Key, maxKey) || !bytes.Equal(pairs[0].Val, maxVal) {
 		t.Fatalf("max pair ScanKV: %d pairs err=%v", len(pairs), err)
 	}
 
 	// Just past the caps: rejected at encode time, connection stays up.
-	if err := c.PutKV(append(maxKey, 0xee), nil); err == nil {
+	if err := c.PutKV(context.Background(), append(maxKey, 0xee), nil); err == nil {
 		t.Fatal("oversized key accepted")
 	}
-	if err := c.PutKV([]byte("k"), make([]byte, wire.MaxKValue+1)); err == nil {
+	if err := c.PutKV(context.Background(), []byte("k"), make([]byte, wire.MaxKValue+1)); err == nil {
 		t.Fatal("oversized value accepted")
 	}
-	if err := c.PutKV(nil, []byte("v")); err == nil {
+	if err := c.PutKV(context.Background(), nil, []byte("v")); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if _, ok, err := c.GetKV(maxKey); err != nil || !ok {
+	if _, ok, err := c.GetKV(context.Background(), maxKey); err != nil || !ok {
 		t.Fatalf("connection unusable after encode rejections: ok=%v err=%v", ok, err)
 	}
 }
@@ -148,14 +149,14 @@ func TestByteKeyScanPagination(t *testing.T) {
 	}
 	keys = append(keys, []byte("page-edge"), []byte("page-edge\x00"))
 	for i, k := range keys {
-		if err := c.PutKV(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := c.PutKV(context.Background(), k, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got [][]byte
 	lo := []byte("page-")
 	for {
-		pairs, err := c.ScanKV(lo, []byte("page-\xff"), 64)
+		pairs, err := c.ScanKV(context.Background(), lo, []byte("page-\xff"), 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,14 +199,14 @@ func TestByteKeyScanByteBudget(t *testing.T) {
 		big[i] = byte(i * 7)
 	}
 	for i := 0; i < n; i++ {
-		if err := c.PutKV([]byte(fmt.Sprintf("budget-%02d", i)), big); err != nil {
+		if err := c.PutKV(context.Background(), []byte(fmt.Sprintf("budget-%02d", i)), big); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seen, pages := 0, 0
 	lo := []byte("budget-")
 	for {
-		pairs, err := c.ScanKV(lo, []byte("budget-\xff"), 0)
+		pairs, err := c.ScanKV(context.Background(), lo, []byte("budget-\xff"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,16 +277,16 @@ func TestByteKeyMixedAPIRejected(t *testing.T) {
 
 	key := []byte("mixedkey") // exactly 8 bytes: its packed prefix is the word below
 	word := store.PackPrefix(key)
-	if err := c.PutBytes(word, []byte("written fixed-width")); err != nil {
+	if err := c.PutBytes(context.Background(), word, []byte("written fixed-width")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.GetKV(key)
+	_, _, err = c.GetKV(context.Background(), key)
 	var re *client.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("GetKV of uint64-API prefix: err = %v, want RemoteError", err)
 	}
 	// The varlen API still reads its own record.
-	if v, ok, err := c.GetBytes(word); err != nil || !ok || !bytes.Equal(v, []byte("written fixed-width")) {
+	if v, ok, err := c.GetBytes(context.Background(), word); err != nil || !ok || !bytes.Equal(v, []byte("written fixed-width")) {
 		t.Fatalf("GetBytes after GetKV attempt: %q %v %v", v, ok, err)
 	}
 }

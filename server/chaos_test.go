@@ -149,7 +149,7 @@ func TestChaosClientSideFaults(t *testing.T) {
 	}
 	const keys = 300
 	for k := uint64(1); k <= keys; k++ {
-		if err := clean.Put(k, k*7); err != nil {
+		if err := clean.Put(context.Background(), k, k*7); err != nil {
 			t.Fatal(err)
 		}
 	}

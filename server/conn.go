@@ -51,11 +51,12 @@ type conn struct {
 
 	// A response is encoded into the slab before the next request runs, so
 	// one response (a local handed to the table's handlers would escape), one
-	// Scan pair buffer and one varlen buffer serve every request of the
-	// connection; the steady-state read paths allocate nothing.
-	resp  wire.Response
-	pairs []wire.KV
-	vb    varlenBuf
+	// Stats, one Scan pair buffer and one varlen buffer serve every request
+	// of the connection; the steady-state read paths allocate nothing.
+	resp   wire.Response
+	wstats wire.Stats
+	pairs  []wire.KV
+	vb     varlenBuf
 }
 
 type respMeta struct {
@@ -565,12 +566,13 @@ func (c *conn) txn(ss *store.Session, req *wire.Request) error {
 func (c *conn) stats(_ *store.Session, _ *wire.Request) error {
 	s := c.srv
 	st, vs, sum := s.Stats(), s.st.ValueStats(), s.met.classSummary()
-	c.resp.Stats = wire.Stats{
+	c.wstats = wire.Stats{
 		Ops: st.Ops, Errors: st.Errors, BytesIn: st.BytesIn, BytesOut: st.BytesOut,
 		ConnsLive: st.ConnsLive, ConnsTotal: st.ConnsTotal,
 		VlogLive: uint64(vs.Live), VlogGarbage: uint64(vs.Garbage), VlogReclaimed: uint64(vs.Reclaimed),
 		Shed: st.Shed, IdleCloses: st.IdleCloses, Resets: st.Resets,
 		ReadP50: sum[0], ReadP99: sum[1], WriteP50: sum[2], WriteP99: sum[3], ScanP50: sum[4], ScanP99: sum[5],
 	}
+	c.resp.Stats = &c.wstats
 	return nil
 }

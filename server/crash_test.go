@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -50,7 +51,7 @@ func TestKillMidBatchThenReopen(t *testing.T) {
 	committed := map[uint64]uint64{}
 	for i := uint64(1); i <= 2000; i++ {
 		k := i * 0x9e3779b97f4a7c15 // spread across shards
-		if err := c.Put(k, k^0x5a5a); err != nil {
+		if err := c.Put(context.Background(), k, k^0x5a5a); err != nil {
 			t.Fatal(err)
 		}
 		committed[k] = k ^ 0x5a5a
@@ -152,7 +153,7 @@ func TestKillMidBatchThenReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 200; i++ {
-		if err := c2.Put(i<<40|i, i); err != nil {
+		if err := c2.Put(context.Background(), i<<40|i, i); err != nil {
 			t.Fatalf("post-recovery write over the wire: %v", err)
 		}
 	}

@@ -48,7 +48,7 @@ func TestBatchLargerThanSlabLeavesInPieces(t *testing.T) {
 	val := make([]byte, 20<<10)
 	for k := uint64(1); k <= nVals; k++ {
 		val[0] = byte(k)
-		if err := c.PutBytes(k, val); err != nil {
+		if err := c.PutBytes(context.Background(), k, val); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,22 +43,22 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	const nOps = 200
 	for i := uint64(0); i < nOps; i++ {
-		if err := c.Put(i, i*7); err != nil {
+		if err := c.Put(context.Background(), i, i*7); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < nOps; i++ {
-		if _, _, err := c.Get(i); err != nil {
+		if _, _, err := c.Get(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Scan(0, ^uint64(0), 50); err != nil {
+	if _, err := c.Scan(context.Background(), 0, ^uint64(0), 50); err != nil {
 		t.Fatal(err)
 	}
 
 	// Wire Stats latency summary: reads and writes have executed, so their
 	// class quantiles must be populated and ordered (p50 <= p99).
-	stats, err := c.Stats()
+	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,32 +207,32 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(c.Put(1, 10))
-	_, _, err = c.Get(1)
+	must(c.Put(context.Background(), 1, 10))
+	_, _, err = c.Get(context.Background(), 1)
 	must(err)
-	_, err = c.Delete(1)
+	_, err = c.Delete(context.Background(), 1)
 	must(err)
-	must(c.PutBatch([]client.KV{{Key: 2, Val: 20}, {Key: 3, Val: 30}}))
-	_, err = c.Scan(0, 10, 0)
+	must(c.PutBatch(context.Background(), []client.KV{{Key: 2, Val: 20}, {Key: 3, Val: 30}}))
+	_, err = c.Scan(context.Background(), 0, 10, 0)
 	must(err)
-	_, err = c.Stats()
+	_, err = c.Stats(context.Background())
 	must(err)
-	must(c.PutBytes(100, []byte("v")))
-	_, _, err = c.GetBytes(100)
+	must(c.PutBytes(context.Background(), 100, []byte("v")))
+	_, _, err = c.GetBytes(context.Background(), 100)
 	must(err)
-	_, err = c.ScanBytes(100, 200, 0)
+	_, err = c.ScanBytes(context.Background(), 100, 200, 0)
 	must(err)
-	must(c.PutKV([]byte("k1"), []byte("v1")))
-	_, _, err = c.GetKV([]byte("k1"))
+	must(c.PutKV(context.Background(), []byte("k1"), []byte("v1")))
+	_, _, err = c.GetKV(context.Background(), []byte("k1"))
 	must(err)
-	_, err = c.ScanKV([]byte("k"), []byte("l"), 0)
+	_, err = c.ScanKV(context.Background(), []byte("k"), []byte("l"), 0)
 	must(err)
-	_, err = c.DeleteKV([]byte("k1"))
+	_, err = c.DeleteKV(context.Background(), []byte("k1"))
 	must(err)
-	must(c.CommitTxn(new(client.Txn).Put(4, 40).PutKV([]byte("k2"), []byte("v2"))))
+	must(c.CommitTxn(context.Background(), new(client.Txn).Put(4, 40).PutKV([]byte("k2"), []byte("v2"))))
 	// A store error: a fixed-width key read as a varlen one.
 	var remote *client.RemoteError
-	if _, _, err := c.GetBytes(2); !errors.As(err, &remote) {
+	if _, _, err := c.GetBytes(context.Background(), 2); !errors.As(err, &remote) {
 		t.Fatalf("GetBytes of a fixed-width key: %v, want a RemoteError", err)
 	}
 	c.Close()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 
 	"repro/client"
@@ -41,7 +42,7 @@ func TestSameKeyOrderingPipelined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, ok, err := c.Get(key)
+	v, ok, err := c.Get(context.Background(), key)
 	if err != nil || !ok || v != n {
 		t.Fatalf("final Get = (%d,%v,%v), want (%d,true,nil)", v, ok, err, n)
 	}

@@ -63,11 +63,11 @@ func TestAdmissionShedsBusy(t *testing.T) {
 	// Shed means never executed: acked keys present, shed keys absent.
 	for i, call := range calls {
 		key := uint64(i + 1)
-		v, ok, err := c.Get(key)
+		v, ok, err := c.Get(context.Background(), key)
 		if err != nil {
 			if errors.Is(err, client.ErrBusy) {
 				// The verification Gets run under the same tiny cap.
-				v, ok, err = c.Get(key)
+				v, ok, err = c.Get(context.Background(), key)
 			}
 			if err != nil {
 				t.Fatalf("verify Get(%d): %v", key, err)
@@ -82,7 +82,7 @@ func TestAdmissionShedsBusy(t *testing.T) {
 	}
 
 	// The shed counters travel the wire too.
-	stats, err := c.Stats()
+	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIdleTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer busy.Close()
-	if err := idle.Put(1, 1); err != nil {
+	if err := idle.Put(context.Background(), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +115,7 @@ func TestIdleTimeout(t *testing.T) {
 	// says nothing. Only the idle one may die.
 	for i := 0; i < 12; i++ {
 		time.Sleep(100 * time.Millisecond)
-		if err := busy.Put(2, uint64(i)); err != nil {
+		if err := busy.Put(context.Background(), 2, uint64(i)); err != nil {
 			t.Fatalf("active conn cut by idle timeout on ping %d: %v", i, err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestIdleTimeout(t *testing.T) {
 	if st := ts.srv.Stats(); st.IdleCloses == 0 {
 		t.Fatalf("IdleCloses = 0 after an idle cut (stats %+v)", st)
 	}
-	stats, err := busy.Stats()
+	stats, err := busy.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestNoSpaceOverWire(t *testing.T) {
 	var full error
 	var lastOK uint64
 	for k := uint64(1); k <= 4096; k++ {
-		if err := c.PutBytes(k, val); err != nil {
+		if err := c.PutBytes(context.Background(), k, val); err != nil {
 			full = err
 			break
 		}
@@ -184,14 +184,14 @@ func TestNoSpaceOverWire(t *testing.T) {
 	}
 
 	// Degraded, not dead: reads, deletes, and the connection all survive.
-	got, ok, err := c.GetBytes(lastOK)
+	got, ok, err := c.GetBytes(context.Background(), lastOK)
 	if err != nil || !ok || len(got) != len(val) {
 		t.Fatalf("GetBytes(%d) on full store = (%d bytes, %v, %v)", lastOK, len(got), ok, err)
 	}
-	if ok, err := c.Delete(lastOK); err != nil || !ok {
+	if ok, err := c.Delete(context.Background(), lastOK); err != nil || !ok {
 		t.Fatalf("Delete on full store = (%v, %v)", ok, err)
 	}
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.Stats(context.Background()); err != nil {
 		t.Fatalf("Stats on full store: %v", err)
 	}
 }

@@ -67,20 +67,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Put(42, 1000); err != nil {
+	if err := c.Put(context.Background(), 42, 1000); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get(42)
+	v, ok, err := c.Get(context.Background(), 42)
 	if err != nil || !ok || v != 1000 {
 		t.Fatalf("Get(42) = (%d,%v,%v), want (1000,true,nil)", v, ok, err)
 	}
-	if _, ok, err := c.Get(43); err != nil || ok {
+	if _, ok, err := c.Get(context.Background(), 43); err != nil || ok {
 		t.Fatalf("Get(43) hit on absent key (err=%v)", err)
 	}
-	if ok, err := c.Delete(42); err != nil || !ok {
+	if ok, err := c.Delete(context.Background(), 42); err != nil || !ok {
 		t.Fatalf("Delete(42) = (%v,%v)", ok, err)
 	}
-	if ok, err := c.Delete(42); err != nil || ok {
+	if ok, err := c.Delete(context.Background(), 42); err != nil || ok {
 		t.Fatalf("double Delete(42) = (%v,%v)", ok, err)
 	}
 
@@ -89,10 +89,10 @@ func TestRoundTrip(t *testing.T) {
 	for i := uint64(1); i <= 500; i++ {
 		pairs = append(pairs, client.KV{Key: i * 3, Val: i})
 	}
-	if err := c.PutBatch(pairs); err != nil {
+	if err := c.PutBatch(context.Background(), pairs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Scan(0, ^uint64(0), 0)
+	got, err := c.Scan(context.Background(), 0, ^uint64(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Scan cap truncates.
-	capped, err := c.Scan(0, ^uint64(0), 10)
+	capped, err := c.Scan(context.Background(), 0, ^uint64(0), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("capped scan returned %d pairs, want 10", len(capped))
 	}
 
-	stats, err := c.Stats()
+	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +179,18 @@ func TestConcurrentClients(t *testing.T) {
 			base := uint64(g) << 32
 			for i := uint64(0); i < perG; i++ {
 				k := base | i
-				if err := pool.Put(k, k^0xbeef); err != nil {
+				if err := pool.Conn().Put(context.Background(), k, k^0xbeef); err != nil {
 					t.Errorf("Put(%d): %v", k, err)
 					return
 				}
 				// Read-your-writes through any pooled connection:
 				// the server acked the put before replying.
-				if v, ok, err := pool.Get(k); err != nil || !ok || v != k^0xbeef {
+				if v, ok, err := pool.Conn().Get(context.Background(), k); err != nil || !ok || v != k^0xbeef {
 					t.Errorf("Get(%d) = (%d,%v,%v)", k, v, ok, err)
 					return
 				}
 				if rng.Intn(8) == 0 {
-					if _, err := pool.Delete(k); err != nil {
+					if _, err := pool.Conn().Delete(context.Background(), k); err != nil {
 						t.Errorf("Delete(%d): %v", k, err)
 						return
 					}
@@ -199,7 +199,7 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	stats, err := pool.Stats()
+	stats, err := pool.Conn().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// New connections must be refused.
 	if c2, err := client.Dial(ts.addr, client.Options{}); err == nil {
 		// Dial may succeed if the OS queues it; the first call must fail.
-		if err := c2.Put(1, 1); err == nil {
+		if err := c2.Put(context.Background(), 1, 1); err == nil {
 			t.Fatal("post-shutdown connection served a request")
 		}
 		c2.Close()
@@ -275,21 +275,21 @@ func TestServeAfterStoreCloseReportsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put(7, 7); err != nil {
+	if err := c.Put(context.Background(), 7, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(8, 8); !errors.Is(err, client.ErrStoreClosed) {
+	if err := c.Put(context.Background(), 8, 8); !errors.Is(err, client.ErrStoreClosed) {
 		t.Fatalf("Put after store close: %v, want ErrStoreClosed", err)
 	}
-	if _, _, err := c.Get(7); !errors.Is(err, client.ErrStoreClosed) {
+	if _, _, err := c.Get(context.Background(), 7); !errors.Is(err, client.ErrStoreClosed) {
 		t.Fatalf("Get after store close: %v, want ErrStoreClosed", err)
 	}
 	// The connection survives; a fresh session on the server side would
 	// also survive (NewSession is panic-free on closed stores).
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.Stats(context.Background()); err != nil {
 		t.Fatalf("Stats after store close: %v", err)
 	}
 }

@@ -26,16 +26,16 @@ func TestTxnOverWire(t *testing.T) {
 	defer c.Close()
 
 	// Seed state the transaction will overwrite and delete.
-	if err := c.Put(100, 1); err != nil {
+	if err := c.Put(context.Background(), 100, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(200, 2); err != nil {
+	if err := c.Put(context.Background(), 200, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutKV([]byte("seed-over"), []byte("old")); err != nil {
+	if err := c.PutKV(context.Background(), []byte("seed-over"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutKV([]byte("seed-del"), []byte("doomed")); err != nil {
+	if err := c.PutKV(context.Background(), []byte("seed-del"), []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -48,32 +48,32 @@ func TestTxnOverWire(t *testing.T) {
 	if tx.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", tx.Len())
 	}
-	if err := c.CommitTxn(&tx); err != nil {
+	if err := c.CommitTxn(context.Background(), &tx); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 
-	if v, ok, _ := c.Get(100); !ok || v != 11 {
+	if v, ok, _ := c.Get(context.Background(), 100); !ok || v != 11 {
 		t.Fatalf("overwrite: v=%d ok=%v", v, ok)
 	}
-	if _, ok, _ := c.Get(200); ok {
+	if _, ok, _ := c.Get(context.Background(), 200); ok {
 		t.Fatal("deleted key still present")
 	}
-	if v, ok, _ := c.Get(300); !ok || v != 33 {
+	if v, ok, _ := c.Get(context.Background(), 300); !ok || v != 33 {
 		t.Fatalf("insert: v=%d ok=%v", v, ok)
 	}
-	if v, ok, _ := c.GetKV([]byte("txn-key")); !ok || !bytes.Equal(v, bigVal) {
+	if v, ok, _ := c.GetKV(context.Background(), []byte("txn-key")); !ok || !bytes.Equal(v, bigVal) {
 		t.Fatalf("byte-key insert: ok=%v len=%d", ok, len(v))
 	}
-	if v, ok, _ := c.GetKV([]byte("seed-over")); !ok || string(v) != "new" {
+	if v, ok, _ := c.GetKV(context.Background(), []byte("seed-over")); !ok || string(v) != "new" {
 		t.Fatalf("byte-key overwrite: %q ok=%v", v, ok)
 	}
-	if _, ok, _ := c.GetKV([]byte("seed-del")); ok {
+	if _, ok, _ := c.GetKV(context.Background(), []byte("seed-del")); ok {
 		t.Fatal("byte-key delete lost")
 	}
 
 	// Empty transactions are a client-side no-op.
 	var empty client.Txn
-	if err := c.CommitTxn(&empty); err != nil {
+	if err := c.CommitTxn(context.Background(), &empty); err != nil {
 		t.Fatalf("empty commit: %v", err)
 	}
 	// Reset enables builder reuse.
@@ -82,10 +82,10 @@ func TestTxnOverWire(t *testing.T) {
 		t.Fatalf("Len after Reset = %d", tx.Len())
 	}
 	tx.Put(400, 44)
-	if err := c.CommitTxnContext(context.Background(), &tx); err != nil {
+	if err := c.CommitTxn(context.Background(), &tx); err != nil {
 		t.Fatalf("context commit: %v", err)
 	}
-	if v, ok, _ := c.Get(400); !ok || v != 44 {
+	if v, ok, _ := c.Get(context.Background(), 400); !ok || v != 44 {
 		t.Fatalf("context commit lost: v=%d ok=%v", v, ok)
 	}
 }
@@ -113,14 +113,14 @@ func TestTxnPipelined(t *testing.T) {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	if v, ok, _ := c.Get(7); !ok || v != n-1 {
+	if v, ok, _ := c.Get(context.Background(), 7); !ok || v != n-1 {
 		t.Fatalf("key 7: v=%d ok=%v, want %d", v, ok, n-1)
 	}
-	if v, ok, _ := c.GetKV([]byte("pipelined")); !ok || string(v) != fmt.Sprintf("round-%02d", n-1) {
+	if v, ok, _ := c.GetKV(context.Background(), []byte("pipelined")); !ok || string(v) != fmt.Sprintf("round-%02d", n-1) {
 		t.Fatalf("pipelined byte key: %q ok=%v", v, ok)
 	}
 	for i := 0; i < n; i++ {
-		if v, ok, _ := c.Get(uint64(1000 + i)); !ok || v != uint64(i) {
+		if v, ok, _ := c.Get(context.Background(), uint64(1000+i)); !ok || v != uint64(i) {
 			t.Fatalf("key %d: v=%d ok=%v", 1000+i, v, ok)
 		}
 	}
@@ -140,16 +140,16 @@ func TestTxnOversizedFailsOnlyThatCall(t *testing.T) {
 	for i := 0; i <= wire.MaxTxnOps; i++ {
 		over.Put(uint64(i), 1)
 	}
-	if err := c.CommitTxn(&over); !errors.Is(err, wire.ErrTooManyKV) {
+	if err := c.CommitTxn(context.Background(), &over); !errors.Is(err, wire.ErrTooManyKV) {
 		t.Fatalf("oversized commit: %v, want ErrTooManyKV", err)
 	}
 	// The connection still works.
 	var ok client.Txn
 	ok.Put(1, 10)
-	if err := c.CommitTxn(&ok); err != nil {
+	if err := c.CommitTxn(context.Background(), &ok); err != nil {
 		t.Fatalf("commit after local failure: %v", err)
 	}
-	if v, found, _ := c.Get(1); !found || v != 10 {
+	if v, found, _ := c.Get(context.Background(), 1); !found || v != 10 {
 		t.Fatalf("follow-up commit lost: v=%d ok=%v", v, found)
 	}
 }
@@ -168,18 +168,18 @@ func TestTxnTooLargeForRedoLog(t *testing.T) {
 
 	var tx client.Txn
 	tx.PutKV([]byte("fat"), bytes.Repeat([]byte{1}, 8<<10))
-	err = c.CommitTxn(&tx)
+	err = c.CommitTxn(context.Background(), &tx)
 	var re *client.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("over-capacity commit: %v, want RemoteError", err)
 	}
-	if _, ok, _ := c.GetKV([]byte("fat")); ok {
+	if _, ok, _ := c.GetKV(context.Background(), []byte("fat")); ok {
 		t.Fatal("refused transaction left state behind")
 	}
 	// Small transactions still commit.
 	var small client.Txn
 	small.PutKV([]byte("thin"), []byte("fits"))
-	if err := c.CommitTxn(&small); err != nil {
+	if err := c.CommitTxn(context.Background(), &small); err != nil {
 		t.Fatalf("small commit after refusal: %v", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestTxnConcurrentCommits(t *testing.T) {
 				tx.Put(uint64(10000+w), uint64(r)) // private
 				tx.Put(55, uint64(w*1000+r))       // contended
 				tx.PutKV([]byte(fmt.Sprintf("conn-%d", w)), []byte{byte(r)})
-				if err := c.CommitTxn(&tx); err != nil {
+				if err := c.CommitTxn(context.Background(), &tx); err != nil {
 					errs <- fmt.Errorf("conn %d round %d: %w", w, r, err)
 					return
 				}
@@ -231,15 +231,15 @@ func TestTxnConcurrentCommits(t *testing.T) {
 	}
 	defer c.Close()
 	for w := 0; w < conns; w++ {
-		if v, ok, _ := c.Get(uint64(10000 + w)); !ok || v != uint64(rounds-1) {
+		if v, ok, _ := c.Get(context.Background(), uint64(10000+w)); !ok || v != uint64(rounds-1) {
 			t.Fatalf("conn %d private key: v=%d ok=%v", w, v, ok)
 		}
-		if v, ok, _ := c.GetKV([]byte(fmt.Sprintf("conn-%d", w))); !ok || v[0] != byte(rounds-1) {
+		if v, ok, _ := c.GetKV(context.Background(), []byte(fmt.Sprintf("conn-%d", w))); !ok || v[0] != byte(rounds-1) {
 			t.Fatalf("conn %d byte key: ok=%v", w, ok)
 		}
 	}
 	// The contended key holds SOME writer's final-round value.
-	v, ok, _ := c.Get(55)
+	v, ok, _ := c.Get(context.Background(), 55)
 	if !ok || v%1000 != uint64(rounds-1) {
 		t.Fatalf("contended key: v=%d ok=%v", v, ok)
 	}
@@ -259,12 +259,12 @@ func TestTxnPoolCommit(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		var tx client.Txn
 		tx.Put(uint64(i), uint64(i)*7).PutKV([]byte{byte('a' + i)}, []byte{byte(i)})
-		if err := p.CommitTxn(&tx); err != nil {
+		if err := p.Conn().CommitTxn(context.Background(), &tx); err != nil {
 			t.Fatalf("pool commit %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 6; i++ {
-		v, ok, err := p.Get(uint64(i))
+		v, ok, err := p.Conn().Get(context.Background(), uint64(i))
 		if err != nil || !ok || v != uint64(i)*7 {
 			t.Fatalf("key %d: v=%d ok=%v err=%v", i, v, ok, err)
 		}
@@ -272,7 +272,7 @@ func TestTxnPoolCommit(t *testing.T) {
 	// Commits count as writes in the server's latency classes; give the
 	// stats snapshot a beat and confirm ops flowed.
 	time.Sleep(10 * time.Millisecond)
-	st, err := p.Conn().Stats()
+	st, err := p.Conn().Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

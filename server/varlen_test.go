@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -28,32 +29,32 @@ func TestVarlenRoundTrip(t *testing.T) {
 		k := rng.Uint64()%100000 + 1
 		v := make([]byte, rng.Intn(2000))
 		rng.Read(v)
-		if err := c.PutBytes(k, v); err != nil {
+		if err := c.PutBytes(context.Background(), k, v); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = v
 	}
 	for k, v := range want {
-		got, ok, err := c.GetBytes(k)
+		got, ok, err := c.GetBytes(context.Background(), k)
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("key %d: ok=%v err=%v (%d bytes, want %d)", k, ok, err, len(got), len(v))
 		}
 	}
 	// Miss, empty value, delete.
-	if _, ok, err := c.GetBytes(1 << 60); ok || err != nil {
+	if _, ok, err := c.GetBytes(context.Background(), 1<<60); ok || err != nil {
 		t.Fatalf("miss: ok=%v err=%v", ok, err)
 	}
-	if err := c.PutBytes(5555, nil); err != nil {
+	if err := c.PutBytes(context.Background(), 5555, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := c.GetBytes(5555); err != nil || !ok || len(got) != 0 {
+	if got, ok, err := c.GetBytes(context.Background(), 5555); err != nil || !ok || len(got) != 0 {
 		t.Fatalf("empty value: %q ok=%v err=%v", got, ok, err)
 	}
 	for k := range want {
-		if ok, err := c.Delete(k); !ok || err != nil {
+		if ok, err := c.Delete(context.Background(), k); !ok || err != nil {
 			t.Fatalf("delete %d: ok=%v err=%v", k, ok, err)
 		}
-		if _, ok, _ := c.GetBytes(k); ok {
+		if _, ok, _ := c.GetBytes(context.Background(), k); ok {
 			t.Fatalf("key %d survives delete", k)
 		}
 		break
@@ -105,7 +106,7 @@ func TestVarlenScanPagination(t *testing.T) {
 
 	const n = 400
 	for i := uint64(1); i <= n; i++ {
-		if err := c.PutBytes(i, bytes.Repeat([]byte{byte(i)}, int(i%50)+1)); err != nil {
+		if err := c.PutBytes(context.Background(), i, bytes.Repeat([]byte{byte(i)}, int(i%50)+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func TestVarlenScanPagination(t *testing.T) {
 	var got int
 	lo := uint64(0)
 	for {
-		pairs, err := c.ScanBytes(lo, n, 64)
+		pairs, err := c.ScanBytes(context.Background(), lo, n, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +155,14 @@ func TestVarlenScanByteBudget(t *testing.T) {
 		big[i] = byte(i * 7)
 	}
 	for i := uint64(1); i <= n; i++ {
-		if err := c.PutBytes(i, big); err != nil {
+		if err := c.PutBytes(context.Background(), i, big); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seen, pages := 0, 0
 	lo := uint64(0)
 	for {
-		pairs, err := c.ScanBytes(lo, n, 0)
+		pairs, err := c.ScanBytes(context.Background(), lo, n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,16 +194,16 @@ func TestVarlenMixedAPIRejected(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Put(42, 12345); err != nil {
+	if err := c.Put(context.Background(), 42, 12345); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.GetBytes(42)
+	_, _, err = c.GetBytes(context.Background(), 42)
 	var re *client.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("GetV of fixed-width key: err = %v, want RemoteError", err)
 	}
 	// The fixed-width API still reads its own key.
-	if v, ok, err := c.Get(42); err != nil || !ok || v != 12345 {
+	if v, ok, err := c.Get(context.Background(), 42); err != nil || !ok || v != 12345 {
 		t.Fatalf("fixed Get after varlen attempt: %d %v %v", v, ok, err)
 	}
 }
@@ -225,15 +226,15 @@ func TestVarlenMaxValueOverWire(t *testing.T) {
 	defer c.Close()
 
 	// The wire cap is enforced client-side at encode time.
-	if err := c.PutBytes(1, make([]byte, wire.MaxValue+1)); err == nil {
+	if err := c.PutBytes(context.Background(), 1, make([]byte, wire.MaxValue+1)); err == nil {
 		t.Fatal("oversized PutBytes succeeded")
 	}
 	// The largest legal value round-trips.
 	maxVal := bytes.Repeat([]byte{0x5a}, wire.MaxValue)
-	if err := c.PutBytes(2, maxVal); err != nil {
+	if err := c.PutBytes(context.Background(), 2, maxVal); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := c.GetBytes(2)
+	got, ok, err := c.GetBytes(context.Background(), 2)
 	if err != nil || !ok || !bytes.Equal(got, maxVal) {
 		t.Fatalf("max-size value: ok=%v err=%v len=%d", ok, err, len(got))
 	}

@@ -14,7 +14,7 @@ var opSampleMask uint32 = 7
 // storeMetrics is the store's always-on instrumentation: one latency
 // histogram per session operation, indexed by op kind (recorded with two
 // clock reads around one in every opSampleMask+1 calls — lock-free,
-// allocation-free; see Session.sampleOp) and the GC pass distributions.
+// allocation-free; see Session.gate) and the GC pass distributions.
 // Counters for the value log and the pmem layer are not duplicated here;
 // RegisterMetrics exposes the existing accounting read-function-backed.
 type storeMetrics struct {

@@ -83,7 +83,7 @@ func TestAppendResponseAllocFree(t *testing.T) {
 		{ID: 2, Op: OpPut, Status: StatusOK},
 		{ID: 3, Op: OpGet, Status: StatusNotFound},
 		{ID: 4, Op: OpScan, Status: StatusOK, Pairs: pairs},
-		{ID: 5, Op: OpStats, Status: StatusOK, Stats: Stats{Ops: 1}},
+		{ID: 5, Op: OpStats, Status: StatusOK, Stats: &Stats{Ops: 1}},
 		{ID: 6, Op: OpGetV, Status: StatusOK, VVal: []byte("varlen value bytes")},
 		{ID: 7, Op: OpScanV, Status: StatusOK, VPairs: []VKV{{Key: 1, Val: []byte("a")}, {Key: 2, Val: []byte("bb")}}},
 		{ID: 8, Op: OpGetK, Status: StatusOK, VVal: []byte("byte-keyed value")},
@@ -154,7 +154,6 @@ func TestDecodeRoundTripAllocs(t *testing.T) {
 		{ID: 1, Op: OpGet, Status: StatusOK, Val: 9},
 		{ID: 2, Op: OpPut, Status: StatusOK},
 		{ID: 3, Op: OpGet, Status: StatusNotFound},
-		{ID: 5, Op: OpStats, Status: StatusOK, Stats: Stats{Ops: 1}},
 	} {
 		body := encodeResp(&r)
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -164,6 +163,16 @@ func TestDecodeRoundTripAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("DecodeResponse(%s/%s) allocs/op = %v, want 0", r.Op, r.Status, allocs)
 		}
+	}
+
+	// A Stats response allocates exactly its Stats.
+	stats := encodeResp(&Response{ID: 5, Op: OpStats, Status: StatusOK, Stats: &Stats{Ops: 1}})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeResponse(stats); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("DecodeResponse(Stats) allocs/op = %v, want 1 (the Stats)", allocs)
 	}
 
 	// Scan responses allocate exactly the pairs slice.

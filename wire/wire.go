@@ -90,39 +90,18 @@ type TxnOp struct {
 	VVal []byte // TxnPutK
 }
 
+var opNames = [...]string{
+	OpGet: "Get", OpPut: "Put", OpDelete: "Delete", OpPutBatch: "PutBatch",
+	OpScan: "Scan", OpStats: "Stats", OpGetV: "GetV", OpPutV: "PutV",
+	OpScanV: "ScanV", OpGetK: "GetK", OpPutK: "PutK", OpDeleteK: "DeleteK",
+	OpScanK: "ScanK", OpTxn: "Txn",
+}
+
 func (op Op) String() string {
-	switch op {
-	case OpGet:
-		return "Get"
-	case OpPut:
-		return "Put"
-	case OpDelete:
-		return "Delete"
-	case OpPutBatch:
-		return "PutBatch"
-	case OpScan:
-		return "Scan"
-	case OpStats:
-		return "Stats"
-	case OpGetV:
-		return "GetV"
-	case OpPutV:
-		return "PutV"
-	case OpScanV:
-		return "ScanV"
-	case OpGetK:
-		return "GetK"
-	case OpPutK:
-		return "PutK"
-	case OpDeleteK:
-		return "DeleteK"
-	case OpScanK:
-		return "ScanK"
-	case OpTxn:
-		return "Txn"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(op))
+	if int(op) < len(opNames) && opNames[op] != "" {
+		return opNames[op]
 	}
+	return fmt.Sprintf("Op(%d)", uint8(op))
 }
 
 // Status is a response status code.
@@ -160,25 +139,17 @@ const (
 	StatusTxnIncomplete
 )
 
+var statusNames = [...]string{
+	StatusOK: "OK", StatusNotFound: "NotFound", StatusErr: "Err",
+	StatusClosed: "Closed", StatusBusy: "Busy", StatusNoSpace: "NoSpace",
+	StatusTxnIncomplete: "TxnIncomplete",
+}
+
 func (st Status) String() string {
-	switch st {
-	case StatusOK:
-		return "OK"
-	case StatusNotFound:
-		return "NotFound"
-	case StatusErr:
-		return "Err"
-	case StatusClosed:
-		return "Closed"
-	case StatusBusy:
-		return "Busy"
-	case StatusNoSpace:
-		return "NoSpace"
-	case StatusTxnIncomplete:
-		return "TxnIncomplete"
-	default:
-		return fmt.Sprintf("Status(%d)", uint8(st))
+	if int(st) < len(statusNames) {
+		return statusNames[st]
 	}
+	return fmt.Sprintf("Status(%d)", uint8(st))
 }
 
 // KV is one key-value pair as carried by PutBatch and Scan frames.
@@ -229,6 +200,17 @@ type Stats struct {
 	Resets     uint64 // connections torn down on transport or protocol errors
 }
 
+// words lists the counters in the order a Stats response carries them: the
+// one list both AppendResponse and DecodeResponse walk.
+func (s *Stats) words() [statsWords]*uint64 {
+	return [statsWords]*uint64{
+		&s.Ops, &s.Errors, &s.BytesIn, &s.BytesOut, &s.ConnsLive, &s.ConnsTotal,
+		&s.VlogLive, &s.VlogGarbage, &s.VlogReclaimed,
+		&s.ReadP50, &s.ReadP99, &s.WriteP50, &s.WriteP99, &s.ScanP50, &s.ScanP99,
+		&s.Shed, &s.IdleCloses, &s.Resets,
+	}
+}
+
 // Request is a decoded request frame. Fields beyond ID and Op are meaningful
 // per opcode only (see the package comment).
 type Request struct {
@@ -261,7 +243,7 @@ type Response struct {
 	VVal   []byte // GetV/GetK hit
 	VPairs []VKV  // ScanV (decoded Vals subslice one shared allocation)
 	KPairs []KKV  // ScanK (decoded keys and values subslice one shared allocation)
-	Stats  Stats  // Stats
+	Stats  *Stats // StatusOK Stats only; a nil one encodes as zeros
 	Msg    string // StatusErr/StatusClosed/StatusBusy/StatusNoSpace detail
 }
 
@@ -376,71 +358,25 @@ func appendFrame(dst []byte, lenAt int) []byte {
 }
 
 // AppendRequest appends r as one length-prefixed frame to dst and returns
-// the extended slice. The encode-time failures are a PutBatch exceeding
-// MaxPairs (chunk those across frames) and a PutV value above MaxValue.
+// the extended slice. Each field is checked where it is encoded; a request
+// that breaks a limit — a PutBatch above MaxPairs (chunk those across
+// frames), a value or key above its cap, a Txn above MaxTxnOps or MaxFrame —
+// fails with dst as it was.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
-	if r.Op == OpPutBatch && len(r.Pairs) > MaxPairs {
-		return dst, fmt.Errorf("%w: %d > %d", ErrTooManyKV, len(r.Pairs), MaxPairs)
-	}
-	if r.Op == OpPutV && len(r.VVal) > MaxValue {
-		return dst, fmt.Errorf("%w: PutV value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxValue)
-	}
-	switch r.Op {
-	case OpGetK, OpPutK, OpDeleteK:
-		if len(r.KKey) < 1 || len(r.KKey) > MaxKey {
-			return dst, fmt.Errorf("%w: %s key %d bytes, want 1..%d", ErrMalformed, r.Op, len(r.KKey), MaxKey)
-		}
-		if r.Op == OpPutK && len(r.VVal) > MaxKValue {
-			return dst, fmt.Errorf("%w: PutK value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxKValue)
-		}
-	case OpScanK:
-		if len(r.KLo) > MaxScanBound || len(r.KHi) > MaxScanBound {
-			return dst, fmt.Errorf("%w: ScanK bound exceeds %d bytes", ErrMalformed, MaxScanBound)
-		}
-	case OpTxn:
-		if len(r.TxnOps) > MaxTxnOps {
-			return dst, fmt.Errorf("%w: %d txn ops > %d", ErrTooManyKV, len(r.TxnOps), MaxTxnOps)
-		}
-		body := reqHeader + 4
-		for i := range r.TxnOps {
-			op := &r.TxnOps[i]
-			switch op.Kind {
-			case TxnPut:
-				body += 1 + 16
-			case TxnDelete:
-				body += 1 + 8
-			case TxnPutK:
-				if len(op.KKey) < 1 || len(op.KKey) > MaxKey {
-					return dst, fmt.Errorf("%w: txn op %d key %d bytes, want 1..%d", ErrMalformed, i, len(op.KKey), MaxKey)
-				}
-				if len(op.VVal) > MaxKValue {
-					return dst, fmt.Errorf("%w: txn op %d value %d > %d bytes", ErrFrameTooBig, i, len(op.VVal), MaxKValue)
-				}
-				body += 1 + 6 + len(op.KKey) + len(op.VVal)
-			case TxnDeleteK:
-				if len(op.KKey) < 1 || len(op.KKey) > MaxKey {
-					return dst, fmt.Errorf("%w: txn op %d key %d bytes, want 1..%d", ErrMalformed, i, len(op.KKey), MaxKey)
-				}
-				body += 1 + 2 + len(op.KKey)
-			default:
-				return dst, fmt.Errorf("%w: txn op %d has unknown kind %d", ErrMalformed, i, op.Kind)
-			}
-		}
-		if body > MaxFrame {
-			return dst, fmt.Errorf("%w: txn frame %d > %d bytes", ErrFrameTooBig, body, MaxFrame)
-		}
-	}
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = be.AppendUint64(dst, r.ID)
 	dst = append(dst, byte(r.Op))
 	switch r.Op {
-	case OpGet, OpDelete:
+	case OpGet, OpDelete, OpGetV:
 		dst = be.AppendUint64(dst, r.Key)
 	case OpPut:
 		dst = be.AppendUint64(dst, r.Key)
 		dst = be.AppendUint64(dst, r.Val)
 	case OpPutBatch:
+		if len(r.Pairs) > MaxPairs {
+			return dst[:lenAt], fmt.Errorf("%w: %d > %d", ErrTooManyKV, len(r.Pairs), MaxPairs)
+		}
 		dst = be.AppendUint32(dst, uint32(len(r.Pairs)))
 		for _, kv := range r.Pairs {
 			dst = be.AppendUint64(dst, kv.Key)
@@ -451,31 +387,46 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 		dst = be.AppendUint64(dst, r.Hi)
 		dst = be.AppendUint32(dst, r.Max)
 	case OpStats:
-	case OpGetV:
-		dst = be.AppendUint64(dst, r.Key)
 	case OpPutV:
 		// The value runs to the end of the frame: its length is implied
 		// by the frame length, like an error message's.
+		if len(r.VVal) > MaxValue {
+			return dst[:lenAt], fmt.Errorf("%w: PutV value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxValue)
+		}
 		dst = be.AppendUint64(dst, r.Key)
 		dst = append(dst, r.VVal...)
-	case OpGetK, OpDeleteK:
+	case OpGetK, OpPutK, OpDeleteK:
+		// Length-prefixed key; a PutK's value runs to the end of the frame.
+		if len(r.KKey) < 1 || len(r.KKey) > MaxKey {
+			return dst[:lenAt], fmt.Errorf("%w: %s key %d bytes, want 1..%d", ErrMalformed, r.Op, len(r.KKey), MaxKey)
+		}
 		dst = be.AppendUint16(dst, uint16(len(r.KKey)))
 		dst = append(dst, r.KKey...)
-	case OpPutK:
-		// Length-prefixed key, then the value to the end of the frame.
-		dst = be.AppendUint16(dst, uint16(len(r.KKey)))
-		dst = append(dst, r.KKey...)
-		dst = append(dst, r.VVal...)
+		if r.Op == OpPutK {
+			if len(r.VVal) > MaxKValue {
+				return dst[:lenAt], fmt.Errorf("%w: PutK value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxKValue)
+			}
+			dst = append(dst, r.VVal...)
+		}
 	case OpScanK:
+		if len(r.KLo) > MaxScanBound || len(r.KHi) > MaxScanBound {
+			return dst[:lenAt], fmt.Errorf("%w: ScanK bound exceeds %d bytes", ErrMalformed, MaxScanBound)
+		}
 		dst = be.AppendUint16(dst, uint16(len(r.KLo)))
 		dst = append(dst, r.KLo...)
 		dst = be.AppendUint16(dst, uint16(len(r.KHi)))
 		dst = append(dst, r.KHi...)
 		dst = be.AppendUint32(dst, r.Max)
 	case OpTxn:
+		if len(r.TxnOps) > MaxTxnOps {
+			return dst[:lenAt], fmt.Errorf("%w: %d txn ops > %d", ErrTooManyKV, len(r.TxnOps), MaxTxnOps)
+		}
 		dst = be.AppendUint32(dst, uint32(len(r.TxnOps)))
 		for i := range r.TxnOps {
 			op := &r.TxnOps[i]
+			if (op.Kind == TxnPutK || op.Kind == TxnDeleteK) && (len(op.KKey) < 1 || len(op.KKey) > MaxKey) {
+				return dst[:lenAt], fmt.Errorf("%w: txn op %d key %d bytes, want 1..%d", ErrMalformed, i, len(op.KKey), MaxKey)
+			}
 			dst = append(dst, op.Kind)
 			switch op.Kind {
 			case TxnPut:
@@ -484,6 +435,9 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 			case TxnDelete:
 				dst = be.AppendUint64(dst, op.Key)
 			case TxnPutK:
+				if len(op.VVal) > MaxKValue {
+					return dst[:lenAt], fmt.Errorf("%w: txn op %d value %d > %d bytes", ErrFrameTooBig, i, len(op.VVal), MaxKValue)
+				}
 				dst = be.AppendUint16(dst, uint16(len(op.KKey)))
 				dst = be.AppendUint32(dst, uint32(len(op.VVal)))
 				dst = append(dst, op.KKey...)
@@ -491,7 +445,12 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 			case TxnDeleteK:
 				dst = be.AppendUint16(dst, uint16(len(op.KKey)))
 				dst = append(dst, op.KKey...)
+			default:
+				return dst[:lenAt], fmt.Errorf("%w: txn op %d has unknown kind %d", ErrMalformed, i, op.Kind)
 			}
+		}
+		if body := len(dst) - lenAt - FrameHdrSize; body > MaxFrame {
+			return dst[:lenAt], fmt.Errorf("%w: txn frame %d > %d bytes", ErrFrameTooBig, body, MaxFrame)
 		}
 	default:
 		return dst[:lenAt], fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
@@ -777,15 +736,12 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 				dst = be.AppendUint64(dst, kv.Val)
 			}
 		case OpStats:
-			for _, v := range [statsWords]uint64{
-				r.Stats.Ops, r.Stats.Errors, r.Stats.BytesIn,
-				r.Stats.BytesOut, r.Stats.ConnsLive, r.Stats.ConnsTotal,
-				r.Stats.VlogLive, r.Stats.VlogGarbage, r.Stats.VlogReclaimed,
-				r.Stats.ReadP50, r.Stats.ReadP99, r.Stats.WriteP50,
-				r.Stats.WriteP99, r.Stats.ScanP50, r.Stats.ScanP99,
-				r.Stats.Shed, r.Stats.IdleCloses, r.Stats.Resets,
-			} {
-				dst = be.AppendUint64(dst, v)
+			var st Stats
+			if r.Stats != nil {
+				st = *r.Stats
+			}
+			for _, w := range st.words() {
+				dst = be.AppendUint64(dst, *w)
 			}
 		case OpGetV:
 			dst = append(dst, r.VVal...)
@@ -1006,26 +962,11 @@ func DecodeResponse(body []byte) (Response, error) {
 		if len(p) != statsWords*8 {
 			return r, malformed("Stats response payload %d bytes, want %d", len(p), statsWords*8)
 		}
-		r.Stats = Stats{
-			Ops:           be.Uint64(p),
-			Errors:        be.Uint64(p[8:]),
-			BytesIn:       be.Uint64(p[16:]),
-			BytesOut:      be.Uint64(p[24:]),
-			ConnsLive:     be.Uint64(p[32:]),
-			ConnsTotal:    be.Uint64(p[40:]),
-			VlogLive:      be.Uint64(p[48:]),
-			VlogGarbage:   be.Uint64(p[56:]),
-			VlogReclaimed: be.Uint64(p[64:]),
-			ReadP50:       be.Uint64(p[72:]),
-			ReadP99:       be.Uint64(p[80:]),
-			WriteP50:      be.Uint64(p[88:]),
-			WriteP99:      be.Uint64(p[96:]),
-			ScanP50:       be.Uint64(p[104:]),
-			ScanP99:       be.Uint64(p[112:]),
-			Shed:          be.Uint64(p[120:]),
-			IdleCloses:    be.Uint64(p[128:]),
-			Resets:        be.Uint64(p[136:]),
+		st := new(Stats)
+		for i, w := range st.words() {
+			*w = be.Uint64(p[8*i:])
 		}
+		r.Stats = st
 	default:
 		return r, malformed("unknown opcode %d", uint8(r.Op))
 	}

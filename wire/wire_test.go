@@ -64,7 +64,7 @@ func responseCases() []Response {
 		{ID: 5, Op: OpPutBatch, Status: StatusOK},
 		{ID: 6, Op: OpScan, Status: StatusOK, Pairs: []KV{{5, 6}, {7, 8}}},
 		{ID: 7, Op: OpScan, Status: StatusOK, Pairs: []KV{}},
-		{ID: 8, Op: OpStats, Status: StatusOK, Stats: Stats{
+		{ID: 8, Op: OpStats, Status: StatusOK, Stats: &Stats{
 			Ops: 1, Errors: 2, BytesIn: 3, BytesOut: 4, ConnsLive: 5, ConnsTotal: 6,
 			VlogLive: 7, VlogGarbage: 8, VlogReclaimed: 9,
 			ReadP50: 10, ReadP99: 11, WriteP50: 12, WriteP99: 13, ScanP50: 14, ScanP99: 15,
