@@ -159,15 +159,26 @@ func (t *BTree) Height(th *pmem.Thread) int {
 func (t *BTree) descendToLeaf(th *pmem.Thread, key uint64) node {
 	n := t.root(th)
 	for {
-		if sib := t.rightOf(th, n, key); sib.valid() {
-			n = sib
-			continue
-		}
-		if t.level(th, n) == 0 {
+		next := t.step(th, n, key)
+		if next == n {
 			return n
 		}
-		n = node{int64(t.routeChild(th, n, key))}
+		n = next
 	}
+}
+
+// step is one hop of a descent toward key's leaf, the lock-free step every
+// lookup takes at every node: to n's right sibling when key lies at or
+// beyond n's high fence, otherwise one level down to the child covering
+// key. On the leaf that covers key it stays: it returns n.
+func (t *BTree) step(th *pmem.Thread, n node, key uint64) node {
+	if sib := t.rightOf(th, n, key); sib.valid() {
+		return sib
+	}
+	if t.level(th, n) == 0 {
+		return n
+	}
+	return node{int64(t.routeChild(th, n, key))}
 }
 
 // scanBound returns the index of the first zero pointer — the terminator —
@@ -380,12 +391,19 @@ func (t *BTree) routeChildBinary(th *pmem.Thread, n node, key uint64) uint64 {
 // reader that loaded the high key before it was lowered did so inside its
 // section, which then predates the Retire.
 func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
-	boxed := !t.opts.InlineValues
-	if boxed {
+	if !t.opts.InlineValues {
 		th.Enter()
 		defer th.Exit()
 	}
-	n := t.descendToLeaf(th, key)
+	return t.readLeaf(th, t.descendToLeaf(th, key), key)
+}
+
+// readLeaf is a lookup's leaf phase: the search of n, the leaf its descent
+// reached, the box load, and the chase right for a key a split moved past
+// n. A boxed tree's caller holds th's grace section from before the descent
+// (see Get).
+func (t *BTree) readLeaf(th *pmem.Thread, n node, key uint64) (uint64, bool) {
+	boxed := !t.opts.InlineValues
 	for {
 		if t.opts.LeafLocks {
 			t.rlockNode(th, n)
@@ -412,6 +430,71 @@ func (t *BTree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 			return 0, false
 		}
 		n = sib
+	}
+}
+
+// A Lookup is one key of a batch lookup (GetBatch): the tree to search and
+// the thread to search it with, which belongs to the calling goroutine, and
+// once GetBatch returns the answer Get would have given.
+type Lookup struct {
+	Tree  *BTree
+	Th    *pmem.Thread
+	Key   uint64
+	Val   uint64
+	Found bool
+
+	at   node // the node the descent stands on
+	leaf bool // at is the leaf covering Key
+}
+
+// GetBatch answers every lookup in ls, interleaving their descents: each
+// round moves every descent not yet on its leaf one step, so the node reads
+// of different lookups, which depend on nothing but their own lookup's last
+// hop, can overlap where a lone Get waits out its own chain of them. The
+// leaf phases then run one lookup at a time, in slice order.
+//
+// A descent takes no latch and has no linearisation point — only the leaf
+// phase does — so a batch cannot be told apart from its Gets run one after
+// another in slice order; each descent is a Get's own that was slow to
+// reach its leaf, and a leaf a split left behind is chased right as Get
+// chases it. Every lookup on a boxed tree holds its thread's grace section
+// from before its descent to after its box load (see Get); the sections
+// nest, so a thread shared by many lookups announces once.
+func GetBatch(ls []Lookup) {
+	for i := range ls {
+		l := &ls[i]
+		if !l.Tree.opts.InlineValues {
+			l.Th.Enter()
+		}
+		l.at, l.leaf = l.Tree.root(l.Th), false
+	}
+	defer exitBatch(ls)
+	for left := len(ls); left > 0; {
+		for i := range ls {
+			l := &ls[i]
+			if l.leaf {
+				continue
+			}
+			if next := l.Tree.step(l.Th, l.at, l.Key); next == l.at {
+				l.leaf = true
+				left--
+			} else {
+				l.at = next
+			}
+		}
+	}
+	for i := range ls {
+		l := &ls[i]
+		l.Val, l.Found = l.Tree.readLeaf(l.Th, l.at, l.Key)
+	}
+}
+
+// exitBatch closes the grace sections GetBatch opened.
+func exitBatch(ls []Lookup) {
+	for i := range ls {
+		if !ls[i].Tree.opts.InlineValues {
+			ls[i].Th.Exit()
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/pmem"
 )
 
 // The concurrency suite exercises §IV of the paper: lock-free searches run
@@ -496,5 +498,121 @@ func TestConcurrentRootGrowth(t *testing.T) {
 	}
 	if h := tr.Height(th); h < 4 {
 		t.Errorf("height %d, want deep tree", h)
+	}
+}
+
+// TestGetBatchDuringSplits: batch lookups spanning three trees race writers
+// that insert (splitting nodes and growing the trees) and delete. A batch
+// interleaves its descents hop by hop, so a descent can stand still on a
+// node while a writer splits it; every key nobody writes must still be found
+// with its own value, and a written key is either absent or holds the one
+// value its writer stores.
+func TestGetBatchDuringSplits(t *testing.T) {
+	const (
+		trees  = 3
+		stable = 2000    // keys 0, 1<<16, 2<<16, ... in every tree; never written
+		grown  = 100_000 // fresh keys a writer inserts before it turns to churn
+	)
+	batches := 10000
+	if testing.Short() {
+		batches = 1000
+	}
+	var ts [trees]*BTree
+	for i := range ts {
+		tr, th := newTestTree(t, Options{NodeSize: 256})
+		for k := uint64(0); k < stable; k++ {
+			if err := tr.Insert(th, k<<16, k+uint64(i)<<32); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts[i] = tr
+	}
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	var writes atomic.Int64
+	for i, tr := range ts {
+		writers.Add(1)
+		go func(i int, tr *BTree) {
+			defer writers.Done()
+			th := tr.Pool().NewThread()
+			rng := rand.New(rand.NewSource(int64(i + 300)))
+			var mine []uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Fresh keys land all over the tree and split it; past
+				// grown the writer deletes and reinserts its own.
+				var k uint64
+				if len(mine) < grown {
+					if k = rng.Uint64() % (stable << 16); k&0xffff == 0 {
+						continue
+					}
+					mine = append(mine, k)
+				} else if k = mine[rng.Intn(len(mine))]; rng.Intn(2) == 0 {
+					tr.Delete(th, k)
+					writes.Add(1)
+					continue
+				}
+				if err := tr.Insert(th, k, k*3+1); err != nil {
+					t.Error(err)
+					return
+				}
+				writes.Add(1)
+			}
+		}(i, tr)
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			var ths [trees]*pmem.Thread
+			for i, tr := range ts {
+				ths[i] = tr.Pool().NewThread()
+			}
+			rng := rand.New(rand.NewSource(int64(g + 400)))
+			ls := make([]Lookup, 0, 48)
+			for b := 0; b < batches; b++ {
+				ls = ls[:0]
+				for n := 1 + rng.Intn(48); n > 0; n-- {
+					i := rng.Intn(trees)
+					k := rng.Uint64() % stable << 16
+					if rng.Intn(4) == 0 {
+						k |= rng.Uint64() & 0xffff // mostly absent
+					}
+					ls = append(ls, Lookup{Tree: ts[i], Th: ths[i], Key: k})
+				}
+				GetBatch(ls)
+				for _, l := range ls {
+					i := 0
+					for ts[i] != l.Tree {
+						i++
+					}
+					want := l.Key>>16 + uint64(i)<<32
+					switch {
+					case l.Key&0xffff == 0 && (!l.Found || l.Val != want):
+						t.Errorf("tree %d: batch Get(%#x) = %d,%v, want %d,true", i, l.Key, l.Val, l.Found, want)
+						return
+					case l.Key&0xffff != 0 && l.Found && l.Val != l.Key*3+1:
+						t.Errorf("tree %d: batch Get(%#x) = %d, never written", i, l.Key, l.Val)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	if w := writes.Load(); w < 1000 {
+		t.Errorf("the writers made %d writes while the batches ran, want >= 1000", w)
+	}
+	for i, tr := range ts {
+		if err := tr.CheckInvariants(tr.Pool().NewThread()); err != nil {
+			t.Fatalf("tree %d: %v", i, err)
+		}
 	}
 }

@@ -131,6 +131,34 @@ func BenchmarkTreeGet(b *testing.B) {
 	}
 }
 
+// BenchmarkGetBatch measures GetBatch per key on a 512 K-key tree, in
+// batches of 1, 8 and 32. A batch of one is Get plus the batch's loop; the
+// larger ones show what interleaving the descents buys once the tree no
+// longer fits in cache.
+func BenchmarkGetBatch(b *testing.B) {
+	for _, c := range hotpathConfigs() {
+		tr, th, keys := benchTree(b, c.cfg, 512<<10)
+		for _, n := range []int{1, 8, 32} {
+			b.Run(fmt.Sprintf("%s/batch%d", c.name, n), func(b *testing.B) {
+				ls := make([]Lookup, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += n {
+					for j := range ls {
+						ls[j] = Lookup{Tree: tr, Th: th, Key: keys[((i+j)*2654435761)%len(keys)]}
+					}
+					GetBatch(ls)
+					for _, l := range ls {
+						if !l.Found {
+							b.Fatal("key missing")
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTreeScan measures a 100-key range scan (leafCollect dominated).
 func BenchmarkTreeScan(b *testing.B) {
 	for _, c := range hotpathConfigs() {

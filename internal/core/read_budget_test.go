@@ -83,6 +83,44 @@ func TestReadBudget(t *testing.T) {
 			}
 		}
 	})
+	t.Run("GetBatch", func(t *testing.T) {
+		tr, keys := budgetTree(t)
+		batch := func(ks ...uint64) func(th *pmem.Thread) {
+			return func(th *pmem.Thread) {
+				ls := make([]Lookup, len(ks))
+				for i, k := range ks {
+					ls[i] = Lookup{Tree: tr, Th: th, Key: k}
+				}
+				GetBatch(ls)
+			}
+		}
+		for _, k := range keys {
+			// One key is Get's own descent and leaf read.
+			if got := chargedBy(tr, batch(k)); got != budgetHeight+1 {
+				t.Fatalf("GetBatch(%d) charged %d reads, want height+1 = %d", k, got, budgetHeight+1)
+			}
+			if got := chargedBy(tr, batch(k+5)); got != budgetHeight {
+				t.Fatalf("GetBatch(%d) of an absent key charged %d reads, want height = %d", k+5, got, budgetHeight)
+			}
+		}
+		// Interleaving the descents costs no read a lone Get does not pay:
+		// n keys charge at most n cold Gets, present or absent.
+		for _, n := range []int{2, 8, 32} {
+			for start := 0; start+n <= len(keys); start += 97 {
+				ks := make([]uint64, n)
+				for i := range ks {
+					ks[i] = keys[(start+i*61)%len(keys)] + uint64(i%2)*5
+				}
+				var single uint64
+				for _, k := range ks {
+					single += chargedBy(tr, func(th *pmem.Thread) { tr.Get(th, k) })
+				}
+				if got := chargedBy(tr, batch(ks...)); got > single {
+					t.Fatalf("GetBatch of %d keys from %d charged %d reads, %d single Gets charge %d", n, ks[0], got, n, single)
+				}
+			}
+		}
+	})
 	t.Run("Overwrite", func(t *testing.T) {
 		tr, keys := budgetTree(t)
 		for _, k := range keys {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net"
 	"testing"
 
 	"repro/store"
@@ -197,4 +198,35 @@ func TestServeReadPathAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Scan serve+encode allocs/op = %v, want 0", allocs)
 	}
+
+	// A batch of 32 Gets is one run: one store call, 32 answers, one Write.
+	sink := &sinkConn{}
+	c.nc = sink
+	respSize := len(wire.MustAppendResponse(nil, &wire.Response{Op: wire.OpGet, Status: wire.StatusOK}))
+	runGets := func() {
+		for id := uint64(0); id < 32; id++ {
+			c.batch = append(c.batch, wire.Request{ID: id, Op: wire.OpGet, Key: keys[i%len(keys)]})
+			i++
+		}
+		sink.bytes = 0
+		if !c.runBatch(ss, 0) || sink.bytes != 32*respSize {
+			t.Fatalf("a 32-Get batch wrote %d bytes, want 32 OK answers of %d", sink.bytes, respSize)
+		}
+	}
+	runGets() // warm-up: sizes the run's buffers
+	if allocs := testing.AllocsPerRun(100, runGets); allocs != 0 {
+		t.Errorf("32-Get batch allocs/op = %v, want 0", allocs)
+	}
+}
+
+// sinkConn is a connection whose writes all succeed and go nowhere; it
+// counts their bytes.
+type sinkConn struct {
+	net.Conn
+	bytes int
+}
+
+func (s *sinkConn) Write(b []byte) (int, error) {
+	s.bytes += len(b)
+	return len(b), nil
 }

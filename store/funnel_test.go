@@ -61,6 +61,9 @@ var funnelReads = []struct {
 	{"Get", func(ss *Session) error { _, _, err := ss.Get(funnelUKey); return err }},
 	{"GetBytes", func(ss *Session) error { _, _, err := ss.GetBytes(funnelUKey, nil); return err }},
 	{"GetKV", func(ss *Session) error { _, _, err := ss.GetKV(funnelBKey, nil); return err }},
+	{"GetBatch", func(ss *Session) error {
+		return ss.GetBatch([]uint64{funnelUKey}, make([]uint64, 1), make([]bool, 1))
+	}},
 	{"Scan", func(ss *Session) error { return ss.Scan(0, ^uint64(0), func(_, _ uint64) bool { return true }) }},
 	{"ScanLimit", func(ss *Session) error { _, err := ss.ScanLimit(0, ^uint64(0), 16); return err }},
 	{"ScanBytes", func(ss *Session) error {

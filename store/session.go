@@ -3,6 +3,7 @@ package store
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pmem"
 )
 
@@ -41,6 +42,9 @@ type Session struct {
 	kvNew  []byte
 	kvRefs []KV
 	kvRuns []kvRun
+
+	// lookups is GetBatch's reusable batch, one per key.
+	lookups []core.Lookup
 
 	// plan is Commit's reusable working set (see txnPlan), and spareFixed
 	// the cleared fixed-width write-set map the last finished transaction
@@ -248,6 +252,38 @@ func (ss *Session) Get(key uint64) (uint64, bool, error) {
 	i := ss.s.ShardFor(key)
 	v, ok := ss.s.shards[i].ix.Get(ss.ths[i], key)
 	return v, ok, nil
+}
+
+// GetBatch looks up every key of keys at once, setting vals[i] and found[i]
+// to what Get(keys[i]) would return; vals and found must be at least as
+// long as keys. The keys' tree descents advance together, one step each in
+// turn, so their node reads can overlap; the leaf reads then run in key
+// order.
+// Descents are lock-free reads with no effect, so the batch answers exactly
+// what its Gets run one after another would. On a closed store it returns
+// ErrClosed and sets nothing.
+func (ss *Session) GetBatch(keys, vals []uint64, found []bool) error {
+	vals, found = vals[:len(keys)], found[:len(keys)]
+	t0, err := ss.gate(false)
+	if err != nil {
+		return err
+	}
+	defer ss.s.release()
+	ls := ss.lookups[:0]
+	for _, k := range keys {
+		i := ss.s.ShardFor(k)
+		ls = append(ls, core.Lookup{Tree: ss.s.shards[i].ix, Th: ss.ths[i], Key: k})
+	}
+	core.GetBatch(ls)
+	for i := range ls {
+		vals[i], found[i] = ls[i].Val, ls[i].Found
+	}
+	ss.lookups = ls
+	// A sampled batch charges the Get histogram its per-key share once.
+	if !t0.IsZero() && len(keys) > 0 {
+		ss.s.met.op[opGet].Record(int64(time.Since(t0)) / int64(len(keys)))
+	}
+	return nil
 }
 
 // Delete removes key, reporting whether it was present. A varlen key's log

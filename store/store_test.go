@@ -105,6 +105,38 @@ func TestPutBatch(t *testing.T) {
 	}
 }
 
+// TestGetBatch: a batch spanning every shard — present keys, absent keys
+// and repeats — answers key for key what Get answers.
+func TestGetBatch(t *testing.T) {
+	st := openTest(t, 4)
+	ss := st.NewSession()
+	defer ss.Close()
+	keys := testKeys(3000, 5)
+	for _, k := range keys[:2000] {
+		if err := ss.Put(k, k*7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals := make([]uint64, 64)
+	found := make([]bool, 64)
+	for lo := 0; lo+64 <= len(keys); lo += 37 {
+		batch := append([]uint64(nil), keys[lo:lo+64]...)
+		batch[5] = batch[60] // a repeat
+		if err := ss.GetBatch(batch, vals, found); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range batch {
+			v, ok, _ := ss.Get(k)
+			if vals[i] != v || found[i] != ok {
+				t.Fatalf("GetBatch key %d (%d) = (%d,%v), Get = (%d,%v)", i, k, vals[i], found[i], v, ok)
+			}
+		}
+	}
+	if err := ss.GetBatch(nil, nil, nil); err != nil {
+		t.Fatal("empty batch errored:", err)
+	}
+}
+
 func TestScanMergesShardsInOrder(t *testing.T) {
 	st := openTest(t, 5)
 	ss := st.NewSession()

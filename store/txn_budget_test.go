@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/pmem"
@@ -163,6 +164,9 @@ func TestPointReadsAllocFree(t *testing.T) {
 	}
 	kkey := []byte("alloc-key-007")
 	dst := make([]byte, 0, 256)
+	bkeys := []uint64{3, 7, 11, 19, 23, 42, 99, 150}
+	bvals := make([]uint64, len(bkeys))
+	bfound := make([]bool, len(bkeys))
 	for _, read := range []struct {
 		name string
 		run  func() (bool, error)
@@ -170,6 +174,10 @@ func TestPointReadsAllocFree(t *testing.T) {
 		{"Get", func() (bool, error) { _, ok, err := ss.Get(7); return ok, err }},
 		{"GetBytes", func() (ok bool, err error) { dst, ok, err = ss.GetBytes(1<<40+7, dst[:0]); return ok, err }},
 		{"GetKV", func() (ok bool, err error) { dst, ok, err = ss.GetKV(kkey, dst[:0]); return ok, err }},
+		{"GetBatch", func() (bool, error) {
+			err := ss.GetBatch(bkeys, bvals, bfound)
+			return !slices.Contains(bfound, false), err
+		}},
 	} {
 		read.run() // warm-up: sizes the session's buffers
 		if allocs := testing.AllocsPerRun(runs, func() {
