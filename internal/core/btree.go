@@ -448,10 +448,10 @@ type Lookup struct {
 }
 
 // GetBatch answers every lookup in ls, interleaving their descents: each
-// round moves every descent not yet on its leaf one step, so the node reads
-// of different lookups, which depend on nothing but their own lookup's last
-// hop, can overlap where a lone Get waits out its own chain of them. The
-// leaf phases then run one lookup at a time, in slice order.
+// round moves every descent not yet on its leaf one step, and prefetches
+// the node it stepped to, so that node's lines fill while the other
+// lookups take their steps, where a lone Get waits out its own chain of
+// misses. The leaf phases then run one lookup at a time, in slice order.
 //
 // A descent takes no latch and has no linearisation point — only the leaf
 // phase does — so a batch cannot be told apart from its Gets run one after
@@ -480,6 +480,7 @@ func GetBatch(ls []Lookup) {
 				left--
 			} else {
 				l.at = next
+				l.Th.Prefetch(next.off, l.Tree.nodeSize/pmem.LineSize)
 			}
 		}
 	}

@@ -294,6 +294,28 @@ func TestLoadLine(t *testing.T) {
 	}
 }
 
+// TestPrefetchIsUncounted: a prefetch is no read in the accounting — no
+// load, no charged read — and leaves the latency model's cache alone, so
+// the line it hinted is still charged when it is read.
+func TestPrefetchIsUncounted(t *testing.T) {
+	p := newTestPool(t, Config{ReadLatency: time.Microsecond})
+	th := p.NewThread()
+	off, _ := p.Alloc(1<<16, 64)
+	big := off + 32768
+	th.resetCache()
+	th.Stats = Stats{}
+	th.Prefetch(big, 8)
+	if th.Stats != (Stats{}) {
+		t.Errorf("Prefetch changed Stats: %+v", th.Stats)
+	}
+	var ln [WordsPerLine]uint64
+	th.LoadLine(big, &ln)
+	if th.Stats.ChargedReads != 1 || th.Stats.Loads != WordsPerLine {
+		t.Errorf("LoadLine after Prefetch: ChargedReads = %d, Loads = %d, want 1, %d",
+			th.Stats.ChargedReads, th.Stats.Loads, WordsPerLine)
+	}
+}
+
 func TestLoadLineAccounting(t *testing.T) {
 	p := newTestPool(t, Config{ReadLatency: 50 * time.Microsecond})
 	th := p.NewThread()

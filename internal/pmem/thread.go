@@ -3,6 +3,7 @@ package pmem
 import (
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Phase labels the logical activity a thread is performing, so harnesses can
@@ -205,6 +206,15 @@ func (t *Thread) LoadLineRev(off int64, dst *[WordsPerLine]uint64) {
 	for i := WordsPerLine - 1; i >= 0; i-- {
 		dst[i] = atomic.LoadUint64(&t.p.words[w+int64(i)])
 	}
+}
+
+// Prefetch asks the CPU to start filling the n lines from off, which must
+// lie in the arena, into its cache, so a read of them issued later does not
+// wait out the miss. It is a hint for real hardware only: it reads nothing,
+// counts as neither a load nor a charged read, and leaves the latency
+// model's state alone.
+func (t *Thread) Prefetch(off int64, n int) {
+	prefetchLines(unsafe.Pointer(&t.p.words[off/WordSize]), n)
 }
 
 // chargeRead implements the serial-access read model: an access to the same

@@ -57,12 +57,15 @@ type conn struct {
 	wstats wire.Stats
 	pairs  []wire.KV
 	vb     varlenBuf
-	gets   getRun
+	// at is the batch index of the request being served, gets the run of
+	// Gets it is answered from when it is a Get (see get).
+	at   int
+	gets getRun
 }
 
-// getRun is the run of consecutive Gets being answered (see runBatch): the
-// batch indexes it spans, its keys, the answers of the one store call that
-// served them, and, when one of its Gets is sampled, that call's clock.
+// getRun is a run of consecutive Gets of the batch: the batch indexes it
+// spans, its keys, and the answers and clock of the one store call that
+// served them all.
 type getRun struct {
 	lo, hi     int
 	keys, vals [maxIngest]uint64
@@ -240,11 +243,10 @@ func (c *conn) handle() {
 
 // runBatch counts the in bytes its frames took on the wire, executes the
 // batch in order and writes the slab: once at the end, and whenever it
-// passes slabFlush on the way. A Get starts a run of the consecutive Gets
-// from it, which one store call answers before the first of them is encoded
-// (runGets). It reports whether the connection is still usable. After a
-// failed write the rest of the batch is dropped unexecuted — the peer can
-// no longer learn the outcome — and only gives its admission slots back.
+// passes slabFlush on the way. It reports whether the connection is still
+// usable. After a failed write the rest of the batch is dropped unexecuted —
+// the peer can no longer learn the outcome — and only gives its admission
+// slots back.
 func (c *conn) runBatch(ss *store.Session, in int) bool {
 	s := c.srv
 	s.bytesIn.Add(uint64(in))
@@ -255,20 +257,13 @@ func (c *conn) runBatch(ss *store.Session, in int) bool {
 	// waits for is the requests decoded ahead of it in its own batch.
 	t0 := s.mnow()
 	ok := true
-	c.gets.hi = 0
+	c.gets.hi = 0 // no run of this batch has executed yet
 	for i := range c.batch {
 		if !ok {
 			s.releaseAdmit()
 			continue
 		}
-		if c.batch[i].Op != wire.OpGet {
-			c.serveOne(ss, &c.batch[i], t0)
-		} else {
-			if i >= c.gets.hi {
-				c.runGets(ss, i)
-			}
-			c.answerGet(i, t0)
-		}
+		c.serveOne(ss, i, t0)
 		if len(c.slab) >= slabFlush {
 			ok = c.flush()
 		}
@@ -372,93 +367,42 @@ func (c *conn) protoErr(body []byte, err error) {
 // Options.SlowOpThreshold clocks every request.
 const latencySampleMask = 7
 
-// serveOne executes one request through its opcode's handler (see ops),
+// serveOne executes batch request i through its opcode's handler (see ops),
 // counting it and any failure under its opcode, and encodes the response —
 // which borrows the connection's scratch buffers — into the slab. One in
 // latencySampleMask+1 requests is clocked: queue wait (batch ingest t0 to
 // execution start), execution, the per-class whole-request histogram behind
 // the wire Stats latency summary, the slow-op check, and a meta entry so the
-// write can charge the flush-wait stage.
-func (c *conn) serveOne(ss *store.Session, req *wire.Request, t0 int64) {
-	s, slot := c.srv, opSlot(req.Op)
+// write can charge the flush-wait stage. A Get executes in its run (see
+// get): its queue wait ends where the run's store call starts, and its
+// execution is an even share of that call.
+func (c *conn) serveOne(ss *store.Session, i int, t0 int64) {
+	req := &c.batch[i]
+	s, m, slot := c.srv, c.srv.met, opSlot(req.Op)
 	c.sampleCtr++
 	clocked := c.sampleCtr&latencySampleMask == 0 || s.opts.SlowOpThreshold > 0
 	var start int64
 	if clocked {
 		start = s.mnow()
 	}
-	s.met.reqs[slot].Inc(c.stripe)
+	m.reqs[slot].Inc(c.stripe)
 	c.resp = wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
-	c.answer(req, slot, ops[slot].serve(c, ss, req))
-	if clocked {
-		now := s.mnow()
-		c.charge(req, slot, t0, start, now-start, now)
-	}
-}
-
-// runGets answers the run of consecutive Gets that starts at batch index lo
-// with one Session.GetBatch. Nothing in the run writes, and whatever came
-// before it has executed: the run answers what its Gets executed one by one
-// in arrival order would (see store.Session.GetBatch). The store call is
-// clocked when one of the run's Gets will be sampled (answerGet).
-func (c *conn) runGets(ss *store.Session, lo int) {
-	g := &c.gets
-	hi := lo + 1
-	for hi < len(c.batch) && c.batch[hi].Op == wire.OpGet {
-		hi++
-	}
-	g.lo, g.hi = lo, hi
-	n := hi - lo
-	for i := range n {
-		g.keys[i] = c.batch[lo+i].Key
-	}
-	s := c.srv
-	clocked := c.sampleCtr&latencySampleMask+uint32(n) > latencySampleMask || s.opts.SlowOpThreshold > 0
-	if clocked {
-		g.start = s.mnow()
-	}
-	g.err = ss.GetBatch(g.keys[:n], g.vals[:n], g.found[:n])
-	if clocked {
-		g.end = s.mnow()
-	}
-}
-
-// answerGet is serveOne for the Get at batch index i, which its run has
-// already executed. A sampled Get's queue stage ends at the run's start,
-// and its execute stage is the run's store call divided evenly over the
-// run's Gets.
-func (c *conn) answerGet(i int, t0 int64) {
-	s, g := c.srv, &c.gets
-	req, slot, j := &c.batch[i], opSlot(wire.OpGet), i-g.lo
-	s.met.reqs[slot].Inc(c.stripe)
-	c.resp = wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK, Val: g.vals[j]}
-	if !g.found[j] {
-		c.resp.Status = wire.StatusNotFound
-	}
-	c.answer(req, slot, g.err)
-	c.sampleCtr++
-	if c.sampleCtr&latencySampleMask == 0 || s.opts.SlowOpThreshold > 0 {
-		c.charge(req, slot, t0, g.start, (g.end-g.start)/int64(g.hi-g.lo), g.end)
-	}
-}
-
-// answer encodes c.resp as req's response — or, when err is set, a
-// payload-free response with statusOf's status, counted as a failure under
-// slot — and gives req's admission slot back.
-func (c *conn) answer(req *wire.Request, slot int, err error) {
-	if err != nil {
-		c.srv.met.errs[slot].Inc(c.stripe)
+	c.at = i
+	if err := ops[slot].serve(c, ss, req); err != nil {
+		m.errs[slot].Inc(c.stripe)
 		c.resp = wire.Response{ID: req.ID, Op: req.Op, Status: statusOf(err), Msg: err.Error()}
 	}
-	c.srv.releaseAdmit()
+	s.releaseAdmit()
 	c.emit(&c.resp)
-}
-
-// charge records a clocked request's stages — queue from ingest (t0) to the
-// start of its execution, exec, and the whole request up to now — runs the
-// slow-op check, and notes the response for its flush-wait stage.
-func (c *conn) charge(req *wire.Request, slot int, t0, start, exec, now int64) {
-	s, m := c.srv, c.srv.met
+	if !clocked {
+		return
+	}
+	now := s.mnow()
+	exec := now - start
+	if req.Op == wire.OpGet {
+		g := &c.gets
+		start, exec = g.start, (g.end-g.start)/int64(g.hi-g.lo)
+	}
 	m.queue[slot].Record(start - t0)
 	m.exec[slot].Record(exec)
 	m.class[ops[slot].class].Record(now - t0)
@@ -488,8 +432,6 @@ func statusOf(err error) wire.Status {
 // ops is the server's one opcode table: each opcode's latency class and
 // handler. A handler fills c.resp (ID, Op and StatusOK preset); an error it
 // returns becomes a payload-free response with statusOf's status instead.
-// runBatch answers Gets in runs (runGets, answerGet); the OpGet handler
-// serves a Get handed to serveOne on its own.
 var ops = [numOps]struct {
 	class int
 	serve func(c *conn, ss *store.Session, req *wire.Request) error
@@ -541,10 +483,32 @@ func (c *conn) deleteKV(ss *store.Session, r *wire.Request) error {
 	return c.found(ss.DeleteKV(r.KKey))
 }
 
-func (c *conn) get(ss *store.Session, req *wire.Request) (err error) {
-	var ok bool
-	c.resp.Val, ok, err = ss.Get(req.Key)
-	return c.found(ok, err)
+// get answers a Get off its run. The first Get of a run — the one that
+// finds no run covering it — executes the run: the consecutive Gets from
+// it up to the next other opcode, answered by one Session.GetBatch. The
+// rest read their answers off that call. Nothing in a run writes, and
+// everything before it has executed when it starts, so it answers what
+// its Gets executed one by one in arrival order would (see
+// store.Session.GetBatch).
+func (c *conn) get(ss *store.Session, _ *wire.Request) error {
+	g := &c.gets
+	if c.at >= g.hi {
+		hi := c.at + 1
+		for hi < len(c.batch) && c.batch[hi].Op == wire.OpGet {
+			hi++
+		}
+		g.lo, g.hi = c.at, hi
+		n := hi - c.at
+		for j := range n {
+			g.keys[j] = c.batch[c.at+j].Key
+		}
+		g.start = c.srv.mnow()
+		g.err = ss.GetBatch(g.keys[:n], g.vals[:n], g.found[:n])
+		g.end = c.srv.mnow()
+	}
+	j := c.at - g.lo
+	c.resp.Val = g.vals[j]
+	return c.found(g.found[j], g.err)
 }
 
 func (c *conn) putBatch(ss *store.Session, req *wire.Request) error {

@@ -8,9 +8,9 @@ import (
 	"repro/wire"
 )
 
-// The serve+encode hot path — what a connection's loop does per request,
-// minus the socket — must stay allocation-free in steady state for Get and
-// Scan: that is what keeps the server's read throughput GC-quiet.
+// The serve+encode hot path — what a connection's loop does per batch,
+// minus the socket read — must stay allocation-free in steady state for Get
+// and Scan: that is what keeps the server's read throughput GC-quiet.
 
 func newServePath(tb testing.TB, nKeys int) (*conn, *store.Session, []uint64) {
 	tb.Helper()
@@ -29,18 +29,21 @@ func newServePath(tb testing.TB, nKeys int) (*conn, *store.Session, []uint64) {
 		}
 	}
 	s := New(st, Options{})
-	return newConn(s, nil), ss, keys
+	return newConn(s, &sinkConn{}), ss, keys
 }
 
-// serveEncode runs one request through serveOne — serve, the stage
-// instrumentation (so the alloc pins cover the metrics record path) and the
-// encode into the connection's slab — then empties the slab the way a
-// flush does, and returns the status byte of the frame it encoded.
+// serveEncode runs one request as a batch of its own through runBatch —
+// serve, the stage instrumentation (so the alloc pins cover the metrics
+// record path), the encode into the connection's slab and its write to the
+// sink — and returns the status byte of the frame it wrote.
 func serveEncode(c *conn, ss *store.Session, req *wire.Request) wire.Status {
-	c.serveOne(ss, req, c.srv.mnow())
-	st := wire.Status(c.slab[wire.FrameHdrSize+9])
-	c.resetSlab()
-	return st
+	c.batch = append(c.batch, *req)
+	sink := c.nc.(*sinkConn)
+	if !c.runBatch(ss, 0) || sink.bytes == 0 {
+		panic("serveEncode: the batch wrote nothing")
+	}
+	sink.bytes = 0
+	return wire.Status(sink.last[wire.FrameHdrSize+9])
 }
 
 func BenchmarkServeGet(b *testing.B) {
@@ -90,7 +93,7 @@ func newServePathV(tb testing.TB, nKeys, valSize int) (*conn, *store.Session, []
 		}
 	}
 	s := New(st, Options{})
-	return newConn(s, nil), ss, keys
+	return newConn(s, &sinkConn{}), ss, keys
 }
 
 func BenchmarkServeGetV(b *testing.B) {
@@ -200,8 +203,7 @@ func TestServeReadPathAllocs(t *testing.T) {
 	}
 
 	// A batch of 32 Gets is one run: one store call, 32 answers, one Write.
-	sink := &sinkConn{}
-	c.nc = sink
+	sink := c.nc.(*sinkConn)
 	respSize := len(wire.MustAppendResponse(nil, &wire.Response{Op: wire.OpGet, Status: wire.StatusOK}))
 	runGets := func() {
 		for id := uint64(0); id < 32; id++ {
@@ -220,13 +222,15 @@ func TestServeReadPathAllocs(t *testing.T) {
 }
 
 // sinkConn is a connection whose writes all succeed and go nowhere; it
-// counts their bytes.
+// counts their bytes and keeps the last one's buffer.
 type sinkConn struct {
 	net.Conn
 	bytes int
+	last  []byte
 }
 
 func (s *sinkConn) Write(b []byte) (int, error) {
 	s.bytes += len(b)
+	s.last = b
 	return len(b), nil
 }

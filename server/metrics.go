@@ -51,7 +51,8 @@ var classNames = [numClasses]string{"read", "write", "scan"}
 // histograms backing the wire Stats latency summary, and batch shape
 // distributions (ingest batch size, flush size in bytes and responses). The
 // latency histograms observe a 1-in-latencySampleMask+1 sample of requests
-// — see serveOne — unless SlowOpThreshold is set.
+// — see serveOne — unless SlowOpThreshold is set. A Get's execute stage is
+// its run's store call divided by the run's length (see conn.get).
 type serverMetrics struct {
 	reqs [numOps]*metrics.Striped
 	errs [numOps]*metrics.Striped
@@ -122,11 +123,11 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 		reg.Counter("pmkv_server_request_errors_total", op,
 			"requests answered with an error status (StatusErr, StatusClosed, StatusNoSpace, StatusTxnIncomplete), protocol errors included, by opcode", m.errs[i].Load)
 		reg.Histogram("pmkv_server_request_stage_seconds", op+`,stage="queue"`,
-			"per-request pipeline stage latency", 1e-9, m.queue[i])
+			"per-request pipeline stage latency (a Get executes in its run of consecutive Gets: its execute stage is the run's per-Get average)", 1e-9, m.queue[i])
 		reg.Histogram("pmkv_server_request_stage_seconds", op+`,stage="execute"`,
-			"per-request pipeline stage latency", 1e-9, m.exec[i])
+			"per-request pipeline stage latency (a Get executes in its run of consecutive Gets: its execute stage is the run's per-Get average)", 1e-9, m.exec[i])
 		reg.Histogram("pmkv_server_request_stage_seconds", op+`,stage="flush"`,
-			"per-request pipeline stage latency", 1e-9, m.flush[i])
+			"per-request pipeline stage latency (a Get executes in its run of consecutive Gets: its execute stage is the run's per-Get average)", 1e-9, m.flush[i])
 	}
 	for c := 0; c < numClasses; c++ {
 		reg.Histogram("pmkv_server_request_seconds", `class="`+classNames[c]+`"`,

@@ -52,7 +52,7 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	for k, name := range opNames {
 		if name != "" {
 			reg.Histogram("pmkv_store_op_seconds", `op="`+name+`"`,
-				"store operation latency", 1e-9, m.op[k])
+				"store operation latency (a GetBatch records its per-key average once per key under Get)", 1e-9, m.op[k])
 		}
 	}
 	reg.Histogram("pmkv_store_gc_pause_seconds", "",

@@ -257,11 +257,10 @@ func (ss *Session) Get(key uint64) (uint64, bool, error) {
 // GetBatch looks up every key of keys at once, setting vals[i] and found[i]
 // to what Get(keys[i]) would return; vals and found must be at least as
 // long as keys. The keys' tree descents advance together, one step each in
-// turn, so their node reads can overlap; the leaf reads then run in key
-// order.
-// Descents are lock-free reads with no effect, so the batch answers exactly
-// what its Gets run one after another would. On a closed store it returns
-// ErrClosed and sets nothing.
+// turn, each prefetching the node it steps to, so their node reads overlap;
+// the leaf reads then run in key order. Descents are lock-free reads with no effect, so the batch answers
+// exactly what its Gets run one after another would. On a closed store it
+// returns ErrClosed and sets nothing.
 func (ss *Session) GetBatch(keys, vals []uint64, found []bool) error {
 	vals, found = vals[:len(keys)], found[:len(keys)]
 	t0, err := ss.gate(false)
@@ -279,9 +278,13 @@ func (ss *Session) GetBatch(keys, vals []uint64, found []bool) error {
 		vals[i], found[i] = ls[i].Val, ls[i].Found
 	}
 	ss.lookups = ls
-	// A sampled batch charges the Get histogram its per-key share once.
+	// A sampled batch records its per-key share once for each key, so the
+	// Get histogram's samples keep tracking Gets.
 	if !t0.IsZero() && len(keys) > 0 {
-		ss.s.met.op[opGet].Record(int64(time.Since(t0)) / int64(len(keys)))
+		share := int64(time.Since(t0)) / int64(len(keys))
+		for range keys {
+			ss.s.met.op[opGet].Record(share)
+		}
 	}
 	return nil
 }
