@@ -543,7 +543,7 @@ func (c *conn) getBytes(ss *store.Session, req *wire.Request) (err error) {
 }
 
 func (c *conn) scanBytes(ss *store.Session, req *wire.Request) error {
-	vb := c.vb.reset(pageMax(req), 12)
+	vb := c.vb.reset(pageMax(req), wire.ScanVPairHdrSize)
 	var oversized error
 	err := ss.ScanBytes(req.Lo, req.Hi, vb.max, func(k uint64, v []byte) bool {
 		if len(v) > wire.MaxValue {
@@ -569,7 +569,7 @@ func (c *conn) scanBytes(ss *store.Session, req *wire.Request) error {
 }
 
 func (c *conn) scanKV(ss *store.Session, req *wire.Request) error {
-	vb := c.vb.reset(pageMax(req), 6)
+	vb := c.vb.reset(pageMax(req), wire.ScanKPairHdrSize)
 	err := ss.ScanKV(req.KLo, req.KHi, vb.max, func(k, v []byte) bool {
 		_, more := vb.add(k, v)
 		return more

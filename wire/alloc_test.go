@@ -44,6 +44,14 @@ func TestReadFrameAllocFree(t *testing.T) {
 	}
 }
 
+// mixedTxn is a write-set with every op kind.
+var mixedTxn = []TxnOp{
+	{Kind: TxnPut, Key: 1, Val: 2},
+	{Kind: TxnDelete, Key: 3},
+	{Kind: TxnPutK, KKey: []byte("byte key"), VVal: []byte("value bytes")},
+	{Kind: TxnDeleteK, KKey: []byte("other key")},
+}
+
 func TestAppendRequestAllocFree(t *testing.T) {
 	pairs := []KV{{1, 2}, {3, 4}}
 	reqs := []Request{
@@ -60,6 +68,7 @@ func TestAppendRequestAllocFree(t *testing.T) {
 		{ID: 11, Op: OpPutK, KKey: []byte("byte key"), VVal: []byte("value bytes")},
 		{ID: 12, Op: OpDeleteK, KKey: []byte("byte key")},
 		{ID: 13, Op: OpScanK, KLo: []byte("a"), KHi: []byte("z"), Max: 10},
+		{ID: 14, Op: OpTxn, TxnOps: mixedTxn},
 	}
 	buf := make([]byte, 0, 1024)
 	for i := range reqs {
@@ -241,6 +250,25 @@ func TestDecodeRoundTripAllocs(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Errorf("DecodeResponse(GetK) allocs/op = %v, want 1 (the value copy)", allocs)
+	}
+	// Txn requests decode in one pass: the ops slice, plus (from the first
+	// byte-key op on) one arena that every byte key and value subslices.
+	for _, tc := range []struct {
+		name string
+		ops  []TxnOp
+		want float64
+	}{
+		{"fixed-width", []TxnOp{{Kind: TxnPut, Key: 1, Val: 2}, {Kind: TxnDelete, Key: 3}}, 1},
+		{"mixed", mixedTxn, 2},
+	} {
+		body := encodeReq(&Request{ID: 16, Op: OpTxn, TxnOps: tc.ops})
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeRequest(body); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != tc.want {
+			t.Errorf("DecodeRequest(%s Txn) allocs/op = %v, want %v", tc.name, allocs, tc.want)
+		}
 	}
 	scank := encodeResp(&Response{ID: 15, Op: OpScanK, Status: StatusOK,
 		KPairs: []KKV{{Key: []byte("k1"), Val: []byte("aaa")}, {Key: []byte("k2"), Val: []byte("bbbb")}}})

@@ -9,9 +9,10 @@ import (
 	"io"
 )
 
-// MaxFrame is the fixed cap on a frame body. It bounds both the decoder's
-// allocations and a PutBatch/Scan payload (65536 pairs fit with room for the
-// header).
+// MaxFrame is the fixed cap on a frame body, in both directions: encoders
+// refuse a larger body and decoders reject one, so it bounds both the
+// decoders' allocations and every payload (a MaxPairs PutBatch or Scan fits
+// with room for the header).
 const MaxFrame = 1 << 20
 
 // MaxPairs is the largest pair count a single PutBatch or Scan frame may
@@ -278,6 +279,15 @@ const (
 // decode failure instead of a silently wrong payload.
 const FrameHdrSize = 8
 
+// ScanVPairHdrSize and ScanKPairHdrSize are the per-pair headers of a ScanV
+// response (key u64 | vlen u32) and a ScanK response (klen u16 | vlen u32):
+// what a server budgeting a page under MaxFrame charges each pair beside its
+// key and value bytes.
+const (
+	ScanVPairHdrSize = 12
+	ScanKPairHdrSize = 6
+)
+
 // castagnoli is the frame CRC table; CRC-32C is hardware-accelerated on
 // amd64 and arm64, so the per-frame cost is a few ns.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -347,393 +357,421 @@ func FrameBuffered(br *bufio.Reader, max uint32) bool {
 	return br.Buffered() >= FrameHdrSize+int(n)
 }
 
-// appendFrame completes a frame started by reserving FrameHdrSize header
-// bytes at lenAt: it back-patches the length and CRC over everything
-// appended since.
-func appendFrame(dst []byte, lenAt int) []byte {
-	body := dst[lenAt+FrameHdrSize:]
-	be.PutUint32(dst[lenAt:], uint32(len(body)))
-	be.PutUint32(dst[lenAt+4:], crc32.Checksum(body, castagnoli))
-	return dst
+// A field is a length-limited part of a payload. A cursor also records
+// in one what it found wrong: fieldNone while nothing is, and the last two
+// for failures that break no limit.
+type field uint8
+
+const (
+	fieldNone  field = iota
+	fieldCount       // a list's entry count
+	fieldKey
+	fieldBound // a ScanK bound: may be empty, or name a max-sized key's successor
+	fieldValue
+	fieldPayload // a read ran past the payload's end
+	fieldKind    // a Txn op's kind is unknown
+)
+
+var fieldNames = [...]string{fieldCount: "count", fieldKey: "key", fieldBound: "bound", fieldValue: "value"}
+
+// limit is the one statement of the per-field caps, read by the encoder and
+// the cursor alike: the length range of field f in a frame of op, and the
+// error an encoder refuses a violation with (a decoder's is ErrMalformed).
+func limit(op Op, f field) (lo, hi int, kind error) {
+	switch {
+	case f == fieldCount && op == OpTxn:
+		return 0, MaxTxnOps, ErrTooManyKV
+	case f == fieldCount:
+		return 0, MaxPairs, ErrTooManyKV
+	case f == fieldKey:
+		return 1, MaxKey, ErrMalformed
+	case f == fieldBound:
+		return 0, MaxScanBound, ErrMalformed
+	case op == OpPutK || op == OpGetK || op == OpScanK || op == OpTxn:
+		// A byte-key value leaves room for its key and pair header in a frame.
+		return 0, MaxKValue, ErrFrameTooBig
+	}
+	return 0, MaxValue, ErrFrameTooBig
+}
+
+// encoder appends one frame of op to the bytes before lenAt. Its first
+// refused field sticks: the refused field or list is not written, and
+// appendFrame drops the whole frame.
+type encoder struct {
+	op    Op
+	b     []byte
+	lenAt int
+	err   error
+}
+
+// start begins a frame at the end of dst: it reserves the frame header and
+// appends the id and opcode every body begins with.
+func (e *encoder) start(dst []byte, id uint64, op Op) {
+	e.op, e.lenAt = op, len(dst)
+	e.b = append(be.AppendUint64(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), id), byte(op))
+}
+
+func (e *encoder) refuse(kind error, format string, args ...any) {
+	if e.err == nil {
+		e.err = fmt.Errorf("%w: %s %s", kind, e.op, fmt.Sprintf(format, args...))
+	}
+}
+
+// appendFrame back-patches the header's length and CRC over the body. If a
+// field was refused, or the body exceeds MaxFrame (the one cap every
+// encoded frame obeys), it returns dst as it was instead.
+func (e *encoder) appendFrame() ([]byte, error) {
+	body := e.b[e.lenAt+FrameHdrSize:]
+	if e.err != nil || len(body) > MaxFrame {
+		e.refuse(ErrFrameTooBig, "body %d > %d bytes", len(body), MaxFrame)
+		return e.b[:e.lenAt], e.err
+	}
+	be.PutUint32(e.b[e.lenAt:], uint32(len(body)))
+	be.PutUint32(e.b[e.lenAt+4:], crc32.Checksum(body, castagnoli))
+	return e.b, nil
+}
+
+// fits refuses an n outside field f's limit; the caller then leaves the
+// field unwritten.
+func (e *encoder) fits(f field, n int) bool {
+	lo, hi, kind := limit(e.op, f)
+	if n < lo || n > hi {
+		e.refuse(kind, "%s %d, want %d..%d", fieldNames[f], n, lo, hi)
+		return false
+	}
+	return true
+}
+
+// count appends a list's u32 length and returns how many entries to write:
+// all n, or none if the list is over its limit.
+func (e *encoder) count(n int) int {
+	if e.b = be.AppendUint32(e.b, uint32(n)); !e.fits(fieldCount, n) {
+		return 0
+	}
+	return n
+}
+
+// pairs appends a u64 pair list: a PutBatch request's or a Scan response's.
+func (e *encoder) pairs(kvs []KV) {
+	for i := range e.count(len(kvs)) {
+		e.b = be.AppendUint64(be.AppendUint64(e.b, kvs[i].Key), kvs[i].Val)
+	}
+}
+
+// key appends a length-prefixed key (klen u16 | key): a GetK, PutK,
+// DeleteK or Txn DeleteK key, or a ScanK bound.
+func (e *encoder) key(k []byte, f field) {
+	if e.fits(f, len(k)) {
+		e.b = append(be.AppendUint16(e.b, uint16(len(k))), k...)
+	}
+}
+
+// tail appends a value that runs to the end of the frame, its length
+// implied by the frame's: PutV's, PutK's, GetV's and GetK's.
+func (e *encoder) tail(v []byte) {
+	if e.fits(fieldValue, len(v)) {
+		e.b = append(e.b, v...)
+	}
+}
+
+// kv appends a byte-key pair (klen u16 | vlen u32 | key | val): a ScanK
+// response pair or a Txn PutK.
+func (e *encoder) kv(k, v []byte) {
+	if e.fits(fieldKey, len(k)) && e.fits(fieldValue, len(v)) {
+		e.b = be.AppendUint32(be.AppendUint16(e.b, uint16(len(k))), uint32(len(v)))
+		e.b = append(append(e.b, k...), v...)
+	}
 }
 
 // AppendRequest appends r as one length-prefixed frame to dst and returns
-// the extended slice. Each field is checked where it is encoded; a request
-// that breaks a limit — a PutBatch above MaxPairs (chunk those across
-// frames), a value or key above its cap, a Txn above MaxTxnOps or MaxFrame —
-// fails with dst as it was.
+// the extended slice. A request that breaks a limit — a PutBatch above
+// MaxPairs (chunk those across frames), a key or value outside its cap, a
+// Txn above MaxTxnOps, a body above MaxFrame — fails with dst as it was.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = be.AppendUint64(dst, r.ID)
-	dst = append(dst, byte(r.Op))
+	var e encoder
+	e.start(dst, r.ID, r.Op)
 	switch r.Op {
 	case OpGet, OpDelete, OpGetV:
-		dst = be.AppendUint64(dst, r.Key)
+		e.b = be.AppendUint64(e.b, r.Key)
 	case OpPut:
-		dst = be.AppendUint64(dst, r.Key)
-		dst = be.AppendUint64(dst, r.Val)
+		e.b = be.AppendUint64(be.AppendUint64(e.b, r.Key), r.Val)
 	case OpPutBatch:
-		if len(r.Pairs) > MaxPairs {
-			return dst[:lenAt], fmt.Errorf("%w: %d > %d", ErrTooManyKV, len(r.Pairs), MaxPairs)
-		}
-		dst = be.AppendUint32(dst, uint32(len(r.Pairs)))
-		for _, kv := range r.Pairs {
-			dst = be.AppendUint64(dst, kv.Key)
-			dst = be.AppendUint64(dst, kv.Val)
-		}
+		e.pairs(r.Pairs)
 	case OpScan, OpScanV:
-		dst = be.AppendUint64(dst, r.Lo)
-		dst = be.AppendUint64(dst, r.Hi)
-		dst = be.AppendUint32(dst, r.Max)
+		e.b = be.AppendUint32(be.AppendUint64(be.AppendUint64(e.b, r.Lo), r.Hi), r.Max)
 	case OpStats:
 	case OpPutV:
-		// The value runs to the end of the frame: its length is implied
-		// by the frame length, like an error message's.
-		if len(r.VVal) > MaxValue {
-			return dst[:lenAt], fmt.Errorf("%w: PutV value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxValue)
-		}
-		dst = be.AppendUint64(dst, r.Key)
-		dst = append(dst, r.VVal...)
-	case OpGetK, OpPutK, OpDeleteK:
-		// Length-prefixed key; a PutK's value runs to the end of the frame.
-		if len(r.KKey) < 1 || len(r.KKey) > MaxKey {
-			return dst[:lenAt], fmt.Errorf("%w: %s key %d bytes, want 1..%d", ErrMalformed, r.Op, len(r.KKey), MaxKey)
-		}
-		dst = be.AppendUint16(dst, uint16(len(r.KKey)))
-		dst = append(dst, r.KKey...)
-		if r.Op == OpPutK {
-			if len(r.VVal) > MaxKValue {
-				return dst[:lenAt], fmt.Errorf("%w: PutK value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxKValue)
-			}
-			dst = append(dst, r.VVal...)
-		}
+		e.b = be.AppendUint64(e.b, r.Key)
+		e.tail(r.VVal)
+	case OpGetK, OpDeleteK:
+		e.key(r.KKey, fieldKey)
+	case OpPutK:
+		e.key(r.KKey, fieldKey)
+		e.tail(r.VVal)
 	case OpScanK:
-		if len(r.KLo) > MaxScanBound || len(r.KHi) > MaxScanBound {
-			return dst[:lenAt], fmt.Errorf("%w: ScanK bound exceeds %d bytes", ErrMalformed, MaxScanBound)
-		}
-		dst = be.AppendUint16(dst, uint16(len(r.KLo)))
-		dst = append(dst, r.KLo...)
-		dst = be.AppendUint16(dst, uint16(len(r.KHi)))
-		dst = append(dst, r.KHi...)
-		dst = be.AppendUint32(dst, r.Max)
+		e.key(r.KLo, fieldBound)
+		e.key(r.KHi, fieldBound)
+		e.b = be.AppendUint32(e.b, r.Max)
 	case OpTxn:
-		if len(r.TxnOps) > MaxTxnOps {
-			return dst[:lenAt], fmt.Errorf("%w: %d txn ops > %d", ErrTooManyKV, len(r.TxnOps), MaxTxnOps)
-		}
-		dst = be.AppendUint32(dst, uint32(len(r.TxnOps)))
-		for i := range r.TxnOps {
+		for i := range e.count(len(r.TxnOps)) {
 			op := &r.TxnOps[i]
-			if (op.Kind == TxnPutK || op.Kind == TxnDeleteK) && (len(op.KKey) < 1 || len(op.KKey) > MaxKey) {
-				return dst[:lenAt], fmt.Errorf("%w: txn op %d key %d bytes, want 1..%d", ErrMalformed, i, len(op.KKey), MaxKey)
-			}
-			dst = append(dst, op.Kind)
+			e.b = append(e.b, op.Kind)
 			switch op.Kind {
 			case TxnPut:
-				dst = be.AppendUint64(dst, op.Key)
-				dst = be.AppendUint64(dst, op.Val)
+				e.b = be.AppendUint64(be.AppendUint64(e.b, op.Key), op.Val)
 			case TxnDelete:
-				dst = be.AppendUint64(dst, op.Key)
+				e.b = be.AppendUint64(e.b, op.Key)
 			case TxnPutK:
-				if len(op.VVal) > MaxKValue {
-					return dst[:lenAt], fmt.Errorf("%w: txn op %d value %d > %d bytes", ErrFrameTooBig, i, len(op.VVal), MaxKValue)
-				}
-				dst = be.AppendUint16(dst, uint16(len(op.KKey)))
-				dst = be.AppendUint32(dst, uint32(len(op.VVal)))
-				dst = append(dst, op.KKey...)
-				dst = append(dst, op.VVal...)
+				e.kv(op.KKey, op.VVal)
 			case TxnDeleteK:
-				dst = be.AppendUint16(dst, uint16(len(op.KKey)))
-				dst = append(dst, op.KKey...)
+				e.key(op.KKey, fieldKey)
 			default:
-				return dst[:lenAt], fmt.Errorf("%w: txn op %d has unknown kind %d", ErrMalformed, i, op.Kind)
+				e.refuse(ErrMalformed, "op %d has unknown kind %d", i, op.Kind)
 			}
-		}
-		if body := len(dst) - lenAt - FrameHdrSize; body > MaxFrame {
-			return dst[:lenAt], fmt.Errorf("%w: txn frame %d > %d bytes", ErrFrameTooBig, body, MaxFrame)
 		}
 	default:
-		return dst[:lenAt], fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
+		return dst, fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
 	}
-	return appendFrame(dst, lenAt), nil
+	return e.appendFrame()
 }
 
-// DecodeRequest parses one request frame body (the bytes after the length
-// prefix). It never panics on arbitrary input and rejects trailing bytes.
+// cursor reads a frame's payload front to back. Its first short read or
+// failed bound sticks: it records what failed and empties the cursor, so
+// every later read is short too and yields zeros, and done reports it. A
+// decoder therefore reads its fields unconditionally and checks once, at
+// the end. Formatting the error only in done keeps the cursor at four words
+// and every read free of calls.
+type cursor struct {
+	p   []byte
+	n   uint32 // the length, count or kind that failed
+	op  Op
+	bad field // fieldNone until something fails
+}
+
+// sized reports whether a body holds its hdr-byte header and fits MaxFrame,
+// the one cap every decoded frame obeys; badBody is the error if not.
+func sized(body []byte, hdr int) bool { return len(body) >= hdr && len(body) <= MaxFrame }
+
+func badBody(n, hdr int) error { return malformed("body %d bytes, want %d..%d", n, hdr, MaxFrame) }
+
+func (c *cursor) fail(f field, n int) {
+	if c.bad == fieldNone {
+		c.bad, c.n = f, uint32(n)
+	}
+	c.p = nil
+}
+
+// done reports the first failure, or bytes left after the last field.
+func (c *cursor) done() error {
+	if c.bad == fieldNone && len(c.p) == 0 {
+		return nil
+	}
+	return c.failure()
+}
+
+func (c *cursor) failure() error {
+	switch c.bad {
+	case fieldNone:
+		return malformed("%s payload has %d trailing bytes", c.op, len(c.p))
+	case fieldPayload:
+		return malformed("%s payload ends inside a field of %d bytes", c.op, c.n)
+	case fieldKind:
+		return malformed("%s op has unknown kind %d", c.op, c.n)
+	}
+	lo, hi, _ := limit(c.op, c.bad)
+	return malformed("%s %s %d, want %d..%d", c.op, fieldNames[c.bad], c.n, lo, hi)
+}
+
+func (c *cursor) take(n int) []byte {
+	if n > len(c.p) {
+		c.fail(fieldPayload, n)
+		return nil
+	}
+	b := c.p[:n:n]
+	c.p = c.p[n:]
+	return b
+}
+
+// fixed takes an n-byte integer field, all zeros once the cursor has failed.
+func (c *cursor) fixed(n int) []byte {
+	if b := c.take(n); b != nil {
+		return b
+	}
+	return zeros[:]
+}
+
+var zeros [8]byte
+
+func (c *cursor) u8() uint8   { return c.fixed(1)[0] }
+func (c *cursor) u16() int    { return int(be.Uint16(c.fixed(2))) }
+func (c *cursor) u32() uint32 { return be.Uint32(c.fixed(4)) }
+func (c *cursor) u64() uint64 { return be.Uint64(c.fixed(8)) }
+
+// field takes an n-byte field if n is within f's limit.
+func (c *cursor) field(f field, n int) []byte {
+	if lo, hi, _ := limit(c.op, f); n < lo || n > hi {
+		c.fail(f, n)
+		return nil
+	}
+	return c.take(n)
+}
+
+// count reads a list's u32 length and, before the caller allocates, bounds
+// it by its limit and by the bytes left at min bytes an entry: a declared
+// count is the peer's to choose, the frame length is not.
+func (c *cursor) count(min int) int {
+	n := c.u32()
+	if _, hi, _ := limit(c.op, fieldCount); n > uint32(hi) {
+		c.fail(fieldCount, int(n))
+		return 0
+	}
+	if int(n)*min > len(c.p) {
+		c.fail(fieldPayload, int(n)*min)
+		return 0
+	}
+	return int(n)
+}
+
+// own moves the rest of the payload into one new arena, so the byte
+// fields read after it outlive the frame buffer, which transports recycle.
+func (c *cursor) own() *cursor {
+	c.p = append([]byte(nil), c.p...)
+	return c
+}
+
+// pairs, key, tail and kv read the payload shapes the encoder's methods of
+// the same names write. An empty tail or kv value reads as nil.
+func (c *cursor) pairs() []KV {
+	kvs := make([]KV, c.count(16))
+	for i := range kvs {
+		kvs[i] = KV{c.u64(), c.u64()}
+	}
+	return kvs
+}
+
+func (c *cursor) key(f field) []byte { return c.field(f, c.u16()) }
+
+func (c *cursor) tail() []byte {
+	if len(c.p) == 0 {
+		return nil
+	}
+	return c.field(fieldValue, len(c.p))
+}
+
+func (c *cursor) kv() (k, v []byte) {
+	kl, vl := c.u16(), int(c.u32())
+	if k, v = c.field(fieldKey, kl), c.field(fieldValue, vl); vl == 0 {
+		v = nil
+	}
+	return k, v
+}
+
+// txnOps reads a Txn write-set in one pass. The first byte-key op moves
+// the rest of the payload into the one arena every later key and value
+// subslices, so a fixed-width write-set costs one allocation and any other
+// two.
+func (c *cursor) txnOps() []TxnOp {
+	ops := make([]TxnOp, c.count(4)) // the smallest op: a DeleteK of a 1-byte key
+	owned := false
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind = c.u8(); !owned && (op.Kind == TxnPutK || op.Kind == TxnDeleteK) {
+			c.own()
+			owned = true
+		}
+		switch op.Kind {
+		case TxnPut:
+			op.Key, op.Val = c.u64(), c.u64()
+		case TxnDelete:
+			op.Key = c.u64()
+		case TxnPutK:
+			op.KKey, op.VVal = c.kv()
+		case TxnDeleteK:
+			op.KKey = c.key(fieldKey)
+		default:
+			c.fail(fieldKind, int(op.Kind))
+		}
+	}
+	return ops
+}
+
+// DecodeRequest parses one request frame body (the bytes after the frame
+// header). It never panics on arbitrary input and rejects trailing bytes.
 func DecodeRequest(body []byte) (Request, error) {
 	var r Request
-	if len(body) < reqHeader {
-		return r, malformed("request body %d bytes, want >= %d", len(body), reqHeader)
+	if !sized(body, reqHeader) {
+		return r, badBody(len(body), reqHeader)
 	}
-	r.ID = be.Uint64(body)
-	r.Op = Op(body[8])
-	p := body[reqHeader:]
+	r.ID, r.Op = be.Uint64(body), Op(body[8])
+	c := cursor{p: body[reqHeader:], op: r.Op}
 	switch r.Op {
-	case OpGet, OpDelete:
-		if len(p) != 8 {
-			return r, malformed("%s payload %d bytes, want 8", r.Op, len(p))
-		}
-		r.Key = be.Uint64(p)
+	case OpGet, OpDelete, OpGetV:
+		r.Key = c.u64()
 	case OpPut:
-		if len(p) != 16 {
-			return r, malformed("Put payload %d bytes, want 16", len(p))
-		}
-		r.Key = be.Uint64(p)
-		r.Val = be.Uint64(p[8:])
+		r.Key, r.Val = c.u64(), c.u64()
 	case OpPutBatch:
-		if len(p) < 4 {
-			return r, malformed("PutBatch payload %d bytes, want >= 4", len(p))
-		}
-		n := be.Uint32(p)
-		p = p[4:]
-		// Length check before allocation: n is attacker-controlled, the
-		// actual bytes present are not.
-		if uint64(len(p)) != uint64(n)*16 {
-			return r, malformed("PutBatch count %d disagrees with %d payload bytes", n, len(p))
-		}
-		if n > MaxPairs {
-			return r, malformed("PutBatch count %d exceeds MaxPairs %d", n, MaxPairs)
-		}
-		pairs := make([]KV, n)
-		for i := range pairs {
-			pairs[i].Key = be.Uint64(p[i*16:])
-			pairs[i].Val = be.Uint64(p[i*16+8:])
-		}
-		r.Pairs = pairs
+		r.Pairs = c.pairs()
 	case OpScan, OpScanV:
-		if len(p) != 20 {
-			return r, malformed("%s payload %d bytes, want 20", r.Op, len(p))
-		}
-		r.Lo = be.Uint64(p)
-		r.Hi = be.Uint64(p[8:])
-		r.Max = be.Uint32(p[16:])
+		r.Lo, r.Hi, r.Max = c.u64(), c.u64(), c.u32()
 	case OpStats:
-		if len(p) != 0 {
-			return r, malformed("Stats payload %d bytes, want 0", len(p))
-		}
-	case OpGetV:
-		if len(p) != 8 {
-			return r, malformed("GetV payload %d bytes, want 8", len(p))
-		}
-		r.Key = be.Uint64(p)
 	case OpPutV:
-		if len(p) < 8 {
-			return r, malformed("PutV payload %d bytes, want >= 8", len(p))
-		}
-		if len(p)-8 > MaxValue {
-			return r, malformed("PutV value %d bytes exceeds MaxValue %d", len(p)-8, MaxValue)
-		}
-		r.Key = be.Uint64(p)
-		// Copied, not aliased: frame buffers are recycled by transports,
-		// but requests outlive the read loop's scratch.
-		r.VVal = append([]byte(nil), p[8:]...)
+		r.Key = c.u64()
+		r.VVal = c.own().tail()
 	case OpGetK, OpDeleteK:
-		if len(p) < 2 {
-			return r, malformed("%s payload %d bytes, want >= 2", r.Op, len(p))
-		}
-		kl := int(be.Uint16(p))
-		if kl < 1 || kl > MaxKey {
-			return r, malformed("%s key %d bytes, want 1..%d", r.Op, kl, MaxKey)
-		}
-		if len(p)-2 != kl {
-			return r, malformed("%s key claims %d bytes, %d present", r.Op, kl, len(p)-2)
-		}
-		r.KKey = append([]byte(nil), p[2:]...)
+		r.KKey = c.own().key(fieldKey)
 	case OpPutK:
-		if len(p) < 2 {
-			return r, malformed("PutK payload %d bytes, want >= 2", len(p))
-		}
-		kl := int(be.Uint16(p))
-		if kl < 1 || kl > MaxKey {
-			return r, malformed("PutK key %d bytes, want 1..%d", kl, MaxKey)
-		}
-		if len(p)-2 < kl {
-			return r, malformed("PutK key claims %d bytes, %d present", kl, len(p)-2)
-		}
-		if len(p)-2-kl > MaxKValue {
-			return r, malformed("PutK value %d bytes exceeds MaxKValue %d", len(p)-2-kl, MaxKValue)
-		}
-		// One arena for key and value; both outlive the frame scratch.
-		arena := append([]byte(nil), p[2:]...)
-		r.KKey = arena[:kl:kl]
-		if len(arena) > kl {
-			r.VVal = arena[kl:]
-		}
+		r.KKey = c.own().key(fieldKey)
+		r.VVal = c.tail()
 	case OpScanK:
-		if len(p) < 2 {
-			return r, malformed("ScanK payload %d bytes, want >= 2", len(p))
+		lo, hi := c.key(fieldBound), c.key(fieldBound)
+		r.Max = c.u32()
+		// One arena for both bounds; an empty bound stays nil (unbounded).
+		arena := append(append(make([]byte, 0, len(lo)+len(hi)), lo...), hi...)
+		if len(lo) > 0 {
+			r.KLo = arena[:len(lo):len(lo)]
 		}
-		lol := int(be.Uint16(p))
-		if lol > MaxScanBound || len(p)-2 < lol {
-			return r, malformed("ScanK lo bound %d bytes invalid (%d left)", lol, len(p)-2)
+		if len(hi) > 0 {
+			r.KHi = arena[len(lo):]
 		}
-		q := p[2+lol:]
-		if len(q) < 2 {
-			return r, malformed("ScanK hi bound truncated")
-		}
-		hil := int(be.Uint16(q))
-		if hil > MaxScanBound || len(q)-2 != hil+4 {
-			return r, malformed("ScanK hi bound %d bytes disagrees with %d payload bytes", hil, len(q)-2)
-		}
-		if lol+hil > 0 {
-			arena := make([]byte, 0, lol+hil)
-			arena = append(arena, p[2:2+lol]...)
-			arena = append(arena, q[2:2+hil]...)
-			if lol > 0 {
-				r.KLo = arena[:lol:lol]
-			}
-			if hil > 0 {
-				r.KHi = arena[lol:]
-			}
-		}
-		r.Max = be.Uint32(q[2+hil:])
 	case OpTxn:
-		if len(p) < 4 {
-			return r, malformed("Txn payload %d bytes, want >= 4", len(p))
-		}
-		// Mirror the encoder's frame budget so the accepted language stays
-		// exactly the encodable one even when bodies bypass ReadFrame.
-		if len(body) > MaxFrame {
-			return r, malformed("Txn body %d bytes exceeds MaxFrame %d", len(body), MaxFrame)
-		}
-		n := be.Uint32(p)
-		p = p[4:]
-		if n > MaxTxnOps {
-			return r, malformed("Txn count %d exceeds MaxTxnOps %d", n, MaxTxnOps)
-		}
-		// Two passes, like ScanK: validate every op against the bytes
-		// actually present before allocating, then slice one shared arena
-		// for all byte keys and values.
-		total, q := 0, p
-		for i := uint32(0); i < n; i++ {
-			if len(q) < 1 {
-				return r, malformed("Txn op %d truncated", i)
-			}
-			kind := q[0]
-			q = q[1:]
-			switch kind {
-			case TxnPut:
-				if len(q) < 16 {
-					return r, malformed("Txn put op %d truncated", i)
-				}
-				q = q[16:]
-			case TxnDelete:
-				if len(q) < 8 {
-					return r, malformed("Txn delete op %d truncated", i)
-				}
-				q = q[8:]
-			case TxnPutK:
-				if len(q) < 6 {
-					return r, malformed("Txn put-k op %d truncated", i)
-				}
-				kl := int(be.Uint16(q))
-				vl := int(be.Uint32(q[2:]))
-				if kl < 1 || kl > MaxKey {
-					return r, malformed("Txn op %d key %d bytes, want 1..%d", i, kl, MaxKey)
-				}
-				if vl > MaxKValue {
-					return r, malformed("Txn op %d value %d bytes exceeds MaxKValue %d", i, vl, MaxKValue)
-				}
-				if len(q)-6 < kl+vl {
-					return r, malformed("Txn op %d claims %d bytes, %d left", i, kl+vl, len(q)-6)
-				}
-				total += kl + vl
-				q = q[6+kl+vl:]
-			case TxnDeleteK:
-				if len(q) < 2 {
-					return r, malformed("Txn delete-k op %d truncated", i)
-				}
-				kl := int(be.Uint16(q))
-				if kl < 1 || kl > MaxKey {
-					return r, malformed("Txn op %d key %d bytes, want 1..%d", i, kl, MaxKey)
-				}
-				if len(q)-2 < kl {
-					return r, malformed("Txn op %d claims %d key bytes, %d left", i, kl, len(q)-2)
-				}
-				total += kl
-				q = q[2+kl:]
-			default:
-				return r, malformed("Txn op %d has unknown kind %d", i, kind)
-			}
-		}
-		if len(q) != 0 {
-			return r, malformed("Txn payload has %d trailing bytes", len(q))
-		}
-		arena := make([]byte, 0, total)
-		ops := make([]TxnOp, n)
-		for i := range ops {
-			kind := p[0]
-			p = p[1:]
-			ops[i].Kind = kind
-			switch kind {
-			case TxnPut:
-				ops[i].Key = be.Uint64(p)
-				ops[i].Val = be.Uint64(p[8:])
-				p = p[16:]
-			case TxnDelete:
-				ops[i].Key = be.Uint64(p)
-				p = p[8:]
-			case TxnPutK:
-				kl := int(be.Uint16(p))
-				vl := int(be.Uint32(p[2:]))
-				start := len(arena)
-				arena = append(arena, p[6:6+kl+vl]...)
-				ops[i].KKey = arena[start : start+kl : start+kl]
-				if vl > 0 {
-					ops[i].VVal = arena[start+kl : len(arena) : len(arena)]
-				}
-				p = p[6+kl+vl:]
-			case TxnDeleteK:
-				kl := int(be.Uint16(p))
-				start := len(arena)
-				arena = append(arena, p[2:2+kl]...)
-				ops[i].KKey = arena[start:len(arena):len(arena)]
-				p = p[2+kl:]
-			}
-		}
-		r.TxnOps = ops
+		r.TxnOps = c.txnOps()
 	default:
 		return r, malformed("unknown opcode %d", uint8(r.Op))
 	}
-	return r, nil
+	err := c.done() // before the return copies r: a call there would copy it twice
+	return r, err
 }
 
 // AppendResponse appends r as one length-prefixed frame to dst and returns
-// the extended slice. Scan/ScanV responses exceeding MaxPairs and GetV/ScanV
-// values above MaxValue fail at encode time; servers cap result sets below
-// both.
+// the extended slice. A response that breaks a limit — a Scan, ScanV or
+// ScanK page above MaxPairs, a key or value outside its cap, a body above
+// MaxFrame — fails with dst as it was; servers page results below all three.
 func AppendResponse(dst []byte, r *Response) ([]byte, error) {
-	if (r.Op == OpScan || r.Op == OpScanV || r.Op == OpScanK) && r.Status == StatusOK &&
-		max(len(r.Pairs), max(len(r.VPairs), len(r.KPairs))) > MaxPairs {
-		return dst, fmt.Errorf("%w: %d > %d", ErrTooManyKV,
-			max(len(r.Pairs), max(len(r.VPairs), len(r.KPairs))), MaxPairs)
-	}
-	if r.Op == OpGetV && r.Status == StatusOK && len(r.VVal) > MaxValue {
-		return dst, fmt.Errorf("%w: GetV value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxValue)
-	}
-	if r.Op == OpGetK && r.Status == StatusOK && len(r.VVal) > MaxKValue {
-		return dst, fmt.Errorf("%w: GetK value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxKValue)
-	}
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = be.AppendUint64(dst, r.ID)
-	dst = append(dst, byte(r.Op), byte(r.Status))
-	switch {
-	case r.Status == StatusErr || r.Status == StatusClosed ||
-		r.Status == StatusBusy || r.Status == StatusNoSpace ||
-		r.Status == StatusTxnIncomplete:
-		dst = append(dst, r.Msg...)
-	case r.Status != StatusOK:
-		// NotFound and any forward-compatible status carry no payload.
-	default:
+	var e encoder
+	e.start(dst, r.ID, r.Op)
+	e.b = append(e.b, byte(r.Status))
+	switch r.Status {
+	case StatusErr, StatusClosed, StatusBusy, StatusNoSpace, StatusTxnIncomplete:
+		e.b = append(e.b, r.Msg...)
+	case StatusOK:
 		switch r.Op {
 		case OpGet:
-			dst = be.AppendUint64(dst, r.Val)
+			e.b = be.AppendUint64(e.b, r.Val)
+		case OpPut, OpDelete, OpPutBatch, OpPutV, OpPutK, OpDeleteK, OpTxn:
 		case OpScan:
-			dst = be.AppendUint32(dst, uint32(len(r.Pairs)))
-			for _, kv := range r.Pairs {
-				dst = be.AppendUint64(dst, kv.Key)
-				dst = be.AppendUint64(dst, kv.Val)
+			e.pairs(r.Pairs)
+		case OpGetV, OpGetK:
+			e.tail(r.VVal)
+		case OpScanV:
+			for _, p := range r.VPairs[:e.count(len(r.VPairs))] {
+				if e.fits(fieldValue, len(p.Val)) {
+					e.b = be.AppendUint32(be.AppendUint64(e.b, p.Key), uint32(len(p.Val)))
+					e.b = append(e.b, p.Val...)
+				}
+			}
+		case OpScanK:
+			for _, p := range r.KPairs[:e.count(len(r.KPairs))] {
+				e.kv(p.Key, p.Val)
 			}
 		case OpStats:
 			var st Stats
@@ -741,46 +779,14 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 				st = *r.Stats
 			}
 			for _, w := range st.words() {
-				dst = be.AppendUint64(dst, *w)
+				e.b = be.AppendUint64(e.b, *w)
 			}
-		case OpGetV:
-			dst = append(dst, r.VVal...)
-		case OpScanV:
-			dst = be.AppendUint32(dst, uint32(len(r.VPairs)))
-			for i := range r.VPairs {
-				if len(r.VPairs[i].Val) > MaxValue {
-					return dst[:lenAt], fmt.Errorf("%w: ScanV value %d > %d bytes",
-						ErrFrameTooBig, len(r.VPairs[i].Val), MaxValue)
-				}
-				dst = be.AppendUint64(dst, r.VPairs[i].Key)
-				dst = be.AppendUint32(dst, uint32(len(r.VPairs[i].Val)))
-				dst = append(dst, r.VPairs[i].Val...)
-			}
-		case OpGetK:
-			dst = append(dst, r.VVal...)
-		case OpScanK:
-			dst = be.AppendUint32(dst, uint32(len(r.KPairs)))
-			for i := range r.KPairs {
-				kl, vl := len(r.KPairs[i].Key), len(r.KPairs[i].Val)
-				if kl < 1 || kl > MaxKey {
-					return dst[:lenAt], fmt.Errorf("%w: ScanK key %d bytes, want 1..%d",
-						ErrMalformed, kl, MaxKey)
-				}
-				if vl > MaxKValue {
-					return dst[:lenAt], fmt.Errorf("%w: ScanK value %d > %d bytes",
-						ErrFrameTooBig, vl, MaxKValue)
-				}
-				dst = be.AppendUint16(dst, uint16(kl))
-				dst = be.AppendUint32(dst, uint32(vl))
-				dst = append(dst, r.KPairs[i].Key...)
-				dst = append(dst, r.KPairs[i].Val...)
-			}
-		case OpPut, OpDelete, OpPutBatch, OpPutV, OpPutK, OpDeleteK, OpTxn:
 		default:
-			return dst[:lenAt], fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
+			return dst, fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
 		}
 	}
-	return appendFrame(dst, lenAt), nil
+	// NotFound and any forward-compatible status carry no payload.
+	return e.appendFrame()
 }
 
 // MustAppendResponse appends r to dst like AppendResponse, but converts an
@@ -807,168 +813,52 @@ func MustAppendResponse(dst []byte, r *Response) []byte {
 // panics and rejects trailing bytes.
 func DecodeResponse(body []byte) (Response, error) {
 	var r Response
-	if len(body) < respHeader {
-		return r, malformed("response body %d bytes, want >= %d", len(body), respHeader)
+	if !sized(body, respHeader) {
+		return r, badBody(len(body), respHeader)
 	}
-	r.ID = be.Uint64(body)
-	r.Op = Op(body[8])
-	r.Status = Status(body[9])
-	p := body[respHeader:]
+	r.ID, r.Op, r.Status = be.Uint64(body), Op(body[8]), Status(body[9])
+	c := cursor{p: body[respHeader:], op: r.Op}
 	switch r.Status {
 	case StatusErr, StatusClosed, StatusBusy, StatusNoSpace, StatusTxnIncomplete:
-		r.Msg = string(p)
+		r.Msg = string(c.p)
 		return r, nil
-	case StatusNotFound:
-		if len(p) != 0 {
-			return r, malformed("NotFound payload %d bytes, want 0", len(p))
-		}
-		return r, nil
+	case StatusNotFound: // no payload
 	case StatusOK:
+		switch r.Op {
+		case OpGet:
+			r.Val = c.u64()
+		case OpPut, OpDelete, OpPutBatch, OpPutV, OpPutK, OpDeleteK, OpTxn:
+		case OpScan:
+			r.Pairs = c.pairs()
+		case OpGetV, OpGetK:
+			r.VVal = c.own().tail()
+		case OpScanV:
+			// The pairs and one arena for every value: two allocations.
+			pairs := make([]VKV, c.count(ScanVPairHdrSize))
+			c.own()
+			for i := range pairs {
+				pairs[i].Key = c.u64()
+				pairs[i].Val = c.field(fieldValue, int(c.u32()))
+			}
+			r.VPairs = pairs
+		case OpScanK:
+			pairs := make([]KKV, c.count(ScanKPairHdrSize+1))
+			c.own()
+			for i := range pairs {
+				pairs[i].Key, pairs[i].Val = c.kv()
+			}
+			r.KPairs = pairs
+		case OpStats:
+			r.Stats = new(Stats)
+			for _, w := range r.Stats.words() {
+				*w = c.u64()
+			}
+		default:
+			return r, malformed("unknown opcode %d", uint8(r.Op))
+		}
 	default:
 		return r, malformed("unknown status %d", uint8(r.Status))
 	}
-	switch r.Op {
-	case OpGet:
-		if len(p) != 8 {
-			return r, malformed("Get response payload %d bytes, want 8", len(p))
-		}
-		r.Val = be.Uint64(p)
-	case OpPut, OpDelete, OpPutBatch:
-		if len(p) != 0 {
-			return r, malformed("%s response payload %d bytes, want 0", r.Op, len(p))
-		}
-	case OpScan:
-		if len(p) < 4 {
-			return r, malformed("Scan response payload %d bytes, want >= 4", len(p))
-		}
-		n := be.Uint32(p)
-		p = p[4:]
-		if uint64(len(p)) != uint64(n)*16 {
-			return r, malformed("Scan count %d disagrees with %d payload bytes", n, len(p))
-		}
-		if n > MaxPairs {
-			return r, malformed("Scan count %d exceeds MaxPairs %d", n, MaxPairs)
-		}
-		pairs := make([]KV, n)
-		for i := range pairs {
-			pairs[i].Key = be.Uint64(p[i*16:])
-			pairs[i].Val = be.Uint64(p[i*16+8:])
-		}
-		r.Pairs = pairs
-	case OpGetV:
-		if len(p) > MaxValue {
-			return r, malformed("GetV value %d bytes exceeds MaxValue %d", len(p), MaxValue)
-		}
-		r.VVal = append([]byte(nil), p...)
-	case OpPutV, OpPutK, OpDeleteK, OpTxn:
-		if len(p) != 0 {
-			return r, malformed("%s response payload %d bytes, want 0", r.Op, len(p))
-		}
-	case OpScanV:
-		if len(p) < 4 {
-			return r, malformed("ScanV response payload %d bytes, want >= 4", len(p))
-		}
-		n := be.Uint32(p)
-		p = p[4:]
-		if n > MaxPairs {
-			return r, malformed("ScanV count %d exceeds MaxPairs %d", n, MaxPairs)
-		}
-		// Two passes: validate the pair lengths against the actual bytes
-		// present before allocating anything, then slice one shared arena
-		// so a count-n response costs exactly two allocations.
-		total, q := 0, p
-		for i := uint32(0); i < n; i++ {
-			if len(q) < 12 {
-				return r, malformed("ScanV pair %d truncated", i)
-			}
-			vlen := int(be.Uint32(q[8:]))
-			if vlen > MaxValue {
-				return r, malformed("ScanV value %d bytes exceeds MaxValue %d", vlen, MaxValue)
-			}
-			if len(q)-12 < vlen {
-				return r, malformed("ScanV pair %d claims %d value bytes, %d left", i, vlen, len(q)-12)
-			}
-			total += vlen
-			q = q[12+vlen:]
-		}
-		if len(q) != 0 {
-			return r, malformed("ScanV response has %d trailing bytes", len(q))
-		}
-		arena := make([]byte, 0, total)
-		pairs := make([]VKV, n)
-		for i := range pairs {
-			vlen := int(be.Uint32(p[8:]))
-			pairs[i].Key = be.Uint64(p)
-			start := len(arena)
-			arena = append(arena, p[12:12+vlen]...)
-			pairs[i].Val = arena[start:len(arena):len(arena)]
-			p = p[12+vlen:]
-		}
-		r.VPairs = pairs
-	case OpGetK:
-		if len(p) > MaxKValue {
-			return r, malformed("GetK value %d bytes exceeds MaxKValue %d", len(p), MaxKValue)
-		}
-		r.VVal = append([]byte(nil), p...)
-	case OpScanK:
-		if len(p) < 4 {
-			return r, malformed("ScanK response payload %d bytes, want >= 4", len(p))
-		}
-		n := be.Uint32(p)
-		p = p[4:]
-		if n > MaxPairs {
-			return r, malformed("ScanK count %d exceeds MaxPairs %d", n, MaxPairs)
-		}
-		// Same two-pass discipline as ScanV: validate every entry against
-		// the bytes actually present, then slice one shared arena holding
-		// keys and values — two allocations for a count-n response.
-		total, q := 0, p
-		for i := uint32(0); i < n; i++ {
-			if len(q) < 6 {
-				return r, malformed("ScanK pair %d truncated", i)
-			}
-			kl := int(be.Uint16(q))
-			vl := int(be.Uint32(q[2:]))
-			if kl < 1 || kl > MaxKey {
-				return r, malformed("ScanK key %d bytes, want 1..%d", kl, MaxKey)
-			}
-			if vl > MaxKValue {
-				return r, malformed("ScanK value %d bytes exceeds MaxKValue %d", vl, MaxKValue)
-			}
-			if len(q)-6 < kl+vl {
-				return r, malformed("ScanK pair %d claims %d bytes, %d left", i, kl+vl, len(q)-6)
-			}
-			total += kl + vl
-			q = q[6+kl+vl:]
-		}
-		if len(q) != 0 {
-			return r, malformed("ScanK response has %d trailing bytes", len(q))
-		}
-		arena := make([]byte, 0, total)
-		pairs := make([]KKV, n)
-		for i := range pairs {
-			kl := int(be.Uint16(p))
-			vl := int(be.Uint32(p[2:]))
-			start := len(arena)
-			arena = append(arena, p[6:6+kl+vl]...)
-			pairs[i].Key = arena[start : start+kl : start+kl]
-			if vl > 0 {
-				pairs[i].Val = arena[start+kl : len(arena) : len(arena)]
-			}
-			p = p[6+kl+vl:]
-		}
-		r.KPairs = pairs
-	case OpStats:
-		if len(p) != statsWords*8 {
-			return r, malformed("Stats response payload %d bytes, want %d", len(p), statsWords*8)
-		}
-		st := new(Stats)
-		for i, w := range st.words() {
-			*w = be.Uint64(p[8*i:])
-		}
-		r.Stats = st
-	default:
-		return r, malformed("unknown opcode %d", uint8(r.Op))
-	}
-	return r, nil
+	err := c.done() // before the return copies r: a call there would copy it twice
+	return r, err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -525,5 +526,91 @@ func TestErrorMessageRoundTrip(t *testing.T) {
 	}
 	if got.Msg != long {
 		t.Fatalf("message corrupted: %d bytes, want %d", len(got.Msg), len(long))
+	}
+}
+
+// TestOversizedResponseRefused: MaxFrame caps every frame, not only a Txn
+// request. A ScanV or ScanK page whose values are each within their cap can
+// still add up to a body over MaxFrame. The encoder refuses it and leaves
+// dst as it was, MustAppendResponse answers with an error frame instead,
+// and the decoder rejects such a body outright.
+func TestOversizedResponseRefused(t *testing.T) {
+	for _, r := range []Response{
+		{ID: 1, Op: OpScanV, Status: StatusOK, VPairs: []VKV{
+			{Key: 1, Val: make([]byte, MaxValue)}, {Key: 2, Val: make([]byte, MaxValue)}}},
+		{ID: 2, Op: OpScanK, Status: StatusOK, KPairs: []KKV{
+			{Key: []byte("a"), Val: make([]byte, MaxKValue)}, {Key: []byte("b"), Val: make([]byte, MaxKValue)}}},
+	} {
+		dst := []byte("earlier frames")
+		out, err := AppendResponse(dst, &r)
+		if !errors.Is(err, ErrFrameTooBig) {
+			t.Fatalf("%s: encode of a %d-pair page: %v, want ErrFrameTooBig", r.Op, len(r.VPairs)+len(r.KPairs), err)
+		}
+		if string(out) != "earlier frames" {
+			t.Fatalf("%s: a refused frame left %d bytes behind", r.Op, len(out)-len(dst))
+		}
+		frame := MustAppendResponse(nil, &r)
+		if len(frame)-FrameHdrSize > MaxFrame {
+			t.Fatalf("%s: MustAppendResponse emitted a %d-byte body", r.Op, len(frame)-FrameHdrSize)
+		}
+		got, err := DecodeResponse(frame[FrameHdrSize:])
+		if err != nil || got.Status != StatusErr || got.ID != r.ID {
+			t.Fatalf("%s: MustAppendResponse frame decodes as %+v, %v; want a StatusErr", r.Op, got, err)
+		}
+		// The same page built by hand, as a peer ignoring the cap sends it.
+		body := append(be.AppendUint64(nil, r.ID), byte(r.Op), byte(StatusOK))
+		if r.Op == OpScanV {
+			body = be.AppendUint32(body, 2)
+			for _, p := range r.VPairs {
+				body = append(be.AppendUint32(be.AppendUint64(body, p.Key), uint32(len(p.Val))), p.Val...)
+			}
+		} else {
+			body = be.AppendUint32(body, 2)
+			for _, p := range r.KPairs {
+				body = be.AppendUint32(be.AppendUint16(body, uint16(len(p.Key))), uint32(len(p.Val)))
+				body = append(append(body, p.Key...), p.Val...)
+			}
+		}
+		if _, err := DecodeResponse(body); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: decode of a %d-byte body: %v, want ErrMalformed", r.Op, len(body), err)
+		}
+	}
+}
+
+// TestDecodeCountsBoundedByPayload pins PROTOCOL.md's rule that decoders
+// validate a declared count against the bytes actually present before they
+// allocate: each body declares the most entries its list may hold but
+// carries only a few bytes, and must fail without allocating for the count.
+// A pairs slice made before the check would cost 512 KiB or more.
+func TestDecodeCountsBoundedByPayload(t *testing.T) {
+	req := func(op Op, n uint32, tail int) []byte {
+		return append(be.AppendUint32(append(make([]byte, 8), byte(op)), n), make([]byte, tail)...)
+	}
+	resp := func(op Op, n uint32, tail int) []byte {
+		return append(be.AppendUint32(append(make([]byte, 8), byte(op), byte(StatusOK)), n), make([]byte, tail)...)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		dec  func([]byte) error
+	}{
+		{"PutBatch", req(OpPutBatch, MaxPairs, 16), func(b []byte) error { _, err := DecodeRequest(b); return err }},
+		{"Txn", req(OpTxn, MaxTxnOps, 9), func(b []byte) error { _, err := DecodeRequest(b); return err }},
+		{"Scan", resp(OpScan, MaxPairs, 16), func(b []byte) error { _, err := DecodeResponse(b); return err }},
+		{"ScanV", resp(OpScanV, MaxPairs, 12), func(b []byte) error { _, err := DecodeResponse(b); return err }},
+		{"ScanK", resp(OpScanK, MaxPairs, 7), func(b []byte) error { _, err := DecodeResponse(b); return err }},
+	} {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if err := tc.dec(tc.body); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("%s: %v, want ErrMalformed", tc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+			t.Errorf("%s: a rejected decode allocated %d bytes, want < 4 KiB", tc.name, per)
+		}
 	}
 }
