@@ -317,11 +317,10 @@ type txnKVWrite struct {
 // read-your-writes; nothing touches the store until Commit. A Txn is
 // single-use: after Commit or Rollback every method fails with ErrTxnDone.
 type Txn struct {
-	ss      *Session
-	ownSess bool
-	fixed   map[uint64]txnWrite   // taken by the first fixed-width write
-	kv      map[string]txnKVWrite // made by the first byte-key write
-	done    bool
+	ss    *Session
+	fixed map[uint64]txnWrite   // taken by the first fixed-width write
+	kv    map[string]txnKVWrite // made by the first byte-key write
+	done  bool
 }
 
 // Begin opens a transaction over this session. The session stays usable
@@ -333,25 +332,15 @@ func (ss *Session) Begin() *Txn {
 	return &Txn{ss: ss}
 }
 
-// Begin opens a transaction on a dedicated internal session, for callers
-// that do not manage Sessions themselves. Commit or Rollback releases the
-// session; abandoning the Txn without either leaks its per-shard latency
-// statistics until the store closes.
-func (s *Store) Begin() *Txn {
-	tx := s.NewSession().Begin()
-	tx.ownSess = true
-	return tx
-}
-
 // spareWriteSet bounds the fixed-width write-set a finished transaction
 // hands back to its session for the next one: small transactions, the
 // common case, then make no map, and a huge one does not pin its table.
 const spareWriteSet = 64
 
-// finish marks the transaction done, hands a small fixed-width write-set
-// map back to the session, and releases an owned session. The finished
-// Txn keeps no map, so nothing it is called with afterwards can reach the
-// next transaction's write-set.
+// finish marks the transaction done and hands a small fixed-width
+// write-set map back to the session. The finished Txn keeps no map, so
+// nothing it is called with afterwards can reach the next transaction's
+// write-set.
 func (tx *Txn) finish() {
 	tx.done = true
 	if tx.fixed != nil && len(tx.fixed) <= spareWriteSet {
@@ -359,10 +348,6 @@ func (tx *Txn) finish() {
 		tx.ss.spareFixed = tx.fixed
 	}
 	tx.fixed = nil
-	if tx.ownSess {
-		tx.ss.Close()
-		tx.ownSess = false
-	}
 }
 
 // buffer records op as its key's pending write (the last one wins),

@@ -384,39 +384,6 @@ func TestTxnBufferValidation(t *testing.T) {
 	}
 }
 
-func TestStoreBeginOwnsSession(t *testing.T) {
-	st, err := Open(Options{Shards: 2, ShardSize: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	tx := st.Begin()
-	if err := tx.Put(5, 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.PutKV([]byte("own"), []byte("session")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := st.Begin()
-	tx2.Rollback()
-
-	ss := st.NewSession()
-	defer ss.Close()
-	if v, ok, _ := ss.Get(5); !ok || v != 50 {
-		t.Fatalf("Store.Begin commit lost: v=%d ok=%v", v, ok)
-	}
-	if v, ok, _ := ss.GetKV([]byte("own"), nil); !ok || string(v) != "session" {
-		t.Fatalf("Store.Begin byte-key commit lost: %q ok=%v", v, ok)
-	}
-	if err := st.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTxnCommitOnClosedStore(t *testing.T) {
 	st, err := Open(Options{Shards: 1, ShardSize: 8 << 20})
 	if err != nil {
