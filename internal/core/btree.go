@@ -65,8 +65,7 @@ type BTree struct {
 	maxEntries int    // slots - 1: the last slot always keeps a zero ptr
 	deadBit    uint64 // 1 on a boxed tree: an odd leaf pointer is a tombstone (node.go)
 	rootMu     sync.Mutex
-	splitLog   int64     // redo-log area for Options.LoggedSplit
-	scratch    sync.Pool // *scanScratch, reused across Scans
+	splitLog   int64 // redo-log area for Options.LoggedSplit
 
 	// suspect is set while the image may hold what only a crash leaves
 	// behind — a duplicate-pointer pair from an abandoned shift, a FAIR
@@ -599,11 +598,16 @@ func (t *BTree) leafFindBinary(th *pmem.Thread, n node, key uint64) (uint64, boo
 // --- range scan ------------------------------------------------------------
 
 // scanScratch is the reusable leaf-snapshot buffer pair behind Scan. It is
-// pooled on the tree so steady-state scans allocate nothing.
+// pooled so steady-state scans allocate nothing. The pool is package-level:
+// it holds no tree state, and a sync.Pool inside a tree would be listed by
+// the runtime after its first Put, keeping a dropped tree, its pmem.Pool and
+// the arena alive for two more collections.
 type scanScratch struct {
 	keys  []uint64
 	boxes []uint64
 }
+
+var scanScratchPool sync.Pool // *scanScratch
 
 // Scan visits key/value pairs with lo <= key <= hi in ascending key order,
 // calling fn for each; fn returning false stops the scan. Under concurrent
@@ -621,11 +625,11 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 	if hi < lo {
 		return
 	}
-	sc, _ := t.scratch.Get().(*scanScratch)
+	sc, _ := scanScratchPool.Get().(*scanScratch)
 	if sc == nil {
 		sc = new(scanScratch)
 	}
-	defer t.scratch.Put(sc)
+	defer scanScratchPool.Put(sc)
 	n := t.descendToLeaf(th, lo)
 	keys, boxes := sc.keys, sc.boxes
 	boxed := !t.opts.InlineValues

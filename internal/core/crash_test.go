@@ -56,17 +56,10 @@ type inflightOp struct {
 func verifyAllCrashPoints(t *testing.T, p *pmem.Pool, opts Options,
 	committed map[uint64]uint64, inflight *inflightOp) {
 	t.Helper()
-	n := p.LogLen()
-	modes := []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom}
-	rng := rand.New(rand.NewSource(42))
-	for point := 0; point <= n; point++ {
-		for _, mode := range modes {
-			img := p.CrashImage(point, mode, rng)
-			tag := fmt.Sprintf("point=%d mode=%d", point, mode)
-			verifyCrashImage(t, img, opts, committed, inflight, tag)
-			if t.Failed() {
-				return
-			}
+	for cp, img := range p.CrashImages(rand.New(rand.NewSource(42))) {
+		verifyCrashImage(t, img, opts, committed, inflight, cp.String())
+		if t.Failed() {
+			return
 		}
 	}
 }
@@ -303,19 +296,14 @@ func TestCrashDeleteBeforeFirstFlush(t *testing.T) {
 			_, ok := itr.Get(ith, key)
 			return ok
 		}
-		rng := rand.New(rand.NewSource(7))
-		for point := 0; point <= p.LogLen(); point++ {
-			for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-				img := p.CrashImage(point, mode, rng)
-				// Point 1 is the store alone: durable only if evicted.
-				want := point == 0 || point == 1 && mode == pmem.CrashNone
-				if got := holds(img); got != want && !(point == 1 && mode == pmem.CrashRandom) {
-					t.Fatalf("point=%d mode=%d: key present = %v, want %v", point, mode, got, want)
-				}
-				verifyCrashImage(t, img, Options{}, setup,
-					&inflightOp{key: key, oldVal: old, oldOK: true, newOK: false},
-					fmt.Sprintf("point=%d mode=%d", point, mode))
+		for cp, img := range p.CrashImages(rand.New(rand.NewSource(7))) {
+			// Point 1 is the store alone: durable only if evicted.
+			want := cp.Point == 0 || cp.Point == 1 && cp.Mode == pmem.CrashNone
+			if got := holds(img); got != want && !(cp.Point == 1 && cp.Mode == pmem.CrashRandom) {
+				t.Fatalf("%v: key present = %v, want %v", cp, got, want)
 			}
+			verifyCrashImage(t, img, Options{}, setup,
+				&inflightOp{key: key, oldVal: old, oldOK: true, newOK: false}, cp.String())
 		}
 	})
 }
@@ -434,7 +422,7 @@ func TestCrashCampaign(t *testing.T) {
 		crashRng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 120; trial++ {
 			point := crashRng.Intn(logLen + 1)
-			mode := []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom}[trial%3]
+			mode := pmem.CrashModes[trial%3]
 
 			// Committed ops: those whose mark precedes the point,
 			// except the last one which is (potentially) in flight.
@@ -553,7 +541,7 @@ func TestCrashVacuum(t *testing.T) {
 	logLen := p.LogLen()
 	for trial := 0; trial < 150; trial++ {
 		point := rng.Intn(logLen + 1)
-		mode := []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom}[trial%3]
+		mode := pmem.CrashModes[trial%3]
 		img := p.CrashImage(point, mode, rng)
 		ith := img.NewThread()
 		tr2, err := Open(img, ith, opts)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -110,14 +109,10 @@ func trackedTree(t *testing.T, model pmem.MemModel, opts Options) (*pmem.Pool, *
 func lazyMatrix(t *testing.T, p *pmem.Pool, opts Options,
 	committed map[uint64]uint64, fresh, doomed []uint64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(17))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			verifyLazyImage(t, p.CrashImage(point, mode, rng), opts, committed, fresh, doomed,
-				fmt.Sprintf("point=%d mode=%d", point, mode))
-			if t.Failed() {
-				return
-			}
+	for cp, img := range p.CrashImages(rand.New(rand.NewSource(17))) {
+		verifyLazyImage(t, img, opts, committed, fresh, doomed, cp.String())
+		if t.Failed() {
+			return
 		}
 	}
 }

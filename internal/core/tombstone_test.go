@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -163,17 +162,13 @@ func runHoleCase(t *testing.T, tc holeCase) {
 					t.Fatal(err)
 				}
 
-				rng := rand.New(rand.NewSource(42))
-				for point := 0; point <= p.LogLen(); point++ {
-					for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-						img := p.CrashImage(point, mode, rng)
-						tag := fmt.Sprintf("point=%d mode=%d", point, mode)
-						requireGone(t, img, still, tag+" unrecovered")
-						verifyCrashImage(t, img, Options{}, committed, fl, tag)
-						requireGone(t, img, still, tag+" recovered")
-						if t.Failed() {
-							return
-						}
+				for cp, img := range p.CrashImages(rand.New(rand.NewSource(42))) {
+					tag := cp.String()
+					requireGone(t, img, still, tag+" unrecovered")
+					verifyCrashImage(t, img, Options{}, committed, fl, tag)
+					requireGone(t, img, still, tag+" recovered")
+					if t.Failed() {
+						return
 					}
 				}
 			})

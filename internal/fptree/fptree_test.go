@@ -161,31 +161,28 @@ func TestCrashLeafAtomicity(t *testing.T) {
 	delete(committed, 20)
 	delete(committed, 70)
 	rng := rand.New(rand.NewSource(4))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			tr2, err := Open(img, ith, Options{LeafSize: 256})
-			if err != nil {
-				t.Fatal(err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		tr2, err := Open(img, ith, Options{LeafSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range committed {
+			if got, ok := tr2.Get(ith, k); !ok || got != v {
+				t.Fatalf("%v: Get(%d) = %d,%v want %d", cp, k, got, ok, v)
 			}
-			for k, v := range committed {
-				if got, ok := tr2.Get(ith, k); !ok || got != v {
-					t.Fatalf("point %d mode %d: Get(%d) = %d,%v want %d", point, mode, k, got, ok, v)
-				}
-			}
-			if v, ok := tr2.Get(ith, 45); ok && v != 99 {
-				t.Fatalf("point %d: torn insert %d", point, v)
-			}
-			if v, ok := tr2.Get(ith, 20); !ok || (v != oldTwenty && v != 777) {
-				t.Fatalf("point %d: upsert state (%d,%v)", point, v, ok)
-			}
-			if v, ok := tr2.Get(ith, 70); ok && v != oldSeventy {
-				t.Fatalf("point %d: torn delete %d", point, v)
-			}
-			if err := tr2.CheckInvariants(ith); err != nil {
-				t.Fatalf("point %d mode %d: %v", point, mode, err)
-			}
+		}
+		if v, ok := tr2.Get(ith, 45); ok && v != 99 {
+			t.Fatalf("%v: torn insert %d", cp, v)
+		}
+		if v, ok := tr2.Get(ith, 20); !ok || (v != oldTwenty && v != 777) {
+			t.Fatalf("%v: upsert state (%d,%v)", cp, v, ok)
+		}
+		if v, ok := tr2.Get(ith, 70); ok && v != oldSeventy {
+			t.Fatalf("%v: torn delete %d", cp, v)
+		}
+		if err := tr2.CheckInvariants(ith); err != nil {
+			t.Fatalf("%v: %v", cp, err)
 		}
 	}
 }
@@ -205,28 +202,25 @@ func TestCrashSplitMicroLog(t *testing.T) {
 	p.StartCrashLog()
 	tr.Insert(th, 45, 99) // forces a split
 	rng := rand.New(rand.NewSource(5))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			tr2, err := Open(img, ith, Options{LeafSize: 256})
-			if err != nil {
-				t.Fatal(err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		tr2, err := Open(img, ith, Options{LeafSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range committed {
+			if got, ok := tr2.Get(ith, k); !ok || got != v {
+				t.Fatalf("%v: Get(%d) = %d,%v want %d", cp, k, got, ok, v)
 			}
-			for k, v := range committed {
-				if got, ok := tr2.Get(ith, k); !ok || got != v {
-					t.Fatalf("point %d mode %d: Get(%d) = %d,%v want %d", point, mode, k, got, ok, v)
-				}
-			}
-			if err := tr2.CheckInvariants(ith); err != nil {
-				t.Fatalf("point %d mode %d: %v", point, mode, err)
-			}
-			if err := tr2.Insert(ith, 999, 1); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := tr2.Get(ith, 999); !ok || v != 1 {
-				t.Fatalf("point %d: post-crash insert lost", point)
-			}
+		}
+		if err := tr2.CheckInvariants(ith); err != nil {
+			t.Fatalf("%v: %v", cp, err)
+		}
+		if err := tr2.Insert(ith, 999, 1); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := tr2.Get(ith, 999); !ok || v != 1 {
+			t.Fatalf("%v: post-crash insert lost", cp)
 		}
 	}
 }

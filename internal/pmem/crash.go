@@ -1,6 +1,8 @@
 package pmem
 
 import (
+	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -58,14 +60,15 @@ func (l *crashLog) appendSFence() { l.recs = append(l.recs, logRec{kind: recSFen
 
 // StartCrashLog snapshots the current arena as the known-persistent image
 // and begins recording. It panics if the pool was not created with
-// TrackCrashes. Calling it again truncates the previous log.
+// TrackCrashes. Calling it again truncates the previous log. The snapshot
+// stops at the allocator's high-water mark (see Clone).
 func (p *Pool) StartCrashLog() {
 	if p.log == nil {
 		panic("pmem: pool not created with TrackCrashes")
 	}
 	p.logMu.Lock()
 	defer p.logMu.Unlock()
-	base := make([]uint64, len(p.words))
+	base := make([]uint64, p.alloc.highWater()/WordSize)
 	copy(base, p.words)
 	p.log.base = base
 	p.log.recs = p.log.recs[:0]
@@ -110,10 +113,52 @@ const (
 	CrashRandom
 )
 
+// CrashModes lists every CrashMode, in the order crash matrices visit them.
+var CrashModes = []CrashMode{CrashNone, CrashAll, CrashRandom}
+
+func (m CrashMode) String() string {
+	switch m {
+	case CrashNone:
+		return "CrashNone"
+	case CrashAll:
+		return "CrashAll"
+	case CrashRandom:
+		return "CrashRandom"
+	}
+	return fmt.Sprintf("CrashMode(%d)", int(m))
+}
+
+// CrashPoint names one crash image: the number of log records that reached
+// the device before the crash, and how the pending ones survive.
+type CrashPoint struct {
+	Point int
+	Mode  CrashMode
+}
+
+func (c CrashPoint) String() string { return fmt.Sprintf("point %d %v", c.Point, c.Mode) }
+
+// CrashImages yields the image of every crash point in [0, LogLen()] under
+// every mode of CrashModes, point-major. Each image is built by CrashImage
+// with rng just before it is yielded, so the images and all later rng draws,
+// including any the loop body makes, are exactly those of the hand-written
+// loop `for point { for mode { CrashImage(point, mode, rng) } }`.
+func (p *Pool) CrashImages(rng *rand.Rand) iter.Seq2[CrashPoint, *Pool] {
+	return func(yield func(CrashPoint, *Pool) bool) {
+		for point, end := 0, p.LogLen(); point <= end; point++ {
+			for _, mode := range CrashModes {
+				if !yield(CrashPoint{point, mode}, p.CrashImage(point, mode, rng)) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // CrashImage materialises a legal post-crash pool image, crashing after the
 // first `point` log records (so point = LogLen() crashes "now", point = 0
 // crashes immediately after StartCrashLog). rng is used only by CrashRandom
-// and may be nil otherwise. The returned pool has crash tracking disabled.
+// and may be nil otherwise. The returned pool has crash tracking disabled; its
+// arena is the only one the image allocates.
 func (p *Pool) CrashImage(point int, mode CrashMode, rng *rand.Rand) *Pool {
 	if p.log == nil {
 		panic("pmem: pool not created with TrackCrashes")
@@ -127,7 +172,7 @@ func (p *Pool) CrashImage(point int, mode CrashMode, rng *rand.Rand) *Pool {
 		panic("pmem: StartCrashLog not called")
 	}
 
-	words := make([]uint64, len(p.log.base))
+	words := make([]uint64, len(p.words))
 	copy(words, p.log.base)
 
 	// pending[line] holds stores since that line's last flush, annotated
@@ -222,10 +267,7 @@ func (p *Pool) CrashImage(point int, mode CrashMode, rng *rand.Rand) *Pool {
 
 	cfg := p.cfg
 	cfg.TrackCrashes = false
-	n := New(cfg)
-	n.words = words
-	n.alloc.init(p.alloc.highWater())
-	return n
+	return newPool(cfg, words, p.alloc.highWater())
 }
 
 func sortInt64s(v []int64) {

@@ -5,7 +5,8 @@
 // A Pool is a word-addressed arena. All persistent state lives inside the
 // arena and references between persistent objects are arena offsets, so a
 // pool image is self-contained: it can be snapshotted, subjected to a
-// simulated power failure (see CrashSim), and reopened.
+// simulated power failure (StartCrashLog, then CrashImage or CrashImages),
+// and reopened.
 //
 // The emulator models three hardware properties:
 //
@@ -103,9 +104,9 @@ type Config struct {
 	BarrierLatency time.Duration
 	// Model is the store-ordering model.
 	Model MemModel
-	// TrackCrashes enables the store log used by CrashSim. Logging is
-	// intended for single-writer crash-injection tests; it serialises
-	// stores through a mutex.
+	// TrackCrashes enables the store log behind StartCrashLog and
+	// CrashImage. Logging is intended for single-writer crash-injection
+	// tests; it serialises stores through a mutex.
 	TrackCrashes bool
 }
 
@@ -154,11 +155,14 @@ func New(cfg Config) *Pool {
 		cfg.Size = headerWords * WordSize
 	}
 	lines := (cfg.Size + LineSize - 1) / LineSize
-	p := &Pool{
-		words: make([]uint64, lines*LineSize/WordSize),
-		cfg:   cfg,
-	}
-	p.alloc.init(int64(headerWords * WordSize))
+	return newPool(cfg, make([]uint64, lines*LineSize/WordSize), headerWords*WordSize)
+}
+
+// newPool builds a pool over words, its one arena, with the bump pointer at
+// next. New, Clone and CrashImage all build through it.
+func newPool(cfg Config, words []uint64, next int64) *Pool {
+	p := &Pool{words: words, cfg: cfg}
+	p.alloc.init(next)
 	if cfg.TrackCrashes {
 		p.log = newCrashLog()
 	}
@@ -263,16 +267,17 @@ func (p *Pool) rawLoad(off int64) uint64 {
 // configuration (crash tracking disabled on the copy unless retrack is
 // true). The allocator of the clone resumes from the source's high-water
 // mark so new allocations cannot overlap live data even if allocator state
-// was "lost" in a crash.
+// was "lost" in a crash. Only the words below that mark are copied: nothing
+// above the bump pointer has ever been stored to.
 func (p *Pool) Clone(retrack bool) *Pool {
 	cfg := p.cfg
 	cfg.TrackCrashes = retrack
-	n := New(cfg)
-	for i := range p.words {
-		n.words[i] = atomic.LoadUint64(&p.words[i])
+	hw := p.alloc.highWater()
+	words := make([]uint64, len(p.words))
+	for i := range words[:hw/WordSize] {
+		words[i] = atomic.LoadUint64(&p.words[i])
 	}
-	n.alloc.init(p.alloc.highWater())
-	return n
+	return newPool(cfg, words, hw)
 }
 
 // AddStats merges a thread's counters into the pool-wide aggregate. Threads

@@ -83,7 +83,10 @@ func TestAllocFreeReuseIsZeroed(t *testing.T) {
 // beyond the bump pointer. That has to hold on every pool a caller can get —
 // a fresh one, a clone and a crash image, which both re-seat the bump pointer
 // at the source's high-water mark, above blocks that are full of data and
-// whose free lists are gone. (SetAllocCheck is on for this package.)
+// whose free lists are gone. A clone or image copies only the words below
+// that mark, so it must equal the source there and be zero above it — the
+// image too, though every block was allocated after StartCrashLog, above the
+// snapshot the log started from. (SetAllocCheck is on for this package.)
 func TestAllocZeroedFromBothSources(t *testing.T) {
 	dirty := func(p *Pool) {
 		// Fill the arena's allocated part with non-zero words, free some of
@@ -126,6 +129,22 @@ func TestAllocZeroedFromBothSources(t *testing.T) {
 			t.Fatalf("%d blocks came off a free list, want %d", got, wantRecycled)
 		}
 	}
+	requireCopy := func(t *testing.T, src, c *Pool) {
+		t.Helper()
+		if c.Size() != src.Size() {
+			t.Fatalf("copy holds %d bytes, source %d", c.Size(), src.Size())
+		}
+		hw := src.alloc.highWater()
+		for off := int64(0); off < c.Size(); off += WordSize {
+			want := uint64(0)
+			if off < hw {
+				want = src.rawLoad(off)
+			}
+			if got := c.rawLoad(off); got != want {
+				t.Fatalf("word at %d (high water %d) = %#x, want %#x", off, hw, got, want)
+			}
+		}
+	}
 	t.Run("Fresh", func(t *testing.T) {
 		p := New(Config{Size: 1 << 16})
 		dirty(p)
@@ -134,13 +153,19 @@ func TestAllocZeroedFromBothSources(t *testing.T) {
 	t.Run("Clone", func(t *testing.T) {
 		p := New(Config{Size: 1 << 16})
 		dirty(p)
-		requireZeroed(t, p.Clone(false), 0)
+		c := p.Clone(false)
+		requireCopy(t, p, c)
+		requireZeroed(t, c, 0)
 	})
 	t.Run("CrashImage", func(t *testing.T) {
 		p := New(Config{Size: 1 << 16, TrackCrashes: true})
 		p.StartCrashLog()
 		dirty(p)
-		requireZeroed(t, p.CrashImage(p.LogLen(), CrashAll, nil), 0)
+		for _, mode := range []CrashMode{CrashNone, CrashAll} { // every store was flushed
+			img := p.CrashImage(p.LogLen(), mode, nil)
+			requireCopy(t, p, img)
+			requireZeroed(t, img, 0)
+		}
 	})
 }
 
@@ -537,6 +562,39 @@ func TestCrashVolatileStoresExcluded(t *testing.T) {
 	// But it is visible in the live pool.
 	if got := th.Load(off); got != 99 {
 		t.Errorf("volatile store not visible live: %d", got)
+	}
+}
+
+// TestCrashImagesEnumeratesEveryPointAndMode: CrashImages yields every point
+// in [0, LogLen()] under every mode, point-major, and each image is the
+// one CrashImage builds in that order from an rng with the same seed.
+func TestCrashImagesEnumeratesEveryPointAndMode(t *testing.T) {
+	p, th, off := crashSetup(t, NonTSO)
+	for i := int64(0); i < 6; i++ {
+		th.Store(off+i*WordSize, uint64(i+1))
+		if i%2 == 1 {
+			th.StoreFence()
+		}
+	}
+	th.Flush(off, 8)
+	th.Store(off+64, 7)
+	th.Store(off+72, 8)
+	want := rand.New(rand.NewSource(3))
+	n := 0
+	for cp, img := range p.CrashImages(rand.New(rand.NewSource(3))) {
+		if w := (CrashPoint{n / len(CrashModes), CrashModes[n%len(CrashModes)]}); cp != w {
+			t.Fatalf("image %d is %v, want %v", n, cp, w)
+		}
+		ref := p.CrashImage(cp.Point, cp.Mode, want)
+		for w := int64(0); w < img.Size(); w += WordSize {
+			if img.rawLoad(w) != ref.rawLoad(w) {
+				t.Fatalf("%v: word at %d = %#x, CrashImage has %#x", cp, w, img.rawLoad(w), ref.rawLoad(w))
+			}
+		}
+		n++
+	}
+	if want := (p.LogLen() + 1) * len(CrashModes); n != want {
+		t.Fatalf("CrashImages yielded %d images, want %d", n, want)
 	}
 }
 

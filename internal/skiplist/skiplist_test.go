@@ -135,32 +135,29 @@ func TestCrashBottomListIsTruth(t *testing.T) {
 	l.Insert(th, 1000, 1)
 	l.Delete(th, 50)
 	rng := rand.New(rand.NewSource(2))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			l2, err := Open(img, ith, Options{})
-			if err != nil {
-				t.Fatal(err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		l2, err := Open(img, ith, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l2.CheckInvariants(ith); err != nil {
+			t.Fatalf("%v: %v", cp, err)
+		}
+		for k, v := range committed {
+			if k == 50 {
+				continue // the in-flight delete's target
 			}
-			if err := l2.CheckInvariants(ith); err != nil {
-				t.Fatalf("point %d mode %d: %v", point, mode, err)
+			if got, ok := l2.Get(ith, k); !ok || got != v {
+				t.Fatalf("%v: Get(%d) = %d,%v", cp, k, got, ok)
 			}
-			for k, v := range committed {
-				if k == 50 {
-					continue // the in-flight delete's target
-				}
-				if got, ok := l2.Get(ith, k); !ok || got != v {
-					t.Fatalf("point %d mode %d: Get(%d) = %d,%v", point, mode, k, got, ok)
-				}
-			}
-			// In-flight ops must be atomic.
-			if v, ok := l2.Get(ith, 1000); ok && v != 1 {
-				t.Fatalf("point %d: torn insert value %d", point, v)
-			}
-			if v, ok := l2.Get(ith, 50); ok && v != 51 {
-				t.Fatalf("point %d: torn delete value %d", point, v)
-			}
+		}
+		// In-flight ops must be atomic.
+		if v, ok := l2.Get(ith, 1000); ok && v != 1 {
+			t.Fatalf("%v: torn insert value %d", cp, v)
+		}
+		if v, ok := l2.Get(ith, 50); ok && v != 51 {
+			t.Fatalf("%v: torn delete value %d", cp, v)
 		}
 	}
 }

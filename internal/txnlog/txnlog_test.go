@@ -190,55 +190,52 @@ func crashAppendMatrix(t *testing.T, model pmem.MemModel) {
 		t.Fatal("empty crash tape")
 	}
 	dropped, kept := 0, 0
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			rl, err := Open(img, ith, testSlot)
-			if err != nil {
-				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		rl, err := Open(img, ith, testSlot)
+		if err != nil {
+			t.Fatalf("%v of %d: reopen: %v", cp, tape, err)
+		}
+		recs := collect(rl, ith)
+		if len(recs) != len(comVals) && len(recs) != len(comVals)+1 {
+			t.Fatalf("%v: %d records survive", cp, len(recs))
+		}
+		for i, v := range comVals {
+			r := recs[i]
+			if r.ID != uint64(i) || r.Kind != KindIntent || !bytes.Equal(r.Payload, v) {
+				t.Fatalf("%v: committed record %d lost", cp, i)
 			}
-			recs := collect(rl, ith)
-			if len(recs) != len(comVals) && len(recs) != len(comVals)+1 {
-				t.Fatalf("point %d mode %d: %d records survive", point, mode, len(recs))
+		}
+		if len(recs) == len(comVals)+1 {
+			kept++
+			r := recs[len(recs)-1]
+			if r.ID != 999 || r.Kind != KindCommit || !bytes.Equal(r.Payload, inflight) {
+				t.Fatalf("%v: TORN in-flight record", cp)
 			}
-			for i, v := range comVals {
-				r := recs[i]
-				if r.ID != uint64(i) || r.Kind != KindIntent || !bytes.Equal(r.Payload, v) {
-					t.Fatalf("point %d mode %d: committed record %d lost", point, mode, i)
-				}
+		} else {
+			dropped++
+			if cp.Point == tape && cp.Mode != pmem.CrashRandom {
+				// Append returned, so at the full tape the record must
+				// be there under any model that keeps persisted lines.
+				t.Fatalf("completed append lost at full tape (%v)", cp)
 			}
-			if len(recs) == len(comVals)+1 {
-				kept++
-				r := recs[len(recs)-1]
-				if r.ID != 999 || r.Kind != KindCommit || !bytes.Equal(r.Payload, inflight) {
-					t.Fatalf("point %d mode %d: TORN in-flight record", point, mode)
-				}
-			} else {
-				dropped++
-				if point == tape && mode != pmem.CrashRandom {
-					// Append returned, so at the full tape the record must
-					// be there under any model that keeps persisted lines.
-					t.Fatalf("completed append lost at full tape (mode %d)", mode)
-				}
-			}
-			// Recovered records are replayed and dropped, never extended.
-			if err := rl.Append(ith, 31337, KindIntent, []byte("post-crash")); !errors.Is(err, ErrNotTruncated) {
-				t.Fatalf("point %d mode %d: append onto recovered records: %v", point, mode, err)
-			}
-			rl.Truncate(ith)
-			if err := rl.Append(ith, 31337, KindIntent, []byte("post-crash")); err != nil {
-				t.Fatalf("point %d mode %d: post-recovery append: %v", point, mode, err)
-			}
-			// The new generation hides everything the crash left behind,
-			// the torn record's bytes included.
-			rl2, err := Open(img, ith, testSlot)
-			if err != nil {
-				t.Fatalf("point %d mode %d: second reopen: %v", point, mode, err)
-			}
-			if post := collect(rl2, ith); len(post) != 1 || string(post[0].Payload) != "post-crash" {
-				t.Fatalf("point %d mode %d: post-recovery log holds %d records", point, mode, len(post))
-			}
+		}
+		// Recovered records are replayed and dropped, never extended.
+		if err := rl.Append(ith, 31337, KindIntent, []byte("post-crash")); !errors.Is(err, ErrNotTruncated) {
+			t.Fatalf("%v: append onto recovered records: %v", cp, err)
+		}
+		rl.Truncate(ith)
+		if err := rl.Append(ith, 31337, KindIntent, []byte("post-crash")); err != nil {
+			t.Fatalf("%v: post-recovery append: %v", cp, err)
+		}
+		// The new generation hides everything the crash left behind,
+		// the torn record's bytes included.
+		rl2, err := Open(img, ith, testSlot)
+		if err != nil {
+			t.Fatalf("%v: second reopen: %v", cp, err)
+		}
+		if post := collect(rl2, ith); len(post) != 1 || string(post[0].Payload) != "post-crash" {
+			t.Fatalf("%v: post-recovery log holds %d records", cp, len(post))
 		}
 	}
 	if dropped == 0 || kept == 0 {
@@ -272,33 +269,30 @@ func crashTruncateMatrix(t *testing.T, model pmem.MemModel) {
 	p.StartCrashLog()
 	l.Truncate(th)
 	tape := p.LogLen()
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			rl, err := Open(img, ith, testSlot)
-			if err != nil {
-				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		rl, err := Open(img, ith, testSlot)
+		if err != nil {
+			t.Fatalf("%v of %d: reopen: %v", cp, tape, err)
+		}
+		recs := collect(rl, ith)
+		switch len(recs) {
+		case 0: // truncation won
+			if cp.Point == 0 {
+				t.Fatalf("%v: records gone before the truncation started", cp)
 			}
-			recs := collect(rl, ith)
-			switch len(recs) {
-			case 0: // truncation won
-				if point == 0 {
-					t.Fatalf("mode %d: records gone before the truncation started", mode)
-				}
-			case len(vals): // truncation lost; records must be intact
-				if point == tape && mode != pmem.CrashRandom {
-					t.Fatalf("mode %d: completed truncation lost at full tape", mode)
-				}
-				for i, v := range vals {
-					if recs[i].ID != uint64(i) || !bytes.Equal(recs[i].Payload, v) {
-						t.Fatalf("point %d mode %d: record %d torn", point, mode, i)
-					}
-				}
-			default:
-				t.Fatalf("point %d mode %d: partial truncation, %d of %d records",
-					point, mode, len(recs), len(vals))
+		case len(vals): // truncation lost; records must be intact
+			if cp.Point == tape && cp.Mode != pmem.CrashRandom {
+				t.Fatalf("%v: completed truncation lost at full tape", cp)
 			}
+			for i, v := range vals {
+				if recs[i].ID != uint64(i) || !bytes.Equal(recs[i].Payload, v) {
+					t.Fatalf("%v: record %d torn", cp, i)
+				}
+			}
+		default:
+			t.Fatalf("%v: partial truncation, %d of %d records",
+				cp, len(recs), len(vals))
 		}
 	}
 }

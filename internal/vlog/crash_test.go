@@ -47,37 +47,34 @@ func crashAppendMatrix(t *testing.T, model pmem.MemModel, extSize int64, valSize
 			t.Fatal(err)
 		}
 		tape := p.LogLen()
-		for point := 0; point <= tape; point++ {
-			for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-				img := p.CrashImage(point, mode, rng)
-				ith := img.NewThread()
-				rl, err := Open(img, ith, 5)
-				if err != nil {
-					t.Fatalf("val %d point %d/%d mode %d: reopen: %v", n, point, tape, mode, err)
+		for cp, img := range p.CrashImages(rng) {
+			ith := img.NewThread()
+			rl, err := Open(img, ith, 5)
+			if err != nil {
+				t.Fatalf("val %d %v of %d: reopen: %v", n, cp, tape, err)
+			}
+			if _, err := rl.Check(ith); err != nil {
+				t.Fatalf("val %d %v: post-recovery check: %v", n, cp, err)
+			}
+			for i, cref := range comRefs {
+				got, err := rl.Read(ith, cref, nil)
+				if err != nil || !bytes.Equal(got, comVals[i]) {
+					t.Fatalf("val %d %v: committed record %d lost: %v", n, cp, i, err)
 				}
-				if _, err := rl.Check(ith); err != nil {
-					t.Fatalf("val %d point %d mode %d: post-recovery check: %v", n, point, mode, err)
+			}
+			// The in-flight record: all or nothing, never torn.
+			if got, err := rl.Read(ith, ref, nil); err == nil {
+				if !bytes.Equal(got, inflight) {
+					t.Fatalf("val %d %v: TORN in-flight record", n, cp)
 				}
-				for i, cref := range comRefs {
-					got, err := rl.Read(ith, cref, nil)
-					if err != nil || !bytes.Equal(got, comVals[i]) {
-						t.Fatalf("val %d point %d mode %d: committed record %d lost: %v", n, point, mode, i, err)
-					}
-				}
-				// The in-flight record: all or nothing, never torn.
-				if got, err := rl.Read(ith, ref, nil); err == nil {
-					if !bytes.Equal(got, inflight) {
-						t.Fatalf("val %d point %d mode %d: TORN in-flight record", n, point, mode)
-					}
-				}
-				// The recovered log keeps appending and reading.
-				nref, err := rl.Append(ith, 31337, []byte("post-crash"))
-				if err != nil {
-					t.Fatalf("val %d point %d mode %d: post-recovery append: %v", n, point, mode, err)
-				}
-				if got, err := rl.Read(ith, nref, nil); err != nil || string(got) != "post-crash" {
-					t.Fatalf("val %d point %d mode %d: post-recovery read: %v", n, point, mode, err)
-				}
+			}
+			// The recovered log keeps appending and reading.
+			nref, err := rl.Append(ith, 31337, []byte("post-crash"))
+			if err != nil {
+				t.Fatalf("val %d %v: post-recovery append: %v", n, cp, err)
+			}
+			if got, err := rl.Read(ith, nref, nil); err != nil || string(got) != "post-crash" {
+				t.Fatalf("val %d %v: post-recovery read: %v", n, cp, err)
 			}
 		}
 		// Keep the live log consistent for the next round: the append
@@ -236,95 +233,92 @@ func crashIntoRecycledExtent(t *testing.T, model pmem.MemModel) {
 	}
 
 	tape, staleSeen := p.LogLen(), 0
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			rl, err := Open(img, ith, 5)
-			if err != nil {
-				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		rl, err := Open(img, ith, 5)
+		if err != nil {
+			t.Fatalf("%v of %d: reopen: %v", cp, tape, err)
+		}
+		if ith.Stats.Stores != 0 || ith.Stats.FlushCalls != 0 {
+			t.Fatalf("%v: Open issued %d stores and %d flushes", cp, ith.Stats.Stores, ith.Stats.FlushCalls)
+		}
+		if _, err := rl.Check(ith); err != nil {
+			t.Fatalf("%v: post-recovery check: %v", cp, err)
+		}
+		if rl.QuickStats().Live > int64(valLen*(len(committed)+len(refs))) {
+			staleSeen++ // the walk passed stale records as garbage
+		}
+		survived := map[uint64]Ref{}
+		for k, ref := range committed {
+			if !readBack(rl, ith, k, ref) {
+				t.Fatalf("%v: committed key %d lost", cp, k)
 			}
-			if ith.Stats.Stores != 0 || ith.Stats.FlushCalls != 0 {
-				t.Fatalf("point %d mode %d: Open issued %d stores and %d flushes", point, mode, ith.Stats.Stores, ith.Stats.FlushCalls)
+			survived[k] = ref
+		}
+		for i, ref := range refs {
+			if readBack(rl, ith, keys[i], ref) {
+				survived[keys[i]] = ref
+			} else if marks[i+1] <= cp.Point {
+				t.Fatalf("%v: key %d lost though its append completed", cp, keys[i])
 			}
-			if _, err := rl.Check(ith); err != nil {
-				t.Fatalf("point %d mode %d: post-recovery check: %v", point, mode, err)
-			}
-			if rl.QuickStats().Live > int64(valLen*(len(committed)+len(refs))) {
-				staleSeen++ // the walk passed stale records as garbage
-			}
-			survived := map[uint64]Ref{}
-			for k, ref := range committed {
-				if !readBack(rl, ith, k, ref) {
-					t.Fatalf("point %d mode %d: committed key %d lost", point, mode, k)
-				}
-				survived[k] = ref
-			}
-			for i, ref := range refs {
-				if readBack(rl, ith, keys[i], ref) {
-					survived[keys[i]] = ref
-				} else if marks[i+1] <= point {
-					t.Fatalf("point %d mode %d: key %d lost though its append completed", point, mode, keys[i])
-				}
-			}
+		}
 
-			// Append, crash and reopen again: the same prefix survives.
-			c := img.Clone(true)
-			c.StartCrashLog()
-			cth := c.NewThread()
-			cl, err := Open(c, cth, 5)
+		// Append, crash and reopen again: the same prefix survives.
+		c := img.Clone(true)
+		c.StartCrashLog()
+		cth := c.NewThread()
+		cl, err := Open(c, cth, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[200] = testValue(rng, valLen)
+		ref, err := cl.Append(cth, 200, want[200])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img2 := c.CrashImage(rng.Intn(c.LogLen()+1), cp.Mode, rng)
+		ith2 := img2.NewThread()
+		rl2, err := Open(img2, ith2, 5)
+		if err != nil {
+			t.Fatalf("%v: second reopen: %v", cp, err)
+		}
+		for k, ref := range survived {
+			if !readBack(rl2, ith2, k, ref) {
+				t.Fatalf("%v: key %d lost by the second crash", cp, k)
+			}
+		}
+		if readBack(rl2, ith2, 200, ref) {
+			survived[200] = ref
+		}
+
+		// Reseal the recycled extent with records of another size, so
+		// its terminator lands among stale bytes; a fresh walk must
+		// still pass it. Then GC everything sealed.
+		live := mapTree(survived)
+		for k := uint64(300); rl2.curExt == victim || k < 302; k++ {
+			v := testValue(rng, valLen-8)
+			ref, err := rl2.Append(ith2, k, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[200] = testValue(rng, valLen)
-			ref, err := cl.Append(cth, 200, want[200])
-			if err != nil {
-				t.Fatal(err)
+			live[k], want[k] = ref, v
+		}
+		if _, err := Open(img2, img2.NewThread(), 5); err != nil {
+			t.Fatalf("%v: reopen after resealing: %v", cp, err)
+		}
+		named := 0
+		for _, ref := range live {
+			if ref.Off() < rl2.curExt || ref.Off() >= rl2.curEnd {
+				named++
 			}
-			img2 := c.CrashImage(rng.Intn(c.LogLen()+1), mode, rng)
-			ith2 := img2.NewThread()
-			rl2, err := Open(img2, ith2, 5)
-			if err != nil {
-				t.Fatalf("point %d mode %d: second reopen: %v", point, mode, err)
-			}
-			for k, ref := range survived {
-				if !readBack(rl2, ith2, k, ref) {
-					t.Fatalf("point %d mode %d: key %d lost by the second crash", point, mode, k)
-				}
-			}
-			if readBack(rl2, ith2, 200, ref) {
-				survived[200] = ref
-			}
-
-			// Reseal the recycled extent with records of another size, so
-			// its terminator lands among stale bytes; a fresh walk must
-			// still pass it. Then GC everything sealed.
-			live := mapTree(survived)
-			for k := uint64(300); rl2.curExt == victim || k < 302; k++ {
-				v := testValue(rng, valLen-8)
-				ref, err := rl2.Append(ith2, k, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live[k], want[k] = ref, v
-			}
-			if _, err := Open(img2, img2.NewThread(), 5); err != nil {
-				t.Fatalf("point %d mode %d: reopen after resealing: %v", point, mode, err)
-			}
-			named := 0
-			for _, ref := range live {
-				if ref.Off() < rl2.curExt || ref.Off() >= rl2.curEnd {
-					named++
-				}
-			}
-			res, err := rl2.GC(ith2, 0, true, live.funcs())
-			if err != nil || res.Relocated != named || res.Skipped != 0 {
-				t.Fatalf("point %d mode %d: GC = %+v, %v; want %d relocations, the records the map names", point, mode, res, err, named)
-			}
-			for k, ref := range live {
-				if !readBack(rl2, ith2, k, ref) {
-					t.Fatalf("point %d mode %d: key %d lost by GC", point, mode, k)
-				}
+		}
+		res, err := rl2.GC(ith2, 0, true, live.funcs())
+		if err != nil || res.Relocated != named || res.Skipped != 0 {
+			t.Fatalf("%v: GC = %+v, %v; want %d relocations, the records the map names", cp, res, err, named)
+		}
+		for k, ref := range live {
+			if !readBack(rl2, ith2, k, ref) {
+				t.Fatalf("%v: key %d lost by GC", cp, k)
 			}
 		}
 	}

@@ -139,28 +139,25 @@ func TestCrashInsertAtomicity(t *testing.T) {
 	old := committed[30]
 	delete(committed, 30)
 	rng := rand.New(rand.NewSource(2))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			tr2, err := Open(img, ith, Options{NodeSize: 512}) // Open runs Recover
-			if err != nil {
-				t.Fatal(err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		tr2, err := Open(img, ith, Options{NodeSize: 512}) // Open runs Recover
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range committed {
+			if got, ok := tr2.Get(ith, k); !ok || got != v {
+				t.Fatalf("%v: Get(%d) = %d,%v want %d", cp, k, got, ok, v)
 			}
-			for k, v := range committed {
-				if got, ok := tr2.Get(ith, k); !ok || got != v {
-					t.Fatalf("point %d mode %d: Get(%d) = %d,%v want %d", point, mode, k, got, ok, v)
-				}
-			}
-			if v, ok := tr2.Get(ith, 55); ok && v != 555 {
-				t.Fatalf("point %d: torn insert %d", point, v)
-			}
-			if v, ok := tr2.Get(ith, 30); ok && v != old {
-				t.Fatalf("point %d: torn delete %d", point, v)
-			}
-			if err := tr2.CheckInvariants(ith); err != nil {
-				t.Fatalf("point %d mode %d: %v", point, mode, err)
-			}
+		}
+		if v, ok := tr2.Get(ith, 55); ok && v != 555 {
+			t.Fatalf("%v: torn insert %d", cp, v)
+		}
+		if v, ok := tr2.Get(ith, 30); ok && v != old {
+			t.Fatalf("%v: torn delete %d", cp, v)
+		}
+		if err := tr2.CheckInvariants(ith); err != nil {
+			t.Fatalf("%v: %v", cp, err)
 		}
 	}
 }
@@ -181,29 +178,26 @@ func TestCrashSplit(t *testing.T) {
 	p.StartCrashLog()
 	tr.Insert(th, 45, 99) // forces a root-leaf split
 	rng := rand.New(rand.NewSource(3))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			tr2, err := Open(img, ith, opts)
-			if err != nil {
-				t.Fatal(err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		tr2, err := Open(img, ith, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range committed {
+			if got, ok := tr2.Get(ith, k); !ok || got != v {
+				t.Fatalf("%v: Get(%d) = %d,%v want %d", cp, k, got, ok, v)
 			}
-			for k, v := range committed {
-				if got, ok := tr2.Get(ith, k); !ok || got != v {
-					t.Fatalf("point %d mode %d: Get(%d) = %d,%v want %d", point, mode, k, got, ok, v)
-				}
-			}
-			if err := tr2.CheckInvariants(ith); err != nil {
-				t.Fatalf("point %d mode %d: %v", point, mode, err)
-			}
-			// Post-crash writability.
-			if err := tr2.Insert(ith, 999, 1); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := tr2.Get(ith, 999); !ok || v != 1 {
-				t.Fatalf("point %d: post-crash insert lost", point)
-			}
+		}
+		if err := tr2.CheckInvariants(ith); err != nil {
+			t.Fatalf("%v: %v", cp, err)
+		}
+		// Post-crash writability.
+		if err := tr2.Insert(ith, 999, 1); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := tr2.Get(ith, 999); !ok || v != 1 {
+			t.Fatalf("%v: post-crash insert lost", cp)
 		}
 	}
 }

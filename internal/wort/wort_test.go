@@ -199,35 +199,32 @@ func TestCrashAtomicity(t *testing.T) {
 		tr.Insert(th, k, uint64(100+i))
 	}
 	rng := rand.New(rand.NewSource(3))
-	for point := 0; point <= p.LogLen(); point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := p.CrashImage(point, mode, rng)
-			ith := img.NewThread()
-			tr2, err := Open(img, ith, Options{})
-			if err != nil {
-				t.Fatal(err)
+	for cp, img := range p.CrashImages(rng) {
+		ith := img.NewThread()
+		tr2, err := Open(img, ith, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range committed {
+			if got, ok := tr2.Get(ith, k); !ok || got != v {
+				t.Fatalf("%v: Get(%#x) = %d,%v want %d", cp, k, got, ok, v)
 			}
-			for k, v := range committed {
-				if got, ok := tr2.Get(ith, k); !ok || got != v {
-					t.Fatalf("point %d mode %d: Get(%#x) = %d,%v want %d", point, mode, k, got, ok, v)
-				}
+		}
+		for i, k := range inflight {
+			if got, ok := tr2.Get(ith, k); ok && got != uint64(100+i) {
+				t.Fatalf("%v: torn in-flight key %#x = %d", cp, k, got)
 			}
-			for i, k := range inflight {
-				if got, ok := tr2.Get(ith, k); ok && got != uint64(100+i) {
-					t.Fatalf("point %d mode %d: torn in-flight key %#x = %d", point, mode, k, got)
-				}
-			}
-			// The tree must remain writable post-crash (lazy header
-			// repair path).
-			if err := tr2.Insert(ith, 0x1234567890abcd11, 7); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := tr2.Get(ith, 0x1234567890abcd11); !ok || v != 7 {
-				t.Fatalf("point %d: post-crash insert lost", point)
-			}
-			if err := tr2.CheckInvariants(ith); err != nil {
-				t.Fatalf("point %d mode %d: %v", point, mode, err)
-			}
+		}
+		// The tree must remain writable post-crash (lazy header
+		// repair path).
+		if err := tr2.Insert(ith, 0x1234567890abcd11, 7); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := tr2.Get(ith, 0x1234567890abcd11); !ok || v != 7 {
+			t.Fatalf("%v: post-crash insert lost", cp)
+		}
+		if err := tr2.CheckInvariants(ith); err != nil {
+			t.Fatalf("%v: %v", cp, err)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // TestKillMidBatchThenReopen is the remote-traffic version of the store's
 // crash campaign: a client streams a large PutBatch over the wire, and
 // while the server is applying it the test takes adversarial crash images
-// of every shard (pmem.CrashSim, random per-line survivor sets), then
+// of every shard (pmem.Pool.CrashImage, random per-line survivor sets), then
 // hard-kills the server. store.Reopen on the images must recover every
 // committed key exactly and leave every in-flight-era key fully present or
 // fully absent — the paper's failure-atomicity contract, now exercised

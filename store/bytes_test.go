@@ -225,25 +225,14 @@ func TestCrashMidPutBytes(t *testing.T) {
 			}
 			window[k] = v
 		}
-		images := make([]*pmem.Pool, st.NumShards())
-		for i := 0; i < st.NumShards(); i++ {
-			pool := st.Pool(i)
-			point := pool.LogLen()
+		re := reopenCut(t, fmt.Sprintf("trial %d", trial), st.Pools(), func(i int) int {
 			if i == victim {
-				point = rng.Intn(pool.LogLen() + 1)
+				return rng.Intn(st.Pool(i).LogLen() + 1)
 			}
-			images[i] = pool.CrashImage(point, pmem.CrashRandom, rng)
-		}
+			return st.Pool(i).LogLen()
+		}, pmem.CrashRandom, rng)
 		ss.Close()
 		st.Close()
-
-		re, err := Reopen(images, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := re.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d: post-recovery invariants: %v", trial, err)
-		}
 		rs := re.NewSession()
 
 		var buf []byte
@@ -320,39 +309,30 @@ func TestCrashEveryPointOfOnePutBytes(t *testing.T) {
 	if tape == 0 {
 		t.Fatal("empty crash tape")
 	}
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := pool.CrashImage(point, mode, rng)
-			re, err := Reopen([]*pmem.Pool{img}, Options{})
-			if err != nil {
-				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+	for cp, img := range pool.CrashImages(rng) {
+		re := reopenImages(t, cp.String(), Options{}, img)
+		rs := re.NewSession()
+		for k, v := range committed {
+			got, ok, err := rs.GetBytes(k, nil)
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("%v: committed key %d: (%v, %v)", cp, k, ok, err)
 			}
-			if err := re.CheckInvariants(); err != nil {
-				t.Fatalf("point %d mode %d: invariants: %v", point, mode, err)
-			}
-			rs := re.NewSession()
-			for k, v := range committed {
-				got, ok, err := rs.GetBytes(k, nil)
-				if err != nil || !ok || !bytes.Equal(got, v) {
-					t.Fatalf("point %d mode %d: committed key %d: (%v, %v)", point, mode, k, ok, err)
-				}
-			}
-			got, ok, err := rs.GetBytes(key, nil)
-			if err != nil {
-				t.Fatalf("point %d mode %d: in-flight key errored (torn state visible): %v", point, mode, err)
-			}
-			if ok && !bytes.Equal(got, val) {
-				t.Fatalf("point %d mode %d: TORN value for in-flight key", point, mode)
-			}
-			if point == tape && !ok {
-				t.Fatalf("completed PutBytes lost at full tape")
-			}
-			if err := rs.PutBytes(key+1, []byte("recovered")); err != nil {
-				t.Fatalf("point %d mode %d: post-recovery write: %v", point, mode, err)
-			}
-			rs.Close()
-			re.Close()
 		}
+		got, ok, err := rs.GetBytes(key, nil)
+		if err != nil {
+			t.Fatalf("%v: in-flight key errored (torn state visible): %v", cp, err)
+		}
+		if ok && !bytes.Equal(got, val) {
+			t.Fatalf("%v: TORN value for in-flight key", cp)
+		}
+		if cp.Point == tape && !ok {
+			t.Fatalf("completed PutBytes lost at full tape")
+		}
+		if err := rs.PutBytes(key+1, []byte("recovered")); err != nil {
+			t.Fatalf("%v: post-recovery write: %v", cp, err)
+		}
+		rs.Close()
+		re.Close()
 	}
 	ss.Close()
 	st.Close()

@@ -72,43 +72,34 @@ func gcCrashMatrix(t *testing.T, model pmem.MemModel) {
 	tape := pool.LogLen()
 	t.Logf("%v: compaction tape %d points, %+v", model, tape, cs)
 
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := pool.CrashImage(point, mode, rng)
-			re, err := Reopen([]*pmem.Pool{img}, Options{GCGarbageRatio: -1})
+	for cp, img := range pool.CrashImages(rng) {
+		re := reopenImages(t, cp.String(), Options{GCGarbageRatio: -1}, img)
+		rs := re.NewSession()
+		for k, v := range want {
+			got, ok, err := rs.GetBytes(k, nil)
 			if err != nil {
-				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+				t.Fatalf("%v: key %d resolves to a bad record: %v", cp, k, err)
 			}
-			if err := re.CheckInvariants(); err != nil {
-				t.Fatalf("point %d mode %d: invariants: %v", point, mode, err)
+			if !ok {
+				t.Fatalf("%v: live key %d lost", cp, k)
 			}
-			rs := re.NewSession()
-			for k, v := range want {
-				got, ok, err := rs.GetBytes(k, nil)
-				if err != nil {
-					t.Fatalf("point %d mode %d: key %d resolves to a bad record: %v", point, mode, k, err)
-				}
-				if !ok {
-					t.Fatalf("point %d mode %d: live key %d lost", point, mode, k)
-				}
-				if !bytes.Equal(got, v) {
-					t.Fatalf("point %d mode %d: key %d stale or torn content", point, mode, k)
-				}
+			if !bytes.Equal(got, v) {
+				t.Fatalf("%v: key %d stale or torn content", cp, k)
 			}
-			if _, ok, err := rs.GetBytes(4, nil); ok || err != nil {
-				t.Fatalf("point %d mode %d: deleted key resurrected: (%v, %v)", point, mode, ok, err)
-			}
-			// The recovered store keeps working, including further
-			// compaction from whatever state the crash left.
-			if err := rs.PutBytes(1000, []byte("post-crash")); err != nil {
-				t.Fatalf("point %d mode %d: post-recovery write: %v", point, mode, err)
-			}
-			if _, err := rs.CompactValues(); err != nil {
-				t.Fatalf("point %d mode %d: post-recovery compaction: %v", point, mode, err)
-			}
-			rs.Close()
-			re.Close()
 		}
+		if _, ok, err := rs.GetBytes(4, nil); ok || err != nil {
+			t.Fatalf("%v: deleted key resurrected: (%v, %v)", cp, ok, err)
+		}
+		// The recovered store keeps working, including further
+		// compaction from whatever state the crash left.
+		if err := rs.PutBytes(1000, []byte("post-crash")); err != nil {
+			t.Fatalf("%v: post-recovery write: %v", cp, err)
+		}
+		if _, err := rs.CompactValues(); err != nil {
+			t.Fatalf("%v: post-recovery compaction: %v", cp, err)
+		}
+		rs.Close()
+		re.Close()
 	}
 	ss.Close()
 	st.Close()
@@ -160,17 +151,11 @@ func TestGCCrashCampaignRandomPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		point := rng.Intn(pool.LogLen() + 1)
-		img := pool.CrashImage(point, pmem.CrashRandom, rng)
-		re, err := Reopen([]*pmem.Pool{img}, Options{})
-		if err != nil {
-			t.Fatalf("trial %d point %d: %v", trial, point, err)
-		}
-		if err := re.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d point %d: invariants: %v", trial, point, err)
-		}
+		re := reopenCut(t, fmt.Sprintf("trial %d point %d", trial, point), st.Pools(),
+			func(int) int { return point }, pmem.CrashRandom, rng)
 		// Reopen's accounting comes from vlog.Open's one walk: live plus
 		// garbage is every payload byte a fresh Check walks.
-		cth := img.NewThread()
+		cth := re.Pool(0).NewThread()
 		cs, err := re.shards[0].vl.Check(cth)
 		cth.Release()
 		if vs := re.ValueStats(); err != nil || vs.Live+vs.Garbage != cs.Bytes {

@@ -59,41 +59,32 @@ func kvPutCrashMatrix(t *testing.T, model pmem.MemModel) {
 	if tape == 0 {
 		t.Fatal("empty crash tape")
 	}
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			img := pool.CrashImage(point, mode, rng)
-			re, err := Reopen([]*pmem.Pool{img}, Options{})
-			if err != nil {
-				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+	for cp, img := range pool.CrashImages(rng) {
+		re := reopenImages(t, cp.String(), Options{}, img)
+		rs := re.NewSession()
+		for k, v := range committed {
+			got, ok, err := rs.GetKV([]byte(k), nil)
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("%v: committed key %q: ok=%v err=%v", cp, k, ok, err)
 			}
-			if err := re.CheckInvariants(); err != nil {
-				t.Fatalf("point %d mode %d: invariants: %v", point, mode, err)
-			}
-			rs := re.NewSession()
-			for k, v := range committed {
-				got, ok, err := rs.GetKV([]byte(k), nil)
-				if err != nil || !ok || !bytes.Equal(got, v) {
-					t.Fatalf("point %d mode %d: committed key %q: ok=%v err=%v", point, mode, k, ok, err)
-				}
-			}
-			got, ok, err := rs.GetKV(inKey, nil)
-			if err != nil {
-				t.Fatalf("point %d mode %d: in-flight key errored (torn state visible): %v", point, mode, err)
-			}
-			if ok && !bytes.Equal(got, inVal) {
-				t.Fatalf("point %d mode %d: TORN value for in-flight key", point, mode)
-			}
-			if point == tape && !ok {
-				t.Fatalf("completed PutKV lost at full tape (mode %d)", mode)
-			}
-			// The store must stay writable after recovery, including into
-			// the bucket the crash interrupted.
-			if err := rs.PutKV([]byte("crashkey-after"), []byte("recovered")); err != nil {
-				t.Fatalf("point %d mode %d: post-recovery write: %v", point, mode, err)
-			}
-			rs.Close()
-			re.Close()
 		}
+		got, ok, err := rs.GetKV(inKey, nil)
+		if err != nil {
+			t.Fatalf("%v: in-flight key errored (torn state visible): %v", cp, err)
+		}
+		if ok && !bytes.Equal(got, inVal) {
+			t.Fatalf("%v: TORN value for in-flight key", cp)
+		}
+		if cp.Point == tape && !ok {
+			t.Fatalf("completed PutKV lost at full tape (%v)", cp)
+		}
+		// The store must stay writable after recovery, including into
+		// the bucket the crash interrupted.
+		if err := rs.PutKV([]byte("crashkey-after"), []byte("recovered")); err != nil {
+			t.Fatalf("%v: post-recovery write: %v", cp, err)
+		}
+		rs.Close()
+		re.Close()
 	}
 	ss.Close()
 	st.Close()
@@ -156,14 +147,8 @@ func TestKVCrashRandomCampaign(t *testing.T) {
 				tape := pool.LogLen()
 				for c := 0; c < crashesPer; c++ {
 					point := rng.Intn(tape + 1)
-					img := pool.CrashImage(point, pmem.CrashRandom, rng)
-					re, err := Reopen([]*pmem.Pool{img}, Options{})
-					if err != nil {
-						t.Fatalf("iter %d point %d: reopen: %v", it, point, err)
-					}
-					if err := re.CheckInvariants(); err != nil {
-						t.Fatalf("iter %d point %d: invariants: %v", it, point, err)
-					}
+					re := reopenCut(t, fmt.Sprintf("iter %d point %d", it, point), st.Pools(),
+						func(int) int { return point }, pmem.CrashRandom, rng)
 					rs := re.NewSession()
 					for k, v := range stable {
 						got, ok, err := rs.GetKV([]byte(k), nil)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,13 +9,39 @@ import (
 	"repro/internal/pmem"
 )
 
+// reopenImages reopens crash images as one store and checks its invariants.
+func reopenImages(t *testing.T, tag string, opts Options, imgs ...*pmem.Pool) *Store {
+	t.Helper()
+	re, err := Reopen(imgs, opts)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", tag, err)
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatalf("%s: invariants: %v", tag, err)
+	}
+	return re
+}
+
+// reopenCut crashes every pool, pool i after cut(i) of its log records,
+// under mode, and reopens the images with reopenImages. cut is called, and
+// each CrashRandom image drawn from rng, in pool order.
+func reopenCut(t *testing.T, tag string, pools []*pmem.Pool, cut func(i int) int, mode pmem.CrashMode, rng *rand.Rand) *Store {
+	t.Helper()
+	imgs := make([]*pmem.Pool, len(pools))
+	for i, p := range pools {
+		imgs[i] = p.CrashImage(cut(i), mode, rng)
+	}
+	return reopenImages(t, tag, Options{}, imgs...)
+}
+
 // TestCrashOneShardMidInsert is the sharded-store crash campaign: one shard
 // suffers a simulated power failure at a random instant inside its store
-// tape (via pmem.CrashSim's adversarial per-line survivor model), the other
-// shards crash at operation boundaries, and the store is Reopened from the
-// images. Every committed key must be readable with its exact value, every
-// in-flight-era key must be fully present or fully absent (no torn state),
-// invariants must hold after recovery, and the store must be writable.
+// tape (pmem.Pool.CrashImage, with its adversarial per-line survivor model),
+// the other shards crash at operation boundaries, and the store is Reopened
+// from the images. Every committed key must be readable with its exact
+// value, every in-flight-era key must be fully present or fully absent (no
+// torn state), invariants must hold after recovery, and the store must be
+// writable.
 func TestCrashOneShardMidInsert(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -58,25 +85,14 @@ func TestCrashOneShardMidInsert(t *testing.T) {
 			}
 			window[k] = v
 		}
-		images := make([]*pmem.Pool, st.NumShards())
-		for i := 0; i < st.NumShards(); i++ {
-			pool := st.Pool(i)
-			point := pool.LogLen()
+		re := reopenCut(t, fmt.Sprintf("trial %d", trial), st.Pools(), func(i int) int {
 			if i == victim {
-				point = rng.Intn(pool.LogLen() + 1)
+				return rng.Intn(st.Pool(i).LogLen() + 1)
 			}
-			images[i] = pool.CrashImage(point, pmem.CrashRandom, rng)
-		}
+			return st.Pool(i).LogLen()
+		}, pmem.CrashRandom, rng)
 		ss.Close()
 		st.Close()
-
-		re, err := Reopen(images, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := re.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d: post-recovery invariants: %v", trial, err)
-		}
 		rs := re.NewSession()
 
 		for k, v := range committed {

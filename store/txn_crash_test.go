@@ -82,6 +82,33 @@ func checkAtomic(t *testing.T, ss *Session, effects []txnEffect, tag string) boo
 	return state == 1
 }
 
+// logLens returns every pool's crash-log length: the cut a crash at this
+// instant takes.
+func logLens(pools []*pmem.Pool) []int {
+	v := make([]int, len(pools))
+	for i, p := range pools {
+		v[i] = p.LogLen()
+	}
+	return v
+}
+
+// advancing returns the one pool whose log grew from step vector prev to
+// cur — segment seg of a taped protocol — or -1 if none did. Two growing
+// pools fail the test: the cut between them would not be consistent.
+func advancing(t *testing.T, seg int, prev, cur []int) int {
+	t.Helper()
+	adv := -1
+	for i := range cur {
+		if cur[i] != prev[i] {
+			if adv != -1 {
+				t.Fatalf("segment %d: pools %d and %d both advanced (%v -> %v)", seg, adv, i, prev, cur)
+			}
+			adv = i
+		}
+	}
+	return adv
+}
+
 // txnCommitCrashMatrix: single shard, one mixed commit (inserts,
 // overwrite, delete, byte-key put/overwrite/delete), every persist point,
 // every crash mode, both memory models.
@@ -169,51 +196,42 @@ func txnCommitCrashMatrix(t *testing.T, model pmem.MemModel) {
 	if tape == 0 {
 		t.Fatal("empty crash tape")
 	}
-	for point := 0; point <= tape; point++ {
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			tag := fmt.Sprintf("point %d/%d mode %d", point, tape, mode)
-			img := pool.CrashImage(point, mode, rng)
-			re, err := Reopen([]*pmem.Pool{img}, Options{})
-			if err != nil {
-				t.Fatalf("%s: reopen: %v", tag, err)
+	for cp, img := range pool.CrashImages(rng) {
+		tag := cp.String()
+		re := reopenImages(t, tag, Options{}, img)
+		rs := re.NewSession()
+		for k, v := range committed {
+			got, ok, err := rs.Get(k)
+			if err != nil || !ok || got != v {
+				t.Fatalf("%s: committed key %d: got=%d ok=%v err=%v", tag, k, got, ok, err)
 			}
-			if err := re.CheckInvariants(); err != nil {
-				t.Fatalf("%s: invariants: %v", tag, err)
-			}
-			rs := re.NewSession()
-			for k, v := range committed {
-				got, ok, err := rs.Get(k)
-				if err != nil || !ok || got != v {
-					t.Fatalf("%s: committed key %d: got=%d ok=%v err=%v", tag, k, got, ok, err)
-				}
-			}
-			for k, v := range committedKV {
-				got, ok, err := rs.GetKV([]byte(k), nil)
-				if err != nil || !ok || !bytes.Equal(got, v) {
-					t.Fatalf("%s: committed byte key %q: ok=%v err=%v", tag, k, ok, err)
-				}
-			}
-			post := checkAtomic(t, rs, effects, tag)
-			if point == tape && !post {
-				t.Fatalf("%s: completed commit rolled back at full tape", tag)
-			}
-			// Recovered store stays writable — plain and transactional.
-			if err := rs.Put(9000, 9); err != nil {
-				t.Fatalf("%s: post-recovery put: %v", tag, err)
-			}
-			tx := rs.Begin()
-			if err := tx.Put(9001, 91); err != nil {
-				t.Fatalf("%s: post-recovery txn put: %v", tag, err)
-			}
-			if err := tx.PutKV([]byte("after"), []byte("crash")); err != nil {
-				t.Fatalf("%s: post-recovery txn putkv: %v", tag, err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatalf("%s: post-recovery txn commit: %v", tag, err)
-			}
-			rs.Close()
-			re.Close()
 		}
+		for k, v := range committedKV {
+			got, ok, err := rs.GetKV([]byte(k), nil)
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("%s: committed byte key %q: ok=%v err=%v", tag, k, ok, err)
+			}
+		}
+		post := checkAtomic(t, rs, effects, tag)
+		if cp.Point == tape && !post {
+			t.Fatalf("%s: completed commit rolled back at full tape", tag)
+		}
+		// Recovered store stays writable — plain and transactional.
+		if err := rs.Put(9000, 9); err != nil {
+			t.Fatalf("%s: post-recovery put: %v", tag, err)
+		}
+		tx := rs.Begin()
+		if err := tx.Put(9001, 91); err != nil {
+			t.Fatalf("%s: post-recovery txn put: %v", tag, err)
+		}
+		if err := tx.PutKV([]byte("after"), []byte("crash")); err != nil {
+			t.Fatalf("%s: post-recovery txn putkv: %v", tag, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("%s: post-recovery txn commit: %v", tag, err)
+		}
+		rs.Close()
+		re.Close()
 	}
 	ss.Close()
 	st.Close()
@@ -297,15 +315,8 @@ func txnCrossShardCrashMatrix(t *testing.T, model pmem.MemModel) {
 	for i := 0; i < shards; i++ {
 		st.Pool(i).StartCrashLog()
 	}
-	snap := func() []int {
-		v := make([]int, shards)
-		for i := 0; i < shards; i++ {
-			v[i] = st.Pool(i).LogLen()
-		}
-		return v
-	}
-	vectors := [][]int{snap()} // all zeros: the nothing-happened cut
-	st.commitStep = func() { vectors = append(vectors, snap()) }
+	vectors := [][]int{logLens(st.Pools())} // all zeros: the nothing-happened cut
+	st.commitStep = func() { vectors = append(vectors, logLens(st.Pools())) }
 
 	tx := ss.Begin()
 	for _, k := range insertKeys {
@@ -337,19 +348,9 @@ func txnCrossShardCrashMatrix(t *testing.T, model pmem.MemModel) {
 	cuts := 0
 	examine := func(cut []int, tag string, wantPost int) {
 		t.Helper()
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			imgs := make([]*pmem.Pool, shards)
-			for i := 0; i < shards; i++ {
-				imgs[i] = st.Pool(i).CrashImage(cut[i], mode, rng)
-			}
-			mtag := fmt.Sprintf("%s mode %d", tag, mode)
-			re, err := Reopen(imgs, Options{})
-			if err != nil {
-				t.Fatalf("%s: reopen: %v", mtag, err)
-			}
-			if err := re.CheckInvariants(); err != nil {
-				t.Fatalf("%s: invariants: %v", mtag, err)
-			}
+		for _, mode := range pmem.CrashModes {
+			mtag := fmt.Sprintf("%s %v", tag, mode)
+			re := reopenCut(t, mtag, st.Pools(), func(i int) int { return cut[i] }, mode, rng)
 			rs := re.NewSession()
 			for k, v := range committed {
 				got, ok, err := rs.Get(k)
@@ -383,15 +384,7 @@ func txnCrossShardCrashMatrix(t *testing.T, model pmem.MemModel) {
 	examine(vectors[0], "cut v0", 0)
 	for s := 1; s < len(vectors); s++ {
 		prev, cur := vectors[s-1], vectors[s]
-		adv := -1
-		for i := 0; i < shards; i++ {
-			if cur[i] != prev[i] {
-				if adv != -1 {
-					t.Fatalf("segment %d: pools %d and %d both advanced (%v -> %v)", s, adv, i, prev, cur)
-				}
-				adv = i
-			}
-		}
+		adv := advancing(t, s, prev, cur)
 		if adv == -1 {
 			continue // step with no persists
 		}
@@ -455,15 +448,8 @@ func TestTxnCrashRandomCampaign(t *testing.T) {
 				for i := 0; i < shards; i++ {
 					st.Pool(i).StartCrashLog()
 				}
-				snap := func() []int {
-					v := make([]int, shards)
-					for i := 0; i < shards; i++ {
-						v[i] = st.Pool(i).LogLen()
-					}
-					return v
-				}
-				vectors := [][]int{snap()}
-				st.commitStep = func() { vectors = append(vectors, snap()) }
+				vectors := [][]int{logLens(st.Pools())}
+				st.commitStep = func() { vectors = append(vectors, logLens(st.Pools())) }
 				tx := ss.Begin()
 				nops := 5 + rng.Intn(20)
 				for i := 0; i < nops; i++ {
@@ -503,18 +489,8 @@ func TestTxnCrashRandomCampaign(t *testing.T) {
 							cut[i] = prev[i] + 1 + rng.Intn(cur[i]-prev[i])
 						}
 					}
-					imgs := make([]*pmem.Pool, shards)
-					for i := 0; i < shards; i++ {
-						imgs[i] = st.Pool(i).CrashImage(cut[i], pmem.CrashRandom, rng)
-					}
 					tag := fmt.Sprintf("iter %d crash %d cut %v", it, c, cut)
-					re, err := Reopen(imgs, Options{})
-					if err != nil {
-						t.Fatalf("%s: reopen: %v", tag, err)
-					}
-					if err := re.CheckInvariants(); err != nil {
-						t.Fatalf("%s: invariants: %v", tag, err)
-					}
+					re := reopenCut(t, tag, st.Pools(), func(i int) int { return cut[i] }, pmem.CrashRandom, rng)
 					rs := re.NewSession()
 					for k, v := range stable {
 						got, ok, err := rs.Get(k)
@@ -621,15 +597,8 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 	for i := 0; i < shards; i++ {
 		st.Pool(i).StartCrashLog()
 	}
-	snap := func() []int {
-		v := make([]int, shards)
-		for i := 0; i < shards; i++ {
-			v[i] = st.Pool(i).LogLen()
-		}
-		return v
-	}
-	vectors := [][]int{snap()}
-	st.commitStep = func() { vectors = append(vectors, snap()) }
+	vectors := [][]int{logLens(st.Pools())}
+	st.commitStep = func() { vectors = append(vectors, logLens(st.Pools())) }
 	tx := ss.Begin()
 	for _, k := range insertKeys {
 		if err := tx.Put(k, k*2); err != nil {
@@ -654,13 +623,10 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 		t.Fatalf("%d step vectors for a %d-shard txn, want %d", len(vectors), shards, want)
 	}
 
-	// checkState asserts invariants and the untouched population on a
-	// reopened store, then classifies it pre- or post-transaction.
+	// checkState asserts the untouched population on a store reopenImages
+	// reopened, then classifies it pre- or post-transaction.
 	checkState := func(re *Store, tag string) bool {
 		t.Helper()
-		if err := re.CheckInvariants(); err != nil {
-			t.Fatalf("%s: invariants: %v", tag, err)
-		}
 		rs := re.NewSession()
 		defer rs.Close()
 		for k, v := range committed {
@@ -677,14 +643,7 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 	// record persisted.
 	refVerdict := func(cut []int, tag string) bool {
 		t.Helper()
-		imgs := make([]*pmem.Pool, shards)
-		for i := 0; i < shards; i++ {
-			imgs[i] = st.Pool(i).CrashImage(cut[i], pmem.CrashAll, rng)
-		}
-		re, err := Reopen(imgs, Options{})
-		if err != nil {
-			t.Fatalf("%s: ref reopen: %v", tag, err)
-		}
+		re := reopenCut(t, tag+" ref", st.Pools(), func(i int) int { return cut[i] }, pmem.CrashAll, rng)
 		post := checkState(re, tag+" ref")
 		re.Close()
 		return post
@@ -727,15 +686,7 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 	var outers []outerCut
 	addSeg := func(s int) {
 		prev, cur := vectors[s-1], vectors[s]
-		adv := -1
-		for i := 0; i < shards; i++ {
-			if cur[i] != prev[i] {
-				if adv != -1 {
-					t.Fatalf("commit segment %d: pools %d and %d both advanced (%v -> %v)", s, adv, i, prev, cur)
-				}
-				adv = i
-			}
-		}
+		adv := advancing(t, s, prev, cur)
 		if adv == -1 {
 			return
 		}
@@ -772,10 +723,7 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 			first[i] = st.Pool(i).CrashImage(oc.cut[i], pmem.CrashAll, rng)
 			tapes[i] = first[i].Clone(true)
 		}
-		re, err := Reopen(first, Options{})
-		if err != nil {
-			t.Fatalf("%s: first reopen: %v", oc.tag, err)
-		}
+		re := reopenImages(t, oc.tag+" uninterrupted", Options{}, first...)
 		want := checkState(re, oc.tag+" uninterrupted")
 		re.Close()
 		if want != verdicts[last] && want != verdicts[0] {
@@ -786,18 +734,8 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 		for i := 0; i < shards; i++ {
 			tapes[i].StartCrashLog()
 		}
-		rsnap := func() []int {
-			v := make([]int, shards)
-			for i := 0; i < shards; i++ {
-				v[i] = tapes[i].LogLen()
-			}
-			return v
-		}
-		rvecs := [][]int{rsnap()}
-		re2, err := Reopen(tapes, Options{recoverStep: func() { rvecs = append(rvecs, rsnap()) }})
-		if err != nil {
-			t.Fatalf("%s: taped reopen: %v", oc.tag, err)
-		}
+		rvecs := [][]int{logLens(tapes)}
+		re2 := reopenImages(t, oc.tag+" taped", Options{recoverStep: func() { rvecs = append(rvecs, logLens(tapes)) }}, tapes...)
 		if got := checkState(re2, oc.tag+" taped"); got != want {
 			t.Fatalf("%s: taped recovery verdict post=%v, uninterrupted post=%v", oc.tag, got, want)
 		}
@@ -813,16 +751,9 @@ func txnRecoveryDoubleCrashMatrix(t *testing.T, model pmem.MemModel, reopened bo
 		// is single-threaded and exactly one pool advances per segment.
 		examine2 := func(cut []int, tag2 string) {
 			t.Helper()
-			for _, mode := range []pmem.CrashMode{pmem.CrashAll, pmem.CrashRandom} {
-				imgs := make([]*pmem.Pool, shards)
-				for i := 0; i < shards; i++ {
-					imgs[i] = tapes[i].CrashImage(cut[i], mode, rng)
-				}
-				mtag := fmt.Sprintf("%s / second crash %s mode %d", oc.tag, tag2, mode)
-				re3, err := Reopen(imgs, Options{})
-				if err != nil {
-					t.Fatalf("%s: reopen: %v", mtag, err)
-				}
+			for _, mode := range pmem.CrashModes[1:] { // CrashAll, CrashRandom
+				mtag := fmt.Sprintf("%s / second crash %s %v", oc.tag, tag2, mode)
+				re3 := reopenCut(t, mtag, tapes, func(i int) int { return cut[i] }, mode, rng)
 				if got := checkState(re3, mtag); got != want {
 					t.Fatalf("%s: double-crash verdict post=%v, uninterrupted post=%v", mtag, got, want)
 				}
@@ -978,16 +909,9 @@ func txnTwoRecordsCrashMatrix(t *testing.T, model pmem.MemModel) {
 	for i := 0; i < shards; i++ {
 		st.Pool(i).StartCrashLog()
 	}
-	snap := func() []int {
-		v := make([]int, shards)
-		for i := 0; i < shards; i++ {
-			v[i] = st.Pool(i).LogLen()
-		}
-		return v
-	}
-	vectors := [][]int{snap()}
+	vectors := [][]int{logLens(st.Pools())}
 	st.commitStep = func() {
-		vectors = append(vectors, snap())
+		vectors = append(vectors, logLens(st.Pools()))
 		if len(vectors) == 2 { // A's record just landed: run B beside it
 			done := make(chan error, 1)
 			go func() { done <- commit(sb, keysB, 200) }()
@@ -1011,19 +935,9 @@ func txnTwoRecordsCrashMatrix(t *testing.T, model pmem.MemModel) {
 	cuts := 0
 	examine := func(cut []int, tag string, wantA, wantB int) {
 		t.Helper()
-		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
-			imgs := make([]*pmem.Pool, shards)
-			for i := 0; i < shards; i++ {
-				imgs[i] = st.Pool(i).CrashImage(cut[i], mode, rng)
-			}
-			mtag := fmt.Sprintf("%s mode %d", tag, mode)
-			re, err := Reopen(imgs, Options{})
-			if err != nil {
-				t.Fatalf("%s: reopen: %v", mtag, err)
-			}
-			if err := re.CheckInvariants(); err != nil {
-				t.Fatalf("%s: invariants: %v", mtag, err)
-			}
+		for _, mode := range pmem.CrashModes {
+			mtag := fmt.Sprintf("%s %v", tag, mode)
+			re := reopenCut(t, mtag, st.Pools(), func(i int) int { return cut[i] }, mode, rng)
 			for i := range re.shards {
 				if tl := re.shards[i].gc.tl; tl != nil && tl.Len() != 0 {
 					t.Fatalf("%s: shard %d redo log holds %d bytes after recovery", mtag, i, tl.Len())
@@ -1066,15 +980,7 @@ func txnTwoRecordsCrashMatrix(t *testing.T, model pmem.MemModel) {
 	examine(vectors[0], "cut v0", 0, 0)
 	for s := 1; s < len(vectors); s++ {
 		prev, cur := vectors[s-1], vectors[s]
-		adv := -1
-		for i := 0; i < shards; i++ {
-			if cur[i] != prev[i] {
-				if adv != -1 {
-					t.Fatalf("segment %d: pools %d and %d both advanced (%v -> %v)", s, adv, i, prev, cur)
-				}
-				adv = i
-			}
-		}
+		adv := advancing(t, s, prev, cur)
 		if adv == -1 {
 			t.Fatalf("segment %d persisted nothing (%v)", s, cur)
 		}
