@@ -14,9 +14,9 @@
 //
 // Default scales are reduced from the paper's 10M/50M keys so every figure
 // regenerates in seconds to minutes; raise -n (and -tx) to approach
-// paper-scale runs. Expected qualitative shapes are printed with each table
-// and recorded in EXPERIMENTS.md. The figures are on-demand tools; what
-// gates a change is benchmark/ (see BENCHMARK.json).
+// paper-scale runs. Expected qualitative shapes are printed with each table.
+// The figures are on-demand tools; what gates a change is benchmark/ (see
+// BENCHMARK.json).
 package main
 
 import (

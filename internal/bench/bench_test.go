@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +73,44 @@ func TestFig5Smoke(t *testing.T) {
 	}
 	if n := len(Fig5c(smokeN).Rows); n != 5 {
 		t.Fatalf("Fig5c rows = %d", n)
+	}
+}
+
+// TestFig5aClflushIsCharged checks Figure 5(a) against the §5.4 counters:
+// the FAST+FAIR clflush column at 300 ns is flushed lines per insert ×
+// 300 ns, and every row, its thread timing its phases, keeps non-zero
+// search and update columns.
+func TestFig5aClflushIsCharged(t *testing.T) {
+	tbl := Fig5a(smokeN)
+	if n := len(tbl.Rows); n != 5*len(fig5Kinds) {
+		t.Fatalf("Fig5a rows = %d, want %d", n, 5*len(fig5Kinds))
+	}
+	col := func(r []string, i int) float64 {
+		f, _ := parseFloat(r[i])
+		return f
+	}
+	clflush := -1.0
+	for _, r := range tbl.Rows {
+		if col(r, 4) == 0 || col(r, 5) == 0 {
+			t.Errorf("Fig5a row %v: zero search or update column", r)
+		}
+		if r[0] == "300ns" && r[1] == string(index.FastFair) {
+			clflush = col(r, 3)
+		}
+	}
+	// Fig5a loads Keys(n, 4); the flushed lines do not depend on latency.
+	ix, th, err := index.New(index.FastFair, pmem.Config{Size: poolFor(smokeN)}, index.Options{InlineValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Stats = pmem.Stats{}
+	if _, err := Load(ix, th, Keys(smokeN, 4)); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(th.Stats.FlushedLines) / smokeN * 0.3
+	if math.Abs(clflush-want) > 0.01*want {
+		t.Errorf("FAST+FAIR clflush at 300ns = %.3f us/insert, want %.3f (%d lines × 300 ns / %d inserts)",
+			clflush, want, th.Stats.FlushedLines, smokeN)
 	}
 }
 

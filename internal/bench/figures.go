@@ -171,6 +171,7 @@ func Fig5a(n int) *Table {
 				panic(err)
 			}
 			th.Stats = pmem.Stats{}
+			th.TimePhases()
 			el, err := Load(ix, th, keys)
 			if err != nil {
 				panic(err)

@@ -15,17 +15,24 @@
 //  2. The cache hierarchy between CPU and PM. Stores land in a (simulated)
 //     cache; they reach PM only when their cache line is explicitly flushed
 //     (Flush) or, after a crash, when the crash simulator decides the line
-//     was evicted. Flush charges the configured PM write latency; Load
-//     charges PM read latency per serial line access, with sequential
+//     was evicted. Flush charges the configured PM write latency per line;
+//     Load charges PM read latency per serial line access, with sequential
 //     accesses and recently-used lines free (modelling the hardware
 //     prefetcher and memory-level parallelism, the effect Quartz models for
-//     the paper).
+//     the paper). A charge is a busy-spin on the monotonic clock, and per
+//     thread the spins add up to the configured latencies: each stall
+//     repays the overshoot of the one before, carried up to one latency so
+//     a descheduled thread is forgiven, and the clock read that opens a
+//     spin is priced into it. Latencies shorter than about two clock reads
+//     (≈ 100 ns on a typical host) cannot be emulated faithfully.
 //  3. Store ordering. Under TSO, same-line stores persist in program order
 //     (any prefix may survive a crash). Under NonTSO, stores may persist in
 //     any order unless separated by StoreFence.
 //
 // Per-goroutine state (latency bookkeeping, statistics, phase timers) lives
-// in a Thread; every memory operation goes through a Thread.
+// in a Thread; every memory operation goes through a Thread. Phase timers
+// are opt-in (Thread.TimePhases): other threads read no clock outside
+// their stalls.
 //
 // # Allocation and reclamation
 //

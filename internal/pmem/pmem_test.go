@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -394,6 +395,7 @@ func TestLoadLineAccounting(t *testing.T) {
 func TestFlushStallAttribution(t *testing.T) {
 	p := newTestPool(t, Config{WriteLatency: 200 * time.Microsecond})
 	th := p.NewThread()
+	th.TimePhases()
 	off, _ := p.Alloc(64, 64)
 	th.BeginPhase(PhaseUpdate)
 	th.Store(off, 1)
@@ -405,6 +407,97 @@ func TestFlushStallAttribution(t *testing.T) {
 	if th.Stats.PhaseTime[PhaseUpdate] > 150*time.Microsecond {
 		t.Errorf("update phase double-counted flush stall: %v", th.Stats.PhaseTime[PhaseUpdate])
 	}
+}
+
+// stallRig returns a thread on a pool whose reads and writes cost lat, and
+// two lines that share a slot of the thread's tag cache, so loads that
+// alternate between them are all charged while both stay in the CPU cache.
+func stallRig(tb testing.TB, lat time.Duration) (th *Thread, a, b int64) {
+	tb.Helper()
+	p := New(Config{Size: 1 << 20, ReadLatency: lat, WriteLatency: lat})
+	off, err := p.Alloc((cacheSlots+1)*LineSize, LineSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p.NewThread(), off, off + cacheSlots*LineSize
+}
+
+// TestStallChargesConfiguredLatency checks the emulator's accuracy
+// contract: a flushed line and a charged read each cost their configured
+// latency, not the latency plus the clock reads that time the stall.
+func TestStallChargesConfiguredLatency(t *testing.T) {
+	const lat, n, trials = 300 * time.Nanosecond, 20000, 5
+	th, a, b := stallRig(t, lat)
+	lines := [2]int64{a, b}
+	for _, c := range []struct {
+		name    string
+		op      func(i int)
+		charged func() uint64
+	}{
+		{"flushed line", func(int) { th.Flush(a, 8) }, func() uint64 { return th.Stats.FlushedLines }},
+		{"charged read", func(i int) { th.Load(lines[i&1]) }, func() uint64 { return th.Stats.ChargedReads }},
+	} {
+		before := c.charged()
+		best := time.Duration(math.MaxInt64)
+		for range trials {
+			t0 := time.Now()
+			for i := range n {
+				c.op(i)
+			}
+			best = min(best, time.Since(t0)/n)
+		}
+		if got := c.charged() - before; got != trials*n {
+			t.Fatalf("%s: %d stalls charged, want %d", c.name, got, trials*n)
+		}
+		t.Logf("%s: %v per stall at %v", c.name, best, lat)
+		if best < lat*95/100 {
+			t.Errorf("%s costs %v, under 0.95 × %v", c.name, best, lat)
+		}
+		// The upper bound is a wall-clock shape; shared runners (-short)
+		// can be too noisy for it.
+		if !testing.Short() && best > lat*115/100 {
+			t.Errorf("%s costs %v, over 1.15 × %v", c.name, best, lat)
+		}
+	}
+}
+
+// TestStallCarryIsCapped pins the carry's arithmetic: a stall's overshoot
+// is repaid by the thread's next stall, but never more than one latency of
+// it, so a thread descheduled mid-spin is forgiven.
+func TestStallCarryIsCapped(t *testing.T) {
+	const lat = 300 * time.Nanosecond
+	if got := overshoot(lat, 250*time.Nanosecond, 290*time.Nanosecond); got != 40*time.Nanosecond {
+		t.Errorf("overshoot of a 290 ns spin wanting 250 ns = %v, want 40ns", got)
+	}
+	if got := overshoot(lat, 250*time.Nanosecond, time.Millisecond); got != lat {
+		t.Errorf("overshoot of a descheduled spin = %v, want the cap %v", got, lat)
+	}
+	th, _, _ := stallRig(t, lat)
+	th.carry = lat + 100*time.Nanosecond
+	if el := th.spin(lat); el != 0 || th.carry != 100*time.Nanosecond {
+		t.Errorf("spin owing %v: spun %v, carry %v; want 0 and 100ns", lat+100*time.Nanosecond, el, th.carry)
+	}
+	th.spin(lat)
+	if th.carry > lat {
+		t.Errorf("carry %v exceeds one latency %v", th.carry, lat)
+	}
+}
+
+// BenchmarkStall times one flushed line and one charged read at 300 ns;
+// each should read close to 300 ns/op.
+func BenchmarkStall(b *testing.B) {
+	th, x, y := stallRig(b, 300*time.Nanosecond)
+	b.Run("flush", func(b *testing.B) {
+		for range b.N {
+			th.Flush(x, 8)
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		lines := [2]int64{x, y}
+		for i := range b.N {
+			th.Load(lines[i&1])
+		}
+	})
 }
 
 func TestCloneIsIndependent(t *testing.T) {

@@ -17,7 +17,7 @@ const (
 	PhaseSearch
 	// PhaseUpdate covers in-node modification (shifting, appends, splits).
 	PhaseUpdate
-	// PhaseFlush is used internally for time spent stalling on emulated
+	// PhaseFlush is credited the write latency charged to emulated
 	// cache-line write-backs. Callers do not set it directly.
 	PhaseFlush
 	numPhases
@@ -56,8 +56,10 @@ type Stats struct {
 	RetiredBlocks  uint64
 	RecycledBlocks uint64
 
-	// PhaseTime attributes wall-clock time (including emulated stalls)
-	// to phases. Index with Phase.
+	// PhaseTime attributes time to phases. Index with Phase. The search,
+	// update and other slots hold wall-clock time, read stalls included,
+	// and only on threads that called TimePhases; PhaseFlush holds the
+	// write latency charged (flushed lines × WriteLatency) on every thread.
 	PhaseTime [numPhases]time.Duration
 }
 
@@ -87,8 +89,9 @@ func (s *Stats) Add(o Stats) { s.add(o) }
 const cacheSlots = 4096
 
 // Thread is a per-goroutine context for pool access. It carries the latency
-// model's state (last line touched, simulated cache tags), statistics, and
-// the phase timer. Threads must not be shared between goroutines.
+// model's state (last line touched, simulated cache tags, stall overshoot),
+// statistics, and the phase timer. Threads must not be shared between
+// goroutines.
 type Thread struct {
 	p *Pool
 
@@ -97,8 +100,16 @@ type Thread struct {
 	lastLine int64
 	tags     [cacheSlots]int64
 
+	// carry is the time the thread's stalls have spun past their
+	// configured latencies, repaid by its next stall (see spin).
+	carry time.Duration
+
+	// phase is the open phase. Only a timed thread (TimePhases) reads the
+	// clock for it: phaseStart is then the clock reading at which it
+	// opened, or 0 when none is open.
 	phase      Phase
-	phaseStart time.Time
+	timed      bool
+	phaseStart time.Duration
 
 	// Grace-period state (see epoch.go): section nesting depth, whether
 	// the pool's scans know this thread, the blocks it retired that are
@@ -134,24 +145,31 @@ func (t *Thread) Release() {
 	t.Stats = Stats{}
 }
 
-// BeginPhase starts attributing wall-clock time to ph, closing any open
-// phase first.
+// TimePhases makes the thread time its phases: BeginPhase and EndPhase then
+// read the clock and add each closed phase's wall-clock time to
+// Stats.PhaseTime. On any other thread they only set the phase, so a
+// harness that reports no phase breakdown pays no clock reads per
+// operation.
+func (t *Thread) TimePhases() { t.timed = true }
+
+// BeginPhase starts attributing time to ph, closing any open phase first.
 func (t *Thread) BeginPhase(ph Phase) {
-	now := time.Now()
-	if !t.phaseStart.IsZero() {
-		t.Stats.PhaseTime[t.phase] += now.Sub(t.phaseStart)
+	if t.timed {
+		now := clock()
+		if t.phaseStart != 0 {
+			t.Stats.PhaseTime[t.phase] += now - t.phaseStart
+		}
+		t.phaseStart = now
 	}
 	t.phase = ph
-	t.phaseStart = now
 }
 
 // EndPhase closes the open phase, attributing its elapsed time.
 func (t *Thread) EndPhase() {
-	if t.phaseStart.IsZero() {
-		return
+	if t.phaseStart != 0 {
+		t.Stats.PhaseTime[t.phase] += clock() - t.phaseStart
+		t.phaseStart = 0
 	}
-	t.Stats.PhaseTime[t.phase] += time.Since(t.phaseStart)
-	t.phaseStart = time.Time{}
 	t.phase = PhaseOther
 }
 
@@ -314,9 +332,12 @@ func (t *Thread) Flush(off, size int64) {
 	first := off / LineSize
 	last := (off + size - 1) / LineSize
 	for ln := first; ln <= last; ln++ {
-		t.Stats.FlushedLines++
 		t.p.logFlush(ln)
-		t.stallFlush(t.p.cfg.WriteLatency)
+	}
+	lines := last - first + 1
+	t.Stats.FlushedLines += uint64(lines)
+	if d := time.Duration(lines) * t.p.cfg.WriteLatency; d > 0 {
+		t.stallFlush(d)
 	}
 	t.Stats.Fences++
 	t.p.logFence()
@@ -326,33 +347,83 @@ func (t *Thread) Flush(off, size int64) {
 // freshly initialised object rather than ordering a protocol step.
 func (t *Thread) Persist(off, size int64) { t.Flush(off, size) }
 
-// stall burns CPU for d, attributing the time to the currently open phase.
-// It is the emulator's equivalent of Quartz's injected stall cycles.
+// stall burns CPU for d; the time stays in the open phase. It is the
+// emulator's equivalent of Quartz's injected stall cycles.
+//
+// Accuracy contract: per thread, stalls add up to their configured
+// latencies. A stall spins on the monotonic clock, and the overshoot of
+// its last clock read is repaid by the thread's next stall (spin). The
+// carried overshoot is capped at the stall's own latency, so a thread
+// descheduled mid-spin is forgiven rather than repaid with a run of
+// zero-length stalls. A stall cannot be shorter than about two clock
+// reads, so latencies below that are not emulated faithfully.
 func (t *Thread) stall(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t0 := time.Now()
-	for time.Since(t0) < d {
+	if d > 0 {
+		t.spin(d)
 	}
 }
 
-// stallFlush burns CPU for d and attributes the time to PhaseFlush rather
-// than the ambient phase, shifting the ambient phase's start so the stall is
-// not double-counted. This is what lets harnesses report the clflush /
-// search / node-update breakdown of Figure 5(a).
+// stallFlush burns CPU for d and credits d, the latency charged, to
+// PhaseFlush rather than to the open phase, whose start moves by the
+// stall's measured cost so the stall is not counted twice. This is what
+// lets harnesses report the clflush / search / node-update breakdown of
+// Figure 5(a).
 func (t *Thread) stallFlush(d time.Duration) {
-	if d <= 0 {
-		return
+	el := t.spin(d)
+	t.Stats.PhaseTime[PhaseFlush] += d
+	if t.phaseStart != 0 {
+		t.phaseStart += el
 	}
-	t0 := time.Now()
-	for time.Since(t0) < d {
+}
+
+// spin is the one stall primitive. It spins until d, less the thread's
+// carried overshoot and the cost of the clock read that opens its window,
+// has elapsed on the monotonic clock, reading the clock once per
+// iteration and never after the loop. It returns the stall's measured
+// cost: the window's last reading plus the opening read.
+func (t *Thread) spin(d time.Duration) time.Duration {
+	if t.carry >= d {
+		t.carry -= d
+		return 0
 	}
-	el := time.Since(t0)
-	t.Stats.PhaseTime[PhaseFlush] += el
-	if !t.phaseStart.IsZero() {
-		t.phaseStart = t.phaseStart.Add(el)
+	want := d - t.carry - clockRead
+	start := clock()
+	var el time.Duration
+	for el < want {
+		el = clock() - start
 	}
+	t.carry = overshoot(d, want, el)
+	return el + clockRead
+}
+
+// overshoot returns the carry a stall of d leaves behind when its window
+// wanted want and measured el: the time spun past want, capped at d.
+func overshoot(d, want, el time.Duration) time.Duration {
+	return min(el-want, d)
+}
+
+// clockEpoch anchors clock's monotonic readings.
+var clockEpoch = time.Now()
+
+// clock reads the monotonic clock, in time since clockEpoch; it is
+// positive once any time has passed since package initialisation.
+func clock() time.Duration { return time.Since(clockEpoch) }
+
+// clockRead is the cost of one clock call: the least mean over a few
+// batches, taken once at start-up.
+var clockRead = calibrateClock()
+
+func calibrateClock() time.Duration {
+	const batches, reads = 5, 64
+	best := time.Duration(1<<63 - 1)
+	for range batches {
+		start := clock()
+		for range reads - 1 {
+			clock()
+		}
+		best = min(best, (clock()-start)/reads)
+	}
+	return best
 }
 
 // atomicStore writes val to the word holding off.

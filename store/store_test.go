@@ -433,6 +433,34 @@ func TestStatsAggregate(t *testing.T) {
 	}
 }
 
+// TestSessionsReadNoPhaseClock checks that phase clocks are opt-in: a
+// session's threads never call pmem.Thread.TimePhases, so its writes and
+// reads attribute no time to the search and update phases.
+func TestSessionsReadNoPhaseClock(t *testing.T) {
+	st := openTest(t, 2)
+	ss := st.NewSession()
+	for _, k := range testKeys(200, 7) {
+		if err := ss.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := ss.Delete(k); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", k, ok, err)
+		}
+		if _, ok, err := ss.Get(k); err != nil || ok {
+			t.Fatalf("Get(%d) after Delete = %v, %v", k, ok, err)
+		}
+	}
+	ss.Close()
+	s := st.Stats()
+	if s.FlushedLines == 0 {
+		t.Fatal("workload flushed nothing")
+	}
+	if s.PhaseTime[pmem.PhaseSearch] != 0 || s.PhaseTime[pmem.PhaseUpdate] != 0 {
+		t.Errorf("untimed session threads hold search %v, update %v; want 0",
+			s.PhaseTime[pmem.PhaseSearch], s.PhaseTime[pmem.PhaseUpdate])
+	}
+}
+
 // TestShardScaling is the acceptance check for the shard axis: with real
 // cores, 4 shards at 8 goroutines must clearly beat 1 shard on an
 // insert+get workload under simulated PM write latency. Contention on a
