@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,24 @@ func TestTablePrinting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFlushesTableIsPinned holds the §5.4 counters of all six index kinds
+// to testdata/flushes.txt, the output of `go run ./cmd/benchfig -n 20000
+// flushes`. The table counts flushed lines, fences and charged reads,
+// which no host's timing moves, so any change that moves a counted unit
+// fails here; one that moves a unit on purpose regenerates the file and
+// says why.
+func TestFlushesTableIsPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/flushes.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	Flushes(20000).Fprint(&got)
+	if got.String() != string(want) {
+		t.Errorf("§5.4 counters moved:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

@@ -23,8 +23,13 @@
 //     thread the spins add up to the configured latencies: each stall
 //     repays the overshoot of the one before, carried up to one latency so
 //     a descheduled thread is forgiven, and the clock read that opens a
-//     spin is priced into it. Latencies shorter than about two clock reads
-//     (≈ 100 ns on a typical host) cannot be emulated faithfully.
+//     spin is priced into it. A charged read starts the host's fill of its
+//     line and the 7 after it before it spins, so it costs the larger of
+//     the configured latency and the host's own miss, not their sum, as a
+//     Quartz-emulated miss costs the PM latency in total; uncharged lines
+//     are the host's ordinary loads. Latencies shorter than about two
+//     clock reads (≈ 100 ns on a typical host) cannot be emulated
+//     faithfully.
 //  3. Store ordering. Under TSO, same-line stores persist in program order
 //     (any prefix may survive a crash). Under NonTSO, stores may persist in
 //     any order unless separated by StoreFence.

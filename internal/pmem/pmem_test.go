@@ -474,17 +474,22 @@ func TestStallCarryIsCapped(t *testing.T) {
 	}
 	th, _, _ := stallRig(t, lat)
 	th.carry = lat + 100*time.Nanosecond
-	if el := th.spin(lat); el != 0 || th.carry != 100*time.Nanosecond {
+	if el := th.spin(lat, nil, 0); el != 0 || th.carry != 100*time.Nanosecond {
 		t.Errorf("spin owing %v: spun %v, carry %v; want 0 and 100ns", lat+100*time.Nanosecond, el, th.carry)
 	}
-	th.spin(lat)
+	th.spin(lat, nil, 0)
 	if th.carry > lat {
 		t.Errorf("carry %v exceeds one latency %v", th.carry, lat)
 	}
 }
 
 // BenchmarkStall times one flushed line and one charged read at 300 ns;
-// each should read close to 300 ns/op.
+// each should read close to 300 ns/op. cold-read is a charged node read
+// on memory the host does not hold in cache: one charged line, then the 3
+// lines after it, at 256-byte groups visited in a fixed shuffled order
+// over a pre-touched 128 MiB pool. It costs the larger of 300 ns and the
+// host's own miss, so it carries no bound: on a host whose miss is slower
+// than the configured latency, the miss sets it.
 func BenchmarkStall(b *testing.B) {
 	th, x, y := stallRig(b, 300*time.Nanosecond)
 	b.Run("flush", func(b *testing.B) {
@@ -497,6 +502,24 @@ func BenchmarkStall(b *testing.B) {
 		for i := range b.N {
 			th.Load(lines[i&1])
 		}
+	})
+	b.Run("cold-read", func(b *testing.B) {
+		const size, group = 128 << 20, 4 * LineSize
+		p := New(Config{Size: size, ReadLatency: 300 * time.Nanosecond})
+		th := p.NewThread()
+		for off := int64(0); off < size; off += 4096 {
+			th.StoreVolatile(off, 1)
+		}
+		order := rand.New(rand.NewSource(1)).Perm(size / group)
+		before := th.Stats.ChargedReads
+		b.ResetTimer()
+		for i := range b.N {
+			off := int64(order[i%len(order)]) * group
+			for ln := range int64(4) {
+				th.Load(off + ln*LineSize)
+			}
+		}
+		b.ReportMetric(float64(th.Stats.ChargedReads-before)/float64(b.N), "charged/op")
 	})
 }
 

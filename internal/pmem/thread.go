@@ -235,10 +235,21 @@ func (t *Thread) Prefetch(off int64, n int) {
 	prefetchLines(unsafe.Pointer(&t.p.words[off/WordSize]), n)
 }
 
+// readAhead is the span a charged read asks the host to start filling as
+// its stall opens: the charged line and the 7 after it, the run the
+// sequential rule then reads free.
+const readAhead = 512
+
 // chargeRead implements the serial-access read model: an access to the same
 // or the next cache line is free (prefetcher / open row), an access to a
 // line whose tag is resident in the thread's simulated cache is free, and
 // everything else stalls for the configured PM read latency.
+//
+// A charged read starts the host's fill of readAhead bytes from its line,
+// clamped to the arena, as its stall opens, so the host's own miss runs
+// under the stall: the read costs the larger of the configured latency
+// and that miss, not their sum, as a Quartz-emulated miss costs the PM
+// latency in total. Uncharged lines are the host's ordinary loads.
 func (t *Thread) chargeRead(line int64) {
 	if line == t.lastLine || line == t.lastLine+1 {
 		t.lastLine = line
@@ -252,7 +263,8 @@ func (t *Thread) chargeRead(line int64) {
 	}
 	t.tags[slot] = line
 	t.Stats.ChargedReads++
-	t.stall(t.p.cfg.ReadLatency)
+	n := min(readAhead/LineSize, int64(len(t.p.words))/WordsPerLine-line)
+	t.spin(t.p.cfg.ReadLatency, unsafe.Pointer(&t.p.words[line*WordsPerLine]), int(n))
 }
 
 func (t *Thread) install(line int64) {
@@ -359,7 +371,7 @@ func (t *Thread) Persist(off, size int64) { t.Flush(off, size) }
 // reads, so latencies below that are not emulated faithfully.
 func (t *Thread) stall(d time.Duration) {
 	if d > 0 {
-		t.spin(d)
+		t.spin(d, nil, 0)
 	}
 }
 
@@ -369,7 +381,7 @@ func (t *Thread) stall(d time.Duration) {
 // lets harnesses report the clflush / search / node-update breakdown of
 // Figure 5(a).
 func (t *Thread) stallFlush(d time.Duration) {
-	el := t.spin(d)
+	el := t.spin(d, nil, 0)
 	t.Stats.PhaseTime[PhaseFlush] += d
 	if t.phaseStart != 0 {
 		t.phaseStart += el
@@ -380,14 +392,17 @@ func (t *Thread) stallFlush(d time.Duration) {
 // carried overshoot and the cost of the clock read that opens its window,
 // has elapsed on the monotonic clock, reading the clock once per
 // iteration and never after the loop. It returns the stall's measured
-// cost: the window's last reading plus the opening read.
-func (t *Thread) spin(d time.Duration) time.Duration {
+// cost: the window's last reading plus the opening read. A read stall
+// passes the n lines at ahead to prefetch (other stalls pass none); they
+// are issued inside the window, so issuing them is priced into the stall.
+func (t *Thread) spin(d time.Duration, ahead unsafe.Pointer, n int) time.Duration {
 	if t.carry >= d {
 		t.carry -= d
 		return 0
 	}
 	want := d - t.carry - clockRead
 	start := clock()
+	prefetchLines(ahead, n)
 	var el time.Duration
 	for el < want {
 		el = clock() - start

@@ -85,20 +85,22 @@ func towerLevel(key uint64) int {
 	return lv
 }
 
-// findPreds fills preds with the rightmost node before key at every level.
-func (l *List) findPreds(th *pmem.Thread, key uint64, preds *[MaxLevel]int64) int64 {
+// findPreds fills preds with the rightmost node before key at every level,
+// and succs with the node each level's scan stopped at: the first there
+// whose key is at least key, or 0. It returns succs[0]. Callers act on
+// these successors, never on a second read of a pred's link, which may
+// already hold a node linked since the scan judged it.
+func (l *List) findPreds(th *pmem.Thread, key uint64, preds, succs *[MaxLevel]int64) int64 {
 	n := l.head
 	for lv := MaxLevel - 1; lv >= 0; lv-- {
-		for {
-			nx := next(th, n, lv)
-			if nx == 0 || th.Load(nx+offKey) >= key {
-				break
-			}
+		nx := next(th, n, lv)
+		for nx != 0 && th.Load(nx+offKey) < key {
 			n = nx
+			nx = next(th, n, lv)
 		}
-		preds[lv] = n
+		preds[lv], succs[lv] = n, nx
 	}
-	return next(th, n, 0)
+	return succs[0]
 }
 
 // Insert stores val under key, replacing an existing value in place (one
@@ -106,9 +108,9 @@ func (l *List) findPreds(th *pmem.Thread, key uint64, preds *[MaxLevel]int64) in
 func (l *List) Insert(th *pmem.Thread, key, val uint64) error {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
-	var preds [MaxLevel]int64
+	var preds, succs [MaxLevel]int64
 	for {
-		cand := l.findPreds(th, key, &preds)
+		cand := l.findPreds(th, key, &preds, &succs)
 		if cand != 0 && th.Load(cand+offKey) == key {
 			th.BeginPhase(pmem.PhaseUpdate)
 			th.Store(cand+offVal, val)
@@ -124,9 +126,8 @@ func (l *List) Insert(th *pmem.Thread, key, val uint64) error {
 		th.Store(n+offKey, key)
 		th.Store(n+offVal, val)
 		th.Store(n+offMeta, uint64(lv))
-		th.Store(n+offNext, uint64(cand))
-		for i := 1; i < lv; i++ {
-			th.Store(n+offNext+int64(i)*8, uint64(next(th, preds[i], i)))
+		for i := 0; i < lv; i++ {
+			th.Store(n+offNext+int64(i)*8, uint64(succs[i]))
 		}
 		// The node is fully persistent before it becomes reachable.
 		th.Persist(n, nodeSize)
@@ -140,8 +141,7 @@ func (l *List) Insert(th *pmem.Thread, key, val uint64) error {
 		// Upper levels are an optimisation: plain CAS, no flush needed
 		// (recovery rebuilds them from the bottom list).
 		for i := 1; i < lv; i++ {
-			exp := next(th, n, i)
-			if !th.CAS(preds[i]+offNext+int64(i)*8, uint64(exp), uint64(n)) {
+			if !th.CAS(preds[i]+offNext+int64(i)*8, uint64(succs[i]), uint64(n)) {
 				break // lost an index race: leave lower towers linked
 			}
 		}
@@ -151,17 +151,8 @@ func (l *List) Insert(th *pmem.Thread, key, val uint64) error {
 
 // Get returns the value stored under key; the search is lock-free.
 func (l *List) Get(th *pmem.Thread, key uint64) (uint64, bool) {
-	n := l.head
-	for lv := MaxLevel - 1; lv >= 0; lv-- {
-		for {
-			nx := next(th, n, lv)
-			if nx == 0 || th.Load(nx+offKey) >= key {
-				break
-			}
-			n = nx
-		}
-	}
-	c := next(th, n, 0)
+	var preds, succs [MaxLevel]int64
+	c := l.findPreds(th, key, &preds, &succs)
 	if c != 0 && th.Load(c+offKey) == key {
 		return th.Load(c + offVal), true
 	}
@@ -174,9 +165,9 @@ func (l *List) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 func (l *List) Delete(th *pmem.Thread, key uint64) bool {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
-	var preds [MaxLevel]int64
+	var preds, succs [MaxLevel]int64
 	for {
-		cand := l.findPreds(th, key, &preds)
+		cand := l.findPreds(th, key, &preds, &succs)
 		if cand == 0 || th.Load(cand+offKey) != key {
 			return false
 		}
@@ -201,8 +192,8 @@ func (l *List) Delete(th *pmem.Thread, key uint64) bool {
 // list: every hop is a dependent pointer chase, which is why the paper sees
 // up to 20x slower range queries than FAST+FAIR.
 func (l *List) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bool) {
-	var preds [MaxLevel]int64
-	n := l.findPreds(th, lo, &preds)
+	var preds, succs [MaxLevel]int64
+	n := l.findPreds(th, lo, &preds, &succs)
 	for n != 0 {
 		k := th.Load(n + offKey)
 		if k > hi {
