@@ -16,6 +16,7 @@ package fptree
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -172,7 +173,9 @@ func (t *Tree) lockLeaf(th *pmem.Thread, leaf int64) {
 			return
 		}
 		if spins%64 == 63 {
-			// Backoff is handled by the scheduler.
+			// Hand the P back: with more goroutines than cores the
+			// holder may be preempted, and spinning on cannot let it go.
+			runtime.Gosched()
 		}
 	}
 }

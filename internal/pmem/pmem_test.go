@@ -424,9 +424,12 @@ func stallRig(tb testing.TB, lat time.Duration) (th *Thread, a, b int64) {
 
 // TestStallChargesConfiguredLatency checks the emulator's accuracy
 // contract: a flushed line and a charged read each cost their configured
-// latency, not the latency plus the clock reads that time the stall.
+// latency, not the latency plus the clock reads that time the stall. It
+// takes the best of many short trials spread out by sleeps, so one quiet
+// stretch of a busy host is enough: a few back-to-back long trials all
+// fell inside one noisy stretch and read over the upper bound.
 func TestStallChargesConfiguredLatency(t *testing.T) {
-	const lat, n, trials = 300 * time.Nanosecond, 20000, 5
+	const lat, n, trials = 300 * time.Nanosecond, 2000, 40
 	th, a, b := stallRig(t, lat)
 	lines := [2]int64{a, b}
 	for _, c := range []struct {
@@ -440,6 +443,7 @@ func TestStallChargesConfiguredLatency(t *testing.T) {
 		before := c.charged()
 		best := time.Duration(math.MaxInt64)
 		for range trials {
+			time.Sleep(time.Millisecond)
 			t0 := time.Now()
 			for i := range n {
 				c.op(i)

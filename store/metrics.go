@@ -25,6 +25,13 @@ type storeMetrics struct {
 	// each pass copied forward.
 	gcPause     *metrics.Histogram
 	gcRelocated *metrics.Histogram
+
+	// stripeWait is how long a writer waited for a key stripe it found
+	// taken, and stripeParks how many of those waits outlasted stripeWait
+	// and blocked (see stripe.acquire). A stripe taken at the first try
+	// records in neither.
+	stripeWait  *metrics.Histogram
+	stripeParks metrics.Counter
 }
 
 // opNames is the op="…" label of each kind's pmkv_store_op_seconds series.
@@ -36,7 +43,8 @@ var opNames = [numOps]string{
 }
 
 func newStoreMetrics() *storeMetrics {
-	m := &storeMetrics{gcPause: metrics.NewHistogram(), gcRelocated: metrics.NewHistogram()}
+	m := &storeMetrics{gcPause: metrics.NewHistogram(), gcRelocated: metrics.NewHistogram(),
+		stripeWait: metrics.NewHistogram()}
 	for k := range m.op {
 		m.op[k] = metrics.NewHistogram()
 	}
@@ -59,6 +67,11 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 		"duration of one value-log GC pass", 1e-9, m.gcPause)
 	reg.Histogram("pmkv_store_gc_relocated_records", "",
 		"live records relocated per GC pass", 1, m.gcRelocated)
+	reg.Histogram("pmkv_store_stripe_wait_seconds", "",
+		"wait for a key stripe found taken (a stripe taken at the first try is not recorded)", 1e-9, m.stripeWait)
+	reg.Counter("pmkv_store_stripe_parks_total", "",
+		"stripe waits that outlasted the yield window and blocked",
+		m.stripeParks.Load)
 
 	vs := func(read func(ValueLogStats) int64) func() float64 {
 		return func() float64 { return float64(read(s.ValueStats())) }

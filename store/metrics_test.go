@@ -97,6 +97,7 @@ func TestStoreMetrics(t *testing.T) {
 		{"getKV", m.op[opGetKV], n},
 		{"scanKV", m.op[opScanKV], 1},
 		{"gcPause", m.gcPause, 2},
+		{"stripeWait", m.stripeWait, 0}, // one session: every first try succeeds
 	}
 	for _, c := range checks {
 		if got := c.h.Snapshot().Count(); got != c.want {
@@ -119,6 +120,7 @@ func TestStoreMetrics(t *testing.T) {
 		"pmkv_store_vlog_bytes", "pmkv_pmem_loads_total",
 		"pmkv_pmem_used_bytes", "pmkv_pmem_retired_blocks_total",
 		"pmkv_pmem_recycled_blocks_total",
+		"pmkv_store_stripe_wait_seconds", "pmkv_store_stripe_parks_total",
 	} {
 		if !fams[want] {
 			t.Errorf("family %s missing from store scrape", want)

@@ -164,13 +164,9 @@ func (ss *Session) mutate(op txnOp) (existed bool, err error) {
 // write takes a stripe — by mutate, and by PutBatch for each of its pairs.
 func (ss *Session) applyShared(i int, op txnOp) (existed, stale bool, err error) {
 	st := &ss.s.shards[i].gc.stripes[stripeOf(op.treeKey())]
-	if op.keyed() {
-		st.Lock()
-		defer st.Unlock()
-	} else {
-		st.RLock()
-		defer st.RUnlock()
-	}
+	excl := op.keyed()
+	st.acquire(excl, ss.s.met)
+	defer st.release(excl)
 	return ss.apply(i, op)
 }
 

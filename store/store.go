@@ -257,11 +257,13 @@ type shardGC struct {
 	// commits, it is what keeps at most one un-truncated record naming any
 	// key, so replay order across logs cannot matter. Commits lock in
 	// ascending (shard, stripe) order (deadlock-free); plain writers hold
-	// one stripe at a time. Reads and GC never take them — relocation
-	// preserves bucket content, and a bucket rewrite's ReplaceIf install
-	// detects and retries around a concurrent swap. Lock order: stripes,
-	// then tlMu, then the value log's gcMu (a commit's space admission may
-	// compact; vlog.Log.GC serialises passes itself).
+	// one stripe at a time, and every site takes one through
+	// stripe.acquire, which yields to a holder for up to stripeWait before
+	// it parks. Reads and GC never take them — relocation preserves bucket
+	// content, and a bucket rewrite's ReplaceIf install detects and retries
+	// around a concurrent swap. Lock order: stripes, then tlMu, then the
+	// value log's gcMu (a commit's space admission may compact;
+	// vlog.Log.GC serialises passes itself).
 	stripes [keyStripes]stripe
 	// tlMu owns tl: a commit writes its record into whichever shard's log
 	// it holds, trying the logs from its lowest participating shard up
@@ -288,6 +290,62 @@ const (
 type stripe struct {
 	sync.RWMutex
 	_ [64 - unsafe.Sizeof(sync.RWMutex{})]byte
+}
+
+// stripeWait is how long a writer that finds its stripe taken yields to
+// the holder before it parks in the runtime's lock queue. On embed_txn
+// (two committers, 300 ns PM, 2 cores) a commit holds its stripes for
+// 9.5 µs at the median and 15 µs at the 99th percentile, while a parked
+// waiter resumes 70 µs at the median (240 µs at the 99th) after the
+// holder's release: a window of twice the slow hold lets nearly every
+// waiter take the stripe within the hold, and parks only waiters behind a
+// holder that is itself stalled, whom yielding would not help.
+const stripeWait = 30 * time.Microsecond
+
+// acquire takes the stripe, exclusively if excl, and is the only way a
+// stripe is taken (Session.applyShared, Txn.commitLocked). A first try
+// that succeeds costs one atomic and records nothing; one that fails waits.
+func (st *stripe) acquire(excl bool, m *storeMetrics) {
+	if !st.try(excl) {
+		st.wait(excl, m)
+	}
+}
+
+// wait takes the stripe after a failed first try: it tries again after
+// each runtime.Gosched — which hands its P to a holder queued behind it —
+// until stripeWait has passed, and then blocks in Lock/RLock, counted in
+// m.stripeParks. m.stripeWait gets the whole wait either way.
+func (st *stripe) wait(excl bool, m *storeMetrics) {
+	t0 := time.Now()
+	defer m.stripeWait.RecordSince(t0)
+	for time.Since(t0) < stripeWait {
+		runtime.Gosched()
+		if st.try(excl) {
+			return
+		}
+	}
+	m.stripeParks.Inc()
+	if excl {
+		st.Lock()
+	} else {
+		st.RLock()
+	}
+}
+
+func (st *stripe) try(excl bool) bool {
+	if excl {
+		return st.TryLock()
+	}
+	return st.TryRLock()
+}
+
+// release drops what acquire(excl) took.
+func (st *stripe) release(excl bool) {
+	if excl {
+		st.Unlock()
+	} else {
+		st.RUnlock()
+	}
 }
 
 // stripeOf maps a tree key to its stripe: the high bits of its mix, which

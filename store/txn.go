@@ -580,7 +580,7 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	for _, i := range parts {
 		stripes := &s.shards[i].gc.stripes
 		for m := pl.stripes[i]; m != 0; m &= m - 1 {
-			stripes[bits.TrailingZeros64(m)].Lock()
+			stripes[bits.TrailingZeros64(m)].acquire(true, s.met)
 		}
 	}
 	defer func() {
