@@ -49,7 +49,9 @@
 package plog
 
 import (
+	"encoding/binary"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/pmem"
 )
@@ -106,13 +108,22 @@ func (f Format) Write(th *pmem.Thread, off int64, meta []uint64, payload []byte)
 	return size
 }
 
-// AppendPayload appends the n-byte payload of the record at off to dst.
+// AppendPayload appends the n-byte payload of the record at off to dst. It
+// grows dst once and loads the payload a word at a time in ascending order,
+// storing each whole word with one 8-byte store; only a partial tail word
+// is split into bytes.
 func (f Format) AppendPayload(th *pmem.Thread, dst []byte, off int64, n int) []byte {
 	off += int64(1+f.Meta) * pmem.WordSize
-	for i := 0; i < n; i += 8 {
-		w, m := th.Load(off+int64(i)), min(n-i, 8)
-		for b := 0; b < m; b++ {
-			dst = append(dst, byte(w>>(8*b)))
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	b := dst[start:]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], th.Load(off+int64(i)))
+	}
+	if i < n {
+		for w := th.Load(off + int64(i)); i < n; i, w = i+1, w>>8 {
+			b[i] = byte(w)
 		}
 	}
 	return dst
@@ -175,8 +186,11 @@ func (it *Iter) Terminated() bool {
 // packWord packs up to 8 payload bytes into one little-endian word,
 // zero-padding the tail.
 func packWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
 	var w uint64
-	for i, n := 0, min(len(b), 8); i < n; i++ {
+	for i := range b {
 		w |= uint64(b[i]) << (8 * i)
 	}
 	return w

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"repro/internal/pmem"
 )
@@ -80,5 +81,48 @@ func TestWalkStops(t *testing.T) {
 	}
 	if n, _ := walk(pos+pmem.LineSize, false); n != 3 {
 		t.Fatalf("header-only walk: %d records, want 3", n)
+	}
+}
+
+// TestPayloadRoundTrip writes payloads of every length from 0 to 72 bytes,
+// each starting mid-line so its words straddle lines, and reads each back
+// through AppendPayload onto a non-empty dst. On a pool that charges reads,
+// reading a record's header, meta words and payload costs exactly what a
+// plain ascending word loop over the same words costs: 1+Meta+⌈n/8⌉ loads
+// and the same charged lines.
+func TestPayloadRoundTrip(t *testing.T) {
+	p := pmem.New(pmem.Config{Size: 1 << 16, ReadLatency: time.Nanosecond})
+	w := p.NewThread()
+	f := Format{Meta: 1}
+	prefix := []byte("dst:")
+	for n := 0; n <= 72; n++ {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(n*31 + i*7 + 1)
+		}
+		off := int64(2*n+1)*pmem.LineSize + 3*pmem.WordSize
+		f.Write(w, off, []uint64{uint64(n)}, payload)
+		words := int64(1+f.Meta) + int64(n+7)/8
+
+		ref := p.NewThread()
+		for i := range words {
+			ref.Load(off + i*pmem.WordSize)
+		}
+		th := p.NewThread()
+		hdr, meta := th.Load(off), th.Load(off+pmem.WordSize)
+		got := f.AppendPayload(th, append([]byte(nil), prefix...), off, n)
+
+		if !bytes.Equal(got, append(append([]byte(nil), prefix...), payload...)) {
+			t.Fatalf("n=%d: AppendPayload = %q", n, got)
+		}
+		if hn, crc := Header(hdr); hn != n || crc != RecordCRC([]uint64{meta}, got[len(prefix):]) {
+			t.Fatalf("n=%d: header claims %d bytes, checksum %#x", n, hn, crc)
+		}
+		if th.Stats.Loads != uint64(words) || th.Stats.Loads != ref.Stats.Loads {
+			t.Errorf("n=%d: %d loads, want %d (word loop %d)", n, th.Stats.Loads, words, ref.Stats.Loads)
+		}
+		if th.Stats.ChargedReads == 0 || th.Stats.ChargedReads != ref.Stats.ChargedReads {
+			t.Errorf("n=%d: %d charged reads, word loop %d", n, th.Stats.ChargedReads, ref.Stats.ChargedReads)
+		}
 	}
 }

@@ -444,6 +444,25 @@ func (l *Log) ReadKeyed(th *pmem.Thread, key uint64, ref Ref, dst []byte) ([]byt
 	return dst, nil
 }
 
+// prefetchMaxLines caps the lines one Prefetch asks for: a record longer
+// than that is copied in a sequential run the host prefetches by itself.
+const prefetchMaxLines = 8
+
+// Prefetch asks the host to start filling the first lines of the record ref
+// names, so that a read of it issued soon after does not wait out the miss.
+// It is a hint: it reads nothing, charges nothing, and ignores a ref that
+// does not fit the arena. A ref that no longer names a record (GC moved it,
+// or the word was never a ref) only warms lines nobody reads; the read that
+// follows still validates.
+func (l *Log) Prefetch(th *pmem.Thread, ref Ref) {
+	if !l.inBounds(ref) {
+		return
+	}
+	first := ref.Off() / pmem.LineSize
+	last := (ref.Off() + rec.Size(ref.Len()) - 1) / pmem.LineSize
+	th.Prefetch(first*pmem.LineSize, int(min(last-first+1, prefetchMaxLines)))
+}
+
 // refFault says why a ref does not name a record owned by a key.
 type refFault uint8
 

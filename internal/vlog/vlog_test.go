@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/pmem"
 )
@@ -110,6 +111,40 @@ func TestBadRefs(t *testing.T) {
 	}
 	if _, err := l.Append(th, 8, make([]byte, MaxValue+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized append: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestPrefetchStaysInArena: Prefetch ignores every ref that does not fit
+// the arena, hints a record that ends on the arena's last line without
+// reaching past it, and reads and charges nothing either way.
+func TestPrefetchStaysInArena(t *testing.T) {
+	p := pmem.New(pmem.Config{Size: 1 << 16, ReadLatency: time.Nanosecond})
+	th := p.NewThread()
+	l, err := Create(p, th, 5, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("z"), 100)
+	last := MakeRef(p.Size()-rec.Size(len(val)), len(val))
+	rec.Write(th, last.Off(), []uint64{9}, val)
+	th.Stats = pmem.Stats{}
+	for _, ref := range []Ref{
+		last,
+		0,
+		Ref(42),
+		MakeRef(last.Off()+1, last.Len()),
+		MakeRef(last.Off(), last.Len()+1),
+		MakeRef(p.Size(), 8),
+		MakeRef(p.Size()+pmem.LineSize, 0),
+		Ref(uint64(last) | uint64(MaxValue)<<40),
+	} {
+		l.Prefetch(th, ref)
+	}
+	if th.Stats != (pmem.Stats{}) {
+		t.Errorf("Prefetch changed Stats: %+v", th.Stats)
+	}
+	if got, err := l.ReadKeyed(th, 9, last, nil); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("record on the last line: %q, %v", got, err)
 	}
 }
 

@@ -384,9 +384,12 @@ type kvRun struct {
 }
 
 // kvScanRetainBytes bounds the arena bytes a session keeps cached per
-// shard run between ScanKV calls; kvScanRetainSpans the cached span slots.
+// shard run between ScanKV calls: one full kvBucketPage of buckets holding
+// one 256-byte pair each (≈ 143 KiB) with append's growth headroom, so a
+// page-sized scan reuses its arena and one far larger gives it back.
+// kvScanRetainSpans bounds the cached span slots.
 const (
-	kvScanRetainBytes = 64 << 10
+	kvScanRetainBytes = 256 << 10
 	kvScanRetainSpans = 4096
 )
 
@@ -410,7 +413,8 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 		if len(ss.kvRefs) == 0 {
 			return nil
 		}
-		for _, kv := range ss.kvRefs {
+		for j, kv := range ss.kvRefs {
+			ss.prefetchScan(ss.kvRefs, j, i)
 			if err := ss.collectBucket(i, kv.Key, kv.Val, run, lo, hi); err != nil {
 				return err
 			}

@@ -34,6 +34,10 @@ type Session struct {
 	// valBuf is the reusable value buffer behind ScanBytes callbacks.
 	valBuf []byte
 
+	// recordReads counts the value-log records this session's resolutions
+	// read, retries included (see resolve): what a scan's cost scales with.
+	recordReads uint64
+
 	// The byte-key API's reusable state (see kv.go): kvBuf holds the
 	// current bucket image being read, kvNew the rewritten image being
 	// built, kvRefs one page of collected (prefix, ref) pairs, kvRuns the

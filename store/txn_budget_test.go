@@ -190,6 +190,44 @@ func TestPointReadsAllocFree(t *testing.T) {
 	}
 }
 
+// TestScansAllocFree extends the read side's contract to scans over
+// 256-byte values: after a warm-up call, a 16-pair ScanBytes and a 16-pair
+// ScanKV allocate nothing, though each ScanKV resolves a full page of
+// buckets on every shard.
+func TestScansAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
+	}
+	st := openTest(t, 4)
+	ss := st.NewSession()
+	defer ss.Close()
+	const n = 8 * kvBucketPage // two pages of buckets per shard, on average
+	loadScanPairs(t, ss, n)
+	var lo [16]byte
+	got := 0
+	count := func() bool { got++; return true }
+	for _, scan := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ScanBytes", func() error {
+			return ss.ScanBytes(scanBytesBase, scanBytesBase+n-1, 16, func(uint64, []byte) bool { return count() })
+		}},
+		{"ScanKV", func() error {
+			return ss.ScanKV(scanKVKey(&lo, 0), nil, 16, func([]byte, []byte) bool { return count() })
+		}},
+	} {
+		scan.run() // warm-up: sizes the session's buffers
+		if allocs := testing.AllocsPerRun(20, func() {
+			if got = 0; scan.run() != nil || got != 16 {
+				t.Fatalf("%s: %d pairs, want 16", scan.name, got)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocs/op = %v, want 0", scan.name, allocs)
+		}
+	}
+}
+
 // txnSink makes the measured transaction escape, as a caller's does.
 var txnSink *Txn
 
