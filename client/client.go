@@ -614,17 +614,3 @@ func (c *Conn) ScanBytes(ctx context.Context, lo, hi uint64, max int) ([]VKV, er
 	call, err := c.do(ctx, &wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: scanMax(max)})
 	return call.Resp.VPairs, err
 }
-
-// StatsAsync issues a pipelined Stats request.
-func (c *Conn) StatsAsync() *Call {
-	return c.start(&wire.Request{Op: wire.OpStats})
-}
-
-// Stats fetches the server's counter snapshot.
-func (c *Conn) Stats(ctx context.Context) (st wire.Stats, err error) {
-	call, err := c.do(ctx, &wire.Request{Op: wire.OpStats})
-	if call.Resp.Stats != nil {
-		st = *call.Resp.Stats
-	}
-	return st, err
-}

@@ -430,8 +430,8 @@ func TestResponsesOutOfOrder(t *testing.T) {
 // waits under a ctx that can end.
 func TestCallAllocs(t *testing.T) {
 	var call Call
-	if size := unsafe.Sizeof(call); size > 224 {
-		t.Errorf("Call is %d bytes, want it in the 224-byte size class", size)
+	if size := unsafe.Sizeof(call); size > 208 {
+		t.Errorf("Call is %d bytes, want it in the 208-byte size class", size)
 	}
 	c, p := dialPeer(t, Options{})
 	go p.serve()
@@ -514,7 +514,6 @@ func TestBlockingCallsHonourCtx(t *testing.T) {
 		{"GetBytes", func(ctx context.Context) error { _, _, err := c.GetBytes(ctx, 1); return err }},
 		{"PutBytes", func(ctx context.Context) error { return c.PutBytes(ctx, 1, key) }},
 		{"ScanBytes", func(ctx context.Context) error { _, err := c.ScanBytes(ctx, 0, 9, 0); return err }},
-		{"Stats", func(ctx context.Context) error { _, err := c.Stats(ctx); return err }},
 		{"GetKV", func(ctx context.Context) error { _, _, err := c.GetKV(ctx, key); return err }},
 		{"PutKV", func(ctx context.Context) error { return c.PutKV(ctx, key, key) }},
 		{"DeleteKV", func(ctx context.Context) error { _, err := c.DeleteKV(ctx, key); return err }},

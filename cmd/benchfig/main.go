@@ -6,11 +6,13 @@
 //
 // Figures: fig3 fig4 fig5a fig5b fig5c fig5d fig6 tpcc fig7a fig7b fig7c flushes all
 //
-// fig6 and tpcc run the same TPC-C transactions (internal/tpcc): fig6
-// over per-table indexes of each kind, the paper's comparison, and tpcc
-// over the sharded store, each NewOrder/Payment/Delivery one redo-log
-// transaction. Both panic, exiting nonzero, if a run breaks the TPC-C
-// consistency conditions.
+// benchfig is the one driver of the figures and of TPC-C. fig6 and tpcc
+// run the same TPC-C transactions (internal/tpcc): fig6 over per-table
+// indexes of each kind, the paper's comparison, and tpcc over the sharded
+// store, each NewOrder/Payment/Delivery one redo-log transaction. Both
+// panic, exiting nonzero, if a run breaks the TPC-C consistency
+// conditions; tpcc also checks the store's invariants after every mix.
+// CI runs `-tx 2000 tpcc` and `-tx 200 fig6` as pass/fail smokes.
 //
 // Default scales are reduced from the paper's 10M/50M keys so every figure
 // regenerates in seconds to minutes; raise -n (and -tx) to approach

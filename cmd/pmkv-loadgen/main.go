@@ -3,17 +3,17 @@
 // -pipeline deep window of async calls in flight, so the generator can
 // drive the server's batched pipeline the way real hot-path clients do
 // while still measuring true per-request latency (issue to completion).
-// It reports throughput and latency percentiles — recorded into log-linear
+// It reports throughput and latency percentiles, recorded into log-linear
 // histograms (constant memory, ≤~3% relative error) rather than per-sample
-// slices, so soak runs of any length are safe — alongside the server's own
-// per-class p50/p99 from the Stats frame, separating wire time from
-// server-side queue+execute time.
+// slices, so soak runs of any length are safe. The server's own counters
+// and per-class latencies are on its /metrics endpoint (pmkv-server
+// -pprof) and in the summary it prints when it drains.
 //
 // Usage:
 //
 //	pmkv-loadgen [-addr localhost:7841] [-ops 500000] [-duration 0]
-//	             [-clients 32] [-conns 4] [-pipeline 1] [-read 0.5]
-//	             [-mix get=90,put=10] [-keys 1000000] [-preload 0]
+//	             [-clients 32] [-conns 4] [-pipeline 1]
+//	             [-mix get=50,put=50] [-keys 1000000] [-preload 0]
 //	             [-scanmax 100] [-valsize 0] [-call-timeout 0]
 //	             [-memprofile heap.pprof]
 //
@@ -24,10 +24,10 @@
 // (-ops is ignored), which is the right shape for soak runs and for
 // comparing configurations at equal wall time.
 //
-// The workload is either the legacy -read get/put split or an explicit
-// -mix of weighted operations ("get=90,put=10", also accepting delete and
-// scan; weights need not sum to 100). Scans page -scanmax pairs from a
-// random key upward, driving the server's pooled Scan response path.
+// The workload is a -mix of weighted operations ("get=90,put=10", also
+// accepting delete and scan; weights need not sum to 100). Scans page
+// -scanmax pairs from a random key upward, driving the server's pooled Scan
+// response path.
 //
 // -valsize N switches the workload to the varlen-value ops: puts carry
 // N-byte values (PutV), gets and scans read them back (GetV/ScanV), and
@@ -168,8 +168,7 @@ func main() {
 	clients := flag.Int("clients", 32, "closed-loop worker goroutines")
 	conns := flag.Int("conns", 4, "pooled TCP connections")
 	pipeline := flag.Int("pipeline", 1, "async calls each worker keeps in flight (1 = synchronous)")
-	readFrac := flag.Float64("read", 0.5, "fraction of ops that are Gets (ignored when -mix is set)")
-	mixFlag := flag.String("mix", "", "weighted op mix, e.g. get=90,put=10 (ops: get, put, delete, scan)")
+	mixFlag := flag.String("mix", "get=50,put=50", "weighted op mix, e.g. get=90,put=10 (ops: get, put, delete, scan)")
 	keys := flag.Uint64("keys", 1000000, "key space size")
 	preload := flag.Int("preload", 0, "keys to PutBatch before timing (0 = keyspace/4)")
 	scanMax := flag.Int("scanmax", 100, "pairs per scan request in -mix scan ops")
@@ -179,7 +178,7 @@ func main() {
 	callTimeout := flag.Duration("call-timeout", 0, "per-request deadline; timed-out calls fail instead of blocking the run (0 = none)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-	if *clients < 1 || *conns < 1 || *ops < 1 || *keys < 1 || *readFrac < 0 || *readFrac > 1 || *scanMax < 1 ||
+	if *clients < 1 || *conns < 1 || *ops < 1 || *keys < 1 || *scanMax < 1 ||
 		*pipeline < 1 || *duration < 0 || *valSize < 0 || *valSize > wire.MaxValue || *callTimeout < 0 ||
 		*keySize < 0 || *keySize > wire.MaxKey || (*keyDist != "uniform" && *keyDist != "zipf") {
 		flag.Usage()
@@ -192,13 +191,10 @@ func main() {
 			*keys = max
 		}
 	}
-	mix := mixWeights{get: int(*readFrac * 1000), put: 1000 - int(*readFrac*1000)}
-	if *mixFlag != "" {
-		var err error
-		if mix, err = parseMix(*mixFlag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	mix, err := parseMix(*mixFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	pool, err := client.DialPool(*addr, *conns, client.Options{CallTimeout: *callTimeout})
@@ -411,47 +407,17 @@ func main() {
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
 		pct(0.99).Round(time.Microsecond), pct(0.999).Round(time.Microsecond),
 		time.Duration(snap.Max()).Round(time.Microsecond))
-	if *mixFlag != "" {
-		fmt.Printf("config: %d clients over %d conns, pipeline %d, mix %s, keyspace %d", *clients, *conns, *pipeline, *mixFlag, *keys)
-		if mix.scan > 0 {
-			fmt.Printf(", %d pairs scanned", scanned.Load())
-		}
-		if *valSize > 0 {
-			fmt.Printf(", varlen %d B values", *valSize)
-		}
-		if *keySize > 0 {
-			fmt.Printf(", %d B byte keys (%s)", *keySize, *keyDist)
-		}
-		fmt.Println()
-	} else {
-		fmt.Printf("config: %d clients over %d conns, pipeline %d, %.0f%% reads, keyspace %d", *clients, *conns, *pipeline, *readFrac*100, *keys)
-		if *valSize > 0 {
-			fmt.Printf(", varlen %d B values", *valSize)
-		}
-		if *keySize > 0 {
-			fmt.Printf(", %d B byte keys (%s)", *keySize, *keyDist)
-		}
-		fmt.Println()
+	fmt.Printf("config: %d clients over %d conns, pipeline %d, mix %s, keyspace %d", *clients, *conns, *pipeline, *mixFlag, *keys)
+	if mix.scan > 0 {
+		fmt.Printf(", %d pairs scanned", scanned.Load())
 	}
-
-	if stats, err := pool.Conn().Stats(context.Background()); err == nil {
-		fmt.Printf("server: %d ops (%d errors), %d conns live, %d B in, %d B out\n",
-			stats.Ops, stats.Errors, stats.ConnsLive, stats.BytesIn, stats.BytesOut)
-		// Server-side per-class percentiles (queue wait + execution, no
-		// network or flush coalescing): the gap to the client-side numbers
-		// above is wire time plus coalescing delay.
-		sp := func(ns uint64) time.Duration {
-			return time.Duration(ns).Round(time.Microsecond)
-		}
-		fmt.Printf("server latency p50/p99: read %v/%v  write %v/%v  scan %v/%v\n",
-			sp(stats.ReadP50), sp(stats.ReadP99),
-			sp(stats.WriteP50), sp(stats.WriteP99),
-			sp(stats.ScanP50), sp(stats.ScanP99))
-		if stats.VlogLive+stats.VlogGarbage+stats.VlogReclaimed > 0 {
-			fmt.Printf("server value log: %d B live, %d B garbage, %d B reclaimed by GC\n",
-				stats.VlogLive, stats.VlogGarbage, stats.VlogReclaimed)
-		}
+	if *valSize > 0 {
+		fmt.Printf(", varlen %d B values", *valSize)
 	}
+	if *keySize > 0 {
+		fmt.Printf(", %d B byte keys (%s)", *keySize, *keyDist)
+	}
+	fmt.Println()
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

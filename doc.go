@@ -29,5 +29,5 @@
 // See README.md for the package layout and how to run the benchmarks,
 // ARCHITECTURE.md for the layer map and the per-layer crash-consistency
 // argument, and wire/PROTOCOL.md for the network protocol. The root
-// package holds only the figure benchmarks (bench_test.go).
+// package holds only this comment: cmd/benchfig regenerates the figures.
 package repro

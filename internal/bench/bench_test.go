@@ -215,10 +215,14 @@ func parseFloat(s string) (float64, error) {
 }
 
 // TestLatencyShapesHold verifies the central Figure 5(c) relationship at a
-// small scale: with high write latency, FAST+FAIR inserts beat wB+-tree
-// (more flushes) and SkipList. The latency is set high enough (1200ns) that
-// the flush-count gap dominates scheduler noise, and each side takes the
-// best of three runs.
+// small scale: with high write latency, FAST+FAIR inserts beat wB+-tree,
+// which flushes more lines per insert (the count itself is pinned by
+// TestFlushesTableIsPinned: 6.18 against 4.50). The latency is set high
+// enough (1200ns) that the flush-count gap dominates scheduler noise. The
+// two kinds' trials alternate and each kind keeps its best of 20, so a
+// burst of host load lands on both kinds rather than on one: beside two
+// busy loops on a 2-core host, a best of 10 still missed every quiet
+// window for FAST+FAIR in 2 of 30 runs, a best of 20 in none of 60.
 func TestLatencyShapesHold(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion is not meaningful under the race detector")
@@ -227,27 +231,29 @@ func TestLatencyShapesHold(t *testing.T) {
 		t.Skip("wall-clock shape; CI runs with -short on shared runners")
 	}
 	keys := Keys(5000, 11)
-	perOp := func(k index.Kind) time.Duration {
-		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ {
-			ix, th, err := index.New(k,
-				pmem.Config{Size: 64 << 20, WriteLatency: 1200 * time.Nanosecond},
-				index.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			el, err := Load(ix, th, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep == 0 || el < best {
-				best = el
-			}
+	trial := func(k index.Kind) time.Duration {
+		ix, th, err := index.New(k,
+			pmem.Config{Size: 64 << 20, WriteLatency: 1200 * time.Nanosecond},
+			index.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best
+		el, err := Load(ix, th, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return el
 	}
-	ff := perOp(index.FastFair)
-	wb := perOp(index.WBTree)
+	var ff, wb time.Duration
+	for rep := 0; rep < 20; rep++ {
+		f, w := trial(index.FastFair), trial(index.WBTree)
+		if rep == 0 || f < ff {
+			ff = f
+		}
+		if rep == 0 || w < wb {
+			wb = w
+		}
+	}
 	if wb <= ff {
 		t.Errorf("expected FAST+FAIR (%v) to beat wB+-tree (%v) at 1200ns writes", ff, wb)
 	}

@@ -49,15 +49,16 @@ func kindNames() []string {
 
 // FigTPCC measures transactional TPC-C throughput over the sharded store:
 // each mix runs txPerMix transactions through the redo-log commit path and
-// must pass CheckConsistency afterwards. The "Kops/s" column is thousands
-// of TPC-C transactions per second, tpmC-style.
+// must pass CheckConsistency and Store.CheckInvariants afterwards. The
+// "Kops/s" column is thousands of TPC-C transactions per second,
+// tpmC-style.
 func FigTPCC(txPerMix, warehouses int) *bench.Table {
 	tbl := &bench.Table{
 		Title: fmt.Sprintf("TPC-C transactional throughput over the store, %d tx/mix, %d warehouse(s)",
 			txPerMix, warehouses),
 		Header: []string{"mix", "Kops/s"},
 		Notes: "each NewOrder/Payment/Delivery is one redo-log store transaction; " +
-			"every mix run must pass the TPC-C consistency checks",
+			"every mix run must pass the TPC-C consistency checks and the store's invariants",
 	}
 	for _, mix := range Mixes {
 		tbl.Rows = append(tbl.Rows, []string{mix.Name, fmt.Sprintf("%.1f", storeMix(mix, txPerMix, warehouses))})
@@ -66,7 +67,8 @@ func FigTPCC(txPerMix, warehouses int) *bench.Table {
 }
 
 // storeMix loads a fresh four-shard store, runs txPerMix transactions of
-// mix and returns thousands of transactions per second.
+// mix and returns thousands of transactions per second. It panics if the
+// mix breaks the TPC-C conditions (see timed) or the store's invariants.
 func storeMix(mix Mix, txPerMix, warehouses int) float64 {
 	st, err := store.Open(store.Options{Shards: 4, ShardSize: 64 << 20})
 	if err != nil {
@@ -85,7 +87,11 @@ func storeMix(mix Mix, txPerMix, warehouses int) float64 {
 	if _, err := b.Run(mix, txPerMix/10, rng); err != nil {
 		panic(fmt.Sprintf("tpcc %s warm-up: %v", mix.Name, err))
 	}
-	return b.timed(mix, txPerMix, rng, "tpcc")
+	kops := b.timed(mix, txPerMix, rng, "tpcc")
+	if err := st.CheckInvariants(); err != nil {
+		panic(fmt.Sprintf("tpcc %s: store invariants: %v", mix.Name, err))
+	}
+	return kops
 }
 
 // timed runs n transactions of mix, checks consistency outside the timed

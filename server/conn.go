@@ -51,12 +51,11 @@ type conn struct {
 
 	// A response is encoded into the slab before the next request runs, so
 	// one response (a local handed to the table's handlers would escape), one
-	// Stats, one Scan pair buffer and one varlen buffer serve every request
-	// of the connection; the steady-state read paths allocate nothing.
-	resp   wire.Response
-	wstats wire.Stats
-	pairs  []wire.KV
-	vb     varlenBuf
+	// Scan pair buffer and one varlen buffer serve every request of the
+	// connection; the steady-state read paths allocate nothing.
+	resp  wire.Response
+	pairs []wire.KV
+	vb    varlenBuf
 	// at is the batch index of the request being served, gets the run of
 	// Gets it is answered from when it is a Get (see get).
 	at   int
@@ -372,7 +371,7 @@ const latencySampleMask = 7
 // which borrows the connection's scratch buffers — into the slab. One in
 // latencySampleMask+1 requests is clocked: queue wait (batch ingest t0 to
 // execution start), execution, the per-class whole-request histogram behind
-// the wire Stats latency summary, the slow-op check, and a meta entry so the
+// /metrics and OpLatencies, the slow-op check, and a meta entry so the
 // write can charge the flush-wait stage. A Get executes in its run (see
 // get): its queue wait ends where the run's store call starts, and its
 // execution is an even share of that call.
@@ -442,7 +441,6 @@ var ops = [numOps]struct {
 	wire.OpDelete:   {classWrite, (*conn).delete},
 	wire.OpPutBatch: {classWrite, (*conn).putBatch},
 	wire.OpScan:     {classScan, (*conn).scan},
-	wire.OpStats:    {classRead, (*conn).stats},
 	wire.OpGetV:     {classRead, (*conn).getBytes},
 	wire.OpPutV:     {classWrite, (*conn).putBytes},
 	wire.OpScanV:    {classScan, (*conn).scanBytes},
@@ -608,18 +606,4 @@ func (c *conn) txn(ss *store.Session, req *wire.Request) error {
 		}
 	}
 	return tx.Commit()
-}
-
-func (c *conn) stats(_ *store.Session, _ *wire.Request) error {
-	s := c.srv
-	st, vs, sum := s.Stats(), s.st.ValueStats(), s.met.classSummary()
-	c.wstats = wire.Stats{
-		Ops: st.Ops, Errors: st.Errors, BytesIn: st.BytesIn, BytesOut: st.BytesOut,
-		ConnsLive: st.ConnsLive, ConnsTotal: st.ConnsTotal,
-		VlogLive: uint64(vs.Live), VlogGarbage: uint64(vs.Garbage), VlogReclaimed: uint64(vs.Reclaimed),
-		Shed: st.Shed, IdleCloses: st.IdleCloses, Resets: st.Resets,
-		ReadP50: sum[0], ReadP99: sum[1], WriteP50: sum[2], WriteP99: sum[3], ScanP50: sum[4], ScanP99: sum[5],
-	}
-	c.resp.Stats = &c.wstats
-	return nil
 }

@@ -11,8 +11,9 @@ import (
 
 // Per-opcode metric slots: slot 0 collects anything outside the known
 // opcode range (undecodable frames), slots 1..numOps-1 mirror the wire
-// opcodes. Arrays indexed by slot keep the hot-path record a bounds-checked
-// array access, no map lookups.
+// opcodes. The retired opcode 6 never decodes, so its slot has no handler,
+// counts nothing and is not registered. Arrays indexed by slot keep the
+// hot-path record a bounds-checked array access, no map lookups.
 const numOps = int(wire.OpTxn) + 1
 
 func opSlot(op wire.Op) int {
@@ -30,9 +31,9 @@ func opName(slot int) string {
 	return wire.Op(slot).String()
 }
 
-// Op classes summarize latency for the wire Stats frame; each opcode's
-// class is its row of the opcode table (ops). Slot 0 counts as read — it
-// never carries store work.
+// Op classes summarize latency for /metrics and OpLatencies (the
+// -stats-interval log); each opcode's class is its row of the opcode table
+// (ops). Slot 0 counts as read — it never carries store work.
 const (
 	classRead = iota
 	classWrite
@@ -48,11 +49,11 @@ var classNames = [numClasses]string{"read", "write", "scan"}
 // splitting each request's life into queue wait (batch ingest to execution
 // start — the requests ahead of it in its own batch), execution, and flush
 // wait (response ready to write syscall), per-class whole-request
-// histograms backing the wire Stats latency summary, and batch shape
-// distributions (ingest batch size, flush size in bytes and responses). The
-// latency histograms observe a 1-in-latencySampleMask+1 sample of requests
-// — see serveOne — unless SlowOpThreshold is set. A Get's execute stage is
-// its run's store call divided by the run's length (see conn.get).
+// histograms backing OpLatencies, and batch shape distributions (ingest
+// batch size, flush size in bytes and responses). The latency histograms
+// observe a 1-in-latencySampleMask+1 sample of requests — see serveOne —
+// unless SlowOpThreshold is set. A Get's execute stage is its run's store
+// call divided by the run's length (see conn.get).
 type serverMetrics struct {
 	reqs [numOps]*metrics.Striped
 	errs [numOps]*metrics.Striped
@@ -101,22 +102,14 @@ func newServerMetrics(stripes int) *serverMetrics {
 	return m
 }
 
-// classSummary fills the six wire Stats latency-summary words (read p50,
-// read p99, write p50, write p99, scan p50, scan p99) in nanoseconds.
-func (m *serverMetrics) classSummary() (out [2 * numClasses]uint64) {
-	for c := 0; c < numClasses; c++ {
-		s := m.class[c].Snapshot()
-		out[2*c] = uint64(s.Quantile(0.50))
-		out[2*c+1] = uint64(s.Quantile(0.99))
-	}
-	return out
-}
-
 // registerMetrics exposes the server's counters and histograms on reg.
 // Counters are read-function-backed, so the writers stay plain atomics.
 func (s *Server) registerMetrics(reg *metrics.Registry) {
 	m := s.met
 	for i := 0; i < numOps; i++ {
+		if ops[i].serve == nil {
+			continue
+		}
 		op := `op="` + opName(i) + `"`
 		reg.Counter("pmkv_server_requests_total", op,
 			"requests served, by opcode", m.reqs[i].Load)
@@ -163,14 +156,14 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 }
 
 // OpLatencies reports the server-side whole-request (queue wait +
-// execution) p50 and p99 per op class, in read/write/scan order — the same
-// numbers the wire Stats frame carries, for in-process consumers like the
-// periodic stats log.
+// execution) p50 and p99 per op class, in read/write/scan order — the
+// quantiles of /metrics' pmkv_server_request_seconds, for in-process
+// consumers like the periodic stats log.
 func (s *Server) OpLatencies() (p50, p99 [3]time.Duration) {
-	sum := s.met.classSummary()
 	for c := 0; c < numClasses; c++ {
-		p50[c] = time.Duration(sum[2*c])
-		p99[c] = time.Duration(sum[2*c+1])
+		snap := s.met.class[c].Snapshot()
+		p50[c] = time.Duration(snap.Quantile(0.50))
+		p99[c] = time.Duration(snap.Quantile(0.99))
 	}
 	return p50, p99
 }

@@ -22,8 +22,8 @@ import (
 // TestMetricsEndToEnd drives real traffic through a loopback server and
 // checks the whole observability chain: the Prometheus rendering lints,
 // the per-opcode and stage families carry the traffic, the store and pmem
-// families are folded into the same registry, and the wire Stats frame
-// reports per-class latency summaries.
+// families are folded into the same registry, and OpLatencies reports
+// per-class latency summaries.
 func TestMetricsEndToEnd(t *testing.T) {
 	var logMu sync.Mutex
 	var logBuf bytes.Buffer
@@ -56,17 +56,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wire Stats latency summary: reads and writes have executed, so their
+	// Latency summary: reads, writes and a scan have executed, so their
 	// class quantiles must be populated and ordered (p50 <= p99).
-	stats, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	p50, p99 := ts.srv.OpLatencies()
+	if p50[0] == 0 || p50[1] == 0 || p50[2] == 0 {
+		t.Errorf("class p50s missing: read/write/scan p50 %v, p99 %v", p50, p99)
 	}
-	if stats.ReadP50 == 0 || stats.WriteP50 == 0 || stats.ScanP50 == 0 {
-		t.Errorf("wire stats missing class p50s: %+v", stats)
-	}
-	if stats.ReadP50 > stats.ReadP99 || stats.WriteP50 > stats.WriteP99 {
-		t.Errorf("wire stats quantiles out of order: %+v", stats)
+	if p50[0] > p99[0] || p50[1] > p99[1] {
+		t.Errorf("class quantiles out of order: read/write/scan p50 %v, p99 %v", p50, p99)
 	}
 
 	// Scrape the registry and lint it like CI's metricscheck does.
@@ -108,6 +105,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
+		}
+	}
+	// The retired opcode 6 has no series under any name.
+	for _, gone := range []string{`op="Op(6)"`, `op="Stats"`} {
+		if strings.Contains(out, gone) {
+			t.Errorf("scrape carries a %s series", gone)
 		}
 	}
 	// Store-level latencies sample 1-in-8 ops regardless of
@@ -215,8 +218,6 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	must(c.PutBatch(context.Background(), []client.KV{{Key: 2, Val: 20}, {Key: 3, Val: 30}}))
 	_, err = c.Scan(context.Background(), 0, 10, 0)
 	must(err)
-	_, err = c.Stats(context.Background())
-	must(err)
 	must(c.PutBytes(context.Background(), 100, []byte("v")))
 	_, _, err = c.GetBytes(context.Background(), 100)
 	must(err)
@@ -279,9 +280,9 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 			t.Errorf("Stats.%s = %v, metrics say %v", c.name, c.got, c.want)
 		}
 	}
-	// Fifteen requests and one undecodable frame; the GetV of a fixed key
+	// Fourteen requests and one undecodable frame; the GetV of a fixed key
 	// and the frame are the errors.
-	if st.Ops != 16 || st.Errors != 2 || st.InlineOps != 15 {
-		t.Errorf("Ops %d Errors %d InlineOps %d, want 16 2 15", st.Ops, st.Errors, st.InlineOps)
+	if st.Ops != 15 || st.Errors != 2 || st.InlineOps != 14 {
+		t.Errorf("Ops %d Errors %d InlineOps %d, want 15 2 14", st.Ops, st.Errors, st.InlineOps)
 	}
 }

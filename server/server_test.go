@@ -113,10 +113,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("capped scan returned %d pairs, want 10", len(capped))
 	}
 
-	stats, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := ts.srv.Stats()
 	if stats.Ops == 0 || stats.ConnsLive == 0 || stats.BytesIn == 0 || stats.BytesOut == 0 {
 		t.Fatalf("implausible server stats: %+v", stats)
 	}
@@ -199,11 +196,7 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	stats, err := pool.Conn().Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ConnsTotal < 4 {
+	if stats := ts.srv.Stats(); stats.ConnsTotal < 4 {
 		t.Fatalf("ConnsTotal = %d, want >= 4", stats.ConnsTotal)
 	}
 }
@@ -289,8 +282,8 @@ func TestServeAfterStoreCloseReportsClosed(t *testing.T) {
 	}
 	// The connection survives; a fresh session on the server side would
 	// also survive (NewSession is panic-free on closed stores).
-	if _, err := c.Stats(context.Background()); err != nil {
-		t.Fatalf("Stats after store close: %v", err)
+	if err := c.Err(); err != nil {
+		t.Fatalf("connection died with the store: %v", err)
 	}
 }
 
@@ -302,33 +295,36 @@ func rawFrame(body []byte) []byte {
 }
 
 // TestMalformedFrame checks the protocol-error path: a garbage frame gets a
-// best-effort error response and the connection is cut.
+// best-effort error response and the connection is cut. The retired
+// opcode 6 (the Stats frame) gets exactly what an unknown opcode gets.
 func TestMalformedFrame(t *testing.T) {
 	ts := startServer(t, store.Options{}, Options{})
-	nc, err := net.Dial("tcp", ts.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	// Valid frame header (length + CRC), body with unknown opcode 0xee.
-	if _, err := nc.Write(rawFrame(append(make([]byte, 8), 0xee))); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	respBody, err := wire.ReadFrame(nc, wire.MaxFrame, nil)
-	if err != nil {
-		t.Fatalf("no error response: %v", err)
-	}
-	resp, err := wire.DecodeResponse(respBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusErr {
-		t.Fatalf("status = %v, want StatusErr", resp.Status)
-	}
-	// The server hangs up after a framing error.
-	if _, err := wire.ReadFrame(nc, wire.MaxFrame, nil); err == nil {
-		t.Fatal("connection still open after protocol error")
+	for _, op := range []byte{0xee, 6} {
+		nc, err := net.Dial("tcp", ts.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		// Valid frame header (length + CRC), body with an unknown opcode.
+		if _, err := nc.Write(rawFrame(append(make([]byte, 8), op))); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		respBody, err := wire.ReadFrame(nc, wire.MaxFrame, nil)
+		if err != nil {
+			t.Fatalf("op %d: no error response: %v", op, err)
+		}
+		resp, err := wire.DecodeResponse(respBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != wire.StatusErr {
+			t.Fatalf("op %d: status = %v, want StatusErr", op, resp.Status)
+		}
+		// The server hangs up after a framing error.
+		if _, err := wire.ReadFrame(nc, wire.MaxFrame, nil); err == nil {
+			t.Fatalf("op %d: connection still open after protocol error", op)
+		}
 	}
 }
 

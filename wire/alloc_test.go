@@ -60,7 +60,6 @@ func TestAppendRequestAllocFree(t *testing.T) {
 		{ID: 3, Op: OpDelete, Key: 7},
 		{ID: 4, Op: OpPutBatch, Pairs: pairs},
 		{ID: 5, Op: OpScan, Lo: 1, Hi: 100, Max: 10},
-		{ID: 6, Op: OpStats},
 		{ID: 7, Op: OpGetV, Key: 7},
 		{ID: 8, Op: OpPutV, Key: 7, VVal: []byte("varlen value bytes")},
 		{ID: 9, Op: OpScanV, Lo: 1, Hi: 100, Max: 10},
@@ -92,7 +91,6 @@ func TestAppendResponseAllocFree(t *testing.T) {
 		{ID: 2, Op: OpPut, Status: StatusOK},
 		{ID: 3, Op: OpGet, Status: StatusNotFound},
 		{ID: 4, Op: OpScan, Status: StatusOK, Pairs: pairs},
-		{ID: 5, Op: OpStats, Status: StatusOK, Stats: &Stats{Ops: 1}},
 		{ID: 6, Op: OpGetV, Status: StatusOK, VVal: []byte("varlen value bytes")},
 		{ID: 7, Op: OpScanV, Status: StatusOK, VPairs: []VKV{{Key: 1, Val: []byte("a")}, {Key: 2, Val: []byte("bb")}}},
 		{ID: 8, Op: OpGetK, Status: StatusOK, VVal: []byte("byte-keyed value")},
@@ -136,7 +134,6 @@ func TestDecodeRoundTripAllocs(t *testing.T) {
 		{ID: 2, Op: OpPut, Key: 7, Val: 9},
 		{ID: 3, Op: OpDelete, Key: 7},
 		{ID: 5, Op: OpScan, Lo: 1, Hi: 100, Max: 10},
-		{ID: 6, Op: OpStats},
 	} {
 		body := encodeReq(&r)
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -172,16 +169,6 @@ func TestDecodeRoundTripAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("DecodeResponse(%s/%s) allocs/op = %v, want 0", r.Op, r.Status, allocs)
 		}
-	}
-
-	// A Stats response allocates exactly its Stats.
-	stats := encodeResp(&Response{ID: 5, Op: OpStats, Status: StatusOK, Stats: &Stats{Ops: 1}})
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeResponse(stats); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 1 {
-		t.Errorf("DecodeResponse(Stats) allocs/op = %v, want 1 (the Stats)", allocs)
 	}
 
 	// Scan responses allocate exactly the pairs slice.

@@ -49,7 +49,7 @@ const (
 	OpDelete
 	OpPutBatch
 	OpScan
-	OpStats
+	_ // 6 was the Stats frame, retired in revision 5; never reused
 	// The varlen-value opcodes: values are byte strings, not u64s.
 	OpGetV
 	OpPutV
@@ -93,7 +93,7 @@ type TxnOp struct {
 
 var opNames = [...]string{
 	OpGet: "Get", OpPut: "Put", OpDelete: "Delete", OpPutBatch: "PutBatch",
-	OpScan: "Scan", OpStats: "Stats", OpGetV: "GetV", OpPutV: "PutV",
+	OpScan: "Scan", OpGetV: "GetV", OpPutV: "PutV",
 	OpScanV: "ScanV", OpGetK: "GetK", OpPutK: "PutK", OpDeleteK: "DeleteK",
 	OpScanK: "ScanK", OpTxn: "Txn",
 }
@@ -169,49 +169,6 @@ type KKV struct {
 	Key, Val []byte
 }
 
-// Stats is the counter snapshot a StatusOK Stats response carries. The
-// Vlog* fields surface the store's value-log space accounting (varlen
-// values live behind a log the server compacts; see the store package).
-type Stats struct {
-	Ops           uint64 // requests served
-	Errors        uint64 // requests answered with an error status (StatusErr, StatusClosed, StatusNoSpace, StatusTxnIncomplete), protocol errors included
-	BytesIn       uint64 // request bytes read, including frame headers
-	BytesOut      uint64 // response bytes written, including frame headers
-	ConnsLive     uint64 // currently open connections
-	ConnsTotal    uint64 // connections accepted since start
-	VlogLive      uint64 // value-log payload bytes the store still references
-	VlogGarbage   uint64 // value-log payload bytes awaiting GC
-	VlogReclaimed uint64 // arena bytes value-log GC has returned to the pools
-
-	// Per-op-class server-side latency summaries, in nanoseconds, measured
-	// over the whole request lifetime (queue wait + execute). Classes:
-	// read = Get/GetV/GetK/Stats, write = Put/PutV/PutK/Delete/DeleteK/
-	// PutBatch/Txn, scan = Scan/ScanV/ScanK. Zero when the class has served
-	// no requests.
-	ReadP50  uint64
-	ReadP99  uint64
-	WriteP50 uint64
-	WriteP99 uint64
-	ScanP50  uint64
-	ScanP99  uint64
-
-	// Overload and failure counters (protocol revision 2).
-	Shed       uint64 // requests answered StatusBusy by the admission cap
-	IdleCloses uint64 // connections closed by the server's read idle timeout
-	Resets     uint64 // connections torn down on transport or protocol errors
-}
-
-// words lists the counters in the order a Stats response carries them: the
-// one list both AppendResponse and DecodeResponse walk.
-func (s *Stats) words() [statsWords]*uint64 {
-	return [statsWords]*uint64{
-		&s.Ops, &s.Errors, &s.BytesIn, &s.BytesOut, &s.ConnsLive, &s.ConnsTotal,
-		&s.VlogLive, &s.VlogGarbage, &s.VlogReclaimed,
-		&s.ReadP50, &s.ReadP99, &s.WriteP50, &s.WriteP99, &s.ScanP50, &s.ScanP99,
-		&s.Shed, &s.IdleCloses, &s.Resets,
-	}
-}
-
 // Request is a decoded request frame. Fields beyond ID and Op are meaningful
 // per opcode only (see the package comment).
 type Request struct {
@@ -244,7 +201,6 @@ type Response struct {
 	VVal   []byte // GetV/GetK hit
 	VPairs []VKV  // ScanV (decoded Vals subslice one shared allocation)
 	KPairs []KKV  // ScanK (decoded keys and values subslice one shared allocation)
-	Stats  *Stats // StatusOK Stats only; a nil one encodes as zeros
 	Msg    string // StatusErr/StatusClosed/StatusBusy/StatusNoSpace detail
 }
 
@@ -270,7 +226,6 @@ var be = binary.BigEndian
 const (
 	reqHeader  = 8 + 1
 	respHeader = 8 + 1 + 1
-	statsWords = 18
 )
 
 // FrameHdrSize is the frame header: a 4-byte body length followed by the
@@ -499,7 +454,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 		e.pairs(r.Pairs)
 	case OpScan, OpScanV:
 		e.b = be.AppendUint32(be.AppendUint64(be.AppendUint64(e.b, r.Lo), r.Hi), r.Max)
-	case OpStats:
 	case OpPutV:
 		e.b = be.AppendUint64(e.b, r.Key)
 		e.tail(r.VVal)
@@ -713,7 +667,6 @@ func DecodeRequest(body []byte) (Request, error) {
 		r.Pairs = c.pairs()
 	case OpScan, OpScanV:
 		r.Lo, r.Hi, r.Max = c.u64(), c.u64(), c.u32()
-	case OpStats:
 	case OpPutV:
 		r.Key = c.u64()
 		r.VVal = c.own().tail()
@@ -772,14 +725,6 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		case OpScanK:
 			for _, p := range r.KPairs[:e.count(len(r.KPairs))] {
 				e.kv(p.Key, p.Val)
-			}
-		case OpStats:
-			var st Stats
-			if r.Stats != nil {
-				st = *r.Stats
-			}
-			for _, w := range st.words() {
-				e.b = be.AppendUint64(e.b, *w)
 			}
 		default:
 			return dst, fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
@@ -848,11 +793,6 @@ func DecodeResponse(body []byte) (Response, error) {
 				pairs[i].Key, pairs[i].Val = c.kv()
 			}
 			r.KPairs = pairs
-		case OpStats:
-			r.Stats = new(Stats)
-			for _, w := range r.Stats.words() {
-				*w = c.u64()
-			}
 		default:
 			return r, malformed("unknown opcode %d", uint8(r.Op))
 		}

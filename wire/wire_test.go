@@ -19,7 +19,6 @@ func requestCases() []Request {
 		{ID: 5, Op: OpPutBatch, Pairs: []KV{}},
 		{ID: 6, Op: OpScan, Lo: 10, Hi: 20, Max: 7},
 		{ID: 7, Op: OpScan, Lo: 0, Hi: ^uint64(0), Max: 0},
-		{ID: ^uint64(0), Op: OpStats},
 		{ID: 8, Op: OpGetV, Key: 42},
 		{ID: 9, Op: OpPutV, Key: 42, VVal: []byte("hello, varlen world")},
 		{ID: 10, Op: OpPutV, Key: 0},
@@ -65,12 +64,6 @@ func responseCases() []Response {
 		{ID: 5, Op: OpPutBatch, Status: StatusOK},
 		{ID: 6, Op: OpScan, Status: StatusOK, Pairs: []KV{{5, 6}, {7, 8}}},
 		{ID: 7, Op: OpScan, Status: StatusOK, Pairs: []KV{}},
-		{ID: 8, Op: OpStats, Status: StatusOK, Stats: &Stats{
-			Ops: 1, Errors: 2, BytesIn: 3, BytesOut: 4, ConnsLive: 5, ConnsTotal: 6,
-			VlogLive: 7, VlogGarbage: 8, VlogReclaimed: 9,
-			ReadP50: 10, ReadP99: 11, WriteP50: 12, WriteP99: 13, ScanP50: 14, ScanP99: 15,
-			Shed: 16, IdleCloses: 17, Resets: 18,
-		}},
 		{ID: 9, Op: OpPut, Status: StatusErr, Msg: "shard 3: arena exhausted"},
 		{ID: 10, Op: OpGet, Status: StatusClosed, Msg: "store: closed"},
 		{ID: 11, Op: OpPut, Status: StatusErr, Msg: ""},
@@ -263,7 +256,7 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 		{"get trailing bytes", append(make([]byte, 8), byte(OpGet), 0, 0, 0, 0, 0, 0, 0, 0, 99)},
 		{"batch short count", append(make([]byte, 8), byte(OpPutBatch), 1)},
 		{"batch count lies", append(append(make([]byte, 8), byte(OpPutBatch)), 0xff, 0xff, 0xff, 0xff)},
-		{"stats with payload", append(make([]byte, 8), byte(OpStats), 1)},
+		{"retired opcode 6", append(make([]byte, 8), 6)},
 		{"getv without key", append(make([]byte, 8), byte(OpGetV), 1, 2)},
 		{"getv trailing bytes", append(make([]byte, 8), byte(OpGetV), 0, 0, 0, 0, 0, 0, 0, 0, 99)},
 		{"putv short key", append(make([]byte, 8), byte(OpPutV), 1, 2, 3)},
@@ -292,6 +285,27 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := DecodeRequest(tc.body); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, err)
+		}
+	}
+}
+
+// TestRetiredOpcodeIsUnknown: opcode 6, the retired Stats frame, is as
+// unknown as opcode 99 to the response decoder and to both encoders
+// (TestDecodeRequestRejectsGarbage covers the request decoder). Its
+// neighbours keep their numbers.
+func TestRetiredOpcodeIsUnknown(t *testing.T) {
+	if OpScan != 5 || OpGetV != 7 || OpTxn != 14 {
+		t.Fatalf("opcodes renumbered: Scan %d GetV %d Txn %d, want 5 7 14", OpScan, OpGetV, OpTxn)
+	}
+	for _, op := range []Op{6, 99} {
+		if _, err := DecodeResponse(append(make([]byte, 8), byte(op), byte(StatusOK))); !errors.Is(err, ErrMalformed) {
+			t.Errorf("DecodeResponse(op %d): err = %v, want ErrMalformed", op, err)
+		}
+		if _, err := AppendRequest(nil, &Request{Op: op}); err == nil {
+			t.Errorf("AppendRequest(op %d) encoded", op)
+		}
+		if _, err := AppendResponse(nil, &Response{Op: op, Status: StatusOK}); err == nil {
+			t.Errorf("AppendResponse(op %d) encoded", op)
 		}
 	}
 }
