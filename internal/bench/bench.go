@@ -1,7 +1,7 @@
 // Package bench drives every index implementation through the public
-// index.Index interface and regenerates the paper's figures as text tables
-// (see cmd/benchfig and the per-experiment index in DESIGN.md). Kind
-// dispatch lives in the index registry; this package only shapes workloads.
+// index.Index interface and regenerates the paper's figures as text tables,
+// which cmd/benchfig prints. Kind dispatch lives in the index registry;
+// this package only shapes workloads.
 package bench
 
 import (

@@ -64,7 +64,7 @@ func Fig3(n int) *Table {
 		probe[i] = keys[i%len(keys)]
 	}
 	for _, ns := range []int{256, 512, 1024, 2048, 4096} {
-		row := []string{fmt.Sprintf("%dB", ns)}
+		var ins, srch []string // linear, then binary
 		for _, binary := range []bool{false, true} {
 			p := pmem.New(pmem.Config{Size: poolFor(n)})
 			th := p.NewThread()
@@ -72,22 +72,17 @@ func Fig3(n int) *Table {
 			if err != nil {
 				panic(err)
 			}
-			ins, err := Load(tr, th, keys)
+			el, err := Load(tr, th, keys)
 			if err != nil {
 				panic(err)
 			}
-			srch, err := SearchAll(tr, th, probe)
-			if err != nil {
+			ins = append(ins, usPerOp(el, n))
+			if el, err = SearchAll(tr, th, probe); err != nil {
 				panic(err)
 			}
-			row = append(row, usPerOp(ins, n))
-			_ = srch
-			row = append(row, "")
-			// Temporarily stash search; fill after both columns known.
-			row[len(row)-1] = usPerOp(srch, n)
+			srch = append(srch, usPerOp(el, n))
 		}
-		// Reorder: ins-lin, ins-bin, search-lin, search-bin.
-		tbl.Rows = append(tbl.Rows, []string{row[0], row[1], row[3], row[2], row[4]})
+		tbl.Rows = append(tbl.Rows, append(append([]string{fmt.Sprintf("%dB", ns)}, ins...), srch...))
 	}
 	return tbl
 }
@@ -153,6 +148,9 @@ func Fig4(n int) *Table {
 // fig5Kinds is the Figure 5 series: F, L, P, W, O, S.
 var fig5Kinds = []index.Kind{index.FastFair, index.FastFairLogging, index.FPTree, index.WBTree, index.WORT, index.SkipList}
 
+// fig5Lats is the latency axis of Figures 5(a)-(c).
+var fig5Lats = []time.Duration{0, 120 * time.Nanosecond, 300 * time.Nanosecond, 600 * time.Nanosecond, 900 * time.Nanosecond}
+
 // Fig5a reproduces Figure 5(a): single-threaded insertion time broken into
 // clflush / search / node-update, sweeping symmetric PM latency.
 func Fig5a(n int) *Table {
@@ -162,7 +160,7 @@ func Fig5a(n int) *Table {
 		Notes:  "expected shape: F/P/O comparable and ahead of W and S; clflush share grows with latency; L trails F by ~7-18%",
 	}
 	keys := Keys(n, 4)
-	for _, lat := range []time.Duration{0, 120 * time.Nanosecond, 300 * time.Nanosecond, 600 * time.Nanosecond, 900 * time.Nanosecond} {
+	for _, lat := range fig5Lats {
 		for _, k := range fig5Kinds {
 			ix, th, err := index.New(k,
 				pmem.Config{Size: poolFor(n), ReadLatency: lat, WriteLatency: lat},
@@ -197,27 +195,9 @@ func Fig5b(n int) *Table {
 		Header: append([]string{"read-latency"}, kindNames(AllSingleThreaded)...),
 		Notes:  "expected shape: FP-tree edges ahead at >=600ns (volatile inner nodes); WORT and SkipList degrade fastest (pointer chasing)",
 	}
-	keys := Keys(n, 5)
-	for _, lat := range []time.Duration{0, 120 * time.Nanosecond, 300 * time.Nanosecond, 600 * time.Nanosecond, 900 * time.Nanosecond} {
-		row := []string{lat.String()}
-		for _, k := range AllSingleThreaded {
-			ix, th, err := index.New(k,
-				pmem.Config{Size: poolFor(n), ReadLatency: lat},
-				index.Options{InlineValues: true})
-			if err != nil {
-				panic(err)
-			}
-			if _, err := Load(ix, th, keys); err != nil {
-				panic(err)
-			}
-			el, err := SearchAll(ix, th, keys)
-			if err != nil {
-				panic(err)
-			}
-			row = append(row, usPerOp(el, n))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
+	sweep(tbl, fig5Lats, AllSingleThreaded, Keys(n, 5), true, func(lat time.Duration) pmem.Config {
+		return pmem.Config{Size: poolFor(n), ReadLatency: lat}
+	}, nil)
 	return tbl
 }
 
@@ -229,24 +209,9 @@ func Fig5c(n int) *Table {
 		Header: append([]string{"write-latency"}, kindNames(fig5Kinds)...),
 		Notes:  "expected shape: WORT overtakes everything as flush count dominates; FAST+FAIR beats L, P, W, S throughout",
 	}
-	keys := Keys(n, 6)
-	for _, lat := range []time.Duration{0, 120 * time.Nanosecond, 300 * time.Nanosecond, 600 * time.Nanosecond, 900 * time.Nanosecond} {
-		row := []string{lat.String()}
-		for _, k := range fig5Kinds {
-			ix, th, err := index.New(k,
-				pmem.Config{Size: poolFor(n), WriteLatency: lat},
-				index.Options{InlineValues: true})
-			if err != nil {
-				panic(err)
-			}
-			el, err := Load(ix, th, keys)
-			if err != nil {
-				panic(err)
-			}
-			row = append(row, usPerOp(el, n))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
+	sweep(tbl, fig5Lats, fig5Kinds, Keys(n, 6), false, func(lat time.Duration) pmem.Config {
+		return pmem.Config{Size: poolFor(n), WriteLatency: lat}
+	}, nil)
 	return tbl
 }
 
@@ -254,36 +219,52 @@ func Fig5c(n int) *Table {
 // a non-TSO machine (store fences cost BarrierLatency; wB+-tree and FP-tree
 // limited to 256B nodes as on the paper's 4-byte-word ARM testbed).
 func Fig5d(n int) *Table {
-	kinds := AllSingleThreaded
 	tbl := &Table{
 		Title:  fmt.Sprintf("Figure 5(d): insert time vs write latency, non-TSO (usec/op), %d keys", n),
-		Header: append([]string{"write-latency"}, kindNames(kinds)...),
+		Header: append([]string{"write-latency"}, kindNames(AllSingleThreaded)...),
 		Notes:  "expected shape: FAST+FAIR loses at DRAM speed (it fences every store) but wins as write latency grows",
 	}
-	keys := Keys(n, 7)
-	for _, lat := range []time.Duration{0, 700 * time.Nanosecond, 1000 * time.Nanosecond, 1300 * time.Nanosecond, 1600 * time.Nanosecond} {
+	lats := []time.Duration{0, 700 * time.Nanosecond, 1000 * time.Nanosecond, 1300 * time.Nanosecond, 1600 * time.Nanosecond}
+	sweep(tbl, lats, AllSingleThreaded, Keys(n, 7), false, func(lat time.Duration) pmem.Config {
+		return pmem.Config{Size: poolFor(n), WriteLatency: lat, Model: pmem.NonTSO,
+			BarrierLatency: 30 * time.Nanosecond}
+	}, func(k index.Kind) int {
+		if k == index.WBTree || k == index.FPTree {
+			return 256
+		}
+		return 0
+	})
+	return tbl
+}
+
+// sweep adds one row per latency to tbl, led by the latency, with one
+// usec/op cell per kind: the time to load keys into a fresh index on
+// mem(lat), or with search set the time to then look every key up. A nil
+// nodeSize leaves every kind at its default node size.
+func sweep(tbl *Table, lats []time.Duration, kinds []index.Kind, keys []uint64, search bool,
+	mem func(lat time.Duration) pmem.Config, nodeSize func(index.Kind) int) {
+	for _, lat := range lats {
 		row := []string{lat.String()}
 		for _, k := range kinds {
-			ns := 0
-			if k == index.WBTree || k == index.FPTree {
-				ns = 256
+			opts := index.Options{InlineValues: true}
+			if nodeSize != nil {
+				opts.NodeSize = nodeSize(k)
 			}
-			ix, th, err := index.New(k,
-				pmem.Config{Size: poolFor(n), WriteLatency: lat, Model: pmem.NonTSO,
-					BarrierLatency: 30 * time.Nanosecond},
-				index.Options{NodeSize: ns, InlineValues: true})
+			ix, th, err := index.New(k, mem(lat), opts)
 			if err != nil {
 				panic(err)
 			}
 			el, err := Load(ix, th, keys)
+			if err == nil && search {
+				el, err = SearchAll(ix, th, keys)
+			}
 			if err != nil {
 				panic(err)
 			}
-			row = append(row, usPerOp(el, n))
+			row = append(row, usPerOp(el, len(keys)))
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
-	return tbl
 }
 
 // Fig7 reproduces Figure 7: throughput with varying thread counts for the

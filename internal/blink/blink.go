@@ -12,7 +12,6 @@ package blink
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/pmem"
@@ -26,9 +25,6 @@ const (
 	offLock     = 32
 	offLowKey   = 40
 	headerBytes = 64
-
-	writerBit = uint64(1)
-	readerInc = uint64(2)
 )
 
 // Options configures a Tree.
@@ -98,45 +94,6 @@ func (t *Tree) lowKey(th *pmem.Thread, n int64) uint64     { return th.Load(n + 
 // Stores are volatile-style plain stores: B-link persists nothing.
 func (t *Tree) store(th *pmem.Thread, off int64, v uint64) { th.StoreVolatile(off, v) }
 
-// --- latches ---------------------------------------------------------------
-
-func pause(spins int) {
-	if spins%64 == 63 {
-		runtime.Gosched()
-	}
-}
-
-func (t *Tree) rlock(th *pmem.Thread, n int64) {
-	for s := 0; ; s++ {
-		v := th.LoadVolatile(n + offLock)
-		if v&writerBit == 0 && th.CASVolatile(n+offLock, v, v+readerInc) {
-			return
-		}
-		pause(s)
-	}
-}
-
-func (t *Tree) runlock(th *pmem.Thread, n int64) {
-	for s := 0; ; s++ {
-		v := th.LoadVolatile(n + offLock)
-		if th.CASVolatile(n+offLock, v, v-readerInc) {
-			return
-		}
-		pause(s)
-	}
-}
-
-func (t *Tree) wlock(th *pmem.Thread, n int64) {
-	for s := 0; ; s++ {
-		if th.LoadVolatile(n+offLock) == 0 && th.CASVolatile(n+offLock, 0, writerBit) {
-			return
-		}
-		pause(s)
-	}
-}
-
-func (t *Tree) wunlock(th *pmem.Thread, n int64) { th.StoreVolatile(n+offLock, 0) }
-
 // --- search ------------------------------------------------------------------
 
 // lowerBound returns the first index with key(n,i) >= k (binary search —
@@ -159,18 +116,18 @@ func (t *Tree) lowerBound(th *pmem.Thread, n int64, k uint64) int {
 func (t *Tree) descendToLeaf(th *pmem.Thread, key uint64) int64 {
 	n := t.pool.Root(th, t.opts.RootSlot)
 	for {
-		t.rlock(th, n)
+		th.RLatch(n + offLock)
 		if sib := t.sibling(th, n); sib != 0 && key >= t.lowKey(th, sib) {
-			t.runlock(th, n)
+			th.RUnlatch(n + offLock)
 			n = sib
 			continue
 		}
 		if t.level(th, n) == 0 {
-			t.runlock(th, n)
+			th.RUnlatch(n + offLock)
 			return n
 		}
 		child := t.route(th, n, key)
-		t.runlock(th, n)
+		th.RUnlatch(n + offLock)
 		n = child
 	}
 }
@@ -191,9 +148,9 @@ func (t *Tree) route(th *pmem.Thread, n int64, key uint64) int64 {
 func (t *Tree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 	n := t.descendToLeaf(th, key)
 	for {
-		t.rlock(th, n)
+		th.RLatch(n + offLock)
 		if sib := t.sibling(th, n); sib != 0 && key >= t.lowKey(th, sib) {
-			t.runlock(th, n)
+			th.RUnlatch(n + offLock)
 			n = sib
 			continue
 		}
@@ -203,7 +160,7 @@ func (t *Tree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 		if found {
 			v = t.val(th, n, i)
 		}
-		t.runlock(th, n)
+		th.RUnlatch(n + offLock)
 		return v, found
 	}
 }
@@ -213,7 +170,7 @@ func (t *Tree) Insert(th *pmem.Thread, key, val uint64) error {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 	n := t.descendToLeaf(th, key)
-	t.wlock(th, n)
+	th.Latch(n + offLock)
 	n = t.moveRightLocked(th, n, key)
 	th.BeginPhase(pmem.PhaseUpdate)
 	return t.insertLocked(th, n, 0, key, val)
@@ -225,8 +182,8 @@ func (t *Tree) moveRightLocked(th *pmem.Thread, n int64, key uint64) int64 {
 		if sib == 0 || key < t.lowKey(th, sib) {
 			return n
 		}
-		t.wunlock(th, n)
-		t.wlock(th, sib)
+		th.Unlatch(n + offLock)
+		th.Latch(sib + offLock)
 		n = sib
 	}
 }
@@ -237,7 +194,7 @@ func (t *Tree) insertLocked(th *pmem.Thread, n int64, level int, key, val uint64
 	i := t.lowerBound(th, n, key)
 	if i < cnt && t.key(th, n, i) == key {
 		t.store(th, recOff(n, i)+8, val)
-		t.wunlock(th, n)
+		th.Unlatch(n + offLock)
 		return nil
 	}
 	if cnt < t.cap {
@@ -248,7 +205,7 @@ func (t *Tree) insertLocked(th *pmem.Thread, n int64, level int, key, val uint64
 		t.store(th, recOff(n, i), key)
 		t.store(th, recOff(n, i)+8, val)
 		t.store(th, n+offCount, uint64(cnt+1))
-		t.wunlock(th, n)
+		th.Unlatch(n + offLock)
 		return nil
 	}
 	return t.split(th, n, level, key, val)
@@ -261,7 +218,7 @@ func (t *Tree) split(th *pmem.Thread, n int64, level int, key, val uint64) error
 	sepKey := t.key(th, n, median)
 	sib, err := t.allocNode(th, level)
 	if err != nil {
-		t.wunlock(th, n)
+		th.Unlatch(n + offLock)
 		return err
 	}
 	t.store(th, sib+offLowKey, sepKey)
@@ -301,7 +258,7 @@ func (t *Tree) split(th *pmem.Thread, n int64, level int, key, val uint64) error
 		t.store(th, recOff(sib, i)+8, val)
 		t.store(th, sib+offCount, uint64(scnt+1))
 	}
-	t.wunlock(th, n)
+	th.Unlatch(n + offLock)
 	return t.insertParent(th, n, level, sepKey, sib)
 }
 
@@ -329,27 +286,26 @@ func (t *Tree) insertParent(th *pmem.Thread, child int64, level int, sepKey uint
 			return nil
 		}
 		if t.level(th, root) <= level {
-			pause(1)
-			continue
+			continue // a root grow for our level is in flight elsewhere
 		}
 		p := root
 		for t.level(th, p) > level+1 {
-			t.rlock(th, p)
+			th.RLatch(p + offLock)
 			if s := t.sibling(th, p); s != 0 && sepKey >= t.lowKey(th, s) {
-				t.runlock(th, p)
+				th.RUnlatch(p + offLock)
 				p = s
 				continue
 			}
 			c := t.route(th, p, sepKey)
-			t.runlock(th, p)
+			th.RUnlatch(p + offLock)
 			p = c
 		}
-		t.wlock(th, p)
+		th.Latch(p + offLock)
 		p = t.moveRightLocked(th, p, sepKey)
 		// Dedup: the separator may already be present.
 		i := t.lowerBound(th, p, sepKey)
 		if i < t.count(th, p) && t.key(th, p, i) == sepKey {
-			t.wunlock(th, p)
+			th.Unlatch(p + offLock)
 			return nil
 		}
 		return t.insertLocked(th, p, level+1, sepKey, uint64(sib))
@@ -362,13 +318,13 @@ func (t *Tree) Delete(th *pmem.Thread, key uint64) bool {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 	n := t.descendToLeaf(th, key)
-	t.wlock(th, n)
+	th.Latch(n + offLock)
 	n = t.moveRightLocked(th, n, key)
 	th.BeginPhase(pmem.PhaseUpdate)
 	cnt := t.count(th, n)
 	i := t.lowerBound(th, n, key)
 	if i >= cnt || t.key(th, n, i) != key {
-		t.wunlock(th, n)
+		th.Unlatch(n + offLock)
 		return false
 	}
 	for j := i; j < cnt-1; j++ {
@@ -376,7 +332,7 @@ func (t *Tree) Delete(th *pmem.Thread, key uint64) bool {
 		t.store(th, recOff(n, j)+8, t.val(th, n, j+1))
 	}
 	t.store(th, n+offCount, uint64(cnt-1))
-	t.wunlock(th, n)
+	th.Unlatch(n + offLock)
 	return true
 }
 
@@ -387,7 +343,7 @@ func (t *Tree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) boo
 	var keys, vals []uint64
 	last, first := lo, true
 	for n != 0 {
-		t.rlock(th, n)
+		th.RLatch(n + offLock)
 		cnt := t.count(th, n)
 		keys, vals = keys[:0], vals[:0]
 		for i := 0; i < cnt; i++ {
@@ -399,7 +355,7 @@ func (t *Tree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) boo
 		if sib != 0 {
 			fence = t.lowKey(th, sib)
 		}
-		t.runlock(th, n)
+		th.RUnlatch(n + offLock)
 		for i, k := range keys {
 			if k < lo || k > hi || (!first && k <= last) {
 				continue

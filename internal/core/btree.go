@@ -25,8 +25,13 @@ type Options struct {
 	// protocol (it cannot honour the scan-direction rule), so it is for
 	// single-threaded use only — it exists to reproduce Figure 3.
 	BinarySearch bool
-	// LoggedSplit replaces FAIR with legacy redo-logged splits (the
-	// FAST+Logging baseline of Figure 5).
+	// LoggedSplit replaces FAIR with legacy redo-logged splits, the
+	// FAST+Logging baseline ("L") of Figure 5: in-node updates still use
+	// FAST, but each split first saves the node's pre-split image in a
+	// pmem.ImageLog anchored at root slot RootSlot+4, so RootSlot must be
+	// <= 3. Recovery restores a committed image, which may orphan a
+	// sibling already linked: with the volatile allocator that is a leak,
+	// not a correctness problem.
 	LoggedSplit bool
 	// InlineValues stores values directly in leaf records instead of
 	// boxing them into arena cells. This is the paper's own setup — leaf
@@ -49,6 +54,9 @@ func (o *Options) fill() error {
 	if o.RootSlot < 0 || o.RootSlot > 7 {
 		return fmt.Errorf("%w: RootSlot %d out of range", ErrBadOptions, o.RootSlot)
 	}
+	if o.LoggedSplit && o.RootSlot > 3 {
+		return fmt.Errorf("%w: LoggedSplit requires RootSlot <= 3", ErrBadOptions)
+	}
 	return nil
 }
 
@@ -65,7 +73,7 @@ type BTree struct {
 	maxEntries int    // slots - 1: the last slot always keeps a zero ptr
 	deadBit    uint64 // 1 on a boxed tree: an odd leaf pointer is a tombstone (node.go)
 	rootMu     sync.Mutex
-	splitLog   int64 // redo-log area for Options.LoggedSplit
+	splitLog   pmem.ImageLog // for Options.LoggedSplit
 
 	// suspect is set while the image may hold what only a crash leaves
 	// behind — a duplicate-pointer pair from an abandoned shift, a FAIR
@@ -86,10 +94,10 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	th.Persist(root.off, int64(t.nodeSize))
+	th.Flush(root.off, int64(t.nodeSize))
 	p.SetRoot(th, opts.RootSlot, root.off)
 	if opts.LoggedSplit {
-		if err := t.initSplitLog(th); err != nil {
+		if t.splitLog, err = pmem.OpenImageLog(p, th, opts.RootSlot+4, int64(t.nodeSize)); err != nil {
 			return nil, err
 		}
 	}
@@ -112,10 +120,11 @@ func Open(p *pmem.Pool, th *pmem.Thread, opts Options) (*BTree, error) {
 		return nil, fmt.Errorf("%w: no tree at root slot %d", ErrCorrupt, opts.RootSlot)
 	}
 	if opts.LoggedSplit {
-		if err := t.initSplitLog(th); err != nil {
+		var err error
+		if t.splitLog, err = pmem.OpenImageLog(p, th, opts.RootSlot+4, int64(t.nodeSize)); err != nil {
 			return nil, err
 		}
-		t.replaySplitLog(th)
+		t.restoreSplitLog(th)
 	}
 	t.suspect.Store(true)
 	return t, nil
@@ -405,7 +414,7 @@ func (t *BTree) readLeaf(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 	boxed := !t.opts.InlineValues
 	for {
 		if t.opts.LeafLocks {
-			t.rlockNode(th, n)
+			th.RLatch(n.off + offLock)
 		}
 		val, found := t.leafFind(th, n, key)
 		if found && boxed {
@@ -420,7 +429,7 @@ func (t *BTree) readLeaf(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 			sib = t.rightOf(th, n, key)
 		}
 		if t.opts.LeafLocks {
-			t.runlockNode(th, n)
+			th.RUnlatch(n.off + offLock)
 		}
 		if found {
 			return val, true
@@ -644,7 +653,7 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 	first := true
 	for n.valid() {
 		if t.opts.LeafLocks {
-			t.rlockNode(th, n)
+			th.RLatch(n.off + offLock)
 		}
 		if boxed {
 			th.Enter()
@@ -654,7 +663,7 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 		fence := t.highKey(th, n) // before the sibling pointer, see node.go
 		sib := t.sibling(th, n)
 		if t.opts.LeafLocks {
-			t.runlockNode(th, n)
+			th.RUnlatch(n.off + offLock)
 		}
 		// Entries at or beyond the high fence are the sibling's to report.
 		// A leaf holds such entries between a split's high-key store and

@@ -228,7 +228,7 @@ func BenchmarkTreeToggle(b *testing.B) {
 
 // BenchmarkContendedPut hammers a deliberately small key range from a fixed
 // number of writer goroutines so they collide on node latches — the
-// workload the spinlock backoff (pause) exists for.
+// workload the latch backoff (pmem.Thread.Latch) exists for.
 func BenchmarkContendedPut(b *testing.B) {
 	for _, writers := range []int{2, 8} {
 		b.Run(fmt.Sprintf("writers%d", writers), func(b *testing.B) {

@@ -57,20 +57,20 @@ func (t *BTree) upsert(th *pmem.Thread, key, val uint64, wantOld bool) (old uint
 	n := t.latchLeaf(th, key)
 
 	if t.opts.InlineValues && val == 0 {
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		return 0, false, fmt.Errorf("%w: InlineValues forbids zero values", ErrBadOptions)
 	}
 	pr := t.probeLeafLocked(th, n, key)
 	if pr.at >= 0 {
 		th.BeginPhase(pmem.PhaseUpdate)
 		old = t.overwriteLocked(th, n, pr.at, val, wantOld)
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		return old, true, nil
 	}
 	ptr := val
 	if !t.opts.InlineValues {
 		if ptr, err = t.newBox(th, val); err != nil {
-			t.unlockNode(th, n)
+			th.Unlatch(n.off + offLock)
 			return 0, false, err
 		}
 	}
@@ -106,7 +106,7 @@ func (t *BTree) newBox(th *pmem.Thread, val uint64) (uint64, error) {
 		return 0, err
 	}
 	th.Store(off, val)
-	th.Persist(off, 8)
+	th.Flush(off, 8)
 	return uint64(off), nil
 }
 
@@ -124,15 +124,15 @@ func (t *BTree) latchLeaf(th *pmem.Thread, key uint64) node {
 // latch here, redo the truncation, and then put a key of the upper half into
 // the node that has just given that half up.
 func (t *BTree) latchAt(th *pmem.Thread, n node, key uint64) node {
-	t.lockNode(th, n)
+	th.Latch(n.off + offLock)
 	for {
 		t.fixNodeLocked(th, n)
 		sib := t.rightOf(th, n, key)
 		if !sib.valid() {
 			return n
 		}
-		t.unlockNode(th, n)
-		t.lockNode(th, sib)
+		th.Unlatch(n.off + offLock)
+		th.Latch(sib.off + offLock)
 		n = sib
 	}
 }
@@ -214,7 +214,7 @@ func (t *BTree) insertIntoLeaf(th *pmem.Thread, n node, key, ptr uint64, pr leaf
 			val = th.Load(int64(ptr))
 		}
 		t.overwriteLocked(th, n, pr.at, val, false)
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		if !t.opts.InlineValues {
 			t.pool.Free(int64(ptr), 8)
 		}
@@ -251,7 +251,7 @@ func (t *BTree) insertIntoLeaf(th *pmem.Thread, n node, key, ptr uint64, pr leaf
 	default:
 		t.fastInsert(th, n, key, ptr, pr.cnt)
 	}
-	t.unlockNode(th, n)
+	th.Unlatch(n.off + offLock)
 	return nil
 }
 
@@ -264,7 +264,7 @@ func (t *BTree) insertIntoNode(th *pmem.Thread, n node, level int, key, ptr uint
 	cnt := t.count(th, n)
 	if cnt < t.maxEntries {
 		t.fastInsert(th, n, key, ptr, cnt)
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		return nil
 	}
 	return t.split(th, n, level, key, ptr)
@@ -357,11 +357,17 @@ func (t *BTree) commitSlot(th *pmem.Thread, n node, pos int, key, ptr uint64) {
 // duplicate entries resolve to the same value boxes; after the truncation
 // the separator may be missing from the parent, which the sibling chase
 // hides and Recover repairs.
+//
+// Under Options.LoggedSplit (the FAST+Logging baseline) a redo log of n's
+// pre-split image brackets the body.
 func (t *BTree) split(th *pmem.Thread, n node, level int, key, ptr uint64) error {
 	if t.opts.LoggedSplit {
-		return t.splitLogged(th, n, level, key, ptr)
+		t.splitLog.Save(th, n.off)
 	}
 	sepKey, sib, err := t.splitBody(th, n, level)
+	if t.opts.LoggedSplit {
+		t.splitLog.Clear(th)
+	}
 	if err != nil {
 		return err
 	}
@@ -405,7 +411,7 @@ func (t *BTree) splitBody(th *pmem.Thread, n node, level int) (uint64, node, err
 	if level == 0 {
 		sib, err = t.allocNode(th, 0, 0, medKey)
 		if err != nil {
-			t.unlockNode(th, n)
+			th.Unlatch(n.off + offLock)
 			return 0, node{}, err
 		}
 		for i := median; i < cnt; i++ {
@@ -418,7 +424,7 @@ func (t *BTree) splitBody(th *pmem.Thread, n node, level int) (uint64, node, err
 		// its key the separator; it lives on in neither entry list.
 		sib, err = t.allocNode(th, level, t.ptrAt(th, n, median), medKey)
 		if err != nil {
-			t.unlockNode(th, n)
+			th.Unlatch(n.off + offLock)
 			return 0, node{}, err
 		}
 		for i := median + 1; i < cnt; i++ {
@@ -430,7 +436,7 @@ func (t *BTree) splitBody(th *pmem.Thread, n node, level int) (uint64, node, err
 	th.Store(sib.off+offSibling, uint64(t.sibling(th, n).off))
 	th.Store(sib.off+offHighKey, t.highKey(th, n))
 	t.setLastIdxHint(th, sib, scnt)
-	th.Persist(sib.off, int64(t.nodeSize))
+	th.Flush(sib.off, int64(t.nodeSize))
 
 	// Link, then lower the high key, one flush for both header words: no
 	// reader and no crash image sees the lowered fence without the link.
@@ -445,7 +451,7 @@ func (t *BTree) splitBody(th *pmem.Thread, n node, level int) (uint64, node, err
 	t.storePtr(th, n, median, 0) // truncate: single atomic store
 	th.Flush(t.slotOff(n, median)+8, 8)
 	t.setLastIdxHint(th, n, median)
-	t.unlockNode(th, n)
+	th.Unlatch(n.off + offLock)
 
 	return medKey, sib, nil
 }
@@ -471,15 +477,13 @@ func (t *BTree) insertParent(th *pmem.Thread, child node, level int, sepKey uint
 			t.storeKey(th, nr, 0, sepKey)
 			t.storePtr(th, nr, 0, sibPtr)
 			t.setLastIdxHint(th, nr, 1)
-			th.Persist(nr.off, int64(t.nodeSize))
+			th.Flush(nr.off, int64(t.nodeSize))
 			t.pool.SetRoot(th, t.opts.RootSlot, nr.off)
 			t.rootMu.Unlock()
 			return nil
 		}
 		if t.level(th, root) <= level {
-			// A root grow for our level is in flight elsewhere.
-			pause(1)
-			continue
+			continue // a root grow for our level is in flight elsewhere
 		}
 
 		p := root
@@ -494,7 +498,7 @@ func (t *BTree) insertParent(th *pmem.Thread, child node, level int, sepKey uint
 		if t.hasChildLocked(th, p, sibPtr) {
 			// Another writer (or recovery) beat us to it — the
 			// paper's "only one of them will succeed".
-			t.unlockNode(th, p)
+			th.Unlatch(p.off + offLock)
 			return nil
 		}
 		return t.insertIntoNode(th, p, level+1, sepKey, sibPtr)

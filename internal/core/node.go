@@ -32,7 +32,8 @@ import (
 //	word 3  switch    op-direction counter: even = last op was an insert
 //	                  (readers scan left→right), odd = delete (right→left)
 //	word 4  lastIdx   volatile entry-count hint; never trusted after crash
-//	word 5  lock      volatile reader/writer spinlock word
+//	word 5  lock      volatile pmem latch word (Thread.Latch): writers
+//	                  latch, LeafLock readers share; recovery re-zeroes it
 //	word 6  lowKey    low fence key (B-link): smallest key this node may
 //	                  hold; immutable once set
 //	word 7  highKey   high fence key: a copy of the right sibling's lowKey,
@@ -118,9 +119,6 @@ const (
 
 	metaLevelMask = 0xffff
 	metaDeleted   = uint64(1) << 16
-
-	writerBit = uint64(1)
-	readerInc = uint64(2)
 )
 
 // Errors returned by the tree.
@@ -269,47 +267,4 @@ func (t *BTree) allocNode(th *pmem.Thread, level int, leftmost uint64, lowKey ui
 	n := node{off}
 	t.initNode(th, n, level, leftmost, lowKey)
 	return n, nil
-}
-
-// --- volatile node latches ---------------------------------------------
-//
-// Locks are volatile: their words are excluded from the crash model and
-// recovery re-zeroes them. Writers always take the exclusive latch; readers
-// take the shared latch only in LeafLock mode (the serializable variant
-// evaluated as FAST+FAIR+LeafLock in Figure 7).
-
-func (t *BTree) lockNode(th *pmem.Thread, n node) {
-	off := n.off + offLock
-	for spins := 0; ; spins++ {
-		if th.LoadVolatile(off) == 0 && th.CASVolatile(off, 0, writerBit) {
-			return
-		}
-		pause(spins)
-	}
-}
-
-func (t *BTree) unlockNode(th *pmem.Thread, n node) {
-	th.StoreVolatile(n.off+offLock, 0)
-}
-
-func (t *BTree) rlockNode(th *pmem.Thread, n node) {
-	off := n.off + offLock
-	for spins := 0; ; spins++ {
-		v := th.LoadVolatile(off)
-		if v&writerBit == 0 && th.CASVolatile(off, v, v+readerInc) {
-			return
-		}
-		pause(spins)
-	}
-}
-
-func (t *BTree) runlockNode(th *pmem.Thread, n node) {
-	off := n.off + offLock
-	for spins := 0; ; spins++ {
-		v := th.LoadVolatile(off)
-		if th.CASVolatile(off, v, v-readerInc) {
-			return
-		}
-		pause(spins)
-	}
 }

@@ -107,6 +107,14 @@ func (t *BTree) siblingHasKey(th *pmem.Thread, sib node, key uint64) bool {
 	return false
 }
 
+// restoreSplitLog rolls back a logged split that did not complete. The
+// restored image carries the node's latch word as it was when saved, held.
+func (t *BTree) restoreSplitLog(th *pmem.Thread) {
+	if n := t.splitLog.Restore(th); n != 0 {
+		th.StoreVolatile(n+offLock, 0)
+	}
+}
+
 // Recover eagerly repairs the whole tree after a crash: it clears latch
 // words, applies the lazy fixes to every node, zeroes stale slots beyond
 // each terminator, re-attaches dangling siblings to their parents, and
@@ -118,7 +126,7 @@ func (t *BTree) siblingHasKey(th *pmem.Thread, sib node, key uint64) bool {
 // ends the lazy per-write repair pass (see fixNodeLocked).
 func (t *BTree) Recover(th *pmem.Thread) error {
 	if t.opts.LoggedSplit {
-		t.replaySplitLog(th)
+		t.restoreSplitLog(th)
 	}
 
 	// Complete a crashed root split first: the root must not have a
@@ -140,7 +148,7 @@ func (t *BTree) Recover(th *pmem.Thread) error {
 			i++
 		}
 		t.setLastIdxHint(th, nr, i)
-		th.Persist(nr.off, int64(t.nodeSize))
+		th.Flush(nr.off, int64(t.nodeSize))
 		t.pool.SetRoot(th, t.opts.RootSlot, nr.off)
 	}
 

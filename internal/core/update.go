@@ -40,7 +40,7 @@ func (t *BTree) ReplaceIf(th *pmem.Thread, key, old, new uint64) bool {
 
 	pos := t.findPosLocked(th, n, key)
 	if pos < 0 {
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		return false
 	}
 	th.BeginPhase(pmem.PhaseUpdate)
@@ -61,7 +61,7 @@ func (t *BTree) ReplaceIf(th *pmem.Thread, key, old, new uint64) bool {
 			swapped = true
 		}
 	}
-	t.unlockNode(th, n)
+	th.Unlatch(n.off + offLock)
 	return swapped
 }
 
@@ -75,7 +75,7 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 
 	pos := t.findPosLocked(th, n, key)
 	if pos < 0 {
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		return 0, false
 	}
 	box := t.ptrAt(th, n, pos)
@@ -87,7 +87,7 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 		cnt := t.scanBoundFrom(th, n, pos)
 		th.BeginPhase(pmem.PhaseUpdate)
 		t.fastDelete(th, n, pos, cnt)
-		t.unlockNode(th, n)
+		th.Unlatch(n.off + offLock)
 		return box, true
 	}
 	old = th.Load(int64(box))
@@ -95,7 +95,7 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 	// The tombstone is the whole delete: commit store, its line, one fence.
 	t.storePtr(th, n, pos, leafSentinel(n.off))
 	th.Flush(t.slotOff(n, pos)+8, 8)
-	t.unlockNode(th, n)
+	th.Unlatch(n.off + offLock)
 	// The delete is durable and no reader trusts the slot any more, but one
 	// that found the box before the commit store may not have loaded it yet.
 	t.pool.Retire(th, int64(box), 8)

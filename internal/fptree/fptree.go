@@ -10,13 +10,12 @@
 //
 // The original uses Intel TSX to guard inner-node concurrency; Go has no
 // HTM, so a global reader/writer lock over the volatile structure plus
-// per-leaf spinlocks substitutes (see DESIGN.md). The read path still scales
+// exclusive per-leaf pmem latches substitutes. The read path still scales
 // to several threads and saturates the way Figure 7 shows.
 package fptree
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -26,7 +25,7 @@ import (
 const (
 	offBitmap = 0
 	offNext   = 8
-	offLock   = 16 // volatile leaf spinlock
+	offLock   = 16 // volatile leaf latch word (pmem.Thread.Latch)
 	offFP     = 32 // fingerprint bytes
 	offRecs   = 96
 
@@ -86,7 +85,7 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	th.Persist(leaf, t.leafSize)
+	th.Flush(leaf, t.leafSize)
 	p.SetRoot(th, opts.RootSlot, leaf)
 	t.head = leaf
 	t.root = &inner{leaves: []int64{leaf}}
@@ -135,7 +134,7 @@ func (t *Tree) initLog(th *pmem.Thread) error {
 		if err != nil {
 			return err
 		}
-		th.Persist(off, 24)
+		th.Flush(off, 24)
 		t.pool.SetRoot(th, slot, off)
 	}
 	t.log = off
@@ -165,25 +164,6 @@ func (t *Tree) setFPByte(th *pmem.Thread, leaf int64, i int, b byte) {
 	th.Store(off, w&^(uint64(0xff)<<sh)|uint64(b)<<sh)
 }
 
-// --- leaf spinlock ---------------------------------------------------------
-
-func (t *Tree) lockLeaf(th *pmem.Thread, leaf int64) {
-	for spins := 0; ; spins++ {
-		if th.LoadVolatile(leaf+offLock) == 0 && th.CASVolatile(leaf+offLock, 0, 1) {
-			return
-		}
-		if spins%64 == 63 {
-			// Hand the P back: with more goroutines than cores the
-			// holder may be preempted, and spinning on cannot let it go.
-			runtime.Gosched()
-		}
-	}
-}
-
-func (t *Tree) unlockLeaf(th *pmem.Thread, leaf int64) {
-	th.StoreVolatile(leaf+offLock, 0)
-}
-
 // --- descent ---------------------------------------------------------------
 
 // findLeaf routes to the leaf covering key. Caller holds t.mu (read or
@@ -204,8 +184,8 @@ func (t *Tree) Get(th *pmem.Thread, key uint64) (uint64, bool) {
 	t.mu.RLock()
 	leaf := t.findLeaf(key)
 	t.mu.RUnlock()
-	t.lockLeaf(th, leaf)
-	defer t.unlockLeaf(th, leaf)
+	th.Latch(leaf + offLock)
+	defer th.Unlatch(leaf + offLock)
 	i := t.probe(th, leaf, key)
 	if i < 0 {
 		return 0, false
@@ -236,7 +216,7 @@ func (t *Tree) Insert(th *pmem.Thread, key, val uint64) error {
 	for {
 		t.mu.RLock()
 		leaf := t.findLeaf(key)
-		t.lockLeaf(th, leaf)
+		th.Latch(leaf + offLock)
 		bm := th.Load(leaf + offBitmap)
 		free := -1
 		for i := 0; i < t.cap; i++ {
@@ -248,7 +228,7 @@ func (t *Tree) Insert(th *pmem.Thread, key, val uint64) error {
 		old := t.probe(th, leaf, key)
 		if free < 0 && old < 0 {
 			// Full: split under the writer lock, then retry.
-			t.unlockLeaf(th, leaf)
+			th.Unlatch(leaf + offLock)
 			t.mu.RUnlock()
 			if err := t.splitLeaf(th, key); err != nil {
 				return err
@@ -274,7 +254,7 @@ func (t *Tree) Insert(th *pmem.Thread, key, val uint64) error {
 			th.Store(leaf+offBitmap, nbm) // atomic commit
 			th.Flush(leaf+offBitmap, 8)
 		}
-		t.unlockLeaf(th, leaf)
+		th.Unlatch(leaf + offLock)
 		t.mu.RUnlock()
 		return nil
 	}
@@ -286,9 +266,9 @@ func (t *Tree) Delete(th *pmem.Thread, key uint64) bool {
 	defer th.EndPhase()
 	t.mu.RLock()
 	leaf := t.findLeaf(key)
-	t.lockLeaf(th, leaf)
+	th.Latch(leaf + offLock)
 	defer func() {
-		t.unlockLeaf(th, leaf)
+		th.Unlatch(leaf + offLock)
 		t.mu.RUnlock()
 	}()
 	i := t.probe(th, leaf, key)
@@ -308,8 +288,8 @@ func (t *Tree) splitLeaf(th *pmem.Thread, key uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leaf := t.findLeaf(key)
-	t.lockLeaf(th, leaf)
-	defer t.unlockLeaf(th, leaf)
+	th.Latch(leaf + offLock)
+	defer th.Unlatch(leaf + offLock)
 
 	bm := th.Load(leaf + offBitmap)
 	type rec struct {
@@ -335,7 +315,7 @@ func (t *Tree) splitLeaf(th *pmem.Thread, key uint64) error {
 	// Micro-log: record the split intent before mutating shared state.
 	th.Store(t.log+8, uint64(leaf))
 	th.Store(t.log+16, uint64(sib))
-	th.Persist(t.log+8, 16)
+	th.Flush(t.log+8, 16)
 	th.Store(t.log, 1)
 	th.Flush(t.log, 8)
 
@@ -351,7 +331,7 @@ func (t *Tree) splitLeaf(th *pmem.Thread, key uint64) error {
 	}
 	th.Store(sib+offBitmap, uint64(1)<<uint(j)-1)
 	th.Store(sib+offNext, th.Load(leaf+offNext))
-	th.Persist(sib, t.leafSize)
+	th.Flush(sib, t.leafSize)
 
 	// Link the sibling, then prune the moved records with one store.
 	th.Store(leaf+offNext, uint64(sib))
@@ -432,7 +412,7 @@ func (t *Tree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) boo
 	type kv struct{ k, v uint64 }
 	var buf []kv
 	for leaf != 0 {
-		t.lockLeaf(th, leaf)
+		th.Latch(leaf + offLock)
 		bm := th.Load(leaf + offBitmap)
 		buf = buf[:0]
 		for i := 0; i < t.cap; i++ {
@@ -441,7 +421,7 @@ func (t *Tree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) boo
 			}
 		}
 		next := int64(th.Load(leaf + offNext))
-		t.unlockLeaf(th, leaf)
+		th.Unlatch(leaf + offLock)
 		sort.Slice(buf, func(a, b int) bool { return buf[a].k < buf[b].k })
 		for _, r := range buf {
 			if r.k < lo {

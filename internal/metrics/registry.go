@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -229,17 +228,4 @@ func (r *Registry) ExpvarFunc() expvar.Func {
 		}
 		return out
 	}
-}
-
-// SeriesNames returns the registered family names, sorted — a testing and
-// smoke-check aid.
-func (r *Registry) SeriesNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -258,7 +258,7 @@ func (p *Pool) SetRoot(t *Thread, slot int, off int64) {
 		panic(fmt.Sprintf("pmem: root slot %d out of range", slot))
 	}
 	t.Store(int64(slot*WordSize), uint64(off))
-	t.Persist(int64(slot*WordSize), WordSize)
+	t.Flush(int64(slot*WordSize), WordSize)
 }
 
 // Root loads a durable root pointer from the pool header.
@@ -292,11 +292,11 @@ func (p *Pool) Clone(retrack bool) *Pool {
 	return newPool(cfg, words, hw)
 }
 
-// AddStats merges a thread's counters into the pool-wide aggregate. Threads
-// call this from Release; harnesses may also call it directly.
-func (p *Pool) AddStats(s Stats) {
+// addStats merges a released thread's counters into the pool-wide
+// aggregate.
+func (p *Pool) addStats(s Stats) {
 	p.statMu.Lock()
-	p.stats.add(s)
+	p.stats.Add(s)
 	p.statMu.Unlock()
 }
 

@@ -44,8 +44,8 @@ type Stats struct {
 	Loads        uint64 // word loads issued
 	Stores       uint64 // word stores issued
 	ChargedReads uint64 // serial line accesses that paid PM read latency
-	FlushedLines uint64 // cache lines written back by Flush/Persist
-	FlushCalls   uint64 // Flush/Persist invocations
+	FlushedLines uint64 // cache lines written back by Flush
+	FlushCalls   uint64 // Flush invocations
 	Fences       uint64 // ordering fences (clflush barriers)
 	StoreFences  uint64 // store-store fences (NonTSO dmb); 0 on TSO
 
@@ -63,7 +63,8 @@ type Stats struct {
 	PhaseTime [numPhases]time.Duration
 }
 
-func (s *Stats) add(o Stats) {
+// Add merges o into s.
+func (s *Stats) Add(o Stats) {
 	s.Loads += o.Loads
 	s.Stores += o.Stores
 	s.ChargedReads += o.ChargedReads
@@ -77,9 +78,6 @@ func (s *Stats) add(o Stats) {
 		s.PhaseTime[i] += o.PhaseTime[i]
 	}
 }
-
-// Add merges o into s.
-func (s *Stats) Add(o Stats) { s.add(o) }
 
 // cacheSlots is the size of the per-thread direct-mapped line-tag cache used
 // by the read-latency model. 4096 lines × 64 B models a 256 KiB slice of
@@ -141,7 +139,7 @@ func (t *Thread) Release() {
 		t.p.reclaim(t)
 	}
 	t.p.unregister(t)
-	t.p.AddStats(t.Stats)
+	t.p.addStats(t.Stats)
 	t.Stats = Stats{}
 }
 
@@ -274,7 +272,7 @@ func (t *Thread) install(line int64) {
 }
 
 // Store performs an 8-byte atomic store. The store lands in the simulated
-// cache: it reaches persistence only via Flush/Persist or (after a crash)
+// cache: it reaches persistence only via Flush or (after a crash)
 // the crash simulator's eviction model.
 func (t *Thread) Store(off int64, val uint64) {
 	t.Stats.Stores++
@@ -320,9 +318,9 @@ func (t *Thread) LoadVolatile(off int64) uint64 {
 	return atomic.LoadUint64(&t.p.words[off/WordSize])
 }
 
-// CASVolatile performs a compare-and-swap on a volatile control word. Like
-// StoreVolatile, it is excluded from the crash model.
-func (t *Thread) CASVolatile(off int64, old, new uint64) bool {
+// casVolatile performs a compare-and-swap on a volatile control word (a
+// latch word). Like StoreVolatile, it is excluded from the crash model.
+func (t *Thread) casVolatile(off int64, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&t.p.words[off/WordSize], old, new)
 }
 
@@ -356,10 +354,6 @@ func (t *Thread) Flush(off, size int64) {
 	t.Stats.Fences++
 	t.p.logFence()
 }
-
-// Persist is Flush; the name documents intent at call sites that persist a
-// freshly initialised object rather than ordering a protocol step.
-func (t *Thread) Persist(off, size int64) { t.Flush(off, size) }
 
 // stall burns CPU for d; the time stays in the open phase. It is the
 // emulator's equivalent of Quartz's injected stall cycles.

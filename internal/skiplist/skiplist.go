@@ -44,7 +44,7 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*List, error) {
 	if err != nil {
 		return nil, err
 	}
-	th.Persist(head, nodeSize)
+	th.Flush(head, nodeSize)
 	p.SetRoot(th, opts.RootSlot, head)
 	return &List{pool: p, head: head, slot: opts.RootSlot}, nil
 }
@@ -130,7 +130,7 @@ func (l *List) Insert(th *pmem.Thread, key, val uint64) error {
 			th.Store(n+offNext+int64(i)*8, uint64(succs[i]))
 		}
 		// The node is fully persistent before it becomes reachable.
-		th.Persist(n, nodeSize)
+		th.Flush(n, nodeSize)
 		// Publish: the bottom-level link is the failure-atomic commit.
 		if !th.CAS(preds[0]+offNext, uint64(cand), uint64(n)) {
 			l.pool.Free(n, nodeSize)
@@ -235,7 +235,7 @@ func (l *List) Recover(th *pmem.Thread) {
 			preds[i] = n
 		}
 	}
-	th.Persist(l.head, nodeSize)
+	th.Flush(l.head, nodeSize)
 }
 
 // CheckInvariants verifies the bottom list is strictly sorted and the index

@@ -193,7 +193,7 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, capBytes int64) (*Log, erro
 	th.Store(hdr+hdrGenWord*pmem.WordSize, genWord(l.gen))
 	th.Store(hdr+hdrCheckWord*pmem.WordSize, ^(magic ^ uint64(region) ^ uint64(capBytes)))
 	th.Store(hdr+hdrMagicWord*pmem.WordSize, magic)
-	th.Persist(hdr, hdrBytes)
+	th.Flush(hdr, hdrBytes)
 	p.SetRoot(th, slot, hdr)
 	return l, nil
 }

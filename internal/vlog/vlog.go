@@ -210,7 +210,7 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, extSize int64) (*Log, error
 	th.Store(hdr+hdrFirstWord*pmem.WordSize, uint64(ext))
 	th.Store(hdr+hdrExtWord*pmem.WordSize, uint64(extSize))
 	th.Store(hdr+hdrMagicWord*pmem.WordSize, logMagic<<32|logVersion)
-	th.Persist(hdr, hdrBytes)
+	th.Flush(hdr, hdrBytes)
 	p.SetRoot(th, slot, hdr)
 	return l, nil
 }
@@ -311,7 +311,7 @@ func (l *Log) allocExtent(th *pmem.Thread, size int64) (int64, error) {
 	}
 	th.Store(off, 0)
 	th.Store(off+pmem.WordSize, uint64(off+size))
-	th.Persist(off, extHdrBytes)
+	th.Flush(off, extHdrBytes)
 	l.capBytes.Add(size - extHdrBytes)
 	return off, nil
 }

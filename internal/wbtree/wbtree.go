@@ -58,7 +58,7 @@ type Tree struct {
 	opts     Options
 	nodeSize int64
 	cap      int
-	logOff   int64
+	log      pmem.ImageLog // split redo log
 }
 
 // New creates an empty tree.
@@ -71,9 +71,9 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	th.Persist(root, t.nodeSize)
+	th.Flush(root, t.nodeSize)
 	p.SetRoot(th, opts.RootSlot, root)
-	if err := t.initLog(th); err != nil {
+	if t.log, err = pmem.OpenImageLog(p, th, opts.RootSlot+4, t.nodeSize); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -88,7 +88,8 @@ func Open(p *pmem.Pool, th *pmem.Thread, opts Options) (*Tree, error) {
 	if p.Root(th, opts.RootSlot) == 0 {
 		return nil, fmt.Errorf("wbtree: no tree at root slot %d", opts.RootSlot)
 	}
-	if err := t.initLog(th); err != nil {
+	var err error
+	if t.log, err = pmem.OpenImageLog(p, th, opts.RootSlot+4, t.nodeSize); err != nil {
 		return nil, err
 	}
 	t.Recover(th)
@@ -108,22 +109,6 @@ func handle(p *pmem.Pool, opts Options) *Tree {
 
 // Pool returns the backing pool.
 func (t *Tree) Pool() *pmem.Pool { return t.pool }
-
-func (t *Tree) initLog(th *pmem.Thread) error {
-	slot := t.opts.RootSlot + 4
-	off := t.pool.Root(th, slot)
-	if off == 0 {
-		var err error
-		off, err = t.pool.Alloc(16+t.nodeSize, pmem.LineSize)
-		if err != nil {
-			return err
-		}
-		th.Persist(off, 16+t.nodeSize)
-		t.pool.SetRoot(th, slot, off)
-	}
-	t.logOff = off
-	return nil
-}
 
 func (t *Tree) allocNode(th *pmem.Thread, level int) (int64, error) {
 	n, err := t.pool.Alloc(t.nodeSize, pmem.LineSize)
@@ -364,22 +349,6 @@ func (t *Tree) Len(th *pmem.Thread) int {
 
 // --- splits (redo-logged) --------------------------------------------------
 
-// logNode snapshots node n into the redo log and commits the log.
-func (t *Tree) logNode(th *pmem.Thread, n int64) {
-	th.Store(t.logOff+8, uint64(n))
-	for w := int64(0); w < t.nodeSize; w += 8 {
-		th.Store(t.logOff+16+w, th.Load(n+w))
-	}
-	th.Persist(t.logOff+8, 8+t.nodeSize)
-	th.Store(t.logOff, 1)
-	th.Flush(t.logOff, 8)
-}
-
-func (t *Tree) clearLog(th *pmem.Thread) {
-	th.Store(t.logOff, 0)
-	th.Flush(t.logOff, 8)
-}
-
 // splitLeaf splits full node n (with sorted indices idx), updates the parent
 // path, and returns the node that should receive key. The pre-split image of
 // n is redo-logged; the sibling is fresh memory needing no log.
@@ -413,7 +382,7 @@ func (t *Tree) splitLeaf(th *pmem.Thread, n int64, path []int64, key uint64, idx
 	t.writeSlotArr(th, sib, sIdx)
 	th.Store(sib+offBitmap, sBm)
 	th.Store(sib+offNext, uint64(t.next(th, n)))
-	th.Persist(sib, t.nodeSize)
+	th.Flush(sib, t.nodeSize)
 
 	// Install the separator in the parent first (may split recursively;
 	// each parent insert is itself crash-atomic). Until n is rewritten
@@ -426,22 +395,27 @@ func (t *Tree) splitLeaf(th *pmem.Thread, n int64, path []int64, key uint64, idx
 
 	// Rewrite n under log protection: drop the moved records, link the
 	// sibling into the leaf chain.
-	t.logNode(th, n)
-	keep := idx[:half]
-	var nBm uint64 = slotValidBit
-	for _, r := range keep {
-		nBm |= uint64(1) << uint(r+1)
-	}
-	t.writeSlotArr(th, n, keep)
-	th.Store(n+offBitmap, nBm)
-	th.Store(n+offNext, uint64(sib))
-	th.Flush(n+offBitmap, 8)
-	th.Flush(n+offNext, 8)
-	t.clearLog(th)
+	t.truncate(th, n, idx[:half], sib)
 	if key < sepKey {
 		return n, t.sortedIdx(th, n, buf), nil
 	}
 	return sib, t.sortedIdx(th, sib, buf), nil
+}
+
+// truncate rewrites node n under the split log to hold only the records
+// keep, linked to next.
+func (t *Tree) truncate(th *pmem.Thread, n int64, keep []int, next int64) {
+	t.log.Save(th, n)
+	var bm uint64 = slotValidBit
+	for _, r := range keep {
+		bm |= uint64(1) << uint(r+1)
+	}
+	t.writeSlotArr(th, n, keep)
+	th.Store(n+offBitmap, bm)
+	th.Store(n+offNext, uint64(next))
+	th.Flush(n+offBitmap, 8)
+	th.Flush(n+offNext, 8)
+	t.log.Clear(th)
 }
 
 func (t *Tree) insertSeparator(th *pmem.Thread, path []int64, sepKey uint64, sib int64) error {
@@ -457,7 +431,7 @@ func (t *Tree) insertSeparator(th *pmem.Thread, path []int64, sepKey uint64, sib
 		th.Store(recOff(nr, 0)+8, uint64(sib))
 		t.writeSlotArr(th, nr, []int{0})
 		th.Store(nr+offBitmap, slotValidBit|1<<1)
-		th.Persist(nr, t.nodeSize)
+		th.Flush(nr, t.nodeSize)
 		t.pool.SetRoot(th, t.opts.RootSlot, nr)
 		return nil
 	}
@@ -477,14 +451,7 @@ func (t *Tree) insertSeparator(th *pmem.Thread, path []int64, sepKey uint64, sib
 
 // Recover replays an unfinished logged split and revalidates slot arrays.
 func (t *Tree) Recover(th *pmem.Thread) {
-	if th.Load(t.logOff) == 1 {
-		n := int64(th.Load(t.logOff + 8))
-		for w := int64(0); w < t.nodeSize; w += 8 {
-			th.Store(n+w, th.Load(t.logOff+16+w))
-		}
-		th.Persist(n, t.nodeSize)
-		t.clearLog(th)
-	}
+	t.log.Restore(th)
 	// Rebuild any slot array left invalid by a crashed insert/delete.
 	t.eachNode(th, func(n int64) {
 		if t.bitmap(th, n)&slotValidBit != 0 {
@@ -517,17 +484,7 @@ func (t *Tree) Recover(th *pmem.Thread) {
 		if len(keep) == len(idx) && t.next(th, n) == leaves[i+1] {
 			continue
 		}
-		t.logNode(th, n)
-		var bm uint64 = slotValidBit
-		for _, r := range keep {
-			bm |= uint64(1) << uint(r+1)
-		}
-		t.writeSlotArr(th, n, keep)
-		th.Store(n+offBitmap, bm)
-		th.Store(n+offNext, uint64(leaves[i+1]))
-		th.Flush(n+offBitmap, 8)
-		th.Flush(n+offNext, 8)
-		t.clearLog(th)
+		t.truncate(th, n, keep, leaves[i+1])
 	}
 }
 

@@ -52,7 +52,7 @@ func New(p *pmem.Pool, th *pmem.Thread, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	th.Store(root, packHeader(0, 0, 0))
-	th.Persist(root, nodeSize)
+	th.Flush(root, nodeSize)
 	p.SetRoot(th, opts.RootSlot, root)
 	return &Tree{pool: p, root: root, slot: opts.RootSlot}, nil
 }
@@ -221,7 +221,7 @@ func (t *Tree) newLeaf(th *pmem.Thread, key, val uint64) (int64, error) {
 	}
 	th.Store(leaf, key)
 	th.Store(leaf+8, val)
-	th.Persist(leaf, leafSize)
+	th.Flush(leaf, leafSize)
 	return leaf, nil
 }
 
@@ -273,7 +273,7 @@ func (t *Tree) buildSplit(th *pmem.Thread, d, cpl int, key uint64, newChild uint
 		}
 		th.Store(childOff(n, nibble(key, d+plen)), sub)
 	}
-	th.Persist(n, nodeSize)
+	th.Flush(n, nodeSize)
 	return uint64(n), nil
 }
 
@@ -297,7 +297,7 @@ func (t *Tree) splitPrefix(th *pmem.Thread, n, parentSlot int64, d, plen int, pr
 	th.Store(p, packHeader(d, j, prefix>>uint((plen-j)*4)))
 	th.Store(childOff(p, nibble(key, d+j)), uint64(leaf)|leafTag)
 	th.Store(childOff(p, prefixNibble(prefix, plen, j)), uint64(n))
-	th.Persist(p, nodeSize)
+	th.Flush(p, nodeSize)
 
 	th.Store(parentSlot, uint64(p)) // commit
 	th.Flush(parentSlot, 8)

@@ -108,10 +108,10 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 		"serial line accesses that paid PM read latency",
 		func() uint64 { return s.Stats().ChargedReads })
 	reg.Counter("pmkv_pmem_flushed_lines_total", "",
-		"cache lines written back by Flush/Persist",
+		"cache lines written back by Flush",
 		func() uint64 { return s.Stats().FlushedLines })
 	reg.Counter("pmkv_pmem_flush_calls_total", "",
-		"Flush/Persist invocations",
+		"Flush invocations",
 		func() uint64 { return s.Stats().FlushCalls })
 	reg.Counter("pmkv_pmem_fences_total", "",
 		"ordering fences issued",
