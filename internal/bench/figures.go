@@ -267,9 +267,15 @@ func sweep(tbl *Table, lats []time.Duration, kinds []index.Kind, keys []uint64, 
 	}
 }
 
+// fig7Trials is the number of trials a Figure 7 cell is the median of.
+const fig7Trials = 9
+
 // Fig7 reproduces Figure 7: throughput with varying thread counts for the
 // three workloads (search / insert / mixed). workload is "search", "insert",
-// or "mixed".
+// or "mixed". Each cell is the median of fig7Trials trials of n/fig7Trials
+// operations on one preloaded index per kind. The kinds take turns trial by
+// trial, so a stretch of host noise lands on every kind's trials alike
+// instead of on one kind's only run.
 func Fig7(workload string, n int, threads []int) *Table {
 	kinds := AllConcurrent
 	if workload == "insert" {
@@ -278,12 +284,14 @@ func Fig7(workload string, n int, threads []int) *Table {
 	tbl := &Table{
 		Title:  fmt.Sprintf("Figure 7 (%s): throughput Kops/sec, %d preloaded keys, write latency 300ns", workload, n),
 		Header: append([]string{"threads"}, kindNames(kinds)...),
-		Notes:  "expected shape: lock-free FAST+FAIR (and +LeafLock) scale furthest; B-link saturates first. NOTE: flat scaling on a single-core host.",
+		Notes: fmt.Sprintf("each cell is the median of %d trials of n/%d ops, kinds interleaved. "+
+			"expected shape: lock-free FAST+FAIR (and +LeafLock) scale furthest; B-link saturates first. "+
+			"NOTE: flat scaling on a single-core host.", fig7Trials, fig7Trials),
 	}
 	preload := Keys(n, 8)
 	for _, nt := range threads {
-		row := []string{fmt.Sprintf("%d", nt)}
-		for _, k := range kinds {
+		ixs := make([]index.Index, len(kinds))
+		for i, k := range kinds {
 			ix, th, err := index.New(k,
 				pmem.Config{Size: 2 * poolFor(n), WriteLatency: 300 * time.Nanosecond},
 				index.Options{InlineValues: true})
@@ -293,39 +301,52 @@ func Fig7(workload string, n int, threads []int) *Table {
 			if _, err := Load(ix, th, preload); err != nil {
 				panic(err)
 			}
-			ops := n // total ops across threads
-			perT := ops / nt
-			var wg sync.WaitGroup
-			t0 := time.Now()
-			for g := 0; g < nt; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					wth := ix.Pool().NewThread()
-					runWorkload(ix, wth, workload, preload, g, perT)
-				}(g)
+			ixs[i] = ix
+		}
+		perT := n / fig7Trials / nt // ops per thread per trial
+		kops := make([][]float64, len(kinds))
+		for trial := range fig7Trials {
+			for i, ix := range ixs {
+				var wg sync.WaitGroup
+				t0 := time.Now()
+				for g := 0; g < nt; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						wth := ix.Pool().NewThread()
+						runWorkload(ix, wth, workload, preload, g, trial*perT, perT)
+					}(g)
+				}
+				wg.Wait()
+				kops[i] = append(kops[i], float64(perT*nt)/time.Since(t0).Seconds()/1000)
 			}
-			wg.Wait()
-			el := time.Since(t0)
-			row = append(row, fmt.Sprintf("%.0f", float64(perT*nt)/el.Seconds()/1000))
+		}
+		row := []string{fmt.Sprintf("%d", nt)}
+		for _, ks := range kops {
+			sort.Float64s(ks)
+			row = append(row, fmt.Sprintf("%.0f", ks[len(ks)/2]))
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
 	return tbl
 }
 
-func runWorkload(ix index.Index, th *pmem.Thread, workload string, preload []uint64, g, ops int) {
+// runWorkload runs operations from..from+ops-1 of one thread's workload
+// stream. Operation i's key depends on i alone, so successive trials that
+// continue one stream insert keys no earlier trial inserted.
+func runWorkload(ix index.Index, th *pmem.Thread, workload string, preload []uint64, g, from, ops int) {
 	n := len(preload)
+	end := from + ops
 	switch workload {
 	case "search":
-		for i := 0; i < ops; i++ {
+		for i := from; i < end; i++ {
 			k := preload[(i*2654435761+g*97)%n]
 			if _, ok := ix.Get(th, k); !ok {
 				panic("preloaded key missing")
 			}
 		}
 	case "insert":
-		for i := 0; i < ops; i++ {
+		for i := from; i < end; i++ {
 			k := uint64(g)<<48 | uint64(i) | 1<<63 // disjoint from preload w.h.p.
 			if err := ix.Insert(th, k, k); err != nil {
 				panic(err)
@@ -333,21 +354,21 @@ func runWorkload(ix index.Index, th *pmem.Thread, workload string, preload []uin
 		}
 	case "mixed":
 		// The paper's per-thread loop: 4 inserts, 16 searches, 1 delete.
-		i := 0
-		for i < ops {
-			for j := 0; j < 4 && i < ops; j++ {
+		i := from
+		for i < end {
+			for j := 0; j < 4 && i < end; j++ {
 				k := uint64(g)<<48 | uint64(i) | 1<<63
 				if err := ix.Insert(th, k, k); err != nil {
 					panic(err)
 				}
 				i++
 			}
-			for j := 0; j < 16 && i < ops; j++ {
+			for j := 0; j < 16 && i < end; j++ {
 				k := preload[(i*2654435761+g*97)%n]
 				ix.Get(th, k)
 				i++
 			}
-			if i < ops {
+			if i < end {
 				k := uint64(g)<<48 | uint64(i/2) | 1<<63
 				ix.Delete(th, k)
 				i++

@@ -674,10 +674,16 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 		// key: one this load missed was stored after the section opened,
 		// and so was every Retire behind it.
 		onward := sib.valid() && fence <= hi // the sibling may hold keys <= hi
+		keys, boxes = inRange(keys, boxes, lo, hi, fence, onward)
+		if boxed {
+			for _, b := range boxes[:min(scanHintAhead, len(boxes))] {
+				hintBox(th, b)
+			}
+		}
 		stop := false
 		for i, k := range keys {
-			if k < lo || k > hi || (onward && k >= fence) {
-				continue
+			if boxed && i+scanHintAhead < len(boxes) {
+				hintBox(th, boxes[i+scanHintAhead])
 			}
 			// Monotonic filter: in-flight splits briefly expose an
 			// entry in both a node and its new sibling.
@@ -702,6 +708,33 @@ func (t *BTree) Scan(th *pmem.Thread, lo, hi uint64, fn func(key, val uint64) bo
 		}
 		n = sib
 	}
+}
+
+// scanHintAhead is how many entries ahead of the box it loads Scan hints a
+// box: the first scanHintAhead of a leaf's entries before its first load,
+// then the one scanHintAhead ahead with each load, so the box loads of a
+// leaf overlap their host misses instead of taking them one at a time.
+const scanHintAhead = 8
+
+// hintBox asks the host to start filling the line holding box b. It is a
+// hint (pmem.Thread.Prefetch): it counts and charges nothing.
+func hintBox(th *pmem.Thread, b uint64) {
+	th.Prefetch(int64(b)&^(pmem.LineSize-1), 1)
+}
+
+// inRange compacts a leaf snapshot, in place and in order, to the entries
+// Scan may hand to fn: keys in [lo, hi] and, when the scan goes on to the
+// sibling, below the leaf's high fence.
+func inRange(keys, boxes []uint64, lo, hi, fence uint64, onward bool) ([]uint64, []uint64) {
+	n := 0
+	for i, k := range keys {
+		if k < lo || k > hi || (onward && k >= fence) {
+			continue
+		}
+		keys[n], boxes[n] = k, boxes[i]
+		n++
+	}
+	return keys[:n], boxes[:n]
 }
 
 // leafCollect snapshots a leaf's valid entries in ascending order: line

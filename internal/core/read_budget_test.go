@@ -121,6 +121,39 @@ func TestReadBudget(t *testing.T) {
 			}
 		}
 	})
+	t.Run("Scan", func(t *testing.T) {
+		tr, keys := budgetTree(t)
+		// A cold range scan is charged the descent's inner headers, one
+		// header per leaf, and one read per box line it comes to out of
+		// sequence (the ascending inserts laid the boxes out in key order,
+		// 8 to a line, between the nodes). Scan's box hints are no reads:
+		// both counts stay where they were before Scan hinted anything.
+		for _, c := range []struct {
+			from, to       int
+			charged, loads uint64
+		}{
+			{37, 38, 4, 105},
+			{0, 100, 17, 684},
+			{500, 700, 34, 1358},
+			{1000, 1999, 157, 6414},
+			{0, 1999, 308, 12636},
+		} {
+			pairs := 0
+			st := statsBy(tr, func(th *pmem.Thread) {
+				tr.Scan(th, keys[c.from], keys[c.to], func(k, v uint64) bool {
+					if v != k+1 {
+						t.Fatalf("Scan handed %d -> %d, want %d", k, v, k+1)
+					}
+					pairs++
+					return true
+				})
+			})
+			if pairs != c.to-c.from+1 || st.ChargedReads != c.charged || st.Loads != c.loads {
+				t.Fatalf("Scan of keys %d..%d: %d pairs, %d charged reads, %d loads; want %d, %d, %d",
+					c.from, c.to, pairs, st.ChargedReads, st.Loads, c.to-c.from+1, c.charged, c.loads)
+			}
+		}
+	})
 	t.Run("Overwrite", func(t *testing.T) {
 		tr, keys := budgetTree(t)
 		for _, k := range keys {

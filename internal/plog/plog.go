@@ -108,22 +108,34 @@ func (f Format) Write(th *pmem.Thread, off int64, meta []uint64, payload []byte)
 	return size
 }
 
+// payloadChunk is the words AppendPayload reads per LoadWords call: a
+// 512-byte stack buffer, so a read allocates nothing beyond dst's growth.
+const payloadChunk = 64
+
 // AppendPayload appends the n-byte payload of the record at off to dst. It
-// grows dst once and loads the payload a word at a time in ascending order,
+// grows dst once and reads the payload's words in ascending order through
+// pmem.Thread.LoadWords, a chunk of up to payloadChunk words per call,
 // storing each whole word with one 8-byte store; only a partial tail word
-// is split into bytes.
+// is split into bytes. The reads count and charge as a per-word Load loop
+// over the same words would.
 func (f Format) AppendPayload(th *pmem.Thread, dst []byte, off int64, n int) []byte {
 	off += int64(1+f.Meta) * pmem.WordSize
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
 	b := dst[start:]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(b[i:], th.Load(off+int64(i)))
-	}
-	if i < n {
-		for w := th.Load(off + int64(i)); i < n; i, w = i+1, w>>8 {
-			b[i] = byte(w)
+	var buf [payloadChunk]uint64
+	for i := 0; i < n; {
+		words := buf[:min((n-i+7)/8, payloadChunk)]
+		th.LoadWords(off+int64(i), words)
+		for _, w := range words {
+			if i+8 > n {
+				for ; i < n; i, w = i+1, w>>8 {
+					b[i] = byte(w)
+				}
+				break
+			}
+			binary.LittleEndian.PutUint64(b[i:], w)
+			i += 8
 		}
 	}
 	return dst
@@ -163,9 +175,7 @@ func (it *Iter) Next() bool {
 	if n < 0 || it.f.Size(n) > it.end-it.Off {
 		return false
 	}
-	for i := range it.Meta {
-		it.Meta[i] = it.th.Load(it.Off + int64(1+i)*pmem.WordSize)
-	}
+	it.th.LoadWords(it.Off+pmem.WordSize, it.Meta)
 	if it.verify {
 		it.buf = it.f.AppendPayload(it.th, it.buf[:0], it.Off, n)
 		if RecordCRC(it.Meta, it.buf) != crc {

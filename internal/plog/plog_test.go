@@ -126,3 +126,41 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadRoundTripUncharged is TestPayloadRoundTrip on a device that
+// charges no reads, where pmem.Thread.LoadWords skips the latency model:
+// the same bytes back for every length from 0 to 72 (and for payloads
+// longer than one LoadWords chunk), the same 1+Meta+⌈n/8⌉ loads, and no
+// charged read.
+func TestPayloadRoundTripUncharged(t *testing.T) {
+	p := pmem.New(pmem.Config{Size: 1 << 16})
+	th := p.NewThread()
+	f := Format{Meta: 1}
+	prefix := []byte("dst:")
+	off := int64(pmem.LineSize + 3*pmem.WordSize)
+	lengths := []int{8*payloadChunk - 1, 8 * payloadChunk, 8*payloadChunk + 9, 3*8*payloadChunk + 5}
+	for n := 0; n <= 72; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(n*31 + i*7 + 1)
+		}
+		f.Write(th, off, []uint64{uint64(n)}, payload)
+		before := th.Stats.Loads
+		th.Load(off)
+		th.Load(off + pmem.WordSize)
+		got := f.AppendPayload(th, append([]byte(nil), prefix...), off, n)
+		if !bytes.Equal(got, append(append([]byte(nil), prefix...), payload...)) {
+			t.Fatalf("n=%d: AppendPayload = %q", n, got)
+		}
+		if loads, want := th.Stats.Loads-before, uint64(1+f.Meta+(n+7)/8); loads != want {
+			t.Errorf("n=%d: %d loads, want %d", n, loads, want)
+		}
+		off += f.Size(n) + pmem.WordSize
+	}
+	if th.Stats.ChargedReads != 0 {
+		t.Errorf("%d charged reads on an uncharged device", th.Stats.ChargedReads)
+	}
+}

@@ -63,6 +63,7 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,13 +162,19 @@ type Pool struct {
 }
 
 // New creates a pool of the configured size. The arena is zeroed, which is
-// the persistent image of an empty device.
+// the persistent image of an empty device; it is mapped outside the Go heap
+// and unmapped once the pool is unreachable (arena.go).
 func New(cfg Config) *Pool {
 	if cfg.Size < headerWords*WordSize {
 		cfg.Size = headerWords * WordSize
 	}
 	lines := (cfg.Size + LineSize - 1) / LineSize
-	return newPool(cfg, make([]uint64, lines*LineSize/WordSize), headerWords*WordSize)
+	words, unmap := newArena(lines * WordsPerLine)
+	p := newPool(cfg, words, headerWords*WordSize)
+	if unmap != nil {
+		runtime.AddCleanup(p, func(unmap func()) { unmap() }, unmap)
+	}
+	return p
 }
 
 // newPool builds a pool over words, its one arena, with the bump pointer at

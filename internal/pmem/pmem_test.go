@@ -392,6 +392,66 @@ func TestLoadLineAccounting(t *testing.T) {
 	}
 }
 
+// TestLoadWordsMatchesWordLoop: one LoadWords is the ascending per-word
+// Load loop over the same span, on a device that charges reads and on one
+// that does not: the same words, the same Loads and ChargedReads, and the
+// latency model left in the same state, so a Load that follows is charged
+// alike. Spans start anywhere in a line and cross up to three line
+// boundaries; a span past the arena panics.
+func TestLoadWordsMatchesWordLoop(t *testing.T) {
+	for _, lat := range []time.Duration{0, 300 * time.Nanosecond} {
+		p := newTestPool(t, Config{ReadLatency: lat})
+		off, _ := p.Alloc(1<<16, LineSize)
+		w := p.NewThread()
+		for i := int64(0); i < 1<<13; i++ {
+			w.Store(off+i*WordSize, uint64(i*7+1))
+		}
+		for _, start := range []int64{0, 3, 7, 8, 13} {
+			for _, n := range []int{0, 1, 2, 5, 8, 9, 17, 31} {
+				from := off + 4096 + start*WordSize
+				// Both threads first touch the same two lines, so the
+				// span meets a warm tag and a last-line neighbour.
+				ref, th := p.NewThread(), p.NewThread()
+				for _, x := range []*Thread{ref, th} {
+					x.Load(from + 2*LineSize)
+					x.Load(from - LineSize)
+				}
+				want := make([]uint64, n)
+				for i := range want {
+					want[i] = ref.Load(from + int64(i)*WordSize)
+				}
+				got := make([]uint64, n)
+				th.LoadWords(from, got)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v start %d n %d: word %d = %d, want %d", lat, start, n, i, got[i], want[i])
+					}
+				}
+				if th.Stats != ref.Stats || th.lastLine != ref.lastLine || th.tags != ref.tags {
+					t.Fatalf("%v start %d n %d: LoadWords left stats %+v, word loop %+v (or a different model state)",
+						lat, start, n, th.Stats, ref.Stats)
+				}
+				for _, next := range []int64{from + int64(n)*WordSize, from + 3*LineSize, from + 9*LineSize} {
+					ref.Load(next)
+					th.Load(next)
+					if th.Stats.ChargedReads != ref.Stats.ChargedReads {
+						t.Fatalf("%v start %d n %d: Load(%d) after LoadWords charged %d, after the loop %d",
+							lat, start, n, next-from, th.Stats.ChargedReads, ref.Stats.ChargedReads)
+					}
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: LoadWords past the arena did not panic", lat)
+				}
+			}()
+			w.LoadWords(p.Size()-WordSize, make([]uint64, 2))
+		}()
+	}
+}
+
 func TestFlushStallAttribution(t *testing.T) {
 	p := newTestPool(t, Config{WriteLatency: 200 * time.Microsecond})
 	th := p.NewThread()

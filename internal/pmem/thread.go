@@ -224,6 +224,28 @@ func (t *Thread) LoadLineRev(off int64, dst *[WordsPerLine]uint64) {
 	}
 }
 
+// LoadWords performs latency-modelled 8-byte atomic loads of the len(dst)
+// words from off, in ascending address order, into dst. off must be 8-byte
+// aligned, and a span past the end of the arena panics. It is the word loop
+// `for i := range dst { dst[i] = t.Load(off + 8*i) }` in one call: Loads
+// grows by len(dst) at once and each line the span touches is charged once,
+// in ascending order, so ChargedReads and the latency model's state end as
+// the loop leaves them (its repeat loads of a line are free by the
+// same-line rule). Like LoadLine, the snapshot is word-atomic only.
+func (t *Thread) LoadWords(off int64, dst []uint64) {
+	w := off / WordSize
+	src := t.p.words[w : w+int64(len(dst))]
+	t.Stats.Loads += uint64(len(dst))
+	if t.p.cfg.ReadLatency > 0 && len(dst) > 0 {
+		for ln, last := off/LineSize, (off+int64(len(dst))*WordSize-1)/LineSize; ln <= last; ln++ {
+			t.chargeRead(ln)
+		}
+	}
+	for i := range src {
+		dst[i] = atomic.LoadUint64(&src[i])
+	}
+}
+
 // Prefetch asks the CPU to start filling the n lines from off, which must
 // lie in the arena (a span past its end panics), into its cache, so a read
 // of them issued later does not wait out the miss. It is a hint for real

@@ -232,7 +232,7 @@ func (ss *Session) GetBytes(key uint64, dst []byte) ([]byte, bool, error) {
 	if err != nil {
 		return dst, false, err
 	}
-	defer ss.done(opGetBytes, t0)
+	defer ss.doneReading(opGetBytes, t0, ss.recordReads)
 	out, _, ok, err := ss.resolve(ss.s.ShardFor(key), key, 0, false, dst, ErrNotVarlen)
 	return out, ok, err
 }
@@ -260,7 +260,7 @@ func (ss *Session) ScanBytes(lo, hi uint64, max int, fn func(key uint64, val []b
 	if err != nil {
 		return err
 	}
-	defer ss.done(opScanBytes, t0)
+	defer ss.doneReading(opScanBytes, t0, ss.recordReads)
 	pairs := ss.collectLimit(lo, hi, max)
 	for j, kv := range pairs {
 		ss.prefetchScan(pairs, j, -1)

@@ -358,7 +358,7 @@ func (ss *Session) GetKV(key, dst []byte) ([]byte, bool, error) {
 	if err != nil {
 		return dst, false, err
 	}
-	defer ss.done(opGetKV, t0)
+	defer ss.doneReading(opGetKV, t0, ss.recordReads)
 	p := PackPrefix(key)
 	b, _, ok, err := ss.resolve(ss.s.ShardForKey(key), p, 0, false, ss.kvBuf[:0], ErrNotKeyed)
 	if err != nil || !ok {
@@ -490,7 +490,7 @@ func (ss *Session) ScanKV(lo, hi []byte, max int, fn func(key, val []byte) bool)
 	if err != nil {
 		return err
 	}
-	defer ss.done(opScanKV, t0)
+	defer ss.doneReading(opScanKV, t0, ss.recordReads)
 	n := len(ss.ths)
 	if ss.kvRuns == nil {
 		ss.kvRuns = make([]kvRun, n)

@@ -32,7 +32,16 @@ type storeMetrics struct {
 	// records in neither.
 	stripeWait  *metrics.Histogram
 	stripeParks metrics.Counter
+
+	// recordsRead counts the value-log records each reading op kind
+	// resolved, retries included: a call adds its session's recordReads
+	// delta once (see Session.doneReading), never once per record.
+	recordsRead [numOps]metrics.Counter
 }
+
+// readingOps are the op kinds that read value-log records, each exported
+// as one pmkv_store_vlog_records_read_total series.
+var readingOps = [...]byte{opGetBytes, opGetKV, opScanBytes, opScanKV}
 
 // opNames is the op="…" label of each kind's pmkv_store_op_seconds series.
 var opNames = [numOps]string{
@@ -72,6 +81,11 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter("pmkv_store_stripe_parks_total", "",
 		"stripe waits that outlasted the yield window and blocked",
 		m.stripeParks.Load)
+	for _, k := range readingOps {
+		reg.Counter("pmkv_store_vlog_records_read_total", `op="`+opNames[k]+`"`,
+			"value-log records read by the operation, retries included",
+			m.recordsRead[k].Load)
+	}
 
 	vs := func(read func(ValueLogStats) int64) func() float64 {
 		return func() float64 { return float64(read(s.ValueStats())) }

@@ -104,6 +104,13 @@ func TestStoreMetrics(t *testing.T) {
 			t.Errorf("%s histogram count = %d, want %d", c.name, got, c.want)
 		}
 	}
+	// One record per point read and per pair scanned: each varlen key and
+	// each byte key sits alone in its record, and nothing raced a read.
+	for _, k := range readingOps {
+		if got := m.recordsRead[k].Load(); got != n {
+			t.Errorf("%s read %d value-log records, want %d", opNames[k], got, n)
+		}
+	}
 
 	reg := metrics.NewRegistry()
 	st.RegisterMetrics(reg)
@@ -121,6 +128,7 @@ func TestStoreMetrics(t *testing.T) {
 		"pmkv_pmem_used_bytes", "pmkv_pmem_retired_blocks_total",
 		"pmkv_pmem_recycled_blocks_total",
 		"pmkv_store_stripe_wait_seconds", "pmkv_store_stripe_parks_total",
+		"pmkv_store_vlog_records_read_total",
 	} {
 		if !fams[want] {
 			t.Errorf("family %s missing from store scrape", want)
@@ -128,5 +136,8 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `pmkv_store_op_seconds_count{op="Get"}`) {
 		t.Error("per-op Get series missing")
+	}
+	if want := fmt.Sprintf(`pmkv_store_vlog_records_read_total{op="ScanKV"} %d`, n); !strings.Contains(buf.String(), want) {
+		t.Errorf("scrape lacks %q", want)
 	}
 }

@@ -96,6 +96,13 @@ func (ss *Session) done(kind byte, t0 time.Time) {
 	ss.s.release()
 }
 
+// doneReading is done for an operation that reads value-log records: it
+// also adds the records read since the call began, from, to kind's count.
+func (ss *Session) doneReading(kind byte, t0 time.Time, from uint64) {
+	ss.s.met.recordsRead[kind].Add(ss.recordReads - from)
+	ss.done(kind, t0)
+}
+
 // NewSession returns a fresh Session bound to the calling goroutine. It may
 // be called even on a closed store — the resulting session then fails every
 // operation with ErrClosed — so connection handlers racing a shutdown have
