@@ -441,9 +441,9 @@ func (t *BTree) readLeaf(th *pmem.Thread, n node, key uint64) (uint64, bool) {
 	}
 }
 
-// A Lookup is one key of a batch lookup (GetBatch): the tree to search and
-// the thread to search it with, which belongs to the calling goroutine, and
-// once GetBatch returns the answer Get would have given.
+// A Lookup is one key of a batch descent (Descend, GetBatch): the tree to
+// search and the thread to search it with, which belongs to the calling
+// goroutine, and once GetBatch returns the answer Get would have given.
 type Lookup struct {
 	Tree  *BTree
 	Th    *pmem.Thread
@@ -455,28 +455,31 @@ type Lookup struct {
 	leaf bool // at is the leaf covering Key
 }
 
-// GetBatch answers every lookup in ls, interleaving their descents: each
-// round moves every descent not yet on its leaf one step, and prefetches
-// the node it stepped to, so that node's lines fill while the other
-// lookups take their steps, where a lone Get waits out its own chain of
-// misses. The leaf phases then run one lookup at a time, in slice order.
+// A Leaf is where a descent stopped: the leaf that covered its key when the
+// descent reached it. A writer handed one (UpsertFrom, RemoveFrom) starts
+// there instead of at the root; the zero Leaf starts at the root.
+type Leaf struct{ n node }
+
+// Leaf returns the leaf Descend brought l to.
+func (l *Lookup) Leaf() Leaf { return Leaf{l.at} }
+
+// Descend brings every lookup in ls to the leaf covering its key,
+// interleaving the descents: each round moves every descent not yet on its
+// leaf one step, and prefetches the node it stepped to, so that node's lines
+// fill while the other lookups take their steps, where a lone descent waits
+// out its own chain of misses. It is the one batched descent, behind
+// GetBatch's reads and a store commit's writes.
 //
-// A descent takes no latch and has no linearisation point — only the leaf
-// phase does — so a batch cannot be told apart from its Gets run one after
-// another in slice order; each descent is a Get's own that was slow to
-// reach its leaf, and a leaf a split left behind is chased right as Get
-// chases it. Every lookup on a boxed tree holds its thread's grace section
-// from before its descent to after its box load (see Get); the sections
-// nest, so a thread shared by many lookups announces once.
-func GetBatch(ls []Lookup) {
+// A descent takes no latch and has no effect, so its leaf is the one a
+// lone descent would have reached, only earlier: a split since moves the
+// key's range right of it, never left, and the lookup or the writer that
+// starts there chases it right (readLeaf, latchAt). The caller must keep the
+// trees' nodes from being freed (Vacuum) until it is done with the leaves.
+func Descend(ls []Lookup) {
 	for i := range ls {
 		l := &ls[i]
-		if !l.Tree.opts.InlineValues {
-			l.Th.Enter()
-		}
 		l.at, l.leaf = l.Tree.root(l.Th), false
 	}
-	defer exitBatch(ls)
 	for left := len(ls); left > 0; {
 		for i := range ls {
 			l := &ls[i]
@@ -492,6 +495,26 @@ func GetBatch(ls []Lookup) {
 			}
 		}
 	}
+}
+
+// GetBatch answers every lookup in ls: their descents advance together
+// (Descend), and the leaf phases then run one lookup at a time, in slice
+// order.
+//
+// A descent has no linearisation point — only the leaf phase does — so a
+// batch cannot be told apart from its Gets run one after another in slice
+// order; each descent is a Get's own that was slow to reach its leaf. Every
+// lookup on a boxed tree holds its thread's grace section from before its
+// descent to after its box load (see Get); the sections nest, so a thread
+// shared by many lookups announces once.
+func GetBatch(ls []Lookup) {
+	for i := range ls {
+		if l := &ls[i]; !l.Tree.opts.InlineValues {
+			l.Th.Enter()
+		}
+	}
+	defer exitBatch(ls)
+	Descend(ls)
 	for i := range ls {
 		l := &ls[i]
 		l.Val, l.Found = l.Tree.readLeaf(l.Th, l.at, l.Key)

@@ -15,6 +15,9 @@ import (
 // slot (insert.go) or Vacuum compacts it. An 8-byte store is failure-atomic
 // and tells apart from every other state of the slot on its own: the key is
 // present with its value or gone, in every crash image and to every reader.
+// Delete never reads the box it discards, so it costs one read less than
+// Remove; the store reads the displaced word (Remove) only while the shard's
+// tree may name a value-log record.
 //
 // FAST's eager delete below — invalidate the entry by duplicating its left
 // neighbour's pointer over its own (the atomic commit), shift the tail of
@@ -50,7 +53,7 @@ import (
 // beyond a split's terminator can keep naming a box long after it is gone;
 // nothing dereferences them (scanBound, fastInsert's zero-beyond rule).
 func (t *BTree) Delete(th *pmem.Thread, key uint64) bool {
-	_, existed := t.Remove(th, key)
+	_, existed := t.RemoveFrom(th, Leaf{}, key, false)
 	return existed
 }
 

@@ -44,17 +44,19 @@ import (
 // key's value box is updated in place with one atomic store + flush, which
 // is failure-atomic by itself).
 func (t *BTree) Insert(th *pmem.Thread, key, val uint64) error {
-	_, _, err := t.upsert(th, key, val, false)
+	_, _, err := t.UpsertFrom(th, Leaf{}, key, val, false)
 	return err
 }
 
-// upsert is Insert and Exchange: wantOld says whether the displaced value is
-// worth a read of the box.
-func (t *BTree) upsert(th *pmem.Thread, key, val uint64, wantOld bool) (old uint64, existed bool, err error) {
+// UpsertFrom is Insert and Exchange with the descent starting at leaf at
+// (the zero Leaf: the root). existed reports whether key was present, and
+// old the value it displaced only when wantOld asks for it: on a boxed tree
+// that is a read of the box, which an overwrite otherwise only stores to.
+func (t *BTree) UpsertFrom(th *pmem.Thread, at Leaf, key, val uint64, wantOld bool) (old uint64, existed bool, err error) {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.latchLeaf(th, key)
+	n := t.latchLeaf(th, at, key)
 
 	if t.opts.InlineValues && val == 0 {
 		th.Unlatch(n.off + offLock)
@@ -110,16 +112,22 @@ func (t *BTree) newBox(th *pmem.Thread, val uint64) (uint64, error) {
 	return uint64(off), nil
 }
 
-// latchLeaf is the writer prologue: descend to key's leaf and return it
+// latchLeaf is the writer prologue: descend to key's leaf — unless at is
+// where a batched descent already brought it (Descend) — and return it
 // latched, repaired and covering key.
-func (t *BTree) latchLeaf(th *pmem.Thread, key uint64) node {
-	return t.latchAt(th, t.descendToLeaf(th, key), key)
+func (t *BTree) latchLeaf(th *pmem.Thread, at Leaf, key uint64) node {
+	if !at.n.valid() {
+		at.n = t.descendToLeaf(th, key)
+	}
+	return t.latchAt(th, at.n, key)
 }
 
 // latchAt latches n and re-checks, under the latch, whether key now belongs
 // to a right sibling (Algorithm 1 lines 2–8), handing the latch rightward
-// until it holds the covering node. On a suspect tree every node is repaired
-// before its high key is trusted: a crashed split can leave it linked with
+// until it holds the covering node. n may be a leaf an earlier lock-free
+// descent reached: a split since only moved the upper part of its range
+// right. On a suspect tree every node is repaired before its high key is
+// trusted: a crashed split can leave it linked with
 // the high key still the old, larger one, and testing first would keep the
 // latch here, redo the truncation, and then put a key of the upper half into
 // the node that has just given that half up.

@@ -201,6 +201,20 @@ func TestReadBudget(t *testing.T) {
 			}
 		}
 	})
+	t.Run("Delete", func(t *testing.T) {
+		tr, keys := budgetTree(t)
+		for i := 0; i < len(keys); i += 3 {
+			k := keys[i]
+			cnt, pos := leafOf(tr, k)
+			// Remove's walk without its box: Delete never reads the box it
+			// discards, one read fewer at every slot.
+			const want = budgetHeight
+			var ok bool
+			if got := chargedBy(tr, func(th *pmem.Thread) { ok = tr.Delete(th, k) }); got != want || !ok {
+				t.Fatalf("Delete(%d) at slot %d of %d charged %d reads (found %v), want %d", k, pos, cnt, got, ok, want)
+			}
+		}
+	})
 }
 
 // TestRouteStopsAtFirstLargerKey: the insert-direction routing scan reads

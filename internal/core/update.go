@@ -12,11 +12,13 @@ import (
 // failure- and concurrency-atomic in the paper's hardware contract).
 
 // Exchange stores val under key exactly like Insert, additionally returning
-// the value the key held before (existed reports whether there was one).
-// The store layer needs the displaced word to retire the value-log record
-// it may name.
+// the value the key held before (existed reports whether there was one), at
+// the price of one more read on a boxed tree: the old box. The store reads
+// the displaced word only while the shard's tree may name a value-log
+// record, whose bytes the overwrite then retires; a shard that never held
+// one writes through UpsertFrom without asking for it.
 func (t *BTree) Exchange(th *pmem.Thread, key, val uint64) (old uint64, existed bool, err error) {
-	return t.upsert(th, key, val, true)
+	return t.UpsertFrom(th, Leaf{}, key, val, true)
 }
 
 // ReplaceIf atomically replaces key's value old→new, refusing (and
@@ -36,7 +38,7 @@ func (t *BTree) ReplaceIf(th *pmem.Thread, key, old, new uint64) bool {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.latchLeaf(th, key)
+	n := t.latchLeaf(th, Leaf{}, key)
 
 	pos := t.findPosLocked(th, n, key)
 	if pos < 0 {
@@ -66,12 +68,22 @@ func (t *BTree) ReplaceIf(th *pmem.Thread, key, old, new uint64) bool {
 }
 
 // Remove is Delete returning the value the key held, so the caller can
-// retire a value-log record the displaced word names.
+// retire a value-log record the displaced word names. On a boxed tree that
+// costs one read more than Delete, the box the delete discards; the store
+// pays it only while the shard's tree may name a value-log record (see
+// Exchange).
 func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
+	return t.RemoveFrom(th, Leaf{}, key, true)
+}
+
+// RemoveFrom is Delete and Remove with the descent starting at leaf at (the
+// zero Leaf: the root): old is the value key held only when wantOld asks for
+// it, which on a boxed tree is a read of the box.
+func (t *BTree) RemoveFrom(th *pmem.Thread, at Leaf, key uint64, wantOld bool) (old uint64, existed bool) {
 	th.BeginPhase(pmem.PhaseSearch)
 	defer th.EndPhase()
 
-	n := t.latchLeaf(th, key)
+	n := t.latchLeaf(th, at, key)
 
 	pos := t.findPosLocked(th, n, key)
 	if pos < 0 {
@@ -90,7 +102,9 @@ func (t *BTree) Remove(th *pmem.Thread, key uint64) (old uint64, existed bool) {
 		th.Unlatch(n.off + offLock)
 		return box, true
 	}
-	old = th.Load(int64(box))
+	if wantOld {
+		old = th.Load(int64(box))
+	}
 	th.BeginPhase(pmem.PhaseUpdate)
 	// The tombstone is the whole delete: commit store, its line, one fence.
 	t.storePtr(th, n, pos, leafSentinel(n.off))

@@ -25,8 +25,9 @@ import (
 //
 // Overwriting or deleting a varlen key turns the old record into garbage;
 // the displaced tree word is fed to the shard's accounting (every write is
-// one Session.apply, and every word it displaces goes through retireWord,
-// the one place stale bytes are counted), and value-log GC reclaims the
+// one Session.apply, and every word it displaces that may name a record
+// goes through retireWord, the one place stale bytes are counted), and
+// value-log GC reclaims the
 // space (Options.GCGarbageRatio, Session.CompactValues; see gc.go for the
 // full reclamation argument).
 //
@@ -143,12 +144,14 @@ func (ss *Session) appendNeed(i int, op txnOp) int {
 }
 
 // retireWord is the single funnel for garbage accounting: every operation
-// that displaces a tree word hands it here, and the value log decides —
-// by validating the word against the record it would name — whether it
-// was a varlen reference whose bytes just became garbage. Fixed-width
-// values fail the validation and change nothing, which is what makes
-// Delete on never-varlen keys account consistently (nothing
-// to reclaim, nothing counted).
+// that displaces a tree word that may name a value-log record hands it
+// here, and the value log decides — by validating the word against the
+// record it would name — whether it was a varlen reference whose bytes
+// just became garbage. Fixed-width values fail the validation and change
+// nothing, which is what makes Delete on never-varlen keys account
+// consistently (nothing to reclaim, nothing counted). A u64 write on a
+// shard whose records bit is clear (shardGC.records) displaces a word
+// that names no record, and neither reads it nor hands it here.
 func (ss *Session) retireWord(i int, key uint64, old uint64) bool {
 	return ss.s.shards[i].vl.MarkStale(ss.ths[i], key, vlog.Ref(old))
 }

@@ -47,7 +47,8 @@ type Session struct {
 	kvRefs []KV
 	kvRuns []kvRun
 
-	// lookups is GetBatch's reusable batch, one per key.
+	// lookups is the reusable batch of GetBatch, one per key, and of a
+	// commit's descent, one per fixed-width op (Session.descendFixed).
 	lookups []core.Lookup
 
 	// plan is Commit's reusable working set (see txnPlan), and spareFixed
@@ -154,6 +155,9 @@ func (ss *Session) mutate(op txnOp) (existed bool, err error) {
 	}
 	defer ss.clock(op.kind, t0)
 	i := s.shardOfOp(op)
+	if op.appends() && !s.shards[i].gc.records.Load() {
+		ss.noteRecords(i)
+	}
 	if need := ss.appendNeed(i, op); need >= 0 {
 		if err := ss.admit(i, need); err != nil {
 			s.release()
@@ -178,16 +182,44 @@ func (ss *Session) applyShared(i int, op txnOp) (existed, stale bool, err error)
 	excl := op.keyed()
 	st.acquire(excl, ss.s.met)
 	defer st.release(excl)
-	return ss.apply(i, op)
+	return ss.apply(i, op, core.Leaf{})
+}
+
+// noteRecords sets shard i's records bit ahead of a plain write that may
+// append to the shard's value log. It takes every stripe of the shard
+// exclusively, in ascending order as a commit does, so the bit turns while
+// no u64 write stands between its read of the bit and its apply. The caller
+// holds no stripe.
+func (ss *Session) noteRecords(i int) {
+	gc := ss.s.shards[i].gc
+	for j := range gc.stripes {
+		gc.stripes[j].acquire(true, ss.s.met)
+	}
+	gc.records.Store(true)
+	for j := range gc.stripes {
+		gc.stripes[j].Unlock()
+	}
 }
 
 // applyOps applies shard i's ops in order, stopping at the first error, and
-// reports whether any displaced record turned stale. The caller holds the
-// ops' stripes exclusively (Txn.Commit) or is the only mutator (recovery
-// replay).
-func (ss *Session) applyOps(i int, ops []txnOp) (stale bool, err error) {
-	for _, op := range ops {
-		_, st, err := ss.apply(i, op)
+// reports whether any displaced record turned stale. ops[j] starts at
+// at[j]'s leaf for every j < len(at) (a commit's fixed-width ops, see
+// descendFixed), every other op at the root. The caller holds the ops'
+// stripes exclusively (Txn.Commit) or is the only mutator (recovery
+// replay). Before an op that may append to the shard's value log it sets the
+// shard's records bit, which both callers may: a commit holds every stripe
+// of a shard it has a byte-key op on.
+func (ss *Session) applyOps(i int, ops []txnOp, at []core.Lookup) (stale bool, err error) {
+	gc := ss.s.shards[i].gc
+	for j, op := range ops {
+		if op.appends() && !gc.records.Load() {
+			gc.records.Store(true)
+		}
+		var leaf core.Leaf
+		if j < len(at) {
+			leaf = at[j].Leaf()
+		}
+		_, st, err := ss.apply(i, op, leaf)
 		stale = stale || st
 		if err != nil {
 			return stale, err
@@ -199,12 +231,18 @@ func (ss *Session) applyOps(i int, ops []txnOp) (stale bool, err error) {
 // apply is the one body behind every write to shard i's tree, whoever
 // issues it: a plain write (mutate), a PutBatch group, a commit's apply
 // phase, recovery's replay. Each case is one failure-atomic 8-byte store
-// into the tree — Exchange, Remove, or a byte-key op's bucket install — and
-// every displaced word goes through retireWord, the one place stale bytes
-// are counted. It reports whether the key existed and whether a displaced
-// log record turned stale (the caller runs maybeGC once its locks are
-// down). The caller holds the key's stripe (applyShared, Txn.Commit) or is
-// the only mutator (recovery replay).
+// into the tree — an upsert, a remove, or a byte-key op's bucket install —
+// and every displaced word that may name a value-log record goes through
+// retireWord, the one place stale bytes are counted. It reports whether the
+// key existed and whether a displaced log record turned stale (the caller
+// runs maybeGC once its locks are down). The caller holds the key's stripe
+// (applyShared, Txn.Commit) or is the only mutator (recovery replay).
+//
+// A u64 write reads the shard's records bit under that stripe. While it is
+// clear no word of the tree names a record, so the write neither reads the
+// word it displaces (a box load) nor retires it; once set, the displaced
+// word is read and retired. A u64 write starts at leaf at — where a
+// commit's batched descent left it — or, given the zero Leaf, at the root.
 //
 // A varlen put appends its record and installs the Ref inside one grace
 // section on the shard thread: a GC fence must not complete while a record
@@ -213,17 +251,19 @@ func (ss *Session) applyOps(i int, ops []txnOp) (stale bool, err error) {
 // recycled memory (see gc.go). A section excludes nobody — writers never
 // wait on each other here. An install that fails leaves the appended record
 // leaked until GC finds it dead; the operation itself failed cleanly.
-func (ss *Session) apply(i int, op txnOp) (existed, stale bool, err error) {
+func (ss *Session) apply(i int, op txnOp, at core.Leaf) (existed, stale bool, err error) {
 	sh := &ss.s.shards[i]
 	th := ss.ths[i]
 	var old uint64
 	switch op.kind {
 	case txnOpPut:
-		old, existed, err = sh.ix.Exchange(th, op.key, op.val)
-		return existed, err == nil && existed && old != op.val && ss.retireWord(i, op.key, old), err
+		recs := sh.gc.records.Load()
+		old, existed, err = sh.ix.UpsertFrom(th, at, op.key, op.val, recs)
+		return existed, recs && err == nil && existed && old != op.val && ss.retireWord(i, op.key, old), err
 	case txnOpDelete:
-		old, existed = sh.ix.Remove(th, op.key)
-		return existed, existed && ss.retireWord(i, op.key, old), nil
+		recs := sh.gc.records.Load()
+		old, existed = sh.ix.RemoveFrom(th, at, op.key, recs)
+		return existed, recs && existed && ss.retireWord(i, op.key, old), nil
 	case opPutBytes:
 		th.Enter()
 		defer th.Exit()
@@ -299,8 +339,9 @@ func (ss *Session) GetBatch(keys, vals []uint64, found []bool) error {
 // Delete removes key, reporting whether it was present. A varlen key's log
 // record is retired to the garbage accounting (and may trigger automatic
 // GC); a fixed-width key's displaced word fails the record validation and
-// feeds nothing, so the reclaim stats stay consistent whichever API wrote
-// the key. On a closed store it returns ErrClosed.
+// feeds nothing — on a shard whose tree never named a record it is not even
+// read — so the reclaim stats stay consistent whichever API wrote the key.
+// On a closed store it returns ErrClosed.
 func (ss *Session) Delete(key uint64) (bool, error) {
 	return ss.mutate(txnOp{kind: txnOpDelete, key: key})
 }

@@ -276,6 +276,16 @@ type shardGC struct {
 	// (Reopen). It lives here, not in shard, because shard values are
 	// copied freely and must not change after Open.
 	tl *txnlog.Log
+	// records says that the shard's tree may name a value-log record. It
+	// is clear at Open; Reopen sets it when its accounting recount finds a
+	// tree word that names one. It is set, and never cleared, before the
+	// shard's first value-log append, always while every stripe of the
+	// shard is held exclusively or by the only mutator (see
+	// Session.noteRecords, Session.applyOps), and read by a u64 write
+	// under its key's stripe (Session.apply). A writer that sees it clear
+	// therefore knows that the word it displaces names no record, and
+	// neither reads nor retires it.
+	records atomic.Bool
 }
 
 // keyStripes is the number of key-lock stripes per shard. At most 64, so a
@@ -442,9 +452,11 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 		// automatic GC.
 		total := vl.QuickStats().Live
 		var live int64
+		gc := &shardGC{}
 		ix.Scan(th, 0, ^uint64(0), func(k, v uint64) bool {
 			if r := vlog.Ref(v); vl.IsRecord(th, k, r) {
 				live += int64(r.Len())
+				gc.records.Store(true)
 			}
 			return true
 		})
@@ -465,7 +477,8 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 			}
 		}
 		th.Release()
-		s.shards[i] = shard{pool: p, ix: ix, vl: vl, gc: &shardGC{tl: tl}}
+		gc.tl = tl
+		s.shards[i] = shard{pool: p, ix: ix, vl: vl, gc: gc}
 	}
 	// With every shard rebuilt, settle in-flight transactions: replay the
 	// committed (a commit record in ANY shard's log commits the

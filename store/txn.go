@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/txnlog"
 )
@@ -18,7 +19,8 @@ import (
 //
 //  1. Group the write-set by shard and encode ALL of it, in one
 //     deterministic order (fixed keys ascending, then byte keys
-//     ascending), into one commit-record payload.
+//     ascending), into one commit-record payload; bring every
+//     fixed-width op to its leaf in one batched descent (descendFixed).
 //  2. Lock every key stripe the write-set names exclusively, in ascending
 //     (shard, stripe) order — all of a shard's stripes where its ops
 //     append to its value log (byte keys) — so commits serialise per key
@@ -45,8 +47,9 @@ import (
 //     the first commit to take it (redoLog: two more flushes, once).
 //  5. Apply the write-set to the trees, shard by shard, through
 //     Session.apply — the one body plain writes go through too
-//     (idempotent final-value puts and deletes) — then truncate the log
-//     (one generation bump, one flushed line) and unlock.
+//     (idempotent final-value puts and deletes), a fixed-width op starting
+//     at the leaf its descent reached — then truncate the log (one
+//     generation bump, one flushed line) and unlock.
 //
 // A k-key, s-shard commit of fixed-width overwrites therefore costs
 // 1 record + k applies + 1 truncation, one flush call and one fence each:
@@ -160,6 +163,8 @@ const (
 // txnOp is one write operation: decoded from a redo record, planned by a
 // commit, or built by a plain write on its way through Session.mutate.
 // Fixed-width ops use key/val, byte-key ops bkey/bval, opPutBytes key/bval.
+// (Kept at nine words: the commit and apply loops copy it by value, and a
+// tenth word put a runtime.duffcopy on every copy.)
 type txnOp struct {
 	kind byte
 	key  uint64
@@ -172,6 +177,12 @@ type txnOp struct {
 // key's prefix, which may append to the shard's value log.
 func (op txnOp) keyed() bool {
 	return op.kind == txnOpPutKV || op.kind == txnOpDelKV
+}
+
+// appends reports whether op may append to its shard's value log: a varlen
+// put or a byte-key write. The shard's records bit is set before it applies.
+func (op txnOp) appends() bool {
+	return op.kind == opPutBytes || op.keyed()
 }
 
 // treeKey returns the tree key op writes: its u64 key, or its byte key's
@@ -458,6 +469,7 @@ func (tx *Txn) Commit() error {
 	}
 	defer ss.clock(opTxnCommit, t0)
 	pl := tx.plan()
+	ss.descendFixed(pl)
 	err = tx.commitLocked(pl)
 	ss.s.release()
 	for _, i := range pl.stale {
@@ -473,14 +485,16 @@ func (tx *Txn) Commit() error {
 
 // txnPlan is Commit's working set, kept on the Session (single-goroutine
 // by contract) so a steady stream of commits re-plans without allocating:
-// the sorted key lists, the per-shard decoded ops and the mask of key
-// stripes they name, the whole write-set encoded as one commit-record
-// payload, the participating shards ascending (parts[0] is the home
-// shard), and the shards whose displaced records turned stale.
+// the sorted key lists, the per-shard decoded ops, how many of them are
+// fixed-width (they come first) and the mask of key stripes they name, the
+// whole write-set encoded as one commit-record payload, the participating
+// shards ascending (parts[0] is the home shard), and the shards whose
+// displaced records turned stale.
 type txnPlan struct {
 	keys    []uint64
 	kvKeys  []string
 	ops     [][]txnOp
+	fixed   []int
 	stripes []uint64
 	payload []byte
 	parts   []int
@@ -497,6 +511,7 @@ func (pl *txnPlan) add(s *Store, op txnOp) {
 	if op.keyed() {
 		pl.stripes[i] = ^uint64(0)
 	} else {
+		pl.fixed[i]++
 		pl.stripes[i] |= 1 << stripeOf(op.key)
 	}
 	pl.payload = appendTxnOp(pl.payload, op)
@@ -521,11 +536,13 @@ func (tx *Txn) plan() *txnPlan {
 	pl := &tx.ss.plan
 	if pl.ops == nil {
 		pl.ops = make([][]txnOp, len(s.shards))
+		pl.fixed = make([]int, len(s.shards))
 		pl.stripes = make([]uint64, len(s.shards))
 	}
 	for i := range pl.ops {
 		pl.ops[i] = pl.ops[i][:0]
 	}
+	clear(pl.fixed)
 	clear(pl.stripes)
 	pl.keys, pl.kvKeys, pl.parts, pl.stale = pl.keys[:0], pl.kvKeys[:0], pl.parts[:0], pl.stale[:0]
 	pl.payload = pl.payload[:0]
@@ -641,7 +658,9 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 		return fmt.Errorf("store: txn commit record on shard %d: %w", own, err)
 	}
 	s.step()
-	// Apply through the body plain writes use (Session.apply).
+	// Apply through the body plain writes use (Session.apply), each
+	// fixed-width op from the leaf descendFixed brought it to.
+	at := ss.lookups
 	for _, i := range parts {
 		var aerr error
 		var stale bool
@@ -649,8 +668,9 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 			aerr = s.applyFault(i)
 		}
 		if aerr == nil {
-			stale, aerr = ss.applyOps(i, pl.ops[i])
+			stale, aerr = ss.applyOps(i, pl.ops[i], at[:pl.fixed[i]])
 		}
+		at = at[pl.fixed[i]:]
 		if stale {
 			pl.stale = append(pl.stale, i)
 		}
@@ -667,6 +687,25 @@ func (tx *Txn) commitLocked(pl *txnPlan) error {
 	tl.Truncate(ss.ths[own])
 	s.step()
 	return nil
+}
+
+// descendFixed brings every fixed-width op of the plan to its leaf in one
+// batched descent (core.Descend: the descents advance together, each
+// prefetching the node it steps to), leaving in ss.lookups one lookup per
+// fixed-width op, shard by shard in plan order, whose leaf its apply starts
+// from. A descent takes no latch and has no effect, and the store never
+// frees a tree node while it runs, so an apply from such a leaf is the one
+// it would make from the root: latching the leaf moves right past any split
+// since.
+func (ss *Session) descendFixed(pl *txnPlan) {
+	ls := ss.lookups[:0]
+	for _, i := range pl.parts {
+		for _, op := range pl.ops[i][:pl.fixed[i]] {
+			ls = append(ls, core.Lookup{Tree: ss.s.shards[i].ix, Th: ss.ths[i], Key: op.key})
+		}
+	}
+	core.Descend(ls)
+	ss.lookups = ls
 }
 
 // takeRedoLog locks and returns the shard whose redo log the commit planned
@@ -855,7 +894,7 @@ func (s *Store) recoverTxns() error {
 		if len(ops[i]) == 0 {
 			continue
 		}
-		if _, err := ss.applyOps(i, ops[i]); err != nil {
+		if _, err := ss.applyOps(i, ops[i], nil); err != nil {
 			return fmt.Errorf("store: shard %d txn replay: %w", i, err)
 		}
 		s.step()
