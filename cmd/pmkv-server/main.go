@@ -6,7 +6,7 @@
 //	pmkv-server [-addr :7841] [-shards 8] [-shard-size-mb 256]
 //	            [-read-latency 0] [-write-latency 0] [-gc-ratio 0.5]
 //	            [-admit 0] [-idle-timeout 0] [-drain 10s] [-quiet]
-//	            [-stats-interval 0] [-slow-op 0]
+//	            [-slow-op 0]
 //	            [-pprof addr] [-mutexprofile 0] [-blockprofile 0]
 //
 // The store lives in simulated persistent memory inside the process; the
@@ -32,10 +32,8 @@
 // text format (per-opcode request counts and errors, queue/execute/flush
 // stage latency histograms, store op latencies, GC pauses, value-log and
 // pmem counters), and /debug/vars exposes the same registry as expvar JSON
-// under the "pmkv" key. -stats-interval logs a periodic one-line summary
-// (ops/s, errors, connections, per-class p50/p99); -slow-op logs any
-// request whose queue+execute time meets the threshold, rate-limited to
-// one line per 100ms.
+// under the "pmkv" key. -slow-op logs any request whose queue+execute time
+// meets the threshold, rate-limited to one line per 100ms.
 // -mutexprofile and -blockprofile set the runtime's contention sampling
 // rates (runtime.SetMutexProfileFraction / runtime.SetBlockProfileRate) so
 // the pprof mutex and block endpoints carry data; both default to 0 (off)
@@ -72,7 +70,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	quiet := flag.Bool("quiet", false, "suppress per-connection diagnostics")
-	statsInterval := flag.Duration("stats-interval", 0, "log a throughput/latency line this often (0 = off)")
 	slowOp := flag.Duration("slow-op", 0, "log requests slower than this, rate-limited (0 = off)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
 	mutexProfile := flag.Int("mutexprofile", 0, "mutex contention sampling: 1 of every N events (0 = off)")
@@ -135,26 +132,6 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-
-	if *statsInterval > 0 {
-		go func() {
-			tick := time.NewTicker(*statsInterval)
-			defer tick.Stop()
-			var last server.Stats
-			lastT := time.Now()
-			for range tick.C {
-				cur := srv.Stats()
-				now := time.Now()
-				dt := now.Sub(lastT).Seconds()
-				p50, p99 := srv.OpLatencies()
-				log.Printf("pmkv-server: %.0f ops/s (%d total, %d errors), %d conns, %.0f flushes/s | p50/p99 read %v/%v write %v/%v scan %v/%v",
-					float64(cur.Ops-last.Ops)/dt, cur.Ops, cur.Errors, cur.ConnsLive,
-					float64(cur.Flushes-last.Flushes)/dt,
-					p50[0], p99[0], p50[1], p99[1], p50[2], p99[2])
-				last, lastT = cur, now
-			}
-		}()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -234,141 +234,127 @@ func (t *BTree) bracketSlot(th *pmem.Thread, n node, i int) (k1, p, prev, k2 uin
 	return
 }
 
-// The lock-free scans below are line-granular: whole cache lines are
-// snapshotted (one latency charge and one batched stats update per line,
-// see pmem.Thread.LoadLine) and the snapshot drives the slot walk, with
-// per-word reads reserved for confirming candidate slots. Word order inside
-// a snapshot follows the scan direction — ascending in insert mode,
+// The lock-free in-node search (search, behind routeChild and leafFind) and
+// leafCollect are line-granular: whole cache lines are snapshotted (one
+// latency charge and one batched stats update per line, see
+// pmem.Thread.LoadLine) and the snapshot drives the slot walk, with per-word
+// reads reserved for confirming candidate slots. Word order inside a
+// snapshot follows the walk's direction — ascending in insert mode,
 // descending (LoadLineRev) in delete mode — so the FAST shift-visibility
-// argument (an entry shifting toward the scan front is seen twice at worst;
+// argument (an entry shifting toward the walk's front is seen twice at worst;
 // one shifting away is always copied to its destination before its source
 // is overwritten, and the destination is read later) carries over word for
-// word. When a candidate's bracket disagrees with the snapshot (the key
-// re-read differs, or the bracket sees a different key than the snapshot
-// did), the node shifted after the line was captured; the not-yet-processed
-// remainder of that snapshot can no longer be trusted, so the line is
-// re-snapshotted and the slot re-examined. A bracket that coherently shows
-// an invalid slot (duplicate, zero or tombstone pointer) is skipped, as the
-// per-word scans skipped it — but a slot the snapshot showed holding the key and the
-// bracket shows invalid means a shift is passing through right now: it
-// copied the entry one slot on before invalidating this one, to a slot this
-// snapshot read before the copy. The per-word scans read that slot next,
-// and late enough; here the rest of the line is re-snapshotted first, or the
-// entry is found in neither place and a present key is reported absent. The
-// whole-scan switch-counter revalidation bracket is unchanged.
+// word. A candidate's bracket must show the key its snapshot showed: one
+// that shows another key, or the same key under a pointer gone invalid,
+// means the node shifted after the line was captured — a shift passing
+// through may have copied the entry on, to a slot the snapshot read before
+// the copy — so the snapshot is not trusted past that slot. The whole-walk
+// switch-counter revalidation brackets every walk.
 
-// routeChild finds the child covering key in internal node n: the pointer of
-// the last valid entry with entryKey <= key, or the leftmost child when key
-// precedes every entry. It runs lock-free under the switch-counter protocol.
+// search returns the last valid entry of n whose key is <= key, its key and
+// pointer, confirmed by its bracket; ok is false when no entry qualifies. It
+// is the one lock-free in-node search (Algorithm 3), in the switch counter's
+// direction, for internal nodes and leaves alike.
 //
-// The insert-direction scan is the paper's: it stops at the first
-// snapshot-valid entry whose key exceeds key, so a lookup reads the record
-// lines up to that separator, not up to the terminator. No entry with a
-// key <= key can lie right of the stop:
-//   - internal nodes never hold tombstones (node.go, rule 3), so every slot
-//     before the terminator is a valid entry or a transient duplicate, and
-//     snapshot validity (p != prev) skips the duplicates;
-//   - an even switch counter admits only right shifts, which copy slot i to
-//     i+1 pointer first, key second, from the terminator down, so keys stay
-//     non-decreasing over every slot in use at every instant;
-//   - a separator inserted after the scan passed its slot lands left of
-//     every larger key, the stop's included.
+// Under an even counter it walks the record lines left to right and stops at
+// the first snapshot-valid entry whose key exceeds key, or equals it (valid
+// keys ascend): it reads the lines up to that entry, not up to the
+// terminator. No valid entry with a key <= key lies right of the stop, so a
+// leaf lookup may stop where routing stops:
+//   - node.go's rule 1 keeps keys, the stale keys of tombstones included,
+//     weakly ordered over every slot in use, and snapshot validity (validPtr
+//     against the pointer before it in the same pass) skips duplicates and
+//     tombstones;
+//   - an even counter admits only right shifts, which copy slot i to i+1
+//     pointer first, key second, from the end down, so that order holds at
+//     every instant;
+//   - an entry inserted after the walk passed its slot lands left of every
+//     larger key, the stop's included.
 //
-// Routing left of the true child is safe in any case: the candidate's key
-// is <= key, and the child's high key sends the descent right
-// (descendToLeaf). The delete-direction scan already stops at its first
-// confirmed entry.
-func (t *BTree) routeChild(th *pmem.Thread, n node, key uint64) uint64 {
+// The candidate is then bracketed. Snapshot validity keeps committed invalid
+// slots out of the candidate seat, so a bracket that fails means the node
+// changed since its line was read, and the walk starts over.
+//
+// Under an odd counter it walks right to left from the terminator (slots
+// beyond it can hold stale pre-split entries, see fastInsert) and takes the
+// first entry with a key <= key whose bracket confirms it. A torn bracket
+// re-snapshots the line and re-examines the slot; a coherently invalid one —
+// a duplicate a crash left, or a tombstone stored since the snapshot —
+// re-snapshots the line and moves on.
+func (t *BTree) search(th *pmem.Thread, n node, key uint64) (k, p uint64, ok bool) {
 	if t.opts.BinarySearch {
-		return t.routeChildBinary(th, n, key)
+		return t.searchBinary(th, n, key)
 	}
 	var ln [pmem.WordsPerLine]uint64
 	for {
 		sw := t.switchCtr(th, n)
-		var best uint64
-		found := false
+		k, p, ok = 0, 0, false
 		if sw%2 == 0 {
-			// Insert direction: scan lines left to right up to the
-			// first snapshot-valid entry with entryKey > key, tracking
-			// the last snapshot-valid entry with entryKey <= key, then
-			// confirm that one slot. Snapshot validity (p != prev, both
-			// from the same pass) keeps committed duplicates out of
-			// the candidate seat, so a failed confirmation always
-			// means a transient state: rescanning makes progress.
-			cand := -1
+			cand, ck := -1, uint64(0)
 			prev := t.leftmost(th, n)
 		scan:
 			for base := 0; base < t.slots; base += slotsPerLine {
 				th.LoadLine(t.slotOff(n, base), &ln)
 				for j := 0; j < slotsPerLine; j++ {
-					k, p := ln[2*j], ln[2*j+1]
-					if p == 0 {
+					sk, sp := ln[2*j], ln[2*j+1]
+					if sp == 0 {
 						break scan
 					}
-					if p != prev {
-						if k > key {
+					if t.validPtr(sp, prev) {
+						if sk > key {
 							break scan
 						}
-						cand = base + j
+						cand, ck = base+j, sk
+						if sk == key {
+							break scan
+						}
 					}
-					prev = p
+					prev = sp
 				}
 			}
 			if cand >= 0 {
-				k1, p, prevW, k2 := t.bracketSlot(th, n, cand)
-				if k1 != k2 || k1 > key || p == 0 || p == prevW {
+				k1, p2, prevW, k2 := t.bracketSlot(th, n, cand)
+				if k1 != ck || k2 != ck || !t.validPtr(p2, prevW) {
 					continue
 				}
-				best, found = p, true
+				k, p, ok = ck, p2, true
 			}
 		} else {
-			// Delete direction: scan right to left from the
-			// terminator (slots beyond it can hold stale pre-split
-			// entries, see fastInsert); the first confirmed entry
-			// with entryKey <= key wins.
 			last := t.scanBound(th, n) - 1
 		scanR:
-			for base := (last / slotsPerLine) * slotsPerLine; base >= 0 && last >= 0; base -= slotsPerLine {
+			for base := last - last%slotsPerLine; base >= 0 && last >= 0; base -= slotsPerLine {
 				th.LoadLineRev(t.slotOff(n, base), &ln)
-				top := slotsPerLine - 1
-				if base+top > last {
-					top = last - base
-				}
-				for j := top; j >= 0; {
-					k, p := ln[2*j], ln[2*j+1]
-					if p == 0 || k > key {
+				for j := min(slotsPerLine-1, last-base); j >= 0; {
+					sk, sp := ln[2*j], ln[2*j+1]
+					if sp == 0 || t.dead(sp) || sk > key {
 						j--
 						continue
 					}
 					k1, p2, prevW, k2 := t.bracketSlot(th, n, base+j)
-					if k1 != k || k1 != k2 {
-						th.LoadLineRev(t.slotOff(n, base), &ln)
-						continue
+					torn := k1 != sk || k2 != sk
+					if !torn && t.validPtr(p2, prevW) {
+						k, p, ok = sk, p2, true
+						break scanR
 					}
-					if p2 == 0 || p2 == prevW {
-						th.LoadLineRev(t.slotOff(n, base), &ln)
+					th.LoadLineRev(t.slotOff(n, base), &ln)
+					if !torn {
 						j--
-						continue
 					}
-					best, found = p2, true
-					break scanR
 				}
 			}
 		}
-		if t.switchCtr(th, n) != sw {
-			continue
+		if t.switchCtr(th, n) == sw {
+			return k, p, ok
 		}
-		if !found {
-			return t.leftmost(th, n)
-		}
-		return best
 	}
 }
 
-// routeChildBinary is the Figure 3 binary-search variant (single-threaded).
-func (t *BTree) routeChildBinary(th *pmem.Thread, n node, key uint64) uint64 {
-	cnt := t.count(th, n)
-	lo, hi := 0, cnt // first entry with entryKey > key
+// searchBinary is search by binary search over the slots in use, the Figure
+// 3 variant (single-threaded: it cannot honour the switch counter's
+// direction). It finds the last slot whose key is <= key and walks left past
+// invalid slots, the tombstones a leaf keeps.
+func (t *BTree) searchBinary(th *pmem.Thread, n node, key uint64) (k, p uint64, ok bool) {
+	lo, hi := 0, t.count(th, n) // lo: first slot with a key > key
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if t.keyAt(th, n, mid) <= key {
@@ -377,10 +363,23 @@ func (t *BTree) routeChildBinary(th *pmem.Thread, n node, key uint64) uint64 {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return t.leftmost(th, n)
+	for i := lo - 1; i >= 0; i-- {
+		if p := t.ptrAt(th, n, i); t.validPtr(p, t.leftPtrOf(th, n, i)) {
+			return t.keyAt(th, n, i), p, true
+		}
 	}
-	return t.ptrAt(th, n, lo-1)
+	return 0, 0, false
+}
+
+// routeChild finds the child covering key in internal node n: the pointer of
+// the last valid entry with a key <= key, or the leftmost child when key
+// precedes every entry. Routing left of the true child is safe in any case:
+// the child's high key sends the descent right (step).
+func (t *BTree) routeChild(th *pmem.Thread, n node, key uint64) uint64 {
+	if _, p, ok := t.search(th, n, key); ok {
+		return p
+	}
+	return t.leftmost(th, n)
 }
 
 // --- point lookup ----------------------------------------------------------
@@ -530,101 +529,11 @@ func exitBatch(ls []Lookup) {
 	}
 }
 
-// leafFind locates key's value box in leaf n using the lock-free protocol:
-// line snapshots drive the slot walk, candidate hits are confirmed with the
-// per-entry key double-read + duplicate-pointer bracket, and the whole scan
-// is revalidated against the switch counter (Algorithm 3).
+// leafFind returns key's value box in leaf n: the entry search finds, when
+// its key is key.
 func (t *BTree) leafFind(th *pmem.Thread, n node, key uint64) (uint64, bool) {
-	if t.opts.BinarySearch {
-		return t.leafFindBinary(th, n, key)
-	}
-	var ln [pmem.WordsPerLine]uint64
-	for {
-		sw := t.switchCtr(th, n)
-		var box uint64
-		found := false
-		if sw%2 == 0 {
-		scan:
-			for base := 0; base < t.slots; base += slotsPerLine {
-				th.LoadLine(t.slotOff(n, base), &ln)
-				for j := 0; j < slotsPerLine; {
-					k, p := ln[2*j], ln[2*j+1]
-					if p == 0 {
-						break scan
-					}
-					if k != key {
-						j++
-						continue
-					}
-					k1, p2, prev, k2 := t.bracketSlot(th, n, base+j)
-					if k1 != key || k1 != k2 {
-						th.LoadLine(t.slotOff(n, base), &ln)
-						continue
-					}
-					if !t.validPtr(p2, prev) {
-						th.LoadLine(t.slotOff(n, base), &ln)
-						j++
-						continue
-					}
-					box, found = p2, true
-					break scan
-				}
-			}
-		} else {
-			last := t.scanBound(th, n) - 1
-		scanR:
-			for base := (last / slotsPerLine) * slotsPerLine; base >= 0 && last >= 0; base -= slotsPerLine {
-				th.LoadLineRev(t.slotOff(n, base), &ln)
-				top := slotsPerLine - 1
-				if base+top > last {
-					top = last - base
-				}
-				for j := top; j >= 0; {
-					k, p := ln[2*j], ln[2*j+1]
-					if p == 0 || k != key {
-						j--
-						continue
-					}
-					k1, p2, prev, k2 := t.bracketSlot(th, n, base+j)
-					if k1 != key || k1 != k2 {
-						th.LoadLineRev(t.slotOff(n, base), &ln)
-						continue
-					}
-					if !t.validPtr(p2, prev) {
-						th.LoadLineRev(t.slotOff(n, base), &ln)
-						j--
-						continue
-					}
-					box, found = p2, true
-					break scanR
-				}
-			}
-		}
-		if t.switchCtr(th, n) != sw {
-			continue
-		}
-		return box, found
-	}
-}
-
-func (t *BTree) leafFindBinary(th *pmem.Thread, n node, key uint64) (uint64, bool) {
-	cnt := t.count(th, n)
-	lo, hi := 0, cnt
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.keyAt(th, n, mid) < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	// A tombstone may keep key's stale copy in front of the live entry.
-	for ; lo < cnt && t.keyAt(th, n, lo) == key; lo++ {
-		if p := t.ptrAt(th, n, lo); t.validPtr(p, t.leftPtrOf(th, n, lo)) {
-			return p, true
-		}
-	}
-	return 0, false
+	k, p, ok := t.search(th, n, key)
+	return p, ok && k == key
 }
 
 // --- range scan ------------------------------------------------------------

@@ -145,29 +145,10 @@ func (t *BTree) latchAt(th *pmem.Thread, n node, key uint64) node {
 	}
 }
 
-// findPosLocked returns the slot of key in the latched leaf, or -1. Under
-// the latch (and after fixNodeLocked) every entry before the terminator is
-// valid or a tombstone, so a plain line-granular scan suffices — no
-// brackets needed. A tombstone may keep key's stale copy: the scan goes on.
-func (t *BTree) findPosLocked(th *pmem.Thread, n node, key uint64) int {
-	var ln [pmem.WordsPerLine]uint64
-	for base := 0; base < t.slots; base += slotsPerLine {
-		th.LoadLine(t.slotOff(n, base), &ln)
-		for j := 0; j < slotsPerLine; j++ {
-			if ln[2*j+1] == 0 {
-				return -1
-			}
-			if ln[2*j] == key && !t.dead(ln[2*j+1]) {
-				return base + j
-			}
-		}
-	}
-	return -1
-}
-
-// leafProbe is what one latched pass over a leaf tells an insert of key.
-// When the key is live (at >= 0) the pass stops there and the other fields
-// are not set. With InlineValues there are no tombstones to find.
+// leafProbe is what one latched pass over a leaf tells a writer of key: an
+// insert reads every field, ReplaceIf and RemoveFrom only at. When the key
+// is live (at >= 0) the pass stops there and the other fields are not set.
+// With InlineValues there are no tombstones to find.
 type leafProbe struct {
 	at    int // slot holding key, or -1
 	pos   int // insertion point: the slots before it hold the keys <= key

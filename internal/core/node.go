@@ -60,18 +60,21 @@ import (
 //
 //  1. A tombstone keeps a stale key, and that key stays weakly ordered
 //     between its neighbours: key(i-1) <= key(i) <= key(i+1) holds over all
-//     slots in use, strictly between live ones. The latched position search
-//     (probeLeafLocked) relies on it: the slots holding keys <= k are a
-//     prefix. Equality is real — a left shift's first store copies the right
+//     slots in use, strictly between live ones. Both searches rely on it:
+//     the slots holding keys <= k are a prefix, so the latched probe
+//     (probeLeafLocked) finds its insertion point in one pass, and the
+//     lock-free search (search) stops at the first valid key larger than
+//     k. Equality is real — a left shift's first store copies the right
 //     neighbour's key into the hole, and a crash may stop there.
 //  2. A tombstone is committed state, not damage. Recover leaves it. Two
 //     adjacent tombstones, or one in slot 0, are also a duplicate-pointer
 //     pair; on a tree not yet recovered repairNodeLocked compacts them like
 //     one, which loses a reusable slot and nothing else.
 //  3. Only a boxed leaf's own writers store the sentinel, under its latch,
-//     into its own slots. Internal nodes never hold an odd word (routeChild
-//     knows nothing of tombstones), a split only ever runs on a leaf without
-//     one, and Vacuum compacts a leaf before it copies from it. With
+//     into its own slots. Internal nodes never hold an odd word (their
+//     pointers are node offsets, so the one search's validPtr reads both
+//     levels alike), a split only ever runs on a leaf without one, and
+//     Vacuum compacts a leaf before it copies from it. With
 //     Options.InlineValues every 64-bit word is a legal value, no tombstone
 //     can be encoded, and deletes are FAST's eager left shift (delete.go).
 //

@@ -10,14 +10,18 @@ import (
 // The tree's read ledger, gated at equality. pmem charges one PM read per
 // serial line access: a line that is neither the last one touched, nor the
 // one after it, nor resident in the thread's line cache. On a cold cache a
-// descent therefore costs one charged read per level — the node's header;
-// its record lines follow the header one after the other and ride along —
-// and nothing else: the move-right test reads two words of that same
-// header. A descent that peeked at the sibling's low key instead paid for
-// the sibling's header on every level, and again for the first record line
-// it came back to.
+// descent therefore costs the root slot's line, one charged read per level —
+// the node's header; its record lines follow the header one after the other
+// and ride along — and nothing else: the move-right test reads two words of
+// that same header. A descent that peeked at the sibling's low key instead
+// paid for the sibling's header on every level, and again for the first
+// record line it came back to.
 
 const budgetHeight = 3
+
+// rootSlotRead is the read of the pool's first line, which holds the root
+// slot every descent starts from: a cold thread pays it once.
+const rootSlotRead = 1
 
 // budgetTree builds a three-level boxed tree on a 300 ns device: keys
 // 10, 20, ... ascending, so every leaf but the last is half full and every
@@ -62,7 +66,7 @@ func chargedBy(tr *BTree, op func(th *pmem.Thread)) uint64 {
 func leafOf(tr *BTree, key uint64) (cnt, pos int) {
 	th := tr.Pool().NewThread()
 	n := tr.descendToLeaf(th, key)
-	return tr.count(th, n), tr.findPosLocked(th, n, key)
+	return tr.count(th, n), tr.probeLeafLocked(th, n, key).at
 }
 
 // recordLine is the index of the record line holding slot i.
@@ -72,14 +76,14 @@ func TestReadBudget(t *testing.T) {
 	t.Run("Get", func(t *testing.T) {
 		tr, keys := budgetTree(t)
 		for _, k := range keys {
-			// One header per level, and the box.
-			if got := chargedBy(tr, func(th *pmem.Thread) { tr.Get(th, k) }); got != budgetHeight+1 {
-				t.Fatalf("Get(%d) charged %d reads, want height+1 = %d", k, got, budgetHeight+1)
+			// The root slot, one header per level, and the box.
+			if got := chargedBy(tr, func(th *pmem.Thread) { tr.Get(th, k) }); got != rootSlotRead+budgetHeight+1 {
+				t.Fatalf("Get(%d) charged %d reads, want root+height+1 = %d", k, got, rootSlotRead+budgetHeight+1)
 			}
 			// An absent key stops at the leaf: the not-found chase re-reads
 			// the header it already has.
-			if got := chargedBy(tr, func(th *pmem.Thread) { tr.Get(th, k+5) }); got != budgetHeight {
-				t.Fatalf("Get(%d) of an absent key charged %d reads, want height = %d", k+5, got, budgetHeight)
+			if got := chargedBy(tr, func(th *pmem.Thread) { tr.Get(th, k+5) }); got != rootSlotRead+budgetHeight {
+				t.Fatalf("Get(%d) of an absent key charged %d reads, want root+height = %d", k+5, got, rootSlotRead+budgetHeight)
 			}
 		}
 	})
@@ -96,11 +100,11 @@ func TestReadBudget(t *testing.T) {
 		}
 		for _, k := range keys {
 			// One key is Get's own descent and leaf read.
-			if got := chargedBy(tr, batch(k)); got != budgetHeight+1 {
-				t.Fatalf("GetBatch(%d) charged %d reads, want height+1 = %d", k, got, budgetHeight+1)
+			if got := chargedBy(tr, batch(k)); got != rootSlotRead+budgetHeight+1 {
+				t.Fatalf("GetBatch(%d) charged %d reads, want root+height+1 = %d", k, got, rootSlotRead+budgetHeight+1)
 			}
-			if got := chargedBy(tr, batch(k+5)); got != budgetHeight {
-				t.Fatalf("GetBatch(%d) of an absent key charged %d reads, want height = %d", k+5, got, budgetHeight)
+			if got := chargedBy(tr, batch(k+5)); got != rootSlotRead+budgetHeight {
+				t.Fatalf("GetBatch(%d) of an absent key charged %d reads, want root+height = %d", k+5, got, rootSlotRead+budgetHeight)
 			}
 		}
 		// Interleaving the descents costs no read a lone Get does not pay:
@@ -123,8 +127,8 @@ func TestReadBudget(t *testing.T) {
 	})
 	t.Run("Scan", func(t *testing.T) {
 		tr, keys := budgetTree(t)
-		// A cold range scan is charged the descent's inner headers, one
-		// header per leaf, and one read per box line it comes to out of
+		// A cold range scan is charged the root slot (rootSlotRead, not in
+		// the table), the descent's inner headers, one header per leaf, and one read per box line it comes to out of
 		// sequence (the ascending inserts laid the boxes out in key order,
 		// 8 to a line, between the nodes). Scan's box hints are no reads:
 		// both counts stay where they were before Scan hinted anything.
@@ -148,9 +152,9 @@ func TestReadBudget(t *testing.T) {
 					return true
 				})
 			})
-			if pairs != c.to-c.from+1 || st.ChargedReads != c.charged || st.Loads != c.loads {
+			if pairs != c.to-c.from+1 || st.ChargedReads != rootSlotRead+c.charged || st.Loads != c.loads {
 				t.Fatalf("Scan of keys %d..%d: %d pairs, %d charged reads, %d loads; want %d, %d, %d",
-					c.from, c.to, pairs, st.ChargedReads, st.Loads, c.to-c.from+1, c.charged, c.loads)
+					c.from, c.to, pairs, st.ChargedReads, st.Loads, c.to-c.from+1, rootSlotRead+c.charged, c.loads)
 			}
 		}
 	})
@@ -158,8 +162,8 @@ func TestReadBudget(t *testing.T) {
 		tr, keys := budgetTree(t)
 		for _, k := range keys {
 			// The box is stored to, never loaded.
-			if got := chargedBy(tr, func(th *pmem.Thread) { tr.Insert(th, k, 7) }); got != budgetHeight {
-				t.Fatalf("overwrite of %d charged %d reads, want height = %d", k, got, budgetHeight)
+			if got := chargedBy(tr, func(th *pmem.Thread) { tr.Insert(th, k, 7) }); got != rootSlotRead+budgetHeight {
+				t.Fatalf("overwrite of %d charged %d reads, want root+height = %d", k, got, rootSlotRead+budgetHeight)
 			}
 		}
 	})
@@ -176,7 +180,7 @@ func TestReadBudget(t *testing.T) {
 			// beyond: the slot after the terminator, probed for a stale
 			// pre-split pointer before the terminator moves onto it. It
 			// costs a read when it starts a line of its own.
-			want := uint64(budgetHeight)
+			want := uint64(rootSlotRead + budgetHeight)
 			if cnt+1 < tr.slots && recordLine(cnt+1) != recordLine(cnt) {
 				want++
 			}
@@ -194,7 +198,7 @@ func TestReadBudget(t *testing.T) {
 			// the key sits: the latched search stops at the key's line, the
 			// count walks on from there to the terminator and the shift
 			// follows it, line after line.
-			const want = budgetHeight + 1
+			const want = rootSlotRead + budgetHeight + 1
 			var ok bool
 			if got := chargedBy(tr, func(th *pmem.Thread) { _, ok = tr.Remove(th, k) }); got != want || !ok {
 				t.Fatalf("Remove(%d) at slot %d of %d charged %d reads (found %v), want %d", k, pos, cnt, got, ok, want)
@@ -208,7 +212,7 @@ func TestReadBudget(t *testing.T) {
 			cnt, pos := leafOf(tr, k)
 			// Remove's walk without its box: Delete never reads the box it
 			// discards, one read fewer at every slot.
-			const want = budgetHeight
+			const want = rootSlotRead + budgetHeight
 			var ok bool
 			if got := chargedBy(tr, func(th *pmem.Thread) { ok = tr.Delete(th, k) }); got != want || !ok {
 				t.Fatalf("Delete(%d) at slot %d of %d charged %d reads (found %v), want %d", k, pos, cnt, got, ok, want)
@@ -217,11 +221,12 @@ func TestReadBudget(t *testing.T) {
 	})
 }
 
-// TestRouteStopsAtFirstLargerKey: the insert-direction routing scan reads
-// record lines up to the first entry whose key exceeds the search key, not
-// up to the terminator. Counted in word loads on a quiescent root: the
-// switch counter and the leftmost word, the record lines, the candidate's
-// 4-word bracket and the closing switch-counter load.
+// TestRouteStopsAtFirstLargerKey: the insert-direction search reads record
+// lines up to the first entry whose key exceeds the search key, not up to
+// the terminator, when it routes and when it looks a key up. Counted in word
+// loads on a quiescent root and a quiescent leaf: the switch counter and the
+// leftmost word, the record lines, the candidate's 4-word bracket and the
+// closing switch-counter load.
 func TestRouteStopsAtFirstLargerKey(t *testing.T) {
 	p := pmem.New(pmem.Config{Size: 16 << 20})
 	th := p.NewThread()
@@ -268,5 +273,51 @@ func TestRouteStopsAtFirstLargerKey(t *testing.T) {
 	if want := uint64(fixed + (recordLine(cnt)+1)*pmem.WordsPerLine); loads != want {
 		t.Errorf("routing past the last of %d separators loaded %d words, want %d: every line to the terminator's",
 			cnt, loads, want)
+	}
+
+	leaf := tr.descendToLeaf(th, 0)
+	lcnt := tr.count(th, leaf)
+	if recordLine(lcnt) == 0 {
+		t.Fatalf("first leaf holds %d keys: its terminator shares the first record line", lcnt)
+	}
+	findLoads := func(key uint64) (found bool, loads uint64) {
+		before := th.Stats.Loads
+		_, found = tr.leafFind(th, leaf, key)
+		return found, th.Stats.Loads - before
+	}
+	for i := 0; i < slotsPerLine-1; i++ {
+		// A present key reads up to its own line; an absent one up to the
+		// first larger key, which shares the first record line.
+		key := tr.keyAt(th, leaf, i)
+		for _, c := range []struct {
+			key     uint64
+			present bool
+		}{{key, true}, {key + 1, false}} {
+			found, loads := findLoads(c.key)
+			if found != c.present {
+				t.Fatalf("leafFind(%d) found %v, want %v", c.key, found, c.present)
+			}
+			if want := uint64(fixed + pmem.WordsPerLine); loads != want {
+				t.Errorf("looking up %d (after slot %d of %d) loaded %d words, want %d: one record line",
+					c.key, i, lcnt, loads, want)
+			}
+		}
+	}
+	// Under an odd counter, as a left shift leaves it, the search walks to
+	// the terminator and back, right to left, and stops at the first
+	// confirmed entry at or below the key: switch counter, both walks, the
+	// bracket and the closing load.
+	tr.setDirection(th, leaf, 1)
+	for _, i := range []int{0, slotsPerLine - 1, slotsPerLine, lcnt - 1} {
+		key := tr.keyAt(th, leaf, i) + 1
+		found, loads := findLoads(key)
+		if found {
+			t.Fatalf("leafFind(%d) found an absent key", key)
+		}
+		back := recordLine(lcnt-1) - recordLine(i) + 1
+		if want := uint64(2 + 4 + (recordLine(lcnt)+1+back)*pmem.WordsPerLine); loads != want {
+			t.Errorf("looking up %d (after slot %d of %d) on an odd leaf loaded %d words, want %d: %d lines back",
+				key, i, lcnt, loads, want, back)
+		}
 	}
 }

@@ -40,7 +40,7 @@ func (t *BTree) ReplaceIf(th *pmem.Thread, key, old, new uint64) bool {
 
 	n := t.latchLeaf(th, Leaf{}, key)
 
-	pos := t.findPosLocked(th, n, key)
+	pos := t.probeLeafLocked(th, n, key).at
 	if pos < 0 {
 		th.Unlatch(n.off + offLock)
 		return false
@@ -85,7 +85,7 @@ func (t *BTree) RemoveFrom(th *pmem.Thread, at Leaf, key uint64, wantOld bool) (
 
 	n := t.latchLeaf(th, at, key)
 
-	pos := t.findPosLocked(th, n, key)
+	pos := t.probeLeafLocked(th, n, key).at
 	if pos < 0 {
 		th.Unlatch(n.off + offLock)
 		return 0, false

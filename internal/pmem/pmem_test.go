@@ -291,6 +291,20 @@ func TestLatencyCharging(t *testing.T) {
 	}
 }
 
+// TestColdThreadChargesFirstRead: a fresh thread has touched no line, so
+// its first load is charged on line 0 and on line 1 alike — neither is "the
+// next line" after one it has read.
+func TestColdThreadChargesFirstRead(t *testing.T) {
+	p := newTestPool(t, Config{ReadLatency: time.Nanosecond})
+	for _, line := range []int64{0, 1} {
+		th := p.NewThread()
+		th.Load(line * LineSize)
+		if th.Stats.ChargedReads != 1 {
+			t.Errorf("a fresh thread's first load of line %d charged %d reads, want 1", line, th.Stats.ChargedReads)
+		}
+	}
+}
+
 func TestLoadLine(t *testing.T) {
 	p := newTestPool(t, Config{})
 	th := p.NewThread()

@@ -122,8 +122,13 @@ type Thread struct {
 // Pool returns the pool this thread operates on.
 func (t *Thread) Pool() *Pool { return t.p }
 
+// coldLine is the last line of a thread that has touched none: neither it
+// nor the line after it is a line of the arena, so a cold thread's first
+// read is charged wherever it lands, line 0 (the root slots) included.
+const coldLine = -2
+
 func (t *Thread) resetCache() {
-	t.lastLine = -1
+	t.lastLine = coldLine
 	for i := range t.tags {
 		t.tags[i] = -1
 	}

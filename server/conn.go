@@ -370,9 +370,9 @@ const latencySampleMask = 7
 // counting it and any failure under its opcode, and encodes the response —
 // which borrows the connection's scratch buffers — into the slab. One in
 // latencySampleMask+1 requests is clocked: queue wait (batch ingest t0 to
-// execution start), execution, the per-class whole-request histogram behind
-// /metrics and OpLatencies, the slow-op check, and a meta entry so the
-// write can charge the flush-wait stage. A Get executes in its run (see
+// execution start), execution, the per-class whole-request histogram on
+// /metrics, the slow-op check, and a meta entry so the write can charge the
+// flush-wait stage. A Get executes in its run (see
 // get): its queue wait ends where the run's store call starts, and its
 // execution is an even share of that call.
 func (c *conn) serveOne(ss *store.Session, i int, t0 int64) {

@@ -31,9 +31,9 @@ func opName(slot int) string {
 	return wire.Op(slot).String()
 }
 
-// Op classes summarize latency for /metrics and OpLatencies (the
-// -stats-interval log); each opcode's class is its row of the opcode table
-// (ops). Slot 0 counts as read — it never carries store work.
+// Op classes summarize latency for /metrics' pmkv_server_request_seconds;
+// each opcode's class is its row of the opcode table (ops). Slot 0 counts
+// as read — it never carries store work.
 const (
 	classRead = iota
 	classWrite
@@ -49,8 +49,8 @@ var classNames = [numClasses]string{"read", "write", "scan"}
 // splitting each request's life into queue wait (batch ingest to execution
 // start — the requests ahead of it in its own batch), execution, and flush
 // wait (response ready to write syscall), per-class whole-request
-// histograms backing OpLatencies, and batch shape distributions (ingest
-// batch size, flush size in bytes and responses). The latency histograms
+// histograms, and batch shape distributions (ingest batch size, flush size
+// in bytes and responses). The latency histograms
 // observe a 1-in-latencySampleMask+1 sample of requests — see serveOne —
 // unless SlowOpThreshold is set. A Get's execute stage is its run's store
 // call divided by the run's length (see conn.get).
@@ -153,19 +153,6 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 		"connections that died mid-stream (reset, torn or corrupt frame, protocol error)", s.resets.Load)
 	reg.Counter("pmkv_server_slow_requests_total", "",
 		"requests at or over Options.SlowOpThreshold (queue + execute)", m.slowOps.Load)
-}
-
-// OpLatencies reports the server-side whole-request (queue wait +
-// execution) p50 and p99 per op class, in read/write/scan order — the
-// quantiles of /metrics' pmkv_server_request_seconds, for in-process
-// consumers like the periodic stats log.
-func (s *Server) OpLatencies() (p50, p99 [3]time.Duration) {
-	for c := 0; c < numClasses; c++ {
-		snap := s.met.class[c].Snapshot()
-		p50[c] = time.Duration(snap.Quantile(0.50))
-		p99[c] = time.Duration(snap.Quantile(0.99))
-	}
-	return p50, p99
 }
 
 // mnow is the server's monotonic clock: nanoseconds since the server was
