@@ -31,8 +31,7 @@
 // listener carries the observability endpoints: /metrics is Prometheus
 // text format (per-opcode request counts and errors, queue/execute/flush
 // stage latency histograms, store op latencies, GC pauses, value-log and
-// pmem counters), and /debug/vars exposes the same registry as expvar JSON
-// under the "pmkv" key. -slow-op logs any request whose queue+execute time
+// pmem counters), the one way to read a running server. -slow-op logs any request whose queue+execute time
 // meets the threshold, rate-limited to one line per 100ms.
 // -mutexprofile and -blockprofile set the runtime's contention sampling
 // rates (runtime.SetMutexProfileFraction / runtime.SetBlockProfileRate) so
@@ -42,7 +41,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -71,7 +69,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	quiet := flag.Bool("quiet", false, "suppress per-connection diagnostics")
 	slowOp := flag.Duration("slow-op", 0, "log requests slower than this, rate-limited (0 = off)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, /metrics and /debug/vars on this address (e.g. localhost:6060)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	mutexProfile := flag.Int("mutexprofile", 0, "mutex contention sampling: 1 of every N events (0 = off)")
 	blockProfile := flag.Int("blockprofile", 0, "blocking profile sampling rate in ns (0 = off)")
 	flag.Parse()
@@ -117,11 +115,9 @@ func main() {
 	}
 	srv := server.New(st, opts)
 
-	// The pprof mux (DefaultServeMux) also carries the observability
-	// endpoints: Prometheus text format on /metrics, and the same registry
-	// as JSON under the "pmkv" key of expvar's /debug/vars.
+	// The pprof mux (DefaultServeMux) also carries the registry, as
+	// Prometheus text format on /metrics.
 	http.Handle("/metrics", srv.Metrics().Handler())
-	expvar.Publish("pmkv", srv.Metrics().ExpvarFunc())
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -130,26 +130,13 @@ func (t *BTree) Recover(th *pmem.Thread) error {
 	}
 
 	// Complete a crashed root split first: the root must not have a
-	// sibling. One new level per iteration; entries for the whole chain.
-	for {
-		root := t.root(th)
-		if !t.sibling(th, root).valid() {
-			break
-		}
-		level := t.level(th, root)
-		nr, err := t.allocNode(th, level+1, uint64(root.off), t.lowKey(th, root))
-		if err != nil {
+	// sibling. insertParent grows a root over it and its first sibling;
+	// the dangling-sibling pass below attaches the rest of the chain.
+	if root := t.root(th); t.sibling(th, root).valid() {
+		sib := t.sibling(th, root)
+		if err := t.insertParent(th, root, t.level(th, root), t.lowKey(th, sib), uint64(sib.off)); err != nil {
 			return err
 		}
-		i := 0
-		for s := t.sibling(th, root); s.valid() && i < t.maxEntries; s = t.sibling(th, s) {
-			t.storeKey(th, nr, i, t.lowKey(th, s))
-			t.storePtr(th, nr, i, uint64(s.off))
-			i++
-		}
-		t.setLastIdxHint(th, nr, i)
-		th.Flush(nr.off, int64(t.nodeSize))
-		t.pool.SetRoot(th, t.opts.RootSlot, nr.off)
 	}
 
 	// Per-level sweep, top down.

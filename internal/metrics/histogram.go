@@ -1,6 +1,7 @@
 // Package metrics is the in-process observability layer: lock-free,
 // allocation-free latency histograms and cache-line-padded counters, plus a
-// Registry that exposes them as Prometheus text format, expvar JSON, and
+// Registry that exposes them as Prometheus text format — the one way a
+// running server is read — and, in process, as a JSON-shaped map and
 // mergeable snapshots with quantiles.
 //
 // The package is dependency-free and always-on by design: a Histogram's
@@ -127,15 +128,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 // Count returns the number of recorded observations.
 func (s *Snapshot) Count() uint64 { return s.Total }
 
-// Mean returns the exact mean of the recorded values (the sum is tracked
-// exactly, not rebuilt from buckets), or 0 when empty.
-func (s *Snapshot) Mean() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Total)
-}
-
 // Quantile returns an upper bound for the q-quantile (q in [0,1]) of the
 // recorded values: the upper bound of the bucket holding the rank-⌈q·n⌉
 // observation, which exceeds the exact order statistic by at most a factor
@@ -173,18 +165,6 @@ func (s *Snapshot) Max() int64 {
 		if s.Counts[i] != 0 {
 			_, hi := bucketRange(i)
 			return hi
-		}
-	}
-	return 0
-}
-
-// Min returns a lower bound for the smallest recorded value (the bottom
-// nonempty bucket's lower bound), or 0 when empty.
-func (s *Snapshot) Min() int64 {
-	for i, c := range s.Counts {
-		if c != 0 {
-			lo, _ := bucketRange(i)
-			return lo
 		}
 	}
 	return 0

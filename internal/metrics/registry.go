@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -191,12 +190,12 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// ExpvarFunc returns an expvar.Func rendering the registry as a JSON map:
+// ExpvarFunc returns a function rendering the registry as a JSON-shaped map:
 // counters and gauges by "name{labels}" key, histograms as
-// {count, sum, p50, p99, max} objects. Publish it once per process:
-//
-//	expvar.Publish("pmkv", reg.ExpvarFunc())
-func (r *Registry) ExpvarFunc() expvar.Func {
+// {count, sum, p50, p99, max} objects. It is an in-process view only
+// (benchmark/'s trace reads its server's stage latencies through it); no
+// server publishes it — a running server is read on /metrics.
+func (r *Registry) ExpvarFunc() func() any {
 	return func() any {
 		out := make(map[string]any)
 		r.mu.Lock()

@@ -166,11 +166,6 @@ func (l *Log) Capacity() int64 { return l.cap }
 // occupies: header, ID and kind words plus the word-padded payload.
 func RecordSize(payloadLen int) int64 { return rec.Size(payloadLen) }
 
-// SpaceFor reports whether a payload of n bytes fits an EMPTY log — the
-// admission check commits run before writing anything, so a too-large
-// transaction aborts cleanly instead of half-appending.
-func (l *Log) SpaceFor(n int) bool { return RecordSize(n) <= l.cap }
-
 // Create initialises an empty log of the given capacity (0 = DefaultCap)
 // anchored at the pool root slot and persists it.
 func Create(p *pmem.Pool, th *pmem.Thread, slot int, capBytes int64) (*Log, error) {

@@ -131,9 +131,6 @@ func TestSpaceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.SpaceFor(8) || l.SpaceFor(1<<10) {
-		t.Fatal("SpaceFor disagrees with capacity")
-	}
 	if err := l.Append(th, 1, KindIntent, make([]byte, 1<<10)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized append: %v", err)
 	}

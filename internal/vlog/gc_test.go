@@ -3,8 +3,11 @@ package vlog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/pmem"
 )
@@ -368,4 +371,155 @@ func TestGCNoWaitYieldsToRunningPass(t *testing.T) {
 		t.Fatalf("GC(wait=false) on an idle log = %+v, %v; want it to run", res, err)
 	}
 	verifyTree(t, l, th, tree, want, "after nested no-wait GC")
+}
+
+// sealedRefs lists the records of every sealed extent, head first: the
+// records a full GC pass walks.
+func sealedRefs(th *pmem.Thread, l *Log) (refs []Ref, extents int) {
+	for ext := l.first; ext != l.curExt; ext = int64(th.Load(ext)) {
+		it := rec.Walk(th, ext+extHdrBytes, int64(th.Load(ext+pmem.WordSize)), false)
+		for it.Next() {
+			refs = append(refs, MakeRef(it.Off, it.Len))
+		}
+		extents++
+	}
+	return refs, extents
+}
+
+// TestGCSweepsEachExtentOnce pins the pass's cost: one fence on entry, one
+// per extent before it is freed, and one liveness lookup per record walked
+// — N+1 fences and no second sweep for an N-extent pass. A pass with
+// nothing sealed fences not at all.
+func TestGCSweepsEachExtentOnce(t *testing.T) {
+	p, th := newPool(t, 8<<20, false)
+	l, err := Create(p, th, 5, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := mapTree{}
+	fs := tree.funcs()
+	fences, lookups := 0, map[Ref]int{}
+	fs.Fence = func() { fences++ }
+	live := fs.Live
+	fs.Live = func(key uint64, ref Ref) bool {
+		lookups[ref]++
+		return live(key, ref)
+	}
+	if _, err := l.Append(th, 1, []byte("only")); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := l.GC(th, 0, true, fs); err != nil || res.Extents != 0 || fences != 0 || len(lookups) != 0 {
+		t.Fatalf("pass over the current extent alone = %+v, %v, %d fences, %d lookups; want nothing",
+			res, err, fences, len(lookups))
+	}
+
+	want := fillAndChurn(t, l, th, tree, 40, 4, 120)
+	refs, n := sealedRefs(th, l)
+	if n < 3 {
+		t.Fatalf("churn sealed only %d extents", n)
+	}
+	res, err := l.GC(th, 0, true, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Extents != n || fences != n+1 {
+		t.Fatalf("pass freed %d of %d sealed extents with %d fences; want all of them with %d", res.Extents, n, fences, n+1)
+	}
+	if len(lookups) != len(refs) {
+		t.Fatalf("Live saw %d distinct records; the sealed extents hold %d", len(lookups), len(refs))
+	}
+	for _, ref := range refs {
+		if lookups[ref] != 1 {
+			t.Fatalf("Live asked about record %v %d times; want once", ref, lookups[ref])
+		}
+	}
+	verifyTree(t, l, th, tree, want, "after single-sweep GC")
+
+	// A bounded pass pays its entry fence once, not per extent.
+	fillAndChurn(t, l, th, tree, 40, 2, 120)
+	fences = 0
+	if res, err := l.GC(th, 2, true, fs); err != nil || res.Extents != 2 || fences != 3 {
+		t.Fatalf("bounded pass = %+v, %v with %d fences; want 2 extents and 3 fences", res, err, fences)
+	}
+}
+
+// TestGCWaitsForHeldWriter: a writer appends into the head extent inside a
+// grace section and installs the ref only once that extent is sealed and
+// a pass has started. The pass's entry fence must wait the install out,
+// so the record is relocated, not dropped with its extent.
+func TestGCWaitsForHeldWriter(t *testing.T) {
+	p, th := newPool(t, 8<<20, false)
+	l, err := Create(p, th, 5, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	tree := mapTree{}
+	fs := tree.funcs()
+	live, swap := fs.Live, fs.Swap
+	fs.Live = func(key uint64, ref Ref) bool { mu.Lock(); defer mu.Unlock(); return live(key, ref) }
+	fs.Swap = func(key uint64, old, new Ref) bool { mu.Lock(); defer mu.Unlock(); return swap(key, old, new) }
+	started, passDone := make(chan struct{}), make(chan struct{})
+	fs.Fence = func() {
+		select {
+		case <-started:
+		default:
+			close(started)
+		}
+		p.Synchronize()
+	}
+
+	const held = 1 << 40
+	val := []byte("appended before the seal, installed during the pass")
+	appended := make(chan Ref)
+	writerErr := make(chan error, 1)
+	go func() {
+		wth := p.NewThread()
+		wth.Enter()
+		defer wth.Exit()
+		ref, err := l.Append(wth, held, val)
+		if err != nil {
+			close(appended)
+			writerErr <- err
+			return
+		}
+		appended <- ref
+		select {
+		case <-started:
+		case <-passDone:
+		}
+		time.Sleep(time.Millisecond) // give a pass that did not wait time to free the extent
+		if st := l.QuickStats(); st.GCPasses != 0 {
+			writerErr <- fmt.Errorf("the pass freed %d extents before the held install", st.GCPasses)
+			return
+		}
+		mu.Lock()
+		tree[held] = ref
+		mu.Unlock()
+		writerErr <- nil
+	}()
+	ref, ok := <-appended
+	if !ok {
+		t.Fatal(<-writerErr)
+	}
+	if first := l.first; ref.Off() < first || ref.Off() >= first+l.extSize {
+		t.Fatalf("held record at %d is not in the head extent at %d", ref.Off(), first)
+	}
+	want := fillAndChurn(t, l, th, tree, 40, 4, 120)
+	if l.curExt == l.first {
+		t.Fatal("churn did not seal the head extent")
+	}
+	res, err := l.GC(th, 0, true, fs)
+	close(passDone)
+	if werr := <-writerErr; werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil || res.Extents == 0 {
+		t.Fatalf("pass = %+v, %v; want extents reclaimed", res, err)
+	}
+	if tree[held] == ref {
+		t.Fatal("the held record was dropped with its extent, not relocated")
+	}
+	want[held] = val
+	verifyTree(t, l, th, tree, want, "after the held writer's pass")
 }

@@ -51,9 +51,10 @@
 // naming exactly one intact copy: before the swap the old record is still
 // linked and valid; after the swap the new copy was already durable
 // (Append returned); after the unlink the old extent holds only dead
-// records. The caller supplies a Fence callback, invoked between the last
-// swap and the free, to drain readers that may still hold a pre-swap
-// reference snapshot (see GCFuncs).
+// records. The caller supplies a Fence callback, invoked once when the pass
+// starts, to drain writers between an append and its tree install, and
+// once per extent between the last swap and the free, to drain readers
+// that may still hold a pre-swap reference snapshot (see GCFuncs).
 //
 // Live/garbage byte accounting is volatile and caller-assisted: Append
 // counts the new record live, MarkStale moves the bytes of an overwritten
@@ -546,16 +547,15 @@ type GCFuncs struct {
 	// entry no longer holds old (the application overwrote or deleted the
 	// key mid-GC — the fresh copy is then abandoned as garbage). Required.
 	Swap func(key uint64, old, new Ref) bool
-	// Fence is a quiescence barrier, called twice per reclaimed extent:
-	// after the initial relocation sweep and again after the post-fence
-	// catch-up sweep, always before the extent is freed. It must not
-	// return while any reader can still hold a reference snapshot taken
-	// before the sweep's swaps, nor while any writer is mid-flight
-	// between appending a record and installing its ref in the tree (the
-	// store implements it as pmem.Pool.Synchronize: lookups open a grace
-	// section for the resolve window, writers across append+install).
-	// Optional only when no concurrent
-	// readers or writers exist.
+	// Fence is a quiescence barrier, called once before the pass's first
+	// sweep and once per extent before it is freed. It must not return
+	// while any writer that started before the call is mid-flight
+	// between appending a record and installing its ref in the tree, nor
+	// while any reader can still hold a reference snapshot taken before
+	// the sweep's swaps (the store implements it as
+	// pmem.Pool.Synchronize: lookups open a grace section for the
+	// resolve window, writers across append+install). Optional only when
+	// no concurrent readers or writers exist.
 	Fence func()
 }
 
@@ -573,17 +573,16 @@ type GCResult struct {
 // GC reclaims up to maxExtents (0 = no bound) sealed extents from the head
 // of the chain — the oldest records first. For each extent it relocates the
 // records the index still references (copy to the tail with the ordinary
-// failure-atomic Append, then f.Swap the tree entry old→new), then runs a
-// fence → catch-up sweep → fence sequence before unlinking and freeing the
-// extent. The catch-up sweep exists because a liveness verdict can go
-// stale: a writer that appended a record into this extent long ago may
-// install its ref in the tree only after the first sweep judged the record
-// dead. The first fence waits such writers out (they are inside the
-// caller's grace section across append+install), the second sweep relocates
-// whatever they installed, and — since appends into a sealed extent are over and
-// each append's ref is installed at most once — nothing new can appear
-// after it; the final fence then drains readers still holding pre-sweep
-// snapshots before the memory is recycled. The extent holding the append
+// failure-atomic Append, then f.Swap the tree entry old→new), then fences
+// and unlinks and frees the extent. One sweep per extent suffices because
+// the pass fences once on entry: a liveness verdict could only go stale
+// through a writer that appended into a victim before it was sealed and
+// installs the ref later, and every such writer is inside the caller's
+// grace section across append+install, opened before the pass began, so
+// the entry fence waits it out. Each append's ref is installed at most
+// once, so after that fence no ref into a victim can appear; each
+// extent's own fence then drains readers still holding pre-sweep
+// snapshots before its memory is recycled. The extent holding the append
 // tail is never touched, so GC runs concurrently with appends and
 // lock-free reads; passes serialise with each other on gcMu. A caller that
 // must not queue behind a running pass — the store's automatic trigger,
@@ -622,18 +621,37 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, wait bool, f GCFuncs) (GCResul
 	// entry-time current extent visits every extent that could hold
 	// pre-pass garbage exactly once.
 	l.mu.Lock()
-	stop := l.curExt
+	stop, first := l.curExt, l.first
 	l.mu.Unlock()
+	if first == 0 || first == stop {
+		return res, nil // nothing sealed: the current extent is never reclaimed
+	}
+	// Entry fence: every victim was sealed before stop became current, so
+	// every append into a victim happened before the read above, inside
+	// its writer's append+install section. Once those writers drain, no
+	// ref into a victim can be installed again (each append's ref is
+	// installed at most once, by its own writer), and one sweep per
+	// extent sees every record the tree will ever name there.
+	if f.Fence != nil {
+		f.Fence()
+	}
 	var buf []byte
-
-	// sweep walks one sealed extent, relocating every record the index
-	// references. It reports the payload bytes it saw so the caller can
-	// settle the garbage accounting at free time (every byte left behind
-	// is dead by then). Safe without locks: appends only touch the
-	// current extent, records are immutable once published, and gcMu
-	// makes this the only GC pass.
-	sweep := func(victim, end int64) (payload, relocated int64, err error) {
-		// Headers only: what is relocated is checksummed by ReadKeyed.
+	for maxExtents <= 0 || res.Extents < maxExtents {
+		l.mu.Lock()
+		victim := l.first
+		l.mu.Unlock()
+		if victim == 0 || victim == stop {
+			break // never reclaim the extent appends are landing in
+		}
+		end := int64(th.Load(victim + pmem.WordSize))
+		// Sweep the victim, relocating every record the index references,
+		// and total the payload bytes it holds so the garbage accounting
+		// settles at free time (every byte left behind is dead by then).
+		// Safe without locks: appends only touch the current extent,
+		// records are immutable once published, and gcMu makes this the
+		// only GC pass. Headers only: what is relocated is checksummed by
+		// ReadKeyed.
+		var payload, relocated int64
 		it := rec.Walk(th, victim+extHdrBytes, end, false)
 		for it.Next() {
 			n, key, ref := int64(it.Len), it.Meta[0], MakeRef(it.Off, it.Len)
@@ -641,13 +659,14 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, wait bool, f GCFuncs) (GCResul
 			if f.Live != nil && !f.Live(key, ref) {
 				continue
 			}
+			var err error
 			buf, err = l.ReadKeyed(th, key, ref, buf[:0])
 			if err != nil {
-				return payload, relocated, fmt.Errorf("vlog: GC copy of key %d: %w", key, err)
+				return res, fmt.Errorf("vlog: GC copy of key %d: %w", key, err)
 			}
 			newRef, err := l.Append(th, key, buf)
 			if err != nil {
-				return payload, relocated, fmt.Errorf("vlog: GC relocation of key %d: %w", key, err)
+				return res, fmt.Errorf("vlog: GC relocation of key %d: %w", key, err)
 			}
 			if f.Swap(key, ref, newRef) {
 				// The old copy dies with its extent; Append already
@@ -668,43 +687,12 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, wait bool, f GCFuncs) (GCResul
 			}
 		}
 		if !it.Terminated() {
-			return payload, relocated, fmt.Errorf("%w: bad record header at %d during GC", ErrCorrupt, it.Off)
+			return res, fmt.Errorf("%w: bad record header at %d during GC", ErrCorrupt, it.Off)
 		}
-		return payload, relocated, nil
-	}
-
-	for maxExtents <= 0 || res.Extents < maxExtents {
-		l.mu.Lock()
-		victim, cur := l.first, l.curExt
-		l.mu.Unlock()
-		if victim == 0 || victim == stop || victim == cur {
-			break // never reclaim the extent appends are landing in
-		}
-		end := int64(th.Load(victim + pmem.WordSize))
-		payload, relocated, err := sweep(victim, end)
-		if err != nil {
-			return res, err
-		}
-		// First fence: no writer is left mid-flight between appending a
-		// record into this (long-sealed) extent and installing its ref —
-		// such installs would invalidate the sweep's dead verdicts.
-		if f.Fence != nil {
-			f.Fence()
-		}
-		// Catch-up sweep: relocate records whose ref was installed after
-		// the first sweep judged them dead. After this, no record in the
-		// victim can become referenced again (its ref is installed at
-		// most once, by the writer that appended it, and those writers
-		// have drained).
-		_, relocated2, err := sweep(victim, end)
-		if err != nil {
-			return res, err
-		}
-		relocated += relocated2
-		// Final fence: readers may still hold pre-sweep refs into the
-		// victim; they must drain before its memory can be recycled (and
-		// rezeroed) by a later allocation. New resolutions re-read the
-		// tree, which no longer names the victim.
+		// Readers may still hold pre-swap refs into the victim; they must
+		// drain before its memory can be recycled (and rezeroed) by a
+		// later allocation. New resolutions re-read the tree, which no
+		// longer names the victim.
 		if f.Fence != nil {
 			f.Fence()
 		}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -223,10 +225,48 @@ func TestChaosClientSideFaults(t *testing.T) {
 	}
 }
 
+// heldListener hands the server connections whose reads block until the
+// server closes them, so no request is read and every call issued before
+// an abort is still in flight when it lands. A background copy drains
+// what the client sends, so the client's writes never stall on a full
+// socket buffer. accepted receives one value per accepted connection.
+type heldListener struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l heldListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	go io.Copy(io.Discard, nc)
+	l.accepted <- struct{}{}
+	return &heldConn{Conn: nc, closed: make(chan struct{})}, nil
+}
+
+type heldConn struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *heldConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *heldConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
 // TestServerDeathFailsPendingCalls kills the server while a deep pipeline
 // of calls is in flight and asserts the client contract on the wreckage:
 // every pending Call completes (with nil or a terminal error) well inside
 // the call deadline, and afterwards the client side leaks no goroutines.
+// The server reads nothing before the abort (heldListener), so the calls
+// are in flight by construction, not by winning a race.
 func TestServerDeathFailsPendingCalls(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -235,10 +275,11 @@ func TestServerDeathFailsPendingCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(st, Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := heldListener{Listener: tcp, accepted: make(chan struct{}, 1)}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
@@ -246,6 +287,7 @@ func TestServerDeathFailsPendingCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-ln.accepted
 	const n = 5000
 	calls := make([]*client.Call, n)
 	for i := 0; i < n; i++ {

@@ -48,8 +48,8 @@ import (
 	"repro/store"
 )
 
-// ErrServerClosed is returned by Serve and ListenAndServe after Shutdown or
-// Close, mirroring net/http's contract.
+// ErrServerClosed is returned by Serve after Shutdown or Close, mirroring
+// net/http's contract.
 var ErrServerClosed = errors.New("server: closed")
 
 // Options configures a Server. The zero value is ready for use.
@@ -153,8 +153,8 @@ func New(st *store.Store, opts Options) *Server {
 }
 
 // Metrics returns the server's registry — every server family plus the
-// store's, ready for Registry.Handler (Prometheus text format) or
-// Registry.ExpvarFunc.
+// store's, ready for Registry.Handler: Prometheus text format on /metrics,
+// the one way to read a running server.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 func (s *Server) logf(format string, args ...any) {
@@ -214,16 +214,6 @@ func (s *Server) releaseAdmit() {
 	if s.opts.MaxServerInflight > 0 {
 		s.admitted.Add(-1)
 	}
-}
-
-// ListenAndServe listens on addr ("host:port") and serves until Shutdown or
-// Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Shutdown or Close, then returns

@@ -28,24 +28,23 @@ import (
 // Exit): readers for their tree-word→log-bytes resolve, and PutBytes /
 // PutKV writers from the log append to the tree install (the appended
 // record is invisible to GC's liveness until the install lands). The GC
-// pass runs, per extent, relocation sweep → fence → catch-up sweep → fence
-// → free, where each fence is Pool.Synchronize: it returns when every
+// pass fences once on entry, then runs, per extent, relocation sweep →
+// fence → free, where each fence is Pool.Synchronize: it returns when every
 // section that was open at the call has closed. Consider extent E:
 //
-//   - A reader whose section was open when a fence began: the fence waits
+//   - A writer that appended into E but had not installed the ref when
+//     the pass began: E was sealed before the pass read its stopping
+//     extent, so the entry fence waits out the install, and E's sweep
+//     relocates the record. No ref into E can be installed after that —
+//     each append's ref is installed exactly once, by its own writer.
+//   - A reader whose section was open when E's fence began: the fence waits
 //     for it, so E outlives the access. It may read a pre-swap (old) copy —
 //     intact (records are immutable and E unfreed) and byte-identical to
 //     the relocated one unless it raced an application overwrite, which is
 //     the store's documented read-uncommitted window, not a GC artifact.
-//   - A reader whose section opens after the final fence began: it loads
-//     the ref from the tree after every swap committed, so the ref does
-//     not point into E.
-//   - A writer that appended into E (necessarily before E was sealed) but
-//     had not yet installed the ref when the sweep judged the record
-//     dead: its section is open, so the first fence waits out its install,
-//     and the catch-up sweep relocates the record. No ref into E can be
-//     installed after that — each append's ref is installed exactly once,
-//     by its own writer, and those writers have drained.
+//   - A reader whose section opens after E's fence began: it loads the ref
+//     from the tree after every swap committed, so the ref does not point
+//     into E.
 //
 // A fence never blocks a section from opening, and sections nest, so the
 // tree's own per-read sections inside a store-level one are free. The pass
@@ -138,9 +137,9 @@ func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, er
 		Swap: func(key uint64, old, new vlog.Ref) bool {
 			return sh.ix.ReplaceIf(th, key, uint64(old), uint64(new))
 		},
-		// Waits out every reader that could hold a pre-swap ref snapshot
-		// and every writer mid-install of an appended record's ref (see
-		// the package comment above).
+		// Waits out every writer mid-install of an appended record's ref
+		// (on entry) and every reader that could hold a pre-swap ref
+		// snapshot (per extent); see the package comment above.
 		Fence: sh.pool.Synchronize,
 	})
 	if !res.Busy {
